@@ -3,31 +3,26 @@ Inside the lattice sum
 ======================
 
 Shows the admissible lattice vectors behind one fermionic evaluation: the
-congruence filter, the exact rational exponent of each vector, and how the
-per-vector terms q^Q / prod (q)_{m_i} assemble the coefficient series.
+integer form n*Q the walk runs on, the exponent of each admitted vector, and
+how the per-vector terms q^Q / prod (q)_{m_i} assemble the coefficient series.
 """
 
 from slnbranch import (
     QuadraticFormData,
     fermionic_series,
-    inv_pochhammer,
-    lattice_enumeration_bound,
     lattice_points,
+    lattice_sum,
 )
 
 N, S, T, ORDER = 3, 1, 2, 6
 
 qf = QuadraticFormData.create(N, S, T)
 print(f"n={N}, class L{S} + L{T}, order {ORDER}")
-print(f"shell bound: {lattice_enumeration_bound(N, S, T, ORDER)}")
+print(f"n*C^-1 = {qf.scaled_inverse}, beta = {qf.beta}")
 
 for m, q in lattice_points(N, S, T, ORDER):
     factors = " ".join(f"1/(q)_{mi}" for mi in m if mi) or "1"
     print(f"  m={m}  Q={q}  term: q^{q} * {factors}")
-    term = inv_pochhammer(0, ORDER - q)
-    for mi in m:
-        if mi:
-            term = term * inv_pochhammer(mi, ORDER - q)
-    print(f"          -> {term.shift_up(q, ORDER).coeffs}")
+    print(f"          -> {lattice_sum([(m, q)], ORDER).coeffs}")
 
 print(f"total: {fermionic_series(N, S, T, ORDER).coeffs}")

@@ -16,13 +16,16 @@ from .cores import is_n_core, is_rectangle_le_n, n_core, n_weight
 from .crystal import build_component
 from .jantzen_seitz import chi_by_branching, chi_direct, js_set
 from .partitions import format_partition, parse_partition
-from .qseries import fermionic_series, lattice_points
+from .qseries import lattice_points, lattice_sum
 from .verify import SUITES, run_suites
+
+
+# Least accepted value of each integer flag, keyed by argparse dest.
+_MINIMUMS = {"n": 2, "order": 0, "max_size": 0, "jobs": 1}
 
 
 def _add_common(parser: argparse.ArgumentParser, formats=("json", "csv", "text")):
     parser.add_argument("--format", choices=formats, default="json")
-    parser.add_argument("--jobs", type=int, default=1, help="worker count for verify")
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -80,6 +83,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--n", type=int, default=3)
     p.add_argument("--max-size", type=int, default=10)
     p.add_argument("--order", type=int, default=6)
+    p.add_argument("--jobs", type=int, default=1, help="worker count")
     _add_common(p)
 
     return parser
@@ -129,8 +133,8 @@ def _run_branching(args) -> int:
 
 
 def _run_fermionic(args) -> int:
-    series = fermionic_series(args.n, args.s, args.t, args.order)
-    visited = sum(1 for _ in lattice_points(args.n, args.s, args.t, args.order))
+    points = list(lattice_points(args.n, args.s, args.t, args.order))
+    series = lattice_sum(points, args.order)
     if args.format == "json":
         payload = {
             "n": args.n,
@@ -138,14 +142,14 @@ def _run_fermionic(args) -> int:
             "t": args.t,
             "order": args.order,
             "coeffs": list(series.coeffs),
-            "lattice_points": visited,
+            "lattice_points": len(points),
         }
         _emit(json.dumps(payload, separators=(",", ":")))
     elif args.format == "csv":
         _emit(_series_csv({"fermionic": series.coeffs}, args.order))
     else:
         _emit("fermionic " + " ".join(str(c) for c in series.coeffs))
-        _emit(f"lattice points: {visited}")
+        _emit(f"lattice points: {len(points)}")
     return 0
 
 
@@ -245,6 +249,12 @@ def _run_verify(args) -> int:
 def main(argv=None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
+    for dest, least in _MINIMUMS.items():
+        value = getattr(args, dest, None)
+        if value is not None and value < least:
+            flag = "--" + dest.replace("_", "-")
+            print(f"error: {flag} must be at least {least}, got {value}", file=sys.stderr)
+            return 2
     handlers = {
         "branching": _run_branching,
         "fermionic": _run_fermionic,

@@ -8,10 +8,22 @@ q^Q(m) / prod((q)_{m_i}) with
 
     Q(m) = m^T C^{-1} m - m^T C^{-1} e_{s-t+n} + s*t/n
 
-where C is the (n-1)x(n-1) Cartan matrix of sl(n) and e_n = 0.  The
-individual pieces of Q are fractional; each admissible exponent must come
-out a nonnegative integer, and anything else is raised as a hard error
-rather than rounded.
+where C is the (n-1)x(n-1) Cartan matrix of sl(n) and e_n = 0.
+
+The walk evaluates the integer form n*Q(m) = m^T B m - beta.m + s*t, where
+B = n*C^{-1} has entries n*min(i,j) - i*j and beta is B's column at s-t+n
+(zero when s = t).  It fixes m_1, m_2, ... depth first, keeping the partial
+form, the congruence residue and each unfixed coordinate's linear
+coefficient lin_j up to date.  Every entry of B is positive, so the cross
+terms among unfixed coordinates are nonnegative and coordinate j alone
+lowers the form by at most lin_j^2 / (4 B_jj) when lin_j < 0.  A branch is
+pruned when the partial form minus these drops exceeds n*order.  Past the
+vertex of B_kk x^2 + lin_k x that bound only grows with m_k (raising m_k
+raises every later lin_j), so the loop over m_k stops at the first such x
+that is pruned.  The last weight n-1 is -1 mod n, so the residue fixes
+m_{n-1} mod n and the innermost loop steps by n.  Each admissible exponent
+must come out a nonnegative integer, and anything else is raised as a hard
+error rather than rounded.
 """
 
 from __future__ import annotations
@@ -148,42 +160,59 @@ def cartan_matrix(n: int) -> tuple[tuple[int, ...], ...]:
     )
 
 
+def scaled_inverse_cartan(n: int) -> tuple[tuple[int, ...], ...]:
+    """n times the inverse sl(n) Cartan matrix: entry (i,j) = n*min(i,j) - ij.
+
+    Each entry equals min(i,j) * (n - max(i,j)), a positive integer.
+    """
+    return tuple(
+        tuple(n * min(i, j) - i * j for j in range(1, n)) for i in range(1, n)
+    )
+
+
 def inverse_cartan(n: int) -> tuple[tuple[Fraction, ...], ...]:
     """Exact inverse of the sl(n) Cartan matrix: entry (i,j) = min(i,j) - ij/n."""
     return tuple(
-        tuple(Fraction(min(i, j)) - Fraction(i * j, n) for j in range(1, n))
-        for i in range(1, n)
+        tuple(Fraction(entry, n) for entry in row) for row in scaled_inverse_cartan(n)
     )
 
 
 @dataclass(frozen=True)
 class QuadraticFormData:
-    """The quadratic exponent data for a target class L(s) + L(t), s <= t."""
+    """The quadratic exponent data for a target class L(s) + L(t), s <= t.
+
+    `scaled_inverse` is B = n*C^{-1} and `beta` its column at u = s-t+n
+    (all zeros when u = n), so n*Q(m) = m^T B m - beta.m + s*t in integers.
+    """
 
     n: int
-    inverse_cartan: tuple[tuple[Fraction, ...], ...]
     s: int
     t: int
+    scaled_inverse: tuple[tuple[int, ...], ...]
+    beta: tuple[int, ...]
 
     @classmethod
     def create(cls, n: int, s: int, t: int) -> "QuadraticFormData":
+        if n < 2:
+            raise ValueError(f"n must be at least 2, got {n}")
         if not 0 <= s <= t < n:
             raise ValueError(f"need 0 <= s <= t < n, got s={s}, t={t}, n={n}")
-        return cls(n, inverse_cartan(n), s, t)
+        scaled = scaled_inverse_cartan(n)
+        u = s - t + n
+        beta = tuple(row[u - 1] if u < n else 0 for row in scaled)
+        return cls(n, s, t, scaled, beta)
 
     def exponent(self, m) -> Fraction:
-        """Q(m); fractional pieces cancel only on admissible vectors."""
-        inv = self.inverse_cartan
-        quad = Fraction(0)
+        """Q(m): the integer form n*Q(m) divided by n; integral on admissible vectors."""
+        scaled = self.scaled_inverse
+        value = self.s * self.t
         for i, mi in enumerate(m):
             if mi:
-                row = inv[i]
-                quad += mi * sum(row[j] * mj for j, mj in enumerate(m) if mj)
-        u = self.s - self.t + self.n
-        linear = Fraction(0)
-        if u < self.n:
-            linear = sum(inv[i][u - 1] * mi for i, mi in enumerate(m) if mi)
-        return quad - linear + Fraction(self.s * self.t, self.n)
+                row = scaled[i]
+                value += mi * (
+                    sum(row[j] * mj for j, mj in enumerate(m) if mj) - self.beta[i]
+                )
+        return Fraction(value, self.n)
 
     def admissible(self, m) -> bool:
         return (self.t + sum((i + 1) * mi for i, mi in enumerate(m))) % self.n == 0
@@ -202,72 +231,77 @@ def canonical_pair(n: int, s: int, t: int) -> tuple[int, int]:
     return (n - t, n - s) if s + t > n else (s, t)
 
 
-def _shell_lower_bound(n: int, shell: int) -> Fraction:
-    """Certified lower bound for the quadratic exponent on |m|_1 = shell.
-
-    Uses m^T C^{-1} m >= |m|_2^2 / 4 >= shell^2 / (4(n-1)) (the largest
-    Cartan eigenvalue is below 4) and C^{-1} entries <= n/4 for the linear
-    term.
-    """
-    return Fraction(shell * shell, 4 * (n - 1)) - Fraction(n * shell, 4)
-
-
-def lattice_enumeration_bound(n: int, s: int, t: int, order: int) -> int:
-    """A shell size beyond which every lattice vector exceeds the order.
-
-    Every m with some coordinate above the bound lies in a shell past it and
-    its exponent provably exceeds `order`.
-    """
-    if n < 2:
-        raise ValueError("n must be at least 2")
-    shell = n * (n - 1) // 2 + 1  # past the vertex of the bounding parabola
-    while _shell_lower_bound(n, shell) <= order:
-        shell += 1
-    return shell
-
-
-def _compositions(total: int, parts: int) -> Iterator[tuple[int, ...]]:
-    if parts == 1:
-        yield (total,)
-        return
-    for first in range(total + 1):
-        for rest in _compositions(total - first, parts - 1):
-            yield (first,) + rest
-
-
 def lattice_points(
-    n: int, s: int, t: int, order: int, bound: int | None = None
+    n: int, s: int, t: int, order: int
 ) -> Iterator[tuple[tuple[int, ...], int]]:
     """Admissible vectors with exponent <= order, as (m, Q) pairs.
 
-    Walks shells of constant |m|_1 up to the certified bound (or an explicit
-    larger one; enlarging it never adds points below the order).  The pair
-    (s, t) is folded into the domain s + t <= n first (see canonical_pair).
-    Raises ArithmeticError if an admissible exponent fails to be a
-    nonnegative integer (a convention bug, never expected).
+    A pruned depth-first walk over the coordinates in the integer form n*Q
+    (see the module docstring); the yield order is that of the walk.  The
+    pair (s, t) is folded into the domain s + t <= n first (see
+    canonical_pair).  Raises ArithmeticError if a reached vector fails the
+    congruence or its exponent is not an integer in 0..order (a convention
+    bug, never expected).
     """
     s, t = canonical_pair(n, s, t)
     qf = QuadraticFormData.create(n, s, t)
-    if bound is None:
-        bound = lattice_enumeration_bound(n, s, t, order)
-    for shell in range(bound + 1):
-        for m in _compositions(shell, n - 1):
-            if not qf.admissible(m):
-                continue
-            q = qf.exponent(m)
-            if q > order:
-                continue
-            if q.denominator != 1 or q < 0:
-                raise ArithmeticError(
-                    f"admissible vector {m} has non-integral exponent {q} "
-                    f"(n={n}, s={s}, t={t})"
+    scaled, limit, last = qf.scaled_inverse, n * order, n - 2
+
+    def walk(k, m, form, residue, lin):
+        # form: n*Q restricted to the fixed coordinates m; residue: the value
+        # m_last must take mod n; lin[j]: linear coefficient of coordinate k + j.
+        row, lk = scaled[k], lin[0]
+        bkk = row[k]
+        if k == last:
+            x = residue
+            while True:
+                value = form + x * (bkk * x + lk)
+                if value <= limit:
+                    yield m + (x,)
+                elif 2 * bkk * x + lk >= 0:
+                    return
+                x += n
+        x = 0
+        while True:
+            child_form = form + x * (bkk * x + lk)
+            child_lin = tuple(c + 2 * row[j] * x for j, c in enumerate(lin[1:], k + 1))
+            bound = child_form - sum(
+                c * c // (4 * scaled[j][j])
+                for j, c in enumerate(child_lin, k + 1)
+                if c < 0
+            )
+            if bound <= limit:
+                yield from walk(
+                    k + 1, m + (x,), child_form, (residue + (k + 1) * x) % n, child_lin
                 )
-            yield m, int(q)
+            elif 2 * bkk * x + lk >= 0:
+                return
+            x += 1
+
+    for m in walk(0, (), s * t, t, tuple(-b for b in qf.beta)):
+        q = qf.exponent(m)
+        if not qf.admissible(m) or q.denominator != 1 or not 0 <= q <= order:
+            raise ArithmeticError(
+                f"lattice walk reached {m} with exponent {q}; expected an "
+                f"admissible vector with an integer exponent in 0..{order} "
+                f"(n={n}, s={s}, t={t})"
+            )
+        yield m, int(q)
 
 
-def fermionic_series(
-    n: int, s: int, t: int, order: int, bound: int | None = None
-) -> TruncatedSeries:
+def lattice_sum(points, order: int) -> TruncatedSeries:
+    """Sum of q^Q / prod((q)_{m_i}) over (m, Q) pairs, to the given order."""
+    total = TruncatedSeries.zero(order)
+    for m, q in points:
+        term = TruncatedSeries.one(order - q)
+        for mi in m:
+            if mi:
+                term = term * inv_pochhammer(mi, order - q)
+        total = total + term.shift_up(q, order)
+    return total
+
+
+def fermionic_series(n: int, s: int, t: int, order: int) -> TruncatedSeries:
     """The lattice-sum evaluation of the branching series for L(s) + L(t).
 
     Pair with the enumeration methods via j = (s + t) mod n.  Pairs with
@@ -275,11 +309,4 @@ def fermionic_series(
     (canonical_pair); the resulting coefficients grade by the count of
     residue-0 nodes, matching the enumeration methods exactly.
     """
-    total = TruncatedSeries.zero(order)
-    for m, q in lattice_points(n, s, t, order, bound):
-        term = TruncatedSeries.one(order - q)
-        for mi in m:
-            if mi:
-                term = term * inv_pochhammer(mi, order - q)
-        total = total + term.shift_up(q, order)
-    return total
+    return lattice_sum(lattice_points(n, s, t, order), order)

@@ -4,6 +4,7 @@ Everything here is implemented from scratch, without going through the
 package's own algorithms, so that each check genuinely has two routes.
 """
 
+from fractions import Fraction
 from functools import lru_cache
 
 
@@ -106,3 +107,75 @@ def rim_hook_core(p: tuple, n: int) -> tuple:
         if smaller is None:
             return p
         p = smaller
+
+
+def _compositions(total: int, parts: int):
+    if parts == 1:
+        yield (total,)
+        return
+    for first in range(total + 1):
+        for rest in _compositions(total - first, parts - 1):
+            yield (first,) + rest
+
+
+def _shell_lower_bound(n: int, shell: int) -> Fraction:
+    """Certified lower bound for the quadratic exponent on |m|_1 = shell.
+
+    Uses m^T C^{-1} m >= |m|_2^2 / 4 >= shell^2 / (4(n-1)) (the largest
+    Cartan eigenvalue is below 4) and C^{-1} entries <= n/4 for the linear
+    term.
+    """
+    return Fraction(shell * shell, 4 * (n - 1)) - Fraction(n * shell, 4)
+
+
+def lattice_enumeration_bound(n: int, order: int) -> int:
+    """A shell size beyond which every lattice vector exceeds the order."""
+    shell = n * (n - 1) // 2 + 1  # past the vertex of the bounding parabola
+    while _shell_lower_bound(n, shell) <= order:
+        shell += 1
+    return shell
+
+
+def fraction_inverse_cartan(n: int):
+    """C^{-1} of sl(n) in Fractions: entry (i,j) = min(i,j) - ij/n."""
+    return [
+        [Fraction(min(i, j)) - Fraction(i * j, n) for j in range(1, n)]
+        for i in range(1, n)
+    ]
+
+
+def fraction_exponent(inv, s: int, t: int, m) -> Fraction:
+    """Q(m) = m^T C^{-1} m - m^T C^{-1} e_{s-t+n} + s*t/n in Fractions (e_n = 0)."""
+    n = len(inv) + 1
+    quad = sum(
+        inv[i][j] * mi * mj
+        for i, mi in enumerate(m) if mi
+        for j, mj in enumerate(m) if mj
+    )
+    u = s - t + n
+    linear = sum(inv[i][u - 1] * mi for i, mi in enumerate(m)) if u < n else 0
+    return quad - linear + Fraction(s * t, n)
+
+
+def shell_lattice_points(n: int, s: int, t: int, order: int, bound: int | None = None):
+    """Reference lattice walk: every composition of every L1 shell up to the bound.
+
+    Returns the sorted (m, Q) pairs with m admissible and Q <= order, after
+    folding (s, t) into s + t <= n; `bound` defaults to the certified shell
+    bound, and enlarging it must not add points.
+    """
+    if s + t > n:
+        s, t = n - t, n - s
+    if bound is None:
+        bound = lattice_enumeration_bound(n, order)
+    inv = fraction_inverse_cartan(n)
+    points = []
+    for shell in range(bound + 1):
+        for m in _compositions(shell, n - 1):
+            if (t + sum((i + 1) * mi for i, mi in enumerate(m))) % n:
+                continue
+            q = fraction_exponent(inv, s, t, m)
+            if q <= order:
+                assert q.denominator == 1 and q >= 0, (n, s, t, m, q)
+                points.append((m, int(q)))
+    return sorted(points)

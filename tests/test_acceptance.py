@@ -23,6 +23,7 @@ from slnbranch import (
     lattice_points,
     n_core,
     partitions_of,
+    run_suites,
     simple_root,
     verify_fow_theorem,
     weight_of,
@@ -105,7 +106,7 @@ def test_criterion_4_path_set_equals_chain_set():
 
 def test_criterion_5_lattice_sum_matches_enumeration_to_order_8():
     start = time.perf_counter()
-    for n in (2, 3, 4):
+    for n in (2, 3, 4, 5):
         for s in range(n):
             for t in range(s, n):
                 # lattice_points raises on any non-integral admissible exponent
@@ -114,7 +115,15 @@ def test_criterion_5_lattice_sum_matches_enumeration_to_order_8():
                 fermionic = fermionic_series(n, s, t, 8).coeffs
                 enumerated = branching_series(n, (s + t) % n, s, 8, "fow").coeffs
                 assert fermionic == enumerated, (n, s, t, fermionic, enumerated)
-    _stamp(5, "lattice sum == enumeration, order 8, n in 2..4", start, 60)
+    _stamp(5, "lattice sum == enumeration, order 8, n in 2..5", start, 60)
+
+
+def test_criterion_5b_four_routes_agree_beyond_n5():
+    start = time.perf_counter()
+    for n, order in ((6, 5), (7, 4), (8, 4)):
+        (report,) = run_suites(["methods"], n, 0, order)
+        assert report.ok and report.cases > 0, (n, order, report.failures[:3])
+    _stamp("5b", "four routes agree at (n, order) = (6,5), (7,4), (8,4)", start, 30)
 
 
 def test_criterion_6_chain_equals_eps_profile():

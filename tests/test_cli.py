@@ -87,6 +87,13 @@ class TestFermionic:
         assert payload["coeffs"] == [0, 1, 2, 2]
         assert payload["lattice_points"] >= 2
 
+    def test_n6_finishes_with_17_points(self, capsys):
+        code, out, _ = run_cli(
+            capsys, "fermionic", "--n", "6", "--s", "0", "--t", "1", "--order", "12"
+        )
+        assert code == 0
+        assert json.loads(out)["lattice_points"] == 17
+
 
 class TestJs:
     def test_list_example(self, capsys):
@@ -181,6 +188,32 @@ class TestVerify:
         )
         assert code == 0
         assert out.startswith("suite fow")
+
+
+class TestValidation:
+    @pytest.mark.parametrize(
+        "argv,flag",
+        [
+            (("branching", "--n", "0", "--j", "0", "--k", "0", "--order", "3"), "--n"),
+            (("fermionic", "--n", "1", "--s", "0", "--t", "0", "--order", "3"), "--n"),
+            (("verify", "--suite", "methods", "--n", "0"), "--n"),
+            (("verify", "--max-size", "-1"), "--max-size"),
+            (("verify", "--jobs", "0"), "--jobs"),
+            (("branching", "--n", "3", "--j", "0", "--k", "0", "--order", "-1"), "--order"),
+            (("crystal", "graph", "--n", "3", "--max-size", "-2"), "--max-size"),
+        ],
+    )
+    def test_out_of_range_flag_exits_2(self, capsys, argv, flag):
+        code, out, err = run_cli(capsys, *argv)
+        assert code == 2
+        assert not out
+        assert err.startswith(f"error: {flag} must be at least")
+
+    def test_jobs_is_a_verify_flag_only(self, capsys):
+        with pytest.raises(SystemExit) as excinfo:
+            main(["core", "--n", "3", "--jobs", "2", "8"])
+        assert excinfo.value.code == 2
+        assert "--jobs" in capsys.readouterr().err
 
 
 def test_unknown_flag_exits_nonzero(capsys):

@@ -1,6 +1,9 @@
 from fractions import Fraction
+from itertools import product
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from slnbranch import (
     QuadraticFormData,
@@ -11,10 +14,15 @@ from slnbranch import (
     fermionic_series,
     inv_pochhammer,
     inverse_cartan,
-    lattice_enumeration_bound,
     lattice_points,
 )
-from oracles import count_parts_at_most
+from oracles import (
+    count_parts_at_most,
+    fraction_exponent,
+    fraction_inverse_cartan,
+    lattice_enumeration_bound,
+    shell_lattice_points,
+)
 
 
 class TestTruncatedSeries:
@@ -102,6 +110,24 @@ class TestQuadraticForm:
     def test_create_validates(self):
         with pytest.raises(ValueError):
             QuadraticFormData.create(3, 2, 1)
+        with pytest.raises(ValueError):
+            QuadraticFormData.create(1, 0, 0)
+
+    def test_integer_data(self):
+        qf = QuadraticFormData.create(3, 1, 2)
+        assert qf.scaled_inverse == ((2, 1), (1, 2))  # 3 * inverse_cartan(3)
+        assert qf.beta == (1, 2)  # column u = s - t + n = 2
+        assert QuadraticFormData.create(4, 2, 2).beta == (0, 0, 0)  # u = n
+
+    @pytest.mark.parametrize("n", range(2, 7))
+    def test_exponent_matches_fraction_oracle(self, n):
+        # every vector, admissible or not, with coordinates up to 2
+        inv = fraction_inverse_cartan(n)
+        for s in range(n):
+            for t in range(s, n):
+                qf = QuadraticFormData.create(n, s, t)
+                for m in product(range(3), repeat=n - 1):
+                    assert qf.exponent(m) == fraction_exponent(inv, s, t, m), (s, t, m)
 
 
 class TestFermionicSeries:
@@ -132,14 +158,16 @@ class TestFermionicSeries:
                         assert q >= 0
 
     def test_stability_under_larger_bound(self):
-        # enlarging the shell cutoff cannot change coefficients <= order
+        # a larger order only appends coefficients, and enlarging the
+        # reference walk's shell cutoff adds no point below the order
         for n, s, t, order in [(3, 0, 0, 4), (2, 1, 1, 6), (4, 1, 2, 5)]:
-            bound = lattice_enumeration_bound(n, s, t, order)
             base = fermionic_series(n, s, t, order).coeffs
-            assert fermionic_series(n, s, t, order, bound=bound + n).coeffs == base
             richer = fermionic_series(n, s, t, order + n).coeffs
             assert richer[: order + 1] == base
-            assert lattice_enumeration_bound(n, s, t, order + n) >= bound
+            enlarged = lattice_enumeration_bound(n, order) + n
+            assert sorted(lattice_points(n, s, t, order)) == shell_lattice_points(
+                n, s, t, order, bound=enlarged
+            )
 
     def test_agrees_with_enumeration_small(self):
         for n in (2, 3):
@@ -154,3 +182,40 @@ class TestFermionicSeries:
     def test_lattice_point_count_reported_examples(self):
         pts = list(lattice_points(3, 1, 2, 3))
         assert ((1, 0), 1) in pts and ((0, 2), 2) in pts
+
+
+@st.composite
+def small_classes(draw):
+    n = draw(st.integers(2, 4))
+    t = draw(st.integers(0, n - 1))
+    s = draw(st.integers(0, t))
+    return n, s, t, draw(st.integers(0, 10))
+
+
+class TestLatticeWalkAgainstShellOracle:
+    """The pruned walk admits exactly the points of the unpruned shell walk."""
+
+    @pytest.mark.parametrize("n", [2, 3, 4])
+    def test_every_class_and_order_to_10(self, n):
+        for s in range(n):
+            for t in range(s, n):
+                reference = shell_lattice_points(n, s, t, 10)
+                for order in range(11):
+                    expected = [(m, q) for m, q in reference if q <= order]
+                    got = sorted(lattice_points(n, s, t, order))
+                    assert got == expected, (n, s, t, order)
+
+    @pytest.mark.parametrize("s,t,order", [(0, 1, 15), (1, 2, 8)])
+    def test_n5(self, s, t, order):
+        assert sorted(lattice_points(5, s, t, order)) == shell_lattice_points(5, s, t, order)
+
+    @settings(max_examples=60, deadline=None)
+    @given(small_classes())
+    def test_random_small_classes(self, case):
+        n, s, t, order = case
+        assert sorted(lattice_points(n, s, t, order)) == shell_lattice_points(n, s, t, order)
+
+    @pytest.mark.parametrize("n", [-1, 0, 1])
+    def test_rejects_n_below_2(self, n):
+        with pytest.raises(ValueError):
+            list(lattice_points(n, 0, 0, 3))
