@@ -187,62 +187,38 @@ def _class_members(n: int, j: int, k: int, d: int) -> tuple[Partition, ...]:
 
 
 def _crystal_member(p: Partition, n: int, j: int) -> bool:
-    from .crystal import epsilon_vector  # deferred: keep module layers acyclic
+    """Eps-profile membership for index j; class members are n-regular already."""
+    from .crystal import eps_index  # deferred: keep module layers acyclic
 
-    eps = epsilon_vector(p, n)
-    return eps[j] <= 1 and all(e == 0 for i, e in enumerate(eps) if i != j)
-
-
-def branching_by_paths(n: int, j: int, k: int, order: int) -> BranchingSeries:
-    """Coefficients by path-dominance membership."""
-    j %= n
-    k %= n
-    coeffs = tuple(
-        sum(1 for p in _class_members(n, j, k, d) if in_path_set(p, n, j))
-        for d in range(order + 1)
-    )
-    return BranchingSeries(n, j, k, "paths", coeffs)
-
-
-def branching_by_fow(n: int, j: int, k: int, order: int) -> BranchingSeries:
-    """Coefficients by the chain-congruence membership test."""
-    j %= n
-    k %= n
-    coeffs = tuple(
-        sum(1 for p in _class_members(n, j, k, d) if in_fow(p, n, j))
-        for d in range(order + 1)
-    )
-    return BranchingSeries(n, j, k, "fow", coeffs)
-
-
-def branching_by_crystal(n: int, j: int, k: int, order: int) -> BranchingSeries:
-    """Coefficients by the crystal eps-profile: eps_j <= 1 and all others zero."""
-    j %= n
-    k %= n
-    coeffs = tuple(
-        sum(1 for p in _class_members(n, j, k, d) if _crystal_member(p, n, j))
-        for d in range(order + 1)
-    )
-    return BranchingSeries(n, j, k, "crystal", coeffs)
+    return not p or eps_index(p, n) == j
 
 
 def branching_series(n: int, j: int, k: int, order: int, method: str) -> BranchingSeries:
-    """Dispatch on method name; "fermionic" routes to the lattice-sum evaluation."""
-    if method == "paths":
-        return branching_by_paths(n, j, k, order)
-    if method == "fow":
-        return branching_by_fow(n, j, k, order)
-    if method == "crystal":
-        return branching_by_crystal(n, j, k, order)
+    """Coefficients of b(j, k) up to q^order by the named route.
+
+    "paths", "fow" and "crystal" count the class members passing that
+    route's membership test; "fermionic" evaluates the lattice sum.
+    """
+    if n < 2:
+        raise ValueError("n must be at least 2")
+    if method not in METHODS:
+        raise ValueError(f"unknown method {method!r}; expected one of {METHODS}")
+    j %= n
+    k %= n
     if method == "fermionic":
         from .qseries import fermionic_series
 
-        j %= n
-        k %= n
         s, t = sorted((k, (j - k) % n))
         coeffs = tuple(fermionic_series(n, s, t, order).coeffs)
-        return BranchingSeries(n, j, k, "fermionic", coeffs)
-    raise ValueError(f"unknown method {method!r}; expected one of {METHODS}")
+        return BranchingSeries(n, j, k, method, coeffs)
+    # Looked up per call, not held in a module-level table, so that a
+    # rebinding of a predicate's global name takes effect here.
+    member = {"paths": in_path_set, "fow": in_fow, "crystal": _crystal_member}[method]
+    coeffs = tuple(
+        sum(1 for p in _class_members(n, j, k, d) if member(p, n, j))
+        for d in range(order + 1)
+    )
+    return BranchingSeries(n, j, k, method, coeffs)
 
 
 def verify_fow_theorem(n: int, max_size: int) -> VerificationReport:

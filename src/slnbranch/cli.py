@@ -21,7 +21,7 @@ from .verify import SUITES, run_suites
 
 
 # Least accepted value of each integer flag, keyed by argparse dest.
-_MINIMUMS = {"n": 2, "order": 0, "max_size": 0, "jobs": 1}
+_MINIMUMS = {"n": 2, "order": 0, "max_size": 0, "weight": 0}
 
 
 def _add_common(parser: argparse.ArgumentParser, formats=("json", "csv", "text")):
@@ -83,7 +83,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--n", type=int, default=3)
     p.add_argument("--max-size", type=int, default=10)
     p.add_argument("--order", type=int, default=6)
-    p.add_argument("--jobs", type=int, default=1, help="worker count")
     _add_common(p)
 
     return parser
@@ -101,20 +100,14 @@ def _emit(text: str):
     sys.stdout.write(text + "\n")
 
 
-def _run_branching(args) -> int:
-    methods = list(METHODS) if args.method == "all" else [args.method]
-    rows = {
-        m: branching_series(args.n, args.j, args.k, args.order, m).coeffs
-        for m in methods
-    }
+def _emit_rows(args, payload: dict, rows: dict[str, tuple[int, ...]]) -> int:
+    """Write method rows in args.format; exit code 0 when every row agrees, else 1.
+
+    `payload` is the JSON head; a single row adds `coeffs` and `method`,
+    several add `methods` and the verdict.
+    """
     agree = len(set(rows.values())) == 1
     if args.format == "json":
-        payload = {
-            "n": args.n,
-            "j": args.j % args.n,
-            "k": args.k % args.n,
-            "order": args.order,
-        }
         if len(rows) == 1:
             ((method, coeffs),) = rows.items()
             payload.update({"coeffs": list(coeffs), "method": method})
@@ -130,6 +123,16 @@ def _run_branching(args) -> int:
         if len(rows) > 1:
             _emit("verdict: " + ("AGREE" if agree else "DISAGREE"))
     return 0 if agree else 1
+
+
+def _run_branching(args) -> int:
+    methods = list(METHODS) if args.method == "all" else [args.method]
+    rows = {
+        m: branching_series(args.n, args.j, args.k, args.order, m).coeffs
+        for m in methods
+    }
+    payload = {"n": args.n, "j": args.j % args.n, "k": args.k % args.n, "order": args.order}
+    return _emit_rows(args, payload, rows)
 
 
 def _run_fermionic(args) -> int:
@@ -179,24 +182,8 @@ def _run_js_chi(args) -> int:
         rows["direct"] = chi_direct(args.n, mu, args.order)
     if args.method in ("branching", "both"):
         rows["branching"] = chi_by_branching(args.n, mu, args.order)
-    agree = len(set(rows.values())) == 1
-    if args.format == "json":
-        payload = {"n": args.n, "core": list(mu), "order": args.order}
-        if len(rows) == 1:
-            ((method, coeffs),) = rows.items()
-            payload.update({"coeffs": list(coeffs), "method": method})
-        else:
-            payload["methods"] = {m: list(c) for m, c in rows.items()}
-            payload["verdict"] = "AGREE" if agree else "DISAGREE"
-        _emit(json.dumps(payload, separators=(",", ":")))
-    elif args.format == "csv":
-        _emit(_series_csv(rows, args.order))
-    else:
-        for method, coeffs in rows.items():
-            _emit(f"{method:9s} " + " ".join(str(c) for c in coeffs))
-        if len(rows) > 1:
-            _emit("verdict: " + ("AGREE" if agree else "DISAGREE"))
-    return 0 if agree else 1
+    payload = {"n": args.n, "core": list(mu), "order": args.order}
+    return _emit_rows(args, payload, rows)
 
 
 def _run_crystal_graph(args) -> int:
@@ -235,7 +222,7 @@ def _run_core(args) -> int:
 
 def _run_verify(args) -> int:
     names = list(SUITES) if args.suite == "all" else [args.suite]
-    reports = run_suites(names, args.n, args.max_size, args.order, jobs=args.jobs)
+    reports = run_suites(names, args.n, args.max_size, args.order)
     if args.format == "json":
         _emit(json.dumps([r.to_dict() for r in reports], separators=(",", ":")))
     else:

@@ -69,6 +69,18 @@ def epsilon_vector(p: Partition, n: int) -> tuple[int, ...]:
     return tuple(eps_phi(p, n, i)[0] for i in range(n))
 
 
+def eps_index(p: Partition, n: int) -> int | None:
+    """The unique j with eps(p) = e_j (the j-th unit vector), else None.
+
+    The eps-profile counterpart of the chain congruence's fow_index: by
+    the same convention it returns 0 for the empty partition.
+    """
+    if not p:
+        return 0
+    eps = epsilon_vector(p, n)
+    return eps.index(1) if sum(eps) == 1 else None
+
+
 def phi_vector(p: Partition, n: int) -> tuple[int, ...]:
     return tuple(eps_phi(p, n, i)[1] for i in range(n))
 

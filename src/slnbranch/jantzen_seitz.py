@@ -11,12 +11,11 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass
-from itertools import pairwise
 
 from .branching import branching_series, fow_index, fow_k
 from .cores import is_n_core, is_rectangle_le_n, n_core, n_weight
-from .crystal import epsilon_vector
-from .partitions import Partition, energy, exponent_form, is_n_regular, partitions_of
+from .crystal import eps_index
+from .partitions import Partition, energy, is_n_regular, partitions_of
 from .report import VerificationReport
 
 
@@ -40,20 +39,12 @@ def is_js(p: Partition, n: int) -> bool:
 
     Only n-regular partitions qualify; the empty partition does.
     """
-    if not is_n_regular(p, n):
-        return False
-    ef = exponent_form(p)
-    if len(ef) <= 1:
-        return True
-    return all((a1 + v1 - v2 + a2) % n == 0 for (v1, a1), (v2, a2) in pairwise(ef))
+    return fow_index(p, n) is not None
 
 
 def is_js_by_crystal(p: Partition, n: int) -> bool:
     """Eps-profile test: at most one nonzero eps_i, and that one equals 1."""
-    if not is_n_regular(p, n):
-        return False
-    nonzero = [e for e in epsilon_vector(p, n) if e]
-    return not nonzero or nonzero == [1]
+    return is_n_regular(p, n) and eps_index(p, n) is not None
 
 
 def js_record(p: Partition, n: int) -> JsRecord | None:

@@ -3,9 +3,8 @@
 from __future__ import annotations
 
 import time
-from concurrent.futures import ThreadPoolExecutor
 
-from .branching import branching_series, fow_index, verify_fow_theorem
+from .branching import METHODS, branching_series, verify_fow_theorem
 from .cores import (
     block_dimension,
     is_n_core,
@@ -24,7 +23,17 @@ from .partitions import partitions_of
 from .report import VerificationReport
 from .weights import simple_root, weight_of
 
-SUITES = ("fow", "methods", "js", "cores", "crystal")
+# Suite name -> runner(n, max_size, order), in declaration order.  The
+# lambdas look each suite up by its global name when run, so a rebinding of
+# that name takes effect.
+_RUNNERS = {
+    "fow": lambda n, max_size, order: verify_fow_theorem(n, max_size),
+    "methods": lambda n, max_size, order: verify_methods(n, order),
+    "js": lambda n, max_size, order: verify_js(n, max_size, order),
+    "cores": lambda n, max_size, order: verify_cores(n, max_size),
+    "crystal": lambda n, max_size, order: verify_crystal(n, max_size),
+}
+SUITES = tuple(_RUNNERS)
 
 
 def _canonical_classes(n: int):
@@ -42,7 +51,7 @@ def verify_methods(n: int, order: int) -> VerificationReport:
     for j, k in _canonical_classes(n):
         rows = {
             method: branching_series(n, j, k, order, method).coeffs
-            for method in ("paths", "fow", "crystal", "fermionic")
+            for method in METHODS
         }
         report.cases += 1
         if len(set(rows.values())) != 1:
@@ -62,8 +71,6 @@ def verify_js(n: int, max_size: int, order: int) -> VerificationReport:
             profile = is_js_by_crystal(p, n)
             if chain != profile:
                 report.record(partition=list(p), chain=chain, profile=profile)
-            if chain and (fow_index(p, n) is None):
-                report.record(partition=list(p), problem="member without class index")
     cores = [()] + [
         (k,) * l for k in range(1, n) for l in range(1, n - k + 1)
     ]
@@ -152,26 +159,10 @@ def verify_crystal(n: int, max_size: int) -> VerificationReport:
     return report
 
 
-def run_suites(
-    names, n: int, max_size: int, order: int, jobs: int = 1
-) -> list[VerificationReport]:
-    """Run the requested suites, merging reports in declaration order."""
-    tasks = []
+def run_suites(names, n: int, max_size: int, order: int) -> list[VerificationReport]:
+    """Run the requested suites in the order given; unknown names fail first."""
+    names = list(names)
     for name in names:
-        if name == "fow":
-            tasks.append((name, lambda: verify_fow_theorem(n, max_size)))
-        elif name == "methods":
-            tasks.append((name, lambda: verify_methods(n, order)))
-        elif name == "js":
-            tasks.append((name, lambda: verify_js(n, max_size, order)))
-        elif name == "cores":
-            tasks.append((name, lambda: verify_cores(n, max_size)))
-        elif name == "crystal":
-            tasks.append((name, lambda: verify_crystal(n, max_size)))
-        else:
+        if name not in _RUNNERS:
             raise ValueError(f"unknown suite {name!r}; expected one of {SUITES}")
-    if jobs > 1:
-        with ThreadPoolExecutor(max_workers=jobs) as pool:
-            futures = [pool.submit(fn) for _, fn in tasks]
-            return [f.result() for f in futures]
-    return [fn() for _, fn in tasks]
+    return [_RUNNERS[name](n, max_size, order) for name in names]

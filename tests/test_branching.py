@@ -1,9 +1,6 @@
 import pytest
 
 from slnbranch import (
-    branching_by_crystal,
-    branching_by_fow,
-    branching_by_paths,
     branching_series,
     class_residue_counts,
     fow_index,
@@ -19,6 +16,7 @@ from slnbranch import (
     verify_fow_theorem,
     weight_of,
 )
+from slnbranch.branching import METHODS
 
 # the six worked n=3 series (orders as displayed: three terms each)
 EXAMPLE_TABLE = {
@@ -143,20 +141,20 @@ class TestBranchingMethods:
     @pytest.mark.parametrize("jk,expected", sorted(EXAMPLE_TABLE.items()))
     def test_paths(self, jk, expected):
         j, k = jk
-        assert branching_by_paths(3, j, k, len(expected) - 1).coeffs == expected
+        assert branching_series(3, j, k, len(expected) - 1, "paths").coeffs == expected
 
     @pytest.mark.parametrize("jk,expected", sorted(EXAMPLE_TABLE.items()))
     def test_fow(self, jk, expected):
         j, k = jk
-        assert branching_by_fow(3, j, k, len(expected) - 1).coeffs == expected
+        assert branching_series(3, j, k, len(expected) - 1, "fow").coeffs == expected
 
     @pytest.mark.parametrize("jk,expected", sorted(EXAMPLE_TABLE.items()))
     def test_crystal(self, jk, expected):
         j, k = jk
-        assert branching_by_crystal(3, j, k, len(expected) - 1).coeffs == expected
+        assert branching_series(3, j, k, len(expected) - 1, "crystal").coeffs == expected
 
     def test_trivial_n2(self):
-        assert branching_by_fow(2, 0, 0, 0).coeffs == (1,)
+        assert branching_series(2, 0, 0, 0, "fow").coeffs == (1,)
 
     def test_methods_agree_small_scale(self):
         for n in (2, 3):
@@ -183,7 +181,7 @@ class TestBranchingMethods:
     def test_coefficients_nonnegative(self):
         for j in range(3):
             for k in range(3):
-                assert min(branching_by_fow(3, j, k, 6).coeffs) >= 0
+                assert min(branching_series(3, j, k, 6, "fow").coeffs) >= 0
 
     def test_label_symmetry(self):
         # k and (j - k) mod n label the same class
@@ -191,13 +189,19 @@ class TestBranchingMethods:
             for j in range(n):
                 for k in range(n):
                     assert (
-                        branching_by_fow(n, j, k, 5).coeffs
-                        == branching_by_fow(n, j, (j - k) % n, 5).coeffs
+                        branching_series(n, j, k, 5, "fow").coeffs
+                        == branching_series(n, j, (j - k) % n, 5, "fow").coeffs
                     )
 
     def test_unknown_method_rejected(self):
         with pytest.raises(ValueError):
             branching_series(3, 0, 0, 2, "bogus")
+
+    @pytest.mark.parametrize("method", METHODS)
+    @pytest.mark.parametrize("n", [0, 1])
+    def test_small_n_rejected(self, method, n):
+        with pytest.raises(ValueError, match="n must be at least 2"):
+            branching_series(n, 0, 0, 2, method)
 
 
 class TestPathChainAgreement:

@@ -130,6 +130,22 @@ class TestJs:
         assert code == 0
         assert json.loads(out)["coeffs"] == [1, 1, 2]
 
+    @pytest.mark.parametrize(
+        "fmt,expected",
+        [
+            ("csv", "method,c0,c1,c2\ndirect,1,2,5\nbranching,1,2,5\n"),
+            ("text", "direct    1 2 5\nbranching 1 2 5\nverdict: AGREE\n"),
+        ],
+        ids=["csv", "text"],
+    )
+    def test_chi_csv_and_text(self, capsys, fmt, expected):
+        code, out, _ = run_cli(
+            capsys, "js", "chi", "--n", "3", "--core", "-", "--order", "2",
+            "--format", fmt,
+        )
+        assert code == 0
+        assert out == expected
+
 
 class TestCrystal:
     def test_dot_output(self, capsys):
@@ -166,21 +182,6 @@ class TestVerify:
         ]
         assert all(r["ok"] for r in reports)
 
-    def test_parallel_jobs_match_serial(self, capsys):
-        code1, out1, _ = run_cli(
-            capsys, "verify", "--suite", "all", "--n", "2",
-            "--max-size", "6", "--order", "3",
-        )
-        code2, out2, _ = run_cli(
-            capsys, "verify", "--suite", "all", "--n", "2",
-            "--max-size", "6", "--order", "3", "--jobs", "3",
-        )
-        assert code1 == code2 == 0
-        strip = lambda text: [
-            {k: v for k, v in r.items() if k != "seconds"} for r in json.loads(text)
-        ]
-        assert strip(out1) == strip(out2)
-
     def test_single_suite_text(self, capsys):
         code, out, _ = run_cli(
             capsys, "verify", "--suite", "fow", "--n", "2", "--max-size", "8",
@@ -198,7 +199,7 @@ class TestValidation:
             (("fermionic", "--n", "1", "--s", "0", "--t", "0", "--order", "3"), "--n"),
             (("verify", "--suite", "methods", "--n", "0"), "--n"),
             (("verify", "--max-size", "-1"), "--max-size"),
-            (("verify", "--jobs", "0"), "--jobs"),
+            (("js", "list", "--n", "3", "--core", "-", "--weight", "-1"), "--weight"),
             (("branching", "--n", "3", "--j", "0", "--k", "0", "--order", "-1"), "--order"),
             (("crystal", "graph", "--n", "3", "--max-size", "-2"), "--max-size"),
         ],
@@ -209,9 +210,9 @@ class TestValidation:
         assert not out
         assert err.startswith(f"error: {flag} must be at least")
 
-    def test_jobs_is_a_verify_flag_only(self, capsys):
+    def test_jobs_flag_is_rejected(self, capsys):
         with pytest.raises(SystemExit) as excinfo:
-            main(["core", "--n", "3", "--jobs", "2", "8"])
+            main(["verify", "--jobs", "2"])
         assert excinfo.value.code == 2
         assert "--jobs" in capsys.readouterr().err
 

@@ -1,4 +1,6 @@
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from slnbranch import (
     abacus_display,
@@ -16,6 +18,12 @@ from oracles import rim_hook_core
 def all_partitions_up_to(max_size):
     for m in range(max_size + 1):
         yield from partitions_of(m)
+
+
+# Partitions with up to 12 parts of size up to 30, as nonincreasing tuples.
+partitions = st.lists(st.integers(1, 30), max_size=12).map(
+    lambda parts: tuple(sorted(parts, reverse=True))
+)
 
 
 class TestNCore:
@@ -43,6 +51,11 @@ class TestNCore:
                 base = max(len(p), 1)
                 cores = {n_core(p, n, beads) for beads in (base, base + 1, base + n)}
                 assert len(cores) == 1
+
+    @settings(max_examples=200, deadline=None)
+    @given(partitions, st.integers(2, 6), st.integers(0, 15))
+    def test_bead_count_invariance_property(self, p, n, extra):
+        assert n_core(p, n, len(p) + extra) == n_core(p, n)
 
     def test_matches_rim_hook_oracle_up_to_16(self):
         for p in all_partitions_up_to(16):

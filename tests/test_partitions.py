@@ -1,4 +1,6 @@
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from slnbranch import (
     ADDABLE,
@@ -27,6 +29,12 @@ from oracles import (
 def all_partitions_up_to(max_size):
     for m in range(max_size + 1):
         yield from partitions_of(m)
+
+
+# Partitions with up to 12 parts of size up to 30, as nonincreasing tuples.
+partitions = st.lists(st.integers(1, 30), max_size=12).map(
+    lambda parts: tuple(sorted(parts, reverse=True))
+)
 
 
 class TestConjugate:
@@ -170,6 +178,11 @@ class TestTextForms:
     def test_round_trip(self):
         for p in all_partitions_up_to(10):
             assert parse_partition(format_partition(p)) == p
+
+    @settings(max_examples=200, deadline=None)
+    @given(partitions)
+    def test_round_trip_property(self, p):
+        assert parse_partition(format_partition(p)) == p
 
     @pytest.mark.parametrize("bad", ["1,2", "0", "x", "3^0", "2,-1"])
     def test_rejects_invalid(self, bad):

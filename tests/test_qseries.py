@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 from slnbranch import (
     QuadraticFormData,
     TruncatedSeries,
-    branching_by_fow,
+    branching_series,
     canonical_pair,
     cartan_matrix,
     fermionic_series,
@@ -176,7 +176,7 @@ class TestFermionicSeries:
                     j = (s + t) % n
                     assert (
                         fermionic_series(n, s, t, 6).coeffs
-                        == branching_by_fow(n, j, s, 6).coeffs
+                        == branching_series(n, j, s, 6, "fow").coeffs
                     )
 
     def test_lattice_point_count_reported_examples(self):
