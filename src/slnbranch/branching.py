@@ -14,13 +14,14 @@ import time
 from dataclasses import dataclass
 from functools import lru_cache
 
+from .cores import regular_partitions_with_content
 from .partitions import (
     Partition,
+    check_rank,
     conjugate,
     exponent_form,
     is_n_regular,
     partitions_of,
-    residue_counts,
 )
 from .report import VerificationReport
 from .weights import AffineWeight, epsilon_step, fundamental, weight_of
@@ -56,6 +57,7 @@ def path_of(p: Partition, n: int, j: int) -> PathCoordinates:
     Each step subtracts the epsilon-step whose index is read off the
     conjugate column lengths: p_{k-1} = p_k - eps((k - 1 - conj_k) mod n).
     """
+    check_rank(n)
     j %= n
     lam1 = p[0] if p else 0
     conj = conjugate(p)
@@ -144,8 +146,7 @@ def class_residue_counts(n: int, j: int, k: int, d: int) -> tuple[int, ...] | No
     energy pins the shift (m_0 = d).  Members of the class at energy d all
     share this census; None when it has a negative entry (no partitions).
     """
-    if n < 2:
-        raise ValueError("n must be at least 2")
+    check_rank(n)
     j %= n
     k %= n
     b = [0] * n
@@ -170,20 +171,22 @@ def class_residue_counts(n: int, j: int, k: int, d: int) -> tuple[int, ...] | No
     return counts if min(counts) >= 0 else None
 
 
-@lru_cache(maxsize=None)
-def _census(n: int, size: int) -> dict[tuple[int, ...], tuple[Partition, ...]]:
-    """n-regular partitions of `size`, bucketed by residue counts."""
-    buckets: dict[tuple[int, ...], list[Partition]] = {}
-    for p in partitions_of(size, regular=n):
-        buckets.setdefault(residue_counts(p, n), []).append(p)
-    return {c: tuple(v) for c, v in buckets.items()}
+@lru_cache(maxsize=256)
+def _census(n: int, counts: tuple[int, ...]) -> tuple[Partition, ...]:
+    """The n-regular partitions with residue content `counts`, cached per bucket.
+
+    Only requested buckets are generated.  The routes of one class ask for
+    the same buckets in turn, so a bounded cache of the most recent ones
+    keeps that reuse without growing over a long run.
+    """
+    return tuple(regular_partitions_with_content(n, counts))
 
 
 def _class_members(n: int, j: int, k: int, d: int) -> tuple[Partition, ...]:
     counts = class_residue_counts(n, j, k, d)
     if counts is None:
         return ()
-    return _census(n, sum(counts)).get(counts, ())
+    return _census(n, counts)
 
 
 def _crystal_member(p: Partition, n: int, j: int) -> bool:
@@ -199,8 +202,7 @@ def branching_series(n: int, j: int, k: int, order: int, method: str) -> Branchi
     "paths", "fow" and "crystal" count the class members passing that
     route's membership test; "fermionic" evaluates the lattice sum.
     """
-    if n < 2:
-        raise ValueError("n must be at least 2")
+    check_rank(n)
     if method not in METHODS:
         raise ValueError(f"unknown method {method!r}; expected one of {METHODS}")
     j %= n
@@ -227,6 +229,7 @@ def verify_fow_theorem(n: int, max_size: int) -> VerificationReport:
     Runs over every n-regular partition up to max_size and every index j,
     recording any partition on which the two tests disagree.
     """
+    check_rank(n)
     report = VerificationReport(suite=f"fow(n={n}, max_size={max_size})")
     start = time.perf_counter()
     for size in range(max_size + 1):

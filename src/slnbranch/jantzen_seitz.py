@@ -13,9 +13,15 @@ import time
 from dataclasses import dataclass
 
 from .branching import branching_series, fow_index, fow_k
-from .cores import is_n_core, is_rectangle_le_n, n_core, n_weight
+from .cores import (
+    is_n_core,
+    is_rectangle_le_n,
+    n_core,
+    n_weight,
+    regular_partitions_with_content,
+)
 from .crystal import eps_index
-from .partitions import Partition, energy, is_n_regular, partitions_of
+from .partitions import Partition, energy, is_n_regular, partitions_of, residue_counts
 from .report import VerificationReport
 
 
@@ -63,17 +69,17 @@ def js_record(p: Partition, n: int) -> JsRecord | None:
 
 
 def js_set(n: int, mu: Partition, d: int) -> list[Partition]:
-    """All member partitions with n-core mu and n-weight d, descending lex order."""
+    """All member partitions with n-core mu and n-weight d, descending lex order.
+
+    By Nakayama's conjecture they are the members among the n-regular
+    partitions of content residue_counts(mu) + d (1, ..., 1).
+    """
     if not is_n_core(mu, n):
         raise ValueError(f"{mu} is not an n-core for n={n}")
     if d < 0:
         return []
-    size = sum(mu) + n * d
-    return [
-        p
-        for p in partitions_of(size, regular=n)
-        if is_js(p, n) and n_core(p, n) == mu
-    ]
+    counts = [c + d for c in residue_counts(mu, n)]
+    return [p for p in regular_partitions_with_content(n, counts) if is_js(p, n)]
 
 
 def chi_direct(n: int, mu: Partition, order: int) -> tuple[int, ...]:

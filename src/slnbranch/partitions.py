@@ -67,10 +67,15 @@ def from_exponent_form(pairs) -> Partition:
     return as_partition(parts)
 
 
-def is_n_regular(p: Partition, n: int) -> bool:
-    """True iff no part is repeated n or more times."""
+def check_rank(n: int) -> None:
+    """The one rank check: every function that takes n rejects n < 2 through it."""
     if n < 2:
         raise ValueError("n must be at least 2")
+
+
+def is_n_regular(p: Partition, n: int) -> bool:
+    """True iff no part is repeated n or more times."""
+    check_rank(n)
     return all(mult < n for _, mult in exponent_form(p))
 
 
@@ -79,8 +84,7 @@ def residue_counts(p: Partition, n: int) -> tuple[int, ...]:
 
     Row i contributes residues (1-i) mod n, (2-i) mod n, ... along its parts.
     """
-    if n < 2:
-        raise ValueError("n must be at least 2")
+    check_rank(n)
     counts = [0] * n
     for row, part in enumerate(p, start=1):
         full, rem = divmod(part, n)

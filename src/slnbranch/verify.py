@@ -19,7 +19,7 @@ from .jantzen_seitz import (
     is_js_by_crystal,
     verify_rectangle_cores,
 )
-from .partitions import partitions_of
+from .partitions import check_rank, partitions_of
 from .report import VerificationReport
 from .weights import simple_root, weight_of
 
@@ -46,6 +46,7 @@ def _canonical_classes(n: int):
 
 def verify_methods(n: int, order: int) -> VerificationReport:
     """All four evaluation routes agree on every class up to the given order."""
+    check_rank(n)
     report = VerificationReport(suite=f"methods(n={n}, order={order})")
     start = time.perf_counter()
     for j, k in _canonical_classes(n):
@@ -62,6 +63,7 @@ def verify_methods(n: int, order: int) -> VerificationReport:
 
 def verify_js(n: int, max_size: int, order: int) -> VerificationReport:
     """Chain congruence vs eps-profile, chi agreement, and rectangle cores."""
+    check_rank(n)
     report = VerificationReport(suite=f"js(n={n}, max_size={max_size}, order={order})")
     start = time.perf_counter()
     for size in range(max_size + 1):
@@ -89,6 +91,7 @@ def verify_js(n: int, max_size: int, order: int) -> VerificationReport:
 
 def verify_cores(n: int, max_size: int) -> VerificationReport:
     """Abacus consistency: size split, idempotence, bead-count invariance, block sums."""
+    check_rank(n)
     report = VerificationReport(suite=f"cores(n={n}, max_size={max_size})")
     start = time.perf_counter()
     for size in range(max_size + 1):
@@ -121,6 +124,7 @@ def verify_cores(n: int, max_size: int) -> VerificationReport:
 
 def verify_crystal(n: int, max_size: int) -> VerificationReport:
     """Operator inverses, statistics/weight compatibility, and vertex counts."""
+    check_rank(n)
     report = VerificationReport(suite=f"crystal(n={n}, max_size={max_size})")
     start = time.perf_counter()
     graph = build_component(n, max_size)

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .partitions import Partition, residue_counts
+from .partitions import Partition, check_rank, residue_counts
 
 
 @dataclass(frozen=True)
@@ -20,8 +20,7 @@ class AffineWeight:
     delta: int = 0
 
     def __post_init__(self):
-        if self.n < 2:
-            raise ValueError("n must be at least 2")
+        check_rank(self.n)
         if len(self.lam) != self.n:
             raise ValueError(f"expected {self.n} coefficients, got {len(self.lam)}")
 
@@ -68,6 +67,7 @@ class AffineWeight:
 
 def fundamental(n: int, i: int) -> AffineWeight:
     """The fundamental weight L(i mod n)."""
+    check_rank(n)
     lam = [0] * n
     lam[i % n] = 1
     return AffineWeight(n, tuple(lam))
@@ -75,6 +75,7 @@ def fundamental(n: int, i: int) -> AffineWeight:
 
 def simple_root(n: int, i: int) -> AffineWeight:
     """alpha_i = -L(i-1) + 2*L(i) - L(i+1) (+ delta for i = 0)."""
+    check_rank(n)
     i %= n
     lam = [0] * n
     lam[(i - 1) % n] -= 1
@@ -85,6 +86,7 @@ def simple_root(n: int, i: int) -> AffineWeight:
 
 def epsilon_step(n: int, i: int) -> AffineWeight:
     """Classical part of the path step: L(i+1) - L(i), indices mod n."""
+    check_rank(n)
     i %= n
     lam = [0] * n
     lam[(i + 1) % n] += 1

@@ -71,11 +71,12 @@ class TestMembership:
         assert not in_path_set((1, 1), 2, 1)
 
     def test_agrees_with_full_dominance_scan(self):
-        for m in range(11):
-            for p in partitions_of(m, regular=3):
-                for j in range(3):
-                    full = all(is_dominant(w) for w in path_of(p, 3, j).coords)
-                    assert in_path_set(p, 3, j) == full
+        for n in (2, 3, 4, 5):
+            for m in range(11):
+                for p in partitions_of(m, regular=n):
+                    for j in range(n):
+                        full = all(is_dominant(w) for w in path_of(p, n, j).coords)
+                        assert in_path_set(p, n, j) == full
 
 
 class TestFow:

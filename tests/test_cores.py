@@ -1,3 +1,6 @@
+from collections import Counter
+from itertools import product
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -5,12 +8,15 @@ from hypothesis import strategies as st
 from slnbranch import (
     abacus_display,
     block_dimension,
+    core_size_of_content,
     is_n_core,
     is_n_regular,
     is_rectangle_le_n,
     n_core,
     n_weight,
     partitions_of,
+    regular_partitions_with_content,
+    residue_counts,
 )
 from oracles import rim_hook_core
 
@@ -92,6 +98,14 @@ class TestBlockDimension:
     def test_examples(self, n, m, mu, count):
         assert block_dimension(n, m, mu) == count
 
+    def test_matches_core_filter_count(self):
+        shapes = list(all_partitions_up_to(8))
+        for n in (2, 3, 4):
+            for m in range(17):
+                by_core = Counter(n_core(p, n) for p in partitions_of(m, regular=n))
+                for mu in shapes:
+                    assert block_dimension(n, m, mu) == by_core[mu], (n, m, mu)
+
     def test_blocks_partition_the_regular_set(self):
         for n in (2, 3, 4):
             for m in range(11):
@@ -101,6 +115,50 @@ class TestBlockDimension:
                         if is_n_core(mu, n):
                             total += block_dimension(n, m, mu)
                 assert total == sum(1 for _ in partitions_of(m, regular=n))
+
+
+def filtered_census(n, size):
+    """n-regular partitions of `size` bucketed by residue content, in enumeration order."""
+    buckets = {}
+    for p in partitions_of(size, regular=n):
+        buckets.setdefault(residue_counts(p, n), []).append(p)
+    return buckets
+
+
+class TestContentWalk:
+    @pytest.mark.parametrize("n", [2, 3, 4, 5])
+    def test_equals_filtered_census_up_to_20(self, n):
+        for size in range(21):
+            for counts, members in filtered_census(n, size).items():
+                assert list(regular_partitions_with_content(n, counts)) == members
+
+    @pytest.mark.parametrize("n,max_size", [(2, 14), (3, 12), (4, 10), (5, 9)])
+    def test_every_vector_up_to_size(self, n, max_size):
+        # Contents that no partition has, or only irregular ones, yield nothing.
+        buckets = {}
+        for size in range(max_size + 1):
+            buckets.update(filtered_census(n, size))
+        for counts in product(range(max_size + 1), repeat=n):
+            if sum(counts) <= max_size:
+                got = list(regular_partitions_with_content(n, counts))
+                assert got == buckets.get(counts, []), counts
+
+    def test_examples(self):
+        assert list(regular_partitions_with_content(3, (0, 0, 0))) == [()]
+        assert list(regular_partitions_with_content(3, (2, 2, 2))) == [
+            (6,), (5, 1), (4, 1, 1), (3, 3), (3, 2, 1)
+        ]
+        assert list(regular_partitions_with_content(2, (0, 1))) == []
+        assert list(regular_partitions_with_content(2, (-1, 2))) == []
+
+    def test_rejects_wrong_length(self):
+        with pytest.raises(ValueError, match="expected 3 residue counts"):
+            list(regular_partitions_with_content(3, (1, 0)))
+
+    def test_core_size_of_content(self):
+        for p in all_partitions_up_to(12):
+            for n in (2, 3, 4, 5):
+                assert core_size_of_content(residue_counts(p, n)) == sum(n_core(p, n))
 
 
 class TestRectangles:

@@ -1,3 +1,6 @@
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
 from slnbranch import (
     build_component,
     e_tilde,
@@ -17,6 +20,17 @@ from slnbranch import (
 def regular_up_to(max_size, n):
     for m in range(max_size + 1):
         yield from partitions_of(m, regular=n)
+
+
+@st.composite
+def ranked_regular_partitions(draw):
+    """(n, p) with n in 2..5 and p n-regular: distinct parts, each repeated < n times."""
+    n = draw(st.integers(2, 5))
+    values = draw(st.sets(st.integers(1, 15), max_size=8))
+    parts = []
+    for value in sorted(values, reverse=True):
+        parts += [value] * draw(st.integers(1, n - 1))
+    return n, tuple(parts)
 
 
 class TestSignature:
@@ -85,6 +99,18 @@ class TestOperators:
                     up = e_tilde(p, n, i)
                     if up is not None:
                         assert f_tilde(up, n, i) == p
+
+    @settings(max_examples=200, deadline=None)
+    @given(ranked_regular_partitions())
+    def test_inverse_relations_property(self, case):
+        n, p = case
+        for i in range(n):
+            up = e_tilde(p, n, i)
+            if up is not None:
+                assert f_tilde(up, n, i) == p
+            down = f_tilde(p, n, i)
+            if down is not None:
+                assert e_tilde(down, n, i) == p
 
     def test_statistics_step_along_edges(self):
         for n in (2, 3):

@@ -5,9 +5,22 @@ from hypothesis import strategies as st
 from slnbranch import (
     ADDABLE,
     REMOVABLE,
+    abacus_display,
     add_node,
     as_partition,
+    block_dimension,
     boundary_nodes,
+    core_size_of_content,
+    epsilon_step,
+    fundamental,
+    path_of,
+    regular_partitions_with_content,
+    simple_root,
+    verify_cores,
+    verify_crystal,
+    verify_fow_theorem,
+    verify_js,
+    verify_methods,
     conjugate,
     exponent_form,
     format_partition,
@@ -193,3 +206,30 @@ class TestTextForms:
 def test_as_partition_rejects_increasing():
     with pytest.raises(ValueError):
         as_partition((1, 2))
+
+
+# Every entry point that takes a rank rejects n < 2 with the same message.
+RANKED_CALLS = {
+    "fundamental": lambda n: fundamental(n, 0),
+    "simple_root": lambda n: simple_root(n, 0),
+    "epsilon_step": lambda n: epsilon_step(n, 0),
+    "path_of": lambda n: path_of((2, 1), n, 0),
+    "abacus_display": lambda n: abacus_display((2, 1), n),
+    "regular_partitions_with_content": lambda n: list(
+        regular_partitions_with_content(n, (0,) * n)
+    ),
+    "core_size_of_content": lambda n: core_size_of_content((0,) * n),
+    "block_dimension": lambda n: block_dimension(n, 3, ()),
+    "verify_methods": lambda n: verify_methods(n, 2),
+    "verify_fow_theorem": lambda n: verify_fow_theorem(n, 3),
+    "verify_js": lambda n: verify_js(n, 3, 2),
+    "verify_cores": lambda n: verify_cores(n, 3),
+    "verify_crystal": lambda n: verify_crystal(n, 3),
+}
+
+
+@pytest.mark.parametrize("name", RANKED_CALLS)
+@pytest.mark.parametrize("n", [0, 1])
+def test_rank_below_two_rejected(name, n):
+    with pytest.raises(ValueError, match="n must be at least 2"):
+        RANKED_CALLS[name](n)
