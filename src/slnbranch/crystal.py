@@ -7,6 +7,16 @@ the node of the bottom-most surviving "-", and the lowering operator adds
 the node of the top-most surviving "+".  This is the unique reading of the
 good-node rule under which the component of the empty partition is exactly
 the set of n-regular partitions.
+
+The operators and statistics come from one integer scan, `_signatures`, that
+reads the rows once and reduces the words of all n residues together: row r
+with part c has a removable node of residue (c - r) mod n when c exceeds the
+part below, and an addable node of residue (c + 1 - r) mod n when r = 1 or
+the part above exceeds c.  Per residue it keeps a stack of the rows of the
+surviving "+" signs; a "-" cancels the newest of them, or else survives,
+adding one to eps and becoming the good removable row.  `i_signature` keeps
+the word form, node by node, as the readable reference the tests compare the
+scan against.
 """
 
 from __future__ import annotations
@@ -20,6 +30,8 @@ from .partitions import (
     Partition,
     add_node,
     boundary_nodes,
+    check_rank,
+    check_residue,
     format_partition,
     remove_node,
 )
@@ -58,15 +70,43 @@ def i_signature(p: Partition, n: int, i: int) -> SignatureWord:
     return SignatureWord(raw, tuple(stack))
 
 
+def _signatures(p: Partition, n: int) -> tuple[list[int], list[list[int]], list[int]]:
+    """(eps, plus, good) for every residue from one scan of the rows.
+
+    eps[r] counts the surviving "-" of the r-signature, plus[r] lists the
+    rows of its surviving "+" top to bottom (so phi_r = len(plus[r])), and
+    good[r] is the row of its bottom-most surviving "-", or 0 if none.
+    """
+    eps = [0] * n
+    plus: list[list[int]] = [[] for _ in range(n)]
+    good = [0] * n
+    above = p[0] + 1 if p else 1
+    row = 0
+    for cur, below in zip(p + (0,), p[1:] + (0, 0)):
+        row += 1
+        if cur > below:
+            r = (cur - row) % n
+            if plus[r]:
+                plus[r].pop()
+            else:
+                eps[r] += 1
+                good[r] = row
+        if above > cur:
+            plus[(cur + 1 - row) % n].append(row)
+        above = cur
+    return eps, plus, good
+
+
 def eps_phi(p: Partition, n: int, i: int) -> tuple[int, int]:
     """(eps_i, phi_i): counts of - and + in the reduced signature."""
-    reduced = i_signature(p, n, i).reduced
-    eps = sum(1 for _, sign in reduced if sign == MINUS)
-    return eps, len(reduced) - eps
+    check_residue(n, i)
+    eps, plus, _ = _signatures(p, n)
+    return eps[i], len(plus[i])
 
 
 def epsilon_vector(p: Partition, n: int) -> tuple[int, ...]:
-    return tuple(eps_phi(p, n, i)[0] for i in range(n))
+    check_rank(n)
+    return tuple(_signatures(p, n)[0])
 
 
 def eps_index(p: Partition, n: int) -> int | None:
@@ -75,6 +115,7 @@ def eps_index(p: Partition, n: int) -> int | None:
     The eps-profile counterpart of the chain congruence's fow_index: by
     the same convention it returns 0 for the empty partition.
     """
+    check_rank(n)
     if not p:
         return 0
     eps = epsilon_vector(p, n)
@@ -82,25 +123,27 @@ def eps_index(p: Partition, n: int) -> int | None:
 
 
 def phi_vector(p: Partition, n: int) -> tuple[int, ...]:
-    return tuple(eps_phi(p, n, i)[1] for i in range(n))
+    check_rank(n)
+    return tuple(len(rows) for rows in _signatures(p, n)[1])
 
 
 def e_tilde(p: Partition, n: int, i: int) -> Partition | None:
     """Remove the good removable i-node (bottom-most surviving -), or None."""
-    reduced = i_signature(p, n, i).reduced
-    minuses = [node for node, sign in reduced if sign == MINUS]
-    if not minuses:
+    check_residue(n, i)
+    row = _signatures(p, n)[2][i]
+    if not row:
         return None
-    return remove_node(p, minuses[-1])
+    return remove_node(p, Node(row, p[row - 1], i))
 
 
 def f_tilde(p: Partition, n: int, i: int) -> Partition | None:
     """Add the good addable i-node (top-most surviving +), or None."""
-    reduced = i_signature(p, n, i).reduced
-    pluses = [node for node, sign in reduced if sign == PLUS]
-    if not pluses:
+    check_residue(n, i)
+    rows = _signatures(p, n)[1][i]
+    if not rows:
         return None
-    return add_node(p, pluses[0])
+    row = rows[0]
+    return add_node(p, Node(row, p[row - 1] + 1 if row <= len(p) else 1, i))
 
 
 @dataclass

@@ -21,7 +21,14 @@ from .cores import (
     regular_partitions_with_content,
 )
 from .crystal import eps_index
-from .partitions import Partition, energy, is_n_regular, partitions_of, residue_counts
+from .partitions import (
+    Partition,
+    check_rank,
+    energy,
+    is_n_regular,
+    partitions_of,
+    residue_counts,
+)
 from .report import VerificationReport
 
 
@@ -98,6 +105,7 @@ def chi_by_branching(
     minus (n - 1) at order zero.  Any other core is rejected: no member
     partition has one.
     """
+    check_rank(n)
     rect = is_rectangle_le_n(mu, n)
     if rect is None:
         raise ValueError(

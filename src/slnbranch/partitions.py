@@ -43,7 +43,15 @@ def conjugate(p: Partition) -> Partition:
     """Transpose of the Young diagram: part j is the length of column j."""
     if not p:
         return ()
-    return tuple(sum(1 for part in p if part >= j) for j in range(1, p[0] + 1))
+    # Column j holds the rows whose part is at least j; that count only falls
+    # as j rises, so one pointer walks up from the last row.
+    out = []
+    rows = len(p)
+    for j in range(1, p[0] + 1):
+        while p[rows - 1] < j:
+            rows -= 1
+        out.append(rows)
+    return tuple(out)
 
 
 def exponent_form(p: Partition) -> tuple[tuple[int, int], ...]:
@@ -71,6 +79,13 @@ def check_rank(n: int) -> None:
     """The one rank check: every function that takes n rejects n < 2 through it."""
     if n < 2:
         raise ValueError("n must be at least 2")
+
+
+def check_residue(n: int, i: int) -> None:
+    """check_rank, then reject a residue i outside 0..n-1."""
+    check_rank(n)
+    if not 0 <= i < n:
+        raise ValueError(f"residue {i} out of range for n={n}")
 
 
 def is_n_regular(p: Partition, n: int) -> bool:
@@ -109,8 +124,7 @@ def boundary_nodes(p: Partition, n: int, i: int) -> list[tuple[Node, str]]:
     partition.  Each row holds at most one node of a fixed residue, so the
     row order is total; the crystal signature rule depends on it.
     """
-    if not 0 <= i < n:
-        raise ValueError(f"residue {i} out of range for n={n}")
+    check_residue(n, i)
     out: list[tuple[Node, str]] = []
     rows = len(p)
     for row in range(1, rows + 2):

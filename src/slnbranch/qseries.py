@@ -32,6 +32,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterator
 
+from .partitions import check_rank
+
 
 class TruncatedSeries:
     """q-power-series with exact integer coefficients up to a truncation order."""
@@ -153,6 +155,7 @@ def inv_pochhammer(k: int, order: int) -> TruncatedSeries:
 
 def cartan_matrix(n: int) -> tuple[tuple[int, ...], ...]:
     """The (n-1)x(n-1) Cartan matrix of sl(n)."""
+    check_rank(n)
     size = n - 1
     return tuple(
         tuple(2 if i == j else -1 if abs(i - j) == 1 else 0 for j in range(size))
@@ -165,6 +168,7 @@ def scaled_inverse_cartan(n: int) -> tuple[tuple[int, ...], ...]:
 
     Each entry equals min(i,j) * (n - max(i,j)), a positive integer.
     """
+    check_rank(n)
     return tuple(
         tuple(n * min(i, j) - i * j for j in range(1, n)) for i in range(1, n)
     )

@@ -1,7 +1,9 @@
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from slnbranch import (
+    add_node,
     build_component,
     e_tilde,
     eps_phi,
@@ -12,9 +14,11 @@ from slnbranch import (
     is_n_regular,
     partitions_of,
     phi_vector,
+    remove_node,
     simple_root,
     weight_of,
 )
+from slnbranch.crystal import eps_index
 
 
 def regular_up_to(max_size, n):
@@ -31,6 +35,68 @@ def ranked_regular_partitions(draw):
     for value in sorted(values, reverse=True):
         parts += [value] * draw(st.integers(1, n - 1))
     return n, tuple(parts)
+
+
+@st.composite
+def ranked_partitions(draw):
+    """(n, p) with n in 2..7 and p any partition of size at most 60."""
+    n = draw(st.integers(2, 7))
+    left = draw(st.integers(0, 60))
+    parts = []
+    while left:
+        part = draw(st.integers(1, min(left, parts[-1] if parts else left)))
+        parts.append(part)
+        left -= part
+    return n, tuple(parts)
+
+
+def word_reference(p, n):
+    """Statistics and operator images read off the reduced i-signature words."""
+    eps, phi, raised, lowered = [], [], [], []
+    for i in range(n):
+        reduced = i_signature(p, n, i).reduced
+        minuses = [node for node, sign in reduced if sign == "-"]
+        pluses = [node for node, sign in reduced if sign == "+"]
+        eps.append(len(minuses))
+        phi.append(len(pluses))
+        raised.append(remove_node(p, minuses[-1]) if minuses else None)
+        lowered.append(add_node(p, pluses[0]) if pluses else None)
+    return eps, phi, raised, lowered
+
+
+def assert_kernel_matches_word(p, n):
+    eps, phi, raised, lowered = word_reference(p, n)
+    assert epsilon_vector(p, n) == tuple(eps)
+    assert phi_vector(p, n) == tuple(phi)
+    profile = 0 if not p else eps.index(1) if sum(eps) == 1 else None
+    assert eps_index(p, n) == profile
+    for i in range(n):
+        assert eps_phi(p, n, i) == (eps[i], phi[i])
+        assert e_tilde(p, n, i) == raised[i]
+        assert f_tilde(p, n, i) == lowered[i]
+
+
+class TestKernelMatchesWord:
+    """The integer row scan agrees with the word form on every partition."""
+
+    @pytest.mark.parametrize("n, max_size", [(2, 14), (3, 14), (4, 12), (5, 12)])
+    def test_every_partition(self, n, max_size):
+        for m in range(max_size + 1):
+            for p in partitions_of(m):
+                assert_kernel_matches_word(p, n)
+
+    @settings(max_examples=200, deadline=None)
+    @given(ranked_partitions())
+    def test_random_partitions(self, case):
+        n, p = case
+        assert_kernel_matches_word(p, n)
+
+
+@pytest.mark.parametrize("fn", [eps_phi, e_tilde, f_tilde, i_signature])
+@pytest.mark.parametrize("n, i", [(2, -1), (2, 2), (3, -1), (3, 3)])
+def test_residue_out_of_range_rejected(fn, n, i):
+    with pytest.raises(ValueError, match=f"residue {i} out of range for n={n}"):
+        fn((2, 1), n, i)
 
 
 class TestSignature:

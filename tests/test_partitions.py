@@ -10,7 +10,17 @@ from slnbranch import (
     as_partition,
     block_dimension,
     boundary_nodes,
+    build_component,
+    cartan_matrix,
+    chi_by_branching,
     core_size_of_content,
+    e_tilde,
+    eps_phi,
+    epsilon_vector,
+    f_tilde,
+    i_signature,
+    inverse_cartan,
+    phi_vector,
     epsilon_step,
     fundamental,
     path_of,
@@ -31,6 +41,8 @@ from slnbranch import (
     remove_node,
     residue_counts,
 )
+from slnbranch.crystal import eps_index
+from slnbranch.qseries import scaled_inverse_cartan
 from oracles import (
     brute_partitions,
     naive_conjugate,
@@ -66,7 +78,7 @@ class TestConjugate:
             assert conjugate(conjugate(p)) == p
 
     def test_matches_grid_oracle(self):
-        for p in all_partitions_up_to(12):
+        for p in all_partitions_up_to(16):
             assert conjugate(p) == naive_conjugate(p)
 
 
@@ -225,6 +237,19 @@ RANKED_CALLS = {
     "verify_js": lambda n: verify_js(n, 3, 2),
     "verify_cores": lambda n: verify_cores(n, 3),
     "verify_crystal": lambda n: verify_crystal(n, 3),
+    "boundary_nodes": lambda n: boundary_nodes((2, 1), n, 0),
+    "i_signature": lambda n: i_signature((2, 1), n, 0),
+    "eps_phi": lambda n: eps_phi((2, 1), n, 0),
+    "epsilon_vector": lambda n: epsilon_vector((2, 1), n),
+    "eps_index": lambda n: eps_index((2, 1), n),
+    "phi_vector": lambda n: phi_vector((2, 1), n),
+    "e_tilde": lambda n: e_tilde((2, 1), n, 0),
+    "f_tilde": lambda n: f_tilde((2, 1), n, 0),
+    "build_component": lambda n: build_component(n, 2),
+    "chi_by_branching": lambda n: chi_by_branching(n, (), 2),
+    "cartan_matrix": cartan_matrix,
+    "scaled_inverse_cartan": scaled_inverse_cartan,
+    "inverse_cartan": inverse_cartan,
 }
 
 
