@@ -1,18 +1,23 @@
 """Paths, the chain-congruence membership test, and branching coefficients.
 
 The branching function b(j, k) attached to the pair L(j) ⊗ L0 and the target
-class L(k) + L(j-k) is computed by counting partitions: the coefficient of
-q^d counts members of the weight class with d residue-0 nodes.  Three
-independent membership tests are provided (path dominance, the chain
-congruence, and the crystal eps-profile); a fourth evaluation route lives in
-the qseries module.
+class L(k) + L(j-k) has as coefficient of q^d the number of class members
+with d residue-0 nodes.  Each route counts them by its own mathematics:
+
+- paths: the one-dimensional configuration sum of the level-2 RSOS model,
+  a transfer matrix over the column-by-column path coordinates
+  (`configuration_sums`); `in_path_set` tests one partition;
+- fow: a walk over the class's residue contents, pruned by the chain
+  congruence on each completed block (`fow_prefix`) and filtered by `in_fow`;
+- crystal: the same walk, pruned by the eps vector of the settled rows
+  (`crystal.eps_prefix`) and filtered by the eps-profile;
+- fermionic: the lattice sum of the qseries module.
 """
 
 from __future__ import annotations
 
 import time
 from dataclasses import dataclass
-from functools import lru_cache
 
 from .cores import regular_partitions_with_content
 from .partitions import (
@@ -171,22 +176,101 @@ def class_residue_counts(n: int, j: int, k: int, d: int) -> tuple[int, ...] | No
     return counts if min(counts) >= 0 else None
 
 
-@lru_cache(maxsize=256)
-def _census(n: int, counts: tuple[int, ...]) -> tuple[Partition, ...]:
-    """The n-regular partitions with residue content `counts`, cached per bucket.
+def fow_prefix(parts, n: int, j: int | None = None) -> bool:
+    """The chain congruence on the block that the last row of `parts` closes.
 
-    Only requested buckets are generated.  The routes of one class ask for
-    the same buckets in turn, so a bounded cache of the most recent ones
-    keeps that reuse without growing over a long run.
+    A prefix test for the content walk: the last row is the candidate, and
+    once it is smaller than the row above, the block (v2, a2) of equal parts
+    above it is complete.  It must pass the congruence with the block
+    (v1, a1) before it, or, if it is the first block, give
+    j = (v2 - a2) mod n (any j when j is None).  Earlier blocks were
+    checked when the prefixes before this one were.
     """
-    return tuple(regular_partitions_with_content(n, counts))
+    r = len(parts) - 1
+    if r < 1 or parts[r] == parts[r - 1]:
+        return True
+    v2 = parts[r - 1]
+    top = r - 1
+    while top and parts[top - 1] == v2:
+        top -= 1
+    a2 = r - top
+    if not top:
+        return j is None or (v2 - a2) % n == j
+    v1 = parts[top - 1]
+    first = top - 1
+    while first and parts[first - 1] == v1:
+        first -= 1
+    return (top - first + v1 - v2 + a2) % n == 0
 
 
-def _class_members(n: int, j: int, k: int, d: int) -> tuple[Partition, ...]:
+def configuration_sums(n: int, j: int, order: int) -> dict[tuple[int, ...], list[int]]:
+    """The paths of L(j) ⊗ L0 up to q^order, summed by their end point.
+
+    The one-dimensional configuration sum of the level-2 RSOS model, run as
+    a transfer matrix.  A path reads the columns of an n-regular partition
+    from the last (index lambda_1) to the first, starting from the
+    coordinate L(j) + L(lambda_1 mod n); the column of index i and length c
+    moves the coordinate by the epsilon-step e = (i - 1 - c) mod n, which
+    needs lam[e + 1] >= 1 (dominance, as in `in_path_set`), and carries
+    q^z for its z residue-0 nodes, the rows r < c with r ≡ i - 1 (mod n).
+    A state is (lam, the length of the column just read, 0 before the
+    first, the index mod n of the next column), holding the series of the
+    paths that reach it.  Column lengths grow by less than n
+    (n-regularity), and a path may end whenever the next index is 0 mod n,
+    at the end point lam = L(k) + L(j - k) of the class (j, k).  Each
+    partition in the path set is one path, so the result maps each end
+    point to the partition count by residue-0 nodes.
+    """
+    check_rank(n)
+    j %= n
+    size = order + 1
+    sums: dict[tuple[int, ...], list[int]] = {}
+    layer: dict[tuple[tuple[int, ...], int, int], list[int]] = {}
+    for rho in range(n):
+        lam = [0] * n
+        lam[j] += 1
+        lam[rho] += 1
+        layer[(tuple(lam), 0, rho)] = [1] + [0] * order
+    while layer:
+        ahead: dict[tuple[tuple[int, ...], int, int], list[int]] = {}
+        for (lam, c, i), series in layer.items():
+            if not i:
+                total = sums.setdefault(lam, [0] * size)
+                for d in range(size):
+                    total[d] += series[d]
+            low = next(d for d in range(size) if series[d])
+            zero = (i - 1) % n  # rows r of residue 0 in column i: r ≡ i - 1
+            for c2 in range(max(c, 1), c + n):
+                z = (c2 - zero + n - 1) // n
+                if low + z > order:
+                    break
+                e = (i - 1 - c2) % n
+                if not lam[(e + 1) % n]:
+                    continue
+                step = list(lam)
+                step[(e + 1) % n] -= 1
+                step[e] += 1
+                key = (tuple(step), c2, (i - 1) % n)
+                out = ahead.get(key)
+                if out is None:
+                    ahead[key] = [0] * z + series[: size - z]
+                else:
+                    for d in range(low + z, size):
+                        out[d] += series[d - z]
+        layer = ahead
+    return sums
+
+
+def _census(n: int, counts: tuple[int, ...], prefix) -> tuple[Partition, ...]:
+    """The n-regular partitions of residue content `counts` whose row prefixes pass."""
+    return tuple(regular_partitions_with_content(n, counts, prefix))
+
+
+def _class_members(n: int, j: int, k: int, d: int, prefix) -> tuple[Partition, ...]:
     counts = class_residue_counts(n, j, k, d)
     if counts is None:
         return ()
-    return _census(n, counts)
+    return _census(n, counts, prefix)
 
 
 def _crystal_member(p: Partition, n: int, j: int) -> bool:
@@ -196,31 +280,62 @@ def _crystal_member(p: Partition, n: int, j: int) -> bool:
     return not p or eps_index(p, n) == j
 
 
+def _count_members(n, j, k, order, member, prefix) -> tuple[int, ...]:
+    """Members of class (j, k) by residue-0 nodes: the walk pruned by `prefix`, then `member`."""
+    return tuple(
+        sum(1 for p in _class_members(n, j, k, d, prefix) if member(p, n, j))
+        for d in range(order + 1)
+    )
+
+
+def _paths_series(n: int, j: int, k: int, order: int) -> tuple[int, ...]:
+    end = [0] * n
+    end[k] += 1
+    end[(j - k) % n] += 1
+    return tuple(configuration_sums(n, j, order).get(tuple(end), [0] * (order + 1)))
+
+
+def _fow_series(n: int, j: int, k: int, order: int) -> tuple[int, ...]:
+    return _count_members(n, j, k, order, in_fow, lambda parts: fow_prefix(parts, n, j))
+
+
+def _crystal_series(n: int, j: int, k: int, order: int) -> tuple[int, ...]:
+    from .crystal import eps_prefix  # deferred: keep module layers acyclic
+
+    return _count_members(
+        n, j, k, order, _crystal_member, lambda parts: eps_prefix(parts, n, j)
+    )
+
+
+def _fermionic_series(n: int, j: int, k: int, order: int) -> tuple[int, ...]:
+    from .qseries import fermionic_series
+
+    s, t = sorted((k, (j - k) % n))
+    return tuple(fermionic_series(n, s, t, order).coeffs)
+
+
 def branching_series(n: int, j: int, k: int, order: int, method: str) -> BranchingSeries:
     """Coefficients of b(j, k) up to q^order by the named route.
 
-    "paths", "fow" and "crystal" count the class members passing that
-    route's membership test; "fermionic" evaluates the lattice sum.
+    "paths" sums the path configurations by transfer matrix; "fow" and
+    "crystal" walk the class's residue contents, each pruned by its own
+    prefix test, and count the partitions passing that route's membership
+    test; "fermionic" evaluates the lattice sum.
     """
     check_rank(n)
     if method not in METHODS:
         raise ValueError(f"unknown method {method!r}; expected one of {METHODS}")
     j %= n
     k %= n
-    if method == "fermionic":
-        from .qseries import fermionic_series
-
-        s, t = sorted((k, (j - k) % n))
-        coeffs = tuple(fermionic_series(n, s, t, order).coeffs)
-        return BranchingSeries(n, j, k, method, coeffs)
     # Looked up per call, not held in a module-level table, so that a
-    # rebinding of a predicate's global name takes effect here.
-    member = {"paths": in_path_set, "fow": in_fow, "crystal": _crystal_member}[method]
-    coeffs = tuple(
-        sum(1 for p in _class_members(n, j, k, d) if member(p, n, j))
-        for d in range(order + 1)
-    )
-    return BranchingSeries(n, j, k, method, coeffs)
+    # rebinding of a route's global name takes effect here.
+    count = {
+        "paths": _paths_series,
+        "fow": _fow_series,
+        "crystal": _crystal_series,
+        "fermionic": _fermionic_series,
+    }[method]
+    return BranchingSeries(n, j, k, method, count(n, j, k, order))
 
 
 def verify_fow_theorem(n: int, max_size: int) -> VerificationReport:

@@ -13,7 +13,7 @@ content -- one block -- are generated directly by a pruned walk.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterator
+from typing import Callable, Iterator
 
 from .partitions import Partition, as_partition, check_rank, exponent_form, residue_counts
 
@@ -110,7 +110,9 @@ def _add_row(rem: list[int], r: int, a: int, sign: int) -> None:
         rem[(start + t) % n] += sign
 
 
-def regular_partitions_with_content(n: int, counts) -> Iterator[Partition]:
+def regular_partitions_with_content(
+    n: int, counts, prefix: Callable[[list[int]], bool] | None = None
+) -> Iterator[Partition]:
     """The n-regular partitions with residue content `counts`, decreasing lex.
 
     `counts[r]` is the number of residue-r nodes, as in `residue_counts`.
@@ -126,11 +128,24 @@ def regular_partitions_with_content(n: int, counts) -> Iterator[Partition]:
     the cut is exact up to the bound on the largest part, which is cut by
     size: an n-regular partition with largest part a has at most
     (n - 1) a (a + 1) / 2 nodes.
+
+    `prefix`, if given, is called on the placed rows, the last of which is
+    the candidate, after the content cut passes; a False shrinks the
+    candidate just as the content cut does.  It is called on each prefix of
+    a branch in turn, so it need only check what the candidate row settles.
+    Only partitions all of whose row prefixes pass are yielded, so a prefix
+    test that passes every prefix of a member is a pure speed-up for a
+    caller that tests the members themselves.  The arguments are checked
+    when this is called, not when the walk starts.
     """
     check_rank(n)
     rem = list(counts)
     if len(rem) != n:
         raise ValueError(f"expected {n} residue counts, got {len(rem)}")
+    return _content_walk(n, rem, prefix)
+
+
+def _content_walk(n: int, rem: list[int], prefix) -> Iterator[Partition]:
     left = sum(rem)
     if min(rem) < 0 or core_size_of_content(rem) > left:
         return
@@ -161,7 +176,11 @@ def regular_partitions_with_content(n: int, counts) -> Iterator[Partition]:
             runs.append(run + 1 if a == prev else 1)
         while parts:
             r = len(parts) - 1
-            if fresh and spread <= 2 * rem[(-r - 1) % n]:
+            if (
+                fresh
+                and spread <= 2 * rem[(-r - 1) % n]
+                and (prefix is None or prefix(parts))
+            ):
                 if left:
                     break
                 yield tuple(parts)

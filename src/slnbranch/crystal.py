@@ -77,12 +77,21 @@ def _signatures(p: Partition, n: int) -> tuple[list[int], list[list[int]], list[
     rows of its surviving "+" top to bottom (so phi_r = len(plus[r])), and
     good[r] is the row of its bottom-most surviving "-", or 0 if none.
     """
+    return _scan(p + (0, 0), n)
+
+
+def _scan(rows, n: int) -> tuple[list[int], list[list[int]], list[int]]:
+    """`_signatures` of the boundary nodes in every row of `rows` but the last.
+
+    Each of those rows is read with the row below it, which settles its
+    removable node; the last row serves only as the lower neighbour.
+    """
     eps = [0] * n
     plus: list[list[int]] = [[] for _ in range(n)]
     good = [0] * n
-    above = p[0] + 1 if p else 1
+    above = rows[0] + 1
     row = 0
-    for cur, below in zip(p + (0,), p[1:] + (0, 0)):
+    for cur, below in zip(rows, rows[1:]):
         row += 1
         if cur > below:
             r = (cur - row) % n
@@ -127,6 +136,19 @@ def phi_vector(p: Partition, n: int) -> tuple[int, ...]:
     return tuple(len(rows) for rows in _signatures(p, n)[1])
 
 
+def eps_prefix(parts, n: int, j: int) -> bool:
+    """Whether the rows above the last row of `parts` have eps at most e_j.
+
+    A prefix test for the content walk, the last row being the candidate:
+    the rows above it have their lower neighbours placed, so their removable
+    nodes are settled, and a surviving "-" is cancelled only by a "+" above
+    it.  Their eps vector is therefore a lower bound for the eps vector of
+    every partition that begins with `parts`.
+    """
+    eps = _scan(parts, n)[0]
+    return eps[j] <= 1 and sum(eps) == eps[j]
+
+
 def e_tilde(p: Partition, n: int, i: int) -> Partition | None:
     """Remove the good removable i-node (bottom-most surviving -), or None."""
     check_residue(n, i)
@@ -142,7 +164,11 @@ def f_tilde(p: Partition, n: int, i: int) -> Partition | None:
     rows = _signatures(p, n)[1][i]
     if not rows:
         return None
-    row = rows[0]
+    return _add_good(p, rows[0], i)
+
+
+def _add_good(p: Partition, row: int, i: int) -> Partition:
+    """p with the addable i-node of `row` added."""
     return add_node(p, Node(row, p[row - 1] + 1 if row <= len(p) else 1, i))
 
 
@@ -205,26 +231,25 @@ def build_component(n: int, max_size: int) -> CrystalGraph:
 
     if max_size < 0:
         raise ValueError("max_size must be nonnegative")
+    check_rank(n)
     graph = CrystalGraph(n, max_size)
-
-    def annotate(v: Partition):
-        graph.vertices.append(v)
-        graph.eps[v] = epsilon_vector(v, n)
-        graph.wt[v] = weight_of(v, n)
-        graph.js[v] = is_js(v, n)
-
-    annotate(())
     layer: list[Partition] = [()]
-    for _ in range(max_size):
+    for size in range(max_size + 1):
         targets: set[Partition] = set()
         for v in layer:
-            for i in range(n):
-                w = f_tilde(v, n, i)
-                if w is None:
-                    continue
-                graph.edges.append((v, i, w))
-                targets.add(w)
+            # One scan gives the eps annotation and every residue's good
+            # addable row, the top-most surviving "+".
+            eps, plus, _ = _signatures(v, n)
+            graph.vertices.append(v)
+            graph.eps[v] = tuple(eps)
+            graph.wt[v] = weight_of(v, n)
+            graph.js[v] = is_js(v, n)
+            if size == max_size:
+                continue
+            for i, rows in enumerate(plus):
+                if rows:
+                    w = _add_good(v, rows[0], i)
+                    graph.edges.append((v, i, w))
+                    targets.add(w)
         layer = sorted(targets, reverse=True)
-        for w in layer:
-            annotate(w)
     return graph

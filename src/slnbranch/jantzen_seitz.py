@@ -12,7 +12,7 @@ from __future__ import annotations
 import time
 from dataclasses import dataclass
 
-from .branching import branching_series, fow_index, fow_k
+from .branching import branching_series, fow_index, fow_k, fow_prefix
 from .cores import (
     is_n_core,
     is_rectangle_le_n,
@@ -79,14 +79,17 @@ def js_set(n: int, mu: Partition, d: int) -> list[Partition]:
     """All member partitions with n-core mu and n-weight d, descending lex order.
 
     By Nakayama's conjecture they are the members among the n-regular
-    partitions of content residue_counts(mu) + d (1, ..., 1).
+    partitions of content residue_counts(mu) + d (1, ..., 1).  The walk
+    over that content is pruned by the chain congruence on the blocks each
+    row closes, with no fixed j.
     """
     if not is_n_core(mu, n):
         raise ValueError(f"{mu} is not an n-core for n={n}")
     if d < 0:
         return []
     counts = [c + d for c in residue_counts(mu, n)]
-    return [p for p in regular_partitions_with_content(n, counts) if is_js(p, n)]
+    walk = regular_partitions_with_content(n, counts, lambda parts: fow_prefix(parts, n))
+    return [p for p in walk if is_js(p, n)]
 
 
 def chi_direct(n: int, mu: Partition, order: int) -> tuple[int, ...]:

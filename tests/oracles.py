@@ -179,3 +179,34 @@ def shell_lattice_points(n: int, s: int, t: int, order: int, bound: int | None =
                 assert q.denominator == 1 and q >= 0, (n, s, t, m, q)
                 points.append((m, int(q)))
     return sorted(points)
+
+
+def filtered_bucket_series(n: int, j: int, k: int, order: int) -> dict:
+    """Reference for the three enumeration routes: filter whole class buckets.
+
+    For each d it walks every n-regular partition of the residue content of
+    class (j, k) with d residue-0 nodes, unpruned, and counts those that
+    pass each route's membership test.  Unlike the rest of this module it
+    uses the package's own bucket walk and membership tests, which the
+    tests check against brute-force enumeration; what it leaves out is the
+    transfer matrix and the prefix pruning of the routes under test.
+    """
+    from slnbranch.branching import (
+        _crystal_member,
+        class_residue_counts,
+        in_fow,
+        in_path_set,
+    )
+    from slnbranch.cores import regular_partitions_with_content
+
+    members = {"paths": in_path_set, "fow": in_fow, "crystal": _crystal_member}
+    coeffs = {route: [0] * (order + 1) for route in members}
+    j %= n
+    for d in range(order + 1):
+        counts = class_residue_counts(n, j, k, d)
+        if counts is None:
+            continue
+        for p in regular_partitions_with_content(n, counts):
+            for route, member in members.items():
+                coeffs[route][d] += member(p, n, j)
+    return {route: tuple(c) for route, c in coeffs.items()}

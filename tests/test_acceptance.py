@@ -178,3 +178,27 @@ def test_criterion_8_crystal_axioms_and_figure_surrogate():
     expected = {format_partition(p) for p in graph.vertices if is_js(p, 3)}
     assert starred == expected
     _stamp(8, "crystal axioms (n=2,3; size 10) and starred DOT export", start, 30)
+
+
+def test_criterion_9_four_routes_agree_at_the_frontier():
+    start = time.perf_counter()
+    for n, order in ((4, 20), (5, 16), (6, 12)):
+        rows = {
+            method: branching_series(n, 1, 0, order, method).coeffs
+            for method in ("paths", "fow", "crystal", "fermionic")
+        }
+        assert len(set(rows.values())) == 1, (n, order, rows)
+    _stamp(9, "four routes agree on class (1,0) at (4,20), (5,16), (6,12)", start, 30)
+
+
+def test_criterion_9b_paths_equal_fermionic_at_high_order():
+    start = time.perf_counter()
+    for n, order in ((4, 30), (5, 24), (6, 18)):
+        for j in range(n):
+            for k in range(n):
+                if k > (j - k) % n:
+                    continue
+                paths = branching_series(n, j, k, order, "paths").coeffs
+                fermionic = branching_series(n, j, k, order, "fermionic").coeffs
+                assert paths == fermionic, (n, j, k, paths, fermionic)
+    _stamp("9b", "paths == fermionic on every class at (4,30), (5,24), (6,18)", start, 30)

@@ -1,4 +1,6 @@
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from slnbranch import (
     branching_series,
@@ -16,7 +18,10 @@ from slnbranch import (
     verify_fow_theorem,
     weight_of,
 )
-from slnbranch.branching import METHODS
+from slnbranch.branching import METHODS, configuration_sums, fow_prefix
+from slnbranch.crystal import eps_index, eps_prefix
+
+from oracles import filtered_bucket_series
 
 # the six worked n=3 series (orders as displayed: three terms each)
 EXAMPLE_TABLE = {
@@ -218,3 +223,73 @@ class TestPathChainAgreement:
                 for j in range(3):
                     if in_path_set(p, 3, j):
                         assert is_n_regular(p, 3)
+
+
+ROUTES = ("paths", "fow", "crystal")
+
+
+@st.composite
+def small_branching_cases(draw):
+    n = draw(st.integers(2, 5))
+    return n, draw(st.integers(0, n - 1)), draw(st.integers(0, n - 1)), draw(st.integers(0, 8))
+
+
+class TestRoutesAgainstFilteredBuckets:
+    """The transfer matrix and the pruned walks equal the filtered unpruned buckets."""
+
+    @pytest.mark.parametrize("n,order", [(2, 12), (3, 10), (4, 8), (5, 6)])
+    def test_every_class(self, n, order):
+        for j in range(n):
+            for k in range(n):
+                expected = filtered_bucket_series(n, j, k, order)
+                for route in ROUTES:
+                    got = branching_series(n, j, k, order, route).coeffs
+                    assert got == expected[route], (n, j, k, route)
+
+    @settings(max_examples=30, deadline=None)
+    @given(small_branching_cases())
+    def test_random_class(self, case):
+        n, j, k, order = case
+        expected = filtered_bucket_series(n, j, k, order)
+        for route in ROUTES:
+            assert branching_series(n, j, k, order, route).coeffs == expected[route]
+
+    def test_paths_end_only_at_class_end_points(self):
+        # Every end point is L(k) + L(j - k) for some k: a level-2 dominant
+        # weight with j = (sum of its two labels) mod n.
+        for n in (2, 3, 4, 5):
+            for j in range(n):
+                for lam in configuration_sums(n, j, 6):
+                    labels = [i for i, c in enumerate(lam) for _ in range(c)]
+                    assert len(labels) == 2 and sum(labels) % n == j, (n, j, lam)
+
+
+class TestPrefixTests:
+    """No prefix of a member is cut, so the prunes are pure speed-ups."""
+
+    @pytest.mark.parametrize("n", [2, 3, 4])
+    def test_no_member_prefix_is_cut(self, n):
+        for m in range(1, 13):
+            for p in partitions_of(m, regular=n):
+                j = fow_index(p, n)
+                if j is not None:
+                    for r in range(1, len(p) + 1):
+                        assert fow_prefix(p[:r], n, j), (p, r)
+                        assert fow_prefix(p[:r], n), (p, r)
+                j = eps_index(p, n)
+                if j is not None:
+                    for r in range(1, len(p) + 1):
+                        assert eps_prefix(p[:r], n, j), (p, r)
+
+    def test_prefixes_cut(self):
+        # (3, 1) closes the block (3, 1), which gives j = 2 at n = 3.
+        assert fow_prefix((3, 1), 3, 2) and not fow_prefix((3, 1), 3, 1)
+        # (4, 2, 1): 1 + 4 - 2 + 1 = 4 is not 0 mod 3.
+        assert not fow_prefix((4, 2, 1), 3)
+        # The rows above the candidate of (4, 2, 1) hold removable nodes of
+        # residue 0 with no "+" between, so eps_0 >= 2 whatever follows.
+        assert not eps_prefix((4, 2, 1), 3, 0)
+        # Row 1 of (3, 1) holds a removable node of residue 2.
+        assert eps_prefix((3, 1), 3, 2) and not eps_prefix((3, 1), 3, 0)
+        # The candidate's own removable node is not settled yet.
+        assert eps_prefix((3,), 3, 0)

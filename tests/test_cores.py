@@ -18,6 +18,8 @@ from slnbranch import (
     regular_partitions_with_content,
     residue_counts,
 )
+from slnbranch.branching import fow_prefix
+from slnbranch.crystal import eps_prefix
 from oracles import rim_hook_core
 
 
@@ -154,6 +156,29 @@ class TestContentWalk:
     def test_rejects_wrong_length(self):
         with pytest.raises(ValueError, match="expected 3 residue counts"):
             list(regular_partitions_with_content(3, (1, 0)))
+
+    def test_checks_arguments_when_called(self):
+        # Not deferred to the first next(): nothing here iterates the walk.
+        with pytest.raises(ValueError, match="expected 3 residue counts"):
+            regular_partitions_with_content(3, (1, 0))
+        with pytest.raises(ValueError, match="n must be at least 2"):
+            regular_partitions_with_content(1, (0,))
+
+    @pytest.mark.parametrize("n,max_size", [(2, 14), (3, 14), (4, 12)])
+    def test_prefix_keeps_exactly_the_partitions_whose_prefixes_pass(self, n, max_size):
+        tests = [lambda parts: fow_prefix(parts, n)]
+        for j in range(n):
+            tests.append(lambda parts, j=j: fow_prefix(parts, n, j))
+            tests.append(lambda parts, j=j: eps_prefix(parts, n, j))
+        tests.append(lambda parts: parts[-1] != 2 and len(parts) < 4)
+        for size in range(max_size + 1):
+            for counts, members in filtered_census(n, size).items():
+                for prefix in tests:
+                    expected = [
+                        p for p in members
+                        if all(prefix(list(p[:r])) for r in range(1, len(p) + 1))
+                    ]
+                    assert list(regular_partitions_with_content(n, counts, prefix)) == expected
 
     def test_core_size_of_content(self):
         for p in all_partitions_up_to(12):

@@ -27,6 +27,7 @@ commands = [
     ["branching", "--n", "3", "--j", "1", "--k", "0", "--order", "3", "--method", "all"],
     ["js", "chi", "--n", "3", "--core", "-", "--order", "2", "--method", "both"],
     ["verify", "--suite", "js", "--n", "3", "--max-size", "5", "--order", "2"],
+    ["verify", "--suite", "fow", "--n", "3", "--max-size", "4"],
 ]
 with contextlib.redirect_stdout(io.StringIO()):
     codes = [slnbranch.cli.main(argv) for argv in commands]
@@ -51,7 +52,7 @@ def test_traced_cli_counts_every_route(tmp_path):
         check=True,
     )
     result = json.loads(done.stdout)
-    assert result["codes"] == [0, 0, 0]
+    assert result["codes"] == [0, 0, 0, 0]
     calls = result["calls"]
     for name in (
         "branching.in_path_set",
