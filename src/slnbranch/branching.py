@@ -288,11 +288,21 @@ def _count_members(n, j, k, order, member, prefix) -> tuple[int, ...]:
     )
 
 
-def _paths_series(n: int, j: int, k: int, order: int) -> tuple[int, ...]:
+def class_paths_series(
+    sums: dict[tuple[int, ...], list[int]], n: int, j: int, k: int, order: int
+) -> tuple[int, ...]:
+    """The series of class (j, k) read from `configuration_sums(n, j, order)`.
+
+    The class's paths end at L(k) + L(j - k).
+    """
     end = [0] * n
-    end[k] += 1
+    end[k % n] += 1
     end[(j - k) % n] += 1
-    return tuple(configuration_sums(n, j, order).get(tuple(end), [0] * (order + 1)))
+    return tuple(sums.get(tuple(end), [0] * (order + 1)))
+
+
+def _paths_series(n: int, j: int, k: int, order: int) -> tuple[int, ...]:
+    return class_paths_series(configuration_sums(n, j, order), n, j, k, order)
 
 
 def _fow_series(n: int, j: int, k: int, order: int) -> tuple[int, ...]:

@@ -3,7 +3,19 @@
 With L beads, the beta numbers of a partition are the first-column hook
 lengths beta_i = part_i + (L - i), a strictly decreasing set.  Sliding every
 bead to the top of its runner (position mod n) yields the n-core; the result
-does not depend on L.
+does not depend on L.  `n_core` does this in one integer pass: it counts the
+beads on each runner and reads the pushed display straight back into parts.
+
+The n-weight is read off the same display without passing to the core:
+each bead slides up past the empty positions above it on its runner, and
+each such step removes one rim n-hook, so the weight is the number of those
+empty positions summed over the beads.
+
+An n-core is fixed by its charge vector x in Z^n with sum x = 0: with nL
+beads, runner r holds L + x_r of them, all at the top.  Every such x is a
+core, and |core| = (n/2) sum x_r^2 + sum r x_r (Garvan, Kim and Stanton,
+"Cranks and t-cores", Invent. Math. 101, 1990), so `n_cores` generates the
+cores of bounded size from the charges, without filtering partitions.
 
 The residue content fixes the n-core and the n-weight (Nakayama's
 conjecture; James & Kerber 1981, 2.7), so the n-regular partitions of one
@@ -15,7 +27,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Callable, Iterator
 
-from .partitions import Partition, as_partition, check_rank, exponent_form, residue_counts
+from .partitions import Partition, check_rank, exponent_form, residue_counts
 
 
 @dataclass(frozen=True)
@@ -37,21 +49,20 @@ def default_bead_count(p: Partition, n: int) -> int:
     return base + (-base) % n
 
 
-def abacus_display(p: Partition, n: int, beads: int | None = None) -> AbacusDisplay:
+def _bead_count(p: Partition, n: int, beads: int | None) -> int:
+    """`beads`, or the default count if None; at least one bead per row."""
     check_rank(n)
     if beads is None:
         beads = default_bead_count(p, n)
     if beads < len(p):
         raise ValueError(f"need at least {len(p)} beads, got {beads}")
+    return beads
+
+
+def abacus_display(p: Partition, n: int, beads: int | None = None) -> AbacusDisplay:
+    beads = _bead_count(p, n, beads)
     padded = list(p) + [0] * (beads - len(p))
     return AbacusDisplay(n, tuple(padded[i - 1] + beads - i for i in range(1, beads + 1)))
-
-
-def _partition_from_beta(beta) -> Partition:
-    beta = sorted(beta, reverse=True)
-    count = len(beta)
-    parts = [b - (count - i) for i, b in enumerate(beta, start=1)]
-    return as_partition([part for part in parts if part > 0])
 
 
 def n_core(p: Partition, n: int, beads: int | None = None) -> Partition:
@@ -59,23 +70,108 @@ def n_core(p: Partition, n: int, beads: int | None = None) -> Partition:
 
     Equivalently: remove rim n-hooks until none remain.
     """
-    display = abacus_display(p, n, beads)
-    runner_counts = [0] * n
-    for b in display.beta:
-        runner_counts[b % n] += 1
-    pushed = [r + q * n for r in range(n) for q in range(runner_counts[r])]
-    return _partition_from_beta(pushed)
+    beads = _bead_count(p, n, beads)
+    runners = [0] * n
+    for row, part in enumerate(p, start=1):
+        runners[(part + beads - row) % n] += 1
+    # The beads of the empty rows fill positions 0 .. free - 1.
+    full, extra = divmod(beads - len(p), n)
+    for r in range(n):
+        runners[r] += full + (r < extra)
+    return _pushed_partition(runners)
+
+
+def _pushed_partition(runners: list[int]) -> Partition:
+    """The partition whose abacus has runners[r] beads on runner r, all at the top.
+
+    A bead's part is the number of empty positions below it.
+    """
+    n = len(runners)
+    end = max(r + n * (count - 1) + 1 for r, count in enumerate(runners))
+    parts = []
+    gaps = 0
+    for b in range(end):
+        if b // n < runners[b % n]:
+            if gaps:
+                parts.append(gaps)
+        else:
+            gaps += 1
+    parts.reverse()
+    return tuple(parts)
 
 
 def n_weight(p: Partition, n: int) -> int:
-    """Number of rim n-hooks removed in passing to the n-core."""
-    diff = sum(p) - sum(n_core(p, n))
-    assert diff % n == 0
-    return diff // n
+    """Number of rim n-hooks removed in passing to the n-core.
+
+    Each bead slides up its runner past the empty positions above it, one
+    rim hook per position.  With one bead per row, a runner holding beads
+    at levels l_0 < l_1 < ... has l_t - t empty positions above its t-th
+    bead, so the weight is sum_b (b // n) - sum_r N_r (N_r - 1) / 2.
+    """
+    check_rank(n)
+    runners = [0] * n
+    levels = 0
+    beads = len(p)
+    for row, part in enumerate(p, start=1):
+        level, r = divmod(part + beads - row, n)
+        levels += level
+        runners[r] += 1
+    return levels - sum(count * (count - 1) // 2 for count in runners)
 
 
 def is_n_core(p: Partition, n: int) -> bool:
     return n_core(p, n) == p
+
+
+def _charge_bound(n: int, size: int) -> int:
+    """The largest t with n t^2 - (n - 1) t <= 2 size: a box on core charges.
+
+    Each term (n/2) x_r^2 + (r - (n - 1)/2) x_r of the core size is at
+    least (n |x_r|^2 - (n - 1) |x_r|) / 2 >= 0 for integer x_r, so no
+    charge of a core of size at most `size` lies outside [-t, t].
+    """
+    t = 0
+    while n * (t + 1) ** 2 - (n - 1) * (t + 1) <= 2 * size:
+        t += 1
+    return t
+
+
+def n_cores(n: int, max_size: int) -> list[Partition]:
+    """Every n-core of size at most max_size, by size, each size in decreasing lex.
+
+    An n-core is its charge vector x (sum 0): runner r of an abacus with
+    nL beads holds L + x_r beads, all at the top.  Its size is
+    (n/2) sum x_r^2 + sum r x_r = sum_r ((n/2) x_r^2 + (r - (n - 1)/2) x_r),
+    a sum of nonnegative terms, so a depth-first walk over x_0, ..., x_{n-2}
+    in the box of `_charge_bound` cuts every branch whose partial size
+    exceeds max_size; x_{n-1} closes the sum.
+    """
+    check_rank(n)
+    if max_size < 0:
+        return []
+    bound = _charge_bound(n, max_size)
+    by_size: dict[int, list[Partition]] = {}
+    charges = [0] * n
+
+    def place(r: int, total: int, size2: int) -> None:
+        # size2 is twice the sum of the terms of the charges placed so far.
+        if r == n - 1:
+            x = -total
+            size2 += n * x * x + (2 * r - n + 1) * x
+            if abs(x) <= bound and size2 <= 2 * max_size:
+                charges[r] = x
+                low = min(charges)
+                core = _pushed_partition([c - low for c in charges])
+                by_size.setdefault(size2 // 2, []).append(core)
+            return
+        for x in range(-bound, bound + 1):
+            step = size2 + n * x * x + (2 * r - n + 1) * x
+            if step <= 2 * max_size:
+                charges[r] = x
+                place(r + 1, total + x, step)
+
+    place(0, 0, 0)
+    return [core for size in sorted(by_size) for core in sorted(by_size[size], reverse=True)]
 
 
 def core_size_of_content(counts) -> int:

@@ -155,7 +155,7 @@ def e_tilde(p: Partition, n: int, i: int) -> Partition | None:
     row = _signatures(p, n)[2][i]
     if not row:
         return None
-    return remove_node(p, Node(row, p[row - 1], i))
+    return _remove_good(p, row, i)
 
 
 def f_tilde(p: Partition, n: int, i: int) -> Partition | None:
@@ -165,6 +165,11 @@ def f_tilde(p: Partition, n: int, i: int) -> Partition | None:
     if not rows:
         return None
     return _add_good(p, rows[0], i)
+
+
+def _remove_good(p: Partition, row: int, i: int) -> Partition:
+    """p with the removable i-node of `row` removed."""
+    return remove_node(p, Node(row, p[row - 1], i))
 
 
 def _add_good(p: Partition, row: int, i: int) -> Partition:

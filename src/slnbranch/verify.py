@@ -4,14 +4,15 @@ from __future__ import annotations
 
 import time
 
-from .branching import METHODS, branching_series, verify_fow_theorem
-from .cores import (
-    block_dimension,
-    is_n_core,
-    n_core,
-    n_weight,
+from .branching import (
+    METHODS,
+    branching_series,
+    class_paths_series,
+    configuration_sums,
+    verify_fow_theorem,
 )
-from .crystal import build_component, e_tilde, eps_phi, f_tilde
+from .cores import block_dimension, n_core, n_cores, n_weight
+from .crystal import _add_good, _remove_good, _signatures, build_component
 from .jantzen_seitz import (
     chi_by_branching,
     chi_direct,
@@ -36,27 +37,29 @@ _RUNNERS = {
 SUITES = tuple(_RUNNERS)
 
 
-def _canonical_classes(n: int):
-    """One (j, k) per distinct target class; k and (j-k) mod n label the same one."""
-    for j in range(n):
-        for k in range(n):
-            if k <= (j - k) % n:
-                yield j, k
-
-
 def verify_methods(n: int, order: int) -> VerificationReport:
-    """All four evaluation routes agree on every class up to the given order."""
+    """All four evaluation routes agree on every class up to the given order.
+
+    The paths route runs one configuration sum per j and reads every k from it.
+    """
     check_rank(n)
     report = VerificationReport(suite=f"methods(n={n}, order={order})")
     start = time.perf_counter()
-    for j, k in _canonical_classes(n):
-        rows = {
-            method: branching_series(n, j, k, order, method).coeffs
-            for method in METHODS
-        }
-        report.cases += 1
-        if len(set(rows.values())) != 1:
-            report.record(j=j, k=k, **{m: list(c) for m, c in rows.items()})
+    for j in range(n):
+        sums = configuration_sums(n, j, order)
+        # One k per distinct target class; k and (j - k) mod n label the same one.
+        for k in range(n):
+            if k > (j - k) % n:
+                continue
+            rows = {
+                method: class_paths_series(sums, n, j, k, order)
+                if method == "paths"
+                else branching_series(n, j, k, order, method).coeffs
+                for method in METHODS
+            }
+            report.cases += 1
+            if len(set(rows.values())) != 1:
+                report.record(j=j, k=k, **{m: list(c) for m, c in rows.items()})
     report.seconds = time.perf_counter() - start
     return report
 
@@ -108,14 +111,15 @@ def verify_cores(n: int, max_size: int) -> VerificationReport:
             )
             if not ok:
                 report.record(partition=list(p), core=list(core))
+    cores = n_cores(n, max_size)
     for m in range(max_size + 1):
         report.cases += 1
         regular_count = sum(1 for _ in partitions_of(m, regular=n))
-        total = 0
-        for c in range(m % n, m + 1, n):
-            for mu in partitions_of(c):
-                if is_n_core(mu, n):
-                    total += block_dimension(n, m, mu)
+        total = sum(
+            block_dimension(n, m, mu)
+            for mu in cores
+            if sum(mu) <= m and (m - sum(mu)) % n == 0
+        )
         if total != regular_count:
             report.record(m=m, block_sum=total, regular=regular_count)
     report.seconds = time.perf_counter() - start
@@ -134,28 +138,47 @@ def verify_crystal(n: int, max_size: int) -> VerificationReport:
         expected = sum(1 for _ in partitions_of(size, regular=n))
         if counts.get(size, 0) != expected:
             report.record(size=size, vertices=counts.get(size, 0), regular=expected)
+    # One scan per partition, kept for the sizes s - 1, s and s + 1 around
+    # the vertex layer s; graph.vertices is listed layer by layer.
+    above: dict = {}
+    level: dict = {}
+    below: dict = {}
+    size = 0
+
+    def scan(layer: dict, q):
+        found = layer.get(q)
+        if found is None:
+            found = layer[q] = _signatures(q, n)
+        return found
+
     for p in graph.vertices:
+        while sum(p) > size:
+            above, level, below = level, below, {}
+            size += 1
+        eps, plus, good = scan(level, p)
         for i in range(n):
             report.cases += 1
-            eps_i, phi_i = eps_phi(p, n, i)
+            eps_i, phi_i = eps[i], len(plus[i])
             problems = []
             if phi_i - eps_i != graph.wt[p].lam[i]:
                 problems.append("phi - eps is not the weight coefficient")
-            up = e_tilde(p, n, i)
+            up = _remove_good(p, good[i], i) if good[i] else None
             if (up is None) != (eps_i == 0):
                 problems.append("eps does not match raising support")
-            if up is not None and f_tilde(up, n, i) != p:
-                problems.append("lowering does not invert raising")
-            down = f_tilde(p, n, i)
+            if up is not None:
+                rows = scan(above, up)[1][i]
+                if not rows or _add_good(up, rows[0], i) != p:
+                    problems.append("lowering does not invert raising")
+            down = _add_good(p, plus[i][0], i) if plus[i] else None
             if (down is None) != (phi_i == 0):
                 problems.append("phi does not match lowering support")
             if down is not None:
-                if e_tilde(down, n, i) != p:
+                eps2, plus2, good2 = scan(below, down)
+                if not good2[i] or _remove_good(down, good2[i], i) != p:
                     problems.append("raising does not invert lowering")
                 if weight_of(down, n) != graph.wt[p] - simple_root(n, i):
                     problems.append("edge does not shift weight by the simple root")
-                e2, p2 = eps_phi(down, n, i)
-                if (e2, p2) != (eps_i + 1, phi_i - 1):
+                if (eps2[i], len(plus2[i])) != (eps_i + 1, phi_i - 1):
                     problems.append("statistics do not step by one along the edge")
             if problems:
                 report.record(partition=list(p), i=i, problems=problems)

@@ -102,11 +102,62 @@ def _remove_one_rim_hook(parts: tuple, n: int):
 
 def rim_hook_core(p: tuple, n: int) -> tuple:
     """n-core by greedy rim-hook stripping (independent of the abacus)."""
+    return _strip_rim_hooks(p, n)[0]
+
+
+def rim_hook_weight(p: tuple, n: int) -> int:
+    """Number of rim n-hooks greedy stripping removes on the way to the n-core."""
+    return _strip_rim_hooks(p, n)[1]
+
+
+def _strip_rim_hooks(p: tuple, n: int) -> tuple:
+    hooks = 0
     while True:
         smaller = _remove_one_rim_hook(p, n)
         if smaller is None:
-            return p
+            return p, hooks
         p = smaller
+        hooks += 1
+
+
+def abacus_core(p: tuple, n: int, beads: int | None = None) -> tuple:
+    """n-core through the package's `AbacusDisplay`, sorting the pushed beta numbers.
+
+    The library's earlier n-core, kept as a reference for the integer pass.
+    """
+    from slnbranch import abacus_display
+
+    display = abacus_display(p, n, beads)
+    runner_counts = [0] * n
+    for b in display.beta:
+        runner_counts[b % n] += 1
+    pushed = sorted(
+        (r + q * n for r in range(n) for q in range(runner_counts[r])), reverse=True
+    )
+    count = len(pushed)
+    parts = [b - (count - i) for i, b in enumerate(pushed, start=1)]
+    return tuple(part for part in parts if part > 0)
+
+
+def filtered_n_cores(n: int, max_size: int) -> list:
+    """Every n-core of size at most max_size: all partitions, filtered, decreasing lex per size."""
+    return [
+        mu
+        for size in range(max_size + 1)
+        for mu in brute_partitions(size)
+        if abacus_core(mu, n) == mu
+    ]
+
+
+def charge_vector(p: tuple, n: int) -> tuple:
+    """x_r = (beads on runner r) - L on an abacus of nL beads, L = ceil(len(p) / n)."""
+    layers = -(-len(p) // n)
+    beads = n * layers
+    padded = list(p) + [0] * (beads - len(p))
+    counts = [0] * n
+    for i, part in enumerate(padded, start=1):
+        counts[(part + beads - i) % n] += 1
+    return tuple(c - layers for c in counts)
 
 
 def _compositions(total: int, parts: int):

@@ -13,14 +13,22 @@ from slnbranch import (
     is_n_regular,
     is_rectangle_le_n,
     n_core,
+    n_cores,
     n_weight,
     partitions_of,
     regular_partitions_with_content,
     residue_counts,
 )
 from slnbranch.branching import fow_prefix
+from slnbranch.cores import _charge_bound
 from slnbranch.crystal import eps_prefix
-from oracles import rim_hook_core
+from oracles import (
+    abacus_core,
+    charge_vector,
+    filtered_n_cores,
+    rim_hook_core,
+    rim_hook_weight,
+)
 
 
 def all_partitions_up_to(max_size):
@@ -70,6 +78,19 @@ class TestNCore:
             for n in (2, 3, 4, 5):
                 assert n_core(p, n) == rim_hook_core(p, n)
 
+    def test_equals_references_at_every_bead_count(self):
+        for p in all_partitions_up_to(14):
+            for n in (2, 3, 4, 5):
+                core = rim_hook_core(p, n)
+                assert n_core(p, n) == abacus_core(p, n) == core
+                for beads in range(len(p), len(p) + 2 * n + 1):
+                    assert n_core(p, n, beads) == abacus_core(p, n, beads) == core
+
+    def test_rejects_too_few_beads(self):
+        with pytest.raises(ValueError, match="need at least 3 beads, got 2"):
+            n_core((3, 1, 1), 2, beads=2)
+        assert n_core((), 3, beads=0) == ()
+
 
 class TestNWeight:
     @pytest.mark.parametrize(
@@ -77,6 +98,38 @@ class TestNWeight:
     )
     def test_examples(self, p, n, d):
         assert n_weight(p, n) == d
+
+    def test_equals_size_split_and_rim_hook_count(self):
+        for p in all_partitions_up_to(14):
+            for n in (2, 3, 4, 5):
+                weight = n_weight(p, n)
+                assert n * weight == sum(p) - sum(rim_hook_core(p, n))
+                assert weight == rim_hook_weight(p, n)
+
+
+class TestNCores:
+    @pytest.mark.parametrize("n", [2, 3, 4, 5])
+    def test_equals_filtered_partitions_up_to_18(self, n):
+        reference = filtered_n_cores(n, 18)
+        for max_size in range(-1, 19):
+            expected = [mu for mu in reference if sum(mu) <= max_size]
+            assert n_cores(n, max_size) == expected
+
+    @pytest.mark.parametrize("n", [2, 3, 4, 5])
+    def test_charge_bound_holds_on_every_core_up_to_18(self, n):
+        widest = {}
+        for mu in filtered_n_cores(n, 18):
+            x = charge_vector(mu, n)
+            assert sum(x) == 0
+            assert 2 * sum(mu) == n * sum(c * c for c in x) + 2 * sum(
+                r * c for r, c in enumerate(x)
+            )
+            assert max(map(abs, x)) <= _charge_bound(n, sum(mu)), mu
+            widest[sum(mu)] = max(widest.get(sum(mu), 0), max(map(abs, x)))
+        # The walk boxes every smaller size in the bound of max_size, so the
+        # bound must not fall as the size grows; and it is attained somewhere.
+        assert all(_charge_bound(n, s) <= _charge_bound(n, s + 1) for s in range(18))
+        assert any(w == _charge_bound(n, s) for s, w in widest.items())
 
 
 class TestAbacusDisplay:

@@ -24,6 +24,9 @@ from slnbranch import (
     epsilon_step,
     fundamental,
     path_of,
+    n_core,
+    n_cores,
+    n_weight,
     regular_partitions_with_content,
     simple_root,
     verify_cores,
@@ -232,6 +235,9 @@ RANKED_CALLS = {
     ),
     "core_size_of_content": lambda n: core_size_of_content((0,) * n),
     "block_dimension": lambda n: block_dimension(n, 3, ()),
+    "n_cores": lambda n: n_cores(n, 3),
+    "n_weight": lambda n: n_weight((2, 1), n),
+    "n_core": lambda n: n_core((2, 1), n),
     "verify_methods": lambda n: verify_methods(n, 2),
     "verify_fow_theorem": lambda n: verify_fow_theorem(n, 3),
     "verify_js": lambda n: verify_js(n, 3, 2),

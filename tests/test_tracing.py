@@ -28,6 +28,8 @@ commands = [
     ["js", "chi", "--n", "3", "--core", "-", "--order", "2", "--method", "both"],
     ["verify", "--suite", "js", "--n", "3", "--max-size", "5", "--order", "2"],
     ["verify", "--suite", "fow", "--n", "3", "--max-size", "4"],
+    ["verify", "--suite", "cores", "--n", "3", "--max-size", "4"],
+    ["verify", "--suite", "crystal", "--n", "3", "--max-size", "4"],
 ]
 with contextlib.redirect_stdout(io.StringIO()):
     codes = [slnbranch.cli.main(argv) for argv in commands]
@@ -52,7 +54,7 @@ def test_traced_cli_counts_every_route(tmp_path):
         check=True,
     )
     result = json.loads(done.stdout)
-    assert result["codes"] == [0, 0, 0, 0]
+    assert result["codes"] == [0, 0, 0, 0, 0, 0]
     calls = result["calls"]
     for name in (
         "branching.in_path_set",
@@ -61,5 +63,8 @@ def test_traced_cli_counts_every_route(tmp_path):
         "jantzen_seitz.is_js",
         "jantzen_seitz.is_js_by_crystal",
         "verify.verify_js",
+        "verify.verify_cores",
+        "verify.verify_crystal",
+        "cores.n_core",
     ):
         assert calls[name] > 0, name

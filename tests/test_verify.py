@@ -1,0 +1,44 @@
+"""Each verify suite reports a failure when the mathematics it checks is broken.
+
+The suites read their helpers through `verify`'s module globals, so a
+monkeypatched helper stands in for a defect in the code under check.
+"""
+
+from slnbranch import verify
+from slnbranch.weights import simple_root
+
+
+def test_cores_reports_an_off_by_one_block(monkeypatch):
+    real = verify.block_dimension
+
+    def off_by_one(n, m, mu):
+        return real(n, m, mu) + (mu == (1,))
+
+    assert verify.verify_cores(3, 8).ok
+    monkeypatch.setattr(verify, "block_dimension", off_by_one)
+    report = verify.verify_cores(3, 8)
+    assert not report.ok
+    assert all("block_sum" in failure for failure in report.failures)
+    # Block (1) of H_m exists for m = 1, 4, 7.
+    assert [failure["m"] for failure in report.failures] == [1, 4, 7]
+
+
+def test_crystal_reports_a_corrupted_weight(monkeypatch):
+    real = verify.build_component
+
+    def corrupted(n, max_size):
+        graph = real(n, max_size)
+        graph.wt[(2, 1)] = graph.wt[(2, 1)] - simple_root(n, 0)
+        return graph
+
+    assert verify.verify_crystal(3, 5).ok
+    monkeypatch.setattr(verify, "build_component", corrupted)
+    report = verify.verify_crystal(3, 5)
+    assert not report.ok
+    flagged = {
+        (tuple(failure["partition"]), failure["i"])
+        for failure in report.failures
+        if "phi - eps is not the weight coefficient" in failure["problems"]
+    }
+    # alpha_0 = 2 L0 - L1 - L2 (mod delta) moves every coefficient at n = 3.
+    assert flagged == {((2, 1), 0), ((2, 1), 1), ((2, 1), 2)}
