@@ -16,18 +16,19 @@ with d residue-0 nodes.  Each route counts them by its own mathematics:
 
 from __future__ import annotations
 
-import time
 from dataclasses import dataclass
 
 from .cores import regular_partitions_with_content
+from .crystal import eps_index, eps_prefix
 from .partitions import (
     Partition,
     check_rank,
     conjugate,
     exponent_form,
     is_n_regular,
-    partitions_of,
+    partitions_up_to,
 )
+from .qseries import fermionic_series
 from .report import VerificationReport
 from .weights import AffineWeight, epsilon_step, fundamental, weight_of
 
@@ -275,8 +276,6 @@ def _class_members(n: int, j: int, k: int, d: int, prefix) -> tuple[Partition, .
 
 def _crystal_member(p: Partition, n: int, j: int) -> bool:
     """Eps-profile membership for index j; class members are n-regular already."""
-    from .crystal import eps_index  # deferred: keep module layers acyclic
-
     return not p or eps_index(p, n) == j
 
 
@@ -310,16 +309,12 @@ def _fow_series(n: int, j: int, k: int, order: int) -> tuple[int, ...]:
 
 
 def _crystal_series(n: int, j: int, k: int, order: int) -> tuple[int, ...]:
-    from .crystal import eps_prefix  # deferred: keep module layers acyclic
-
     return _count_members(
         n, j, k, order, _crystal_member, lambda parts: eps_prefix(parts, n, j)
     )
 
 
 def _fermionic_series(n: int, j: int, k: int, order: int) -> tuple[int, ...]:
-    from .qseries import fermionic_series
-
     s, t = sorted((k, (j - k) % n))
     return tuple(fermionic_series(n, s, t, order).coeffs)
 
@@ -355,15 +350,12 @@ def verify_fow_theorem(n: int, max_size: int) -> VerificationReport:
     recording any partition on which the two tests disagree.
     """
     check_rank(n)
-    report = VerificationReport(suite=f"fow(n={n}, max_size={max_size})")
-    start = time.perf_counter()
-    for size in range(max_size + 1):
-        for p in partitions_of(size, regular=n):
+    with VerificationReport(suite=f"fow(n={n}, max_size={max_size})") as report:
+        for p in partitions_up_to(max_size, regular=n):
             for j in range(n):
                 report.cases += 1
                 by_path = in_path_set(p, n, j)
                 by_chain = in_fow(p, n, j)
                 if by_path != by_chain:
                     report.record(partition=list(p), j=j, paths=by_path, chain=by_chain)
-    report.seconds = time.perf_counter() - start
     return report

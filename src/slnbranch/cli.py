@@ -24,8 +24,10 @@ from .verify import SUITES, run_suites
 _MINIMUMS = {"n": 2, "order": 0, "max_size": 0, "weight": 0}
 
 
-def _add_common(parser: argparse.ArgumentParser, formats=("json", "csv", "text")):
+def _add_common(parser: argparse.ArgumentParser, handler, formats=("json", "csv", "text")):
+    """Bind the subcommand's handler and the output formats it writes."""
     parser.add_argument("--format", choices=formats, default="json")
+    parser.set_defaults(handler=handler)
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -41,14 +43,14 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--k", type=int, required=True)
     p.add_argument("--order", type=int, required=True)
     p.add_argument("--method", choices=METHODS + ("all",), default="all")
-    _add_common(p)
+    _add_common(p, _run_branching)
 
     p = sub.add_parser("fermionic", help="lattice-sum series for a class L(s)+L(t)")
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--s", type=int, required=True)
     p.add_argument("--t", type=int, required=True)
     p.add_argument("--order", type=int, required=True)
-    _add_common(p)
+    _add_common(p, _run_fermionic)
 
     p = sub.add_parser("js", help="restriction-irreducible partitions")
     js_sub = p.add_subparsers(dest="js_command", required=True)
@@ -57,33 +59,33 @@ def _build_parser() -> argparse.ArgumentParser:
     q.add_argument("--n", type=int, required=True)
     q.add_argument("--core", required=True, help='partition text, "-" for empty')
     q.add_argument("--weight", type=int, required=True)
-    _add_common(q)
+    _add_common(q, _run_js_list, formats=("json", "text"))
 
     q = js_sub.add_parser("chi", help="member-count generating series")
     q.add_argument("--n", type=int, required=True)
     q.add_argument("--core", required=True)
     q.add_argument("--order", type=int, required=True)
     q.add_argument("--method", choices=("direct", "branching", "both"), default="both")
-    _add_common(q)
+    _add_common(q, _run_js_chi)
 
     p = sub.add_parser("crystal", help="crystal graph of the component of the empty partition")
     crystal_sub = p.add_subparsers(dest="crystal_command", required=True)
     q = crystal_sub.add_parser("graph", help="build and export the component")
     q.add_argument("--n", type=int, required=True)
     q.add_argument("--max-size", type=int, required=True)
-    _add_common(q, formats=("json", "dot", "text"))
+    _add_common(q, _run_crystal_graph, formats=("json", "dot", "text"))
 
     p = sub.add_parser("core", help="n-core, n-weight, and rectangle data")
     p.add_argument("--n", type=int, required=True)
     p.add_argument("partition", help='partition text, e.g. "5,5,4,1,1"; "-" for empty')
-    _add_common(p)
+    _add_common(p, _run_core, formats=("json", "text"))
 
     p = sub.add_parser("verify", help="run cross-verification suites")
     p.add_argument("--suite", choices=SUITES + ("all",), default="all")
     p.add_argument("--n", type=int, default=3)
     p.add_argument("--max-size", type=int, default=10)
     p.add_argument("--order", type=int, default=6)
-    _add_common(p)
+    _add_common(p, _run_verify, formats=("json", "text"))
 
     return parser
 
@@ -167,11 +169,9 @@ def _run_js_list(args) -> int:
     members = js_set(args.n, _require_core(args.core, args.n), args.weight)
     if args.format == "json":
         _emit(json.dumps([list(p) for p in members], separators=(",", ":")))
-    elif args.format == "text":
+    else:
         for p in members:
             _emit(format_partition(p))
-    else:
-        raise ValueError("csv output is only available for series tables")
     return 0
 
 
@@ -242,19 +242,8 @@ def main(argv=None) -> int:
             flag = "--" + dest.replace("_", "-")
             print(f"error: {flag} must be at least {least}, got {value}", file=sys.stderr)
             return 2
-    handlers = {
-        "branching": _run_branching,
-        "fermionic": _run_fermionic,
-        "crystal": _run_crystal_graph,
-        "core": _run_core,
-        "verify": _run_verify,
-    }
     try:
-        if args.command == "js":
-            handler = _run_js_list if args.js_command == "list" else _run_js_chi
-        else:
-            handler = handlers[args.command]
-        return handler(args)
+        return args.handler(args)
     except (ValueError, ArithmeticError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

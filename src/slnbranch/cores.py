@@ -324,6 +324,7 @@ def is_rectangle_le_n(mu: Partition, n: int) -> tuple[int, int] | None:
 
     The empty partition counts as the degenerate rectangle (0, 0).
     """
+    check_rank(n)
     if not mu:
         return (0, 0)
     ef = exponent_form(mu)

@@ -9,7 +9,6 @@ direct enumeration or through branching functions.
 
 from __future__ import annotations
 
-import time
 from dataclasses import dataclass
 
 from .branching import branching_series, fow_index, fow_k, fow_prefix
@@ -26,10 +25,12 @@ from .partitions import (
     check_rank,
     energy,
     is_n_regular,
-    partitions_of,
+    partitions_up_to,
     residue_counts,
 )
 from .report import VerificationReport
+
+_CHI_METHOD = "fow"
 
 
 @dataclass(frozen=True)
@@ -97,10 +98,8 @@ def chi_direct(n: int, mu: Partition, order: int) -> tuple[int, ...]:
     return tuple(len(js_set(n, mu, d)) for d in range(order + 1))
 
 
-def chi_by_branching(
-    n: int, mu: Partition, order: int, method: str = "fow"
-) -> tuple[int, ...]:
-    """chi via branching functions.
+def chi_by_branching(n: int, mu: Partition, order: int) -> tuple[int, ...]:
+    """chi via branching functions, counted by the chain-congruence route.
 
     For a rectangular core (k^l) with k, l >= 1 and k + l <= n the series is
     the (j, k) = ((k-l) mod n, k) branching function shifted down by
@@ -119,13 +118,13 @@ def chi_by_branching(
     if k == 0:
         coeffs = [0] * (order + 1)
         for j in range(n):
-            series = branching_series(n, j, 0, order, method).coeffs
+            series = branching_series(n, j, 0, order, _CHI_METHOD).coeffs
             for d in range(order + 1):
                 coeffs[d] += series[d]
         coeffs[0] -= n - 1
         return tuple(coeffs)
     s = min(k, l)
-    series = branching_series(n, (k - l) % n, k, order + s, method).coeffs
+    series = branching_series(n, (k - l) % n, k, order + s, _CHI_METHOD).coeffs
     if any(series[:s]):
         raise ArithmeticError(
             f"branching series for core {mu} has nonzero terms below the shift {s}"
@@ -135,15 +134,13 @@ def chi_by_branching(
 
 def verify_rectangle_cores(n: int, max_size: int) -> VerificationReport:
     """Check every member partition's core is a rectangle (k^l) with k+l <= n."""
-    report = VerificationReport(suite=f"rectangle-cores(n={n}, max_size={max_size})")
-    start = time.perf_counter()
-    for size in range(max_size + 1):
-        for p in partitions_of(size, regular=n):
+    check_rank(n)
+    with VerificationReport(suite=f"rectangle-cores(n={n}, max_size={max_size})") as report:
+        for p in partitions_up_to(max_size, regular=n):
             if not is_js(p, n):
                 continue
             report.cases += 1
             core = n_core(p, n)
             if is_rectangle_le_n(core, n) is None:
                 report.record(partition=list(p), core=list(core))
-    report.seconds = time.perf_counter() - start
     return report

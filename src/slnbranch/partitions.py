@@ -91,7 +91,7 @@ def check_residue(n: int, i: int) -> None:
 def is_n_regular(p: Partition, n: int) -> bool:
     """True iff no part is repeated n or more times."""
     check_rank(n)
-    return all(mult < n for _, mult in exponent_form(p))
+    return _multiplicities_below(p, n)
 
 
 def residue_counts(p: Partition, n: int) -> tuple[int, ...]:
@@ -169,6 +169,8 @@ def partitions_of(m: int, regular: int | None = None) -> Iterator[Partition]:
     With `regular=n`, only n-regular partitions are yielded.  The order is
     the enumeration contract: serialized outputs depend on it.
     """
+    if regular is not None:
+        check_rank(regular)
     if m < 0:
         return
     if m == 0:
@@ -201,6 +203,12 @@ def _multiplicities_below(parts, n: int) -> bool:
             return False
         prev = part
     return True
+
+
+def partitions_up_to(max_size: int, regular: int | None = None) -> Iterator[Partition]:
+    """All partitions of size at most max_size, size by size, each size in `partitions_of` order."""
+    for m in range(max_size + 1):
+        yield from partitions_of(m, regular)
 
 
 def parse_partition(text: str) -> Partition:

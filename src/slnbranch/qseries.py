@@ -197,8 +197,7 @@ class QuadraticFormData:
 
     @classmethod
     def create(cls, n: int, s: int, t: int) -> "QuadraticFormData":
-        if n < 2:
-            raise ValueError(f"n must be at least 2, got {n}")
+        check_rank(n)
         if not 0 <= s <= t < n:
             raise ValueError(f"need 0 <= s <= t < n, got s={s}, t={t}, n={n}")
         scaled = scaled_inverse_cartan(n)
@@ -230,6 +229,7 @@ def canonical_pair(n: int, s: int, t: int) -> tuple[int, int]:
     formula's constant term s*t/n is normalized for the folded domain: on
     the raw pair with s + t > n it overshoots the series by q^(s+t-n).
     """
+    check_rank(n)
     if not 0 <= s <= t < n:
         raise ValueError(f"need 0 <= s <= t < n, got s={s}, t={t}, n={n}")
     return (n - t, n - s) if s + t > n else (s, t)

@@ -2,15 +2,25 @@
 
 from __future__ import annotations
 
+import time
 from dataclasses import dataclass, field
 
 
 @dataclass
 class VerificationReport:
+    """Cases and failures of one suite; used as a context manager, it times its block."""
+
     suite: str
     cases: int = 0
     failures: list[dict] = field(default_factory=list)
     seconds: float = 0.0
+
+    def __enter__(self) -> "VerificationReport":
+        self._start = time.perf_counter()
+        return self
+
+    def __exit__(self, *exc) -> None:
+        self.seconds = time.perf_counter() - self._start
 
     @property
     def ok(self) -> bool:

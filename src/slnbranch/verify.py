@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-import time
+from collections import Counter
 
 from .branching import (
     METHODS,
@@ -20,7 +20,7 @@ from .jantzen_seitz import (
     is_js_by_crystal,
     verify_rectangle_cores,
 )
-from .partitions import check_rank, partitions_of
+from .partitions import check_rank, partitions_up_to
 from .report import VerificationReport
 from .weights import simple_root, weight_of
 
@@ -43,62 +43,55 @@ def verify_methods(n: int, order: int) -> VerificationReport:
     The paths route runs one configuration sum per j and reads every k from it.
     """
     check_rank(n)
-    report = VerificationReport(suite=f"methods(n={n}, order={order})")
-    start = time.perf_counter()
-    for j in range(n):
-        sums = configuration_sums(n, j, order)
-        # One k per distinct target class; k and (j - k) mod n label the same one.
-        for k in range(n):
-            if k > (j - k) % n:
-                continue
-            rows = {
-                method: class_paths_series(sums, n, j, k, order)
-                if method == "paths"
-                else branching_series(n, j, k, order, method).coeffs
-                for method in METHODS
-            }
-            report.cases += 1
-            if len(set(rows.values())) != 1:
-                report.record(j=j, k=k, **{m: list(c) for m, c in rows.items()})
-    report.seconds = time.perf_counter() - start
+    with VerificationReport(suite=f"methods(n={n}, order={order})") as report:
+        for j in range(n):
+            sums = configuration_sums(n, j, order)
+            # One k per distinct target class; k and (j - k) mod n label the same one.
+            for k in range(n):
+                if k > (j - k) % n:
+                    continue
+                rows = {
+                    method: class_paths_series(sums, n, j, k, order)
+                    if method == "paths"
+                    else branching_series(n, j, k, order, method).coeffs
+                    for method in METHODS
+                }
+                report.cases += 1
+                if len(set(rows.values())) != 1:
+                    report.record(j=j, k=k, **{m: list(c) for m, c in rows.items()})
     return report
 
 
 def verify_js(n: int, max_size: int, order: int) -> VerificationReport:
     """Chain congruence vs eps-profile, chi agreement, and rectangle cores."""
     check_rank(n)
-    report = VerificationReport(suite=f"js(n={n}, max_size={max_size}, order={order})")
-    start = time.perf_counter()
-    for size in range(max_size + 1):
-        for p in partitions_of(size, regular=n):
+    with VerificationReport(suite=f"js(n={n}, max_size={max_size}, order={order})") as report:
+        for p in partitions_up_to(max_size, regular=n):
             report.cases += 1
             chain = is_js(p, n)
             profile = is_js_by_crystal(p, n)
             if chain != profile:
                 report.record(partition=list(p), chain=chain, profile=profile)
-    cores = [()] + [
-        (k,) * l for k in range(1, n) for l in range(1, n - k + 1)
-    ]
-    for mu in cores:
-        report.cases += 1
-        direct = chi_direct(n, mu, order)
-        via_branching = chi_by_branching(n, mu, order)
-        if direct != via_branching:
-            report.record(core=list(mu), direct=list(direct), branching=list(via_branching))
-    rect = verify_rectangle_cores(n, max_size)
-    report.cases += rect.cases
-    report.failures.extend(rect.failures)
-    report.seconds = time.perf_counter() - start
+        cores = [()] + [
+            (k,) * l for k in range(1, n) for l in range(1, n - k + 1)
+        ]
+        for mu in cores:
+            report.cases += 1
+            direct = chi_direct(n, mu, order)
+            via_branching = chi_by_branching(n, mu, order)
+            if direct != via_branching:
+                report.record(core=list(mu), direct=list(direct), branching=list(via_branching))
+        rect = verify_rectangle_cores(n, max_size)
+        report.cases += rect.cases
+        report.failures.extend(rect.failures)
     return report
 
 
 def verify_cores(n: int, max_size: int) -> VerificationReport:
     """Abacus consistency: size split, idempotence, bead-count invariance, block sums."""
     check_rank(n)
-    report = VerificationReport(suite=f"cores(n={n}, max_size={max_size})")
-    start = time.perf_counter()
-    for size in range(max_size + 1):
-        for p in partitions_of(size):
+    with VerificationReport(suite=f"cores(n={n}, max_size={max_size})") as report:
+        for p in partitions_up_to(max_size):
             report.cases += 1
             core = n_core(p, n)
             ok = (
@@ -111,78 +104,73 @@ def verify_cores(n: int, max_size: int) -> VerificationReport:
             )
             if not ok:
                 report.record(partition=list(p), core=list(core))
-    cores = n_cores(n, max_size)
-    for m in range(max_size + 1):
-        report.cases += 1
-        regular_count = sum(1 for _ in partitions_of(m, regular=n))
-        total = sum(
-            block_dimension(n, m, mu)
-            for mu in cores
-            if sum(mu) <= m and (m - sum(mu)) % n == 0
-        )
-        if total != regular_count:
-            report.record(m=m, block_sum=total, regular=regular_count)
-    report.seconds = time.perf_counter() - start
+        cores = n_cores(n, max_size)
+        regular = Counter(map(sum, partitions_up_to(max_size, regular=n)))
+        for m in range(max_size + 1):
+            report.cases += 1
+            total = sum(
+                block_dimension(n, m, mu)
+                for mu in cores
+                if sum(mu) <= m and (m - sum(mu)) % n == 0
+            )
+            if total != regular[m]:
+                report.record(m=m, block_sum=total, regular=regular[m])
     return report
 
 
 def verify_crystal(n: int, max_size: int) -> VerificationReport:
     """Operator inverses, statistics/weight compatibility, and vertex counts."""
     check_rank(n)
-    report = VerificationReport(suite=f"crystal(n={n}, max_size={max_size})")
-    start = time.perf_counter()
-    graph = build_component(n, max_size)
-    counts = graph.counts_by_size()
-    for size in range(max_size + 1):
-        report.cases += 1
-        expected = sum(1 for _ in partitions_of(size, regular=n))
-        if counts.get(size, 0) != expected:
-            report.record(size=size, vertices=counts.get(size, 0), regular=expected)
-    # One scan per partition, kept for the sizes s - 1, s and s + 1 around
-    # the vertex layer s; graph.vertices is listed layer by layer.
-    above: dict = {}
-    level: dict = {}
-    below: dict = {}
-    size = 0
-
-    def scan(layer: dict, q):
-        found = layer.get(q)
-        if found is None:
-            found = layer[q] = _signatures(q, n)
-        return found
-
-    for p in graph.vertices:
-        while sum(p) > size:
-            above, level, below = level, below, {}
-            size += 1
-        eps, plus, good = scan(level, p)
-        for i in range(n):
+    with VerificationReport(suite=f"crystal(n={n}, max_size={max_size})") as report:
+        graph = build_component(n, max_size)
+        counts = graph.counts_by_size()
+        regular = Counter(map(sum, partitions_up_to(max_size, regular=n)))
+        for size in range(max_size + 1):
             report.cases += 1
-            eps_i, phi_i = eps[i], len(plus[i])
-            problems = []
-            if phi_i - eps_i != graph.wt[p].lam[i]:
-                problems.append("phi - eps is not the weight coefficient")
-            up = _remove_good(p, good[i], i) if good[i] else None
-            if (up is None) != (eps_i == 0):
-                problems.append("eps does not match raising support")
-            if up is not None:
-                rows = scan(above, up)[1][i]
-                if not rows or _add_good(up, rows[0], i) != p:
-                    problems.append("lowering does not invert raising")
-            down = _add_good(p, plus[i][0], i) if plus[i] else None
-            if (down is None) != (phi_i == 0):
-                problems.append("phi does not match lowering support")
-            if down is not None:
-                eps2, plus2, good2 = scan(below, down)
-                if not good2[i] or _remove_good(down, good2[i], i) != p:
-                    problems.append("raising does not invert lowering")
-                if weight_of(down, n) != graph.wt[p] - simple_root(n, i):
-                    problems.append("edge does not shift weight by the simple root")
-                if (eps2[i], len(plus2[i])) != (eps_i + 1, phi_i - 1):
-                    problems.append("statistics do not step by one along the edge")
-            if problems:
-                report.record(partition=list(p), i=i, problems=problems)
-    report.seconds = time.perf_counter() - start
+            if counts.get(size, 0) != regular[size]:
+                report.record(size=size, vertices=counts.get(size, 0), regular=regular[size])
+        # One scan per partition, kept for the sizes s - 1, s and s + 1 around
+        # the vertex layer s; graph.vertices is listed layer by layer.
+        above: dict = {}
+        level: dict = {}
+        below: dict = {}
+        size = 0
+
+        def scan(layer: dict, q):
+            found = layer.get(q)
+            if found is None:
+                found = layer[q] = _signatures(q, n)
+            return found
+
+        for p in graph.vertices:
+            while sum(p) > size:
+                above, level, below = level, below, {}
+                size += 1
+            eps, plus, good = scan(level, p)
+            for i in range(n):
+                report.cases += 1
+                eps_i, phi_i = eps[i], len(plus[i])
+                problems = []
+                if phi_i - eps_i != graph.wt[p].lam[i]:
+                    problems.append("phi - eps is not the weight coefficient")
+                # No support checks: good[i] is set exactly when eps_i > 0, and
+                # phi_i is len(plus[i]), both read from this one scan.
+                if good[i]:
+                    up = _remove_good(p, good[i], i)
+                    rows = scan(above, up)[1][i]
+                    if not rows or _add_good(up, rows[0], i) != p:
+                        problems.append("lowering does not invert raising")
+                if plus[i]:
+                    down = _add_good(p, plus[i][0], i)
+                    eps2, plus2, good2 = scan(below, down)
+                    if not good2[i] or _remove_good(down, good2[i], i) != p:
+                        problems.append("raising does not invert lowering")
+                    if weight_of(down, n) != graph.wt[p] - simple_root(n, i):
+                        problems.append("edge does not shift weight by the simple root")
+                    if (eps2[i], len(plus2[i])) != (eps_i + 1, phi_i - 1):
+                        problems.append("statistics do not step by one along the edge")
+                if problems:
+                    report.record(partition=list(p), i=i, problems=problems)
     return report
 
 

@@ -216,6 +216,23 @@ class TestValidation:
         assert excinfo.value.code == 2
         assert "--jobs" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ("core", "--n", "3", "8"),
+            ("verify", "--suite", "fow", "--n", "3", "--max-size", "4"),
+            ("js", "list", "--n", "3", "--core", "-", "--weight", "2"),
+        ],
+        ids=["core", "verify", "js-list"],
+    )
+    def test_csv_is_rejected_where_not_written(self, capsys, argv):
+        with pytest.raises(SystemExit) as excinfo:
+            main([*argv, "--format", "csv"])
+        assert excinfo.value.code == 2
+        captured = capsys.readouterr()
+        assert not captured.out
+        assert "invalid choice: 'csv'" in captured.err
+
 
 def test_unknown_flag_exits_nonzero(capsys):
     with pytest.raises(SystemExit) as excinfo:

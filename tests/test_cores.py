@@ -16,6 +16,7 @@ from slnbranch import (
     n_cores,
     n_weight,
     partitions_of,
+    partitions_up_to,
     regular_partitions_with_content,
     residue_counts,
 )
@@ -29,11 +30,6 @@ from oracles import (
     rim_hook_core,
     rim_hook_weight,
 )
-
-
-def all_partitions_up_to(max_size):
-    for m in range(max_size + 1):
-        yield from partitions_of(m)
 
 
 # Partitions with up to 12 parts of size up to 30, as nonincreasing tuples.
@@ -51,18 +47,18 @@ class TestNCore:
         assert n_core(p, n) == core
 
     def test_size_split(self):
-        for p in all_partitions_up_to(20):
+        for p in partitions_up_to(20):
             for n in (2, 3, 4, 5):
                 assert sum(p) == sum(n_core(p, n)) + n * n_weight(p, n)
 
     def test_idempotent(self):
-        for p in all_partitions_up_to(14):
+        for p in partitions_up_to(14):
             for n in (2, 3, 4):
                 core = n_core(p, n)
                 assert n_core(core, n) == core
 
     def test_bead_count_invariance(self):
-        for p in all_partitions_up_to(12):
+        for p in partitions_up_to(12):
             for n in (2, 3, 5):
                 base = max(len(p), 1)
                 cores = {n_core(p, n, beads) for beads in (base, base + 1, base + n)}
@@ -74,12 +70,12 @@ class TestNCore:
         assert n_core(p, n, len(p) + extra) == n_core(p, n)
 
     def test_matches_rim_hook_oracle_up_to_16(self):
-        for p in all_partitions_up_to(16):
+        for p in partitions_up_to(16):
             for n in (2, 3, 4, 5):
                 assert n_core(p, n) == rim_hook_core(p, n)
 
     def test_equals_references_at_every_bead_count(self):
-        for p in all_partitions_up_to(14):
+        for p in partitions_up_to(14):
             for n in (2, 3, 4, 5):
                 core = rim_hook_core(p, n)
                 assert n_core(p, n) == abacus_core(p, n) == core
@@ -100,7 +96,7 @@ class TestNWeight:
         assert n_weight(p, n) == d
 
     def test_equals_size_split_and_rim_hook_count(self):
-        for p in all_partitions_up_to(14):
+        for p in partitions_up_to(14):
             for n in (2, 3, 4, 5):
                 weight = n_weight(p, n)
                 assert n * weight == sum(p) - sum(rim_hook_core(p, n))
@@ -154,7 +150,7 @@ class TestBlockDimension:
         assert block_dimension(n, m, mu) == count
 
     def test_matches_core_filter_count(self):
-        shapes = list(all_partitions_up_to(8))
+        shapes = list(partitions_up_to(8))
         for n in (2, 3, 4):
             for m in range(17):
                 by_core = Counter(n_core(p, n) for p in partitions_of(m, regular=n))
@@ -234,7 +230,7 @@ class TestContentWalk:
                     assert list(regular_partitions_with_content(n, counts, prefix)) == expected
 
     def test_core_size_of_content(self):
-        for p in all_partitions_up_to(12):
+        for p in partitions_up_to(12):
             for n in (2, 3, 4, 5):
                 assert core_size_of_content(residue_counts(p, n)) == sum(n_core(p, n))
 
@@ -257,6 +253,6 @@ def test_is_n_core():
 
 def test_core_of_regular_partition_need_not_be_regular_free():
     # cores are always n-regular; cheap sanity sweep
-    for p in all_partitions_up_to(12):
+    for p in partitions_up_to(12):
         for n in (2, 3):
             assert is_n_regular(n_core(p, n), n)

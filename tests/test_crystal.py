@@ -13,17 +13,13 @@ from slnbranch import (
     is_js,
     is_n_regular,
     partitions_of,
+    partitions_up_to,
     phi_vector,
     remove_node,
     simple_root,
     weight_of,
 )
 from slnbranch.crystal import eps_index
-
-
-def regular_up_to(max_size, n):
-    for m in range(max_size + 1):
-        yield from partitions_of(m, regular=n)
 
 
 @st.composite
@@ -114,7 +110,7 @@ class TestSignature:
         assert i_signature((), 3, 0).reduced_text() == "+"
 
     def test_reduced_shape_minus_then_plus(self):
-        for p in regular_up_to(12, 3):
+        for p in partitions_up_to(12, regular=3):
             for i in range(3):
                 text = i_signature(p, 3, i).reduced_text()
                 assert "+-" not in text and "-" not in text.lstrip("-")
@@ -128,7 +124,7 @@ class TestEpsPhi:
         assert eps_phi((), 2, 0) == (0, 1)
 
     def test_counts_match_operator_support(self):
-        for p in regular_up_to(10, 3):
+        for p in partitions_up_to(10, regular=3):
             for i in range(3):
                 eps, phi = eps_phi(p, 3, i)
                 # eps/phi are the largest powers with nonzero result
@@ -157,7 +153,7 @@ class TestOperators:
 
     def test_inverse_relations_up_to_14(self):
         for n in (2, 3, 4):
-            for p in regular_up_to(14, n):
+            for p in partitions_up_to(14, regular=n):
                 for i in range(n):
                     down = f_tilde(p, n, i)
                     if down is not None:
@@ -180,7 +176,7 @@ class TestOperators:
 
     def test_statistics_step_along_edges(self):
         for n in (2, 3):
-            for p in regular_up_to(12, n):
+            for p in partitions_up_to(12, regular=n):
                 for i in range(n):
                     down = f_tilde(p, n, i)
                     if down is None:
@@ -191,7 +187,7 @@ class TestOperators:
     def test_weight_compatibility_up_to_14(self):
         # phi - eps is the i-th weight coefficient; edges shift by a simple root
         for n in (2, 3, 4):
-            for p in regular_up_to(14, n):
+            for p in partitions_up_to(14, regular=n):
                 w = weight_of(p, n)
                 eps = epsilon_vector(p, n)
                 phi = phi_vector(p, n)
@@ -218,7 +214,7 @@ class TestComponent:
     def test_vertices_are_exactly_regular_partitions(self):
         for n in (2, 3, 4):
             g = build_component(n, 10)
-            expected = {p for p in regular_up_to(10, n)}
+            expected = {p for p in partitions_up_to(10, regular=n)}
             assert set(g.vertices) == expected
 
     def test_every_vertex_reaches_empty_by_raising(self):

@@ -13,7 +13,7 @@ from slnbranch import (
     js_set,
     n_core,
     n_weight,
-    partitions_of,
+    partitions_up_to,
     verify_rectangle_cores,
 )
 
@@ -39,11 +39,6 @@ EXAMPLE_CHI = {
     (2,): (1, 1, 2),
     (1, 1): (1, 1, 2),
 }
-
-
-def regular_up_to(max_size, n):
-    for m in range(max_size + 1):
-        yield from partitions_of(m, regular=n)
 
 
 class TestIsJs:
@@ -81,12 +76,12 @@ class TestCrystalCharacterization:
 
     def test_equivalence_up_to_12(self):
         for n in (2, 3, 4):
-            for p in regular_up_to(12, n):
+            for p in partitions_up_to(12, regular=n):
                 assert is_js(p, n) == is_js_by_crystal(p, n), p
 
     def test_chain_membership_equals_class_membership(self):
         for n in (2, 3):
-            for p in regular_up_to(12, n):
+            for p in partitions_up_to(12, regular=n):
                 assert is_js(p, n) == (fow_index(p, n) is not None)
 
 
@@ -163,7 +158,7 @@ class TestRecords:
     def test_weight_energy_shift_invariant(self):
         # n-weight = energy - min(k, l) of the core rectangle
         for n in (2, 3, 4):
-            for p in regular_up_to(12, n):
+            for p in partitions_up_to(12, regular=n):
                 if not is_js(p, n):
                     continue
                 rect = is_rectangle_le_n(n_core(p, n), n)

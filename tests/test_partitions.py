@@ -5,12 +5,14 @@ from hypothesis import strategies as st
 from slnbranch import (
     ADDABLE,
     REMOVABLE,
+    QuadraticFormData,
     abacus_display,
     add_node,
     as_partition,
     block_dimension,
     boundary_nodes,
     build_component,
+    canonical_pair,
     cartan_matrix,
     chi_by_branching,
     core_size_of_content,
@@ -20,6 +22,7 @@ from slnbranch import (
     f_tilde,
     i_signature,
     inverse_cartan,
+    is_rectangle_le_n,
     phi_vector,
     epsilon_step,
     fundamental,
@@ -34,6 +37,7 @@ from slnbranch import (
     verify_fow_theorem,
     verify_js,
     verify_methods,
+    verify_rectangle_cores,
     conjugate,
     exponent_form,
     format_partition,
@@ -41,6 +45,7 @@ from slnbranch import (
     is_n_regular,
     parse_partition,
     partitions_of,
+    partitions_up_to,
     remove_node,
     residue_counts,
 )
@@ -52,11 +57,6 @@ from oracles import (
     naive_residue_counts,
     partition_number,
 )
-
-
-def all_partitions_up_to(max_size):
-    for m in range(max_size + 1):
-        yield from partitions_of(m)
 
 
 # Partitions with up to 12 parts of size up to 30, as nonincreasing tuples.
@@ -77,11 +77,11 @@ class TestConjugate:
         assert conjugate((1, 1, 1)) == (3,)
 
     def test_involution_up_to_20(self):
-        for p in all_partitions_up_to(20):
+        for p in partitions_up_to(20):
             assert conjugate(conjugate(p)) == p
 
     def test_matches_grid_oracle(self):
-        for p in all_partitions_up_to(16):
+        for p in partitions_up_to(16):
             assert conjugate(p) == naive_conjugate(p)
 
 
@@ -96,7 +96,7 @@ class TestExponentForm:
         assert exponent_form((3,)) == ((3, 1),)
 
     def test_round_trip(self):
-        for p in all_partitions_up_to(12):
+        for p in partitions_up_to(12):
             assert from_exponent_form(exponent_form(p)) == p
 
 
@@ -121,12 +121,12 @@ class TestResidueCounts:
         assert residue_counts((2, 1), 3) == (1, 1, 1)
 
     def test_total_is_size(self):
-        for p in all_partitions_up_to(20):
+        for p in partitions_up_to(20):
             for n in range(2, 7):
                 assert sum(residue_counts(p, n)) == sum(p)
 
     def test_matches_per_node_oracle(self):
-        for p in all_partitions_up_to(14):
+        for p in partitions_up_to(14):
             for n in (2, 3, 5):
                 assert residue_counts(p, n) == naive_residue_counts(p, n)
 
@@ -148,13 +148,13 @@ class TestBoundaryNodes:
         assert [(node.row, node.col, kind) for node, kind in nodes] == [(2, 2, ADDABLE)]
 
     def test_rows_increase(self):
-        for p in all_partitions_up_to(12):
+        for p in partitions_up_to(12):
             for i in range(3):
                 rows = [node.row for node, _ in boundary_nodes(p, 3, i)]
                 assert rows == sorted(rows)
 
     def test_add_remove_give_valid_partitions(self):
-        for p in all_partitions_up_to(12):
+        for p in partitions_up_to(12):
             for n in (2, 3, 4):
                 for i in range(n):
                     for node, kind in boundary_nodes(p, n, i):
@@ -188,6 +188,17 @@ class TestEnumeration:
                     p for p in partitions_of(m) if is_n_regular(p, n)
                 ]
 
+    def test_regular_matches_multiplicities(self):
+        for p in partitions_up_to(16):
+            for n in range(2, 7):
+                assert is_n_regular(p, n) == all(a < n for _, a in exponent_form(p)), (p, n)
+
+    @pytest.mark.parametrize("n", [None, 2, 3, 4, 5])
+    def test_up_to_chains_sizes_in_order(self, n):
+        for max_size in range(15):
+            expected = [p for m in range(max_size + 1) for p in partitions_of(m, regular=n)]
+            assert list(partitions_up_to(max_size, regular=n)) == expected
+
 
 class TestTextForms:
     def test_parse_plain(self):
@@ -204,7 +215,7 @@ class TestTextForms:
         assert format_partition(()) == "-"
 
     def test_round_trip(self):
-        for p in all_partitions_up_to(10):
+        for p in partitions_up_to(10):
             assert parse_partition(format_partition(p)) == p
 
     @settings(max_examples=200, deadline=None)
@@ -243,6 +254,11 @@ RANKED_CALLS = {
     "verify_js": lambda n: verify_js(n, 3, 2),
     "verify_cores": lambda n: verify_cores(n, 3),
     "verify_crystal": lambda n: verify_crystal(n, 3),
+    "verify_rectangle_cores": lambda n: verify_rectangle_cores(n, -1),
+    "partitions_of": lambda n: list(partitions_of(1, regular=n)),
+    "is_rectangle_le_n": lambda n: is_rectangle_le_n((), n),
+    "canonical_pair": lambda n: canonical_pair(n, 0, 0),
+    "QuadraticFormData.create": lambda n: QuadraticFormData.create(n, 0, 0),
     "boundary_nodes": lambda n: boundary_nodes((2, 1), n, 0),
     "i_signature": lambda n: i_signature((2, 1), n, 0),
     "eps_phi": lambda n: eps_phi((2, 1), n, 0),

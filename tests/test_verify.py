@@ -4,8 +4,37 @@ The suites read their helpers through `verify`'s module globals, so a
 monkeypatched helper stands in for a defect in the code under check.
 """
 
+import time
+
 from slnbranch import verify
+from slnbranch.report import VerificationReport
 from slnbranch.weights import simple_root
+
+
+def test_report_times_its_block():
+    with VerificationReport(suite="timed") as report:
+        time.sleep(0.001)
+        report.cases += 1
+    assert report.seconds > 0
+    assert report.to_dict() == {
+        "suite": "timed",
+        "cases": 1,
+        "failures": [],
+        "seconds": round(report.seconds, 3),
+        "ok": True,
+    }
+
+
+def test_js_reports_a_flipped_profile(monkeypatch):
+    real = verify.is_js_by_crystal
+
+    def flipped(p, n):
+        return real(p, n) != (p == (2, 1))
+
+    assert verify.verify_js(3, 6, 2).ok
+    monkeypatch.setattr(verify, "is_js_by_crystal", flipped)
+    report = verify.verify_js(3, 6, 2)
+    assert report.failures == [{"partition": [2, 1], "chain": True, "profile": False}]
 
 
 def test_cores_reports_an_off_by_one_block(monkeypatch):

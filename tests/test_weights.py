@@ -7,16 +7,11 @@ from slnbranch import (
     equal_mod_delta,
     fundamental,
     is_dominant,
-    partitions_of,
+    partitions_up_to,
     residue_counts,
     simple_root,
     weight_of,
 )
-
-
-def all_partitions_up_to(max_size):
-    for m in range(max_size + 1):
-        yield from partitions_of(m)
 
 
 class TestWeightOf:
@@ -33,12 +28,12 @@ class TestWeightOf:
         assert w.lam == (-1, 1, 1) and w.delta == -1
 
     def test_level_one_everywhere(self):
-        for p in all_partitions_up_to(16):
+        for p in partitions_up_to(16):
             for n in (2, 3, 4):
                 assert weight_of(p, n).level == 1
 
     def test_delta_is_minus_energy(self):
-        for p in all_partitions_up_to(20):
+        for p in partitions_up_to(20):
             for n in (2, 3, 4):
                 assert weight_of(p, n).delta == -residue_counts(p, n)[0]
                 assert energy(p, n) == residue_counts(p, n)[0]
