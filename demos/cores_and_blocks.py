@@ -7,6 +7,8 @@ for each 3-core mu and size m, the number of 3-regular partitions of m with
 core mu.  Row sums recover the count of all 3-regular partitions of m.
 """
 
+from collections import Counter
+
 from slnbranch import (
     abacus_display,
     block_dimension,
@@ -15,6 +17,7 @@ from slnbranch import (
     n_core,
     n_weight,
     partitions_of,
+    partitions_up_to,
 )
 
 N = 3
@@ -31,8 +34,8 @@ print("\nblock dimensions (rows: m, columns: cores):")
 cores = [mu for c in range(7) for mu in partitions_of(c) if is_n_core(mu, N)]
 header = " ".join(f"{format_partition(mu):>6s}" for mu in cores)
 print(f"m={'':2s} {header}   total  regular")
+regular = Counter(map(sum, partitions_up_to(8, regular=N)))
 for m in range(9):
     row = [block_dimension(N, m, mu) for mu in cores]
-    regular = sum(1 for _ in partitions_of(m, regular=N))
     cells = " ".join(f"{d:6d}" for d in row)
-    print(f"{m:4d} {cells}  {sum(row):6d} {regular:8d}")
+    print(f"{m:4d} {cells}  {sum(row):6d} {regular[m]:8d}")

@@ -8,9 +8,11 @@ with d residue-0 nodes.  Each route counts them by its own mathematics:
   a transfer matrix over the column-by-column path coordinates
   (`configuration_sums`); `in_path_set` tests one partition;
 - fow: a walk over the class's residue contents, pruned by the chain
-  congruence on each completed block (`fow_prefix`) and filtered by `in_fow`;
-- crystal: the same walk, pruned by the eps vector of the settled rows
-  (`crystal.eps_prefix`) and filtered by the eps-profile;
+  congruence, which forces the length of each block once its part is
+  placed (`fow_prefix`), and filtered by `in_fow`;
+- crystal: the same walk, pruned by the eps vector of the settled rows,
+  carried down the walk (`crystal.eps_prefix`), and filtered by the
+  eps-profile;
 - fermionic: the lattice sum of the qseries module.
 """
 
@@ -177,31 +179,35 @@ def class_residue_counts(n: int, j: int, k: int, d: int) -> tuple[int, ...] | No
     return counts if min(counts) >= 0 else None
 
 
-def fow_prefix(parts, n: int, j: int | None = None) -> bool:
-    """The chain congruence on the block that the last row of `parts` closes.
+def fow_prefix(
+    parts, above, n: int, j: int | None = None
+) -> tuple[int, int | None] | None:
+    """The chain congruence on the blocks of `parts`, checked row by row.
 
-    A prefix test for the content walk: the last row is the candidate, and
-    once it is smaller than the row above, the block (v2, a2) of equal parts
-    above it is complete.  It must pass the congruence with the block
-    (v1, a1) before it, or, if it is the first block, give
-    j = (v2 - a2) mod n (any j when j is None).  Earlier blocks were
-    checked when the prefixes before this one were.
+    A prefix test for the content walk, the last row being the candidate.
+    Its value for a row is (a, need): the row ends a run of a equal parts,
+    the open block, whose length the congruence forces to be need.  Once
+    the block (v1, a1) before the open block (v, a) is closed,
+    a1 + v1 - v + a ≡ 0 (mod n) and 1 <= a <= n - 1 (n-regularity) fix
+    a = (v - v1 - a1) mod n; for the first block, j = (v - a) mod n fixes
+    a = (v - j) mod n in the same way (need is None when j is None: any
+    length).  So the candidate is cut as soon as that residue is 0, as soon
+    as the run grows past need, and when it closes a block of another
+    length.  `above` is the value for the row above, None for the first.
     """
-    r = len(parts) - 1
-    if r < 1 or parts[r] == parts[r - 1]:
-        return True
-    v2 = parts[r - 1]
-    top = r - 1
-    while top and parts[top - 1] == v2:
-        top -= 1
-    a2 = r - top
-    if not top:
-        return j is None or (v2 - a2) % n == j
-    v1 = parts[top - 1]
-    first = top - 1
-    while first and parts[first - 1] == v1:
-        first -= 1
-    return (top - first + v1 - v2 + a2) % n == 0
+    v = parts[-1]
+    if above is None:  # the first row opens the first block
+        a, need = 1, None if j is None else (v - j) % n
+    else:
+        a, need = above
+        v1 = parts[-2]
+        if v == v1:
+            a += 1
+        elif need is None or a == need:
+            a, need = 1, (v - v1 - a) % n
+        else:
+            return None
+    return (a, need) if need is None or a <= need else None
 
 
 def configuration_sums(n: int, j: int, order: int) -> dict[tuple[int, ...], list[int]]:
@@ -305,12 +311,14 @@ def _paths_series(n: int, j: int, k: int, order: int) -> tuple[int, ...]:
 
 
 def _fow_series(n: int, j: int, k: int, order: int) -> tuple[int, ...]:
-    return _count_members(n, j, k, order, in_fow, lambda parts: fow_prefix(parts, n, j))
+    return _count_members(
+        n, j, k, order, in_fow, lambda parts, above: fow_prefix(parts, above, n, j)
+    )
 
 
 def _crystal_series(n: int, j: int, k: int, order: int) -> tuple[int, ...]:
     return _count_members(
-        n, j, k, order, _crystal_member, lambda parts: eps_prefix(parts, n, j)
+        n, j, k, order, _crystal_member, lambda parts, above: eps_prefix(parts, above, n, j)
     )
 
 

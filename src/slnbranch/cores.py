@@ -25,7 +25,7 @@ content -- one block -- are generated directly by a pruned walk.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Iterator
+from typing import Any, Callable, Iterator
 
 from .partitions import Partition, check_rank, exponent_form, residue_counts
 
@@ -195,19 +195,30 @@ def _spread(counts) -> int:
     return sum((counts[r] - counts[r - 1]) ** 2 for r in range(len(counts)))
 
 
-def _add_row(rem: list[int], r: int, a: int, sign: int) -> None:
-    """Add `sign` times the content of a part a in 0-based row r to `rem`."""
+def _add_row(rem: list[int], r: int, a: int, sign: int) -> int:
+    """Add `sign` times the content of a part a in 0-based row r to `rem`.
+
+    Returns the change of `_spread(rem)`.  The row adds `full` to every
+    residue and one more to the arc of `extra` residues from `start` on, so
+    only the differences at the two ends of the arc move: c_start - c_{start-1}
+    by +sign and c_end - c_{end-1} by -sign, with end = start + extra.
+    """
     n = len(rem)
     full, extra = divmod(a, n)
     start = -r % n
+    step = 0
+    if extra:
+        end = (start + extra) % n
+        step = 2 * sign * (rem[start] - rem[start - 1] - rem[end] + rem[end - 1]) + 2
     for x in range(n):
         rem[x] += sign * full
     for t in range(extra):
         rem[(start + t) % n] += sign
+    return step
 
 
 def regular_partitions_with_content(
-    n: int, counts, prefix: Callable[[list[int]], bool] | None = None
+    n: int, counts, prefix: Callable[[list[int], Any], Any] | None = None
 ) -> Iterator[Partition]:
     """The n-regular partitions with residue content `counts`, decreasing lex.
 
@@ -219,20 +230,22 @@ def regular_partitions_with_content(
     content of any partition: rows from row r on see the content rotated
     by r, so by `core_size_of_content` the test is
     sum_r (c_r - c_{r+1})^2 <= 2 c_{-r mod n}, and the sum of squares
-    is kept up to date as the part shrinks.  Every content that passes
-    has an n-regular member (every such weight is a weight of L(L0)), so
-    the cut is exact up to the bound on the largest part, which is cut by
-    size: an n-regular partition with largest part a has at most
-    (n - 1) a (a + 1) / 2 nodes.
+    is kept up to date as rows open, shrink and drop (`_add_row`).  Every
+    content that passes has an n-regular member (every such weight is a
+    weight of L(L0)), so the cut is exact up to the bound on the largest
+    part, which is cut by size: an n-regular partition with largest part a
+    has at most (n - 1) a (a + 1) / 2 nodes.
 
-    `prefix`, if given, is called on the placed rows, the last of which is
-    the candidate, after the content cut passes; a False shrinks the
-    candidate just as the content cut does.  It is called on each prefix of
-    a branch in turn, so it need only check what the candidate row settles.
-    Only partitions all of whose row prefixes pass are yielded, so a prefix
-    test that passes every prefix of a member is a pure speed-up for a
-    caller that tests the members themselves.  The arguments are checked
-    when this is called, not when the walk starts.
+    `prefix`, if given, is called as prefix(parts, above) on the placed
+    rows, the last of which is the candidate, after the content cut passes.
+    `above` is what the call for the row above the candidate returned, and
+    None for the first row; the walk keeps one such value per placed row,
+    so a test can carry its state down the rows and check only what the
+    candidate settles.  A falsy return shrinks the candidate just as the
+    content cut does.  Only partitions all of whose row prefixes pass are
+    yielded, so a prefix test that passes every prefix of a member is a
+    pure speed-up for a caller that tests the members themselves.  The
+    arguments are checked when this is called, not when the walk starts.
     """
     check_rank(n)
     rem = list(counts)
@@ -251,7 +264,8 @@ def _content_walk(n: int, rem: list[int], prefix) -> Iterator[Partition]:
     cap = n - 1
     parts: list[int] = []  # placed rows; the last one is the candidate
     runs: list[int] = []  # length of the run of equal parts ending at each row
-    spread = 0
+    states: list = []  # what `prefix` returned for each placed row
+    spread = _spread(rem)
     prev, run = left, 0  # the part and run of the row above the one to open
     while True:
         # Open row r with the largest part that its run, the nodes left and
@@ -265,21 +279,19 @@ def _content_walk(n: int, rem: list[int], prefix) -> Iterator[Partition]:
         )
         fresh = a > 0 and 2 * left <= cap * a * (a + 1)
         if fresh:
-            _add_row(rem, r, a, -1)
-            spread = _spread(rem)
+            spread += _add_row(rem, r, a, -1)
             left -= a
             parts.append(a)
             runs.append(run + 1 if a == prev else 1)
+            states.append(None)
         while parts:
             r = len(parts) - 1
-            if (
-                fresh
-                and spread <= 2 * rem[(-r - 1) % n]
-                and (prefix is None or prefix(parts))
-            ):
-                if left:
-                    break
-                yield tuple(parts)
+            if fresh and spread <= 2 * rem[(-r - 1) % n]:
+                states[r] = prefix is None or prefix(parts, states[r - 1] if r else None)
+                if states[r]:
+                    if left:
+                        break
+                    yield tuple(parts)
             # Shrink row r by one node, or drop the row once no smaller
             # part can hold the nodes left.
             a = parts[r]
@@ -294,11 +306,11 @@ def _content_walk(n: int, rem: list[int], prefix) -> Iterator[Partition]:
                 fresh = True
                 continue
             if a:
-                _add_row(rem, r, a, 1)
-                spread = _spread(rem)
+                spread += _add_row(rem, r, a, 1)
                 left += a
             parts.pop()
             runs.pop()
+            states.pop()
             fresh = False
         else:
             return

@@ -136,17 +136,40 @@ def phi_vector(p: Partition, n: int) -> tuple[int, ...]:
     return tuple(len(rows) for rows in _signatures(p, n)[1])
 
 
-def eps_prefix(parts, n: int, j: int) -> bool:
-    """Whether the rows above the last row of `parts` have eps at most e_j.
+def eps_prefix(parts, above, n: int, j: int) -> tuple[int, list[int]] | None:
+    """Carry the eps of the rows above the last row of `parts`; None once it exceeds e_j.
 
     A prefix test for the content walk, the last row being the candidate:
     the rows above it have their lower neighbours placed, so their removable
     nodes are settled, and a surviving "-" is cancelled only by a "+" above
     it.  Their eps vector is therefore a lower bound for the eps vector of
     every partition that begins with `parts`.
+
+    It runs one step of `_scan`.  Its value for a row is (eps_j, plus): the
+    eps vector of the settled rows, which is eps_j e_j on every prefix that
+    passes, and their count of surviving "+" per residue.  `above` is that
+    value for the row above (None for the first row, which settles
+    nothing); the candidate settles the row above it, whose removable node
+    cancels a "+" of its residue or else raises eps, and whose addable node
+    adds a "+".
     """
-    eps = _scan(parts, n)[0]
-    return eps[j] <= 1 and sum(eps) == eps[j]
+    r = len(parts) - 1
+    if not r:
+        return 0, [0] * n
+    eps, plus = above
+    plus = list(plus)
+    cur = parts[r - 1]  # the part of row r, counted from 1
+    if cur > parts[r]:
+        x = (cur - r) % n
+        if plus[x]:
+            plus[x] -= 1
+        elif x != j or eps:
+            return None
+        else:
+            eps = 1
+    if r == 1 or parts[r - 2] > cur:
+        plus[(cur + 1 - r) % n] += 1
+    return eps, plus
 
 
 def e_tilde(p: Partition, n: int, i: int) -> Partition | None:

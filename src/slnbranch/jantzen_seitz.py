@@ -81,15 +81,17 @@ def js_set(n: int, mu: Partition, d: int) -> list[Partition]:
 
     By Nakayama's conjecture they are the members among the n-regular
     partitions of content residue_counts(mu) + d (1, ..., 1).  The walk
-    over that content is pruned by the chain congruence on the blocks each
-    row closes, with no fixed j.
+    over that content is pruned by the chain congruence, with no fixed j:
+    each block after the first must have the length it forces.
     """
     if not is_n_core(mu, n):
         raise ValueError(f"{mu} is not an n-core for n={n}")
     if d < 0:
         return []
     counts = [c + d for c in residue_counts(mu, n)]
-    walk = regular_partitions_with_content(n, counts, lambda parts: fow_prefix(parts, n))
+    walk = regular_partitions_with_content(
+        n, counts, lambda parts, above: fow_prefix(parts, above, n)
+    )
     return [p for p in walk if is_js(p, n)]
 
 

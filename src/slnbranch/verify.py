@@ -165,7 +165,9 @@ def verify_crystal(n: int, max_size: int) -> VerificationReport:
                     eps2, plus2, good2 = scan(below, down)
                     if not good2[i] or _remove_good(down, good2[i], i) != p:
                         problems.append("raising does not invert lowering")
-                    if weight_of(down, n) != graph.wt[p] - simple_root(n, i):
+                    # Inside the size bound down is a vertex, weighed when built.
+                    wt = graph.wt[down] if size < max_size else weight_of(down, n)
+                    if wt != graph.wt[p] - simple_root(n, i):
                         problems.append("edge does not shift weight by the simple root")
                     if (eps2[i], len(plus2[i])) != (eps_i + 1, phi_i - 1):
                         problems.append("statistics do not step by one along the edge")

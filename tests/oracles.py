@@ -261,3 +261,18 @@ def filtered_bucket_series(n: int, j: int, k: int, order: int) -> dict:
             for route, member in members.items():
                 coeffs[route][d] += member(p, n, j)
     return {route: tuple(c) for route, c in coeffs.items()}
+
+
+def prefix_value(prefix, p):
+    """Carry a content-walk prefix test down the rows of p, as the walk does.
+
+    Each row's call gets the value returned for the row above (None for the
+    first row).  Returns the value for the last row, or the first falsy
+    value; True for the empty partition, which the walk yields untested.
+    """
+    above = None
+    for r in range(1, len(p) + 1):
+        above = prefix(p[:r], above)
+        if not above:
+            return above
+    return True if above is None else above

@@ -5,6 +5,7 @@ criterion.
 """
 
 import time
+from collections import Counter
 
 from slnbranch import (
     branching_series,
@@ -22,7 +23,7 @@ from slnbranch import (
     js_set,
     lattice_points,
     n_core,
-    partitions_of,
+    partitions_up_to,
     run_suites,
     simple_root,
     verify_fow_theorem,
@@ -129,19 +130,17 @@ def test_criterion_5b_four_routes_agree_beyond_n5():
 def test_criterion_6_chain_equals_eps_profile():
     start = time.perf_counter()
     for n in (2, 3, 4):
-        for m in range(15):
-            for p in partitions_of(m, regular=n):
-                assert is_js(p, n) == is_js_by_crystal(p, n), (n, p)
+        for p in partitions_up_to(14, regular=n):
+            assert is_js(p, n) == is_js_by_crystal(p, n), (n, p)
     _stamp(6, "chain test == eps-profile test, size <= 14, n in 2..4", start, 60)
 
 
 def test_criterion_7_member_cores_are_small_rectangles():
     start = time.perf_counter()
     for n in (2, 3, 4, 5):
-        for m in range(15):
-            for p in partitions_of(m, regular=n):
-                if is_js(p, n):
-                    assert is_rectangle_le_n(n_core(p, n), n) is not None, (n, p)
+        for p in partitions_up_to(14, regular=n):
+            if is_js(p, n):
+                assert is_rectangle_le_n(n_core(p, n), n) is not None, (n, p)
     _stamp(7, "member cores are rectangles with k+l <= n, size <= 14", start, 30)
 
 
@@ -150,8 +149,9 @@ def test_criterion_8_crystal_axioms_and_figure_surrogate():
     for n in (2, 3):
         graph = build_component(n, 10)
         counts = graph.counts_by_size()
+        regular = Counter(map(sum, partitions_up_to(10, regular=n)))
         for m in range(11):
-            assert counts.get(m, 0) == sum(1 for _ in partitions_of(m, regular=n))
+            assert counts.get(m, 0) == regular[m]
         for p in graph.vertices:
             w = weight_of(p, n)
             for i in range(n):
@@ -182,13 +182,18 @@ def test_criterion_8_crystal_axioms_and_figure_surrogate():
 
 def test_criterion_9_four_routes_agree_at_the_frontier():
     start = time.perf_counter()
-    for n, order in ((4, 20), (5, 16), (6, 12)):
+    for n, order in ((4, 20), (5, 16), (6, 12), (4, 24), (5, 20)):
         rows = {
             method: branching_series(n, 1, 0, order, method).coeffs
             for method in ("paths", "fow", "crystal", "fermionic")
         }
         assert len(set(rows.values())) == 1, (n, order, rows)
-    _stamp(9, "four routes agree on class (1,0) at (4,20), (5,16), (6,12)", start, 30)
+    _stamp(
+        9,
+        "four routes agree on class (1,0) at (4,20), (5,16), (6,12), (4,24), (5,20)",
+        start,
+        30,
+    )
 
 
 def test_criterion_9b_paths_equal_fermionic_at_high_order():

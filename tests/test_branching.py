@@ -13,15 +13,16 @@ from slnbranch import (
     is_dominant,
     is_n_regular,
     partitions_of,
+    partitions_up_to,
     path_of,
     residue_counts,
     verify_fow_theorem,
     weight_of,
 )
 from slnbranch.branching import METHODS, configuration_sums, fow_prefix
-from slnbranch.crystal import eps_index, eps_prefix
+from slnbranch.crystal import _scan, eps_index, eps_prefix
 
-from oracles import filtered_bucket_series
+from oracles import filtered_bucket_series, prefix_value
 
 # the six worked n=3 series (orders as displayed: three terms each)
 EXAMPLE_TABLE = {
@@ -267,29 +268,68 @@ class TestRoutesAgainstFilteredBuckets:
 class TestPrefixTests:
     """No prefix of a member is cut, so the prunes are pure speed-ups."""
 
-    @pytest.mark.parametrize("n", [2, 3, 4])
+    @pytest.mark.parametrize("n", [2, 3, 4, 5])
     def test_no_member_prefix_is_cut(self, n):
-        for m in range(1, 13):
-            for p in partitions_of(m, regular=n):
-                j = fow_index(p, n)
-                if j is not None:
-                    for r in range(1, len(p) + 1):
-                        assert fow_prefix(p[:r], n, j), (p, r)
-                        assert fow_prefix(p[:r], n), (p, r)
-                j = eps_index(p, n)
-                if j is not None:
-                    for r in range(1, len(p) + 1):
-                        assert eps_prefix(p[:r], n, j), (p, r)
+        for p in partitions_up_to(14, regular=n):
+            j = fow_index(p, n)
+            if j is not None:
+                assert prefix_value(fow(n, j), p), p
+                assert prefix_value(fow(n), p), p
+            j = eps_index(p, n)
+            if j is not None:
+                assert prefix_value(crystal(n, j), p), p
 
     def test_prefixes_cut(self):
-        # (3, 1) closes the block (3, 1), which gives j = 2 at n = 3.
-        assert fow_prefix((3, 1), 3, 2) and not fow_prefix((3, 1), 3, 1)
-        # (4, 2, 1): 1 + 4 - 2 + 1 = 4 is not 0 mod 3.
-        assert not fow_prefix((4, 2, 1), 3)
+        # (3, 1) closes the first block (3, 1), which gives j = 2 at n = 3,
+        # so for j = 1 it is cut.  For j = 2, (3, 2) passes: the next block
+        # (2, a2) needs a2 ≡ 2 - 3 - 1 ≡ 1 (for (3, 1) see the open-block test).
+        assert not prefix_value(fow(3, 1), (3, 1))
+        assert prefix_value(fow(3, 2), (3, 2))
+        # (3, 2) closes the first block (3, 1), but j = 1 needs length 2.
+        assert prefix_value(fow(3, 1), (3, 3)) and not prefix_value(fow(3, 1), (3, 2))
+        # At n = 4, (5, 4) forces a block (4, a2) with a2 ≡ 4 - 5 - 1 ≡ 2,
+        # so (5, 4, 3) closes it one row too early.
+        assert prefix_value(fow(4), (5, 4, 4)) and not prefix_value(fow(4), (5, 4, 3))
+        # (4, 2, 1) at n = 3 with no fixed j: the first block may have any
+        # length, but (4, 2) already needs a block (2, a2) with
+        # a2 ≡ 2 - 4 - 1 ≡ 0, so the cut comes one row before (4, 2, 1).
+        assert prefix_value(fow(3), (4,)) and not prefix_value(fow(3), (4, 2))
+        # (5, 4, ...): 1 + 5 - 4 + a2 ≡ 0 forces a2 = 1, so a second 4 is cut.
+        assert prefix_value(fow(3), (5, 4)) and not prefix_value(fow(3), (5, 4, 4))
         # The rows above the candidate of (4, 2, 1) hold removable nodes of
         # residue 0 with no "+" between, so eps_0 >= 2 whatever follows.
-        assert not eps_prefix((4, 2, 1), 3, 0)
+        assert prefix_value(crystal(3, 0), (4, 2))
+        assert not prefix_value(crystal(3, 0), (4, 2, 1))
         # Row 1 of (3, 1) holds a removable node of residue 2.
-        assert eps_prefix((3, 1), 3, 2) and not eps_prefix((3, 1), 3, 0)
+        assert prefix_value(crystal(3, 2), (3, 1)) and not prefix_value(crystal(3, 0), (3, 1))
         # The candidate's own removable node is not settled yet.
-        assert eps_prefix((3,), 3, 0)
+        assert prefix_value(crystal(3, 0), (3,))
+
+    def test_open_fow_block_is_cut(self):
+        # At n = 3 the first block of (3, ...) must have length (3 - j) mod 3.
+        assert not prefix_value(fow(3, 0), (3,))
+        assert prefix_value(fow(3, 2), (3,)) and not prefix_value(fow(3, 2), (3, 3))
+        # (3, 1) closes the block (3, 1) of j = 2, and then the block
+        # (1, a2) would need a2 ≡ 1 - 3 - 1 ≡ 0.
+        assert not prefix_value(fow(3, 2), (3, 1))
+
+    def test_eps_prefix_carries_the_scan(self):
+        # Stepping down the rows gives the eps_j and "+" counts of one scan
+        # over the rows above the candidate.
+        for p in partitions_up_to(12, regular=3):
+            for r in range(2, len(p) + 1):
+                eps, plus, _ = _scan(p[:r], 3)
+                for j in range(3):
+                    value = prefix_value(crystal(3, j), p[:r])
+                    if eps[j] <= 1 and sum(eps) == eps[j]:
+                        assert value == (eps[j], [len(rows) for rows in plus]), (p, r, j)
+                    else:
+                        assert not value, (p, r, j)
+
+
+def fow(n, j=None):
+    return lambda parts, above: fow_prefix(parts, above, n, j)
+
+
+def crystal(n, j):
+    return lambda parts, above: eps_prefix(parts, above, n, j)

@@ -21,12 +21,13 @@ from slnbranch import (
     residue_counts,
 )
 from slnbranch.branching import fow_prefix
-from slnbranch.cores import _charge_bound
+from slnbranch.cores import _add_row, _charge_bound, _spread
 from slnbranch.crystal import eps_prefix
 from oracles import (
     abacus_core,
     charge_vector,
     filtered_n_cores,
+    prefix_value,
     rim_hook_core,
     rim_hook_weight,
 )
@@ -215,19 +216,31 @@ class TestContentWalk:
 
     @pytest.mark.parametrize("n,max_size", [(2, 14), (3, 14), (4, 12)])
     def test_prefix_keeps_exactly_the_partitions_whose_prefixes_pass(self, n, max_size):
-        tests = [lambda parts: fow_prefix(parts, n)]
+        def tracked(parts, above):
+            # The walk hands each row the value returned for the row above.
+            assert above == (tuple(parts[:-1]) or None), (parts, above)
+            return tuple(parts) if parts[-1] != 2 else None
+
+        tests = [tracked, lambda parts, above: fow_prefix(parts, above, n)]
         for j in range(n):
-            tests.append(lambda parts, j=j: fow_prefix(parts, n, j))
-            tests.append(lambda parts, j=j: eps_prefix(parts, n, j))
-        tests.append(lambda parts: parts[-1] != 2 and len(parts) < 4)
+            tests.append(lambda parts, above, j=j: fow_prefix(parts, above, n, j))
+            tests.append(lambda parts, above, j=j: eps_prefix(parts, above, n, j))
+        tests.append(lambda parts, above: parts[-1] != 2 and len(parts) < 4)
         for size in range(max_size + 1):
             for counts, members in filtered_census(n, size).items():
                 for prefix in tests:
-                    expected = [
-                        p for p in members
-                        if all(prefix(list(p[:r])) for r in range(1, len(p) + 1))
-                    ]
+                    expected = [p for p in members if prefix_value(prefix, p)]
                     assert list(regular_partitions_with_content(n, counts, prefix)) == expected
+
+    def test_add_row_returns_the_change_of_spread(self):
+        for n in (2, 3, 4, 5):
+            for counts in product(range(3), repeat=n):
+                for r in range(n):
+                    for a in range(2 * n + 1):
+                        for sign in (1, -1):
+                            rem = list(counts)
+                            step = _add_row(rem, r, a, sign)
+                            assert _spread(rem) - _spread(counts) == step, (counts, r, a)
 
     def test_core_size_of_content(self):
         for p in partitions_up_to(12):

@@ -71,3 +71,26 @@ def test_crystal_reports_a_corrupted_weight(monkeypatch):
     }
     # alpha_0 = 2 L0 - L1 - L2 (mod delta) moves every coefficient at n = 3.
     assert flagged == {((2, 1), 0), ((2, 1), 1), ((2, 1), 2)}
+
+
+def test_crystal_reports_a_corrupted_edge_target(monkeypatch):
+    real = verify.build_component
+    target = (2, 1)
+
+    def corrupted(n, max_size):
+        graph = real(n, max_size)
+        graph.wt[target] = graph.wt[target] - simple_root(n, 0)
+        return graph
+
+    monkeypatch.setattr(verify, "build_component", corrupted)
+    report = verify.verify_crystal(3, 5)
+    flagged = {
+        (tuple(failure["partition"]), failure["i"])
+        for failure in report.failures
+        if "edge does not shift weight by the simple root" in failure["problems"]
+    }
+    # Every edge into the target and every edge out of it: f~_1 (1, 1) = (2, 1).
+    edges = real(3, 5).edges
+    expected = {(src, i) for src, i, dst in edges if target in (src, dst)}
+    assert ((1, 1), 1) in expected
+    assert flagged == expected
