@@ -13,10 +13,9 @@ from slnbranch import (
     abacus_display,
     block_dimension,
     format_partition,
-    is_n_core,
     n_core,
+    n_cores,
     n_weight,
-    partitions_of,
     partitions_up_to,
 )
 
@@ -31,7 +30,7 @@ for p in [(8,), (6, 2), (3, 3, 1, 1), (5, 4, 1)]:
     )
 
 print("\nblock dimensions (rows: m, columns: cores):")
-cores = [mu for c in range(7) for mu in partitions_of(c) if is_n_core(mu, N)]
+cores = n_cores(N, 6)
 header = " ".join(f"{format_partition(mu):>6s}" for mu in cores)
 print(f"m={'':2s} {header}   total  regular")
 regular = Counter(map(sum, partitions_up_to(8, regular=N)))

@@ -24,6 +24,7 @@ from .cores import regular_partitions_with_content
 from .crystal import eps_index, eps_prefix
 from .partitions import (
     Partition,
+    check_order,
     check_rank,
     conjugate,
     exponent_form,
@@ -229,6 +230,7 @@ def configuration_sums(n: int, j: int, order: int) -> dict[tuple[int, ...], list
     point to the partition count by residue-0 nodes.
     """
     check_rank(n)
+    check_order(order)
     j %= n
     size = order + 1
     sums: dict[tuple[int, ...], list[int]] = {}
@@ -336,6 +338,7 @@ def branching_series(n: int, j: int, k: int, order: int, method: str) -> Branchi
     test; "fermionic" evaluates the lattice sum.
     """
     check_rank(n)
+    check_order(order)
     if method not in METHODS:
         raise ValueError(f"unknown method {method!r}; expected one of {METHODS}")
     j %= n

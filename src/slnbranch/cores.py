@@ -263,26 +263,24 @@ def _content_walk(n: int, rem: list[int], prefix) -> Iterator[Partition]:
         return
     cap = n - 1
     parts: list[int] = []  # placed rows; the last one is the candidate
-    runs: list[int] = []  # length of the run of equal parts ending at each row
     states: list = []  # what `prefix` returned for each placed row
     spread = _spread(rem)
-    prev, run = left, 0  # the part and run of the row above the one to open
     while True:
-        # Open row r with the largest part that its run, the nodes left and
-        # the content allow: residue x runs out at the (rem[x] + 1)-th use.
+        # Open row r with the largest part that the row above, the nodes
+        # left and the content allow: residue x runs out at the
+        # (rem[x] + 1)-th use.  Parts weakly decrease, so the row above ends
+        # a run of cap equal parts exactly when parts[-cap] equals it.
         r = len(parts)
         start = -r % n
-        a = min(
-            left,
-            prev if run < cap else prev - 1,
-            min(n * rem[x] + (x - start) % n for x in range(n)),
-        )
+        top = parts[-1] if parts else left
+        if r >= cap and parts[-cap] == top:
+            top -= 1
+        a = min(left, top, min(n * rem[x] + (x - start) % n for x in range(n)))
         fresh = a > 0 and 2 * left <= cap * a * (a + 1)
         if fresh:
             spread += _add_row(rem, r, a, -1)
             left -= a
             parts.append(a)
-            runs.append(run + 1 if a == prev else 1)
             states.append(None)
         while parts:
             r = len(parts) - 1
@@ -302,19 +300,16 @@ def _content_walk(n: int, rem: list[int], prefix) -> Iterator[Partition]:
             a -= 1
             if a and 2 * (left + a) <= cap * a * (a + 1):
                 parts[r] = a
-                runs[r] = 1
                 fresh = True
                 continue
             if a:
                 spread += _add_row(rem, r, a, 1)
                 left += a
             parts.pop()
-            runs.pop()
             states.pop()
             fresh = False
         else:
             return
-        prev, run = parts[-1], runs[-1]
 
 
 def block_dimension(n: int, m: int, mu: Partition) -> int:

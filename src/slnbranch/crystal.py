@@ -17,6 +17,12 @@ surviving "+" signs; a "-" cancels the newest of them, or else survives,
 adding one to eps and becoming the good removable row.  `i_signature` keeps
 the word form, node by node, as the readable reference the tests compare the
 scan against.
+
+The operators edit the good row that the scan finds, and `as_partition`
+validates the edited tuple.  `build_component` reads each vertex's
+Jantzen-Seitz mark from the eps vector of the same scan, the eps-profile
+side of the theorem, so this module needs nothing from the chain-congruence
+side.
 """
 
 from __future__ import annotations
@@ -28,12 +34,11 @@ from .partitions import (
     ADDABLE,
     Node,
     Partition,
-    add_node,
+    as_partition,
     boundary_nodes,
     check_rank,
     check_residue,
     format_partition,
-    remove_node,
 )
 from .weights import AffineWeight, weight_of
 
@@ -178,7 +183,7 @@ def e_tilde(p: Partition, n: int, i: int) -> Partition | None:
     row = _signatures(p, n)[2][i]
     if not row:
         return None
-    return _remove_good(p, row, i)
+    return _remove_good(p, row)
 
 
 def f_tilde(p: Partition, n: int, i: int) -> Partition | None:
@@ -187,17 +192,20 @@ def f_tilde(p: Partition, n: int, i: int) -> Partition | None:
     rows = _signatures(p, n)[1][i]
     if not rows:
         return None
-    return _add_good(p, rows[0], i)
+    return _add_good(p, rows[0])
 
 
-def _remove_good(p: Partition, row: int, i: int) -> Partition:
-    """p with the removable i-node of `row` removed."""
-    return remove_node(p, Node(row, p[row - 1], i))
+def _remove_good(p: Partition, row: int) -> Partition:
+    """p with the last node of `row` removed, the row dropped if it empties."""
+    part = p[row - 1] - 1
+    return as_partition(p[: row - 1] + ((part,) if part else ()) + p[row:])
 
 
-def _add_good(p: Partition, row: int, i: int) -> Partition:
-    """p with the addable i-node of `row` added."""
-    return add_node(p, Node(row, p[row - 1] + 1 if row <= len(p) else 1, i))
+def _add_good(p: Partition, row: int) -> Partition:
+    """p with a node added at the end of `row`, which may open below the last row."""
+    if row > len(p):
+        return as_partition(p + (1,))
+    return as_partition(p[: row - 1] + (p[row - 1] + 1,) + p[row:])
 
 
 @dataclass
@@ -206,7 +214,8 @@ class CrystalGraph:
 
     Vertices are listed layer by layer (by partition size, decreasing
     lexicographic within a layer); edges (p, i, q) mean the i-lowering
-    operator sends p to q.
+    operator sends p to q.  `js` marks the Jantzen-Seitz vertices by their
+    eps-profile: at most one nonzero eps_i, equal to 1.
     """
 
     n: int
@@ -254,9 +263,13 @@ class CrystalGraph:
 
 
 def build_component(n: int, max_size: int) -> CrystalGraph:
-    """Breadth-first closure of {∅} under all lowering operators, up to max_size."""
-    from .jantzen_seitz import is_js  # deferred: jantzen_seitz imports this module
+    """Breadth-first closure of {∅} under all lowering operators, up to max_size.
 
+    Each vertex is scanned once, and that scan gives its eps annotation,
+    its Jantzen-Seitz mark and its out-edges.  Every vertex is n-regular,
+    and a nonempty partition has some eps_i >= 1, so the eps-profile test
+    (at most one nonzero eps_i, equal to 1) reads sum(eps) <= 1.
+    """
     if max_size < 0:
         raise ValueError("max_size must be nonnegative")
     check_rank(n)
@@ -265,18 +278,17 @@ def build_component(n: int, max_size: int) -> CrystalGraph:
     for size in range(max_size + 1):
         targets: set[Partition] = set()
         for v in layer:
-            # One scan gives the eps annotation and every residue's good
-            # addable row, the top-most surviving "+".
+            # Every residue's good addable row is its top-most surviving "+".
             eps, plus, _ = _signatures(v, n)
             graph.vertices.append(v)
             graph.eps[v] = tuple(eps)
             graph.wt[v] = weight_of(v, n)
-            graph.js[v] = is_js(v, n)
+            graph.js[v] = sum(eps) <= 1
             if size == max_size:
                 continue
             for i, rows in enumerate(plus):
                 if rows:
-                    w = _add_good(v, rows[0], i)
+                    w = _add_good(v, rows[0])
                     graph.edges.append((v, i, w))
                     targets.add(w)
         layer = sorted(targets, reverse=True)

@@ -22,6 +22,7 @@ from .cores import (
 from .crystal import eps_index
 from .partitions import (
     Partition,
+    check_order,
     check_rank,
     energy,
     is_n_regular,
@@ -30,7 +31,7 @@ from .partitions import (
 )
 from .report import VerificationReport
 
-_CHI_METHOD = "fow"
+_CHI_METHOD = "paths"
 
 
 @dataclass(frozen=True)
@@ -97,11 +98,15 @@ def js_set(n: int, mu: Partition, d: int) -> list[Partition]:
 
 def chi_direct(n: int, mu: Partition, order: int) -> tuple[int, ...]:
     """Generating-series coefficients of the member count by n-weight."""
+    check_order(order)
     return tuple(len(js_set(n, mu, d)) for d in range(order + 1))
 
 
 def chi_by_branching(n: int, mu: Partition, order: int) -> tuple[int, ...]:
-    """chi via branching functions, counted by the chain-congruence route.
+    """chi via branching functions, counted by the paths route.
+
+    The paths route is the RSOS configuration sum, the other side of the
+    theorem from the chain-congruence walk that `chi_direct` counts with.
 
     For a rectangular core (k^l) with k, l >= 1 and k + l <= n the series is
     the (j, k) = ((k-l) mod n, k) branching function shifted down by
@@ -110,6 +115,7 @@ def chi_by_branching(n: int, mu: Partition, order: int) -> tuple[int, ...]:
     partition has one.
     """
     check_rank(n)
+    check_order(order)
     rect = is_rectangle_le_n(mu, n)
     if rect is None:
         raise ValueError(

@@ -81,6 +81,12 @@ def check_rank(n: int) -> None:
         raise ValueError("n must be at least 2")
 
 
+def check_order(order: int) -> None:
+    """The one order check: every function that takes a truncation order rejects order < 0."""
+    if order < 0:
+        raise ValueError("order must be nonnegative")
+
+
 def check_residue(n: int, i: int) -> None:
     """check_rank, then reject a residue i outside 0..n-1."""
     check_rank(n)

@@ -32,7 +32,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterator
 
-from .partitions import check_rank
+from .partitions import check_order, check_rank
 
 
 class TruncatedSeries:
@@ -46,8 +46,7 @@ class TruncatedSeries:
             if not coeffs:
                 raise ValueError("need coefficients or an explicit order")
             order = len(coeffs) - 1
-        if order < 0:
-            raise ValueError("order must be nonnegative")
+        check_order(order)
         coeffs = coeffs[: order + 1] + [0] * (order + 1 - len(coeffs))
         self.order = order
         self.coeffs = tuple(coeffs)
@@ -248,6 +247,7 @@ def lattice_points(
     bug, never expected).
     """
     s, t = canonical_pair(n, s, t)
+    check_order(order)
     qf = QuadraticFormData.create(n, s, t)
     scaled, limit, last = qf.scaled_inverse, n * order, n - 2
 

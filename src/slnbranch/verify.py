@@ -156,14 +156,14 @@ def verify_crystal(n: int, max_size: int) -> VerificationReport:
                 # No support checks: good[i] is set exactly when eps_i > 0, and
                 # phi_i is len(plus[i]), both read from this one scan.
                 if good[i]:
-                    up = _remove_good(p, good[i], i)
+                    up = _remove_good(p, good[i])
                     rows = scan(above, up)[1][i]
-                    if not rows or _add_good(up, rows[0], i) != p:
+                    if not rows or _add_good(up, rows[0]) != p:
                         problems.append("lowering does not invert raising")
                 if plus[i]:
-                    down = _add_good(p, plus[i][0], i)
+                    down = _add_good(p, plus[i][0])
                     eps2, plus2, good2 = scan(below, down)
-                    if not good2[i] or _remove_good(down, good2[i], i) != p:
+                    if not good2[i] or _remove_good(down, good2[i]) != p:
                         problems.append("raising does not invert lowering")
                     # Inside the size bound down is a vertex, weighed when built.
                     wt = graph.wt[down] if size < max_size else weight_of(down, n)

@@ -151,6 +151,20 @@ class TestOperators:
         assert f_tilde((1,), 2, 1) == (2,)
         assert f_tilde((2,), 3, 2) == (3,)
 
+    @pytest.mark.parametrize(
+        "op, p, n, i, message",
+        [
+            (f_tilde, (1, 2), 2, 0, "parts must be weakly decreasing, got (1, 2, 1)"),
+            (e_tilde, (2, 0), 2, 1, "parts must be positive integers, got 0"),
+        ],
+    )
+    def test_malformed_input_rejected_on_edit(self, op, p, n, i, message):
+        # The edited row is validated as a partition, so a malformed input
+        # surfaces as the validation error of the edited tuple.
+        with pytest.raises(ValueError) as info:
+            op(p, n, i)
+        assert str(info.value) == message
+
     def test_inverse_relations_up_to_14(self):
         for n in (2, 3, 4):
             for p in partitions_up_to(14, regular=n):
@@ -247,22 +261,23 @@ class TestComponent:
 
 class TestExports:
     def test_dot_marks_exactly_the_chain_members(self):
-        g = build_component(3, 8)
-        dot = g.to_dot()
-        starred = set()
-        for line in dot.splitlines():
-            if "[label=" in line and "->" not in line:
-                name = line.split('"')[1]
-                label = line.split('"')[3]
-                if label.endswith("*"):
-                    starred.add(name)
-                assert label.rstrip("*") == name
+        # The marks come from the eps-profile; is_js is the chain congruence.
         from slnbranch import format_partition, parse_partition
 
-        for p in g.vertices:
-            assert (format_partition(p) in starred) == is_js(p, 3)
-        for name in starred:
-            assert is_js(parse_partition(name), 3)
+        for n in (2, 3, 4, 5):
+            g = build_component(n, 8)
+            starred = set()
+            for line in g.to_dot().splitlines():
+                if "[label=" in line and "->" not in line:
+                    name = line.split('"')[1]
+                    label = line.split('"')[3]
+                    if label.endswith("*"):
+                        starred.add(name)
+                    assert label.rstrip("*") == name
+            for p in g.vertices:
+                assert (format_partition(p) in starred) == is_js(p, n)
+            for name in starred:
+                assert is_js(parse_partition(name), n)
 
     def test_json_schema(self):
         g = build_component(2, 3)

@@ -11,10 +11,12 @@ from slnbranch import (
     as_partition,
     block_dimension,
     boundary_nodes,
+    branching_series,
     build_component,
     canonical_pair,
     cartan_matrix,
     chi_by_branching,
+    chi_direct,
     core_size_of_content,
     e_tilde,
     eps_phi,
@@ -25,7 +27,9 @@ from slnbranch import (
     is_rectangle_le_n,
     phi_vector,
     epsilon_step,
+    fermionic_series,
     fundamental,
+    lattice_points,
     path_of,
     n_core,
     n_cores,
@@ -49,6 +53,7 @@ from slnbranch import (
     remove_node,
     residue_counts,
 )
+from slnbranch.branching import configuration_sums
 from slnbranch.crystal import eps_index
 from slnbranch.qseries import scaled_inverse_cartan
 from oracles import (
@@ -280,3 +285,23 @@ RANKED_CALLS = {
 def test_rank_below_two_rejected(name, n):
     with pytest.raises(ValueError, match="n must be at least 2"):
         RANKED_CALLS[name](n)
+
+
+# Every entry point that takes a truncation order rejects order < 0 with the
+# same message, whichever route it counts by.
+ORDERED_CALLS = {
+    "configuration_sums": lambda order: configuration_sums(3, 1, order),
+    "branching_series": lambda order: branching_series(3, 1, 0, order, "paths"),
+    "lattice_points": lambda order: list(lattice_points(3, 0, 1, order)),
+    "chi_direct": lambda order: chi_direct(3, (), order),
+    "chi_by_branching": lambda order: chi_by_branching(3, (), order),
+    "verify_methods": lambda order: verify_methods(3, order),
+    "verify_js": lambda order: verify_js(3, 2, order),
+    "fermionic_series": lambda order: fermionic_series(3, 0, 1, order),
+}
+
+
+@pytest.mark.parametrize("name", ORDERED_CALLS)
+def test_negative_order_rejected(name):
+    with pytest.raises(ValueError, match="order must be nonnegative"):
+        ORDERED_CALLS[name](-1)
