@@ -8,14 +8,11 @@ of the partitions whose restriction stays irreducible.
 
 from .branching import (
     BranchingSeries,
-    PathCoordinates,
     branching_series,
     class_residue_counts,
     fow_index,
-    fow_k,
     in_fow,
     in_path_set,
-    path_of,
     verify_fow_theorem,
 )
 from .cores import (
@@ -32,39 +29,26 @@ from .cores import (
 )
 from .crystal import (
     CrystalGraph,
-    SignatureWord,
     build_component,
     e_tilde,
     eps_phi,
     epsilon_vector,
     f_tilde,
-    i_signature,
-    phi_vector,
 )
 from .jantzen_seitz import (
-    JsRecord,
     chi_by_branching,
     chi_direct,
     is_js,
     is_js_by_crystal,
-    js_record,
     js_set,
     verify_rectangle_cores,
 )
 from .partitions import (
-    ADDABLE,
-    REMOVABLE,
-    Node,
-    add_node,
     Partition,
     as_partition,
-    boundary_nodes,
     conjugate,
-    energy,
     exponent_form,
     format_partition,
-    from_exponent_form,
-    remove_node,
     is_n_regular,
     parse_partition,
     partitions_of,
@@ -75,80 +59,51 @@ from .qseries import (
     QuadraticFormData,
     TruncatedSeries,
     canonical_pair,
-    cartan_matrix,
     fermionic_series,
     inv_pochhammer,
-    inverse_cartan,
     lattice_points,
     lattice_sum,
 )
 from .report import VerificationReport
 from .verify import run_suites, verify_cores, verify_crystal, verify_js, verify_methods
-from .weights import (
-    AffineWeight,
-    epsilon_step,
-    equal_mod_delta,
-    fundamental,
-    is_dominant,
-    simple_root,
-    weight_of,
-)
+from .weights import AffineWeight, simple_root, weight_of
 
 __all__ = [
-    "ADDABLE",
-    "REMOVABLE",
     "AbacusDisplay",
     "AffineWeight",
     "BranchingSeries",
     "CrystalGraph",
-    "JsRecord",
-    "Node",
     "Partition",
-    "PathCoordinates",
     "QuadraticFormData",
-    "SignatureWord",
     "TruncatedSeries",
     "VerificationReport",
     "abacus_display",
-    "add_node",
     "as_partition",
     "block_dimension",
-    "boundary_nodes",
     "branching_series",
     "build_component",
     "canonical_pair",
-    "cartan_matrix",
     "chi_by_branching",
     "chi_direct",
     "class_residue_counts",
     "conjugate",
     "core_size_of_content",
     "e_tilde",
-    "energy",
     "eps_phi",
-    "epsilon_step",
     "epsilon_vector",
-    "equal_mod_delta",
     "exponent_form",
     "f_tilde",
     "fermionic_series",
     "format_partition",
     "fow_index",
-    "fow_k",
-    "from_exponent_form",
-    "fundamental",
-    "i_signature",
     "in_fow",
     "in_path_set",
     "inv_pochhammer",
-    "inverse_cartan",
-    "is_dominant",
     "is_js",
     "is_js_by_crystal",
     "is_n_core",
     "is_n_regular",
     "is_rectangle_le_n",
-    "js_record",
     "js_set",
     "lattice_points",
     "lattice_sum",
@@ -158,10 +113,7 @@ __all__ = [
     "parse_partition",
     "partitions_of",
     "partitions_up_to",
-    "path_of",
-    "phi_vector",
     "regular_partitions_with_content",
-    "remove_node",
     "residue_counts",
     "run_suites",
     "simple_root",

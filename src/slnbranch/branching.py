@@ -33,22 +33,8 @@ from .partitions import (
 )
 from .qseries import fermionic_series
 from .report import VerificationReport
-from .weights import AffineWeight, epsilon_step, fundamental, weight_of
 
 METHODS = ("paths", "fow", "crystal", "fermionic")
-
-
-@dataclass(frozen=True)
-class PathCoordinates:
-    """The weight path p_0..p_{lambda_1} of a partition (classical parts only).
-
-    Delta components of path coordinates carry no information used here and
-    are fixed to zero.
-    """
-
-    n: int
-    j: int
-    coords: tuple[AffineWeight, ...]
 
 
 @dataclass(frozen=True)
@@ -60,29 +46,15 @@ class BranchingSeries:
     coeffs: tuple[int, ...]
 
 
-def path_of(p: Partition, n: int, j: int) -> PathCoordinates:
-    """Walk the path recursion down from p_{lambda_1} = L(j) + L(lambda_1 mod n).
-
-    Each step subtracts the epsilon-step whose index is read off the
-    conjugate column lengths: p_{k-1} = p_k - eps((k - 1 - conj_k) mod n).
-    """
-    check_rank(n)
-    j %= n
-    lam1 = p[0] if p else 0
-    conj = conjugate(p)
-    top = fundamental(n, j) + fundamental(n, lam1 % n)
-    coords = [top]
-    for k in range(lam1, 0, -1):
-        coords.append(coords[-1] - epsilon_step(n, k - 1 - conj[k - 1]))
-    coords.reverse()
-    return PathCoordinates(n, j, tuple(coords))
-
-
 def in_path_set(p: Partition, n: int, j: int) -> bool:
     """True iff p is n-regular and every path coordinate is dominant.
 
     Paths are only defined on n-regular partitions; dominance of all
     coordinates is then the membership test for the path set of L(j) ⊗ L0.
+    The path runs down from p_{lambda_1} = L(j) + L(lambda_1 mod n), and
+    p_{k-1} = p_k - L(e + 1) + L(e) with e = (k - 1 - conj_k) mod n, read
+    off the conjugate column lengths; each step lowers one coefficient,
+    so only that one is checked.
     """
     if not is_n_regular(p, n):
         return False
@@ -132,19 +104,6 @@ def in_fow(p: Partition, n: int, j: int) -> bool:
     if not p:
         return is_n_regular(p, n)
     return fow_index(p, n) == j % n
-
-
-def fow_k(p: Partition, n: int) -> int | None:
-    """The class label k with wt(p) = L(k) + L(j-k) - L(j), smaller of the pair."""
-    j = fow_index(p, n)
-    if j is None:
-        return None
-    w = weight_of(p, n)
-    for k in range(n):
-        target = fundamental(n, k) + fundamental(n, j - k) - fundamental(n, j)
-        if w.lam == target.lam:
-            return k
-    raise ArithmeticError(f"no class label found for {p} with n={n}")
 
 
 def class_residue_counts(n: int, j: int, k: int, d: int) -> tuple[int, ...] | None:

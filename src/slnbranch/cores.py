@@ -43,17 +43,12 @@ class AbacusDisplay:
             raise ValueError("beta numbers must be nonnegative")
 
 
-def default_bead_count(p: Partition, n: int) -> int:
-    """max(len(p), 1) rounded up to a multiple of n."""
-    base = max(len(p), 1)
-    return base + (-base) % n
-
-
 def _bead_count(p: Partition, n: int, beads: int | None) -> int:
-    """`beads`, or the default count if None; at least one bead per row."""
+    """`beads`, at least one per row; if None, max(len(p), 1) rounded up to a multiple of n."""
     check_rank(n)
     if beads is None:
-        beads = default_bead_count(p, n)
+        beads = max(len(p), 1)
+        beads += (-beads) % n
     if beads < len(p):
         raise ValueError(f"need at least {len(p)} beads, got {beads}")
     return beads

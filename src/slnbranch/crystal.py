@@ -14,12 +14,13 @@ with part c has a removable node of residue (c - r) mod n when c exceeds the
 part below, and an addable node of residue (c + 1 - r) mod n when r = 1 or
 the part above exceeds c.  Per residue it keeps a stack of the rows of the
 surviving "+" signs; a "-" cancels the newest of them, or else survives,
-adding one to eps and becoming the good removable row.  `i_signature` keeps
-the word form, node by node, as the readable reference the tests compare the
-scan against.
+adding one to eps and becoming the good removable row.  The word form, node
+by node, is kept in `tests/oracles.py` as the readable reference the tests
+compare the scan against.
 
-The operators edit the good row that the scan finds, and `as_partition`
-validates the edited tuple.  `build_component` reads each vertex's
+The public operators and statistics validate p with `as_partition` at
+entry, and the operators edit the good row that the scan finds, which
+keeps the tuple a partition.  `build_component` reads each vertex's
 Jantzen-Seitz mark from the eps vector of the same scan, the eps-profile
 side of the theorem, so this module needs nothing from the chain-congruence
 side.
@@ -31,48 +32,13 @@ import json
 from dataclasses import dataclass, field
 
 from .partitions import (
-    ADDABLE,
-    Node,
     Partition,
     as_partition,
-    boundary_nodes,
     check_rank,
     check_residue,
     format_partition,
 )
 from .weights import AffineWeight, weight_of
-
-PLUS = "+"
-MINUS = "-"
-
-
-@dataclass(frozen=True)
-class SignatureWord:
-    """Raw and reduced +/- words of addable/removable i-nodes, in row order."""
-
-    raw: tuple[tuple[Node, str], ...]
-    reduced: tuple[tuple[Node, str], ...]
-
-    def raw_text(self) -> str:
-        return "".join(sign for _, sign in self.raw)
-
-    def reduced_text(self) -> str:
-        return "".join(sign for _, sign in self.reduced)
-
-
-def i_signature(p: Partition, n: int, i: int) -> SignatureWord:
-    """The i-signature of p: boundary i-nodes as signs, then "+-" cancellation."""
-    raw = tuple(
-        (node, PLUS if kind == ADDABLE else MINUS)
-        for node, kind in boundary_nodes(p, n, i)
-    )
-    stack: list[tuple[Node, str]] = []
-    for node, sign in raw:
-        if sign == MINUS and stack and stack[-1][1] == PLUS:
-            stack.pop()
-        else:
-            stack.append((node, sign))
-    return SignatureWord(raw, tuple(stack))
 
 
 def _signatures(p: Partition, n: int) -> tuple[list[int], list[list[int]], list[int]]:
@@ -114,13 +80,13 @@ def _scan(rows, n: int) -> tuple[list[int], list[list[int]], list[int]]:
 def eps_phi(p: Partition, n: int, i: int) -> tuple[int, int]:
     """(eps_i, phi_i): counts of - and + in the reduced signature."""
     check_residue(n, i)
-    eps, plus, _ = _signatures(p, n)
+    eps, plus, _ = _signatures(as_partition(p), n)
     return eps[i], len(plus[i])
 
 
 def epsilon_vector(p: Partition, n: int) -> tuple[int, ...]:
     check_rank(n)
-    return tuple(_signatures(p, n)[0])
+    return tuple(_signatures(as_partition(p), n)[0])
 
 
 def eps_index(p: Partition, n: int) -> int | None:
@@ -134,11 +100,6 @@ def eps_index(p: Partition, n: int) -> int | None:
         return 0
     eps = epsilon_vector(p, n)
     return eps.index(1) if sum(eps) == 1 else None
-
-
-def phi_vector(p: Partition, n: int) -> tuple[int, ...]:
-    check_rank(n)
-    return tuple(len(rows) for rows in _signatures(p, n)[1])
 
 
 def eps_prefix(parts, above, n: int, j: int) -> tuple[int, list[int]] | None:
@@ -180,6 +141,7 @@ def eps_prefix(parts, above, n: int, j: int) -> tuple[int, list[int]] | None:
 def e_tilde(p: Partition, n: int, i: int) -> Partition | None:
     """Remove the good removable i-node (bottom-most surviving -), or None."""
     check_residue(n, i)
+    p = as_partition(p)
     row = _signatures(p, n)[2][i]
     if not row:
         return None
@@ -189,6 +151,7 @@ def e_tilde(p: Partition, n: int, i: int) -> Partition | None:
 def f_tilde(p: Partition, n: int, i: int) -> Partition | None:
     """Add the good addable i-node (top-most surviving +), or None."""
     check_residue(n, i)
+    p = as_partition(p)
     rows = _signatures(p, n)[1][i]
     if not rows:
         return None
@@ -196,16 +159,22 @@ def f_tilde(p: Partition, n: int, i: int) -> Partition | None:
 
 
 def _remove_good(p: Partition, row: int) -> Partition:
-    """p with the last node of `row` removed, the row dropped if it empties."""
+    """p with the last node of `row` removed, the row dropped if it empties.
+
+    The node must be removable, as a good one is, so the result is a partition.
+    """
     part = p[row - 1] - 1
-    return as_partition(p[: row - 1] + ((part,) if part else ()) + p[row:])
+    return p[: row - 1] + ((part,) if part else ()) + p[row:]
 
 
 def _add_good(p: Partition, row: int) -> Partition:
-    """p with a node added at the end of `row`, which may open below the last row."""
+    """p with a node added at the end of `row`, which may open below the last row.
+
+    The node must be addable, as a good one is, so the result is a partition.
+    """
     if row > len(p):
-        return as_partition(p + (1,))
-    return as_partition(p[: row - 1] + (p[row - 1] + 1,) + p[row:])
+        return p + (1,)
+    return p[: row - 1] + (p[row - 1] + 1,) + p[row:]
 
 
 @dataclass

@@ -9,14 +9,11 @@ direct enumeration or through branching functions.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
-from .branching import branching_series, fow_index, fow_k, fow_prefix
+from .branching import branching_series, fow_index, fow_prefix
 from .cores import (
     is_n_core,
     is_rectangle_le_n,
     n_core,
-    n_weight,
     regular_partitions_with_content,
 )
 from .crystal import eps_index
@@ -24,7 +21,6 @@ from .partitions import (
     Partition,
     check_order,
     check_rank,
-    energy,
     is_n_regular,
     partitions_up_to,
     residue_counts,
@@ -32,21 +28,6 @@ from .partitions import (
 from .report import VerificationReport
 
 _CHI_METHOD = "paths"
-
-
-@dataclass(frozen=True)
-class JsRecord:
-    """Classification data of a member partition.
-
-    Invariant: weight = energy - min(k, l) where (k, l) is the core rectangle.
-    """
-
-    partition: Partition
-    j: int
-    k: int
-    core: Partition
-    weight: int
-    energy: int
 
 
 def is_js(p: Partition, n: int) -> bool:
@@ -60,21 +41,6 @@ def is_js(p: Partition, n: int) -> bool:
 def is_js_by_crystal(p: Partition, n: int) -> bool:
     """Eps-profile test: at most one nonzero eps_i, and that one equals 1."""
     return is_n_regular(p, n) and eps_index(p, n) is not None
-
-
-def js_record(p: Partition, n: int) -> JsRecord | None:
-    """Full classification of a member partition, or None for non-members."""
-    j = fow_index(p, n)
-    if j is None:
-        return None
-    return JsRecord(
-        partition=p,
-        j=j,
-        k=fow_k(p, n),
-        core=n_core(p, n),
-        weight=n_weight(p, n),
-        energy=energy(p, n),
-    )
 
 
 def js_set(n: int, mu: Partition, d: int) -> list[Partition]:

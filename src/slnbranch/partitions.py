@@ -8,20 +8,9 @@ are 1-based, and the node in row i, column j carries the residue
 
 from __future__ import annotations
 
-from typing import Iterator, NamedTuple
+from typing import Iterator
 
 Partition = tuple[int, ...]
-
-ADDABLE = "addable"
-REMOVABLE = "removable"
-
-
-class Node(NamedTuple):
-    """A diagram node: 1-based row and column plus its residue mod n."""
-
-    row: int
-    col: int
-    residue: int
 
 
 def as_partition(parts) -> Partition:
@@ -65,16 +54,6 @@ def exponent_form(p: Partition) -> tuple[tuple[int, int], ...]:
     return tuple(out)
 
 
-def from_exponent_form(pairs) -> Partition:
-    """Expand (part, multiplicity) pairs back into a partition tuple."""
-    parts: list[int] = []
-    for part, mult in pairs:
-        if mult <= 0:
-            raise ValueError(f"multiplicities must be positive, got {mult}")
-        parts.extend([part] * mult)
-    return as_partition(parts)
-
-
 def check_rank(n: int) -> None:
     """The one rank check: every function that takes n rejects n < 2 through it."""
     if n < 2:
@@ -116,57 +95,6 @@ def residue_counts(p: Partition, n: int) -> tuple[int, ...]:
         for t in range(rem):
             counts[(start + t) % n] += 1
     return tuple(counts)
-
-
-def energy(p: Partition, n: int) -> int:
-    """Number of residue-0 nodes."""
-    return residue_counts(p, n)[0]
-
-
-def boundary_nodes(p: Partition, n: int, i: int) -> list[tuple[Node, str]]:
-    """Addable and removable nodes of residue i, ordered by increasing row.
-
-    A node is addable (removable) when adding (removing) it leaves a valid
-    partition.  Each row holds at most one node of a fixed residue, so the
-    row order is total; the crystal signature rule depends on it.
-    """
-    check_residue(n, i)
-    out: list[tuple[Node, str]] = []
-    rows = len(p)
-    for row in range(1, rows + 2):
-        cur = p[row - 1] if row <= rows else 0
-        below = p[row] if row < rows else 0
-        if cur > below and (cur - row) % n == i:
-            out.append((Node(row, cur, i), REMOVABLE))
-        above = p[row - 2] if row >= 2 else None
-        if (row == 1 or above > cur) and (cur + 1 - row) % n == i:
-            out.append((Node(row, cur + 1, i), ADDABLE))
-    return out
-
-
-def add_node(p: Partition, node: Node) -> Partition:
-    """Partition with `node` added; ValueError if the node is not addable."""
-    parts = list(p)
-    if node.row == len(parts) + 1:
-        if node.col != 1:
-            raise ValueError(f"cannot add {node} to {p}")
-        parts.append(1)
-    elif 1 <= node.row <= len(parts) and node.col == parts[node.row - 1] + 1:
-        parts[node.row - 1] += 1
-    else:
-        raise ValueError(f"cannot add {node} to {p}")
-    return as_partition(parts)
-
-
-def remove_node(p: Partition, node: Node) -> Partition:
-    """Partition with `node` removed; ValueError if the node is not removable."""
-    parts = list(p)
-    if not (1 <= node.row <= len(parts) and node.col == parts[node.row - 1]):
-        raise ValueError(f"cannot remove {node} from {p}")
-    parts[node.row - 1] -= 1
-    if parts[node.row - 1] == 0:
-        parts.pop(node.row - 1)
-    return as_partition(parts)
 
 
 def partitions_of(m: int, regular: int | None = None) -> Iterator[Partition]:

@@ -86,13 +86,6 @@ class TruncatedSeries:
 
     __radd__ = __add__
 
-    def __sub__(self, other) -> "TruncatedSeries":
-        other = self._coerce(other)
-        order = min(self.order, other.order)
-        return TruncatedSeries(
-            [self.coeffs[d] - other.coeffs[d] for d in range(order + 1)]
-        )
-
     def __mul__(self, other) -> "TruncatedSeries":
         if isinstance(other, int):
             return TruncatedSeries([c * other for c in self.coeffs])
@@ -117,14 +110,6 @@ class TruncatedSeries:
         if order is None:
             order = self.order
         return TruncatedSeries([0] * s + list(self.coeffs), order)
-
-    def shift_down(self, s: int) -> "TruncatedSeries":
-        """Divide by q^s; the dropped coefficients must vanish."""
-        if s < 0:
-            raise ValueError("shift must be nonnegative")
-        if any(self.coeffs[:s]):
-            raise ValueError(f"cannot shift down by {s}: low-order terms are nonzero")
-        return TruncatedSeries(self.coeffs[s:], self.order - s)
 
     def __repr__(self) -> str:
         terms = []
@@ -152,16 +137,6 @@ def inv_pochhammer(k: int, order: int) -> TruncatedSeries:
     return TruncatedSeries(c)
 
 
-def cartan_matrix(n: int) -> tuple[tuple[int, ...], ...]:
-    """The (n-1)x(n-1) Cartan matrix of sl(n)."""
-    check_rank(n)
-    size = n - 1
-    return tuple(
-        tuple(2 if i == j else -1 if abs(i - j) == 1 else 0 for j in range(size))
-        for i in range(size)
-    )
-
-
 def scaled_inverse_cartan(n: int) -> tuple[tuple[int, ...], ...]:
     """n times the inverse sl(n) Cartan matrix: entry (i,j) = n*min(i,j) - ij.
 
@@ -170,13 +145,6 @@ def scaled_inverse_cartan(n: int) -> tuple[tuple[int, ...], ...]:
     check_rank(n)
     return tuple(
         tuple(n * min(i, j) - i * j for j in range(1, n)) for i in range(1, n)
-    )
-
-
-def inverse_cartan(n: int) -> tuple[tuple[Fraction, ...], ...]:
-    """Exact inverse of the sl(n) Cartan matrix: entry (i,j) = min(i,j) - ij/n."""
-    return tuple(
-        tuple(Fraction(entry, n) for entry in row) for row in scaled_inverse_cartan(n)
     )
 
 

@@ -3,7 +3,7 @@
 Weights are integer vectors over the fundamental weights L0..L(n-1) plus a
 delta coefficient.  The simple root alpha_i expands as
 -L(i-1) + 2*L(i) - L(i+1) (indices mod n), picking up +delta exactly when
-i = 0.  Dominance reads the L-coefficients only.
+i = 0.
 """
 
 from __future__ import annotations
@@ -65,14 +65,6 @@ class AffineWeight:
         return text
 
 
-def fundamental(n: int, i: int) -> AffineWeight:
-    """The fundamental weight L(i mod n)."""
-    check_rank(n)
-    lam = [0] * n
-    lam[i % n] = 1
-    return AffineWeight(n, tuple(lam))
-
-
 def simple_root(n: int, i: int) -> AffineWeight:
     """alpha_i = -L(i-1) + 2*L(i) - L(i+1) (+ delta for i = 0)."""
     check_rank(n)
@@ -82,16 +74,6 @@ def simple_root(n: int, i: int) -> AffineWeight:
     lam[i] += 2
     lam[(i + 1) % n] -= 1
     return AffineWeight(n, tuple(lam), 1 if i == 0 else 0)
-
-
-def epsilon_step(n: int, i: int) -> AffineWeight:
-    """Classical part of the path step: L(i+1) - L(i), indices mod n."""
-    check_rank(n)
-    i %= n
-    lam = [0] * n
-    lam[(i + 1) % n] += 1
-    lam[i] -= 1
-    return AffineWeight(n, tuple(lam))
 
 
 def weight_of(p: Partition, n: int) -> AffineWeight:
@@ -108,14 +90,3 @@ def weight_of(p: Partition, n: int) -> AffineWeight:
             lam[i] -= 2 * mi
             lam[(i + 1) % n] += mi
     return AffineWeight(n, tuple(lam), -m[0])
-
-
-def is_dominant(w: AffineWeight) -> bool:
-    """True iff all L-coefficients are nonnegative (delta ignored)."""
-    return all(c >= 0 for c in w.lam)
-
-
-def equal_mod_delta(u: AffineWeight, v: AffineWeight) -> bool:
-    """True iff the L-coefficient vectors agree (delta coefficients ignored)."""
-    u._check_same_n(v)
-    return u.lam == v.lam

@@ -2,6 +2,14 @@
 
 Everything here is implemented from scratch, without going through the
 package's own algorithms, so that each check genuinely has two routes.
+Among them are the two references the crystal and paths kernels are
+compared against:
+
+- `signature_word` with `add_cell` and `remove_cell`: the word form of the
+  i-signature, read off the diagram's cells node by node, and the node
+  edits that the crystal operators make;
+- `path_coordinates` with `dominant_path`: the weight path of a partition,
+  column by column, and the scan of every coordinate for dominance.
 """
 
 from fractions import Fraction
@@ -276,3 +284,89 @@ def prefix_value(prefix, p):
         if not above:
             return above
     return True if above is None else above
+
+
+def _cells(p) -> set:
+    """The diagram of p as a set of 1-based (row, col) cells."""
+    return {(r, c) for r, part in enumerate(p, start=1) for c in range(1, part + 1)}
+
+
+def _shape(cells) -> tuple:
+    """The row lengths of a diagram given by its cells."""
+    rows = max((r for r, _ in cells), default=0)
+    return tuple(sum(1 for r, _ in cells if r == row) for row in range(1, rows + 1))
+
+
+def signature_word(p, n: int, i: int):
+    """The i-signature of p: (raw, reduced) lists of ((row, col), sign).
+
+    A cell of residue (col - row) mod n is addable ("+") when it lies
+    outside the diagram with its upper and left neighbours inside (or off
+    the edge), and removable ("-") when it lies inside with its lower and
+    right neighbours outside.  The raw word lists them by row; the reduced
+    word is left once no "+" stands directly before a "-".
+    """
+    cells = _cells(p)
+    raw = []
+    for row in range(1, len(p) + 2):
+        for col in range(1, (p[0] if p else 0) + 2):
+            if (col - row) % n != i:
+                continue
+            if (row, col) in cells:
+                if (row + 1, col) not in cells and (row, col + 1) not in cells:
+                    raw.append(((row, col), "-"))
+            elif (row == 1 or (row - 1, col) in cells) and (
+                col == 1 or (row, col - 1) in cells
+            ):
+                raw.append(((row, col), "+"))
+    reduced = list(raw)
+    while True:
+        pairs = [
+            k for k in range(len(reduced) - 1)
+            if reduced[k][1] == "+" and reduced[k + 1][1] == "-"
+        ]
+        if not pairs:
+            return raw, reduced
+        del reduced[pairs[0] : pairs[0] + 2]
+
+
+def add_cell(p, cell) -> tuple:
+    """p with `cell` added to its diagram."""
+    return _shape(_cells(p) | {cell})
+
+
+def remove_cell(p, cell) -> tuple:
+    """p with `cell` taken out of its diagram."""
+    return _shape(_cells(p) - {cell})
+
+
+def epsilon_step(n: int, i: int) -> tuple:
+    """L(i+1) - L(i) as an L-coefficient vector, indices mod n."""
+    lam = [0] * n
+    lam[(i + 1) % n] += 1
+    lam[i % n] -= 1
+    return tuple(lam)
+
+
+def path_coordinates(p, n: int, j: int) -> list:
+    """The weight path p_0..p_{lambda_1} of p as L-coefficient vectors.
+
+    p_{lambda_1} = L(j) + L(lambda_1 mod n), and each column k, of length
+    c_k (the rows reaching it), gives p_{k-1} = p_k - (L(e+1) - L(e)) with
+    e = (k - 1 - c_k) mod n.
+    """
+    width = p[0] if p else 0
+    top = [0] * n
+    top[j % n] += 1
+    top[width % n] += 1
+    coords = [tuple(top)]
+    for k in range(width, 0, -1):
+        length = sum(1 for part in p if part >= k)
+        step = epsilon_step(n, k - 1 - length)
+        coords.append(tuple(a - b for a, b in zip(coords[-1], step)))
+    return coords[::-1]
+
+
+def dominant_path(p, n: int, j: int) -> bool:
+    """True iff every coordinate of the path has no negative L-coefficient."""
+    return all(min(lam) >= 0 for lam in path_coordinates(p, n, j))

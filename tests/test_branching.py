@@ -6,15 +6,11 @@ from slnbranch import (
     branching_series,
     class_residue_counts,
     fow_index,
-    fow_k,
-    fundamental,
     in_fow,
     in_path_set,
-    is_dominant,
     is_n_regular,
     partitions_of,
     partitions_up_to,
-    path_of,
     residue_counts,
     verify_fow_theorem,
     weight_of,
@@ -22,7 +18,7 @@ from slnbranch import (
 from slnbranch.branching import METHODS, configuration_sums, fow_prefix
 from slnbranch.crystal import _scan, eps_index, eps_prefix
 
-from oracles import filtered_bucket_series, prefix_value
+from oracles import dominant_path, filtered_bucket_series, path_coordinates, prefix_value
 
 # the six worked n=3 series (orders as displayed: three terms each)
 EXAMPLE_TABLE = {
@@ -35,34 +31,43 @@ EXAMPLE_TABLE = {
 }
 
 
+def class_lam(n, j, k):
+    """L-coefficients of L(k) + L(j - k) - L(j), the weight of class (j, k) mod delta."""
+    lam = [0] * n
+    lam[k % n] += 1
+    lam[(j - k) % n] += 1
+    lam[j % n] -= 1
+    return tuple(lam)
+
+
 class TestPathOf:
+    """The column-by-column path reference, pinned by hand and by weight."""
+
     def test_empty(self):
-        coords = path_of((), 3, 0).coords
-        assert len(coords) == 1
-        assert coords[0].lam == (2, 0, 0)
+        assert path_coordinates((), 3, 0) == [(2, 0, 0)]
 
     def test_21_j1(self):
-        lams = [w.lam for w in path_of((2, 1), 3, 1).coords]
+        lams = path_coordinates((2, 1), 3, 1)
         assert lams == [(1, 1, 0), (1, 0, 1), (0, 1, 1)]  # L0+L1, L0+L2, L1+L2
 
     def test_21_j0_hits_nondominant(self):
-        coords = path_of((2, 1), 3, 0).coords
-        assert coords[1].lam == (2, -1, 1)
-        assert not is_dominant(coords[1])
+        assert path_coordinates((2, 1), 3, 0)[1] == (2, -1, 1)
+        assert not dominant_path((2, 1), 3, 0)
 
     def test_level_two_coordinates(self):
         for m in range(9):
             for p in partitions_of(m, regular=3):
                 for j in range(3):
-                    assert all(w.level == 2 for w in path_of(p, 3, j).coords)
+                    assert all(sum(lam) == 2 for lam in path_coordinates(p, 3, j))
 
     def test_first_coordinate_is_weight_plus_lambda_for_members(self):
         for m in range(10):
             for p in partitions_of(m, regular=3):
                 for j in range(3):
                     if in_path_set(p, 3, j):
-                        expected = weight_of(p, 3) + fundamental(3, j)
-                        assert path_of(p, 3, j).coords[0].lam == expected.lam
+                        expected = list(weight_of(p, 3).lam)
+                        expected[j] += 1
+                        assert path_coordinates(p, 3, j)[0] == tuple(expected)
 
 
 class TestMembership:
@@ -81,8 +86,7 @@ class TestMembership:
             for m in range(11):
                 for p in partitions_of(m, regular=n):
                     for j in range(n):
-                        full = all(is_dominant(w) for w in path_of(p, n, j).coords)
-                        assert in_path_set(p, n, j) == full
+                        assert in_path_set(p, n, j) == dominant_path(p, n, j)
 
 
 class TestFow:
@@ -98,18 +102,18 @@ class TestFow:
 
     @pytest.mark.parametrize("p,expected", [((2, 1), 0), ((3,), 0), ((), 0)])
     def test_k_examples(self, p, expected):
-        assert fow_k(p, 3) == expected
+        j = fow_index(p, 3)
+        assert weight_of(p, 3).lam == class_lam(3, j, expected)
 
     def test_k_is_canonical_label(self):
+        # Every member lies in exactly one class pair {k, j - k}.
         for m in range(11):
             for p in partitions_of(m, regular=3):
                 j = fow_index(p, 3)
                 if j is None:
                     continue
-                k = fow_k(p, 3)
-                target = fundamental(3, k) + fundamental(3, j - k) - fundamental(3, j)
-                assert weight_of(p, 3).lam == target.lam
-                assert k <= (j - k) % 3
+                labels = [k for k in range(3) if weight_of(p, 3).lam == class_lam(3, j, k)]
+                assert labels and {labels[0], (j - labels[0]) % 3} == set(labels)
 
     def test_empty_belongs_to_every_index(self):
         for n in (2, 3, 4):
@@ -135,10 +139,9 @@ class TestClassCensus:
             counts = class_residue_counts(3, 0, 1, d)
             if counts is None:
                 continue
-            target = fundamental(3, 1) + fundamental(3, 2) - fundamental(3, 0)
             for p in partitions_of(sum(counts)):
                 in_class = (
-                    weight_of(p, 3).lam == target.lam
+                    weight_of(p, 3).lam == class_lam(3, 0, 1)
                     and residue_counts(p, 3)[0] == d
                 )
                 assert (residue_counts(p, 3) == counts) == in_class

@@ -1,25 +1,24 @@
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from slnbranch import (
-    add_node,
+    as_partition,
     build_component,
     e_tilde,
     eps_phi,
     epsilon_vector,
     f_tilde,
-    i_signature,
     is_js,
     is_n_regular,
     partitions_of,
     partitions_up_to,
-    phi_vector,
-    remove_node,
     simple_root,
     weight_of,
 )
-from slnbranch.crystal import eps_index
+from slnbranch.crystal import _signatures, eps_index
+
+from oracles import add_cell, remove_cell, signature_word
 
 
 @st.composite
@@ -50,20 +49,21 @@ def word_reference(p, n):
     """Statistics and operator images read off the reduced i-signature words."""
     eps, phi, raised, lowered = [], [], [], []
     for i in range(n):
-        reduced = i_signature(p, n, i).reduced
-        minuses = [node for node, sign in reduced if sign == "-"]
-        pluses = [node for node, sign in reduced if sign == "+"]
+        _, reduced = signature_word(p, n, i)
+        minuses = [cell for cell, sign in reduced if sign == "-"]
+        pluses = [cell for cell, sign in reduced if sign == "+"]
         eps.append(len(minuses))
         phi.append(len(pluses))
-        raised.append(remove_node(p, minuses[-1]) if minuses else None)
-        lowered.append(add_node(p, pluses[0]) if pluses else None)
+        raised.append(remove_cell(p, minuses[-1]) if minuses else None)
+        lowered.append(add_cell(p, pluses[0]) if pluses else None)
     return eps, phi, raised, lowered
 
 
 def assert_kernel_matches_word(p, n):
     eps, phi, raised, lowered = word_reference(p, n)
     assert epsilon_vector(p, n) == tuple(eps)
-    assert phi_vector(p, n) == tuple(phi)
+    scan_eps, plus, _ = _signatures(p, n)
+    assert (scan_eps, [len(rows) for rows in plus]) == (eps, phi)
     profile = 0 if not p else eps.index(1) if sum(eps) == 1 else None
     assert eps_index(p, n) == profile
     for i in range(n):
@@ -88,31 +88,37 @@ class TestKernelMatchesWord:
         assert_kernel_matches_word(p, n)
 
 
-@pytest.mark.parametrize("fn", [eps_phi, e_tilde, f_tilde, i_signature])
+@pytest.mark.parametrize("fn", [eps_phi, e_tilde, f_tilde])
 @pytest.mark.parametrize("n, i", [(2, -1), (2, 2), (3, -1), (3, 3)])
 def test_residue_out_of_range_rejected(fn, n, i):
     with pytest.raises(ValueError, match=f"residue {i} out of range for n={n}"):
         fn((2, 1), n, i)
 
 
+def signs(word):
+    return "".join(sign for _, sign in word)
+
+
 class TestSignature:
+    """The word-form reference, pinned by hand."""
+
     def test_no_cancellation(self):
-        word = i_signature((2,), 2, 1)
-        assert word.raw_text() == "-+"
-        assert word.reduced_text() == "-+"
+        raw, reduced = signature_word((2,), 2, 1)
+        assert signs(raw) == "-+"
+        assert signs(reduced) == "-+"
 
     def test_full_cancellation(self):
-        word = i_signature((3, 1), 2, 1)
-        assert word.raw_text() == "+-"
-        assert word.reduced_text() == ""
+        raw, reduced = signature_word((3, 1), 2, 1)
+        assert signs(raw) == "+-"
+        assert signs(reduced) == ""
 
     def test_empty_partition(self):
-        assert i_signature((), 3, 0).reduced_text() == "+"
+        assert signs(signature_word((), 3, 0)[1]) == "+"
 
     def test_reduced_shape_minus_then_plus(self):
         for p in partitions_up_to(12, regular=3):
             for i in range(3):
-                text = i_signature(p, 3, i).reduced_text()
+                text = signs(signature_word(p, 3, i)[1])
                 assert "+-" not in text and "-" not in text.lstrip("-")
 
 
@@ -154,16 +160,44 @@ class TestOperators:
     @pytest.mark.parametrize(
         "op, p, n, i, message",
         [
-            (f_tilde, (1, 2), 2, 0, "parts must be weakly decreasing, got (1, 2, 1)"),
+            (f_tilde, (1, 2), 2, 0, "parts must be weakly decreasing, got (1, 2)"),
             (e_tilde, (2, 0), 2, 1, "parts must be positive integers, got 0"),
+            (f_tilde, (2, 0), 2, 1, "parts must be positive integers, got 0"),
+            (e_tilde, (1, 2, 1), 3, 0, "parts must be weakly decreasing, got (1, 2, 1)"),
+            (eps_phi, (1, 2), 2, 0, "parts must be weakly decreasing, got (1, 2)"),
+            (epsilon_vector, (1, 2), 2, None, "parts must be weakly decreasing, got (1, 2)"),
         ],
     )
     def test_malformed_input_rejected_on_edit(self, op, p, n, i, message):
-        # The edited row is validated as a partition, so a malformed input
-        # surfaces as the validation error of the edited tuple.
+        # p is validated before the scan, not only the edited tuple after it,
+        # so the message names the input, and an input whose edit happens to
+        # be a partition is rejected too.
         with pytest.raises(ValueError) as info:
-            op(p, n, i)
+            op(p, n) if i is None else op(p, n, i)
         assert str(info.value) == message
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        st.integers(2, 5),
+        st.lists(st.integers(-3, 9), min_size=1, max_size=8).map(tuple),
+        st.integers(0, 1),
+    )
+    def test_malformed_input_raises_the_validation_message(self, n, parts, i):
+        try:
+            as_partition(parts)
+        except ValueError as error:
+            message = str(error)
+        else:
+            assume(False)
+        for call in (
+            lambda: eps_phi(parts, n, i),
+            lambda: epsilon_vector(parts, n),
+            lambda: e_tilde(parts, n, i),
+            lambda: f_tilde(parts, n, i),
+        ):
+            with pytest.raises(ValueError) as info:
+                call()
+            assert str(info.value) == message
 
     def test_inverse_relations_up_to_14(self):
         for n in (2, 3, 4):
@@ -203,10 +237,9 @@ class TestOperators:
         for n in (2, 3, 4):
             for p in partitions_up_to(14, regular=n):
                 w = weight_of(p, n)
-                eps = epsilon_vector(p, n)
-                phi = phi_vector(p, n)
                 for i in range(n):
-                    assert phi[i] - eps[i] == w.lam[i]
+                    eps, phi = eps_phi(p, n, i)
+                    assert phi - eps == w.lam[i]
                     down = f_tilde(p, n, i)
                     if down is not None:
                         assert weight_of(down, n) == w - simple_root(n, i)

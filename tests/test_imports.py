@@ -1,9 +1,16 @@
-"""The package's import structure: imports at module level only, and no cycle."""
+"""The package's import structure and public surface.
+
+Imports sit at module level only and form no cycle; every exported name
+has a caller outside the tests, so test-only API does not grow back.
+"""
 
 import ast
 from pathlib import Path
 
-PACKAGE = Path(__file__).resolve().parents[1] / "src" / "slnbranch"
+import slnbranch
+
+ROOT = Path(__file__).resolve().parents[1]
+PACKAGE = ROOT / "src" / "slnbranch"
 MODULES = {path.stem: ast.parse(path.read_text()) for path in sorted(PACKAGE.glob("*.py"))}
 
 
@@ -52,3 +59,53 @@ def test_module_import_graph_is_acyclic():
 
     for name in graph:
         visit(name, [])
+
+
+def _defined_names(node) -> set[str]:
+    """Names a top-level statement binds by def, class or assignment."""
+    if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+        return {node.name}
+    if isinstance(node, ast.Assign):
+        return {t.id for t in node.targets if isinstance(t, ast.Name)}
+    if isinstance(node, ast.AnnAssign) and isinstance(node.target, ast.Name):
+        return {node.target.id}
+    return set()
+
+
+def _used_names(node) -> set[str]:
+    """Names read inside `node`: loaded names, attributes, and dotted names
+    spelled as strings, as the benchmark tracer's targets are."""
+    out = set()
+    for sub in ast.walk(node):
+        if isinstance(sub, ast.Name) and isinstance(sub.ctx, ast.Load):
+            out.add(sub.id)
+        elif isinstance(sub, ast.Attribute):
+            out.add(sub.attr)
+        elif isinstance(sub, ast.Constant) and isinstance(sub.value, str):
+            parts = sub.value.split(".")
+            if all(part.isidentifier() for part in parts):
+                out.update(parts)
+    return out
+
+
+def test_all_lists_exactly_the_imports():
+    init = MODULES["__init__"]
+    imported = {
+        alias.asname or alias.name
+        for node in init.body
+        if isinstance(node, ast.ImportFrom)
+        for alias in node.names
+    }
+    assert set(slnbranch.__all__) == imported
+    assert len(slnbranch.__all__) == len(imported)
+
+
+def test_every_export_has_a_caller_outside_the_tests():
+    # A use inside the statement that defines the name does not count.
+    sources = [path for path in PACKAGE.glob("*.py") if path.name != "__init__.py"]
+    sources += sorted((ROOT / "demos").glob("*.py")) + sorted((ROOT / "perfbench").glob("*.py"))
+    used = set()
+    for path in sources:
+        for node in ast.parse(path.read_text()).body:
+            used |= _used_names(node) - _defined_names(node)
+    assert sorted(set(slnbranch.__all__) - used) == []

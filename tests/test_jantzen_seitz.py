@@ -3,17 +3,16 @@ import pytest
 from slnbranch import (
     chi_by_branching,
     chi_direct,
-    energy,
     epsilon_vector,
     fow_index,
     is_js,
     is_js_by_crystal,
     is_rectangle_le_n,
-    js_record,
     js_set,
     n_core,
     n_weight,
     partitions_up_to,
+    residue_counts,
     verify_rectangle_cores,
 )
 
@@ -148,12 +147,11 @@ class TestChi:
 
 class TestRecords:
     def test_classification_fields(self):
-        rec = js_record((8,), 3)
-        assert rec is not None
-        assert rec.core == (2,) and rec.weight == 2
+        assert is_js((8,), 3)
+        assert n_core((8,), 3) == (2,) and n_weight((8,), 3) == 2
 
     def test_none_for_non_members(self):
-        assert js_record((3, 1), 3) is None
+        assert not is_js((3, 1), 3)
 
     def test_weight_energy_shift_invariant(self):
         # n-weight = energy - min(k, l) of the core rectangle
@@ -163,7 +161,7 @@ class TestRecords:
                     continue
                 rect = is_rectangle_le_n(n_core(p, n), n)
                 assert rect is not None
-                assert n_weight(p, n) == energy(p, n) - min(rect)
+                assert n_weight(p, n) == residue_counts(p, n)[0] - min(rect)
 
 
 class TestRectangleCores:

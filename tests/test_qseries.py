@@ -1,4 +1,3 @@
-from fractions import Fraction
 from itertools import product
 
 import pytest
@@ -10,12 +9,11 @@ from slnbranch import (
     TruncatedSeries,
     branching_series,
     canonical_pair,
-    cartan_matrix,
     fermionic_series,
     inv_pochhammer,
-    inverse_cartan,
     lattice_points,
 )
+from slnbranch.qseries import scaled_inverse_cartan
 from oracles import (
     count_parts_at_most,
     fraction_exponent,
@@ -30,7 +28,6 @@ class TestTruncatedSeries:
         a = TruncatedSeries([1, 2, 3], 4)
         b = TruncatedSeries([0, 1, 1, 1, 1])
         assert (a + b).coeffs == (1, 3, 4, 1, 1)
-        assert (a - b).coeffs == (1, 1, 2, -1, -1)
         assert (a * b).coeffs == (0, 1, 3, 6, 6)
 
     def test_multiplication_truncates_to_shorter_order(self):
@@ -40,15 +37,15 @@ class TestTruncatedSeries:
 
     def test_scalar_ops(self):
         a = TruncatedSeries([1, 1, 1])
-        assert (a - 1).coeffs == (0, 1, 1)
+        assert (a + 1).coeffs == (2, 1, 1)
         assert (3 * a).coeffs == (3, 3, 3)
 
     def test_shifts(self):
         a = TruncatedSeries([0, 1, 2], 2)
-        assert a.shift_down(1).coeffs == (1, 2)
         assert a.shift_up(1).coeffs == (0, 0, 1)
+        assert a.shift_up(1, 3).coeffs == (0, 0, 1, 2)
         with pytest.raises(ValueError):
-            TruncatedSeries([1, 0], 1).shift_down(1)
+            a.shift_up(-1)
 
     def test_big_integers_stay_exact(self):
         big = 10**30
@@ -74,22 +71,24 @@ class TestInvPochhammer:
 
 
 class TestCartan:
+    """B = n * C^{-1}, the matrix the lattice walk runs on."""
+
     def test_inverse_entries(self):
-        inv = inverse_cartan(3)
-        assert inv == (
-            (Fraction(2, 3), Fraction(1, 3)),
-            (Fraction(1, 3), Fraction(2, 3)),
-        )
+        assert scaled_inverse_cartan(3) == ((2, 1), (1, 2))  # 3 * C^{-1}
 
     @pytest.mark.parametrize("n", range(2, 9))
     def test_inverse_times_cartan_is_identity(self, n):
-        c = cartan_matrix(n)
-        inv = inverse_cartan(n)
+        # B * C = n * I, with C the sl(n) Cartan matrix built here
         size = n - 1
+        c = [
+            [2 if i == j else -1 if abs(i - j) == 1 else 0 for j in range(size)]
+            for i in range(size)
+        ]
+        b = scaled_inverse_cartan(n)
         for i in range(size):
             for j in range(size):
-                entry = sum(c[i][k] * inv[k][j] for k in range(size))
-                assert entry == (1 if i == j else 0)
+                entry = sum(b[i][k] * c[k][j] for k in range(size))
+                assert entry == (n if i == j else 0)
 
 
 class TestQuadraticForm:
@@ -115,7 +114,7 @@ class TestQuadraticForm:
 
     def test_integer_data(self):
         qf = QuadraticFormData.create(3, 1, 2)
-        assert qf.scaled_inverse == ((2, 1), (1, 2))  # 3 * inverse_cartan(3)
+        assert qf.scaled_inverse == scaled_inverse_cartan(3)
         assert qf.beta == (1, 2)  # column u = s - t + n = 2
         assert QuadraticFormData.create(4, 2, 2).beta == (0, 0, 0)  # u = n
 
