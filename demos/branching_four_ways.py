@@ -16,7 +16,7 @@ METHODS = ("paths", "fow", "crystal", "fermionic")
 
 for j, k in CLASSES:
     print(f"n={N}  target L{k} + L{(j - k) % N} inside L{j} (x) L0")
-    rows = {m: branching_series(N, j, k, 6, m).coeffs for m in METHODS}
+    rows = {m: branching_series(N, j, k, 6, m) for m in METHODS}
     for method, coeffs in rows.items():
         print(f"  {method:9s} {coeffs}")
     verdict = "AGREE" if len(set(rows.values())) == 1 else "DISAGREE"

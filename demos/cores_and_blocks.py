@@ -19,22 +19,23 @@ from slnbranch import (
     partitions_up_to,
 )
 
-N = 3
+N, M = 3, 8
 
 for p in [(8,), (6, 2), (3, 3, 1, 1), (5, 4, 1)]:
-    display = abacus_display(p, N)
+    beta = abacus_display(p, N)
     core = n_core(p, N)
     print(
-        f"{format_partition(p):10s} beta={display.beta}  "
+        f"{format_partition(p):10s} beta={beta}  "
         f"core={format_partition(core)}  weight={n_weight(p, N)}"
     )
 
 print("\nblock dimensions (rows: m, columns: cores):")
-cores = n_cores(N, 6)
+# A partition of m has a core of size at most m, so the cores up to M give every column.
+cores = n_cores(N, M)
 header = " ".join(f"{format_partition(mu):>6s}" for mu in cores)
 print(f"m={'':2s} {header}   total  regular")
-regular = Counter(map(sum, partitions_up_to(8, regular=N)))
-for m in range(9):
+regular = Counter(map(sum, partitions_up_to(M, regular=N)))
+for m in range(M + 1):
     row = [block_dimension(N, m, mu) for mu in cores]
     cells = " ".join(f"{d:6d}" for d in row)
     print(f"{m:4d} {cells}  {sum(row):6d} {regular[m]:8d}")

@@ -23,6 +23,6 @@ print(f"n*C^-1 = {qf.scaled_inverse}, beta = {qf.beta}")
 for m, q in lattice_points(N, S, T, ORDER):
     factors = " ".join(f"1/(q)_{mi}" for mi in m if mi) or "1"
     print(f"  m={m}  Q={q}  term: q^{q} * {factors}")
-    print(f"          -> {lattice_sum([(m, q)], ORDER).coeffs}")
+    print(f"          -> {lattice_sum([(m, q)], ORDER)}")
 
-print(f"total: {fermionic_series(N, S, T, ORDER).coeffs}")
+print(f"total: {fermionic_series(N, S, T, ORDER)}")

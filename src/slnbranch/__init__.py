@@ -7,7 +7,6 @@ of the partitions whose restriction stays irreducible.
 """
 
 from .branching import (
-    BranchingSeries,
     branching_series,
     class_residue_counts,
     fow_index,
@@ -16,7 +15,6 @@ from .branching import (
     verify_fow_theorem,
 )
 from .cores import (
-    AbacusDisplay,
     abacus_display,
     block_dimension,
     core_size_of_content,
@@ -69,9 +67,7 @@ from .verify import run_suites, verify_cores, verify_crystal, verify_js, verify_
 from .weights import AffineWeight, simple_root, weight_of
 
 __all__ = [
-    "AbacusDisplay",
     "AffineWeight",
-    "BranchingSeries",
     "CrystalGraph",
     "Partition",
     "QuadraticFormData",

@@ -18,8 +18,6 @@ with d residue-0 nodes.  Each route counts them by its own mathematics:
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from .cores import regular_partitions_with_content
 from .crystal import eps_index, eps_prefix
 from .partitions import (
@@ -35,15 +33,6 @@ from .qseries import fermionic_series
 from .report import VerificationReport
 
 METHODS = ("paths", "fow", "crystal", "fermionic")
-
-
-@dataclass(frozen=True)
-class BranchingSeries:
-    n: int
-    j: int
-    k: int
-    method: str
-    coeffs: tuple[int, ...]
 
 
 def in_path_set(p: Partition, n: int, j: int) -> bool:
@@ -285,10 +274,10 @@ def _crystal_series(n: int, j: int, k: int, order: int) -> tuple[int, ...]:
 
 def _fermionic_series(n: int, j: int, k: int, order: int) -> tuple[int, ...]:
     s, t = sorted((k, (j - k) % n))
-    return tuple(fermionic_series(n, s, t, order).coeffs)
+    return fermionic_series(n, s, t, order)
 
 
-def branching_series(n: int, j: int, k: int, order: int, method: str) -> BranchingSeries:
+def branching_series(n: int, j: int, k: int, order: int, method: str) -> tuple[int, ...]:
     """Coefficients of b(j, k) up to q^order by the named route.
 
     "paths" sums the path configurations by transfer matrix; "fow" and
@@ -310,7 +299,7 @@ def branching_series(n: int, j: int, k: int, order: int, method: str) -> Branchi
         "crystal": _crystal_series,
         "fermionic": _fermionic_series,
     }[method]
-    return BranchingSeries(n, j, k, method, count(n, j, k, order))
+    return count(n, j, k, order)
 
 
 def verify_fow_theorem(n: int, max_size: int) -> VerificationReport:

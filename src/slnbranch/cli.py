@@ -129,10 +129,7 @@ def _emit_rows(args, payload: dict, rows: dict[str, tuple[int, ...]]) -> int:
 
 def _run_branching(args) -> int:
     methods = list(METHODS) if args.method == "all" else [args.method]
-    rows = {
-        m: branching_series(args.n, args.j, args.k, args.order, m).coeffs
-        for m in methods
-    }
+    rows = {m: branching_series(args.n, args.j, args.k, args.order, m) for m in methods}
     payload = {"n": args.n, "j": args.j % args.n, "k": args.k % args.n, "order": args.order}
     return _emit_rows(args, payload, rows)
 
@@ -146,14 +143,14 @@ def _run_fermionic(args) -> int:
             "s": args.s,
             "t": args.t,
             "order": args.order,
-            "coeffs": list(series.coeffs),
+            "coeffs": list(series),
             "lattice_points": len(points),
         }
         _emit(json.dumps(payload, separators=(",", ":")))
     elif args.format == "csv":
-        _emit(_series_csv({"fermionic": series.coeffs}, args.order))
+        _emit(_series_csv({"fermionic": series}, args.order))
     else:
-        _emit("fermionic " + " ".join(str(c) for c in series.coeffs))
+        _emit("fermionic " + " ".join(str(c) for c in series))
         _emit(f"lattice points: {len(points)}")
     return 0
 

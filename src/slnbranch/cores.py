@@ -24,23 +24,9 @@ content -- one block -- are generated directly by a pruned walk.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Any, Callable, Iterator
 
-from .partitions import Partition, check_rank, exponent_form, residue_counts
-
-
-@dataclass(frozen=True)
-class AbacusDisplay:
-    n: int
-    beta: tuple[int, ...]
-
-    def __post_init__(self):
-        for a, b in zip(self.beta, self.beta[1:]):
-            if a <= b:
-                raise ValueError("beta numbers must be strictly decreasing")
-        if self.beta and self.beta[-1] < 0:
-            raise ValueError("beta numbers must be nonnegative")
+from .partitions import Partition, as_partition, check_rank, exponent_form, residue_counts
 
 
 def _bead_count(p: Partition, n: int, beads: int | None) -> int:
@@ -54,10 +40,16 @@ def _bead_count(p: Partition, n: int, beads: int | None) -> int:
     return beads
 
 
-def abacus_display(p: Partition, n: int, beads: int | None = None) -> AbacusDisplay:
+def abacus_display(p: Partition, n: int, beads: int | None = None) -> tuple[int, ...]:
+    """The beta numbers part_i + (beads - i) of p, largest first.
+
+    p is validated by `as_partition`, so they are strictly decreasing and
+    nonnegative.
+    """
+    p = as_partition(p)
     beads = _bead_count(p, n, beads)
     padded = list(p) + [0] * (beads - len(p))
-    return AbacusDisplay(n, tuple(padded[i - 1] + beads - i for i in range(1, beads + 1)))
+    return tuple(padded[i - 1] + beads - i for i in range(1, beads + 1))
 
 
 def n_core(p: Partition, n: int, beads: int | None = None) -> Partition:

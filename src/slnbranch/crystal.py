@@ -187,8 +187,6 @@ class CrystalGraph:
     eps-profile: at most one nonzero eps_i, equal to 1.
     """
 
-    n: int
-    max_size: int
     vertices: list[Partition] = field(default_factory=list)
     edges: list[tuple[Partition, int, Partition]] = field(default_factory=list)
     eps: dict[Partition, tuple[int, ...]] = field(default_factory=dict)
@@ -242,7 +240,7 @@ def build_component(n: int, max_size: int) -> CrystalGraph:
     if max_size < 0:
         raise ValueError("max_size must be nonnegative")
     check_rank(n)
-    graph = CrystalGraph(n, max_size)
+    graph = CrystalGraph()
     layer: list[Partition] = [()]
     for size in range(max_size + 1):
         targets: set[Partition] = set()

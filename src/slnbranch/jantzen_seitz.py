@@ -19,6 +19,7 @@ from .cores import (
 from .crystal import eps_index
 from .partitions import (
     Partition,
+    as_partition,
     check_order,
     check_rank,
     is_n_regular,
@@ -33,13 +34,18 @@ _CHI_METHOD = "paths"
 def is_js(p: Partition, n: int) -> bool:
     """Chain-congruence test: r <= 1, or every consecutive-pair sum ≡ 0 mod n.
 
-    Only n-regular partitions qualify; the empty partition does.
+    Only n-regular partitions qualify; the empty partition does.  p is
+    validated by `as_partition` first, so malformed input raises.
     """
-    return fow_index(p, n) is not None
+    return fow_index(as_partition(p), n) is not None
 
 
 def is_js_by_crystal(p: Partition, n: int) -> bool:
-    """Eps-profile test: at most one nonzero eps_i, and that one equals 1."""
+    """Eps-profile test: at most one nonzero eps_i, and that one equals 1.
+
+    p is validated by `as_partition` first, as in `is_js`.
+    """
+    p = as_partition(p)
     return is_n_regular(p, n) and eps_index(p, n) is not None
 
 
@@ -90,15 +96,12 @@ def chi_by_branching(n: int, mu: Partition, order: int) -> tuple[int, ...]:
         )
     k, l = rect
     if k == 0:
-        coeffs = [0] * (order + 1)
-        for j in range(n):
-            series = branching_series(n, j, 0, order, _CHI_METHOD).coeffs
-            for d in range(order + 1):
-                coeffs[d] += series[d]
+        rows = [branching_series(n, j, 0, order, _CHI_METHOD) for j in range(n)]
+        coeffs = [sum(column) for column in zip(*rows)]
         coeffs[0] -= n - 1
         return tuple(coeffs)
     s = min(k, l)
-    series = branching_series(n, (k - l) % n, k, order + s, _CHI_METHOD).coeffs
+    series = branching_series(n, (k - l) % n, k, order + s, _CHI_METHOD)
     if any(series[:s]):
         raise ArithmeticError(
             f"branching series for core {mu} has nonzero terms below the shift {s}"

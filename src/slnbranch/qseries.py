@@ -1,7 +1,9 @@
-"""Exact truncated q-series and the quadratic-form lattice evaluation.
+"""The quadratic-form lattice evaluation of the branching series.
 
-Series keep arbitrary-precision integer coefficients c_0..c_D and all
-arithmetic is exact below the truncation order.  The lattice sum runs over
+`fermionic_series` and `lattice_sum` return the coefficients c_0..c_order
+as a tuple of exact integers, the shape of every series in the package.
+`TruncatedSeries` is the lattice sum's internal arithmetic: exact sums and
+products below a truncation order.  The lattice sum runs over
 nonnegative integer vectors m of length n-1 subject to the congruence
 t + sum(i * m_i) ≡ 0 (mod n); each admissible vector contributes
 q^Q(m) / prod((q)_{m_i}) with
@@ -43,8 +45,6 @@ class TruncatedSeries:
     def __init__(self, coeffs, order: int | None = None):
         coeffs = list(coeffs)
         if order is None:
-            if not coeffs:
-                raise ValueError("need coefficients or an explicit order")
             order = len(coeffs) - 1
         check_order(order)
         coeffs = coeffs[: order + 1] + [0] * (order + 1 - len(coeffs))
@@ -59,37 +59,13 @@ class TruncatedSeries:
     def one(cls, order: int) -> "TruncatedSeries":
         return cls([1], order)
 
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, TruncatedSeries):
-            return NotImplemented
-        return self.order == other.order and self.coeffs == other.coeffs
-
-    def __hash__(self):
-        return hash((self.order, self.coeffs))
-
-    def __getitem__(self, d: int) -> int:
-        return self.coeffs[d]
-
-    def _coerce(self, other) -> "TruncatedSeries":
-        if isinstance(other, int):
-            return TruncatedSeries([other], self.order)
-        if isinstance(other, TruncatedSeries):
-            return other
-        raise TypeError(f"cannot combine series with {type(other).__name__}")
-
-    def __add__(self, other) -> "TruncatedSeries":
-        other = self._coerce(other)
+    def __add__(self, other: "TruncatedSeries") -> "TruncatedSeries":
         order = min(self.order, other.order)
         return TruncatedSeries(
             [self.coeffs[d] + other.coeffs[d] for d in range(order + 1)]
         )
 
-    __radd__ = __add__
-
-    def __mul__(self, other) -> "TruncatedSeries":
-        if isinstance(other, int):
-            return TruncatedSeries([c * other for c in self.coeffs])
-        other = self._coerce(other)
+    def __mul__(self, other: "TruncatedSeries") -> "TruncatedSeries":
         order = min(self.order, other.order)
         out = [0] * (order + 1)
         for i, a in enumerate(self.coeffs[: order + 1]):
@@ -101,32 +77,16 @@ class TruncatedSeries:
                     out[i + j] += a * b
         return TruncatedSeries(out)
 
-    __rmul__ = __mul__
-
-    def shift_up(self, s: int, order: int | None = None) -> "TruncatedSeries":
-        """Multiply by q^s, keeping (or resetting) the truncation order."""
+    def shift_up(self, s: int, order: int) -> "TruncatedSeries":
+        """Multiply by q^s, truncated at the given order."""
         if s < 0:
             raise ValueError("shift must be nonnegative")
-        if order is None:
-            order = self.order
         return TruncatedSeries([0] * s + list(self.coeffs), order)
-
-    def __repr__(self) -> str:
-        terms = []
-        for d, c in enumerate(self.coeffs):
-            if c == 0:
-                continue
-            if d == 0:
-                terms.append(str(c))
-            else:
-                head = "" if c == 1 else ("-" if c == -1 else f"{c}*")
-                terms.append(f"{head}q^{d}" if d > 1 else f"{head}q")
-        body = " + ".join(terms).replace("+ -", "- ") if terms else "0"
-        return f"{body} + O(q^{self.order + 1})"
 
 
 def inv_pochhammer(k: int, order: int) -> TruncatedSeries:
     """Expansion of 1 / ((1-q)(1-q^2)...(1-q^k)) to the given order."""
+    check_order(order)
     if k < 0:
         raise ValueError("k must be nonnegative")
     c = [0] * (order + 1)
@@ -261,8 +221,8 @@ def lattice_points(
         yield m, int(q)
 
 
-def lattice_sum(points, order: int) -> TruncatedSeries:
-    """Sum of q^Q / prod((q)_{m_i}) over (m, Q) pairs, to the given order."""
+def lattice_sum(points, order: int) -> tuple[int, ...]:
+    """Coefficients of sum q^Q / prod((q)_{m_i}) over (m, Q) pairs, to the given order."""
     total = TruncatedSeries.zero(order)
     for m, q in points:
         term = TruncatedSeries.one(order - q)
@@ -270,11 +230,11 @@ def lattice_sum(points, order: int) -> TruncatedSeries:
             if mi:
                 term = term * inv_pochhammer(mi, order - q)
         total = total + term.shift_up(q, order)
-    return total
+    return total.coeffs
 
 
-def fermionic_series(n: int, s: int, t: int, order: int) -> TruncatedSeries:
-    """The lattice-sum evaluation of the branching series for L(s) + L(t).
+def fermionic_series(n: int, s: int, t: int, order: int) -> tuple[int, ...]:
+    """Coefficients of the lattice-sum evaluation of the branching series for L(s) + L(t).
 
     Pair with the enumeration methods via j = (s + t) mod n.  Pairs with
     s + t > n are folded through the index reflection before evaluating

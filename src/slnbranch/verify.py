@@ -53,7 +53,7 @@ def verify_methods(n: int, order: int) -> VerificationReport:
                 rows = {
                     method: class_paths_series(sums, n, j, k, order)
                     if method == "paths"
-                    else branching_series(n, j, k, order, method).coeffs
+                    else branching_series(n, j, k, order, method)
                     for method in METHODS
                 }
                 report.cases += 1

@@ -24,10 +24,6 @@ class AffineWeight:
         if len(self.lam) != self.n:
             raise ValueError(f"expected {self.n} coefficients, got {len(self.lam)}")
 
-    @property
-    def level(self) -> int:
-        return sum(self.lam)
-
     def _check_same_n(self, other: "AffineWeight"):
         if self.n != other.n:
             raise ValueError(f"mixed ranks: n={self.n} vs n={other.n}")

@@ -129,15 +129,14 @@ def _strip_rim_hooks(p: tuple, n: int) -> tuple:
 
 
 def abacus_core(p: tuple, n: int, beads: int | None = None) -> tuple:
-    """n-core through the package's `AbacusDisplay`, sorting the pushed beta numbers.
+    """n-core from the beta numbers of the package's `abacus_display`, pushed and sorted.
 
     The library's earlier n-core, kept as a reference for the integer pass.
     """
     from slnbranch import abacus_display
 
-    display = abacus_display(p, n, beads)
     runner_counts = [0] * n
-    for b in display.beta:
+    for b in abacus_display(p, n, beads):
         runner_counts[b % n] += 1
     pushed = sorted(
         (r + q * n for r in range(n) for q in range(runner_counts[r])), reverse=True

@@ -151,27 +151,27 @@ class TestBranchingMethods:
     @pytest.mark.parametrize("jk,expected", sorted(EXAMPLE_TABLE.items()))
     def test_paths(self, jk, expected):
         j, k = jk
-        assert branching_series(3, j, k, len(expected) - 1, "paths").coeffs == expected
+        assert branching_series(3, j, k, len(expected) - 1, "paths") == expected
 
     @pytest.mark.parametrize("jk,expected", sorted(EXAMPLE_TABLE.items()))
     def test_fow(self, jk, expected):
         j, k = jk
-        assert branching_series(3, j, k, len(expected) - 1, "fow").coeffs == expected
+        assert branching_series(3, j, k, len(expected) - 1, "fow") == expected
 
     @pytest.mark.parametrize("jk,expected", sorted(EXAMPLE_TABLE.items()))
     def test_crystal(self, jk, expected):
         j, k = jk
-        assert branching_series(3, j, k, len(expected) - 1, "crystal").coeffs == expected
+        assert branching_series(3, j, k, len(expected) - 1, "crystal") == expected
 
     def test_trivial_n2(self):
-        assert branching_series(2, 0, 0, 0, "fow").coeffs == (1,)
+        assert branching_series(2, 0, 0, 0, "fow") == (1,)
 
     def test_methods_agree_small_scale(self):
         for n in (2, 3):
             for j in range(n):
                 for k in range(n):
                     rows = {
-                        branching_series(n, j, k, 5, method).coeffs
+                        branching_series(n, j, k, 5, method)
                         for method in ("paths", "fow", "crystal", "fermionic")
                     }
                     assert len(rows) == 1, (n, j, k, rows)
@@ -183,7 +183,7 @@ class TestBranchingMethods:
                     if k > (j - k) % n:
                         continue
                     rows = {
-                        branching_series(n, j, k, 8, method).coeffs
+                        branching_series(n, j, k, 8, method)
                         for method in ("paths", "fow", "crystal", "fermionic")
                     }
                     assert len(rows) == 1, (n, j, k, rows)
@@ -191,7 +191,7 @@ class TestBranchingMethods:
     def test_coefficients_nonnegative(self):
         for j in range(3):
             for k in range(3):
-                assert min(branching_series(3, j, k, 6, "fow").coeffs) >= 0
+                assert min(branching_series(3, j, k, 6, "fow")) >= 0
 
     def test_label_symmetry(self):
         # k and (j - k) mod n label the same class
@@ -199,8 +199,8 @@ class TestBranchingMethods:
             for j in range(n):
                 for k in range(n):
                     assert (
-                        branching_series(n, j, k, 5, "fow").coeffs
-                        == branching_series(n, j, (j - k) % n, 5, "fow").coeffs
+                        branching_series(n, j, k, 5, "fow")
+                        == branching_series(n, j, (j - k) % n, 5, "fow")
                     )
 
     def test_unknown_method_rejected(self):
@@ -247,7 +247,7 @@ class TestRoutesAgainstFilteredBuckets:
             for k in range(n):
                 expected = filtered_bucket_series(n, j, k, order)
                 for route in ROUTES:
-                    got = branching_series(n, j, k, order, route).coeffs
+                    got = branching_series(n, j, k, order, route)
                     assert got == expected[route], (n, j, k, route)
 
     @settings(max_examples=30, deadline=None)
@@ -256,7 +256,7 @@ class TestRoutesAgainstFilteredBuckets:
         n, j, k, order = case
         expected = filtered_bucket_series(n, j, k, order)
         for route in ROUTES:
-            assert branching_series(n, j, k, order, route).coeffs == expected[route]
+            assert branching_series(n, j, k, order, route) == expected[route]
 
     def test_paths_end_only_at_class_end_points(self):
         # Every end point is L(k) + L(j - k) for some k: a level-2 dominant

@@ -131,16 +131,24 @@ class TestNCores:
 
 class TestAbacusDisplay:
     def test_beta_numbers(self):
-        display = abacus_display((3, 1), 2, beads=2)
-        assert display.beta == (4, 1)
+        assert abacus_display((3, 1), 2, beads=2) == (4, 1)
 
     def test_default_bead_count_is_multiple_of_n(self):
-        assert len(abacus_display((3, 1), 3).beta) == 3
-        assert len(abacus_display((), 4).beta) == 4
+        assert len(abacus_display((3, 1), 3)) == 3
+        assert len(abacus_display((), 4)) == 4
 
     def test_rejects_too_few_beads(self):
         with pytest.raises(ValueError):
             abacus_display((3, 1, 1), 2, beads=2)
+
+    @pytest.mark.parametrize(
+        "p, message",
+        [((1, 2), "parts must be weakly decreasing"), ((2, 0), "parts must be positive")],
+    )
+    def test_rejects_malformed_input(self, p, message):
+        # The beta numbers are checked by validating p, the input they are read from.
+        with pytest.raises(ValueError, match=message):
+            abacus_display(p, 2)
 
 
 class TestBlockDimension:

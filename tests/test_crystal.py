@@ -10,6 +10,7 @@ from slnbranch import (
     epsilon_vector,
     f_tilde,
     is_js,
+    is_js_by_crystal,
     is_n_regular,
     partitions_of,
     partitions_up_to,
@@ -166,6 +167,17 @@ class TestOperators:
             (e_tilde, (1, 2, 1), 3, 0, "parts must be weakly decreasing, got (1, 2, 1)"),
             (eps_phi, (1, 2), 2, 0, "parts must be weakly decreasing, got (1, 2)"),
             (epsilon_vector, (1, 2), 2, None, "parts must be weakly decreasing, got (1, 2)"),
+            (is_js, (1, 2), 3, None, "parts must be weakly decreasing, got (1, 2)"),
+            (is_js_by_crystal, (1, 2), 3, None, "parts must be weakly decreasing, got (1, 2)"),
+            # not 3-regular either: validation comes before the regularity verdict
+            (is_js, (1, 1, 1, 2), 3, None, "parts must be weakly decreasing, got (1, 1, 1, 2)"),
+            (
+                is_js_by_crystal,
+                (1, 1, 1, 2),
+                3,
+                None,
+                "parts must be weakly decreasing, got (1, 1, 1, 2)",
+            ),
         ],
     )
     def test_malformed_input_rejected_on_edit(self, op, p, n, i, message):
@@ -194,6 +206,8 @@ class TestOperators:
             lambda: epsilon_vector(parts, n),
             lambda: e_tilde(parts, n, i),
             lambda: f_tilde(parts, n, i),
+            lambda: is_js(parts, n),
+            lambda: is_js_by_crystal(parts, n),
         ):
             with pytest.raises(ValueError) as info:
                 call()

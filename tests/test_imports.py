@@ -1,7 +1,8 @@
 """The package's import structure and public surface.
 
-Imports sit at module level only and form no cycle; every exported name
-has a caller outside the tests, so test-only API does not grow back.
+Imports sit at module level only and form no cycle; every exported name,
+and every member of an exported class, has a caller outside the tests, so
+test-only API does not grow back.
 """
 
 import ast
@@ -12,6 +13,14 @@ import slnbranch
 ROOT = Path(__file__).resolve().parents[1]
 PACKAGE = ROOT / "src" / "slnbranch"
 MODULES = {path.stem: ast.parse(path.read_text()) for path in sorted(PACKAGE.glob("*.py"))}
+# The code whose reads keep a name alive: the package beyond its
+# re-exports, the demos and the benchmark harness.
+CALLERS = [
+    ast.parse(path.read_text())
+    for folder in (PACKAGE, ROOT / "demos", ROOT / "perfbench")
+    for path in sorted(folder.glob("*.py"))
+    if path != PACKAGE / "__init__.py"
+]
 
 
 def _package_imports(nodes) -> set[str]:
@@ -102,10 +111,44 @@ def test_all_lists_exactly_the_imports():
 
 def test_every_export_has_a_caller_outside_the_tests():
     # A use inside the statement that defines the name does not count.
-    sources = [path for path in PACKAGE.glob("*.py") if path.name != "__init__.py"]
-    sources += sorted((ROOT / "demos").glob("*.py")) + sorted((ROOT / "perfbench").glob("*.py"))
     used = set()
-    for path in sources:
-        for node in ast.parse(path.read_text()).body:
+    for tree in CALLERS:
+        for node in tree.body:
             used |= _used_names(node) - _defined_names(node)
     assert sorted(set(slnbranch.__all__) - used) == []
+
+
+def _members(cls: ast.ClassDef) -> set[str]:
+    """The non-dunder methods (properties included) and annotated fields of a class."""
+    names = set()
+    for node in cls.body:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            names.add(node.name)
+        elif isinstance(node, ast.AnnAssign) and isinstance(node.target, ast.Name):
+            names.add(node.target.id)
+    return {name for name in names if not (name.startswith("__") and name.endswith("__"))}
+
+
+def test_every_member_of_an_exported_class_is_read():
+    """Each member of an exported class is read as an attribute by a caller.
+
+    The match is by attribute name alone, whatever object it is read from,
+    so a member with a common name such as `n` passes on any `x.n`; the
+    guard catches members whose name no caller reads at all.  Dunders are
+    left out, since the operators and protocols that call them are judged
+    by hand.
+    """
+    read = {
+        node.attr
+        for tree in CALLERS
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load)
+    }
+    unread = [
+        f"{node.name}.{member}"
+        for tree in MODULES.values()
+        for node in tree.body
+        if isinstance(node, ast.ClassDef) and node.name in slnbranch.__all__
+        for member in sorted(_members(node) - read)
+    ]
+    assert unread == []

@@ -112,7 +112,7 @@ class TestChi:
         # sum of the three b(j, 0) series minus the double-counted empty partition
         from slnbranch import branching_series
 
-        rows = [branching_series(3, j, 0, 2, "fow").coeffs for j in range(3)]
+        rows = [branching_series(3, j, 0, 2, "fow") for j in range(3)]
         combined = [sum(col) for col in zip(*rows)]
         combined[0] -= 2
         assert tuple(combined) == (1, 2, 5)

@@ -19,7 +19,9 @@ from slnbranch import (
     f_tilde,
     is_rectangle_le_n,
     fermionic_series,
+    inv_pochhammer,
     lattice_points,
+    lattice_sum,
     n_core,
     n_cores,
     n_weight,
@@ -278,6 +280,8 @@ ORDERED_CALLS = {
     "verify_methods": lambda order: verify_methods(3, order),
     "verify_js": lambda order: verify_js(3, 2, order),
     "fermionic_series": lambda order: fermionic_series(3, 0, 1, order),
+    "inv_pochhammer": lambda order: inv_pochhammer(2, order),
+    "lattice_sum": lambda order: lattice_sum([], order),
 }
 
 

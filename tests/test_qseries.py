@@ -1,3 +1,4 @@
+from functools import partial
 from itertools import product
 
 import pytest
@@ -9,10 +10,14 @@ from slnbranch import (
     TruncatedSeries,
     branching_series,
     canonical_pair,
+    chi_by_branching,
+    chi_direct,
     fermionic_series,
     inv_pochhammer,
     lattice_points,
+    lattice_sum,
 )
+from slnbranch.branching import METHODS
 from slnbranch.qseries import scaled_inverse_cartan
 from oracles import (
     count_parts_at_most,
@@ -21,6 +26,24 @@ from oracles import (
     lattice_enumeration_bound,
     shell_lattice_points,
 )
+
+
+# Every series entry point returns the coefficients c_0..c_order as a tuple of ints.
+SERIES_CALLS = {
+    **{f"branching_series-{m}": partial(branching_series, 3, 1, 0, method=m) for m in METHODS},
+    "fermionic_series": partial(fermionic_series, 3, 0, 1),
+    "lattice_sum": lambda order: lattice_sum(lattice_points(3, 0, 1, order), order),
+    "chi_direct": partial(chi_direct, 3, ()),
+    "chi_by_branching": partial(chi_by_branching, 3, (1,)),
+}
+
+
+@pytest.mark.parametrize("name", SERIES_CALLS)
+@pytest.mark.parametrize("order", [0, 5])
+def test_series_entry_points_return_coefficient_tuples(name, order):
+    series = SERIES_CALLS[name](order)
+    assert type(series) is tuple and len(series) == order + 1
+    assert all(type(c) is int for c in series)
 
 
 class TestTruncatedSeries:
@@ -35,17 +58,12 @@ class TestTruncatedSeries:
         b = TruncatedSeries([1, 1, 1], 2)
         assert (a * b).order == 1
 
-    def test_scalar_ops(self):
-        a = TruncatedSeries([1, 1, 1])
-        assert (a + 1).coeffs == (2, 1, 1)
-        assert (3 * a).coeffs == (3, 3, 3)
-
     def test_shifts(self):
         a = TruncatedSeries([0, 1, 2], 2)
-        assert a.shift_up(1).coeffs == (0, 0, 1)
+        assert a.shift_up(1, 2).coeffs == (0, 0, 1)
         assert a.shift_up(1, 3).coeffs == (0, 0, 1, 2)
         with pytest.raises(ValueError):
-            a.shift_up(-1)
+            a.shift_up(-1, 2)
 
     def test_big_integers_stay_exact(self):
         big = 10**30
@@ -67,7 +85,7 @@ class TestInvPochhammer:
         for k in range(5):
             series = inv_pochhammer(k, 10)
             for d in range(11):
-                assert series[d] == count_parts_at_most(d, k)
+                assert series.coeffs[d] == count_parts_at_most(d, k)
 
 
 class TestCartan:
@@ -139,14 +157,13 @@ class TestFermionicSeries:
         ],
     )
     def test_examples(self, n, s, t, expected):
-        assert fermionic_series(n, s, t, len(expected) - 1).coeffs == expected
+        assert fermionic_series(n, s, t, len(expected) - 1) == expected
 
     def test_folding_reflected_pairs(self):
         assert canonical_pair(3, 2, 2) == (1, 1)
         assert canonical_pair(3, 1, 2) == (1, 2)
         assert canonical_pair(4, 3, 3) == (1, 1)
-        series = fermionic_series(3, 2, 2, 3)
-        assert series.coeffs == fermionic_series(3, 1, 1, 3).coeffs == (0, 1, 1, 2)
+        assert fermionic_series(3, 2, 2, 3) == fermionic_series(3, 1, 1, 3) == (0, 1, 1, 2)
 
     def test_every_admissible_exponent_is_integral(self):
         # lattice_points raises on any fractional admissible exponent
@@ -160,8 +177,8 @@ class TestFermionicSeries:
         # a larger order only appends coefficients, and enlarging the
         # reference walk's shell cutoff adds no point below the order
         for n, s, t, order in [(3, 0, 0, 4), (2, 1, 1, 6), (4, 1, 2, 5)]:
-            base = fermionic_series(n, s, t, order).coeffs
-            richer = fermionic_series(n, s, t, order + n).coeffs
+            base = fermionic_series(n, s, t, order)
+            richer = fermionic_series(n, s, t, order + n)
             assert richer[: order + 1] == base
             enlarged = lattice_enumeration_bound(n, order) + n
             assert sorted(lattice_points(n, s, t, order)) == shell_lattice_points(
@@ -174,8 +191,8 @@ class TestFermionicSeries:
                 for t in range(s, n):
                     j = (s + t) % n
                     assert (
-                        fermionic_series(n, s, t, 6).coeffs
-                        == branching_series(n, j, s, 6, "fow").coeffs
+                        fermionic_series(n, s, t, 6)
+                        == branching_series(n, j, s, 6, "fow")
                     )
 
     def test_lattice_point_count_reported_examples(self):

@@ -21,7 +21,7 @@ class TestWeightOf:
     def test_level_one_everywhere(self):
         for p in partitions_up_to(16):
             for n in (2, 3, 4):
-                assert weight_of(p, n).level == 1
+                assert sum(weight_of(p, n).lam) == 1
 
     def test_delta_is_minus_energy(self):
         for p in partitions_up_to(20):
