@@ -7,19 +7,25 @@ with d residue-0 nodes.  Each route counts them by its own mathematics:
 - paths: the one-dimensional configuration sum of the level-2 RSOS model,
   a transfer matrix over the column-by-column path coordinates
   (`configuration_sums`); `in_path_set` tests one partition;
-- fow: a walk over the class's residue contents, pruned by the chain
+- fow: a memoized count over the class's residue contents
+  (`cores.count_regular_partitions_with_content`), pruned by the chain
   congruence, which forces the length of each block once its part is
-  placed (`fow_prefix`), and filtered by `in_fow`;
-- crystal: the same walk, pruned by the eps vector of the settled rows,
-  carried down the walk (`crystal.eps_prefix`), and filtered by the
-  eps-profile;
+  placed (`fow_prefix`), and closed on the last row, whose block must have
+  the length forced on it (`fow_close`); `in_fow` tests one partition;
+- crystal: the same count, pruned by the eps vector of the settled rows,
+  carried down the walk (`crystal.eps_prefix`), and closed on the last
+  row, whose removable node the empty row below settles; eps must then be
+  e_j (`crystal.eps_close`);
 - fermionic: the lattice sum of the qseries module.
+
+Neither walk lists a member: no leaf is filtered, so each route's prefix
+and close tests alone decide membership.
 """
 
 from __future__ import annotations
 
-from .cores import regular_partitions_with_content
-from .crystal import eps_index, eps_prefix
+from .cores import count_regular_partitions_with_content
+from .crystal import eps_close, eps_prefix
 from .partitions import (
     Partition,
     check_order,
@@ -129,27 +135,27 @@ def class_residue_counts(n: int, j: int, k: int, d: int) -> tuple[int, ...] | No
 
 
 def fow_prefix(
-    parts, above, n: int, j: int | None = None
+    v: int, v1: int | None, starts: bool, r: int, above, n: int, j: int | None = None
 ) -> tuple[int, int | None] | None:
-    """The chain congruence on the blocks of `parts`, checked row by row.
+    """The chain congruence on the blocks of the rows placed, checked row by row.
 
-    A prefix test for the content walk, the last row being the candidate.
-    Its value for a row is (a, need): the row ends a run of a equal parts,
-    the open block, whose length the congruence forces to be need.  Once
-    the block (v1, a1) before the open block (v, a) is closed,
-    a1 + v1 - v + a ≡ 0 (mod n) and 1 <= a <= n - 1 (n-regularity) fix
-    a = (v - v1 - a1) mod n; for the first block, j = (v - a) mod n fixes
-    a = (v - j) mod n in the same way (need is None when j is None: any
-    length).  So the candidate is cut as soon as that residue is 0, as soon
-    as the run grows past need, and when it closes a block of another
-    length.  `above` is the value for the row above, None for the first.
+    A prefix test for the content walk, with its window: the candidate
+    part v, the part v1 of the row above, and `above`, this test's value
+    for the row above (None for the first row); it reads neither `starts`
+    nor the row index r.  Its value for a row is (a, need): the row ends a
+    run of a equal parts, the open block, whose length the congruence
+    forces to be need.  Once the block (v1, a1) before the open block
+    (v, a) is closed, a1 + v1 - v + a ≡ 0 (mod n) and 1 <= a <= n - 1
+    (n-regularity) fix a = (v - v1 - a1) mod n; for the first block,
+    j = (v - a) mod n fixes a = (v - j) mod n in the same way (need is
+    None when j is None: any length).  So the candidate is cut as soon as
+    that residue is 0, as soon as the run grows past need, and when it
+    closes a block of another length.
     """
-    v = parts[-1]
     if above is None:  # the first row opens the first block
         a, need = 1, None if j is None else (v - j) % n
     else:
         a, need = above
-        v1 = parts[-2]
         if v == v1:
             a += 1
         elif need is None or a == need:
@@ -157,6 +163,16 @@ def fow_prefix(
         else:
             return None
     return (a, need) if need is None or a <= need else None
+
+
+def fow_close(v: int, r: int, value) -> bool:
+    """Whether the last block closes at the length the congruence forces.
+
+    `value` is `fow_prefix`'s (a, need) for the last row; every earlier
+    block was checked when the block after it opened.
+    """
+    a, need = value
+    return a == need
 
 
 def configuration_sums(n: int, j: int, order: int) -> dict[tuple[int, ...], list[int]]:
@@ -218,29 +234,17 @@ def configuration_sums(n: int, j: int, order: int) -> dict[tuple[int, ...], list
     return sums
 
 
-def _census(n: int, counts: tuple[int, ...], prefix) -> tuple[Partition, ...]:
-    """The n-regular partitions of residue content `counts` whose row prefixes pass."""
-    return tuple(regular_partitions_with_content(n, counts, prefix))
+def _census(n: int, counts: tuple[int, ...], prefix, close) -> int:
+    """How many n-regular partitions of content `counts` pass a route's prefix and close tests."""
+    return count_regular_partitions_with_content(n, counts, prefix, close)
 
 
-def _class_members(n: int, j: int, k: int, d: int, prefix) -> tuple[Partition, ...]:
+def _class_members(n: int, j: int, k: int, d: int, prefix, close) -> int:
+    """How many members of class (j, k) have d residue-0 nodes, by one route's tests."""
     counts = class_residue_counts(n, j, k, d)
     if counts is None:
-        return ()
-    return _census(n, counts, prefix)
-
-
-def _crystal_member(p: Partition, n: int, j: int) -> bool:
-    """Eps-profile membership for index j; class members are n-regular already."""
-    return not p or eps_index(p, n) == j
-
-
-def _count_members(n, j, k, order, member, prefix) -> tuple[int, ...]:
-    """Members of class (j, k) by residue-0 nodes: the walk pruned by `prefix`, then `member`."""
-    return tuple(
-        sum(1 for p in _class_members(n, j, k, d, prefix) if member(p, n, j))
-        for d in range(order + 1)
-    )
+        return 0
+    return _census(n, counts, prefix, close)
 
 
 def class_paths_series(
@@ -261,15 +265,20 @@ def _paths_series(n: int, j: int, k: int, order: int) -> tuple[int, ...]:
 
 
 def _fow_series(n: int, j: int, k: int, order: int) -> tuple[int, ...]:
-    return _count_members(
-        n, j, k, order, in_fow, lambda parts, above: fow_prefix(parts, above, n, j)
-    )
+    def prefix(v, v1, starts, r, above):
+        return fow_prefix(v, v1, starts, r, above, n, j)
+
+    return tuple(_class_members(n, j, k, d, prefix, fow_close) for d in range(order + 1))
 
 
 def _crystal_series(n: int, j: int, k: int, order: int) -> tuple[int, ...]:
-    return _count_members(
-        n, j, k, order, _crystal_member, lambda parts, above: eps_prefix(parts, above, n, j)
-    )
+    def prefix(v, v1, starts, r, above):
+        return eps_prefix(v, v1, starts, r, above, n, j)
+
+    def close(v, r, value):
+        return eps_close(v, r, value, n, j)
+
+    return tuple(_class_members(n, j, k, d, prefix, close) for d in range(order + 1))
 
 
 def _fermionic_series(n: int, j: int, k: int, order: int) -> tuple[int, ...]:
@@ -281,9 +290,9 @@ def branching_series(n: int, j: int, k: int, order: int, method: str) -> tuple[i
     """Coefficients of b(j, k) up to q^order by the named route.
 
     "paths" sums the path configurations by transfer matrix; "fow" and
-    "crystal" walk the class's residue contents, each pruned by its own
-    prefix test, and count the partitions passing that route's membership
-    test; "fermionic" evaluates the lattice sum.
+    "crystal" count the class's members per residue content with a
+    memoized walk, each pruned by its own prefix test and closed by its own
+    test on the last row; "fermionic" evaluates the lattice sum.
     """
     check_rank(n)
     check_order(order)

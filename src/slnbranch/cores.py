@@ -19,7 +19,11 @@ cores of bounded size from the charges, without filtering partitions.
 
 The residue content fixes the n-core and the n-weight (Nakayama's
 conjecture; James & Kerber 1981, 2.7), so the n-regular partitions of one
-content -- one block -- are generated directly by a pruned walk.
+content -- one block -- are generated directly by a pruned walk.  Next to
+that listing walk, a counting walk makes the same row choices and counts
+the partitions that a caller's tests on the row prefixes and on the last
+row pass, memoizing the count of completions on the small state the
+future of the walk depends on, so nothing is listed.
 """
 
 from __future__ import annotations
@@ -205,7 +209,7 @@ def _add_row(rem: list[int], r: int, a: int, sign: int) -> int:
 
 
 def regular_partitions_with_content(
-    n: int, counts, prefix: Callable[[list[int], Any], Any] | None = None
+    n: int, counts, prefix: Callable[..., Any] | None = None
 ) -> Iterator[Partition]:
     """The n-regular partitions with residue content `counts`, decreasing lex.
 
@@ -223,22 +227,35 @@ def regular_partitions_with_content(
     part, which is cut by size: an n-regular partition with largest part a
     has at most (n - 1) a (a + 1) / 2 nodes.
 
-    `prefix`, if given, is called as prefix(parts, above) on the placed
-    rows, the last of which is the candidate, after the content cut passes.
-    `above` is what the call for the row above the candidate returned, and
-    None for the first row; the walk keeps one such value per placed row,
-    so a test can carry its state down the rows and check only what the
+    `prefix`, if given, is called on each candidate row after the content
+    cut passes, with a window of the placed rows: prefix(v, v1, starts, r,
+    above), where v is the candidate part, v1 the part of the row above
+    (None for the first row), starts whether that row above begins its run
+    of equal parts, r the candidate's 0-based row index mod n, and above
+    what the call for the row above returned (None for the first row).  So
+    a test carries its state down the rows and checks only what the
     candidate settles.  A falsy return shrinks the candidate just as the
     content cut does.  Only partitions all of whose row prefixes pass are
     yielded, so a prefix test that passes every prefix of a member is a
     pure speed-up for a caller that tests the members themselves.  The
     arguments are checked when this is called, not when the walk starts.
     """
+    return _content_walk(n, _content(n, counts), prefix)
+
+
+def _content(n: int, counts) -> list[int]:
+    """A fresh list of `counts` for a walk to consume, once n and its length are checked."""
     check_rank(n)
     rem = list(counts)
     if len(rem) != n:
         raise ValueError(f"expected {n} residue counts, got {len(rem)}")
-    return _content_walk(n, rem, prefix)
+    return rem
+
+
+def _open_part(n: int, rem: list[int], left: int, r: int, top: int) -> int:
+    """The largest part row r can take below `top`: residue x runs out at use rem[x] + 1."""
+    start = -r % n
+    return min(left, top, min(n * rem[x] + (x - start) % n for x in range(n)))
 
 
 def _content_walk(n: int, rem: list[int], prefix) -> Iterator[Partition]:
@@ -254,15 +271,14 @@ def _content_walk(n: int, rem: list[int], prefix) -> Iterator[Partition]:
     spread = _spread(rem)
     while True:
         # Open row r with the largest part that the row above, the nodes
-        # left and the content allow: residue x runs out at the
-        # (rem[x] + 1)-th use.  Parts weakly decrease, so the row above ends
-        # a run of cap equal parts exactly when parts[-cap] equals it.
+        # left and the content allow.  Parts weakly decrease, so the row
+        # above ends a run of cap equal parts exactly when parts[-cap]
+        # equals it.
         r = len(parts)
-        start = -r % n
         top = parts[-1] if parts else left
         if r >= cap and parts[-cap] == top:
             top -= 1
-        a = min(left, top, min(n * rem[x] + (x - start) % n for x in range(n)))
+        a = _open_part(n, rem, left, r, top)
         fresh = a > 0 and 2 * left <= cap * a * (a + 1)
         if fresh:
             spread += _add_row(rem, r, a, -1)
@@ -272,7 +288,14 @@ def _content_walk(n: int, rem: list[int], prefix) -> Iterator[Partition]:
         while parts:
             r = len(parts) - 1
             if fresh and spread <= 2 * rem[(-r - 1) % n]:
-                states[r] = prefix is None or prefix(parts, states[r - 1] if r else None)
+                if prefix is None:
+                    states[r] = True
+                elif r:
+                    v1 = parts[r - 1]
+                    starts = r == 1 or parts[r - 2] > v1
+                    states[r] = prefix(parts[r], v1, starts, r % n, states[r - 1])
+                else:
+                    states[r] = prefix(parts[r], None, False, 0, None)
                 if states[r]:
                     if left:
                         break
@@ -297,6 +320,105 @@ def _content_walk(n: int, rem: list[int], prefix) -> Iterator[Partition]:
             fresh = False
         else:
             return
+
+
+def count_regular_partitions_with_content(
+    n: int, counts, prefix: Callable[..., Any], close: Callable[[int, int, Any], Any]
+) -> int:
+    """How many partitions `regular_partitions_with_content` yields that `close` accepts.
+
+    close(v, r, value) is asked of the last row of each partition that the
+    walk pruned by `prefix` would yield: v is its part, r its row index mod
+    n and value what prefix returned for it.  The empty partition, the one
+    member of the zero content, is counted without it.
+
+    The walk makes the same row choices but lists nothing.  Below a placed
+    row, the cuts, the prefix window and the close test read only the
+    content left, the next row's index mod n, the row's part and the length
+    of its run, and the prefix value for the row; so the number of
+    completions is a function of that state, and is memoized on it for
+    the length of one call.  That holds only when prefix and close read
+    nothing but their arguments.
+    """
+    rem = _content(n, counts)
+    left = sum(rem)
+    if min(rem) < 0 or core_size_of_content(rem) > left:
+        return 0
+    if not left:
+        return 1
+    cap = n - 1
+    memo: dict = {}
+    parts: list[int] = []  # placed rows; the last one is the candidate
+    runs: list[int] = []  # the run length of each placed row
+    states: list = []  # what `prefix` returned for each placed row
+    keys: list = []  # the memo key of the state below each row descended from
+    totals = [0]  # completions counted so far by the choices for each open row
+    spread = _spread(rem)
+    while True:
+        r = len(parts)
+        top = parts[-1] if parts else left
+        if r and runs[-1] == cap:
+            top -= 1
+        a = _open_part(n, rem, left, r, top)
+        fresh = a > 0 and 2 * left <= cap * a * (a + 1)
+        if fresh:
+            spread += _add_row(rem, r, a, -1)
+            left -= a
+            parts.append(a)
+            runs.append(1)
+            states.append(None)
+        else:  # row r cannot open: the state above it has no completion
+            totals.pop()
+            if not r:
+                return 0
+            memo[keys.pop()] = 0
+        while True:
+            r = len(parts) - 1
+            a = parts[r]
+            if fresh and spread <= 2 * rem[(-r - 1) % n]:
+                if r:
+                    v1 = parts[r - 1]
+                    runs[r] = run = runs[r - 1] + 1 if v1 == a else 1
+                    value = prefix(a, v1, runs[r - 1] == 1, r % n, states[r - 1])
+                else:
+                    run = 1
+                    value = prefix(a, None, False, 0, None)
+                if value:
+                    if not left:
+                        totals[r] += bool(close(a, r % n, value))
+                    else:
+                        key = (tuple(rem), (r + 1) % n, a, run, value)
+                        done = memo.get(key)
+                        if done is None:
+                            states[r] = value
+                            keys.append(key)
+                            totals.append(0)
+                            break
+                        totals[r] += done
+            # Shrink row r by one node, or drop the row once no smaller
+            # part can hold the nodes left; a dropped row's total is the
+            # count of the state above it.
+            x = (a - 1 - r) % n
+            spread += 2 * (2 * rem[x] - rem[x - 1] - rem[(x + 1) % n] + 1)
+            rem[x] += 1
+            left += 1
+            a -= 1
+            if a and 2 * (left + a) <= cap * a * (a + 1):
+                parts[r] = a
+                fresh = True
+                continue
+            if a:
+                spread += _add_row(rem, r, a, 1)
+                left += a
+            parts.pop()
+            runs.pop()
+            states.pop()
+            fresh = False
+            done = totals.pop()
+            if not r:
+                return done
+            memo[keys.pop()] = done
+            totals[r - 1] += done
 
 
 def block_dimension(n: int, m: int, mu: Partition) -> int:

@@ -102,40 +102,59 @@ def eps_index(p: Partition, n: int) -> int | None:
     return eps.index(1) if sum(eps) == 1 else None
 
 
-def eps_prefix(parts, above, n: int, j: int) -> tuple[int, list[int]] | None:
-    """Carry the eps of the rows above the last row of `parts`; None once it exceeds e_j.
+def eps_prefix(
+    v: int, v1: int | None, starts: bool, r: int, above, n: int, j: int
+) -> tuple[int, tuple[int, ...]] | None:
+    """Carry the eps of the rows above a candidate row; None once it exceeds e_j.
 
-    A prefix test for the content walk, the last row being the candidate:
-    the rows above it have their lower neighbours placed, so their removable
-    nodes are settled, and a surviving "-" is cancelled only by a "+" above
-    it.  Their eps vector is therefore a lower bound for the eps vector of
-    every partition that begins with `parts`.
+    A prefix test for the content walk, with its window: the candidate
+    part v, the part v1 of the row above, whether that row starts its run,
+    the candidate's row index r mod n, and `above`, this test's value for
+    the row above (None for the first row).  The rows above the candidate
+    have their lower neighbours placed, so their removable nodes are
+    settled, and a surviving "-" is cancelled only by a "+" above it.
+    Their eps vector is therefore a lower bound for the eps vector of
+    every partition that begins with them.
 
     It runs one step of `_scan`.  Its value for a row is (eps_j, plus): the
     eps vector of the settled rows, which is eps_j e_j on every prefix that
-    passes, and their count of surviving "+" per residue.  `above` is that
-    value for the row above (None for the first row, which settles
-    nothing); the candidate settles the row above it, whose removable node
-    cancels a "+" of its residue or else raises eps, and whose addable node
-    adds a "+".
+    passes, and their count of surviving "+" per residue.  The first row
+    settles nothing.  Each later candidate settles the row above it (row r,
+    counted from 1), whose removable node, there when v1 > v, cancels a "+"
+    of its residue or else raises eps, and whose addable node, there when
+    it starts its run, adds a "+".  Inside a run neither is there, and the
+    value is `above` itself.
     """
-    r = len(parts) - 1
-    if not r:
-        return 0, [0] * n
+    if above is None:
+        return 0, (0,) * n
+    if v1 == v and not starts:
+        return above
     eps, plus = above
     plus = list(plus)
-    cur = parts[r - 1]  # the part of row r, counted from 1
-    if cur > parts[r]:
-        x = (cur - r) % n
+    if v1 > v:
+        x = (v1 - r) % n
         if plus[x]:
             plus[x] -= 1
         elif x != j or eps:
             return None
         else:
             eps = 1
-    if r == 1 or parts[r - 2] > cur:
-        plus[(cur + 1 - r) % n] += 1
-    return eps, plus
+    if starts:
+        plus[(v1 + 1 - r) % n] += 1
+    return eps, tuple(plus)
+
+
+def eps_close(v: int, r: int, value, n: int, j: int) -> bool:
+    """Whether the last row of a walked partition leaves eps = e_j.
+
+    The empty row below the last row (index r mod n from 0, part v)
+    settles its removable node.  `value` is `eps_prefix`'s value for that
+    row; the node cancels a surviving "+" of its residue, leaving eps as
+    it was, or else raises eps_j from 0.  Either way eps must end at e_j.
+    """
+    eps, plus = value
+    x = (v - r - 1) % n
+    return eps == 1 if plus[x] else x == j and not eps
 
 
 def e_tilde(p: Partition, n: int, i: int) -> Partition | None:

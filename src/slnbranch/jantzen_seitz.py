@@ -43,10 +43,11 @@ def is_js(p: Partition, n: int) -> bool:
 def is_js_by_crystal(p: Partition, n: int) -> bool:
     """Eps-profile test: at most one nonzero eps_i, and that one equals 1.
 
-    p is validated by `as_partition` first, as in `is_js`.
+    Only n-regular partitions qualify.  p is validated once, by the eps
+    scan (`eps_index` through `epsilon_vector` runs `as_partition`), before
+    the regularity verdict, so malformed input raises as in `is_js`.
     """
-    p = as_partition(p)
-    return is_n_regular(p, n) and eps_index(p, n) is not None
+    return eps_index(p, n) is not None and is_n_regular(p, n)
 
 
 def js_set(n: int, mu: Partition, d: int) -> list[Partition]:
@@ -63,7 +64,7 @@ def js_set(n: int, mu: Partition, d: int) -> list[Partition]:
         return []
     counts = [c + d for c in residue_counts(mu, n)]
     walk = regular_partitions_with_content(
-        n, counts, lambda parts, above: fow_prefix(parts, above, n)
+        n, counts, lambda v, v1, starts, r, above: fow_prefix(v, v1, starts, r, above, n)
     )
     return [p for p in walk if is_js(p, n)]
 

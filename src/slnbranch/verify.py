@@ -123,6 +123,7 @@ def verify_crystal(n: int, max_size: int) -> VerificationReport:
     check_rank(n)
     with VerificationReport(suite=f"crystal(n={n}, max_size={max_size})") as report:
         graph = build_component(n, max_size)
+        roots = [simple_root(n, i) for i in range(n)]
         counts = graph.counts_by_size()
         regular = Counter(map(sum, partitions_up_to(max_size, regular=n)))
         for size in range(max_size + 1):
@@ -167,7 +168,7 @@ def verify_crystal(n: int, max_size: int) -> VerificationReport:
                         problems.append("raising does not invert lowering")
                     # Inside the size bound down is a vertex, weighed when built.
                     wt = graph.wt[down] if size < max_size else weight_of(down, n)
-                    if wt != graph.wt[p] - simple_root(n, i):
+                    if wt != graph.wt[p] - roots[i]:
                         problems.append("edge does not shift weight by the simple root")
                     if (eps2[i], len(plus2[i])) != (eps_i + 1, phi_i - 1):
                         problems.append("statistics do not step by one along the edge")

@@ -239,6 +239,47 @@ def shell_lattice_points(n: int, s: int, t: int, order: int, bound: int | None =
     return sorted(points)
 
 
+def crystal_member(p, n: int, j: int) -> bool:
+    """Eps-profile membership for index j of an n-regular partition: eps(p) = e_j, or p empty."""
+    from slnbranch.crystal import eps_index
+
+    return not p or eps_index(p, n) == j
+
+
+def listed_series(n: int, j: int, k: int, order: int) -> dict:
+    """Reference for the two counting routes: list each class bucket, then filter its leaves.
+
+    For each d it lists the members of the class (j, k) content with d
+    residue-0 nodes that the listing walk yields under each route's prefix
+    test, and counts those that pass the route's membership test, as the
+    routes did before they counted.  The prefix tests only prune (the tests
+    check that against the unpruned walk), so this reaches orders that
+    `filtered_bucket_series` cannot.
+    """
+    from slnbranch.branching import class_residue_counts, fow_prefix, in_fow
+    from slnbranch.cores import regular_partitions_with_content
+    from slnbranch.crystal import eps_prefix
+
+    routes = {
+        "fow": (fow_prefix, in_fow),
+        "crystal": (eps_prefix, crystal_member),
+    }
+    coeffs = {route: [0] * (order + 1) for route in routes}
+    j %= n
+    for d in range(order + 1):
+        counts = class_residue_counts(n, j, k, d)
+        if counts is None:
+            continue
+        for route, (test, member) in routes.items():
+
+            def prefix(v, v1, starts, r, above, test=test):
+                return test(v, v1, starts, r, above, n, j)
+
+            walk = regular_partitions_with_content(n, counts, prefix)
+            coeffs[route][d] = sum(1 for p in walk if member(p, n, j))
+    return {route: tuple(c) for route, c in coeffs.items()}
+
+
 def filtered_bucket_series(n: int, j: int, k: int, order: int) -> dict:
     """Reference for the three enumeration routes: filter whole class buckets.
 
@@ -249,15 +290,10 @@ def filtered_bucket_series(n: int, j: int, k: int, order: int) -> dict:
     tests check against brute-force enumeration; what it leaves out is the
     transfer matrix and the prefix pruning of the routes under test.
     """
-    from slnbranch.branching import (
-        _crystal_member,
-        class_residue_counts,
-        in_fow,
-        in_path_set,
-    )
+    from slnbranch.branching import class_residue_counts, in_fow, in_path_set
     from slnbranch.cores import regular_partitions_with_content
 
-    members = {"paths": in_path_set, "fow": in_fow, "crystal": _crystal_member}
+    members = {"paths": in_path_set, "fow": in_fow, "crystal": crystal_member}
     coeffs = {route: [0] * (order + 1) for route in members}
     j %= n
     for d in range(order + 1):
@@ -270,16 +306,22 @@ def filtered_bucket_series(n: int, j: int, k: int, order: int) -> dict:
     return {route: tuple(c) for route, c in coeffs.items()}
 
 
-def prefix_value(prefix, p):
+def prefix_value(prefix, p, n: int):
     """Carry a content-walk prefix test down the rows of p, as the walk does.
 
-    Each row's call gets the value returned for the row above (None for the
-    first row).  Returns the value for the last row, or the first falsy
-    value; True for the empty partition, which the walk yields untested.
+    Each row's call gets the walk's window: the row's part, the part above
+    it (None for the first row), whether that row above starts its run, the
+    row's 0-based index mod n, and the value returned for the row above
+    (None for the first row).  The run starts are read off p here, by
+    comparing neighbours, not carried as the walk carries them.  Returns
+    the value for the last row, or the first falsy value; True for the
+    empty partition, which the walk yields untested.
     """
     above = None
-    for r in range(1, len(p) + 1):
-        above = prefix(p[:r], above)
+    for r, v in enumerate(p):
+        v1 = p[r - 1] if r else None
+        starts = r == 1 or (r > 1 and p[r - 2] > v1)
+        above = prefix(v, v1, starts, r % n, above)
         if not above:
             return above
     return True if above is None else above

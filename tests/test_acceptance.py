@@ -182,7 +182,8 @@ def test_criterion_8_crystal_axioms_and_figure_surrogate():
 
 def test_criterion_9_four_routes_agree_at_the_frontier():
     start = time.perf_counter()
-    for n, order in ((4, 20), (5, 16), (6, 12), (4, 24), (5, 20)):
+    frontier = ((4, 20), (5, 16), (6, 12), (4, 24), (5, 20), (4, 36), (5, 28), (6, 22), (3, 45))
+    for n, order in frontier:
         rows = {
             method: branching_series(n, 1, 0, order, method)
             for method in ("paths", "fow", "crystal", "fermionic")
@@ -190,7 +191,8 @@ def test_criterion_9_four_routes_agree_at_the_frontier():
         assert len(set(rows.values())) == 1, (n, order, rows)
     _stamp(
         9,
-        "four routes agree on class (1,0) at (4,20), (5,16), (6,12), (4,24), (5,20)",
+        "four routes agree on class (1,0) at (4,20), (5,16), (6,12), (4,24), (5,20), "
+        "(4,36), (5,28), (6,22), (3,45)",
         start,
         30,
     )

@@ -15,10 +15,16 @@ from slnbranch import (
     verify_fow_theorem,
     weight_of,
 )
-from slnbranch.branching import METHODS, configuration_sums, fow_prefix
-from slnbranch.crystal import _scan, eps_index, eps_prefix
+from slnbranch.branching import METHODS, configuration_sums, fow_close, fow_prefix
+from slnbranch.crystal import _scan, eps_close, eps_index, eps_prefix
 
-from oracles import dominant_path, filtered_bucket_series, path_coordinates, prefix_value
+from oracles import (
+    dominant_path,
+    filtered_bucket_series,
+    listed_series,
+    path_coordinates,
+    prefix_value,
+)
 
 # the six worked n=3 series (orders as displayed: three terms each)
 EXAMPLE_TABLE = {
@@ -268,6 +274,60 @@ class TestRoutesAgainstFilteredBuckets:
                     assert len(labels) == 2 and sum(labels) % n == j, (n, j, lam)
 
 
+class TestCountingRoutes:
+    """fow and crystal count what the listing walk lists and the leaf tests keep."""
+
+    @pytest.mark.parametrize("n,order", [(2, 12), (3, 12), (4, 12), (5, 10), (6, 9)])
+    def test_every_class_equals_the_filtered_listing(self, n, order):
+        for j in range(n):
+            for k in range(n):
+                expected = listed_series(n, j, k, order)
+                for route in ("fow", "crystal"):
+                    got = branching_series(n, j, k, order, route)
+                    assert got == expected[route], (n, j, k, route)
+
+    @pytest.mark.parametrize("n", [2, 3, 4, 5])
+    def test_close_decides_every_walked_partition(self, n):
+        # On a partition all of whose row prefixes pass, the closing test on
+        # its last row is the route's membership test.
+        for p in partitions_up_to(12, regular=n):
+            if not p:
+                continue
+            r = (len(p) - 1) % n
+            for j in range(n):
+                value = prefix_value(fow(n, j), p, n)
+                if value:
+                    assert fow_close(p[-1], r, value) == in_fow(p, n, j), (p, j)
+                value = prefix_value(crystal(n, j), p, n)
+                if value:
+                    assert eps_close(p[-1], r, value, n, j) == (eps_index(p, n) == j), (p, j)
+
+    def test_close_examples(self):
+        # (3, 3) at n = 3 is the one block (3, 2), so j = 1; (3,) is the
+        # block (3, 1), j = 2, short of the two rows j = 1 forces on it.
+        assert fow_close(3, 1, prefix_value(fow(3, 1), (3, 3), 3))
+        assert not fow_close(3, 0, prefix_value(fow(3, 1), (3,), 3))
+        # (2, 1) at n = 3: row 1's removable node, residue 1, raises eps_1,
+        # and its addable node leaves a "+" of residue 2, which row 2's
+        # removable node, residue 2, cancels: eps = e_1.
+        value = prefix_value(crystal(3, 1), (2, 1), 3)
+        assert value == (1, (0, 0, 1)) and eps_close(1, 1, value, 3, 1)
+        # (2,) and (2, 2): a lone removable node of residue 1, resp. 0.
+        first = (0, (0, 0, 0))
+        assert eps_close(2, 0, first, 3, 1) and not eps_close(2, 0, first, 3, 0)
+        value = prefix_value(crystal(3, 0), (2, 2), 3)
+        assert eps_close(2, 1, value, 3, 0) and not eps_close(2, 1, value, 3, 1)
+
+    def test_eps_prefix_keeps_the_value_inside_a_run(self):
+        # A candidate equal to a row above that does not start its run
+        # settles no node, so the value is handed on as it is, not copied.
+        # If that row starts its run, its addable node (row 2 of part 3 at
+        # n = 3, residue 2) adds a "+".
+        value = (1, (0, 2, 0))
+        assert eps_prefix(3, 3, False, 2, value, 3, 0) is value
+        assert eps_prefix(3, 3, True, 2, value, 3, 0) == (1, (0, 2, 1))
+
+
 class TestPrefixTests:
     """No prefix of a member is cut, so the prunes are pure speed-ups."""
 
@@ -276,45 +336,46 @@ class TestPrefixTests:
         for p in partitions_up_to(14, regular=n):
             j = fow_index(p, n)
             if j is not None:
-                assert prefix_value(fow(n, j), p), p
-                assert prefix_value(fow(n), p), p
+                assert prefix_value(fow(n, j), p, n), p
+                assert prefix_value(fow(n), p, n), p
             j = eps_index(p, n)
             if j is not None:
-                assert prefix_value(crystal(n, j), p), p
+                assert prefix_value(crystal(n, j), p, n), p
 
     def test_prefixes_cut(self):
         # (3, 1) closes the first block (3, 1), which gives j = 2 at n = 3,
         # so for j = 1 it is cut.  For j = 2, (3, 2) passes: the next block
         # (2, a2) needs a2 ≡ 2 - 3 - 1 ≡ 1 (for (3, 1) see the open-block test).
-        assert not prefix_value(fow(3, 1), (3, 1))
-        assert prefix_value(fow(3, 2), (3, 2))
+        assert not prefix_value(fow(3, 1), (3, 1), 3)
+        assert prefix_value(fow(3, 2), (3, 2), 3)
         # (3, 2) closes the first block (3, 1), but j = 1 needs length 2.
-        assert prefix_value(fow(3, 1), (3, 3)) and not prefix_value(fow(3, 1), (3, 2))
+        assert prefix_value(fow(3, 1), (3, 3), 3) and not prefix_value(fow(3, 1), (3, 2), 3)
         # At n = 4, (5, 4) forces a block (4, a2) with a2 ≡ 4 - 5 - 1 ≡ 2,
         # so (5, 4, 3) closes it one row too early.
-        assert prefix_value(fow(4), (5, 4, 4)) and not prefix_value(fow(4), (5, 4, 3))
+        assert prefix_value(fow(4), (5, 4, 4), 4) and not prefix_value(fow(4), (5, 4, 3), 4)
         # (4, 2, 1) at n = 3 with no fixed j: the first block may have any
         # length, but (4, 2) already needs a block (2, a2) with
         # a2 ≡ 2 - 4 - 1 ≡ 0, so the cut comes one row before (4, 2, 1).
-        assert prefix_value(fow(3), (4,)) and not prefix_value(fow(3), (4, 2))
+        assert prefix_value(fow(3), (4,), 3) and not prefix_value(fow(3), (4, 2), 3)
         # (5, 4, ...): 1 + 5 - 4 + a2 ≡ 0 forces a2 = 1, so a second 4 is cut.
-        assert prefix_value(fow(3), (5, 4)) and not prefix_value(fow(3), (5, 4, 4))
+        assert prefix_value(fow(3), (5, 4), 3) and not prefix_value(fow(3), (5, 4, 4), 3)
         # The rows above the candidate of (4, 2, 1) hold removable nodes of
         # residue 0 with no "+" between, so eps_0 >= 2 whatever follows.
-        assert prefix_value(crystal(3, 0), (4, 2))
-        assert not prefix_value(crystal(3, 0), (4, 2, 1))
+        assert prefix_value(crystal(3, 0), (4, 2), 3)
+        assert not prefix_value(crystal(3, 0), (4, 2, 1), 3)
         # Row 1 of (3, 1) holds a removable node of residue 2.
-        assert prefix_value(crystal(3, 2), (3, 1)) and not prefix_value(crystal(3, 0), (3, 1))
+        assert prefix_value(crystal(3, 2), (3, 1), 3)
+        assert not prefix_value(crystal(3, 0), (3, 1), 3)
         # The candidate's own removable node is not settled yet.
-        assert prefix_value(crystal(3, 0), (3,))
+        assert prefix_value(crystal(3, 0), (3,), 3)
 
     def test_open_fow_block_is_cut(self):
         # At n = 3 the first block of (3, ...) must have length (3 - j) mod 3.
-        assert not prefix_value(fow(3, 0), (3,))
-        assert prefix_value(fow(3, 2), (3,)) and not prefix_value(fow(3, 2), (3, 3))
+        assert not prefix_value(fow(3, 0), (3,), 3)
+        assert prefix_value(fow(3, 2), (3,), 3) and not prefix_value(fow(3, 2), (3, 3), 3)
         # (3, 1) closes the block (3, 1) of j = 2, and then the block
         # (1, a2) would need a2 ≡ 1 - 3 - 1 ≡ 0.
-        assert not prefix_value(fow(3, 2), (3, 1))
+        assert not prefix_value(fow(3, 2), (3, 1), 3)
 
     def test_eps_prefix_carries_the_scan(self):
         # Stepping down the rows gives the eps_j and "+" counts of one scan
@@ -323,16 +384,16 @@ class TestPrefixTests:
             for r in range(2, len(p) + 1):
                 eps, plus, _ = _scan(p[:r], 3)
                 for j in range(3):
-                    value = prefix_value(crystal(3, j), p[:r])
+                    value = prefix_value(crystal(3, j), p[:r], 3)
                     if eps[j] <= 1 and sum(eps) == eps[j]:
-                        assert value == (eps[j], [len(rows) for rows in plus]), (p, r, j)
+                        assert value == (eps[j], tuple(len(rows) for rows in plus)), (p, r, j)
                     else:
                         assert not value, (p, r, j)
 
 
 def fow(n, j=None):
-    return lambda parts, above: fow_prefix(parts, above, n, j)
+    return lambda v, v1, starts, r, above: fow_prefix(v, v1, starts, r, above, n, j)
 
 
 def crystal(n, j):
-    return lambda parts, above: eps_prefix(parts, above, n, j)
+    return lambda v, v1, starts, r, above: eps_prefix(v, v1, starts, r, above, n, j)

@@ -20,12 +20,18 @@ from slnbranch import (
     regular_partitions_with_content,
     residue_counts,
 )
-from slnbranch.branching import fow_prefix
-from slnbranch.cores import _add_row, _charge_bound, _spread
-from slnbranch.crystal import eps_prefix
+from slnbranch.branching import fow_close, fow_prefix, in_fow
+from slnbranch.cores import (
+    _add_row,
+    _charge_bound,
+    _spread,
+    count_regular_partitions_with_content,
+)
+from slnbranch.crystal import eps_close, eps_prefix
 from oracles import (
     abacus_core,
     charge_vector,
+    crystal_member,
     filtered_n_cores,
     prefix_value,
     rim_hook_core,
@@ -224,20 +230,29 @@ class TestContentWalk:
 
     @pytest.mark.parametrize("n,max_size", [(2, 14), (3, 14), (4, 12)])
     def test_prefix_keeps_exactly_the_partitions_whose_prefixes_pass(self, n, max_size):
-        def tracked(parts, above):
-            # The walk hands each row the value returned for the row above.
-            assert above == (tuple(parts[:-1]) or None), (parts, above)
-            return tuple(parts) if parts[-1] != 2 else None
+        def tracked(v, v1, starts, r, above):
+            # The walk hands each row its window and the value returned for
+            # the row above; here that value is every row placed so far.
+            rows = above or ()
+            assert v1 == (rows[-1] if rows else None), (rows, v)
+            assert starts == (len(rows) == 1 or len(rows) > 1 and rows[-2] > rows[-1]), (rows, v)
+            assert r == len(rows) % n, (rows, v, r)
+            return rows + (v,) if v != 2 else None
 
-        tests = [tracked, lambda parts, above: fow_prefix(parts, above, n)]
+        tests = [tracked, lambda v, v1, starts, r, above: fow_prefix(v, v1, starts, r, above, n)]
         for j in range(n):
-            tests.append(lambda parts, above, j=j: fow_prefix(parts, above, n, j))
-            tests.append(lambda parts, above, j=j: eps_prefix(parts, above, n, j))
-        tests.append(lambda parts, above: parts[-1] != 2 and len(parts) < 4)
+            tests.append(
+                lambda v, v1, starts, r, above, j=j: fow_prefix(v, v1, starts, r, above, n, j)
+            )
+            tests.append(
+                lambda v, v1, starts, r, above, j=j: eps_prefix(v, v1, starts, r, above, n, j)
+            )
+        # The value counts the rows placed, so no member has more than three.
+        tests.append(lambda v, v1, s, r, above: v != 2 and (above or 0) < 3 and (above or 0) + 1)
         for size in range(max_size + 1):
             for counts, members in filtered_census(n, size).items():
                 for prefix in tests:
-                    expected = [p for p in members if prefix_value(prefix, p)]
+                    expected = [p for p in members if prefix_value(prefix, p, n)]
                     assert list(regular_partitions_with_content(n, counts, prefix)) == expected
 
     def test_add_row_returns_the_change_of_spread(self):
@@ -254,6 +269,76 @@ class TestContentWalk:
         for p in partitions_up_to(12):
             for n in (2, 3, 4, 5):
                 assert core_size_of_content(residue_counts(p, n)) == sum(n_core(p, n))
+
+
+@st.composite
+def residue_contents(draw):
+    """(n, counts): the content of a partition of size <= 14, one count nudged by -1, 0 or 1."""
+    n = draw(st.integers(2, 5))
+    p = draw(st.sampled_from(list(partitions_of(draw(st.integers(0, 14))))))
+    counts = list(residue_counts(p, n))
+    r = draw(st.integers(0, n - 1))
+    counts[r] = max(0, counts[r] + draw(st.integers(-1, 1)))
+    return n, tuple(counts)
+
+
+class TestContentCount:
+    @settings(max_examples=150, deadline=None)
+    @given(residue_contents())
+    def test_counts_the_filtered_listing_walk(self, case):
+        # For each route and j: the memoized count with the route's prefix
+        # and close tests is the unpruned listing walk filtered by the
+        # route's membership test.
+        n, counts = case
+        members = list(regular_partitions_with_content(n, counts))
+        for j in range(n):
+
+            def fow(v, v1, starts, r, above):
+                return fow_prefix(v, v1, starts, r, above, n, j)
+
+            def crystal(v, v1, starts, r, above):
+                return eps_prefix(v, v1, starts, r, above, n, j)
+
+            def crystal_close(v, r, value):
+                return eps_close(v, r, value, n, j)
+
+            got = count_regular_partitions_with_content(n, counts, fow, fow_close)
+            assert got == sum(in_fow(p, n, j) for p in members), (n, counts, j)
+            got = count_regular_partitions_with_content(n, counts, crystal, crystal_close)
+            assert got == sum(crystal_member(p, n, j) for p in members), (n, counts, j)
+
+    def test_empty_and_impossible_contents(self):
+        def never(*args):
+            raise AssertionError("no row to test")
+
+        assert count_regular_partitions_with_content(3, (0, 0, 0), never, never) == 1
+        assert count_regular_partitions_with_content(2, (0, 1), never, never) == 0
+        assert count_regular_partitions_with_content(2, (-1, 2), never, never) == 0
+
+    def test_counts_what_the_prefix_and_close_pass(self):
+        # With tests that pass everything it counts the whole content; the
+        # close sees each member's last part and its row index mod n.
+        def anything(*window):
+            return True
+
+        for counts in ((2, 2, 2), (4, 3, 3), (5, 5, 4)):
+            members = list(regular_partitions_with_content(3, counts))
+            assert count_regular_partitions_with_content(3, counts, anything, anything) == len(
+                members
+            )
+            ends = Counter((p[-1], (len(p) - 1) % 3) for p in members)
+            for (v, r), many in ends.items():
+
+                def close(v2, r2, value, v=v, r=r):
+                    return (v2, r2) == (v, r)
+
+                assert count_regular_partitions_with_content(3, counts, anything, close) == many
+
+    def test_checks_arguments_when_called(self):
+        with pytest.raises(ValueError, match="expected 3 residue counts"):
+            count_regular_partitions_with_content(3, (1, 0), None, None)
+        with pytest.raises(ValueError, match="n must be at least 2"):
+            count_regular_partitions_with_content(1, (0,), None, None)
 
 
 class TestRectangles:
