@@ -19,11 +19,13 @@ cores of bounded size from the charges, without filtering partitions.
 
 The residue content fixes the n-core and the n-weight (Nakayama's
 conjecture; James & Kerber 1981, 2.7), so the n-regular partitions of one
-content -- one block -- are generated directly by a pruned walk.  Next to
-that listing walk, a counting walk makes the same row choices and counts
-the partitions that a caller's tests on the row prefixes and on the last
-row pass, memoizing the count of completions on the small state the
-future of the walk depends on, so nothing is listed.
+content -- one block -- are generated directly by a pruned walk.  One row
+step applies all of the walk's cuts and yields the parts a row can take;
+two consumers drive it, each with an explicit stack of row steps.  One
+lists the partitions; the other counts the partitions that a caller's
+tests on the row prefixes and on the last row pass, memoizing the count
+of completions on the small state the future of the walk depends on, so
+nothing is listed.
 """
 
 from __future__ import annotations
@@ -214,18 +216,11 @@ def regular_partitions_with_content(
     """The n-regular partitions with residue content `counts`, decreasing lex.
 
     `counts[r]` is the number of residue-r nodes, as in `residue_counts`.
-    A depth-first walk places one row at a time, largest part first, with
-    parts below n-fold repetition.  It tracks the content still to place;
-    a row's part is capped where a residue count would go negative.  A
-    branch is cut when the content left for the rows below cannot be the
-    content of any partition: rows from row r on see the content rotated
-    by r, so by `core_size_of_content` the test is
-    sum_r (c_r - c_{r+1})^2 <= 2 c_{-r mod n}, and the sum of squares
-    is kept up to date as rows open, shrink and drop (`_add_row`).  Every
-    content that passes has an n-regular member (every such weight is a
-    weight of L(L0)), so the cut is exact up to the bound on the largest
-    part, which is cut by size: an n-regular partition with largest part a
-    has at most (n - 1) a (a + 1) / 2 nodes.
+    A depth-first walk places one row at a time, largest part first; the
+    parts each row can take are chosen by `_row_choices`, the one row step
+    this listing walk shares with the counting walk.  The walk tracks the
+    content still to place and keeps one suspended row step per placed
+    row, so its depth is not bounded by the recursion limit.
 
     `prefix`, if given, is called on each candidate row after the content
     cut passes, with a window of the placed rows: prefix(v, v1, starts, r,
@@ -252,10 +247,58 @@ def _content(n: int, counts) -> list[int]:
     return rem
 
 
-def _open_part(n: int, rem: list[int], left: int, r: int, top: int) -> int:
-    """The largest part row r can take below `top`: residue x runs out at use rem[x] + 1."""
+def _row_choices(
+    n: int, rem: list[int], left: int, spread: int, r: int, v1, run: int, above, prefix
+) -> Iterator[tuple]:
+    """The parts that 0-based row r can take, largest first.
+
+    `rem` is the content still to place, `left` its size and `spread`
+    `_spread(rem)`; v1, run and above are the part of the row above, the
+    length of its run of equal parts and what `prefix` returned for it
+    (None, 0 and None for the first row).  Each yield is (a, run, value,
+    left, spread): the part, its run, its prefix value (True without a
+    prefix), and the size and spread of the content left below it.  While
+    the generator is suspended `rem` holds the content left below a; once
+    it is exhausted `rem` is as it was.
+
+    The part is capped by the row above (one less where that row ends a run
+    of n - 1, so the partition stays n-regular), by `left`, and where a
+    residue runs out: residue x at use rem[x] + 1.  The size cut: an
+    n-regular partition with largest part a has at most (n - 1) a (a + 1) / 2
+    nodes.  The content cut: the rows below see the content rotated by
+    r + 1, so by `core_size_of_content` it needs
+    sum_r (c_r - c_{r+1})^2 <= 2 c_{-(r+1) mod n}.  A part that fails it,
+    or whose prefix value is falsy, shrinks by one node.  Every content
+    that passes has an n-regular member (every such weight is a weight of
+    L(L0)), so the content cut is exact up to the size cut.
+    """
+    cap = n - 1
+    top = left if v1 is None else v1 - (run == cap)
     start = -r % n
-    return min(left, top, min(n * rem[x] + (x - start) % n for x in range(n)))
+    a = min(left, top, min(n * rem[x] + (x - start) % n for x in range(n)))
+    if a <= 0 or 2 * left > cap * a * (a + 1):
+        return
+    spread += _add_row(rem, r, a, -1)
+    left -= a
+    below = (start - 1) % n
+    index = r % n
+    starts = run == 1
+    while True:
+        if spread <= 2 * rem[below]:
+            value = True if prefix is None else prefix(a, v1, starts, index, above)
+            if value:
+                yield a, run + 1 if a == v1 else 1, value, left, spread
+        # Shrink the row by one node, until no smaller part can hold the
+        # nodes left.
+        x = (a - 1 - r) % n
+        spread += 2 * (2 * rem[x] - rem[x - 1] - rem[(x + 1) % n] + 1)
+        rem[x] += 1
+        left += 1
+        a -= 1
+        if not a or 2 * (left + a) > cap * a * (a + 1):
+            break
+    if a:
+        _add_row(rem, r, a, 1)
 
 
 def _content_walk(n: int, rem: list[int], prefix) -> Iterator[Partition]:
@@ -265,61 +308,18 @@ def _content_walk(n: int, rem: list[int], prefix) -> Iterator[Partition]:
     if not left:
         yield ()
         return
-    cap = n - 1
-    parts: list[int] = []  # placed rows; the last one is the candidate
-    states: list = []  # what `prefix` returned for each placed row
-    spread = _spread(rem)
-    while True:
-        # Open row r with the largest part that the row above, the nodes
-        # left and the content allow.  Parts weakly decrease, so the row
-        # above ends a run of cap equal parts exactly when parts[-cap]
-        # equals it.
-        r = len(parts)
-        top = parts[-1] if parts else left
-        if r >= cap and parts[-cap] == top:
-            top -= 1
-        a = _open_part(n, rem, left, r, top)
-        fresh = a > 0 and 2 * left <= cap * a * (a + 1)
-        if fresh:
-            spread += _add_row(rem, r, a, -1)
-            left -= a
-            parts.append(a)
-            states.append(None)
-        while parts:
-            r = len(parts) - 1
-            if fresh and spread <= 2 * rem[(-r - 1) % n]:
-                if prefix is None:
-                    states[r] = True
-                elif r:
-                    v1 = parts[r - 1]
-                    starts = r == 1 or parts[r - 2] > v1
-                    states[r] = prefix(parts[r], v1, starts, r % n, states[r - 1])
-                else:
-                    states[r] = prefix(parts[r], None, False, 0, None)
-                if states[r]:
-                    if left:
-                        break
-                    yield tuple(parts)
-            # Shrink row r by one node, or drop the row once no smaller
-            # part can hold the nodes left.
-            a = parts[r]
-            x = (a - 1 - r) % n
-            spread += 2 * (2 * rem[x] - rem[x - 1] - rem[(x + 1) % n] + 1)
-            rem[x] += 1
-            left += 1
-            a -= 1
-            if a and 2 * (left + a) <= cap * a * (a + 1):
-                parts[r] = a
-                fresh = True
-                continue
-            if a:
-                spread += _add_row(rem, r, a, 1)
-                left += a
-            parts.pop()
-            states.pop()
-            fresh = False
+    parts: list[int] = []  # the part chosen by each row step but the last
+    steps = [_row_choices(n, rem, left, _spread(rem), 0, None, 0, None, prefix)]
+    while steps:
+        for a, run, value, left, spread in steps[-1]:
+            if left:
+                parts.append(a)
+                steps.append(_row_choices(n, rem, left, spread, len(parts), a, run, value, prefix))
+                break
+            yield (*parts, a)
         else:
-            return
+            steps.pop()
+            del parts[-1:]
 
 
 def count_regular_partitions_with_content(
@@ -332,13 +332,13 @@ def count_regular_partitions_with_content(
     n and value what prefix returned for it.  The empty partition, the one
     member of the zero content, is counted without it.
 
-    The walk makes the same row choices but lists nothing.  Below a placed
-    row, the cuts, the prefix window and the close test read only the
-    content left, the next row's index mod n, the row's part and the length
-    of its run, and the prefix value for the row; so the number of
-    completions is a function of that state, and is memoized on it for
-    the length of one call.  That holds only when prefix and close read
-    nothing but their arguments.
+    This walk takes its rows from the same row step, `_row_choices`, but
+    lists nothing.  Below a placed row, the cuts, the prefix window and the
+    close test read only the content left, the next row's index mod n, the
+    row's part and the length of its run, and the prefix value for the
+    row; so the number of completions is a function of that state, and is
+    memoized on it for the length of one call.  That holds only when
+    prefix and close read nothing but their arguments.
     """
     rem = _content(n, counts)
     left = sum(rem)
@@ -346,74 +346,28 @@ def count_regular_partitions_with_content(
         return 0
     if not left:
         return 1
-    cap = n - 1
     memo: dict = {}
-    parts: list[int] = []  # placed rows; the last one is the candidate
-    runs: list[int] = []  # the run length of each placed row
-    states: list = []  # what `prefix` returned for each placed row
+    steps = [_row_choices(n, rem, left, _spread(rem), 0, None, 0, None, prefix)]
+    totals = [0]  # completions counted so far by the choices of each row step
     keys: list = []  # the memo key of the state below each row descended from
-    totals = [0]  # completions counted so far by the choices for each open row
-    spread = _spread(rem)
     while True:
-        r = len(parts)
-        top = parts[-1] if parts else left
-        if r and runs[-1] == cap:
-            top -= 1
-        a = _open_part(n, rem, left, r, top)
-        fresh = a > 0 and 2 * left <= cap * a * (a + 1)
-        if fresh:
-            spread += _add_row(rem, r, a, -1)
-            left -= a
-            parts.append(a)
-            runs.append(1)
-            states.append(None)
-        else:  # row r cannot open: the state above it has no completion
-            totals.pop()
-            if not r:
-                return 0
-            memo[keys.pop()] = 0
-        while True:
-            r = len(parts) - 1
-            a = parts[r]
-            if fresh and spread <= 2 * rem[(-r - 1) % n]:
-                if r:
-                    v1 = parts[r - 1]
-                    runs[r] = run = runs[r - 1] + 1 if v1 == a else 1
-                    value = prefix(a, v1, runs[r - 1] == 1, r % n, states[r - 1])
-                else:
-                    run = 1
-                    value = prefix(a, None, False, 0, None)
-                if value:
-                    if not left:
-                        totals[r] += bool(close(a, r % n, value))
-                    else:
-                        key = (tuple(rem), (r + 1) % n, a, run, value)
-                        done = memo.get(key)
-                        if done is None:
-                            states[r] = value
-                            keys.append(key)
-                            totals.append(0)
-                            break
-                        totals[r] += done
-            # Shrink row r by one node, or drop the row once no smaller
-            # part can hold the nodes left; a dropped row's total is the
-            # count of the state above it.
-            x = (a - 1 - r) % n
-            spread += 2 * (2 * rem[x] - rem[x - 1] - rem[(x + 1) % n] + 1)
-            rem[x] += 1
-            left += 1
-            a -= 1
-            if a and 2 * (left + a) <= cap * a * (a + 1):
-                parts[r] = a
-                fresh = True
+        r = len(steps) - 1
+        for a, run, value, left, spread in steps[r]:
+            if not left:
+                totals[r] += bool(close(a, r % n, value))
                 continue
-            if a:
-                spread += _add_row(rem, r, a, 1)
-                left += a
-            parts.pop()
-            runs.pop()
-            states.pop()
-            fresh = False
+            key = (tuple(rem), (r + 1) % n, a, run, value)
+            done = memo.get(key)
+            if done is None:
+                keys.append(key)
+                totals.append(0)
+                steps.append(_row_choices(n, rem, left, spread, r + 1, a, run, value, prefix))
+                break
+            totals[r] += done
+        else:
+            # The row step is exhausted: its total is the count of the
+            # state above it.
+            steps.pop()
             done = totals.pop()
             if not r:
                 return done

@@ -23,7 +23,6 @@ from .partitions import (
     check_order,
     check_rank,
     is_n_regular,
-    partitions_up_to,
     residue_counts,
 )
 from .report import VerificationReport
@@ -110,13 +109,15 @@ def chi_by_branching(n: int, mu: Partition, order: int) -> tuple[int, ...]:
     return tuple(series[s : s + order + 1])
 
 
-def verify_rectangle_cores(n: int, max_size: int) -> VerificationReport:
-    """Check every member partition's core is a rectangle (k^l) with k+l <= n."""
+def verify_rectangle_cores(n: int, members) -> VerificationReport:
+    """Check that the core of each member partition is a rectangle (k^l) with k+l <= n.
+
+    `members` are partitions that pass the chain congruence, such as the
+    ones `verify_js` accepts in its sweep.
+    """
     check_rank(n)
-    with VerificationReport(suite=f"rectangle-cores(n={n}, max_size={max_size})") as report:
-        for p in partitions_up_to(max_size, regular=n):
-            if not is_js(p, n):
-                continue
+    with VerificationReport(suite=f"rectangle-cores(n={n})") as report:
+        for p in members:
             report.cases += 1
             core = n_core(p, n)
             if is_rectangle_le_n(core, n) is None:

@@ -66,12 +66,15 @@ def verify_js(n: int, max_size: int, order: int) -> VerificationReport:
     """Chain congruence vs eps-profile, chi agreement, and rectangle cores."""
     check_rank(n)
     with VerificationReport(suite=f"js(n={n}, max_size={max_size}, order={order})") as report:
+        members = []
         for p in partitions_up_to(max_size, regular=n):
             report.cases += 1
             chain = is_js(p, n)
             profile = is_js_by_crystal(p, n)
             if chain != profile:
                 report.record(partition=list(p), chain=chain, profile=profile)
+            if chain:
+                members.append(p)
         cores = [()] + [
             (k,) * l for k in range(1, n) for l in range(1, n - k + 1)
         ]
@@ -81,7 +84,7 @@ def verify_js(n: int, max_size: int, order: int) -> VerificationReport:
             via_branching = chi_by_branching(n, mu, order)
             if direct != via_branching:
                 report.record(core=list(mu), direct=list(direct), branching=list(via_branching))
-        rect = verify_rectangle_cores(n, max_size)
+        rect = verify_rectangle_cores(n, members)
         report.cases += rect.cases
         report.failures.extend(rect.failures)
     return report

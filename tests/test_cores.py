@@ -191,6 +191,11 @@ def filtered_census(n, size):
     return buckets
 
 
+def anything(*window):
+    """A prefix or close test that passes every row."""
+    return True
+
+
 class TestContentWalk:
     @pytest.mark.parametrize("n", [2, 3, 4, 5])
     def test_equals_filtered_census_up_to_20(self, n):
@@ -200,14 +205,44 @@ class TestContentWalk:
 
     @pytest.mark.parametrize("n,max_size", [(2, 14), (3, 12), (4, 10), (5, 9)])
     def test_every_vector_up_to_size(self, n, max_size):
-        # Contents that no partition has, or only irregular ones, yield nothing.
+        # Contents that no partition has, or only irregular ones, yield
+        # nothing.  The counting walk, whose tests here pass everything,
+        # counts the same bucket of the census: the two walks share their
+        # row step, so neither is checked only against the other.
         buckets = {}
         for size in range(max_size + 1):
             buckets.update(filtered_census(n, size))
         for counts in product(range(max_size + 1), repeat=n):
             if sum(counts) <= max_size:
-                got = list(regular_partitions_with_content(n, counts))
-                assert got == buckets.get(counts, []), counts
+                bucket = buckets.get(counts, [])
+                assert list(regular_partitions_with_content(n, counts)) == bucket, counts
+                got = count_regular_partitions_with_content(n, counts, anything, anything)
+                assert got == len(bucket), counts
+
+    @pytest.mark.parametrize("n,max_size", [(2, 14), (3, 12), (4, 10)])
+    def test_prefix_sees_only_parts_that_can_hold_the_nodes_left(self, n, max_size):
+        # The size cut: an n-regular partition with largest part v has at
+        # most (n - 1) v (v + 1) / 2 nodes, so neither walk offers a
+        # candidate row that cannot hold every node left from it down.
+        for size in range(max_size + 1):
+            for counts in filtered_census(n, size):
+
+                def placed(v, v1, starts, r, above, size=size):
+                    above = above or 0
+                    assert 2 * (size - above) <= (n - 1) * v * (v + 1), (counts, above, v)
+                    return above + v
+
+                list(regular_partitions_with_content(n, counts, placed))
+                count_regular_partitions_with_content(n, counts, placed, anything)
+
+    def test_deep_content(self):
+        # 1,194 rows, one per level of the walk's stack: deeper than the
+        # recursion limit, so a recursive walk would fail here.
+        n = 200
+        p = tuple(k for k in range(6, 0, -1) for _ in range(199))
+        counts = residue_counts(p, n)
+        assert list(regular_partitions_with_content(n, counts)) == [p]
+        assert count_regular_partitions_with_content(n, counts, anything, anything) == 1
 
     def test_examples(self):
         assert list(regular_partitions_with_content(3, (0, 0, 0))) == [()]
@@ -318,9 +353,6 @@ class TestContentCount:
     def test_counts_what_the_prefix_and_close_pass(self):
         # With tests that pass everything it counts the whole content; the
         # close sees each member's last part and its row index mod n.
-        def anything(*window):
-            return True
-
         for counts in ((2, 2, 2), (4, 3, 3), (5, 5, 4)):
             members = list(regular_partitions_with_content(3, counts))
             assert count_regular_partitions_with_content(3, counts, anything, anything) == len(

@@ -167,6 +167,7 @@ class TestRecords:
 class TestRectangleCores:
     @pytest.mark.parametrize("n,max_size", [(3, 12), (2, 14), (5, 10)])
     def test_no_violations(self, n, max_size):
-        report = verify_rectangle_cores(n, max_size)
+        members = [p for p in partitions_up_to(max_size, regular=n) if is_js(p, n)]
+        report = verify_rectangle_cores(n, members)
         assert report.failures == []
         assert report.cases > 0

@@ -246,7 +246,7 @@ RANKED_CALLS = {
     "verify_js": lambda n: verify_js(n, 3, 2),
     "verify_cores": lambda n: verify_cores(n, 3),
     "verify_crystal": lambda n: verify_crystal(n, 3),
-    "verify_rectangle_cores": lambda n: verify_rectangle_cores(n, -1),
+    "verify_rectangle_cores": lambda n: verify_rectangle_cores(n, []),
     "partitions_of": lambda n: list(partitions_of(1, regular=n)),
     "is_rectangle_le_n": lambda n: is_rectangle_le_n((), n),
     "canonical_pair": lambda n: canonical_pair(n, 0, 0),
