@@ -169,10 +169,11 @@ def fow_close(v: int, r: int, value) -> bool:
     """Whether the last block closes at the length the congruence forces.
 
     `value` is `fow_prefix`'s (a, need) for the last row; every earlier
-    block was checked when the block after it opened.
+    block was checked when the block after it opened.  A first block with
+    no j fixed (need None) closes at any length.
     """
     a, need = value
-    return a == need
+    return a == need or need is None
 
 
 def configuration_sums(n: int, j: int, order: int) -> dict[tuple[int, ...], list[int]]:

@@ -21,16 +21,16 @@ The residue content fixes the n-core and the n-weight (Nakayama's
 conjecture; James & Kerber 1981, 2.7), so the n-regular partitions of one
 content -- one block -- are generated directly by a pruned walk.  One row
 step applies all of the walk's cuts and yields the parts a row can take;
-two consumers drive it, each with an explicit stack of row steps.  One
-lists the partitions; the other counts the partitions that a caller's
-tests on the row prefixes and on the last row pass, memoizing the count
-of completions on the small state the future of the walk depends on, so
-nothing is listed.
+two walks drive it, each with an explicit stack of row steps, under one
+contract: a partition is a member when a caller's `prefix` test passes
+each of its row prefixes and its `close` test passes its last row.  One
+walk lists the members; the other counts them, memoizing the count of
+completions on the small state the future of the walk depends on.
 """
 
 from __future__ import annotations
 
-from typing import Any, Callable, Iterator
+from typing import Callable, Iterator
 
 from .partitions import Partition, as_partition, check_rank, exponent_form, residue_counts
 
@@ -211,31 +211,27 @@ def _add_row(rem: list[int], r: int, a: int, sign: int) -> int:
 
 
 def regular_partitions_with_content(
-    n: int, counts, prefix: Callable[..., Any] | None = None
+    n: int, counts, prefix: Callable | None = None, close: Callable | None = None
 ) -> Iterator[Partition]:
-    """The n-regular partitions with residue content `counts`, decreasing lex.
+    """The n-regular partitions of content `counts` that pass `prefix` and `close`, decreasing lex.
 
     `counts[r]` is the number of residue-r nodes, as in `residue_counts`.
-    A depth-first walk places one row at a time, largest part first; the
-    parts each row can take are chosen by `_row_choices`, the one row step
-    this listing walk shares with the counting walk.  The walk tracks the
-    content still to place and keeps one suspended row step per placed
-    row, so its depth is not bounded by the recursion limit.
+    The walk places one row at a time, largest part first, taking the parts
+    a row can have from `_row_choices`; it keeps one suspended row step per
+    placed row, so its depth is not bounded by the recursion limit.
 
-    `prefix`, if given, is called on each candidate row after the content
-    cut passes, with a window of the placed rows: prefix(v, v1, starts, r,
-    above), where v is the candidate part, v1 the part of the row above
-    (None for the first row), starts whether that row above begins its run
-    of equal parts, r the candidate's 0-based row index mod n, and above
-    what the call for the row above returned (None for the first row).  So
-    a test carries its state down the rows and checks only what the
-    candidate settles.  A falsy return shrinks the candidate just as the
-    content cut does.  Only partitions all of whose row prefixes pass are
-    yielded, so a prefix test that passes every prefix of a member is a
-    pure speed-up for a caller that tests the members themselves.  The
-    arguments are checked when this is called, not when the walk starts.
+    prefix(v, v1, starts, r, above) is asked of each candidate row, with a
+    window of the placed rows: the candidate part v, the part v1 of the row
+    above, whether that row starts its run of equal parts, the candidate's
+    0-based row index r mod n, and what the call for the row above returned
+    (v1 and above are None for the first row).  So a test carries its state
+    down the rows; a falsy value cuts the candidate.  close(v, r, value) is
+    asked of the last row, with its prefix value.  A partition is yielded
+    exactly when all its rows pass `prefix` and its last row passes `close`;
+    the empty partition is yielded untested, and None passes everything.
+    The arguments are checked when this is called, not when the walk starts.
     """
-    return _content_walk(n, _content(n, counts), prefix)
+    return _content_walk(n, _content(n, counts), prefix, close)
 
 
 def _content(n: int, counts) -> list[int]:
@@ -301,7 +297,7 @@ def _row_choices(
         _add_row(rem, r, a, 1)
 
 
-def _content_walk(n: int, rem: list[int], prefix) -> Iterator[Partition]:
+def _content_walk(n: int, rem: list[int], prefix, close) -> Iterator[Partition]:
     left = sum(rem)
     if min(rem) < 0 or core_size_of_content(rem) > left:
         return
@@ -316,29 +312,23 @@ def _content_walk(n: int, rem: list[int], prefix) -> Iterator[Partition]:
                 parts.append(a)
                 steps.append(_row_choices(n, rem, left, spread, len(parts), a, run, value, prefix))
                 break
-            yield (*parts, a)
+            if close is None or close(a, len(parts) % n, value):
+                yield (*parts, a)
         else:
             steps.pop()
             del parts[-1:]
 
 
 def count_regular_partitions_with_content(
-    n: int, counts, prefix: Callable[..., Any], close: Callable[[int, int, Any], Any]
+    n: int, counts, prefix: Callable | None = None, close: Callable | None = None
 ) -> int:
-    """How many partitions `regular_partitions_with_content` yields that `close` accepts.
+    """How many partitions `regular_partitions_with_content` yields on the same arguments.
 
-    close(v, r, value) is asked of the last row of each partition that the
-    walk pruned by `prefix` would yield: v is its part, r its row index mod
-    n and value what prefix returned for it.  The empty partition, the one
-    member of the zero content, is counted without it.
-
-    This walk takes its rows from the same row step, `_row_choices`, but
-    lists nothing.  Below a placed row, the cuts, the prefix window and the
-    close test read only the content left, the next row's index mod n, the
-    row's part and the length of its run, and the prefix value for the
-    row; so the number of completions is a function of that state, and is
-    memoized on it for the length of one call.  That holds only when
-    prefix and close read nothing but their arguments.
+    Nothing is listed: below a placed row, the cuts, `prefix` and `close`
+    read only the content left, the next row's index mod n, the row's part,
+    its run and its prefix value, so the count of completions is memoized
+    on that state for one call.  That holds only when prefix and close read
+    nothing but their arguments.
     """
     rem = _content(n, counts)
     left = sum(rem)
@@ -354,7 +344,7 @@ def count_regular_partitions_with_content(
         r = len(steps) - 1
         for a, run, value, left, spread in steps[r]:
             if not left:
-                totals[r] += bool(close(a, r % n, value))
+                totals[r] += close is None or bool(close(a, r % n, value))
                 continue
             key = (tuple(rem), (r + 1) % n, a, run, value)
             done = memo.get(key)
@@ -365,8 +355,7 @@ def count_regular_partitions_with_content(
                 break
             totals[r] += done
         else:
-            # The row step is exhausted: its total is the count of the
-            # state above it.
+            # The row step is exhausted: its total counts the state above it.
             steps.pop()
             done = totals.pop()
             if not r:
@@ -382,11 +371,11 @@ def block_dimension(n: int, m: int, mu: Partition) -> int:
     residue_counts(mu) + w (1, ..., 1) with w = (m - |mu|) / n.
     """
     check_rank(n)
+    mu = as_partition(mu)
     w, r = divmod(m - sum(mu), n)
     if w < 0 or r or not is_n_core(mu, n):
         return 0
-    counts = [c + w for c in residue_counts(mu, n)]
-    return sum(1 for _ in regular_partitions_with_content(n, counts))
+    return count_regular_partitions_with_content(n, [c + w for c in residue_counts(mu, n)])
 
 
 def is_rectangle_le_n(mu: Partition, n: int) -> tuple[int, int] | None:
@@ -395,6 +384,7 @@ def is_rectangle_le_n(mu: Partition, n: int) -> tuple[int, int] | None:
     The empty partition counts as the degenerate rectangle (0, 0).
     """
     check_rank(n)
+    mu = as_partition(mu)
     if not mu:
         return (0, 0)
     ef = exponent_form(mu)

@@ -3,14 +3,15 @@
 Membership has two equivalent characterizations implemented independently:
 the chain congruence on the exponent form, and the crystal eps-profile
 (at most one nonzero eps_i, equal to 1).  The generating series chi counts
-members with a fixed n-core by n-weight, and can be evaluated either by
-direct enumeration or through branching functions.
+members with a fixed n-core by n-weight: `chi_direct` counts the contents
+`js_set` lists, with the same tests; `chi_by_branching` reads branching functions.
 """
 
 from __future__ import annotations
 
-from .branching import branching_series, fow_index, fow_prefix
+from .branching import branching_series, fow_close, fow_index, fow_prefix
 from .cores import (
+    count_regular_partitions_with_content,
     is_n_core,
     is_rectangle_le_n,
     n_core,
@@ -49,29 +50,37 @@ def is_js_by_crystal(p: Partition, n: int) -> bool:
     return eps_index(p, n) is not None and is_n_regular(p, n)
 
 
-def js_set(n: int, mu: Partition, d: int) -> list[Partition]:
-    """All member partitions with n-core mu and n-weight d, descending lex order.
+def _js_content(n: int, mu: Partition, d: int) -> tuple:
+    """The content of the members with n-core mu and n-weight d, and their prefix test.
 
-    By Nakayama's conjecture they are the members among the n-regular
-    partitions of content residue_counts(mu) + d (1, ..., 1).  The walk
-    over that content is pruned by the chain congruence, with no fixed j:
-    each block after the first must have the length it forces.
+    By Nakayama's conjecture they are the n-regular partitions of content
+    residue_counts(mu) + d (1, ..., 1) that pass `fow_prefix`, no j fixed, and `fow_close`.
     """
+    mu = as_partition(mu)
     if not is_n_core(mu, n):
         raise ValueError(f"{mu} is not an n-core for n={n}")
+
+    def prefix(v, v1, starts, r, above):
+        return fow_prefix(v, v1, starts, r, above, n)
+
+    return [c + d for c in residue_counts(mu, n)], prefix
+
+
+def js_set(n: int, mu: Partition, d: int) -> list[Partition]:
+    """All member partitions with n-core mu and n-weight d, descending lex order."""
+    counts, prefix = _js_content(n, mu, d)
     if d < 0:
         return []
-    counts = [c + d for c in residue_counts(mu, n)]
-    walk = regular_partitions_with_content(
-        n, counts, lambda v, v1, starts, r, above: fow_prefix(v, v1, starts, r, above, n)
-    )
-    return [p for p in walk if is_js(p, n)]
+    return list(regular_partitions_with_content(n, counts, prefix, fow_close))
 
 
 def chi_direct(n: int, mu: Partition, order: int) -> tuple[int, ...]:
     """Generating-series coefficients of the member count by n-weight."""
     check_order(order)
-    return tuple(len(js_set(n, mu, d)) for d in range(order + 1))
+    return tuple(
+        count_regular_partitions_with_content(n, *_js_content(n, mu, d), fow_close)
+        for d in range(order + 1)
+    )
 
 
 def chi_by_branching(n: int, mu: Partition, order: int) -> tuple[int, ...]:

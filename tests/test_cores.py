@@ -9,6 +9,7 @@ from slnbranch import (
     abacus_display,
     block_dimension,
     core_size_of_content,
+    is_js,
     is_n_core,
     is_n_regular,
     is_rectangle_le_n,
@@ -321,26 +322,39 @@ class TestContentCount:
     @settings(max_examples=150, deadline=None)
     @given(residue_contents())
     def test_counts_the_filtered_listing_walk(self, case):
-        # For each route and j: the memoized count with the route's prefix
-        # and close tests is the unpruned listing walk filtered by the
-        # route's membership test.
+        # One contract for both walks.  For each pair of prefix and close
+        # tests -- none, the j-free chain congruence, and each route at each
+        # j -- the listing walk yields exactly the members that the pair's
+        # membership test keeps from the unpruned listing, and the counting
+        # walk returns how many it yields.
         n, counts = case
         members = list(regular_partitions_with_content(n, counts))
+
+        def js(v, v1, starts, r, above):
+            return fow_prefix(v, v1, starts, r, above, n)
+
+        pairs = [
+            (None, None, lambda p: True),
+            (js, fow_close, lambda p: is_js(p, n)),
+        ]
         for j in range(n):
-
-            def fow(v, v1, starts, r, above):
-                return fow_prefix(v, v1, starts, r, above, n, j)
-
-            def crystal(v, v1, starts, r, above):
-                return eps_prefix(v, v1, starts, r, above, n, j)
-
-            def crystal_close(v, r, value):
-                return eps_close(v, r, value, n, j)
-
-            got = count_regular_partitions_with_content(n, counts, fow, fow_close)
-            assert got == sum(in_fow(p, n, j) for p in members), (n, counts, j)
-            got = count_regular_partitions_with_content(n, counts, crystal, crystal_close)
-            assert got == sum(crystal_member(p, n, j) for p in members), (n, counts, j)
+            pairs += [
+                (
+                    lambda v, v1, starts, r, above, j=j: fow_prefix(v, v1, starts, r, above, n, j),
+                    fow_close,
+                    lambda p, j=j: in_fow(p, n, j),
+                ),
+                (
+                    lambda v, v1, starts, r, above, j=j: eps_prefix(v, v1, starts, r, above, n, j),
+                    lambda v, r, value, j=j: eps_close(v, r, value, n, j),
+                    lambda p, j=j: crystal_member(p, n, j),
+                ),
+            ]
+        for prefix, close, member in pairs:
+            listed = list(regular_partitions_with_content(n, counts, prefix, close))
+            assert listed == [p for p in members if member(p)], (n, counts)
+            got = count_regular_partitions_with_content(n, counts, prefix, close)
+            assert got == len(listed), (n, counts)
 
     def test_empty_and_impossible_contents(self):
         def never(*args):
@@ -351,8 +365,11 @@ class TestContentCount:
         assert count_regular_partitions_with_content(2, (-1, 2), never, never) == 0
 
     def test_counts_what_the_prefix_and_close_pass(self):
-        # With tests that pass everything it counts the whole content; the
-        # close sees each member's last part and its row index mod n.
+        # With no tests, or tests that pass everything, it counts the whole
+        # content; the close sees each member's last part and its row index
+        # mod n.  (3) and (2, 1) have content (1, 1, 1); (1, 1, 1) is not
+        # 3-regular.
+        assert count_regular_partitions_with_content(3, (1, 1, 1), None, None) == 2
         for counts in ((2, 2, 2), (4, 3, 3), (5, 5, 4)):
             members = list(regular_partitions_with_content(3, counts))
             assert count_regular_partitions_with_content(3, counts, anything, anything) == len(

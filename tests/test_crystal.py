@@ -4,7 +4,10 @@ from hypothesis import strategies as st
 
 from slnbranch import (
     as_partition,
+    block_dimension,
     build_component,
+    chi_by_branching,
+    chi_direct,
     e_tilde,
     eps_phi,
     epsilon_vector,
@@ -12,6 +15,8 @@ from slnbranch import (
     is_js,
     is_js_by_crystal,
     is_n_regular,
+    is_rectangle_le_n,
+    js_set,
     partitions_of,
     partitions_up_to,
     simple_root,
@@ -208,10 +213,33 @@ class TestOperators:
             lambda: f_tilde(parts, n, i),
             lambda: is_js(parts, n),
             lambda: is_js_by_crystal(parts, n),
+            # The core argument of the n-core and chi entry points.
+            lambda: chi_by_branching(n, parts, 2),
+            lambda: is_rectangle_le_n(parts, n),
+            lambda: block_dimension(n, 12, parts),
+            lambda: js_set(n, parts, 1),
+            lambda: chi_direct(n, parts, 2),
         ):
             with pytest.raises(ValueError) as info:
                 call()
             assert str(info.value) == message
+
+    def test_malformed_core_rejected_at_entry(self):
+        # Unvalidated, (0,) passed as a rectangular core (chi_by_branching
+        # returned (1, 2, 5)) and (1, 2) as a non-core (block dimension 0).
+        for call in (
+            lambda: chi_by_branching(3, (0,), 2),
+            lambda: is_rectangle_le_n((0,), 3),
+            lambda: block_dimension(3, 6, (0,)),
+            lambda: js_set(3, (0,), 1),
+            lambda: chi_direct(3, (0,), 2),
+        ):
+            with pytest.raises(ValueError) as info:
+                call()
+            assert str(info.value) == "parts must be positive integers, got 0"
+        with pytest.raises(ValueError) as info:
+            block_dimension(3, 6, (1, 2))
+        assert str(info.value) == "parts must be weakly decreasing, got (1, 2)"
 
     def test_inverse_relations_up_to_14(self):
         for n in (2, 3, 4):
