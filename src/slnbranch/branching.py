@@ -19,7 +19,9 @@ with d residue-0 nodes.  Each route counts them by its own mathematics:
 - fermionic: the lattice sum of the qseries module.
 
 Neither walk lists a member: no leaf is filtered, so each route's prefix
-and close tests alone decide membership.
+and close tests alone decide membership.  Each fow or crystal call makes
+one memo and shares it by every d: a memo key holds the content left, and
+the route's prefix and close tests are the same for every d.
 """
 
 from __future__ import annotations
@@ -235,17 +237,20 @@ def configuration_sums(n: int, j: int, order: int) -> dict[tuple[int, ...], list
     return sums
 
 
-def _census(n: int, counts: tuple[int, ...], prefix, close) -> int:
+def _census(n: int, counts: tuple[int, ...], prefix, close, memo: dict) -> int:
     """How many n-regular partitions of content `counts` pass a route's prefix and close tests."""
-    return count_regular_partitions_with_content(n, counts, prefix, close)
+    return count_regular_partitions_with_content(n, counts, prefix, close, memo=memo)
 
 
-def _class_members(n: int, j: int, k: int, d: int, prefix, close) -> int:
-    """How many members of class (j, k) have d residue-0 nodes, by one route's tests."""
+def _class_members(n: int, j: int, k: int, d: int, prefix, close, memo: dict) -> int:
+    """How many members of class (j, k) have d residue-0 nodes, by one route's tests.
+
+    `memo` is the route call's one counting memo, shared by every d.
+    """
     counts = class_residue_counts(n, j, k, d)
     if counts is None:
         return 0
-    return _census(n, counts, prefix, close)
+    return _census(n, counts, prefix, close, memo)
 
 
 def class_paths_series(
@@ -269,7 +274,8 @@ def _fow_series(n: int, j: int, k: int, order: int) -> tuple[int, ...]:
     def prefix(v, v1, starts, r, above):
         return fow_prefix(v, v1, starts, r, above, n, j)
 
-    return tuple(_class_members(n, j, k, d, prefix, fow_close) for d in range(order + 1))
+    memo: dict = {}
+    return tuple(_class_members(n, j, k, d, prefix, fow_close, memo) for d in range(order + 1))
 
 
 def _crystal_series(n: int, j: int, k: int, order: int) -> tuple[int, ...]:
@@ -279,7 +285,8 @@ def _crystal_series(n: int, j: int, k: int, order: int) -> tuple[int, ...]:
     def close(v, r, value):
         return eps_close(v, r, value, n, j)
 
-    return tuple(_class_members(n, j, k, d, prefix, close) for d in range(order + 1))
+    memo: dict = {}
+    return tuple(_class_members(n, j, k, d, prefix, close, memo) for d in range(order + 1))
 
 
 def _fermionic_series(n: int, j: int, k: int, order: int) -> tuple[int, ...]:
@@ -292,8 +299,9 @@ def branching_series(n: int, j: int, k: int, order: int, method: str) -> tuple[i
 
     "paths" sums the path configurations by transfer matrix; "fow" and
     "crystal" count the class's members per residue content with a
-    memoized walk, each pruned by its own prefix test and closed by its own
-    test on the last row; "fermionic" evaluates the lattice sum.
+    memoized walk, one memo per call shared by every d, each pruned by its
+    own prefix test and closed by its own test on the last row; "fermionic"
+    evaluates the lattice sum.
     """
     check_rank(n)
     check_order(order)

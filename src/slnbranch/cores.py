@@ -25,7 +25,10 @@ two walks drive it, each with an explicit stack of row steps, under one
 contract: a partition is a member when a caller's `prefix` test passes
 each of its row prefixes and its `close` test passes its last row.  One
 walk lists the members; the other counts them, memoizing the count of
-completions on the small state the future of the walk depends on.
+completions on the small state the future of the walk depends on.  That
+state holds the content left, so one memo serves every content counted
+with the same prefix and close, as long as both read only their
+arguments: the series routes share one memo across all d of one call.
 """
 
 from __future__ import annotations
@@ -320,15 +323,26 @@ def _content_walk(n: int, rem: list[int], prefix, close) -> Iterator[Partition]:
 
 
 def count_regular_partitions_with_content(
-    n: int, counts, prefix: Callable | None = None, close: Callable | None = None
+    n: int,
+    counts,
+    prefix: Callable | None = None,
+    close: Callable | None = None,
+    *,
+    memo: dict | None = None,
 ) -> int:
     """How many partitions `regular_partitions_with_content` yields on the same arguments.
 
     Nothing is listed: below a placed row, the cuts, `prefix` and `close`
     read only the content left, the next row's index mod n, the row's part,
     its run and its prefix value, so the count of completions is memoized
-    on that state for one call.  That holds only when prefix and close read
-    nothing but their arguments.
+    on that state.  That holds only when prefix and close read nothing but
+    their arguments.
+
+    `memo` is a fresh dict per call when None.  A caller may pass one dict
+    to several calls that share n, prefix and close, such as the contents
+    of successive d of one series: the key already holds the whole state
+    the rest of the walk reads, content left included, so a count stored
+    by one content is the count any other content needs at that state.
     """
     rem = _content(n, counts)
     left = sum(rem)
@@ -336,7 +350,8 @@ def count_regular_partitions_with_content(
         return 0
     if not left:
         return 1
-    memo: dict = {}
+    if memo is None:
+        memo = {}
     steps = [_row_choices(n, rem, left, _spread(rem), 0, None, 0, None, prefix)]
     totals = [0]  # completions counted so far by the choices of each row step
     keys: list = []  # the memo key of the state below each row descended from

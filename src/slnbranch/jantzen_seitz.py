@@ -50,11 +50,13 @@ def is_js_by_crystal(p: Partition, n: int) -> bool:
     return eps_index(p, n) is not None and is_n_regular(p, n)
 
 
-def _js_content(n: int, mu: Partition, d: int) -> tuple:
-    """The content of the members with n-core mu and n-weight d, and their prefix test.
+def _js_content(n: int, mu: Partition) -> tuple:
+    """The content of the members with n-core mu and n-weight 0, and their prefix test.
 
-    By Nakayama's conjecture they are the n-regular partitions of content
-    residue_counts(mu) + d (1, ..., 1) that pass `fow_prefix`, no j fixed, and `fow_close`.
+    By Nakayama's conjecture the members of n-weight d are the n-regular
+    partitions of this content plus d (1, ..., 1) that pass `fow_prefix`,
+    no j fixed, and `fow_close`.  This is where a core is validated: the
+    CLI only parses it.
     """
     mu = as_partition(mu)
     if not is_n_core(mu, n):
@@ -63,22 +65,30 @@ def _js_content(n: int, mu: Partition, d: int) -> tuple:
     def prefix(v, v1, starts, r, above):
         return fow_prefix(v, v1, starts, r, above, n)
 
-    return [c + d for c in residue_counts(mu, n)], prefix
+    return residue_counts(mu, n), prefix
 
 
 def js_set(n: int, mu: Partition, d: int) -> list[Partition]:
     """All member partitions with n-core mu and n-weight d, descending lex order."""
-    counts, prefix = _js_content(n, mu, d)
+    base, prefix = _js_content(n, mu)
     if d < 0:
         return []
-    return list(regular_partitions_with_content(n, counts, prefix, fow_close))
+    return list(regular_partitions_with_content(n, [c + d for c in base], prefix, fow_close))
 
 
 def chi_direct(n: int, mu: Partition, order: int) -> tuple[int, ...]:
-    """Generating-series coefficients of the member count by n-weight."""
+    """Generating-series coefficients of the member count by n-weight.
+
+    One prefix test and one counting memo serve every weight d: the memo
+    key holds the content left, so the walks of successive d share states.
+    """
     check_order(order)
+    base, prefix = _js_content(n, mu)
+    memo: dict = {}
     return tuple(
-        count_regular_partitions_with_content(n, *_js_content(n, mu, d), fow_close)
+        count_regular_partitions_with_content(
+            n, [c + d for c in base], prefix, fow_close, memo=memo
+        )
         for d in range(order + 1)
     )
 

@@ -182,7 +182,10 @@ def test_criterion_8_crystal_axioms_and_figure_surrogate():
 
 def test_criterion_9_four_routes_agree_at_the_frontier():
     start = time.perf_counter()
-    frontier = ((4, 20), (5, 16), (6, 12), (4, 24), (5, 20), (4, 36), (5, 28), (6, 22), (3, 45))
+    frontier = (
+        (4, 20), (5, 16), (6, 12), (4, 24), (5, 20), (4, 36), (5, 28), (6, 22), (3, 45),
+        (4, 60), (5, 48), (6, 40), (7, 30), (8, 24),
+    )
     for n, order in frontier:
         rows = {
             method: branching_series(n, 1, 0, order, method)
@@ -192,7 +195,7 @@ def test_criterion_9_four_routes_agree_at_the_frontier():
     _stamp(
         9,
         "four routes agree on class (1,0) at (4,20), (5,16), (6,12), (4,24), (5,20), "
-        "(4,36), (5,28), (6,22), (3,45)",
+        "(4,36), (5,28), (6,22), (3,45), (4,60), (5,48), (6,40), (7,30), (8,24)",
         start,
         30,
     )
@@ -209,3 +212,19 @@ def test_criterion_9b_paths_equal_fermionic_at_high_order():
                 fermionic = branching_series(n, j, k, order, "fermionic")
                 assert paths == fermionic, (n, j, k, paths, fermionic)
     _stamp("9b", "paths == fermionic on every class at (4,30), (5,24), (6,18)", start, 30)
+
+
+def test_criterion_10_chi_direct_equals_chi_by_branching_on_every_rectangle_core():
+    start = time.perf_counter()
+    for n, order in ((3, 30), (4, 21), (5, 15)):
+        cores = [()] + [(k,) * l for k in range(1, n) for l in range(1, n - k + 1)]
+        for mu in cores:
+            direct = chi_direct(n, mu, order)
+            assert direct == chi_by_branching(n, mu, order), (n, mu, direct)
+    _stamp(
+        10,
+        "chi_direct == chi_by_branching on every rectangle core (k^l), k+l <= n, and the "
+        "empty core at (3,30), (4,21), (5,15)",
+        start,
+        30,
+    )

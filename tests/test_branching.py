@@ -16,6 +16,7 @@ from slnbranch import (
     weight_of,
 )
 from slnbranch.branching import METHODS, configuration_sums, fow_close, fow_prefix
+from slnbranch.cores import count_regular_partitions_with_content
 from slnbranch.crystal import _scan, eps_close, eps_index, eps_prefix
 
 from oracles import (
@@ -318,6 +319,48 @@ class TestCountingRoutes:
         value = prefix_value(crystal(3, 0), (2, 2), 3)
         assert eps_close(2, 1, value, 3, 0) and not eps_close(2, 1, value, 3, 1)
 
+    @pytest.mark.parametrize("n,order", [(2, 16), (3, 14), (4, 12), (5, 10)])
+    def test_shared_memo_equals_a_fresh_memo_per_d(self, n, order):
+        # A route call shares one memo by every d; counting each d's content
+        # on its own, with a fresh memo, gives the same series.
+        for j in range(n):
+            for k in range(n):
+                contents = [class_residue_counts(n, j, k, d) for d in range(order + 1)]
+                for route, prefix, close in (
+                    ("fow", fow(n, j), fow_close),
+                    ("crystal", crystal(n, j), crystal_close(n, j)),
+                ):
+                    fresh = tuple(
+                        0
+                        if counts is None
+                        else count_regular_partitions_with_content(n, counts, prefix, close)
+                        for counts in contents
+                    )
+                    got = branching_series(n, j, k, order, route)
+                    assert got == fresh, (n, j, k, route)
+
+    def test_one_memo_serves_successive_contents(self):
+        # The states one content stores are reached again by the next d's
+        # content, so a shared memo holds fewer states than fresh ones.
+        n, j, k, order = 4, 1, 0, 12
+        shared = {}
+        fresh_states = 0
+        for d in range(order + 1):
+            counts = class_residue_counts(n, j, k, d)
+            fresh = {}
+            alone = count_regular_partitions_with_content(
+                n, counts, fow(n, j), fow_close, memo=fresh
+            )
+            assert alone == count_regular_partitions_with_content(
+                n, counts, fow(n, j), fow_close, memo=shared
+            ), d
+            fresh_states += len(fresh)
+        assert 0 < len(shared) < fresh_states
+        before = len(shared)
+        counts = class_residue_counts(n, j, k, order)
+        count_regular_partitions_with_content(n, counts, fow(n, j), fow_close, memo=shared)
+        assert len(shared) == before  # a repeated content adds no state
+
     def test_eps_prefix_keeps_the_value_inside_a_run(self):
         # A candidate equal to a row above that does not start its run
         # settles no node, so the value is handed on as it is, not copied.
@@ -397,3 +440,7 @@ def fow(n, j=None):
 
 def crystal(n, j):
     return lambda v, v1, starts, r, above: eps_prefix(v, v1, starts, r, above, n, j)
+
+
+def crystal_close(n, j):
+    return lambda v, r, value: eps_close(v, r, value, n, j)

@@ -111,6 +111,23 @@ class TestJs:
         assert code == 2
         assert "core" in err
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ("list", "--weight", "1"),
+            ("chi", "--order", "2", "--method", "direct"),
+            ("chi", "--order", "2", "--method", "both"),
+        ],
+        ids=["list", "chi-direct", "chi-both"],
+    )
+    def test_non_core_fails_at_the_library_boundary(self, capsys, argv):
+        # The CLI only parses --core; the library's core check is the one message.
+        command, *rest = argv
+        code, out, err = run_cli(capsys, "js", command, "--n", "3", "--core", "3", *rest)
+        assert code == 2
+        assert out == ""
+        assert err == "error: (3,) is not an n-core for n=3\n"
+
     def test_chi_both_agree(self, capsys):
         code, out, _ = run_cli(
             capsys, "js", "chi", "--n", "3", "--core", "-", "--order", "2",

@@ -15,6 +15,8 @@ from slnbranch import (
     residue_counts,
     verify_rectangle_cores,
 )
+from slnbranch.branching import fow_close, fow_prefix
+from slnbranch.cores import count_regular_partitions_with_content
 
 # the twelve worked sets for n = 3, keyed by (core, weight)
 EXAMPLE_SETS = {
@@ -124,6 +126,23 @@ class TestChi:
             ]
             for mu in cores:
                 assert chi_direct(n, mu, 6) == chi_by_branching(n, mu, 6), (n, mu)
+
+    @pytest.mark.parametrize("n,order", [(2, 16), (3, 12), (4, 10), (5, 8)])
+    def test_shared_memo_equals_a_fresh_memo_per_d(self, n, order):
+        # chi_direct shares one memo by every weight; counting each weight's
+        # content on its own, with a fresh memo, gives the same series.
+        def prefix(v, v1, starts, r, above):
+            return fow_prefix(v, v1, starts, r, above, n)
+
+        for mu in [()] + [(k,) * l for k in range(1, n) for l in range(1, n - k + 1)]:
+            base = residue_counts(mu, n)
+            fresh = tuple(
+                count_regular_partitions_with_content(
+                    n, [c + d for c in base], prefix, fow_close
+                )
+                for d in range(order + 1)
+            )
+            assert chi_direct(n, mu, order) == fresh, (n, mu)
 
     def test_constant_term_is_one(self):
         for n in (2, 3, 4):
