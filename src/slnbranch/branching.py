@@ -7,11 +7,11 @@ with d residue-0 nodes.  Each route counts them by its own mathematics:
 - paths: the one-dimensional configuration sum of the level-2 RSOS model,
   a transfer matrix over the column-by-column path coordinates
   (`configuration_sums`); `in_path_set` tests one partition;
-- fow: a memoized count over the class's residue contents
-  (`cores.count_regular_partitions_with_content`), pruned by the chain
-  congruence, which forces the length of each block once its part is
-  placed (`fow_prefix`), and closed on the last row, whose block must have
-  the length forced on it (`fow_close`); `in_fow` tests one partition;
+- fow: a memoized count over the class's residue contents, one per d
+  (`cores.count_by_weight`), pruned by the chain congruence, which forces
+  the length of each block once its part is placed (`fow_prefix`), and
+  closed on the last row, whose block must have the length forced on it
+  (`fow_close`); `in_fow` tests one partition;
 - crystal: the same count, pruned by the eps vector of the settled rows,
   carried down the walk (`crystal.eps_prefix`), and closed on the last
   row, whose removable node the empty row below settles; eps must then be
@@ -19,14 +19,16 @@ with d residue-0 nodes.  Each route counts them by its own mathematics:
 - fermionic: the lattice sum of the qseries module.
 
 Neither walk lists a member: no leaf is filtered, so each route's prefix
-and close tests alone decide membership.  Each fow or crystal call makes
-one memo and shares it by every d: a memo key holds the content left, and
-the route's prefix and close tests are the same for every d.
+and close tests alone decide membership.  Each fow or crystal series is
+one `count_by_weight` call on the class's d = 0 content: the route's
+prefix and close tests, bound to (n, j), are the same for every d.
 """
 
 from __future__ import annotations
 
-from .cores import count_regular_partitions_with_content
+from typing import Callable
+
+from .cores import count_by_weight
 from .crystal import eps_close, eps_prefix
 from .partitions import (
     Partition,
@@ -103,13 +105,14 @@ def in_fow(p: Partition, n: int, j: int) -> bool:
     return fow_index(p, n) == j % n
 
 
-def class_residue_counts(n: int, j: int, k: int, d: int) -> tuple[int, ...] | None:
-    """Residue counts forced on weight-class (j, k) members with d zero-nodes.
+def class_residue_counts(n: int, j: int, k: int) -> tuple[int, ...]:
+    """Residue counts forced on weight-class (j, k) members with no residue-0 node.
 
     Writing the class condition as a cyclic second-difference equation in the
     counts m_0..m_{n-1}, the class pins m up to a constant shift and the
-    energy pins the shift (m_0 = d).  Members of the class at energy d all
-    share this census; None when it has a negative entry (no partitions).
+    energy pins the shift (m_0 = d): the members with d residue-0 nodes all
+    have this census plus d (1, ..., 1).  Entries may be negative; a d that
+    leaves one negative has no member.
     """
     check_rank(n)
     j %= n
@@ -132,39 +135,41 @@ def class_residue_counts(n: int, j: int, k: int, d: int) -> tuple[int, ...] | No
     for r in range(n - 1):
         base.append(base[-1] + g)
         g -= b[r + 1]
-    counts = tuple(m + d for m in base)
-    return counts if min(counts) >= 0 else None
+    return tuple(base)
 
 
-def fow_prefix(
-    v: int, v1: int | None, starts: bool, r: int, above, n: int, j: int | None = None
-) -> tuple[int, int | None] | None:
-    """The chain congruence on the blocks of the rows placed, checked row by row.
+def fow_prefix(n: int, j: int | None = None) -> Callable:
+    """The chain congruence for index j on the blocks of the rows placed, checked row by row.
 
-    A prefix test for the content walk, with its window: the candidate
-    part v, the part v1 of the row above, and `above`, this test's value
-    for the row above (None for the first row); it reads neither `starts`
-    nor the row index r.  Its value for a row is (a, need): the row ends a
-    run of a equal parts, the open block, whose length the congruence
-    forces to be need.  Once the block (v1, a1) before the open block
-    (v, a) is closed, a1 + v1 - v + a ≡ 0 (mod n) and 1 <= a <= n - 1
-    (n-regularity) fix a = (v - v1 - a1) mod n; for the first block,
-    j = (v - a) mod n fixes a = (v - j) mod n in the same way (need is
-    None when j is None: any length).  So the candidate is cut as soon as
-    that residue is 0, as soon as the run grows past need, and when it
-    closes a block of another length.
+    Returns the content walk's prefix test prefix(v, v1, starts, r, above),
+    bound to n and j.  Of its window it reads the candidate part v, the
+    part v1 of the row above, and `above`, this test's value for the row
+    above (None for the first row), but neither `starts` nor the row index
+    r.  Its value for a row is (a, need): the row ends a run of a equal
+    parts, the open block, whose length the congruence forces to be need.
+    Once the block (v1, a1) before the open block (v, a) is closed,
+    a1 + v1 - v + a ≡ 0 (mod n) and 1 <= a <= n - 1 (n-regularity) fix
+    a = (v - v1 - a1) mod n; for the first block, j = (v - a) mod n fixes
+    a = (v - j) mod n in the same way (need is None when j is None: any
+    length).  So the candidate is cut as soon as that residue is 0, as soon
+    as the run grows past need, and when it closes a block of another
+    length.
     """
-    if above is None:  # the first row opens the first block
-        a, need = 1, None if j is None else (v - j) % n
-    else:
-        a, need = above
-        if v == v1:
-            a += 1
-        elif need is None or a == need:
-            a, need = 1, (v - v1 - a) % n
+
+    def prefix(v, v1, starts, r, above):
+        if above is None:  # the first row opens the first block
+            a, need = 1, None if j is None else (v - j) % n
         else:
-            return None
-    return (a, need) if need is None or a <= need else None
+            a, need = above
+            if v == v1:
+                a += 1
+            elif need is None or a == need:
+                a, need = 1, (v - v1 - a) % n
+            else:
+                return None
+        return (a, need) if need is None or a <= need else None
+
+    return prefix
 
 
 def fow_close(v: int, r: int, value) -> bool:
@@ -237,20 +242,14 @@ def configuration_sums(n: int, j: int, order: int) -> dict[tuple[int, ...], list
     return sums
 
 
-def _census(n: int, counts: tuple[int, ...], prefix, close, memo: dict) -> int:
-    """How many n-regular partitions of content `counts` pass a route's prefix and close tests."""
-    return count_regular_partitions_with_content(n, counts, prefix, close, memo=memo)
+def _census(n: int, base: tuple[int, ...], order: int, prefix, close) -> tuple[int, ...]:
+    """How many n-regular partitions of each content base + d (1, ..., 1) pass a route's tests."""
+    return count_by_weight(n, base, order, prefix, close)
 
 
-def _class_members(n: int, j: int, k: int, d: int, prefix, close, memo: dict) -> int:
-    """How many members of class (j, k) have d residue-0 nodes, by one route's tests.
-
-    `memo` is the route call's one counting memo, shared by every d.
-    """
-    counts = class_residue_counts(n, j, k, d)
-    if counts is None:
-        return 0
-    return _census(n, counts, prefix, close, memo)
+def _class_members(n: int, j: int, k: int, order: int, prefix, close) -> tuple[int, ...]:
+    """How many members of class (j, k) have d residue-0 nodes, d = 0..order, by a route's tests."""
+    return _census(n, class_residue_counts(n, j, k), order, prefix, close)
 
 
 def class_paths_series(
@@ -271,22 +270,11 @@ def _paths_series(n: int, j: int, k: int, order: int) -> tuple[int, ...]:
 
 
 def _fow_series(n: int, j: int, k: int, order: int) -> tuple[int, ...]:
-    def prefix(v, v1, starts, r, above):
-        return fow_prefix(v, v1, starts, r, above, n, j)
-
-    memo: dict = {}
-    return tuple(_class_members(n, j, k, d, prefix, fow_close, memo) for d in range(order + 1))
+    return _class_members(n, j, k, order, fow_prefix(n, j), fow_close)
 
 
 def _crystal_series(n: int, j: int, k: int, order: int) -> tuple[int, ...]:
-    def prefix(v, v1, starts, r, above):
-        return eps_prefix(v, v1, starts, r, above, n, j)
-
-    def close(v, r, value):
-        return eps_close(v, r, value, n, j)
-
-    memo: dict = {}
-    return tuple(_class_members(n, j, k, d, prefix, close, memo) for d in range(order + 1))
+    return _class_members(n, j, k, order, eps_prefix(n, j), eps_close(n, j))
 
 
 def _fermionic_series(n: int, j: int, k: int, order: int) -> tuple[int, ...]:
@@ -298,10 +286,10 @@ def branching_series(n: int, j: int, k: int, order: int, method: str) -> tuple[i
     """Coefficients of b(j, k) up to q^order by the named route.
 
     "paths" sums the path configurations by transfer matrix; "fow" and
-    "crystal" count the class's members per residue content with a
-    memoized walk, one memo per call shared by every d, each pruned by its
-    own prefix test and closed by its own test on the last row; "fermionic"
-    evaluates the lattice sum.
+    "crystal" count the class's members of every d in one memoized walk
+    over its residue contents, each pruned by its own prefix test and
+    closed by its own test on the last row; "fermionic" evaluates the
+    lattice sum.
     """
     check_rank(n)
     check_order(order)

@@ -24,18 +24,25 @@ step applies all of the walk's cuts and yields the parts a row can take;
 two walks drive it, each with an explicit stack of row steps, under one
 contract: a partition is a member when a caller's `prefix` test passes
 each of its row prefixes and its `close` test passes its last row.  One
-walk lists the members; the other counts them, memoizing the count of
-completions on the small state the future of the walk depends on.  That
-state holds the content left, so one memo serves every content counted
-with the same prefix and close, as long as both read only their
-arguments: the series routes share one memo across all d of one call.
+walk lists the members; the other, `count_by_weight`, counts them for
+every weight d of a series, on the contents base + d (1, ..., 1), and
+memoizes the count of completions on the small state the future of the
+walk depends on.  That state holds the content left, so one memo, private
+to the call, serves every d.
 """
 
 from __future__ import annotations
 
 from typing import Callable, Iterator
 
-from .partitions import Partition, as_partition, check_rank, exponent_form, residue_counts
+from .partitions import (
+    Partition,
+    as_partition,
+    check_order,
+    check_rank,
+    exponent_form,
+    residue_counts,
+)
 
 
 def _bead_count(p: Partition, n: int, beads: int | None) -> int:
@@ -103,7 +110,9 @@ def n_weight(p: Partition, n: int) -> int:
     rim hook per position.  With one bead per row, a runner holding beads
     at levels l_0 < l_1 < ... has l_t - t empty positions above its t-th
     bead, so the weight is sum_b (b // n) - sum_r N_r (N_r - 1) / 2.
+    p is validated by `as_partition` first, so malformed input raises.
     """
+    p = as_partition(p)
     check_rank(n)
     runners = [0] * n
     levels = 0
@@ -322,36 +331,35 @@ def _content_walk(n: int, rem: list[int], prefix, close) -> Iterator[Partition]:
             del parts[-1:]
 
 
-def count_regular_partitions_with_content(
-    n: int,
-    counts,
-    prefix: Callable | None = None,
-    close: Callable | None = None,
-    *,
-    memo: dict | None = None,
-) -> int:
-    """How many partitions `regular_partitions_with_content` yields on the same arguments.
+def count_by_weight(
+    n: int, base, order: int, prefix: Callable | None = None, close: Callable | None = None
+) -> tuple[int, ...]:
+    """Coefficient d counts the partitions of content base + d (1, ..., 1) that pass, d = 0..order.
 
-    Nothing is listed: below a placed row, the cuts, `prefix` and `close`
-    read only the content left, the next row's index mod n, the row's part,
-    its run and its prefix value, so the count of completions is memoized
-    on that state.  That holds only when prefix and close read nothing but
-    their arguments.
-
-    `memo` is a fresh dict per call when None.  A caller may pass one dict
-    to several calls that share n, prefix and close, such as the contents
-    of successive d of one series: the key already holds the whole state
-    the rest of the walk reads, content left included, so a count stored
-    by one content is the count any other content needs at that state.
+    They are what `regular_partitions_with_content` yields on that content
+    with the same `prefix` and `close`, but nothing is listed: below a
+    placed row, the cuts, `prefix` and `close` read only the content left,
+    the next row's index mod n, the row's part, its run and its prefix
+    value, so the count of completions is memoized on that state.  The
+    state holds the content left, so a count stored for one d is the count
+    any other d needs there: one memo, made here and dropped on return,
+    serves every d.  That holds only when prefix and close read nothing but
+    their arguments.  Entries of `base` may be negative; a d whose content
+    has one counts 0.
     """
-    rem = _content(n, counts)
+    base = _content(n, base)
+    check_order(order)
+    memo: dict = {}
+    return tuple(_count(n, [c + d for c in base], prefix, close, memo) for d in range(order + 1))
+
+
+def _count(n: int, rem: list[int], prefix, close, memo: dict) -> int:
+    """`count_by_weight`'s walk over one content, `rem`, adding its states to `memo`."""
     left = sum(rem)
     if min(rem) < 0 or core_size_of_content(rem) > left:
         return 0
     if not left:
         return 1
-    if memo is None:
-        memo = {}
     steps = [_row_choices(n, rem, left, _spread(rem), 0, None, 0, None, prefix)]
     totals = [0]  # completions counted so far by the choices of each row step
     keys: list = []  # the memo key of the state below each row descended from
@@ -390,7 +398,7 @@ def block_dimension(n: int, m: int, mu: Partition) -> int:
     w, r = divmod(m - sum(mu), n)
     if w < 0 or r or not is_n_core(mu, n):
         return 0
-    return count_regular_partitions_with_content(n, [c + w for c in residue_counts(mu, n)])
+    return count_by_weight(n, [c + w for c in residue_counts(mu, n)], 0)[0]
 
 
 def is_rectangle_le_n(mu: Partition, n: int) -> tuple[int, int] | None:

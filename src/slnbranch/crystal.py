@@ -30,6 +30,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
+from typing import Callable
 
 from .partitions import (
     Partition,
@@ -102,19 +103,18 @@ def eps_index(p: Partition, n: int) -> int | None:
     return eps.index(1) if sum(eps) == 1 else None
 
 
-def eps_prefix(
-    v: int, v1: int | None, starts: bool, r: int, above, n: int, j: int
-) -> tuple[int, tuple[int, ...]] | None:
+def eps_prefix(n: int, j: int) -> Callable:
     """Carry the eps of the rows above a candidate row; None once it exceeds e_j.
 
-    A prefix test for the content walk, with its window: the candidate
-    part v, the part v1 of the row above, whether that row starts its run,
-    the candidate's row index r mod n, and `above`, this test's value for
-    the row above (None for the first row).  The rows above the candidate
-    have their lower neighbours placed, so their removable nodes are
-    settled, and a surviving "-" is cancelled only by a "+" above it.
-    Their eps vector is therefore a lower bound for the eps vector of
-    every partition that begins with them.
+    Returns the content walk's prefix test prefix(v, v1, starts, r, above),
+    bound to n and j.  Its window holds the candidate part v, the part v1
+    of the row above, whether that row starts its run, the candidate's row
+    index r mod n, and `above`, this test's value for the row above (None
+    for the first row).  The rows above the candidate have their lower
+    neighbours placed, so their removable nodes are settled, and a
+    surviving "-" is cancelled only by a "+" above it.  Their eps vector is
+    therefore a lower bound for the eps vector of every partition that
+    begins with them.
 
     It runs one step of `_scan`.  Its value for a row is (eps_j, plus): the
     eps vector of the settled rows, which is eps_j e_j on every prefix that
@@ -125,36 +125,44 @@ def eps_prefix(
     it starts its run, adds a "+".  Inside a run neither is there, and the
     value is `above` itself.
     """
-    if above is None:
-        return 0, (0,) * n
-    if v1 == v and not starts:
-        return above
-    eps, plus = above
-    plus = list(plus)
-    if v1 > v:
-        x = (v1 - r) % n
-        if plus[x]:
-            plus[x] -= 1
-        elif x != j or eps:
-            return None
-        else:
-            eps = 1
-    if starts:
-        plus[(v1 + 1 - r) % n] += 1
-    return eps, tuple(plus)
+    def prefix(v, v1, starts, r, above):
+        if above is None:
+            return 0, (0,) * n
+        if v1 == v and not starts:
+            return above
+        eps, plus = above
+        plus = list(plus)
+        if v1 > v:
+            x = (v1 - r) % n
+            if plus[x]:
+                plus[x] -= 1
+            elif x != j or eps:
+                return None
+            else:
+                eps = 1
+        if starts:
+            plus[(v1 + 1 - r) % n] += 1
+        return eps, tuple(plus)
+
+    return prefix
 
 
-def eps_close(v: int, r: int, value, n: int, j: int) -> bool:
+def eps_close(n: int, j: int) -> Callable:
     """Whether the last row of a walked partition leaves eps = e_j.
 
-    The empty row below the last row (index r mod n from 0, part v)
-    settles its removable node.  `value` is `eps_prefix`'s value for that
-    row; the node cancels a surviving "+" of its residue, leaving eps as
-    it was, or else raises eps_j from 0.  Either way eps must end at e_j.
+    Returns the content walk's closing test close(v, r, value), bound to n
+    and j.  The empty row below the last row (index r mod n from 0, part v)
+    settles its removable node.  `value` is the `eps_prefix` value for that
+    row; the node cancels a surviving "+" of its residue, leaving eps as it
+    was, or else raises eps_j from 0.  Either way eps must end at e_j.
     """
-    eps, plus = value
-    x = (v - r - 1) % n
-    return eps == 1 if plus[x] else x == j and not eps
+
+    def close(v, r, value):
+        eps, plus = value
+        x = (v - r - 1) % n
+        return eps == 1 if plus[x] else x == j and not eps
+
+    return close
 
 
 def e_tilde(p: Partition, n: int, i: int) -> Partition | None:

@@ -3,15 +3,16 @@
 Membership has two equivalent characterizations implemented independently:
 the chain congruence on the exponent form, and the crystal eps-profile
 (at most one nonzero eps_i, equal to 1).  The generating series chi counts
-members with a fixed n-core by n-weight: `chi_direct` counts the contents
-`js_set` lists, with the same tests; `chi_by_branching` reads branching functions.
+members with a fixed n-core by n-weight: `chi_direct` counts, in one
+`count_by_weight` call over every weight, the contents `js_set` lists, with
+the same tests; `chi_by_branching` reads branching functions.
 """
 
 from __future__ import annotations
 
 from .branching import branching_series, fow_close, fow_index, fow_prefix
 from .cores import (
-    count_regular_partitions_with_content,
+    count_by_weight,
     is_n_core,
     is_rectangle_le_n,
     n_core,
@@ -50,8 +51,8 @@ def is_js_by_crystal(p: Partition, n: int) -> bool:
     return eps_index(p, n) is not None and is_n_regular(p, n)
 
 
-def _js_content(n: int, mu: Partition) -> tuple:
-    """The content of the members with n-core mu and n-weight 0, and their prefix test.
+def _js_content(n: int, mu: Partition) -> tuple[int, ...]:
+    """The content of the members with n-core mu and n-weight 0.
 
     By Nakayama's conjecture the members of n-weight d are the n-regular
     partitions of this content plus d (1, ..., 1) that pass `fow_prefix`,
@@ -61,36 +62,24 @@ def _js_content(n: int, mu: Partition) -> tuple:
     mu = as_partition(mu)
     if not is_n_core(mu, n):
         raise ValueError(f"{mu} is not an n-core for n={n}")
-
-    def prefix(v, v1, starts, r, above):
-        return fow_prefix(v, v1, starts, r, above, n)
-
-    return residue_counts(mu, n), prefix
+    return residue_counts(mu, n)
 
 
 def js_set(n: int, mu: Partition, d: int) -> list[Partition]:
     """All member partitions with n-core mu and n-weight d, descending lex order."""
-    base, prefix = _js_content(n, mu)
+    base = _js_content(n, mu)
     if d < 0:
         return []
-    return list(regular_partitions_with_content(n, [c + d for c in base], prefix, fow_close))
+    return list(regular_partitions_with_content(n, [c + d for c in base], fow_prefix(n), fow_close))
 
 
 def chi_direct(n: int, mu: Partition, order: int) -> tuple[int, ...]:
     """Generating-series coefficients of the member count by n-weight.
 
-    One prefix test and one counting memo serve every weight d: the memo
-    key holds the content left, so the walks of successive d share states.
+    One `count_by_weight` call counts every weight d, on the contents
+    `_js_content(n, mu)` + d (1, ..., 1); it rejects a negative order.
     """
-    check_order(order)
-    base, prefix = _js_content(n, mu)
-    memo: dict = {}
-    return tuple(
-        count_regular_partitions_with_content(
-            n, [c + d for c in base], prefix, fow_close, memo=memo
-        )
-        for d in range(order + 1)
-    )
+    return count_by_weight(n, _js_content(n, mu), order, fow_prefix(n), fow_close)
 
 
 def chi_by_branching(n: int, mu: Partition, order: int) -> tuple[int, ...]:

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .partitions import Partition, check_rank, residue_counts
+from .partitions import Partition, as_partition, check_rank, residue_counts
 
 
 @dataclass(frozen=True)
@@ -76,8 +76,9 @@ def weight_of(p: Partition, n: int) -> AffineWeight:
     """L0 minus one simple root per node, grouped by residue.
 
     The delta coefficient comes out as minus the number of residue-0 nodes.
+    p is validated by `as_partition` first, so malformed input raises.
     """
-    m = residue_counts(p, n)
+    m = residue_counts(as_partition(p), n)
     lam = [0] * n
     lam[0] = 1
     for i, mi in enumerate(m):

@@ -260,21 +260,16 @@ def listed_series(n: int, j: int, k: int, order: int) -> dict:
     from slnbranch.cores import regular_partitions_with_content
     from slnbranch.crystal import eps_prefix
 
+    j %= n
     routes = {
-        "fow": (fow_prefix, in_fow),
-        "crystal": (eps_prefix, crystal_member),
+        "fow": (fow_prefix(n, j), in_fow),
+        "crystal": (eps_prefix(n, j), crystal_member),
     }
     coeffs = {route: [0] * (order + 1) for route in routes}
-    j %= n
+    base = class_residue_counts(n, j, k)
     for d in range(order + 1):
-        counts = class_residue_counts(n, j, k, d)
-        if counts is None:
-            continue
-        for route, (test, member) in routes.items():
-
-            def prefix(v, v1, starts, r, above, test=test):
-                return test(v, v1, starts, r, above, n, j)
-
+        counts = [c + d for c in base]
+        for route, (prefix, member) in routes.items():
             walk = regular_partitions_with_content(n, counts, prefix)
             coeffs[route][d] = sum(1 for p in walk if member(p, n, j))
     return {route: tuple(c) for route, c in coeffs.items()}
@@ -296,11 +291,9 @@ def filtered_bucket_series(n: int, j: int, k: int, order: int) -> dict:
     members = {"paths": in_path_set, "fow": in_fow, "crystal": crystal_member}
     coeffs = {route: [0] * (order + 1) for route in members}
     j %= n
+    base = class_residue_counts(n, j, k)
     for d in range(order + 1):
-        counts = class_residue_counts(n, j, k, d)
-        if counts is None:
-            continue
-        for p in regular_partitions_with_content(n, counts):
+        for p in regular_partitions_with_content(n, [c + d for c in base]):
             for route, member in members.items():
                 coeffs[route][d] += member(p, n, j)
     return {route: tuple(c) for route, c in coeffs.items()}

@@ -16,7 +16,7 @@ from slnbranch import (
     weight_of,
 )
 from slnbranch.branching import METHODS, configuration_sums, fow_close, fow_prefix
-from slnbranch.cores import count_regular_partitions_with_content
+from slnbranch.cores import count_by_weight
 from slnbranch.crystal import _scan, eps_close, eps_index, eps_prefix
 
 from oracles import (
@@ -135,17 +135,18 @@ class TestFow:
 
 class TestClassCensus:
     def test_hand_solved_cases(self):
-        assert class_residue_counts(3, 1, 0, 2) == (2, 2, 2)
-        assert class_residue_counts(3, 0, 1, 0) is None  # (0,-1,-1) shifted
-        assert class_residue_counts(3, 0, 1, 1) == (1, 0, 0)
-        assert class_residue_counts(3, 2, 1, 1) == (1, 0, 1)
+        assert class_residue_counts(3, 1, 0) == (0, 0, 0)
+        assert class_residue_counts(3, 2, 1) == (0, -1, 0)
+        # (0, -1, -1): at d = 0 the class has no member, so both counting
+        # routes start their series with 0; at d = 1 the content is (1, 0, 0).
+        assert class_residue_counts(3, 0, 1) == (0, -1, -1)
+        assert branching_series(3, 0, 1, 1, "fow") == (0, 1)
+        assert branching_series(3, 0, 1, 1, "crystal") == (0, 1)
 
     def test_census_characterizes_class_members(self):
         # counts match iff weight class and energy match
-        for d in range(4):
-            counts = class_residue_counts(3, 0, 1, d)
-            if counts is None:
-                continue
+        for d in range(1, 4):
+            counts = tuple(c + d for c in class_residue_counts(3, 0, 1))
             for p in partitions_of(sum(counts)):
                 in_class = (
                     weight_of(p, 3).lam == class_lam(3, 0, 1)
@@ -296,28 +297,28 @@ class TestCountingRoutes:
                 continue
             r = (len(p) - 1) % n
             for j in range(n):
-                value = prefix_value(fow(n, j), p, n)
+                value = prefix_value(fow_prefix(n, j), p, n)
                 if value:
                     assert fow_close(p[-1], r, value) == in_fow(p, n, j), (p, j)
-                value = prefix_value(crystal(n, j), p, n)
+                value = prefix_value(eps_prefix(n, j), p, n)
                 if value:
-                    assert eps_close(p[-1], r, value, n, j) == (eps_index(p, n) == j), (p, j)
+                    assert eps_close(n, j)(p[-1], r, value) == (eps_index(p, n) == j), (p, j)
 
     def test_close_examples(self):
         # (3, 3) at n = 3 is the one block (3, 2), so j = 1; (3,) is the
         # block (3, 1), j = 2, short of the two rows j = 1 forces on it.
-        assert fow_close(3, 1, prefix_value(fow(3, 1), (3, 3), 3))
-        assert not fow_close(3, 0, prefix_value(fow(3, 1), (3,), 3))
+        assert fow_close(3, 1, prefix_value(fow_prefix(3, 1), (3, 3), 3))
+        assert not fow_close(3, 0, prefix_value(fow_prefix(3, 1), (3,), 3))
         # (2, 1) at n = 3: row 1's removable node, residue 1, raises eps_1,
         # and its addable node leaves a "+" of residue 2, which row 2's
         # removable node, residue 2, cancels: eps = e_1.
-        value = prefix_value(crystal(3, 1), (2, 1), 3)
-        assert value == (1, (0, 0, 1)) and eps_close(1, 1, value, 3, 1)
+        value = prefix_value(eps_prefix(3, 1), (2, 1), 3)
+        assert value == (1, (0, 0, 1)) and eps_close(3, 1)(1, 1, value)
         # (2,) and (2, 2): a lone removable node of residue 1, resp. 0.
         first = (0, (0, 0, 0))
-        assert eps_close(2, 0, first, 3, 1) and not eps_close(2, 0, first, 3, 0)
-        value = prefix_value(crystal(3, 0), (2, 2), 3)
-        assert eps_close(2, 1, value, 3, 0) and not eps_close(2, 1, value, 3, 1)
+        assert eps_close(3, 1)(2, 0, first) and not eps_close(3, 0)(2, 0, first)
+        value = prefix_value(eps_prefix(3, 0), (2, 2), 3)
+        assert eps_close(3, 0)(2, 1, value) and not eps_close(3, 1)(2, 1, value)
 
     @pytest.mark.parametrize("n,order", [(2, 16), (3, 14), (4, 12), (5, 10)])
     def test_shared_memo_equals_a_fresh_memo_per_d(self, n, order):
@@ -325,41 +326,17 @@ class TestCountingRoutes:
         # on its own, with a fresh memo, gives the same series.
         for j in range(n):
             for k in range(n):
-                contents = [class_residue_counts(n, j, k, d) for d in range(order + 1)]
+                base = class_residue_counts(n, j, k)
                 for route, prefix, close in (
-                    ("fow", fow(n, j), fow_close),
-                    ("crystal", crystal(n, j), crystal_close(n, j)),
+                    ("fow", fow_prefix(n, j), fow_close),
+                    ("crystal", eps_prefix(n, j), eps_close(n, j)),
                 ):
                     fresh = tuple(
-                        0
-                        if counts is None
-                        else count_regular_partitions_with_content(n, counts, prefix, close)
-                        for counts in contents
+                        count_by_weight(n, [c + d for c in base], 0, prefix, close)[0]
+                        for d in range(order + 1)
                     )
                     got = branching_series(n, j, k, order, route)
                     assert got == fresh, (n, j, k, route)
-
-    def test_one_memo_serves_successive_contents(self):
-        # The states one content stores are reached again by the next d's
-        # content, so a shared memo holds fewer states than fresh ones.
-        n, j, k, order = 4, 1, 0, 12
-        shared = {}
-        fresh_states = 0
-        for d in range(order + 1):
-            counts = class_residue_counts(n, j, k, d)
-            fresh = {}
-            alone = count_regular_partitions_with_content(
-                n, counts, fow(n, j), fow_close, memo=fresh
-            )
-            assert alone == count_regular_partitions_with_content(
-                n, counts, fow(n, j), fow_close, memo=shared
-            ), d
-            fresh_states += len(fresh)
-        assert 0 < len(shared) < fresh_states
-        before = len(shared)
-        counts = class_residue_counts(n, j, k, order)
-        count_regular_partitions_with_content(n, counts, fow(n, j), fow_close, memo=shared)
-        assert len(shared) == before  # a repeated content adds no state
 
     def test_eps_prefix_keeps_the_value_inside_a_run(self):
         # A candidate equal to a row above that does not start its run
@@ -367,8 +344,8 @@ class TestCountingRoutes:
         # If that row starts its run, its addable node (row 2 of part 3 at
         # n = 3, residue 2) adds a "+".
         value = (1, (0, 2, 0))
-        assert eps_prefix(3, 3, False, 2, value, 3, 0) is value
-        assert eps_prefix(3, 3, True, 2, value, 3, 0) == (1, (0, 2, 1))
+        assert eps_prefix(3, 0)(3, 3, False, 2, value) is value
+        assert eps_prefix(3, 0)(3, 3, True, 2, value) == (1, (0, 2, 1))
 
 
 class TestPrefixTests:
@@ -379,46 +356,50 @@ class TestPrefixTests:
         for p in partitions_up_to(14, regular=n):
             j = fow_index(p, n)
             if j is not None:
-                assert prefix_value(fow(n, j), p, n), p
-                assert prefix_value(fow(n), p, n), p
+                assert prefix_value(fow_prefix(n, j), p, n), p
+                assert prefix_value(fow_prefix(n), p, n), p
             j = eps_index(p, n)
             if j is not None:
-                assert prefix_value(crystal(n, j), p, n), p
+                assert prefix_value(eps_prefix(n, j), p, n), p
 
     def test_prefixes_cut(self):
         # (3, 1) closes the first block (3, 1), which gives j = 2 at n = 3,
         # so for j = 1 it is cut.  For j = 2, (3, 2) passes: the next block
         # (2, a2) needs a2 ≡ 2 - 3 - 1 ≡ 1 (for (3, 1) see the open-block test).
-        assert not prefix_value(fow(3, 1), (3, 1), 3)
-        assert prefix_value(fow(3, 2), (3, 2), 3)
+        assert not prefix_value(fow_prefix(3, 1), (3, 1), 3)
+        assert prefix_value(fow_prefix(3, 2), (3, 2), 3)
         # (3, 2) closes the first block (3, 1), but j = 1 needs length 2.
-        assert prefix_value(fow(3, 1), (3, 3), 3) and not prefix_value(fow(3, 1), (3, 2), 3)
+        assert prefix_value(fow_prefix(3, 1), (3, 3), 3)
+        assert not prefix_value(fow_prefix(3, 1), (3, 2), 3)
         # At n = 4, (5, 4) forces a block (4, a2) with a2 ≡ 4 - 5 - 1 ≡ 2,
         # so (5, 4, 3) closes it one row too early.
-        assert prefix_value(fow(4), (5, 4, 4), 4) and not prefix_value(fow(4), (5, 4, 3), 4)
+        assert prefix_value(fow_prefix(4), (5, 4, 4), 4)
+        assert not prefix_value(fow_prefix(4), (5, 4, 3), 4)
         # (4, 2, 1) at n = 3 with no fixed j: the first block may have any
         # length, but (4, 2) already needs a block (2, a2) with
         # a2 ≡ 2 - 4 - 1 ≡ 0, so the cut comes one row before (4, 2, 1).
-        assert prefix_value(fow(3), (4,), 3) and not prefix_value(fow(3), (4, 2), 3)
+        assert prefix_value(fow_prefix(3), (4,), 3) and not prefix_value(fow_prefix(3), (4, 2), 3)
         # (5, 4, ...): 1 + 5 - 4 + a2 ≡ 0 forces a2 = 1, so a second 4 is cut.
-        assert prefix_value(fow(3), (5, 4), 3) and not prefix_value(fow(3), (5, 4, 4), 3)
+        assert prefix_value(fow_prefix(3), (5, 4), 3)
+        assert not prefix_value(fow_prefix(3), (5, 4, 4), 3)
         # The rows above the candidate of (4, 2, 1) hold removable nodes of
         # residue 0 with no "+" between, so eps_0 >= 2 whatever follows.
-        assert prefix_value(crystal(3, 0), (4, 2), 3)
-        assert not prefix_value(crystal(3, 0), (4, 2, 1), 3)
+        assert prefix_value(eps_prefix(3, 0), (4, 2), 3)
+        assert not prefix_value(eps_prefix(3, 0), (4, 2, 1), 3)
         # Row 1 of (3, 1) holds a removable node of residue 2.
-        assert prefix_value(crystal(3, 2), (3, 1), 3)
-        assert not prefix_value(crystal(3, 0), (3, 1), 3)
+        assert prefix_value(eps_prefix(3, 2), (3, 1), 3)
+        assert not prefix_value(eps_prefix(3, 0), (3, 1), 3)
         # The candidate's own removable node is not settled yet.
-        assert prefix_value(crystal(3, 0), (3,), 3)
+        assert prefix_value(eps_prefix(3, 0), (3,), 3)
 
     def test_open_fow_block_is_cut(self):
         # At n = 3 the first block of (3, ...) must have length (3 - j) mod 3.
-        assert not prefix_value(fow(3, 0), (3,), 3)
-        assert prefix_value(fow(3, 2), (3,), 3) and not prefix_value(fow(3, 2), (3, 3), 3)
+        assert not prefix_value(fow_prefix(3, 0), (3,), 3)
+        assert prefix_value(fow_prefix(3, 2), (3,), 3)
+        assert not prefix_value(fow_prefix(3, 2), (3, 3), 3)
         # (3, 1) closes the block (3, 1) of j = 2, and then the block
         # (1, a2) would need a2 ≡ 1 - 3 - 1 ≡ 0.
-        assert not prefix_value(fow(3, 2), (3, 1), 3)
+        assert not prefix_value(fow_prefix(3, 2), (3, 1), 3)
 
     def test_eps_prefix_carries_the_scan(self):
         # Stepping down the rows gives the eps_j and "+" counts of one scan
@@ -427,20 +408,9 @@ class TestPrefixTests:
             for r in range(2, len(p) + 1):
                 eps, plus, _ = _scan(p[:r], 3)
                 for j in range(3):
-                    value = prefix_value(crystal(3, j), p[:r], 3)
+                    value = prefix_value(eps_prefix(3, j), p[:r], 3)
                     if eps[j] <= 1 and sum(eps) == eps[j]:
                         assert value == (eps[j], tuple(len(rows) for rows in plus)), (p, r, j)
                     else:
                         assert not value, (p, r, j)
 
-
-def fow(n, j=None):
-    return lambda v, v1, starts, r, above: fow_prefix(v, v1, starts, r, above, n, j)
-
-
-def crystal(n, j):
-    return lambda v, v1, starts, r, above: eps_prefix(v, v1, starts, r, above, n, j)
-
-
-def crystal_close(n, j):
-    return lambda v, r, value: eps_close(v, r, value, n, j)

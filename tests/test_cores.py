@@ -22,12 +22,7 @@ from slnbranch import (
     residue_counts,
 )
 from slnbranch.branching import fow_close, fow_prefix, in_fow
-from slnbranch.cores import (
-    _add_row,
-    _charge_bound,
-    _spread,
-    count_regular_partitions_with_content,
-)
+from slnbranch.cores import _add_row, _charge_bound, _spread, count_by_weight
 from slnbranch.crystal import eps_close, eps_prefix
 from oracles import (
     abacus_core,
@@ -217,7 +212,7 @@ class TestContentWalk:
             if sum(counts) <= max_size:
                 bucket = buckets.get(counts, [])
                 assert list(regular_partitions_with_content(n, counts)) == bucket, counts
-                got = count_regular_partitions_with_content(n, counts, anything, anything)
+                got = count_by_weight(n, counts, 0, anything, anything)[0]
                 assert got == len(bucket), counts
 
     @pytest.mark.parametrize("n,max_size", [(2, 14), (3, 12), (4, 10)])
@@ -234,7 +229,7 @@ class TestContentWalk:
                     return above + v
 
                 list(regular_partitions_with_content(n, counts, placed))
-                count_regular_partitions_with_content(n, counts, placed, anything)
+                count_by_weight(n, counts, 0, placed, anything)
 
     def test_deep_content(self):
         # 1,194 rows, one per level of the walk's stack: deeper than the
@@ -243,7 +238,7 @@ class TestContentWalk:
         p = tuple(k for k in range(6, 0, -1) for _ in range(199))
         counts = residue_counts(p, n)
         assert list(regular_partitions_with_content(n, counts)) == [p]
-        assert count_regular_partitions_with_content(n, counts, anything, anything) == 1
+        assert count_by_weight(n, counts, 0, anything, anything)[0] == 1
 
     def test_examples(self):
         assert list(regular_partitions_with_content(3, (0, 0, 0))) == [()]
@@ -275,14 +270,9 @@ class TestContentWalk:
             assert r == len(rows) % n, (rows, v, r)
             return rows + (v,) if v != 2 else None
 
-        tests = [tracked, lambda v, v1, starts, r, above: fow_prefix(v, v1, starts, r, above, n)]
+        tests = [tracked, fow_prefix(n)]
         for j in range(n):
-            tests.append(
-                lambda v, v1, starts, r, above, j=j: fow_prefix(v, v1, starts, r, above, n, j)
-            )
-            tests.append(
-                lambda v, v1, starts, r, above, j=j: eps_prefix(v, v1, starts, r, above, n, j)
-            )
+            tests += [fow_prefix(n, j), eps_prefix(n, j)]
         # The value counts the rows placed, so no member has more than three.
         tests.append(lambda v, v1, s, r, above: v != 2 and (above or 0) < 3 and (above or 0) + 1)
         for size in range(max_size + 1):
@@ -308,86 +298,84 @@ class TestContentWalk:
 
 
 @st.composite
-def residue_contents(draw):
-    """(n, counts): the content of a partition of size <= 14, one count nudged by -1, 0 or 1."""
+def residue_series(draw):
+    """(n, base, order): a partition's content, one count nudged by -1, 0 or 1, shifted by -delta.
+
+    The shift by 0, 1 or 2 times (1, ..., 1) lets the base hold negative
+    entries, so the first d of a series may have no content.
+    """
     n = draw(st.integers(2, 5))
     p = draw(st.sampled_from(list(partitions_of(draw(st.integers(0, 14))))))
     counts = list(residue_counts(p, n))
     r = draw(st.integers(0, n - 1))
     counts[r] = max(0, counts[r] + draw(st.integers(-1, 1)))
-    return n, tuple(counts)
+    shift = draw(st.integers(0, 2))
+    return n, tuple(c - shift for c in counts), draw(st.integers(0, 3))
 
 
 class TestContentCount:
     @settings(max_examples=150, deadline=None)
-    @given(residue_contents())
+    @given(residue_series())
     def test_counts_the_filtered_listing_walk(self, case):
         # One contract for both walks.  For each pair of prefix and close
         # tests -- none, the j-free chain congruence, and each route at each
-        # j -- the listing walk yields exactly the members that the pair's
-        # membership test keeps from the unpruned listing, and the counting
-        # walk returns how many it yields.
-        n, counts = case
-        members = list(regular_partitions_with_content(n, counts))
-
-        def js(v, v1, starts, r, above):
-            return fow_prefix(v, v1, starts, r, above, n)
-
+        # j -- and each d, the listing walk yields exactly the members that
+        # the pair's membership test keeps from the unpruned listing of
+        # base + d (1, ..., 1), and coefficient d of the count is how many
+        # it yields, 0 when that content has a negative entry.
+        n, base, order = case
         pairs = [
             (None, None, lambda p: True),
-            (js, fow_close, lambda p: is_js(p, n)),
+            (fow_prefix(n), fow_close, lambda p: is_js(p, n)),
         ]
         for j in range(n):
             pairs += [
-                (
-                    lambda v, v1, starts, r, above, j=j: fow_prefix(v, v1, starts, r, above, n, j),
-                    fow_close,
-                    lambda p, j=j: in_fow(p, n, j),
-                ),
-                (
-                    lambda v, v1, starts, r, above, j=j: eps_prefix(v, v1, starts, r, above, n, j),
-                    lambda v, r, value, j=j: eps_close(v, r, value, n, j),
-                    lambda p, j=j: crystal_member(p, n, j),
-                ),
+                (fow_prefix(n, j), fow_close, lambda p, j=j: in_fow(p, n, j)),
+                (eps_prefix(n, j), eps_close(n, j), lambda p, j=j: crystal_member(p, n, j)),
             ]
+        contents = [tuple(c + d for c in base) for d in range(order + 1)]
+        listings = [list(regular_partitions_with_content(n, counts)) for counts in contents]
         for prefix, close, member in pairs:
-            listed = list(regular_partitions_with_content(n, counts, prefix, close))
-            assert listed == [p for p in members if member(p)], (n, counts)
-            got = count_regular_partitions_with_content(n, counts, prefix, close)
-            assert got == len(listed), (n, counts)
+            got = count_by_weight(n, base, order, prefix, close)
+            assert len(got) == order + 1
+            for d, (counts, members) in enumerate(zip(contents, listings)):
+                listed = list(regular_partitions_with_content(n, counts, prefix, close))
+                assert listed == [p for p in members if member(p)], (n, counts)
+                expected = 0 if min(counts) < 0 else len(listed)
+                assert got[d] == expected, (n, base, d)
 
     def test_empty_and_impossible_contents(self):
         def never(*args):
             raise AssertionError("no row to test")
 
-        assert count_regular_partitions_with_content(3, (0, 0, 0), never, never) == 1
-        assert count_regular_partitions_with_content(2, (0, 1), never, never) == 0
-        assert count_regular_partitions_with_content(2, (-1, 2), never, never) == 0
+        assert count_by_weight(3, (0, 0, 0), 0, never, never) == (1,)
+        assert count_by_weight(2, (0, 1), 0, never, never) == (0,)
+        assert count_by_weight(2, (-1, 2), 0, never, never) == (0,)
 
     def test_counts_what_the_prefix_and_close_pass(self):
         # With no tests, or tests that pass everything, it counts the whole
         # content; the close sees each member's last part and its row index
         # mod n.  (3) and (2, 1) have content (1, 1, 1); (1, 1, 1) is not
         # 3-regular.
-        assert count_regular_partitions_with_content(3, (1, 1, 1), None, None) == 2
+        assert count_by_weight(3, (1, 1, 1), 0) == (2,)
         for counts in ((2, 2, 2), (4, 3, 3), (5, 5, 4)):
             members = list(regular_partitions_with_content(3, counts))
-            assert count_regular_partitions_with_content(3, counts, anything, anything) == len(
-                members
-            )
+            assert count_by_weight(3, counts, 0, anything, anything) == (len(members),)
             ends = Counter((p[-1], (len(p) - 1) % 3) for p in members)
             for (v, r), many in ends.items():
 
                 def close(v2, r2, value, v=v, r=r):
                     return (v2, r2) == (v, r)
 
-                assert count_regular_partitions_with_content(3, counts, anything, close) == many
+                assert count_by_weight(3, counts, 0, anything, close)[0] == many
 
     def test_checks_arguments_when_called(self):
         with pytest.raises(ValueError, match="expected 3 residue counts"):
-            count_regular_partitions_with_content(3, (1, 0), None, None)
+            count_by_weight(3, (1, 0), 0)
         with pytest.raises(ValueError, match="n must be at least 2"):
-            count_regular_partitions_with_content(1, (0,), None, None)
+            count_by_weight(1, (0,), 0)
+        with pytest.raises(ValueError, match="order must be nonnegative"):
+            count_by_weight(3, (0, 0, 0), -1)
 
 
 class TestRectangles:

@@ -17,6 +17,7 @@ from slnbranch import (
     is_n_regular,
     is_rectangle_le_n,
     js_set,
+    n_weight,
     partitions_of,
     partitions_up_to,
     simple_root,
@@ -213,6 +214,8 @@ class TestOperators:
             lambda: f_tilde(parts, n, i),
             lambda: is_js(parts, n),
             lambda: is_js_by_crystal(parts, n),
+            lambda: n_weight(parts, n),
+            lambda: weight_of(parts, n),
             # The core argument of the n-core and chi entry points.
             lambda: chi_by_branching(n, parts, 2),
             lambda: is_rectangle_le_n(parts, n),

@@ -16,7 +16,7 @@ from slnbranch import (
     verify_rectangle_cores,
 )
 from slnbranch.branching import fow_close, fow_prefix
-from slnbranch.cores import count_regular_partitions_with_content
+from slnbranch.cores import count_by_weight
 
 # the twelve worked sets for n = 3, keyed by (core, weight)
 EXAMPLE_SETS = {
@@ -131,15 +131,10 @@ class TestChi:
     def test_shared_memo_equals_a_fresh_memo_per_d(self, n, order):
         # chi_direct shares one memo by every weight; counting each weight's
         # content on its own, with a fresh memo, gives the same series.
-        def prefix(v, v1, starts, r, above):
-            return fow_prefix(v, v1, starts, r, above, n)
-
         for mu in [()] + [(k,) * l for k in range(1, n) for l in range(1, n - k + 1)]:
             base = residue_counts(mu, n)
             fresh = tuple(
-                count_regular_partitions_with_content(
-                    n, [c + d for c in base], prefix, fow_close
-                )
+                count_by_weight(n, [c + d for c in base], 0, fow_prefix(n), fow_close)[0]
                 for d in range(order + 1)
             )
             assert chi_direct(n, mu, order) == fresh, (n, mu)

@@ -59,9 +59,9 @@ def test_traced_cli_counts_every_route(tmp_path):
     for name in (
         "branching.in_path_set",
         "branching.in_fow",
-        # The fow and crystal routes of `branching --method all` count one
-        # class content per call through these two, so their spans must
-        # not fall to zero.
+        # The fow and crystal routes of `branching --method all` each count
+        # their whole series in one call through these two, so their spans
+        # must not fall to zero.
         "branching._census",
         "branching._class_members",
         "crystal.epsilon_vector",
