@@ -4,14 +4,15 @@ Cores, weights, and block dimensions
 
 Walks a few partitions through the abacus, then tabulates block dimensions:
 for each 3-core mu and size m, the number of 3-regular partitions of m with
-core mu.  Row sums recover the count of all 3-regular partitions of m.
+core mu, read from one block series per core (coefficient w counts size
+|mu| + 3w).  Row sums recover the count of all 3-regular partitions of m.
 """
 
 from collections import Counter
 
 from slnbranch import (
     abacus_display,
-    block_dimension,
+    block_series,
     format_partition,
     n_core,
     n_cores,
@@ -35,7 +36,11 @@ cores = n_cores(N, M)
 header = " ".join(f"{format_partition(mu):>6s}" for mu in cores)
 print(f"m={'':2s} {header}   total  regular")
 regular = Counter(map(sum, partitions_up_to(M, regular=N)))
+by_size = {
+    mu: {sum(mu) + N * w: d for w, d in enumerate(block_series(N, mu, (M - sum(mu)) // N))}
+    for mu in cores
+}
 for m in range(M + 1):
-    row = [block_dimension(N, m, mu) for mu in cores]
+    row = [by_size[mu].get(m, 0) for mu in cores]
     cells = " ".join(f"{d:6d}" for d in row)
     print(f"{m:4d} {cells}  {sum(row):6d} {regular[m]:8d}")

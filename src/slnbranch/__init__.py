@@ -16,7 +16,7 @@ from .branching import (
 )
 from .cores import (
     abacus_display,
-    block_dimension,
+    block_series,
     core_size_of_content,
     is_n_core,
     is_rectangle_le_n,
@@ -75,7 +75,7 @@ __all__ = [
     "VerificationReport",
     "abacus_display",
     "as_partition",
-    "block_dimension",
+    "block_series",
     "branching_series",
     "build_component",
     "canonical_pair",

@@ -34,6 +34,7 @@ from .partitions import (
     Partition,
     check_order,
     check_rank,
+    check_size,
     conjugate,
     exponent_form,
     is_n_regular,
@@ -315,6 +316,7 @@ def verify_fow_theorem(n: int, max_size: int) -> VerificationReport:
     recording any partition on which the two tests disagree.
     """
     check_rank(n)
+    check_size(max_size)
     with VerificationReport(suite=f"fow(n={n}, max_size={max_size})") as report:
         for p in partitions_up_to(max_size, regular=n):
             for j in range(n):

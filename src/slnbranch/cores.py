@@ -1,4 +1,4 @@
-"""n-cores, n-weights, and block dimensions via beta numbers on an abacus.
+"""n-cores, n-weights, and blocks via beta numbers on an abacus.
 
 With L beads, the beta numbers of a partition are the first-column hook
 lengths beta_i = part_i + (L - i), a strictly decreasing set.  Sliding every
@@ -19,7 +19,9 @@ cores of bounded size from the charges, without filtering partitions.
 
 The residue content fixes the n-core and the n-weight (Nakayama's
 conjecture; James & Kerber 1981, 2.7), so the n-regular partitions of one
-content -- one block -- are generated directly by a pruned walk.  One row
+content -- one block -- are generated directly by a pruned walk.  A block
+is named by its core mu; `block_content` checks mu, the one core check,
+and `block_series` counts the block by n-weight in one series.  One row
 step applies all of the walk's cuts and yields the parts a row can take;
 two walks drive it, each with an explicit stack of row steps, under one
 contract: a partition is a member when a caller's `prefix` test passes
@@ -387,18 +389,21 @@ def _count(n: int, rem: list[int], prefix, close, memo: dict) -> int:
             totals[r - 1] += done
 
 
-def block_dimension(n: int, m: int, mu: Partition) -> int:
-    """Number of n-regular partitions of m whose n-core is mu.
+def block_content(n: int, mu: Partition) -> tuple[int, ...]:
+    """The residue content of the n-core mu: the one place a core is checked.
 
-    They are the n-regular partitions of content
-    residue_counts(mu) + w (1, ..., 1) with w = (m - |mu|) / n.
+    By Nakayama's conjecture the n-regular partitions of this content plus
+    w (1, ..., 1) are those of the block of mu at n-weight w.
     """
-    check_rank(n)
     mu = as_partition(mu)
-    w, r = divmod(m - sum(mu), n)
-    if w < 0 or r or not is_n_core(mu, n):
-        return 0
-    return count_by_weight(n, [c + w for c in residue_counts(mu, n)], 0)[0]
+    if not is_n_core(mu, n):
+        raise ValueError(f"{mu} is not an n-core for n={n}")
+    return residue_counts(mu, n)
+
+
+def block_series(n: int, mu: Partition, order: int) -> tuple[int, ...]:
+    """Coefficient w counts the n-regular partitions of |mu| + n w with n-core mu."""
+    return count_by_weight(n, block_content(n, mu), order)
 
 
 def is_rectangle_le_n(mu: Partition, n: int) -> tuple[int, int] | None:

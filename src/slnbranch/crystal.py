@@ -37,6 +37,7 @@ from .partitions import (
     as_partition,
     check_rank,
     check_residue,
+    check_size,
     format_partition,
 )
 from .weights import AffineWeight, weight_of
@@ -264,8 +265,7 @@ def build_component(n: int, max_size: int) -> CrystalGraph:
     and a nonempty partition has some eps_i >= 1, so the eps-profile test
     (at most one nonzero eps_i, equal to 1) reads sum(eps) <= 1.
     """
-    if max_size < 0:
-        raise ValueError("max_size must be nonnegative")
+    check_size(max_size)
     check_rank(n)
     graph = CrystalGraph()
     layer: list[Partition] = [()]

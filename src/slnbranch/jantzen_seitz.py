@@ -3,30 +3,24 @@
 Membership has two equivalent characterizations implemented independently:
 the chain congruence on the exponent form, and the crystal eps-profile
 (at most one nonzero eps_i, equal to 1).  The generating series chi counts
-members with a fixed n-core by n-weight: `chi_direct` counts, in one
-`count_by_weight` call over every weight, the contents `js_set` lists, with
-the same tests; `chi_by_branching` reads branching functions.
+the members of one block, named by its n-core, by n-weight: `chi_direct`
+counts them in one `count_by_weight` call, on the contents `js_set` lists
+and with the same tests, so it is at most `block_series` term by term;
+`chi_by_branching` reads branching functions.
 """
 
 from __future__ import annotations
 
 from .branching import branching_series, fow_close, fow_index, fow_prefix
 from .cores import (
+    block_content,
     count_by_weight,
-    is_n_core,
     is_rectangle_le_n,
     n_core,
     regular_partitions_with_content,
 )
 from .crystal import eps_index
-from .partitions import (
-    Partition,
-    as_partition,
-    check_order,
-    check_rank,
-    is_n_regular,
-    residue_counts,
-)
+from .partitions import Partition, as_partition, check_order, check_rank, is_n_regular
 from .report import VerificationReport
 
 _CHI_METHOD = "paths"
@@ -51,23 +45,13 @@ def is_js_by_crystal(p: Partition, n: int) -> bool:
     return eps_index(p, n) is not None and is_n_regular(p, n)
 
 
-def _js_content(n: int, mu: Partition) -> tuple[int, ...]:
-    """The content of the members with n-core mu and n-weight 0.
-
-    By Nakayama's conjecture the members of n-weight d are the n-regular
-    partitions of this content plus d (1, ..., 1) that pass `fow_prefix`,
-    no j fixed, and `fow_close`.  This is where a core is validated: the
-    CLI only parses it.
-    """
-    mu = as_partition(mu)
-    if not is_n_core(mu, n):
-        raise ValueError(f"{mu} is not an n-core for n={n}")
-    return residue_counts(mu, n)
-
-
 def js_set(n: int, mu: Partition, d: int) -> list[Partition]:
-    """All member partitions with n-core mu and n-weight d, descending lex order."""
-    base = _js_content(n, mu)
+    """All member partitions with n-core mu and n-weight d, descending lex order.
+
+    They are the partitions of the block content `block_content(n, mu)`
+    plus d (1, ..., 1) that pass `fow_prefix`, no j fixed, and `fow_close`.
+    """
+    base = block_content(n, mu)
     if d < 0:
         return []
     return list(regular_partitions_with_content(n, [c + d for c in base], fow_prefix(n), fow_close))
@@ -77,9 +61,9 @@ def chi_direct(n: int, mu: Partition, order: int) -> tuple[int, ...]:
     """Generating-series coefficients of the member count by n-weight.
 
     One `count_by_weight` call counts every weight d, on the contents
-    `_js_content(n, mu)` + d (1, ..., 1); it rejects a negative order.
+    `block_content(n, mu)` + d (1, ..., 1); it rejects a negative order.
     """
-    return count_by_weight(n, _js_content(n, mu), order, fow_prefix(n), fow_close)
+    return count_by_weight(n, block_content(n, mu), order, fow_prefix(n), fow_close)
 
 
 def chi_by_branching(n: int, mu: Partition, order: int) -> tuple[int, ...]:

@@ -66,6 +66,12 @@ def check_order(order: int) -> None:
         raise ValueError("order must be nonnegative")
 
 
+def check_size(max_size: int) -> None:
+    """The one size-bound check: every sweep up to max_size rejects max_size < 0."""
+    if max_size < 0:
+        raise ValueError("max_size must be nonnegative")
+
+
 def check_residue(n: int, i: int) -> None:
     """check_rank, then reject a residue i outside 0..n-1."""
     check_rank(n)

@@ -11,7 +11,7 @@ from .branching import (
     configuration_sums,
     verify_fow_theorem,
 )
-from .cores import block_dimension, n_core, n_cores, n_weight
+from .cores import block_series, n_core, n_cores, n_weight
 from .crystal import _add_good, _remove_good, _signatures, build_component
 from .jantzen_seitz import (
     chi_by_branching,
@@ -20,7 +20,7 @@ from .jantzen_seitz import (
     is_js_by_crystal,
     verify_rectangle_cores,
 )
-from .partitions import check_rank, partitions_up_to
+from .partitions import check_rank, check_size, partitions_up_to
 from .report import VerificationReport
 from .weights import simple_root, weight_of
 
@@ -65,6 +65,7 @@ def verify_methods(n: int, order: int) -> VerificationReport:
 def verify_js(n: int, max_size: int, order: int) -> VerificationReport:
     """Chain congruence vs eps-profile, chi agreement, and rectangle cores."""
     check_rank(n)
+    check_size(max_size)
     with VerificationReport(suite=f"js(n={n}, max_size={max_size}, order={order})") as report:
         members = []
         for p in partitions_up_to(max_size, regular=n):
@@ -93,6 +94,7 @@ def verify_js(n: int, max_size: int, order: int) -> VerificationReport:
 def verify_cores(n: int, max_size: int) -> VerificationReport:
     """Abacus consistency: size split, idempotence, bead-count invariance, block sums."""
     check_rank(n)
+    check_size(max_size)
     with VerificationReport(suite=f"cores(n={n}, max_size={max_size})") as report:
         for p in partitions_up_to(max_size):
             report.cases += 1
@@ -107,23 +109,23 @@ def verify_cores(n: int, max_size: int) -> VerificationReport:
             )
             if not ok:
                 report.record(partition=list(p), core=list(core))
-        cores = n_cores(n, max_size)
+        # One series per block: coefficient w counts size |mu| + n w.
+        blocks = Counter()
+        for mu in n_cores(n, max_size):
+            for w, count in enumerate(block_series(n, mu, (max_size - sum(mu)) // n)):
+                blocks[sum(mu) + n * w] += count
         regular = Counter(map(sum, partitions_up_to(max_size, regular=n)))
         for m in range(max_size + 1):
             report.cases += 1
-            total = sum(
-                block_dimension(n, m, mu)
-                for mu in cores
-                if sum(mu) <= m and (m - sum(mu)) % n == 0
-            )
-            if total != regular[m]:
-                report.record(m=m, block_sum=total, regular=regular[m])
+            if blocks[m] != regular[m]:
+                report.record(m=m, block_sum=blocks[m], regular=regular[m])
     return report
 
 
 def verify_crystal(n: int, max_size: int) -> VerificationReport:
     """Operator inverses, statistics/weight compatibility, and vertex counts."""
     check_rank(n)
+    check_size(max_size)
     with VerificationReport(suite=f"crystal(n={n}, max_size={max_size})") as report:
         graph = build_component(n, max_size)
         roots = [simple_root(n, i) for i in range(n)]

@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 from slnbranch import (
     abacus_display,
-    block_dimension,
+    block_series,
     core_size_of_content,
     is_js,
     is_n_core,
@@ -158,25 +158,32 @@ class TestBlockDimension:
         "n,m,mu,count", [(3, 3, (), 2), (3, 1, (1,), 1), (3, 2, (), 0)]
     )
     def test_examples(self, n, m, mu, count):
-        assert block_dimension(n, m, mu) == count
+        # Coefficient w counts size |mu| + n w; a size between them is in no block of mu.
+        by_size = {sum(mu) + n * w: c for w, c in enumerate(block_series(n, mu, m))}
+        assert by_size.get(m, 0) == count
 
     def test_matches_core_filter_count(self):
-        shapes = list(partitions_up_to(8))
         for n in (2, 3, 4):
-            for m in range(17):
-                by_core = Counter(n_core(p, n) for p in partitions_of(m, regular=n))
-                for mu in shapes:
-                    assert block_dimension(n, m, mu) == by_core[mu], (n, m, mu)
+            by_core = [
+                Counter(n_core(p, n) for p in partitions_of(m, regular=n)) for m in range(17)
+            ]
+            for mu in partitions_up_to(8):
+                if not is_n_core(mu, n):
+                    with pytest.raises(ValueError) as info:
+                        block_series(n, mu, 2)
+                    assert str(info.value) == f"{mu} is not an n-core for n={n}"
+                    continue
+                series = block_series(n, mu, (16 - sum(mu)) // n)
+                assert series == tuple(by_core[sum(mu) + n * w][mu] for w in range(len(series)))
 
     def test_blocks_partition_the_regular_set(self):
         for n in (2, 3, 4):
-            for m in range(11):
-                total = 0
-                for c in range(m % n, m + 1, n):
-                    for mu in partitions_of(c):
-                        if is_n_core(mu, n):
-                            total += block_dimension(n, m, mu)
-                assert total == sum(1 for _ in partitions_of(m, regular=n))
+            by_size = Counter()
+            for mu in partitions_up_to(10):
+                if is_n_core(mu, n):
+                    for w, count in enumerate(block_series(n, mu, (10 - sum(mu)) // n)):
+                        by_size[sum(mu) + n * w] += count
+            assert by_size == Counter(map(sum, partitions_up_to(10, regular=n)))
 
 
 def filtered_census(n, size):

@@ -1,6 +1,7 @@
 import pytest
 
 from slnbranch import (
+    block_series,
     chi_by_branching,
     chi_direct,
     epsilon_vector,
@@ -138,6 +139,14 @@ class TestChi:
                 for d in range(order + 1)
             )
             assert chi_direct(n, mu, order) == fresh, (n, mu)
+
+    @pytest.mark.parametrize("n", [2, 3, 4, 5])
+    def test_members_are_a_subset_of_the_block(self, n):
+        # chi counts the members of the block of mu, so no coefficient
+        # exceeds the block's own count at that n-weight.
+        for mu in [()] + [(k,) * l for k in range(1, n) for l in range(1, n - k + 1)]:
+            direct, block = chi_direct(n, mu, 8), block_series(n, mu, 8)
+            assert all(c <= b for c, b in zip(direct, block)), (n, mu, direct, block)
 
     def test_constant_term_is_one(self):
         for n in (2, 3, 4):

@@ -6,7 +6,7 @@ from slnbranch import (
     QuadraticFormData,
     abacus_display,
     as_partition,
-    block_dimension,
+    block_series,
     branching_series,
     build_component,
     canonical_pair,
@@ -237,7 +237,7 @@ RANKED_CALLS = {
         regular_partitions_with_content(n, (0,) * n)
     ),
     "core_size_of_content": lambda n: core_size_of_content((0,) * n),
-    "block_dimension": lambda n: block_dimension(n, 3, ()),
+    "block_series": lambda n: block_series(n, (), 3),
     "n_cores": lambda n: n_cores(n, 3),
     "n_weight": lambda n: n_weight((2, 1), n),
     "n_core": lambda n: n_core((2, 1), n),

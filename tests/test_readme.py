@@ -1,8 +1,11 @@
-"""The README's library tour, run as a doctest so that it cannot drift."""
+"""The README's library tour and sample outputs, run so that they cannot drift."""
 
 import doctest
 import re
+import shlex
 from pathlib import Path
+
+from slnbranch.cli import main
 
 README = Path(__file__).resolve().parent.parent / "README.md"
 
@@ -17,3 +20,16 @@ def test_library_tour():
     runner = doctest.DocTestRunner()
     runner.run(test)
     assert runner.summarize(verbose=False).failed == 0
+
+
+def test_sample_outputs(capsys):
+    # Each `$ slnbranch ...` line of the block, then the lines it prints.
+    text = README.read_text(encoding="utf-8")
+    (block,) = re.findall(r"^Sample outputs:\n\n```\n(.*?)^```$", text, re.S | re.M)
+    samples = re.findall(r"^\$ (.*)\n((?:[^$].*\n)*)", block, re.M)
+    assert len(samples) == 2
+    for command, expected in samples:
+        program, *argv = shlex.split(command)
+        assert program == "slnbranch"
+        assert main(argv) == 0
+        assert capsys.readouterr().out == expected

@@ -5,8 +5,12 @@ monkeypatched helper stands in for a defect in the code under check.
 """
 
 import time
+from collections import Counter
+
+import pytest
 
 from slnbranch import verify
+from slnbranch.cores import n_cores
 from slnbranch.report import VerificationReport
 from slnbranch.weights import simple_root
 
@@ -38,18 +42,40 @@ def test_js_reports_a_flipped_profile(monkeypatch):
 
 
 def test_cores_reports_an_off_by_one_block(monkeypatch):
-    real = verify.block_dimension
+    real = verify.block_series
 
-    def off_by_one(n, m, mu):
-        return real(n, m, mu) + (mu == (1,))
+    def off_by_one(n, mu, order):
+        return tuple(c + (mu == (1,)) for c in real(n, mu, order))
 
     assert verify.verify_cores(3, 8).ok
-    monkeypatch.setattr(verify, "block_dimension", off_by_one)
+    monkeypatch.setattr(verify, "block_series", off_by_one)
     report = verify.verify_cores(3, 8)
     assert not report.ok
     assert all("block_sum" in failure for failure in report.failures)
     # Block (1) of H_m exists for m = 1, 4, 7.
     assert [failure["m"] for failure in report.failures] == [1, 4, 7]
+
+
+def test_cores_counts_each_block_in_one_series(monkeypatch):
+    real = verify.block_series
+    calls = Counter()
+
+    def counted(n, mu, order):
+        calls[mu] += 1
+        return real(n, mu, order)
+
+    monkeypatch.setattr(verify, "block_series", counted)
+    assert verify.verify_cores(4, 22).ok
+    assert sorted(calls) == sorted(n_cores(4, 22))
+    assert len(calls) == 82 and set(calls.values()) == {1}
+
+
+@pytest.mark.parametrize("name", ["fow", "js", "cores", "crystal"])
+def test_sweep_rejects_a_negative_max_size(name):
+    # A sweep over no partition would pass with 0 cases.
+    with pytest.raises(ValueError) as info:
+        verify.run_suites([name], 3, -1, 2)
+    assert str(info.value) == "max_size must be nonnegative"
 
 
 def test_crystal_reports_a_corrupted_weight(monkeypatch):
