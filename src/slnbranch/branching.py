@@ -21,14 +21,18 @@ with d residue-0 nodes.  Each route counts them by its own mathematics:
 Neither walk lists a member: no leaf is filtered, so each route's prefix
 and close tests alone decide membership.  Each fow or crystal series is
 one `count_by_weight` call on the class's d = 0 content: the route's
-prefix and close tests, bound to (n, j), are the same for every d.
+prefix and close tests, bound to (n, j), are the same for every d.  Each
+prefix test returns `cores.CUT_ROW` where its cut holds for every smaller
+part of the row (a short open block for fow, a row above whose removable
+node would raise eps past e_j for crystal), so the walk offers no more of
+that row.
 """
 
 from __future__ import annotations
 
 from typing import Callable
 
-from .cores import count_by_weight
+from .cores import CUT_ROW, count_by_weight
 from .crystal import eps_close, eps_prefix
 from .partitions import (
     Partition,
@@ -154,7 +158,9 @@ def fow_prefix(n: int, j: int | None = None) -> Callable:
     a = (v - j) mod n in the same way (need is None when j is None: any
     length).  So the candidate is cut as soon as that residue is 0, as soon
     as the run grows past need, and when it closes a block of another
-    length.
+    length.  In that last case every smaller part closes it too, since only
+    v == v1 can grow the open block, so the test returns `CUT_ROW`.  It
+    reads v1 only through v == v1 and v1 mod n, as the contract asks.
     """
 
     def prefix(v, v1, starts, r, above):
@@ -166,8 +172,8 @@ def fow_prefix(n: int, j: int | None = None) -> Callable:
                 a += 1
             elif need is None or a == need:
                 a, need = 1, (v - v1 - a) % n
-            else:
-                return None
+            else:  # v < v1: only v == v1 could have grown the open block
+                return CUT_ROW
         return (a, need) if need is None or a <= need else None
 
     return prefix

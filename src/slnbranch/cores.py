@@ -25,12 +25,16 @@ and `block_series` counts the block by n-weight in one series.  One row
 step applies all of the walk's cuts and yields the parts a row can take;
 two walks drive it, each with an explicit stack of row steps, under one
 contract: a partition is a member when a caller's `prefix` test passes
-each of its row prefixes and its `close` test passes its last row.  One
-walk lists the members; the other, `count_by_weight`, counts them for
-every weight d of a series, on the contents base + d (1, ..., 1), and
-memoizes the count of completions on the small state the future of the
-walk depends on.  That state holds the content left, so one memo, private
-to the call, serves every d.
+each of its row prefixes and its `close` test passes its last row.  A
+prefix test that knows no smaller part of a row can pass returns
+`CUT_ROW`, and the row step offers no more parts of that row.  One walk
+lists the members; the other, `count_by_weight`, counts them for every
+weight d of a series, on the contents base + d (1, ..., 1), and memoizes
+the count of completions on the small state the future of the walk
+depends on.  That state holds the content left, so one memo, private to
+the call, serves every d; and of a placed part that no row below can
+reach it holds only the residue mod n and whether the part starts its
+run, so states that differ above it share one count.
 """
 
 from __future__ import annotations
@@ -42,6 +46,7 @@ from .partitions import (
     as_partition,
     check_order,
     check_rank,
+    check_size,
     exponent_form,
     residue_counts,
 )
@@ -154,8 +159,7 @@ def n_cores(n: int, max_size: int) -> list[Partition]:
     exceeds max_size; x_{n-1} closes the sum.
     """
     check_rank(n)
-    if max_size < 0:
-        return []
+    check_size(max_size)
     bound = _charge_bound(n, max_size)
     by_size: dict[int, list[Partition]] = {}
     charges = [0] * n
@@ -224,6 +228,15 @@ def _add_row(rem: list[int], r: int, a: int, sign: int) -> int:
     return step
 
 
+# What a prefix test returns to cut its candidate part and every smaller
+# part of the same row.  It is falsy, so whatever reads a prefix value by
+# its truth cuts it as any other falsy value; only the row step tells the
+# two apart, and a plain False still cuts one part only.
+CUT_ROW = type(
+    "CutRow", (), {"__bool__": lambda self: False, "__repr__": lambda self: "CUT_ROW"}
+)()
+
+
 def regular_partitions_with_content(
     n: int, counts, prefix: Callable | None = None, close: Callable | None = None
 ) -> Iterator[Partition]:
@@ -239,11 +252,19 @@ def regular_partitions_with_content(
     above, whether that row starts its run of equal parts, the candidate's
     0-based row index r mod n, and what the call for the row above returned
     (v1 and above are None for the first row).  So a test carries its state
-    down the rows; a falsy value cuts the candidate.  close(v, r, value) is
-    asked of the last row, with its prefix value.  A partition is yielded
-    exactly when all its rows pass `prefix` and its last row passes `close`;
-    the empty partition is yielded untested, and None passes everything.
-    The arguments are checked when this is called, not when the walk starts.
+    down the rows; a falsy value cuts the candidate, and `CUT_ROW` cuts it
+    and every smaller part of the same row (a plain False cuts one part
+    only).  close(v, r, value) is asked of the last row, with its prefix
+    value.  A partition is yielded exactly when all its rows pass `prefix`
+    and its last row passes `close`; the empty partition is yielded
+    untested, and None passes everything.
+
+    Two clauses bind a prefix test, so that both walks stay exact: it
+    returns `CUT_ROW` only where every smaller part in the same window
+    would be cut too, and for v < v1 its value is the same for v1 and
+    v1 + n, since `count_by_weight` keys a part that no row below can reach
+    on its residue mod n.  The arguments are checked when this is called,
+    not when the walk starts.
     """
     return _content_walk(n, _content(n, counts), prefix, close)
 
@@ -278,7 +299,8 @@ def _row_choices(
     nodes.  The content cut: the rows below see the content rotated by
     r + 1, so by `core_size_of_content` it needs
     sum_r (c_r - c_{r+1})^2 <= 2 c_{-(r+1) mod n}.  A part that fails it,
-    or whose prefix value is falsy, shrinks by one node.  Every content
+    or whose prefix value is falsy, shrinks by one node; a prefix value of
+    `CUT_ROW` ends the row step there, with `rem` restored.  Every content
     that passes has an n-regular member (every such weight is a weight of
     L(L0)), so the content cut is exact up to the size cut.
     """
@@ -298,6 +320,8 @@ def _row_choices(
             value = True if prefix is None else prefix(a, v1, starts, index, above)
             if value:
                 yield a, run + 1 if a == v1 else 1, value, left, spread
+            elif value is CUT_ROW:
+                break
         # Shrink the row by one node, until no smaller part can hold the
         # nodes left.
         x = (a - 1 - r) % n
@@ -345,9 +369,14 @@ def count_by_weight(
     value, so the count of completions is memoized on that state.  The
     state holds the content left, so a count stored for one d is the count
     any other d needs there: one memo, made here and dropped on return,
-    serves every d.  That holds only when prefix and close read nothing but
-    their arguments.  Entries of `base` may be negative; a d whose content
-    has one counts 0.
+    serves every d.  A part a larger than the nodes left is one no row
+    below can repeat or be capped by, and by the prefix contract of
+    `regular_partitions_with_content` the tests below read it only as
+    a mod n; its state is keyed on a mod n and whether a starts its run,
+    in a key of another shape than the full one.  All of this holds only
+    when prefix and close read nothing but their arguments and keep that
+    contract.  Entries of `base` may be negative; a d whose content has
+    one counts 0.
     """
     base = _content(n, base)
     check_order(order)
@@ -371,7 +400,12 @@ def _count(n: int, rem: list[int], prefix, close, memo: dict) -> int:
             if not left:
                 totals[r] += close is None or bool(close(a, r % n, value))
                 continue
-            key = (tuple(rem), (r + 1) % n, a, run, value)
+            if a > left:
+                # No row below can reach a: key on what the tests read of
+                # it, in a 4-tuple that never equals a full key.
+                key = (tuple(rem), (r + 1) % n, (a % n, run == 1), value)
+            else:
+                key = (tuple(rem), (r + 1) % n, a, run, value)
             done = memo.get(key)
             if done is None:
                 keys.append(key)

@@ -32,6 +32,7 @@ import json
 from dataclasses import dataclass, field
 from typing import Callable
 
+from .cores import CUT_ROW
 from .partitions import (
     Partition,
     as_partition,
@@ -124,7 +125,11 @@ def eps_prefix(n: int, j: int) -> Callable:
     counted from 1), whose removable node, there when v1 > v, cancels a "+"
     of its residue or else raises eps, and whose addable node, there when
     it starts its run, adds a "+".  Inside a run neither is there, and the
-    value is `above` itself.
+    value is `above` itself.  The removable node's residue
+    x = (v1 - r) mod n does not depend on v, so when it would raise eps
+    past e_j every v < v1 fails alike and the test returns `CUT_ROW`.  It
+    reads v1 only through v == v1, v < v1 and v1 mod n, as the contract
+    asks.
     """
     def prefix(v, v1, starts, r, above):
         if above is None:
@@ -138,7 +143,7 @@ def eps_prefix(n: int, j: int) -> Callable:
             if plus[x]:
                 plus[x] -= 1
             elif x != j or eps:
-                return None
+                return CUT_ROW  # x does not depend on v: every v < v1 fails
             else:
                 eps = 1
         if starts:

@@ -299,25 +299,36 @@ def filtered_bucket_series(n: int, j: int, k: int, order: int) -> dict:
     return {route: tuple(c) for route, c in coeffs.items()}
 
 
-def prefix_value(prefix, p, n: int):
+def prefix_steps(prefix, p, n: int):
     """Carry a content-walk prefix test down the rows of p, as the walk does.
 
     Each row's call gets the walk's window: the row's part, the part above
     it (None for the first row), whether that row above starts its run, the
     row's 0-based index mod n, and the value returned for the row above
     (None for the first row).  The run starts are read off p here, by
-    comparing neighbours, not carried as the walk carries them.  Returns
-    the value for the last row, or the first falsy value; True for the
-    empty partition, which the walk yields untested.
+    comparing neighbours, not carried as the walk carries them.  Yields
+    each row's window (v1, starts, r, above) and value, down to the first
+    falsy value.
     """
     above = None
     for r, v in enumerate(p):
         v1 = p[r - 1] if r else None
-        starts = r == 1 or (r > 1 and p[r - 2] > v1)
-        above = prefix(v, v1, starts, r % n, above)
+        window = (v1, r == 1 or (r > 1 and p[r - 2] > v1), r % n, above)
+        above = prefix(v, *window)
+        yield window, above
         if not above:
-            return above
-    return True if above is None else above
+            return
+
+
+def prefix_value(prefix, p, n: int):
+    """The value of `prefix_steps` for the last row, or its first falsy value.
+
+    True for the empty partition, which the walk yields untested.
+    """
+    value = True
+    for _, value in prefix_steps(prefix, p, n):
+        pass
+    return value
 
 
 def _cells(p) -> set:

@@ -16,7 +16,7 @@ from slnbranch import (
     weight_of,
 )
 from slnbranch.branching import METHODS, configuration_sums, fow_close, fow_prefix
-from slnbranch.cores import count_by_weight
+from slnbranch.cores import CUT_ROW, count_by_weight
 from slnbranch.crystal import _scan, eps_close, eps_index, eps_prefix
 
 from oracles import (
@@ -24,6 +24,7 @@ from oracles import (
     filtered_bucket_series,
     listed_series,
     path_coordinates,
+    prefix_steps,
     prefix_value,
 )
 
@@ -414,3 +415,51 @@ class TestPrefixTests:
                     else:
                         assert not value, (p, r, j)
 
+
+def route_prefixes(n):
+    """Every route prefix test at rank n: fow for each j and for none, crystal for each j."""
+    return [fow_prefix(n)] + [make(n, j) for make in (fow_prefix, eps_prefix) for j in range(n)]
+
+
+def reached_windows(prefix, n):
+    """The windows (v1, starts, r, above) reached on the n-regular partitions up to 12."""
+    return {
+        window for p in partitions_up_to(12, regular=n) for window, _ in prefix_steps(prefix, p, n)
+    }
+
+
+class TestRowCutContract:
+    """The two clauses of the prefix contract that the walks rely on, on the route tests."""
+
+    @pytest.mark.parametrize("n", [2, 3, 4, 5])
+    def test_cut_row_leaves_no_smaller_part_passing(self, n):
+        # The row step offers a row's parts largest first and stops at
+        # CUT_ROW, so no smaller part of that window may pass.
+        cuts = 0
+        for prefix in route_prefixes(n):
+            for v1, starts, r, above in reached_windows(prefix, n):
+                values = [prefix(v, v1, starts, r, above) for v in range(1, (v1 or 12) + 1)]
+                for v, value in enumerate(values, start=1):
+                    if value is CUT_ROW:
+                        cuts += 1
+                        assert not any(values[: v - 1]), (prefix, v, v1, starts, r, above)
+        assert cuts
+
+    @pytest.mark.parametrize("n", [2, 3, 4, 5])
+    def test_part_below_the_row_above_reads_it_mod_n(self, n):
+        # The counting memo keys a placed part that no row below can reach
+        # on its residue mod n, so below it v1 and v1 + n must be alike.
+        for prefix in route_prefixes(n):
+            for v1, starts, r, above in reached_windows(prefix, n):
+                for v in range(1, v1 or 1):
+                    got = prefix(v, v1, starts, r, above)
+                    assert got == prefix(v, v1 + n, starts, r, above), (v, v1, starts, r, above)
+
+    def test_route_tests_cut_the_row(self):
+        # fow, j = 1 at n = 3: the first block (3, ...) needs length 2, so
+        # below one row of 3 only a second 3 can go on.
+        assert fow_prefix(3, 1)(2, 3, True, 1, (1, 2)) is CUT_ROW
+        # crystal, j = 0 at n = 3, below (4, 2): row 2's removable node has
+        # residue 0 again, with eps_0 already 1 and no "+" to cancel it.
+        value = prefix_value(eps_prefix(3, 0), (4, 2), 3)
+        assert eps_prefix(3, 0)(1, 2, True, 2, value) is CUT_ROW

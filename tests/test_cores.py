@@ -110,7 +110,7 @@ class TestNCores:
     @pytest.mark.parametrize("n", [2, 3, 4, 5])
     def test_equals_filtered_partitions_up_to_18(self, n):
         reference = filtered_n_cores(n, 18)
-        for max_size in range(-1, 19):
+        for max_size in range(19):
             expected = [mu for mu in reference if sum(mu) <= max_size]
             assert n_cores(n, max_size) == expected
 
@@ -288,6 +288,17 @@ class TestContentWalk:
                     expected = [p for p in members if prefix_value(prefix, p, n)]
                     assert list(regular_partitions_with_content(n, counts, prefix)) == expected
 
+    def test_false_cuts_one_part_only(self):
+        # Only CUT_ROW cuts the rest of a row; a plain False, like any
+        # other falsy value, cuts its own part and the row goes on shrinking.
+        for n, counts, part, members in ((3, (1, 1, 1), 3, [(2, 1)]), (2, (2, 2), 4, [(3, 1)])):
+
+            def prefix(v, v1, s, r, above, part=part):
+                return v != part
+
+            assert list(regular_partitions_with_content(n, counts, prefix)) == members
+            assert count_by_weight(n, counts, 0, prefix, None) == (1,)
+
     def test_add_row_returns_the_change_of_spread(self):
         for n in (2, 3, 4, 5):
             for counts in product(range(3), repeat=n):
@@ -375,6 +386,22 @@ class TestContentCount:
                     return (v2, r2) == (v, r)
 
                 assert count_by_weight(3, counts, 0, anything, close)[0] == many
+
+    @pytest.mark.parametrize("n,max_size", [(2, 16), (3, 15), (4, 14)])
+    def test_counts_what_window_reading_prefixes_pass(self, n, max_size):
+        # Below a placed part that no row below can reach, the memo keeps
+        # of it only whether it starts its run and its residue mod n; these
+        # tests read each, as the contract lets them, and cut members so
+        # that a key missing either one would count them wrong.
+        tests = [
+            lambda v, v1, starts, r, above: v1 is None or v == v1 or starts,
+            lambda v, v1, starts, r, above: v1 is None or (v1 - v + r) % n != 1,
+        ]
+        for size in range(max_size + 1):
+            for counts in filtered_census(n, size):
+                for prefix in tests:
+                    listed = list(regular_partitions_with_content(n, counts, prefix))
+                    assert count_by_weight(n, counts, 0, prefix, None) == (len(listed),), counts
 
     def test_checks_arguments_when_called(self):
         with pytest.raises(ValueError, match="expected 3 residue counts"):

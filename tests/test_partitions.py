@@ -43,6 +43,7 @@ from slnbranch import (
     residue_counts,
 )
 from slnbranch.branching import configuration_sums
+from slnbranch.cores import count_by_weight
 from slnbranch.crystal import eps_index
 from slnbranch.qseries import scaled_inverse_cartan
 from oracles import (
@@ -259,6 +260,7 @@ RANKED_CALLS = {
     "build_component": lambda n: build_component(n, 2),
     "chi_by_branching": lambda n: chi_by_branching(n, (), 2),
     "scaled_inverse_cartan": scaled_inverse_cartan,
+    "count_by_weight": lambda n: count_by_weight(n, (0,) * n, 2),
 }
 
 
@@ -282,6 +284,8 @@ ORDERED_CALLS = {
     "fermionic_series": lambda order: fermionic_series(3, 0, 1, order),
     "inv_pochhammer": lambda order: inv_pochhammer(2, order),
     "lattice_sum": lambda order: lattice_sum([], order),
+    "count_by_weight": lambda order: count_by_weight(3, (0, 0, 0), order),
+    "block_series": lambda order: block_series(3, (), order),
 }
 
 
@@ -289,3 +293,22 @@ ORDERED_CALLS = {
 def test_negative_order_rejected(name):
     with pytest.raises(ValueError, match="order must be nonnegative"):
         ORDERED_CALLS[name](-1)
+
+
+# Every entry point that takes a size bound rejects max_size < 0 with the
+# same message, when it is called: `partitions_up_to` is not iterated here.
+SIZED_CALLS = {
+    "verify_fow_theorem": lambda size: verify_fow_theorem(3, size),
+    "verify_js": lambda size: verify_js(3, size, 2),
+    "verify_cores": lambda size: verify_cores(3, size),
+    "verify_crystal": lambda size: verify_crystal(3, size),
+    "build_component": lambda size: build_component(3, size),
+    "n_cores": lambda size: n_cores(3, size),
+    "partitions_up_to": lambda size: partitions_up_to(size),
+}
+
+
+@pytest.mark.parametrize("name", SIZED_CALLS)
+def test_negative_max_size_rejected(name):
+    with pytest.raises(ValueError, match="max_size must be nonnegative"):
+        SIZED_CALLS[name](-1)
