@@ -13,7 +13,9 @@ with d residue-0 nodes.  Each route counts them by its own mathematics:
   closed on the last row, whose block must have the length forced on it
   (`fow_close`); `in_fow` tests one partition;
 - crystal: the same count, pruned by the eps vector of the settled rows,
-  carried down the walk (`crystal.eps_prefix`), and closed on the last
+  carried down the walk, and by a look-ahead that cuts a run whose
+  removable node no settled "+" (nor eps_j = 0) can absorb at any residue
+  where the run can end (`crystal.eps_prefix`), and closed on the last
   row, whose removable node the empty row below settles; eps must then be
   e_j (`crystal.eps_close`);
 - fermionic: the lattice sum of the qseries module.
@@ -38,6 +40,7 @@ from .partitions import (
     Partition,
     check_order,
     check_rank,
+    check_residue,
     check_size,
     conjugate,
     exponent_form,
@@ -146,12 +149,13 @@ def class_residue_counts(n: int, j: int, k: int) -> tuple[int, ...]:
 def fow_prefix(n: int, j: int | None = None) -> Callable:
     """The chain congruence for index j on the blocks of the rows placed, checked row by row.
 
-    Returns the content walk's prefix test prefix(v, v1, starts, r, above),
-    bound to n and j.  Of its window it reads the candidate part v, the
-    part v1 of the row above, and `above`, this test's value for the row
-    above (None for the first row), but neither `starts` nor the row index
-    r.  Its value for a row is (a, need): the row ends a run of a equal
-    parts, the open block, whose length the congruence forces to be need.
+    Returns the content walk's prefix test prefix(v, v1, run, r, above),
+    bound to n and j, whose arguments are checked here.  Of its window it
+    reads the candidate part v, the part v1 of the row above, and `above`,
+    this test's value for the row above (None for the first row), but
+    neither the run of the row above nor the row index r.  Its value for a
+    row is (a, need): the row ends a run of a equal parts, the open block,
+    whose length the congruence forces to be need.
     Once the block (v1, a1) before the open block (v, a) is closed,
     a1 + v1 - v + a ≡ 0 (mod n) and 1 <= a <= n - 1 (n-regularity) fix
     a = (v - v1 - a1) mod n; for the first block, j = (v - a) mod n fixes
@@ -162,8 +166,11 @@ def fow_prefix(n: int, j: int | None = None) -> Callable:
     v == v1 can grow the open block, so the test returns `CUT_ROW`.  It
     reads v1 only through v == v1 and v1 mod n, as the contract asks.
     """
+    check_rank(n)
+    if j is not None:
+        check_residue(n, j)
 
-    def prefix(v, v1, starts, r, above):
+    def prefix(v, v1, run, r, above):
         if above is None:  # the first row opens the first block
             a, need = 1, None if j is None else (v - j) % n
         else:

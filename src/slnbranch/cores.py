@@ -22,16 +22,19 @@ conjecture; James & Kerber 1981, 2.7), so the n-regular partitions of one
 content -- one block -- are generated directly by a pruned walk.  A block
 is named by its core mu; `block_content` checks mu, the one core check,
 and `block_series` counts the block by n-weight in one series.  One row
-step applies all of the walk's cuts and yields the parts a row can take;
-two walks drive it, each with an explicit stack of row steps, under one
-contract: a partition is a member when a caller's `prefix` test passes
-each of its row prefixes and its `close` test passes its last row.  A
-prefix test that knows no smaller part of a row can pass returns
-`CUT_ROW`, and the row step offers no more parts of that row.  One walk
-lists the members; the other, `count_by_weight`, counts them for every
-weight d of a series, on the contents base + d (1, ..., 1), and memoizes
-the count of completions on the small state the future of the walk
-depends on.  That state holds the content left, so one memo, private to
+step applies all of the walk's cuts in one eager pass and returns the
+parts a row can take, each with the content left below it; two walks
+drive it, each with an explicit stack of row steps, under one contract: a
+partition is a member when a caller's `prefix` test passes each of its
+row prefixes and its `close` test passes its last row.  The test reads a
+window of the rows placed: the candidate part, the part above and the
+length of its run, the row index mod n, and the test's own value for the
+row above.  A prefix test that knows no smaller part of a row can pass
+returns `CUT_ROW`, and the row step offers no more parts of that row.
+One walk lists the members; the other, `count_by_weight`, counts them for
+every weight d of a series, on the contents base + d (1, ..., 1), and
+memoizes the count of completions on the small state the future of the
+walk depends on.  That state holds the content left, so one memo, private to
 the call, serves every d; and of a placed part that no row below can
 reach it holds only the residue mod n and whether the part starts its
 run, so states that differ above it share one count.
@@ -244,33 +247,33 @@ def regular_partitions_with_content(
 
     `counts[r]` is the number of residue-r nodes, as in `residue_counts`.
     The walk places one row at a time, largest part first, taking the parts
-    a row can have from `_row_choices`; it keeps one suspended row step per
-    placed row, so its depth is not bounded by the recursion limit.
+    a row can have from `_row_choices`; it keeps one list of the parts left
+    per placed row, so its depth is not bounded by the recursion limit.
 
-    prefix(v, v1, starts, r, above) is asked of each candidate row, with a
+    prefix(v, v1, run, r, above) is asked of each candidate row, with a
     window of the placed rows: the candidate part v, the part v1 of the row
-    above, whether that row starts its run of equal parts, the candidate's
-    0-based row index r mod n, and what the call for the row above returned
-    (v1 and above are None for the first row).  So a test carries its state
-    down the rows; a falsy value cuts the candidate, and `CUT_ROW` cuts it
-    and every smaller part of the same row (a plain False cuts one part
-    only).  close(v, r, value) is asked of the last row, with its prefix
-    value.  A partition is yielded exactly when all its rows pass `prefix`
-    and its last row passes `close`; the empty partition is yielded
-    untested, and None passes everything.
+    above, the length of that row's run of equal parts so far, the
+    candidate's 0-based row index r mod n, and what the call for the row
+    above returned (v1 and above are None, and run is 0, for the first
+    row).  So a test carries its state down the rows; a falsy value cuts
+    the candidate, and `CUT_ROW` cuts it and every smaller part of the same
+    row (a plain False cuts one part only).  close(v, r, value) is asked of
+    the last row, with its prefix value.  A partition is yielded exactly
+    when all its rows pass `prefix` and its last row passes `close`; the
+    empty partition is yielded untested, and None passes everything.
 
     Two clauses bind a prefix test, so that both walks stay exact: it
     returns `CUT_ROW` only where every smaller part in the same window
-    would be cut too, and for v < v1 its value is the same for v1 and
-    v1 + n, since `count_by_weight` keys a part that no row below can reach
-    on its residue mod n.  The arguments are checked when this is called,
-    not when the walk starts.
+    would be cut too, and for v < v1 it reads v1 only mod n and run only as
+    run == 1, since `count_by_weight` keys a part that no row below can
+    reach on its residue mod n and whether it starts its run.  The
+    arguments are checked when this is called, not when the walk starts.
     """
     return _content_walk(n, _content(n, counts), prefix, close)
 
 
 def _content(n: int, counts) -> list[int]:
-    """A fresh list of `counts` for a walk to consume, once n and its length are checked."""
+    """`counts` as a list, once n and its length are checked."""
     check_rank(n)
     rem = list(counts)
     if len(rem) != n:
@@ -279,47 +282,47 @@ def _content(n: int, counts) -> list[int]:
 
 
 def _row_choices(
-    n: int, rem: list[int], left: int, spread: int, r: int, v1, run: int, above, prefix
-) -> Iterator[tuple]:
-    """The parts that 0-based row r can take, largest first.
+    n: int, content, left: int, spread: int, r: int, v1, run: int, above, prefix
+) -> list[tuple]:
+    """The parts that 0-based row r can take, largest first, in one eager pass.
 
-    `rem` is the content still to place, `left` its size and `spread`
-    `_spread(rem)`; v1, run and above are the part of the row above, the
+    `content` is the content still to place, `left` its size and `spread`
+    `_spread(content)`; v1, run and above are the part of the row above, the
     length of its run of equal parts and what `prefix` returned for it
-    (None, 0 and None for the first row).  Each yield is (a, run, value,
-    left, spread): the part, its run, its prefix value (True without a
-    prefix), and the size and spread of the content left below it.  While
-    the generator is suspended `rem` holds the content left below a; once
-    it is exhausted `rem` is as it was.
+    (None, 0 and None for the first row).  Each entry is (a, run, value,
+    left, spread, rest): the part, its run, its prefix value (True without
+    a prefix), and the size, spread and content (a tuple) of what is left
+    below it.  `content` is copied once, and not changed.
 
     The part is capped by the row above (one less where that row ends a run
     of n - 1, so the partition stays n-regular), by `left`, and where a
-    residue runs out: residue x at use rem[x] + 1.  The size cut: an
+    residue runs out: residue x at use content[x] + 1.  The size cut: an
     n-regular partition with largest part a has at most (n - 1) a (a + 1) / 2
     nodes.  The content cut: the rows below see the content rotated by
     r + 1, so by `core_size_of_content` it needs
     sum_r (c_r - c_{r+1})^2 <= 2 c_{-(r+1) mod n}.  A part that fails it,
     or whose prefix value is falsy, shrinks by one node; a prefix value of
-    `CUT_ROW` ends the row step there, with `rem` restored.  Every content
-    that passes has an n-regular member (every such weight is a weight of
-    L(L0)), so the content cut is exact up to the size cut.
+    `CUT_ROW` ends the pass there.  Every content that passes has an
+    n-regular member (every such weight is a weight of L(L0)), so the
+    content cut is exact up to the size cut.
     """
     cap = n - 1
     top = left if v1 is None else v1 - (run == cap)
     start = -r % n
-    a = min(left, top, min(n * rem[x] + (x - start) % n for x in range(n)))
+    a = min(left, top, min(n * content[x] + (x - start) % n for x in range(n)))
     if a <= 0 or 2 * left > cap * a * (a + 1):
-        return
+        return []
+    rem = list(content)
     spread += _add_row(rem, r, a, -1)
     left -= a
     below = (start - 1) % n
     index = r % n
-    starts = run == 1
+    choices = []
     while True:
         if spread <= 2 * rem[below]:
-            value = True if prefix is None else prefix(a, v1, starts, index, above)
+            value = True if prefix is None else prefix(a, v1, run, index, above)
             if value:
-                yield a, run + 1 if a == v1 else 1, value, left, spread
+                choices.append((a, run + 1 if a == v1 else 1, value, left, spread, tuple(rem)))
             elif value is CUT_ROW:
                 break
         # Shrink the row by one node, until no smaller part can hold the
@@ -331,8 +334,7 @@ def _row_choices(
         a -= 1
         if not a or 2 * (left + a) > cap * a * (a + 1):
             break
-    if a:
-        _add_row(rem, r, a, 1)
+    return choices
 
 
 def _content_walk(n: int, rem: list[int], prefix, close) -> Iterator[Partition]:
@@ -343,12 +345,13 @@ def _content_walk(n: int, rem: list[int], prefix, close) -> Iterator[Partition]:
         yield ()
         return
     parts: list[int] = []  # the part chosen by each row step but the last
-    steps = [_row_choices(n, rem, left, _spread(rem), 0, None, 0, None, prefix)]
+    steps = [iter(_row_choices(n, rem, left, _spread(rem), 0, None, 0, None, prefix))]
     while steps:
-        for a, run, value, left, spread in steps[-1]:
+        for a, run, value, left, spread, rest in steps[-1]:
             if left:
                 parts.append(a)
-                steps.append(_row_choices(n, rem, left, spread, len(parts), a, run, value, prefix))
+                step = _row_choices(n, rest, left, spread, len(parts), a, run, value, prefix)
+                steps.append(iter(step))
                 break
             if close is None or close(a, len(parts) % n, value):
                 yield (*parts, a)
@@ -391,26 +394,27 @@ def _count(n: int, rem: list[int], prefix, close, memo: dict) -> int:
         return 0
     if not left:
         return 1
-    steps = [_row_choices(n, rem, left, _spread(rem), 0, None, 0, None, prefix)]
+    steps = [iter(_row_choices(n, rem, left, _spread(rem), 0, None, 0, None, prefix))]
     totals = [0]  # completions counted so far by the choices of each row step
     keys: list = []  # the memo key of the state below each row descended from
     while True:
         r = len(steps) - 1
-        for a, run, value, left, spread in steps[r]:
+        for a, run, value, left, spread, rest in steps[r]:
             if not left:
                 totals[r] += close is None or bool(close(a, r % n, value))
                 continue
             if a > left:
                 # No row below can reach a: key on what the tests read of
                 # it, in a 4-tuple that never equals a full key.
-                key = (tuple(rem), (r + 1) % n, (a % n, run == 1), value)
+                key = (rest, (r + 1) % n, (a % n, run == 1), value)
             else:
-                key = (tuple(rem), (r + 1) % n, a, run, value)
+                key = (rest, (r + 1) % n, a, run, value)
             done = memo.get(key)
             if done is None:
                 keys.append(key)
                 totals.append(0)
-                steps.append(_row_choices(n, rem, left, spread, r + 1, a, run, value, prefix))
+                step = _row_choices(n, rest, left, spread, r + 1, a, run, value, prefix)
+                steps.append(iter(step))
                 break
             totals[r] += done
         else:

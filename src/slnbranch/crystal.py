@@ -106,49 +106,75 @@ def eps_index(p: Partition, n: int) -> int | None:
 
 
 def eps_prefix(n: int, j: int) -> Callable:
-    """Carry the eps of the rows above a candidate row; None once it exceeds e_j.
+    """Carry the eps of the rows above a candidate row; falsy once no completion can reach e_j.
 
-    Returns the content walk's prefix test prefix(v, v1, starts, r, above),
-    bound to n and j.  Its window holds the candidate part v, the part v1
-    of the row above, whether that row starts its run, the candidate's row
-    index r mod n, and `above`, this test's value for the row above (None
-    for the first row).  The rows above the candidate have their lower
-    neighbours placed, so their removable nodes are settled, and a
-    surviving "-" is cancelled only by a "+" above it.  Their eps vector is
-    therefore a lower bound for the eps vector of every partition that
-    begins with them.
+    Returns the content walk's prefix test prefix(v, v1, run, r, above),
+    bound to n and j, whose arguments are checked here.  Its window holds
+    the candidate part v, the part v1 of the row above, the length of that
+    row's run so far, the candidate's row index r mod n, and `above`, this
+    test's value for the row above (None for the first row).  The rows
+    above the candidate have their lower neighbours placed, so their
+    removable nodes are settled, and a surviving "-" is cancelled only by a
+    "+" above it.  Their eps vector is therefore a lower bound for the eps
+    vector of every partition that begins with them.
 
-    It runs one step of `_scan`.  Its value for a row is (eps_j, plus): the
-    eps vector of the settled rows, which is eps_j e_j on every prefix that
-    passes, and their count of surviving "+" per residue.  The first row
-    settles nothing.  Each later candidate settles the row above it (row r,
-    counted from 1), whose removable node, there when v1 > v, cancels a "+"
-    of its residue or else raises eps, and whose addable node, there when
-    it starts its run, adds a "+".  Inside a run neither is there, and the
-    value is `above` itself.  The removable node's residue
-    x = (v1 - r) mod n does not depend on v, so when it would raise eps
-    past e_j every v < v1 fails alike and the test returns `CUT_ROW`.  It
-    reads v1 only through v == v1, v < v1 and v1 mod n, as the contract
-    asks.
+    It runs one step of `_scan`.  Its value for a row is (eps_j, plus,
+    settles): the eps vector of the settled rows, which is eps_j e_j on
+    every prefix that passes, their count of surviving "+" per residue, and
+    the bitmask of the residues whose "-" they can absorb, those with a
+    surviving "+" and j while eps_j is 0.  The first row settles nothing.
+    Each later candidate settles the row above it (row r, counted from 1),
+    whose removable node, there when v1 > v, cancels a "+" of its residue
+    or else raises eps, and whose addable node, there when it starts its
+    run (run == 1), adds a "+".  Inside a run neither is there, and the
+    value is `above` itself.  The removable node's residue x = (v1 - r) mod n
+    does not depend on v, so when it would raise eps past e_j every v < v1
+    fails alike and the test returns `CUT_ROW`.
+
+    The look-ahead: the run through the candidate, of length L so far,
+    ends within its next n - 1 - L rows, so its "-" lands on a residue
+    (v - r - 1 - t) mod n with t < n - L, and no row before its end settles
+    a node.  When `settles` holds none of those residues, no completion
+    reaches e_j and the candidate alone is cut, with None; the next row
+    step or `eps_close` would read the same node against the same counts.
+    (The run's addable node is on none of those residues.)  The test reads
+    v1 only through v == v1, v < v1 and v1 mod n, and for v < v1, where
+    L = 1, it reads run only as run == 1, as the contract asks.
     """
-    def prefix(v, v1, starts, r, above):
+    check_residue(n, j)
+    # ends[x][L]: the residues x - 1 - t, t < n - L, as a bitmask; none
+    # for L = n, a run the walk never offers.
+    ends = [
+        [sum(1 << (x - 1 - t) % n for t in range(n - L)) for L in range(n + 1)] for x in range(n)
+    ]
+    first = (0, (0,) * n, 1 << j)
+
+    def prefix(v, v1, run, r, above):
         if above is None:
-            return 0, (0,) * n
-        if v1 == v and not starts:
-            return above
-        eps, plus = above
-        plus = list(plus)
-        if v1 > v:
-            x = (v1 - r) % n
-            if plus[x]:
-                plus[x] -= 1
-            elif x != j or eps:
-                return CUT_ROW  # x does not depend on v: every v < v1 fails
-            else:
-                eps = 1
-        if starts:
-            plus[(v1 + 1 - r) % n] += 1
-        return eps, tuple(plus)
+            value, length = first, 1
+        elif v == v1 and run != 1:
+            value, length = above, run + 1
+        else:
+            eps, plus, settles = above
+            plus = list(plus)
+            length = 2 if v == v1 else 1
+            if v1 > v:
+                x = (v1 - r) % n
+                if plus[x]:
+                    plus[x] -= 1
+                    if not plus[x] and (x != j or eps):
+                        settles ^= 1 << x
+                elif x != j or eps:
+                    return CUT_ROW  # x does not depend on v: every v < v1 fails
+                else:
+                    eps = 1
+                    settles ^= 1 << j
+            if run == 1:
+                x = (v1 + 1 - r) % n
+                plus[x] += 1
+                settles |= 1 << x
+            value = eps, tuple(plus), settles
+        return value if value[2] & ends[(v - r) % n][length] else None
 
     return prefix
 
@@ -157,14 +183,16 @@ def eps_close(n: int, j: int) -> Callable:
     """Whether the last row of a walked partition leaves eps = e_j.
 
     Returns the content walk's closing test close(v, r, value), bound to n
-    and j.  The empty row below the last row (index r mod n from 0, part v)
-    settles its removable node.  `value` is the `eps_prefix` value for that
-    row; the node cancels a surviving "+" of its residue, leaving eps as it
-    was, or else raises eps_j from 0.  Either way eps must end at e_j.
+    and j, whose arguments are checked here.  The empty row below the last
+    row (index r mod n from 0, part v) settles its removable node.  `value`
+    is the `eps_prefix` value for that row; the node cancels a surviving "+"
+    of its residue, leaving eps as it was, or else raises eps_j from 0.
+    Either way eps must end at e_j.
     """
+    check_residue(n, j)
 
     def close(v, r, value):
-        eps, plus = value
+        eps, plus, _ = value
         x = (v - r - 1) % n
         return eps == 1 if plus[x] else x == j and not eps
 

@@ -148,9 +148,12 @@ def _multiplicities_below(parts, n: int) -> bool:
 def partitions_up_to(max_size: int, regular: int | None = None) -> Iterator[Partition]:
     """All partitions of size at most max_size, size by size, each size in `partitions_of` order.
 
-    A negative max_size is rejected when this is called, not when the walk starts.
+    A negative max_size, or a `regular` below 2, is rejected when this is
+    called, not when the walk starts.
     """
     check_size(max_size)
+    if regular is not None:
+        check_rank(regular)
     return (p for m in range(max_size + 1) for p in partitions_of(m, regular))
 
 

@@ -246,6 +246,51 @@ def crystal_member(p, n: int, j: int) -> bool:
     return not p or eps_index(p, n) == j
 
 
+def settled_eps_prefix(n: int, j: int):
+    """The crystal route's prefix test without its look-ahead: settled rows only.
+
+    The reference `crystal.eps_prefix` is checked against.  Its value for
+    a row is (eps_j, plus), the eps_j and surviving "+" counts of the rows
+    above the candidate, whose removable nodes are settled; it cuts only
+    where a settled node raises eps past e_j (with `CUT_ROW`, as that node
+    does not depend on the candidate), never ahead of the node.  It reads
+    the run of the row above only as run == 1, as the walk's contract asks.
+    """
+    from slnbranch.cores import CUT_ROW
+
+    def prefix(v, v1, run, r, above):
+        if above is None:
+            return 0, (0,) * n
+        if v1 == v and run != 1:
+            return above
+        eps, plus = above
+        plus = list(plus)
+        if v1 > v:
+            x = (v1 - r) % n
+            if plus[x]:
+                plus[x] -= 1
+            elif x != j or eps:
+                return CUT_ROW
+            else:
+                eps = 1
+        if run == 1:
+            plus[(v1 + 1 - r) % n] += 1
+        return eps, tuple(plus)
+
+    return prefix
+
+
+def settled_eps_close(n: int, j: int):
+    """The closing test of `settled_eps_prefix`: the last row's node leaves eps = e_j."""
+
+    def close(v, r, value):
+        eps, plus = value
+        x = (v - r - 1) % n
+        return eps == 1 if plus[x] else x == j and not eps
+
+    return close
+
+
 def listed_series(n: int, j: int, k: int, order: int) -> dict:
     """Reference for the two counting routes: list each class bucket, then filter its leaves.
 
@@ -303,21 +348,23 @@ def prefix_steps(prefix, p, n: int):
     """Carry a content-walk prefix test down the rows of p, as the walk does.
 
     Each row's call gets the walk's window: the row's part, the part above
-    it (None for the first row), whether that row above starts its run, the
-    row's 0-based index mod n, and the value returned for the row above
-    (None for the first row).  The run starts are read off p here, by
-    comparing neighbours, not carried as the walk carries them.  Yields
-    each row's window (v1, starts, r, above) and value, down to the first
-    falsy value.
+    it (None for the first row), the length of that row's run of equal
+    parts (0 for the first row), the row's 0-based index mod n, and the
+    value returned for the row above (None for the first row).  The runs
+    are counted off p here, by comparing neighbours, not carried as the
+    walk carries them.  Yields each row's window (v1, run, r, above) and
+    value, down to the first falsy value.
     """
     above = None
+    run = 0
     for r, v in enumerate(p):
         v1 = p[r - 1] if r else None
-        window = (v1, r == 1 or (r > 1 and p[r - 2] > v1), r % n, above)
+        window = (v1, run, r % n, above)
         above = prefix(v, *window)
         yield window, above
         if not above:
             return
+        run = run + 1 if v == v1 else 1
 
 
 def prefix_value(prefix, p, n: int):

@@ -185,7 +185,7 @@ def test_criterion_9_four_routes_agree_at_the_frontier():
     frontier = (
         (4, 20), (5, 16), (6, 12), (4, 24), (5, 20), (4, 36), (5, 28), (6, 22), (3, 45),
         (4, 60), (5, 48), (6, 40), (7, 30), (8, 24), (4, 80), (5, 60), (6, 48), (7, 40),
-        (8, 32),
+        (8, 32), (4, 100), (5, 72), (6, 60), (7, 48), (8, 40), (9, 30), (10, 24),
     )
     for n, order in frontier:
         rows = {
@@ -197,7 +197,8 @@ def test_criterion_9_four_routes_agree_at_the_frontier():
         9,
         "four routes agree on class (1,0) at (4,20), (5,16), (6,12), (4,24), (5,20), "
         "(4,36), (5,28), (6,22), (3,45), (4,60), (5,48), (6,40), (7,30), (8,24), (4,80), "
-        "(5,60), (6,48), (7,40), (8,32)",
+        "(5,60), (6,48), (7,40), (8,32), (4,100), (5,72), (6,60), (7,48), (8,40), (9,30), "
+        "(10,24)",
         start,
         30,
     )

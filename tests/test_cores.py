@@ -1,5 +1,5 @@
 from collections import Counter
-from itertools import product
+from itertools import product, takewhile
 
 import pytest
 from hypothesis import given, settings
@@ -230,7 +230,7 @@ class TestContentWalk:
         for size in range(max_size + 1):
             for counts in filtered_census(n, size):
 
-                def placed(v, v1, starts, r, above, size=size):
+                def placed(v, v1, run, r, above, size=size):
                     above = above or 0
                     assert 2 * (size - above) <= (n - 1) * v * (v + 1), (counts, above, v)
                     return above + v
@@ -268,12 +268,12 @@ class TestContentWalk:
 
     @pytest.mark.parametrize("n,max_size", [(2, 14), (3, 14), (4, 12)])
     def test_prefix_keeps_exactly_the_partitions_whose_prefixes_pass(self, n, max_size):
-        def tracked(v, v1, starts, r, above):
+        def tracked(v, v1, run, r, above):
             # The walk hands each row its window and the value returned for
             # the row above; here that value is every row placed so far.
             rows = above or ()
             assert v1 == (rows[-1] if rows else None), (rows, v)
-            assert starts == (len(rows) == 1 or len(rows) > 1 and rows[-2] > rows[-1]), (rows, v)
+            assert run == sum(1 for _ in takewhile(lambda u: u == v1, reversed(rows))), (rows, v)
             assert r == len(rows) % n, (rows, v, r)
             return rows + (v,) if v != 2 else None
 
@@ -394,8 +394,8 @@ class TestContentCount:
         # tests read each, as the contract lets them, and cut members so
         # that a key missing either one would count them wrong.
         tests = [
-            lambda v, v1, starts, r, above: v1 is None or v == v1 or starts,
-            lambda v, v1, starts, r, above: v1 is None or (v1 - v + r) % n != 1,
+            lambda v, v1, run, r, above: v1 is None or v == v1 or run == 1,
+            lambda v, v1, run, r, above: v1 is None or (v1 - v + r) % n != 1,
         ]
         for size in range(max_size + 1):
             for counts in filtered_census(n, size):

@@ -23,7 +23,8 @@ from slnbranch import (
     simple_root,
     weight_of,
 )
-from slnbranch.crystal import _signatures, eps_index
+from slnbranch.branching import fow_prefix
+from slnbranch.crystal import _signatures, eps_close, eps_index, eps_prefix
 
 from oracles import add_cell, remove_cell, signature_word
 
@@ -100,6 +101,14 @@ class TestKernelMatchesWord:
 def test_residue_out_of_range_rejected(fn, n, i):
     with pytest.raises(ValueError, match=f"residue {i} out of range for n={n}"):
         fn((2, 1), n, i)
+
+
+@pytest.mark.parametrize("make", [eps_prefix, eps_close, fow_prefix])
+@pytest.mark.parametrize("n, j", [(2, -1), (2, 2), (3, -1), (3, 3)])
+def test_walk_tests_reject_a_residue_out_of_range(make, n, j):
+    # Checked when the test is made, before any walk calls it.
+    with pytest.raises(ValueError, match=f"residue {j} out of range for n={n}"):
+        make(n, j)
 
 
 def signs(word):

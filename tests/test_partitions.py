@@ -42,9 +42,9 @@ from slnbranch import (
     partitions_up_to,
     residue_counts,
 )
-from slnbranch.branching import configuration_sums
+from slnbranch.branching import configuration_sums, fow_prefix
 from slnbranch.cores import count_by_weight
-from slnbranch.crystal import eps_index
+from slnbranch.crystal import eps_close, eps_index, eps_prefix
 from slnbranch.qseries import scaled_inverse_cartan
 from oracles import (
     add_cell,
@@ -261,6 +261,11 @@ RANKED_CALLS = {
     "chi_by_branching": lambda n: chi_by_branching(n, (), 2),
     "scaled_inverse_cartan": scaled_inverse_cartan,
     "count_by_weight": lambda n: count_by_weight(n, (0,) * n, 2),
+    # Checked when called: the iterator is not advanced, nor the test run.
+    "partitions_up_to": lambda n: partitions_up_to(3, regular=n),
+    "eps_prefix": lambda n: eps_prefix(n, 0),
+    "eps_close": lambda n: eps_close(n, 0),
+    "fow_prefix": lambda n: fow_prefix(n),
 }
 
 
