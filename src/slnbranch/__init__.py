@@ -44,7 +44,6 @@ from .jantzen_seitz import (
 from .partitions import (
     Partition,
     as_partition,
-    conjugate,
     exponent_form,
     format_partition,
     is_n_regular,
@@ -82,7 +81,6 @@ __all__ = [
     "chi_by_branching",
     "chi_direct",
     "class_residue_counts",
-    "conjugate",
     "core_size_of_content",
     "e_tilde",
     "eps_phi",

@@ -42,7 +42,6 @@ from .partitions import (
     check_rank,
     check_residue,
     check_size,
-    conjugate,
     exponent_form,
     is_n_regular,
     partitions_up_to,
@@ -59,25 +58,34 @@ def in_path_set(p: Partition, n: int, j: int) -> bool:
     Paths are only defined on n-regular partitions; dominance of all
     coordinates is then the membership test for the path set of L(j) ⊗ L0.
     The path runs down from p_{lambda_1} = L(j) + L(lambda_1 mod n), and
-    p_{k-1} = p_k - L(e + 1) + L(e) with e = (k - 1 - conj_k) mod n, read
-    off the conjugate column lengths; each step lowers one coefficient,
-    so only that one is checked.
+    column k, of length c_k, gives p_{k-1} = p_k - L(e + 1) + L(e) with
+    e = (k - 1 - c_k) mod n; each step lowers one coefficient, so only that
+    one is checked.
+
+    The walk takes a block of equal columns at once.  Columns
+    p_{i+1} + 1 .. p_i all have length i, so across them the steps
+    telescope: the block lowers L((p_i - i) mod n) by one and raises
+    L((p_{i+1} - i) mod n) by one.  Every step after the block's first
+    lowers the coefficient its previous step raised, which is then at least
+    1, so only the first step can go negative: the test is
+    lam[(p_i - i) mod n] >= 1 before each block, one block per distinct part.
     """
     if not is_n_regular(p, n):
         return False
     if not p:
         return True
-    j %= n
-    conj = conjugate(p)
     lam = [0] * n
-    lam[j] += 1
+    lam[j % n] += 1
     lam[p[0] % n] += 1
-    for k in range(p[0], 0, -1):
-        e = (k - 1 - conj[k - 1]) % n
-        lam[(e + 1) % n] -= 1
-        lam[e] += 1
-        if lam[(e + 1) % n] < 0:
-            return False
+    last = len(p)
+    for i, part in enumerate(p, start=1):
+        below = p[i] if i < last else 0
+        if part > below:
+            top = (part - i) % n
+            if not lam[top]:
+                return False
+            lam[top] -= 1
+            lam[(below - i) % n] += 1
     return True
 
 

@@ -97,18 +97,20 @@ def n_core(p: Partition, n: int, beads: int | None = None) -> Partition:
 def _pushed_partition(runners: list[int]) -> Partition:
     """The partition whose abacus has runners[r] beads on runner r, all at the top.
 
-    A bead's part is the number of empty positions below it.
+    A bead's part is the number of empty positions below it.  Only the
+    levels from min(runners) up to max(runners) are read: below them every
+    position holds a bead with no gap under it, so none gives a part, and
+    from max(runners) on no position holds a bead.
     """
-    n = len(runners)
-    end = max(r + n * (count - 1) + 1 for r, count in enumerate(runners))
     parts = []
     gaps = 0
-    for b in range(end):
-        if b // n < runners[b % n]:
-            if gaps:
-                parts.append(gaps)
-        else:
-            gaps += 1
+    for level in range(min(runners), max(runners)):
+        for count in runners:
+            if level < count:
+                if gaps:
+                    parts.append(gaps)
+            else:
+                gaps += 1
     parts.reverse()
     return tuple(parts)
 

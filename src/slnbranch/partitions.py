@@ -28,21 +28,6 @@ def as_partition(parts) -> Partition:
     return p
 
 
-def conjugate(p: Partition) -> Partition:
-    """Transpose of the Young diagram: part j is the length of column j."""
-    if not p:
-        return ()
-    # Column j holds the rows whose part is at least j; that count only falls
-    # as j rises, so one pointer walks up from the last row.
-    out = []
-    rows = len(p)
-    for j in range(1, p[0] + 1):
-        while p[rows - 1] < j:
-            rows -= 1
-        out.append(rows)
-    return tuple(out)
-
-
 def exponent_form(p: Partition) -> tuple[tuple[int, int], ...]:
     """Runs of equal parts as (part, multiplicity) pairs, parts strictly decreasing."""
     out: list[tuple[int, int]] = []
@@ -108,6 +93,14 @@ def partitions_of(m: int, regular: int | None = None) -> Iterator[Partition]:
 
     With `regular=n`, only n-regular partitions are yielded.  The order is
     the enumeration contract: serialized outputs depend on it.
+
+    The walk is ZS1 (Zoghbi and Stojmenovic, "Fast algorithms for
+    generating integer partitions", Int. J. Comput. Math. 70, 1998), in
+    place on one list of length m.  Its invariant: the partition is
+    a[:size], a[h] is its last part above 1, and a[h + 1:] holds only 1s.
+    The successor lowers a[h] by one to r and refills the parts after it
+    greedily with r's, then the remainder t; a trailing t of 1 is already
+    in place, and a[h] = 2 just becomes 1, lengthening the partition by one.
     """
     if regular is not None:
         check_rank(regular)
@@ -116,22 +109,35 @@ def partitions_of(m: int, regular: int | None = None) -> Iterator[Partition]:
     if m == 0:
         yield ()
         return
-    a = [m]
+    a = [1] * m
+    a[0] = m
+    size = 1
+    h = 0
     while True:
-        if regular is None or _multiplicities_below(a, regular):
-            yield tuple(a)
-        j = len(a) - 1
-        while j >= 0 and a[j] == 1:
-            j -= 1
-        if j < 0:
+        p = tuple(a[:size])
+        if regular is None or _multiplicities_below(p, regular):
+            yield p
+        if a[0] == 1:
             return
-        v = a[j] - 1
-        rem = len(a) - j
-        a = a[:j] + [v]
-        while rem > 0:
-            c = min(v, rem)
-            a.append(c)
-            rem -= c
+        if a[h] == 2:
+            a[h] = 1
+            size += 1
+            h -= 1
+        else:
+            r = a[h] - 1
+            t = size - h
+            a[h] = r
+            while t >= r:
+                h += 1
+                a[h] = r
+                t -= r
+            if t == 0:
+                size = h + 1
+            else:
+                size = h + 2
+                if t > 1:
+                    h += 1
+                    a[h] = t
 
 
 def _multiplicities_below(parts, n: int) -> bool:

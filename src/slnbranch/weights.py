@@ -37,7 +37,12 @@ class AffineWeight:
         )
 
     def __sub__(self, other: "AffineWeight") -> "AffineWeight":
-        return self + (-other)
+        self._check_same_n(other)
+        return AffineWeight(
+            self.n,
+            tuple(a - b for a, b in zip(self.lam, other.lam)),
+            self.delta - other.delta,
+        )
 
     def __neg__(self) -> "AffineWeight":
         return AffineWeight(self.n, tuple(-a for a in self.lam), -self.delta)

@@ -10,8 +10,15 @@ compared against:
   edits that the crystal operators make;
 - `path_coordinates` with `dominant_path`: the weight path of a partition,
   column by column, and the scan of every coordinate for dominance.
+
+The library's earlier kernels are kept here as references for the ones
+that replaced them: `column_walk_in_path_set` (one path step per column,
+read off `conjugate`), `position_scan_pushed_partition` (every abacus
+position up to the last bead) and `successor_partitions` (the successor
+rule that rebuilds the tail of the list at each step).
 """
 
+from collections import Counter
 from fractions import Fraction
 from functools import lru_cache
 
@@ -66,6 +73,48 @@ def naive_conjugate(p):
     for c in range(p[0]):
         cols.append(sum(1 for row in grid if row[c]))
     return tuple(cols)
+
+
+def conjugate(p):
+    """Column lengths by one pointer walking up from the last row."""
+    if not p:
+        return ()
+    out = []
+    rows = len(p)
+    for j in range(1, p[0] + 1):
+        while p[rows - 1] < j:
+            rows -= 1
+        out.append(rows)
+    return tuple(out)
+
+
+def _regular(p, n: int) -> bool:
+    return all(count < n for count in Counter(p).values())
+
+
+def successor_partitions(m: int, regular: int | None = None):
+    """Partitions of m in decreasing lex: lower the last part above 1, refill greedily."""
+    if m < 0:
+        return
+    if m == 0:
+        yield ()
+        return
+    a = [m]
+    while True:
+        if regular is None or _regular(a, regular):
+            yield tuple(a)
+        j = len(a) - 1
+        while j >= 0 and a[j] == 1:
+            j -= 1
+        if j < 0:
+            return
+        v = a[j] - 1
+        rem = len(a) - j
+        a = a[:j] + [v]
+        while rem > 0:
+            c = min(v, rem)
+            a.append(c)
+            rem -= c
 
 
 @lru_cache(maxsize=None)
@@ -144,6 +193,25 @@ def abacus_core(p: tuple, n: int, beads: int | None = None) -> tuple:
     count = len(pushed)
     parts = [b - (count - i) for i, b in enumerate(pushed, start=1)]
     return tuple(part for part in parts if part > 0)
+
+
+def position_scan_pushed_partition(runners) -> tuple:
+    """The partition of an abacus with runners[r] beads at the top of runner r.
+
+    Scans every position up to the last bead; a bead's part is the number
+    of empty positions below it.
+    """
+    n = len(runners)
+    end = max(r + n * (count - 1) + 1 for r, count in enumerate(runners))
+    parts = []
+    gaps = 0
+    for b in range(end):
+        if b // n < runners[b % n]:
+            if gaps:
+                parts.append(gaps)
+        else:
+            gaps += 1
+    return tuple(reversed(parts))
 
 
 def filtered_n_cores(n: int, max_size: int) -> list:
@@ -462,3 +530,22 @@ def path_coordinates(p, n: int, j: int) -> list:
 def dominant_path(p, n: int, j: int) -> bool:
     """True iff every coordinate of the path has no negative L-coefficient."""
     return all(min(lam) >= 0 for lam in path_coordinates(p, n, j))
+
+
+def column_walk_in_path_set(p, n: int, j: int) -> bool:
+    """Path-set membership with one step per column, each lowering one coefficient."""
+    if not _regular(p, n):
+        return False
+    if not p:
+        return True
+    conj = conjugate(p)
+    lam = [0] * n
+    lam[j % n] += 1
+    lam[p[0] % n] += 1
+    for k in range(p[0], 0, -1):
+        e = (k - 1 - conj[k - 1]) % n
+        lam[(e + 1) % n] -= 1
+        lam[e] += 1
+        if lam[(e + 1) % n] < 0:
+            return False
+    return True

@@ -99,10 +99,10 @@ def test_criterion_3_twelve_js_sets():
 
 def test_criterion_4_path_set_equals_chain_set():
     start = time.perf_counter()
-    for n in (2, 3, 4, 5):
-        report = verify_fow_theorem(n, 12)
+    for n in (2, 3, 4, 5, 6):
+        report = verify_fow_theorem(n, 24)
         assert report.failures == [], (n, report.failures[:3])
-    _stamp(4, "path set == chain set, size <= 12, n in 2..5", start, 60)
+    _stamp(4, "path set == chain set, size <= 24, n in 2..6", start, 60)
 
 
 def test_criterion_5_lattice_sum_matches_enumeration_to_order_8():

@@ -23,6 +23,7 @@ from slnbranch.cores import CUT_ROW, count_by_weight
 from slnbranch.crystal import _scan, eps_close, eps_index, eps_prefix
 
 from oracles import (
+    column_walk_in_path_set,
     dominant_path,
     filtered_bucket_series,
     listed_series,
@@ -95,11 +96,16 @@ class TestMembership:
         assert not in_path_set((1, 1), 2, 1)
 
     def test_agrees_with_full_dominance_scan(self):
-        for n in (2, 3, 4, 5):
-            for m in range(11):
-                for p in partitions_of(m, regular=n):
-                    for j in range(n):
-                        assert in_path_set(p, n, j) == dominant_path(p, n, j)
+        # Every partition, n-singular ones included, against the column walk
+        # and the scan of every coordinate; up to size 18 a block of equal
+        # columns (a gap between consecutive parts) runs longer than n.
+        for n in range(2, 8):
+            for p in partitions_up_to(18):
+                regular = is_n_regular(p, n)
+                for j in range(-1, n + 2):
+                    got = in_path_set(p, n, j)
+                    assert got == column_walk_in_path_set(p, n, j), (p, n, j)
+                    assert got == (regular and dominant_path(p, n, j)), (p, n, j)
 
 
 class TestFow:

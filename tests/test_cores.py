@@ -22,13 +22,20 @@ from slnbranch import (
     residue_counts,
 )
 from slnbranch.branching import fow_close, fow_prefix, in_fow
-from slnbranch.cores import _add_row, _charge_bound, _spread, count_by_weight
+from slnbranch.cores import (
+    _add_row,
+    _charge_bound,
+    _pushed_partition,
+    _spread,
+    count_by_weight,
+)
 from slnbranch.crystal import eps_close, eps_prefix
 from oracles import (
     abacus_core,
     charge_vector,
     crystal_member,
     filtered_n_cores,
+    position_scan_pushed_partition,
     prefix_value,
     rim_hook_core,
     rim_hook_weight,
@@ -82,8 +89,20 @@ class TestNCore:
             for n in (2, 3, 4, 5):
                 core = rim_hook_core(p, n)
                 assert n_core(p, n) == abacus_core(p, n) == core
-                for beads in range(len(p), len(p) + 2 * n + 1):
+                for beads in (*range(len(p), len(p) + 2 * n + 1), len(p) + 3 * n):
                     assert n_core(p, n, beads) == abacus_core(p, n, beads) == core
+
+    @pytest.mark.parametrize("n", [2, 3, 4, 5])
+    def test_level_walk_equals_the_position_scan(self, n):
+        # Every runner vector with entries up to 3 (single non-zero runners
+        # among them), raised by 0, 1 and 3: the raised ones have
+        # min(runners) > 0, and the walk must skip those full levels.
+        for base in product(range(4), repeat=n):
+            for lift in (0, 1, 3):
+                runners = [count + lift for count in base]
+                got = _pushed_partition(runners)
+                assert got == position_scan_pushed_partition(runners), runners
+        assert _pushed_partition([2] * n) == ()
 
     def test_rejects_too_few_beads(self):
         with pytest.raises(ValueError, match="need at least 3 beads, got 2"):

@@ -33,7 +33,6 @@ from slnbranch import (
     verify_js,
     verify_methods,
     verify_rectangle_cores,
-    conjugate,
     exponent_form,
     format_partition,
     is_n_regular,
@@ -49,11 +48,13 @@ from slnbranch.qseries import scaled_inverse_cartan
 from oracles import (
     add_cell,
     brute_partitions,
+    conjugate,
     naive_conjugate,
     naive_residue_counts,
     partition_number,
     remove_cell,
     signature_word,
+    successor_partitions,
 )
 
 
@@ -64,6 +65,8 @@ partitions = st.lists(st.integers(1, 30), max_size=12).map(
 
 
 class TestConjugate:
+    """The column lengths that the path set's column-walk reference reads."""
+
     def test_empty(self):
         assert conjugate(()) == ()
 
@@ -170,12 +173,19 @@ class TestEnumeration:
         assert list(partitions_of(0)) == [()]
 
     def test_counts_match_pentagonal_recurrence(self):
-        for m in range(19):
+        for m in range(26):
             assert sum(1 for _ in partitions_of(m)) == partition_number(m)
 
     def test_order_and_elements_match_brute_force(self):
         for m in range(13):
             assert list(partitions_of(m)) == list(brute_partitions(m))
+
+    @pytest.mark.parametrize("regular", [None, 2, 3, 4, 5, 6])
+    def test_sequence_equals_the_successor_rule(self, regular):
+        # Lists, not sets: the decreasing-lex order is the contract.
+        for m in range(26):
+            got = list(partitions_of(m, regular))
+            assert got == list(successor_partitions(m, regular)), (m, regular)
 
     def test_regular_filter(self):
         for m in range(13):

@@ -54,6 +54,16 @@ class TestEqualModDelta:
     def test_rank_mismatch_is_error(self):
         with pytest.raises(ValueError, match="mixed ranks"):
             AffineWeight(2, (1, 0)) + AffineWeight(3, (1, 0, 0))
+        with pytest.raises(ValueError, match="mixed ranks"):
+            AffineWeight(2, (1, 0)) - AffineWeight(3, (1, 0, 0))
+
+    def test_difference_adds_the_negation(self):
+        for n in (2, 3, 4):
+            weights = [weight_of(p, n) for p in partitions_up_to(6)]
+            weights += [simple_root(n, i) for i in range(n)]
+            for a in weights:
+                for b in weights:
+                    assert a - b == a + (-b)
 
 
 class TestSimpleRoot:
