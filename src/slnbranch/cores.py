@@ -211,13 +211,13 @@ def _spread(counts) -> int:
     return sum((counts[r] - counts[r - 1]) ** 2 for r in range(len(counts)))
 
 
-def _add_row(rem: list[int], r: int, a: int, sign: int) -> int:
-    """Add `sign` times the content of a part a in 0-based row r to `rem`.
+def _add_row(rem: list[int], r: int, a: int) -> int:
+    """Take the content of a part a in 0-based row r off `rem`.
 
-    Returns the change of `_spread(rem)`.  The row adds `full` to every
-    residue and one more to the arc of `extra` residues from `start` on, so
+    Returns the change of `_spread(rem)`.  The row takes `full` off every
+    residue and one more off the arc of `extra` residues from `start` on, so
     only the differences at the two ends of the arc move: c_start - c_{start-1}
-    by +sign and c_end - c_{end-1} by -sign, with end = start + extra.
+    by -1 and c_end - c_{end-1} by +1, with end = start + extra.
     """
     n = len(rem)
     full, extra = divmod(a, n)
@@ -225,11 +225,11 @@ def _add_row(rem: list[int], r: int, a: int, sign: int) -> int:
     step = 0
     if extra:
         end = (start + extra) % n
-        step = 2 * sign * (rem[start] - rem[start - 1] - rem[end] + rem[end - 1]) + 2
+        step = 2 * (rem[start - 1] - rem[start] + rem[end] - rem[end - 1]) + 2
     for x in range(n):
-        rem[x] += sign * full
+        rem[x] -= full
     for t in range(extra):
-        rem[(start + t) % n] += sign
+        rem[(start + t) % n] -= 1
     return step
 
 
@@ -315,7 +315,7 @@ def _row_choices(
     if a <= 0 or 2 * left > cap * a * (a + 1):
         return []
     rem = list(content)
-    spread += _add_row(rem, r, a, -1)
+    spread += _add_row(rem, r, a)
     left -= a
     below = (start - 1) % n
     index = r % n

@@ -2,8 +2,9 @@
 
 `fermionic_series` and `lattice_sum` return the coefficients c_0..c_order
 as a tuple of exact integers, the shape of every series in the package.
-`TruncatedSeries` is the lattice sum's internal arithmetic: exact sums and
-products below a truncation order.  The lattice sum runs over
+The lattice sum adds its terms into one coefficient list; `TruncatedSeries`
+only forms each term's product of 1/(q)_{m_i} factors below a truncation
+order.  The sum runs over
 nonnegative integer vectors m of length n-1 subject to the congruence
 t + sum(i * m_i) ≡ 0 (mod n); each admissible vector contributes
 q^Q(m) / prod((q)_{m_i}) with
@@ -38,7 +39,7 @@ from .partitions import check_order, check_rank
 
 
 class TruncatedSeries:
-    """q-power-series with exact integer coefficients up to a truncation order."""
+    """One lattice-sum term's product: exact integer coefficients up to a truncation order."""
 
     __slots__ = ("order", "coeffs")
 
@@ -52,18 +53,8 @@ class TruncatedSeries:
         self.coeffs = tuple(coeffs)
 
     @classmethod
-    def zero(cls, order: int) -> "TruncatedSeries":
-        return cls([0], order)
-
-    @classmethod
     def one(cls, order: int) -> "TruncatedSeries":
         return cls([1], order)
-
-    def __add__(self, other: "TruncatedSeries") -> "TruncatedSeries":
-        order = min(self.order, other.order)
-        return TruncatedSeries(
-            [self.coeffs[d] + other.coeffs[d] for d in range(order + 1)]
-        )
 
     def __mul__(self, other: "TruncatedSeries") -> "TruncatedSeries":
         order = min(self.order, other.order)
@@ -76,12 +67,6 @@ class TruncatedSeries:
                 if b:
                     out[i + j] += a * b
         return TruncatedSeries(out)
-
-    def shift_up(self, s: int, order: int) -> "TruncatedSeries":
-        """Multiply by q^s, truncated at the given order."""
-        if s < 0:
-            raise ValueError("shift must be nonnegative")
-        return TruncatedSeries([0] * s + list(self.coeffs), order)
 
 
 def inv_pochhammer(k: int, order: int) -> TruncatedSeries:
@@ -223,14 +208,16 @@ def lattice_points(
 
 def lattice_sum(points, order: int) -> tuple[int, ...]:
     """Coefficients of sum q^Q / prod((q)_{m_i}) over (m, Q) pairs, to the given order."""
-    total = TruncatedSeries.zero(order)
+    check_order(order)
+    total = [0] * (order + 1)
     for m, q in points:
         term = TruncatedSeries.one(order - q)
         for mi in m:
             if mi:
                 term = term * inv_pochhammer(mi, order - q)
-        total = total + term.shift_up(q, order)
-    return total.coeffs
+        for d, c in enumerate(term.coeffs, q):
+            total[d] += c
+    return tuple(total)
 
 
 def fermionic_series(n: int, s: int, t: int, order: int) -> tuple[int, ...]:

@@ -24,28 +24,14 @@ class AffineWeight:
         if len(self.lam) != self.n:
             raise ValueError(f"expected {self.n} coefficients, got {len(self.lam)}")
 
-    def _check_same_n(self, other: "AffineWeight"):
+    def __sub__(self, other: "AffineWeight") -> "AffineWeight":
         if self.n != other.n:
             raise ValueError(f"mixed ranks: n={self.n} vs n={other.n}")
-
-    def __add__(self, other: "AffineWeight") -> "AffineWeight":
-        self._check_same_n(other)
-        return AffineWeight(
-            self.n,
-            tuple(a + b for a, b in zip(self.lam, other.lam)),
-            self.delta + other.delta,
-        )
-
-    def __sub__(self, other: "AffineWeight") -> "AffineWeight":
-        self._check_same_n(other)
         return AffineWeight(
             self.n,
             tuple(a - b for a, b in zip(self.lam, other.lam)),
             self.delta - other.delta,
         )
-
-    def __neg__(self) -> "AffineWeight":
-        return AffineWeight(self.n, tuple(-a for a in self.lam), -self.delta)
 
     def __str__(self) -> str:
         pos = [(c, f"L{i}") for i, c in enumerate(self.lam) if c > 0]

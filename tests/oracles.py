@@ -307,6 +307,25 @@ def shell_lattice_points(n: int, s: int, t: int, order: int, bound: int | None =
     return sorted(points)
 
 
+def listed_lattice_sum(points, order: int) -> tuple:
+    """sum q^Q / prod((q)_{m_i}) over (m, Q) pairs, in one plain list per term.
+
+    Each factor 1/(q)_{m_i} divides the term by (1 - q^i) for i = 1..m_i in
+    place: c_d += c_{d-i}, for d from i up.
+    """
+    total = [0] * (order + 1)
+    for m, q in points:
+        term = [0] * (order + 1)
+        term[q] = 1
+        for mi in m:
+            for i in range(1, mi + 1):
+                for d in range(i, order + 1):
+                    term[d] += term[d - i]
+        for d, c in enumerate(term):
+            total[d] += c
+    return tuple(total)
+
+
 def crystal_member(p, n: int, j: int) -> bool:
     """Eps-profile membership for index j of an n-regular partition: eps(p) = e_j, or p empty."""
     from slnbranch.crystal import eps_index

@@ -87,6 +87,33 @@ class TestFermionic:
         assert payload["coeffs"] == [0, 1, 2, 2]
         assert payload["lattice_points"] >= 2
 
+    @pytest.mark.parametrize(
+        "fmt,expected",
+        [
+            ("csv", "method,c0,c1,c2,c3\nfermionic,0,1,2,2\n"),
+            ("text", "fermionic 0 1 2 2\nlattice points: 2\n"),
+        ],
+        ids=["csv", "text"],
+    )
+    def test_csv_and_text(self, capsys, fmt, expected):
+        code, out, _ = run_cli(
+            capsys, "fermionic", "--n", "3", "--s", "1", "--t", "2", "--order", "3",
+            "--format", fmt,
+        )
+        assert code == 0
+        assert out == expected
+
+    def test_folded_pair_json(self, capsys):
+        # s + t > n: the pair is folded to (1, 2) before the lattice walk
+        code, out, _ = run_cli(
+            capsys, "fermionic", "--n", "4", "--s", "2", "--t", "3", "--order", "6"
+        )
+        assert code == 0
+        assert out == (
+            '{"n":4,"s":2,"t":3,"order":6,"coeffs":[0,1,2,3,5,8,12],'
+            '"lattice_points":4}\n'
+        )
+
     def test_n6_finishes_with_17_points(self, capsys):
         code, out, _ = run_cli(
             capsys, "fermionic", "--n", "6", "--s", "0", "--t", "1", "--order", "12"
@@ -174,6 +201,25 @@ class TestCrystal:
         assert out.startswith("digraph crystal {")
         assert '"3,1" [label="3,1"];' in out      # not a member: no asterisk
         assert '"2,1" [label="2,1*"];' in out     # member: starred
+
+    def test_text_output(self, capsys):
+        # vertices with their eps vectors and weights, then the edges
+        code, out, _ = run_cli(
+            capsys, "crystal", "graph", "--n", "2", "--max-size", "3",
+            "--format", "text",
+        )
+        assert code == 0
+        assert out == (
+            "-*  eps=(0,0)  wt=L0\n"
+            "1*  eps=(1,0)  wt=2*L1 - L0 - d\n"
+            "2*  eps=(0,1)  wt=L0 - d\n"
+            "3*  eps=(1,0)  wt=2*L1 - L0 - 2*d\n"
+            "2,1  eps=(0,2)  wt=3*L0 - 2*L1 - d\n"
+            "- -0-> 1\n"
+            "1 -1-> 2\n"
+            "2 -0-> 3\n"
+            "2 -1-> 2,1\n"
+        )
 
     def test_json_output(self, capsys):
         code, out, _ = run_cli(

@@ -323,10 +323,13 @@ class TestContentWalk:
             for counts in product(range(3), repeat=n):
                 for r in range(n):
                     for a in range(2 * n + 1):
-                        for sign in (1, -1):
-                            rem = list(counts)
-                            step = _add_row(rem, r, a, sign)
-                            assert _spread(rem) - _spread(counts) == step, (counts, r, a)
+                        rem = list(counts)
+                        step = _add_row(rem, r, a)
+                        assert _spread(rem) - _spread(counts) == step, (counts, r, a)
+                        row = [0] * n
+                        for j in range(a):
+                            row[(j - r) % n] += 1
+                        assert rem == [c - x for c, x in zip(counts, row)]
 
     def test_core_size_of_content(self):
         for p in partitions_up_to(12):
