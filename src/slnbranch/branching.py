@@ -42,7 +42,6 @@ from .partitions import (
     check_rank,
     check_residue,
     check_size,
-    exponent_form,
     is_n_regular,
     partitions_up_to,
 )
@@ -69,18 +68,23 @@ def in_path_set(p: Partition, n: int, j: int) -> bool:
     lowers the coefficient its previous step raised, which is then at least
     1, so only the first step can go negative: the test is
     lam[(p_i - i) mod n] >= 1 before each block, one block per distinct part.
+    The same walk reads n-regularity: a block ends each run of equal parts,
+    and the run is i minus the row where the block before it ended.
     """
-    if not is_n_regular(p, n):
-        return False
+    check_rank(n)
     if not p:
         return True
     lam = [0] * n
     lam[j % n] += 1
     lam[p[0] % n] += 1
     last = len(p)
+    ended = 0  # the row where the last block ended
     for i, part in enumerate(p, start=1):
         below = p[i] if i < last else 0
         if part > below:
+            if i - ended >= n:
+                return False
+            ended = i
             top = (part - i) % n
             if not lam[top]:
                 return False
@@ -97,16 +101,30 @@ def fow_index(p: Partition, n: int) -> int | None:
     consecutive pairs; then j = (v1 - a1) mod n.  The empty partition
     belongs to every j's membership set; by convention this returns 0 for it
     (see in_fow).
+
+    One pass over the parts reads both conditions from the run lengths: a
+    run that reaches n parts fails regularity, and each run, once the next
+    part closes it, is checked against the run before it.
     """
-    if not is_n_regular(p, n):
-        return None
-    ef = exponent_form(p)
-    if not ef:
+    check_rank(n)
+    if not p:
         return 0
-    for (v1, a1), (v2, a2) in zip(ef, ef[1:]):
-        if (a1 + v1 - v2 + a2) % n:
+    j = None  # (v1 - a1) mod n, once the first run is closed
+    v, a = p[0], 0  # the open run: part v, a parts so far
+    for part in p:
+        if part == v:
+            a += 1
+            if a == n:
+                return None
+            continue
+        if j is None:
+            j = (v - a) % n
+        elif (a1 + v1 - v + a) % n:
             return None
-    return (ef[0][0] - ef[0][1]) % n
+        v1, a1, v, a = v, a, part, 1
+    if j is None:
+        return (v - a) % n
+    return None if (a1 + v1 - v + a) % n else j
 
 
 def in_fow(p: Partition, n: int, j: int) -> bool:

@@ -81,16 +81,22 @@ def abacus_display(p: Partition, n: int, beads: int | None = None) -> tuple[int,
 def n_core(p: Partition, n: int, beads: int | None = None) -> Partition:
     """The partition left after sliding all abacus beads up their runners.
 
-    Equivalently: remove rim n-hooks until none remain.
+    Equivalently: remove rim n-hooks until none remain.  `beads` is checked
+    as in `_bead_count`, inline.  The beads of the empty rows fill
+    positions 0 .. beads - len(p) - 1, so the runners start from those, and
+    one loop over the parts adds the bead of each row.
     """
-    beads = _bead_count(p, n, beads)
-    runners = [0] * n
+    check_rank(n)
+    rows = len(p)
+    if beads is None:
+        beads = max(rows, 1)
+        beads += (-beads) % n
+    elif beads < rows:
+        raise ValueError(f"need at least {rows} beads, got {beads}")
+    full, extra = divmod(beads - rows, n)
+    runners = [full + 1] * extra + [full] * (n - extra)
     for row, part in enumerate(p, start=1):
         runners[(part + beads - row) % n] += 1
-    # The beads of the empty rows fill positions 0 .. free - 1.
-    full, extra = divmod(beads - len(p), n)
-    for r in range(n):
-        runners[r] += full + (r < extra)
     return _pushed_partition(runners)
 
 

@@ -8,6 +8,7 @@ are 1-based, and the node in row i, column j carries the residue
 
 from __future__ import annotations
 
+from itertools import accumulate
 from typing import Iterator
 
 Partition = tuple[int, ...]
@@ -73,19 +74,30 @@ def is_n_regular(p: Partition, n: int) -> bool:
 def residue_counts(p: Partition, n: int) -> tuple[int, ...]:
     """Number of nodes of each residue 0..n-1 (the colour charge census).
 
-    Row i contributes residues (1-i) mod n, (2-i) mod n, ... along its parts.
+    Row i contributes residues (1-i) mod n, (2-i) mod n, ... along its parts,
+    in O(1) per row: its full turns of n nodes add one to every residue, and
+    go into one running total; the arc of part mod n residues left over from
+    start = (1-i) mod n goes into a cyclic difference array of length n + 1.
+    An arc that wraps past n - 1 counts as one more full turn less the gap
+    [end - n, start) it misses.  One prefix pass at the end reads the counts.
     """
     check_rank(n)
-    counts = [0] * n
-    for row, part in enumerate(p, start=1):
+    turns = 0
+    diff = [0] * (n + 1)
+    start = 1  # (1 - row) mod n, stepped down by one per row
+    for part in p:
+        start = start - 1 if start else n - 1
         full, rem = divmod(part, n)
-        if full:
-            for i in range(n):
-                counts[i] += full
-        start = (1 - row) % n
-        for t in range(rem):
-            counts[(start + t) % n] += 1
-    return tuple(counts)
+        turns += full
+        if rem:
+            end = start + rem
+            diff[start] += 1
+            if end > n:
+                turns += 1
+                diff[end - n] -= 1
+            else:
+                diff[end] -= 1
+    return tuple(accumulate(diff[:n], initial=turns))[1:]
 
 
 def partitions_of(m: int, regular: int | None = None) -> Iterator[Partition]:

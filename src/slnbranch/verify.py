@@ -41,6 +41,7 @@ def verify_methods(n: int, order: int) -> VerificationReport:
     """All four evaluation routes agree on every class up to the given order.
 
     The paths route runs one configuration sum per j and reads every k from it.
+    A failure names first_d, the first power of q at which the routes part.
     """
     check_rank(n)
     with VerificationReport(suite=f"methods(n={n}, order={order})") as report:
@@ -58,7 +59,9 @@ def verify_methods(n: int, order: int) -> VerificationReport:
                 }
                 report.cases += 1
                 if len(set(rows.values())) != 1:
-                    report.record(j=j, k=k, **{m: list(c) for m, c in rows.items()})
+                    terms = zip(*rows.values())
+                    first_d = next(d for d, ts in enumerate(terms) if len(set(ts)) > 1)
+                    report.record(j=j, k=k, first_d=first_d, **{m: list(c) for m, c in rows.items()})
     return report
 
 
@@ -96,12 +99,21 @@ def verify_cores(n: int, max_size: int) -> VerificationReport:
     check_rank(n)
     check_size(max_size)
     with VerificationReport(suite=f"cores(n={n}, max_size={max_size})") as report:
+        # Idempotence depends on the core alone: asked once per distinct core.
+        idempotent: dict = {}
+
+        def is_fixed(core):
+            fixed = idempotent.get(core)
+            if fixed is None:
+                fixed = idempotent[core] = n_core(core, n) == core
+            return fixed
+
         for p in partitions_up_to(max_size):
             report.cases += 1
             core = n_core(p, n)
             ok = (
                 sum(p) == sum(core) + n * n_weight(p, n)
-                and n_core(core, n) == core
+                and is_fixed(core)
                 and all(
                     n_core(p, n, beads) == core
                     for beads in (max(len(p), 1), max(len(p), 1) + 1, max(len(p), 1) + n)
@@ -141,6 +153,8 @@ def verify_crystal(n: int, max_size: int) -> VerificationReport:
         level: dict = {}
         below: dict = {}
         size = 0
+        # Edge targets past the size bound are no vertices: weighed once each.
+        beyond: dict = {}
 
         def scan(layer: dict, q):
             found = layer.get(q)
@@ -172,7 +186,12 @@ def verify_crystal(n: int, max_size: int) -> VerificationReport:
                     if not good2[i] or _remove_good(down, good2[i]) != p:
                         problems.append("raising does not invert lowering")
                     # Inside the size bound down is a vertex, weighed when built.
-                    wt = graph.wt[down] if size < max_size else weight_of(down, n)
+                    if size < max_size:
+                        wt = graph.wt[down]
+                    else:
+                        wt = beyond.get(down)
+                        if wt is None:
+                            wt = beyond[down] = weight_of(down, n)
                     if wt != graph.wt[p] - roots[i]:
                         problems.append("edge does not shift weight by the simple root")
                     if (eps2[i], len(plus2[i])) != (eps_i + 1, phi_i - 1):

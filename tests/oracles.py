@@ -14,8 +14,10 @@ compared against:
 The library's earlier kernels are kept here as references for the ones
 that replaced them: `column_walk_in_path_set` (one path step per column,
 read off `conjugate`), `position_scan_pushed_partition` (every abacus
-position up to the last bead) and `successor_partitions` (the successor
-rule that rebuilds the tail of the list at each step).
+position up to the last bead), `successor_partitions` (the successor
+rule that rebuilds the tail of the list at each step) and
+`two_pass_fow_index` (a regularity pass, then the congruence on the
+exponent form).
 """
 
 from collections import Counter
@@ -568,3 +570,21 @@ def column_walk_in_path_set(p, n: int, j: int) -> bool:
         if lam[(e + 1) % n] < 0:
             return False
     return True
+
+
+def two_pass_fow_index(p, n: int):
+    """The chain-congruence index of p, else None: n-regularity first, then the pairs of runs.
+
+    The library's earlier `fow_index`, kept as a reference for its one-pass walk.
+    """
+    from slnbranch import exponent_form, is_n_regular
+
+    if not is_n_regular(p, n):
+        return None
+    ef = exponent_form(p)
+    if not ef:
+        return 0
+    for (v1, a1), (v2, a2) in zip(ef, ef[1:]):
+        if (a1 + v1 - v2 + a2) % n:
+            return None
+    return (ef[0][0] - ef[0][1]) % n

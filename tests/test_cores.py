@@ -107,6 +107,8 @@ class TestNCore:
     def test_rejects_too_few_beads(self):
         with pytest.raises(ValueError, match="need at least 3 beads, got 2"):
             n_core((3, 1, 1), 2, beads=2)
+        with pytest.raises(ValueError, match="need at least 40 beads, got 39"):
+            n_core((1,) * 40, 3, beads=39)
         assert n_core((), 3, beads=0) == ()
 
 

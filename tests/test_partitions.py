@@ -41,7 +41,7 @@ from slnbranch import (
     partitions_up_to,
     residue_counts,
 )
-from slnbranch.branching import configuration_sums, fow_prefix
+from slnbranch.branching import configuration_sums, fow_index, fow_prefix, in_path_set
 from slnbranch.cores import count_by_weight
 from slnbranch.crystal import eps_close, eps_index, eps_prefix
 from slnbranch.qseries import scaled_inverse_cartan
@@ -252,6 +252,11 @@ RANKED_CALLS = {
     "n_cores": lambda n: n_cores(n, 3),
     "n_weight": lambda n: n_weight((2, 1), n),
     "n_core": lambda n: n_core((2, 1), n),
+    "n_core with beads": lambda n: n_core((2, 1), n, 5),
+    # The one-pass kernels check the rank before their empty-partition answers.
+    "fow_index": lambda n: fow_index((), n),
+    "in_path_set": lambda n: in_path_set((), n, 0),
+    "residue_counts": lambda n: residue_counts((), n),
     "verify_methods": lambda n: verify_methods(n, 2),
     "verify_fow_theorem": lambda n: verify_fow_theorem(n, 3),
     "verify_js": lambda n: verify_js(n, 3, 2),

@@ -11,8 +11,11 @@ import pytest
 
 from slnbranch import verify
 from slnbranch.cores import n_cores
+from slnbranch.crystal import f_tilde
+from slnbranch.partitions import partitions_up_to
 from slnbranch.report import VerificationReport
 from slnbranch.weights import simple_root
+from oracles import abacus_core
 
 
 def test_report_times_its_block():
@@ -120,3 +123,113 @@ def test_crystal_reports_a_corrupted_edge_target(monkeypatch):
     expected = {(src, i) for src, i, dst in edges if target in (src, dst)}
     assert ((1, 1), 1) in expected
     assert flagged == expected
+
+
+def test_cores_asks_idempotence_once_per_core(monkeypatch):
+    real = verify.n_core
+    calls = Counter()
+
+    def counted(p, n, beads=None):
+        if beads is None:
+            calls[p] += 1
+        return real(p, n, beads)
+
+    monkeypatch.setattr(verify, "n_core", counted)
+    assert verify.verify_cores(4, 22).ok
+    cores = set(n_cores(4, 22))
+    # Every partition is asked for its core once; a core once more, for idempotence.
+    assert len(cores) == 82
+    assert {p: c for p, c in calls.items() if c != 1} == dict.fromkeys(cores, 2)
+
+
+def test_cores_records_every_partition_of_a_core_that_moves(monkeypatch):
+    real = verify.n_core
+    mu = (1,)
+
+    def moved(p, n, beads=None):
+        return (1, 1) if p == mu else real(p, n, beads)
+
+    assert verify.verify_cores(3, 8).ok
+    monkeypatch.setattr(verify, "n_core", moved)
+    report = verify.verify_cores(3, 8)
+    # The answer for mu is asked once, yet every partition of its block fails.
+    block = [list(p) for p in partitions_up_to(8) if abacus_core(p, 3) == mu]
+    assert len(block) > 2
+    assert [failure["partition"] for failure in report.failures] == block
+    assert all(failure["core"] == [1] for failure in report.failures[1:])
+    assert report.failures[0] == {"partition": [1], "core": [1, 1]}
+
+
+def test_cores_records_a_core_that_depends_on_the_bead_count(monkeypatch):
+    real = verify.n_core
+
+    def bead_dependent(p, n, beads=None):
+        core = real(p, n, beads)
+        return core + (1,) if beads is not None and beads % n == 0 else core
+
+    monkeypatch.setattr(verify, "n_core", bead_dependent)
+    report = verify.verify_cores(3, 8)
+    # The bead counts tried are b, b + 1 and b + 3, with b = max(len(p), 1).
+    flagged = [list(p) for p in partitions_up_to(8) if max(len(p), 1) % 3 in (0, 2)]
+    assert [failure["partition"] for failure in report.failures] == flagged
+    assert all(
+        failure["core"] == list(abacus_core(tuple(failure["partition"]), 3))
+        for failure in report.failures
+    )
+
+
+def test_cores_records_a_broken_size_split(monkeypatch):
+    real = verify.n_weight
+
+    def off_by_one(p, n):
+        return real(p, n) + (p == (3, 2))
+
+    monkeypatch.setattr(verify, "n_weight", off_by_one)
+    report = verify.verify_cores(3, 8)
+    assert report.failures == [{"partition": [3, 2], "core": [1, 1]}]
+
+
+def test_crystal_reports_a_corrupted_target_past_the_size_bound(monkeypatch):
+    real = verify.weight_of
+    target = (3, 2, 1)  # size 6, one past the bound
+    calls = Counter()
+
+    def corrupted(p, n):
+        calls[p] += 1
+        wt = real(p, n)
+        return wt - simple_root(n, 0) if p == target else wt
+
+    assert verify.verify_crystal(4, 5).ok
+    monkeypatch.setattr(verify, "weight_of", corrupted)
+    report = verify.verify_crystal(4, 5)
+    flagged = {
+        (tuple(failure["partition"]), failure["i"])
+        for failure in report.failures
+        if failure["problems"] == ["edge does not shift weight by the simple root"]
+    }
+    top = [p for p in verify.build_component(4, 5).vertices if sum(p) == 5]
+    expected = {(p, i) for p in top for i in range(4) if f_tilde(p, 4, i) == target}
+    assert expected == {((3, 2), 2), ((3, 1, 1), 0)}
+    assert flagged == expected and len(report.failures) == len(expected)
+    # Each target past the bound is weighed once, however many edges reach it.
+    assert calls[target] == 1 and set(calls.values()) == {1}
+    assert all(sum(p) == 6 for p in calls)
+
+
+def test_methods_names_the_first_power_where_the_routes_part(monkeypatch):
+    real = verify.branching_series
+
+    def bumped(n, j, k, order, method):
+        series = real(n, j, k, order, method)
+        if method == "fow" and (j, k) == (1, 0):
+            return tuple(c + (d in (3, 5)) for d, c in enumerate(series))
+        return series
+
+    assert verify.verify_methods(3, 6).ok
+    monkeypatch.setattr(verify, "branching_series", bumped)
+    report = verify.verify_methods(3, 6)
+    [failure] = report.failures
+    assert list(failure)[:3] == ["j", "k", "first_d"]
+    assert (failure["j"], failure["k"], failure["first_d"]) == (1, 0, 3)
+    assert failure["fow"][3] == failure["paths"][3] + 1
+    assert failure["fow"][:3] == failure["paths"][:3]
