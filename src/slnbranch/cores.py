@@ -82,18 +82,12 @@ def n_core(p: Partition, n: int, beads: int | None = None) -> Partition:
     """The partition left after sliding all abacus beads up their runners.
 
     Equivalently: remove rim n-hooks until none remain.  `beads` is checked
-    as in `_bead_count`, inline.  The beads of the empty rows fill
-    positions 0 .. beads - len(p) - 1, so the runners start from those, and
-    one loop over the parts adds the bead of each row.
+    by `_bead_count`.  The beads of the empty rows fill positions
+    0 .. beads - len(p) - 1, so the runners start from those, and one loop
+    over the parts adds the bead of each row.
     """
-    check_rank(n)
-    rows = len(p)
-    if beads is None:
-        beads = max(rows, 1)
-        beads += (-beads) % n
-    elif beads < rows:
-        raise ValueError(f"need at least {rows} beads, got {beads}")
-    full, extra = divmod(beads - rows, n)
+    beads = _bead_count(p, n, beads)
+    full, extra = divmod(beads - len(p), n)
     runners = [full + 1] * extra + [full] * (n - extra)
     for row, part in enumerate(p, start=1):
         runners[(part + beads - row) % n] += 1

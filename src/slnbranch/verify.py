@@ -59,8 +59,12 @@ def verify_methods(n: int, order: int) -> VerificationReport:
                 }
                 report.cases += 1
                 if len(set(rows.values())) != 1:
+                    # A route whose series stops short parts from the rest where it stops.
                     terms = zip(*rows.values())
-                    first_d = next(d for d, ts in enumerate(terms) if len(set(ts)) > 1)
+                    first_d = next(
+                        (d for d, ts in enumerate(terms) if len(set(ts)) > 1),
+                        min(map(len, rows.values())),
+                    )
                     report.record(j=j, k=k, first_d=first_d, **{m: list(c) for m, c in rows.items()})
     return report
 
@@ -153,8 +157,6 @@ def verify_crystal(n: int, max_size: int) -> VerificationReport:
         level: dict = {}
         below: dict = {}
         size = 0
-        # Edge targets past the size bound are no vertices: weighed once each.
-        beyond: dict = {}
 
         def scan(layer: dict, q):
             found = layer.get(q)
@@ -186,12 +188,7 @@ def verify_crystal(n: int, max_size: int) -> VerificationReport:
                     if not good2[i] or _remove_good(down, good2[i]) != p:
                         problems.append("raising does not invert lowering")
                     # Inside the size bound down is a vertex, weighed when built.
-                    if size < max_size:
-                        wt = graph.wt[down]
-                    else:
-                        wt = beyond.get(down)
-                        if wt is None:
-                            wt = beyond[down] = weight_of(down, n)
+                    wt = graph.wt[down] if size < max_size else weight_of(down, n)
                     if wt != graph.wt[p] - roots[i]:
                         problems.append("edge does not shift weight by the simple root")
                     if (eps2[i], len(plus2[i])) != (eps_i + 1, phi_i - 1):

@@ -2,9 +2,9 @@
 
 `fow_index` and `in_path_set` read n-regularity from the run lengths of
 their own walk, `residue_counts` does O(1) work per row, and `n_core`
-checks its bead count inline; each is compared with a reference that
-makes the passes separately, on every partition of size at most 20 for
-n = 2..7 and on long inputs.
+pre-fills its runners with the empty rows' beads; each is compared with a
+reference that makes the passes separately, on every partition of size at
+most 20 for n = 2..7 and on long inputs.
 """
 
 import pytest
