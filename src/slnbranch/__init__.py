@@ -63,7 +63,7 @@ from .qseries import (
 )
 from .report import VerificationReport
 from .verify import run_suites, verify_cores, verify_crystal, verify_js, verify_methods
-from .weights import AffineWeight, simple_root, weight_of
+from .weights import AffineWeight, weight_of
 
 __all__ = [
     "AffineWeight",
@@ -110,7 +110,6 @@ __all__ = [
     "regular_partitions_with_content",
     "residue_counts",
     "run_suites",
-    "simple_root",
     "verify_cores",
     "verify_crystal",
     "verify_fow_theorem",

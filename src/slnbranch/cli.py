@@ -17,7 +17,8 @@ from .crystal import build_component
 from .jantzen_seitz import chi_by_branching, chi_direct, js_set
 from .partitions import format_partition, parse_partition
 from .qseries import lattice_points, lattice_sum
-from .verify import SUITES, run_suites
+from .verify import SUITES, _first_d, run_suites
+from .weights import weight_of
 
 
 # Least accepted value of each integer flag, keyed by argparse dest.
@@ -106,7 +107,8 @@ def _emit_rows(args, payload: dict, rows: dict[str, tuple[int, ...]]) -> int:
     """Write method rows in args.format; exit code 0 when every row agrees, else 1.
 
     `payload` is the JSON head; a single row adds `coeffs` and `method`,
-    several add `methods` and the verdict.
+    several add `methods` and the verdict, and on disagreement `first_d`,
+    the first power of q at which the rows part (a text line in text).
     """
     agree = len(set(rows.values())) == 1
     if args.format == "json":
@@ -116,6 +118,8 @@ def _emit_rows(args, payload: dict, rows: dict[str, tuple[int, ...]]) -> int:
         else:
             payload["methods"] = {m: list(c) for m, c in rows.items()}
             payload["verdict"] = "AGREE" if agree else "DISAGREE"
+            if not agree:
+                payload["first_d"] = _first_d(rows)
         _emit(json.dumps(payload, separators=(",", ":")))
     elif args.format == "csv":
         _emit(_series_csv(rows, args.order))
@@ -124,6 +128,8 @@ def _emit_rows(args, payload: dict, rows: dict[str, tuple[int, ...]]) -> int:
             _emit(f"{method:9s} " + " ".join(str(c) for c in coeffs))
         if len(rows) > 1:
             _emit("verdict: " + ("AGREE" if agree else "DISAGREE"))
+            if not agree:
+                _emit(f"first_d: {_first_d(rows)}")
     return 0 if agree else 1
 
 
@@ -186,7 +192,7 @@ def _run_crystal_graph(args) -> int:
         for v in graph.vertices:
             star = "*" if graph.js[v] else ""
             eps = ",".join(str(e) for e in graph.eps[v])
-            _emit(f"{format_partition(v)}{star}  eps=({eps})  wt={graph.wt[v]}")
+            _emit(f"{format_partition(v)}{star}  eps=({eps})  wt={weight_of(v, args.n)}")
         for src, i, dst in graph.edges:
             _emit(f"{format_partition(src)} -{i}-> {format_partition(dst)}")
     return 0

@@ -23,12 +23,14 @@ entry, and the operators edit the good row that the scan finds, which
 keeps the tuple a partition.  `build_component` reads each vertex's
 Jantzen-Seitz mark from the eps vector of the same scan, the eps-profile
 side of the theorem, so this module needs nothing from the chain-congruence
-side.
+side.  Nor does it weigh: a vertex's weight is a function of its residue
+content, which the verify suite and the CLI read when they need it.
 """
 
 from __future__ import annotations
 
 import json
+from collections import Counter
 from dataclasses import dataclass, field
 from typing import Callable
 
@@ -41,7 +43,6 @@ from .partitions import (
     check_size,
     format_partition,
 )
-from .weights import AffineWeight, weight_of
 
 
 def _signatures(p: Partition, n: int) -> tuple[list[int], list[list[int]], list[int]]:
@@ -244,21 +245,19 @@ class CrystalGraph:
 
     Vertices are listed layer by layer (by partition size, decreasing
     lexicographic within a layer); edges (p, i, q) mean the i-lowering
-    operator sends p to q.  `js` marks the Jantzen-Seitz vertices by their
-    eps-profile: at most one nonzero eps_i, equal to 1.
+    operator sends p to q.  `eps` holds each vertex's eps vector, and `js`
+    marks the Jantzen-Seitz vertices by their eps-profile: at most one
+    nonzero eps_i, equal to 1.  The graph holds no weights; `weight_of(v, n)`
+    reads a vertex's weight from its residue content.
     """
 
     vertices: list[Partition] = field(default_factory=list)
     edges: list[tuple[Partition, int, Partition]] = field(default_factory=list)
     eps: dict[Partition, tuple[int, ...]] = field(default_factory=dict)
-    wt: dict[Partition, AffineWeight] = field(default_factory=dict)
     js: dict[Partition, bool] = field(default_factory=dict)
 
-    def counts_by_size(self) -> dict[int, int]:
-        out: dict[int, int] = {}
-        for v in self.vertices:
-            out[sum(v)] = out.get(sum(v), 0) + 1
-        return out
+    def counts_by_size(self) -> Counter[int]:
+        return Counter(map(sum, self.vertices))
 
     def to_dot(self) -> str:
         """DOT rendering; vertex labels carry a "*" suffix on Jantzen-Seitz vertices."""
@@ -294,9 +293,10 @@ def build_component(n: int, max_size: int) -> CrystalGraph:
     """Breadth-first closure of {∅} under all lowering operators, up to max_size.
 
     Each vertex is scanned once, and that scan gives its eps annotation,
-    its Jantzen-Seitz mark and its out-edges.  Every vertex is n-regular,
-    and a nonempty partition has some eps_i >= 1, so the eps-profile test
-    (at most one nonzero eps_i, equal to 1) reads sum(eps) <= 1.
+    its Jantzen-Seitz mark and its out-edges; no vertex is weighed.  Every
+    vertex is n-regular, and a nonempty partition has some eps_i >= 1, so
+    the eps-profile test (at most one nonzero eps_i, equal to 1) reads
+    sum(eps) <= 1.
     """
     check_size(max_size)
     check_rank(n)
@@ -309,7 +309,6 @@ def build_component(n: int, max_size: int) -> CrystalGraph:
             eps, plus, _ = _signatures(v, n)
             graph.vertices.append(v)
             graph.eps[v] = tuple(eps)
-            graph.wt[v] = weight_of(v, n)
             graph.js[v] = sum(eps) <= 1
             if size == max_size:
                 continue

@@ -20,9 +20,9 @@ from .jantzen_seitz import (
     is_js_by_crystal,
     verify_rectangle_cores,
 )
-from .partitions import check_rank, check_size, partitions_up_to
+from .partitions import check_rank, check_size, partitions_up_to, residue_counts
 from .report import VerificationReport
-from .weights import simple_root, weight_of
+from .weights import weight_coefficients
 
 # Suite name -> runner(n, max_size, order), in declaration order.  The
 # lambdas look each suite up by its global name when run, so a rebinding of
@@ -59,14 +59,27 @@ def verify_methods(n: int, order: int) -> VerificationReport:
                 }
                 report.cases += 1
                 if len(set(rows.values())) != 1:
-                    # A route whose series stops short parts from the rest where it stops.
-                    terms = zip(*rows.values())
-                    first_d = next(
-                        (d for d, ts in enumerate(terms) if len(set(ts)) > 1),
-                        min(map(len, rows.values())),
+                    report.record(
+                        j=j, k=k, first_d=_first_d(rows), **{m: list(c) for m, c in rows.items()}
                     )
-                    report.record(j=j, k=k, first_d=first_d, **{m: list(c) for m, c in rows.items()})
     return report
+
+
+def _first_d(rows: dict) -> int:
+    """The first power of q at which the series in `rows` part.
+
+    A series that stops short parts from the rest where it stops, so series
+    that agree on their common prefix part at the shortest one's length.
+    """
+    return next(
+        (d for d, terms in enumerate(zip(*rows.values())) if len(set(terms)) > 1),
+        min(map(len, rows.values())),
+    )
+
+
+def _regular_counts(n: int, max_size: int) -> Counter:
+    """The number of n-regular partitions of each size up to max_size."""
+    return Counter(map(sum, partitions_up_to(max_size, regular=n)))
 
 
 def verify_js(n: int, max_size: int, order: int) -> VerificationReport:
@@ -130,7 +143,7 @@ def verify_cores(n: int, max_size: int) -> VerificationReport:
         for mu in n_cores(n, max_size):
             for w, count in enumerate(block_series(n, mu, (max_size - sum(mu)) // n)):
                 blocks[sum(mu) + n * w] += count
-        regular = Counter(map(sum, partitions_up_to(max_size, regular=n)))
+        regular = _regular_counts(n, max_size)
         for m in range(max_size + 1):
             report.cases += 1
             if blocks[m] != regular[m]:
@@ -139,20 +152,29 @@ def verify_cores(n: int, max_size: int) -> VerificationReport:
 
 
 def verify_crystal(n: int, max_size: int) -> VerificationReport:
-    """Operator inverses, statistics/weight compatibility, and vertex counts."""
+    """Operator inverses, statistics/weight compatibility, and vertex counts.
+
+    Weights are compared in residue-content coordinates: the weight of a
+    content m is L0 - sum_r m_r alpha_r, so phi_i - eps_i is checked against
+    its L_i coefficient, `weight_coefficients(m)[i]`, and an i-edge against
+    m(target) = m(p) + e_i, which holds exactly when the weight drops by
+    alpha_i, the simple roots being independent.  The two contents of an
+    edge come from two separate `residue_counts` calls, and no weight is
+    derived along an edge.
+    """
     check_rank(n)
     check_size(max_size)
     with VerificationReport(suite=f"crystal(n={n}, max_size={max_size})") as report:
         graph = build_component(n, max_size)
-        roots = [simple_root(n, i) for i in range(n)]
         counts = graph.counts_by_size()
-        regular = Counter(map(sum, partitions_up_to(max_size, regular=n)))
+        regular = _regular_counts(n, max_size)
         for size in range(max_size + 1):
             report.cases += 1
             if counts.get(size, 0) != regular[size]:
                 report.record(size=size, vertices=counts.get(size, 0), regular=regular[size])
-        # One scan per partition, kept for the sizes s - 1, s and s + 1 around
-        # the vertex layer s; graph.vertices is listed layer by layer.
+        # One scan and one content per partition, kept for the sizes s - 1, s
+        # and s + 1 around the vertex layer s; graph.vertices is listed layer
+        # by layer.
         above: dict = {}
         level: dict = {}
         below: dict = {}
@@ -161,19 +183,20 @@ def verify_crystal(n: int, max_size: int) -> VerificationReport:
         def scan(layer: dict, q):
             found = layer.get(q)
             if found is None:
-                found = layer[q] = _signatures(q, n)
+                found = layer[q] = (*_signatures(q, n), residue_counts(q, n))
             return found
 
         for p in graph.vertices:
             while sum(p) > size:
                 above, level, below = level, below, {}
                 size += 1
-            eps, plus, good = scan(level, p)
+            eps, plus, good, m = scan(level, p)
+            lam = weight_coefficients(m)
             for i in range(n):
                 report.cases += 1
                 eps_i, phi_i = eps[i], len(plus[i])
                 problems = []
-                if phi_i - eps_i != graph.wt[p].lam[i]:
+                if phi_i - eps_i != lam[i]:
                     problems.append("phi - eps is not the weight coefficient")
                 # No support checks: good[i] is set exactly when eps_i > 0, and
                 # phi_i is len(plus[i]), both read from this one scan.
@@ -184,12 +207,10 @@ def verify_crystal(n: int, max_size: int) -> VerificationReport:
                         problems.append("lowering does not invert raising")
                 if plus[i]:
                     down = _add_good(p, plus[i][0])
-                    eps2, plus2, good2 = scan(below, down)
+                    eps2, plus2, good2, m2 = scan(below, down)
                     if not good2[i] or _remove_good(down, good2[i]) != p:
                         problems.append("raising does not invert lowering")
-                    # Inside the size bound down is a vertex, weighed when built.
-                    wt = graph.wt[down] if size < max_size else weight_of(down, n)
-                    if wt != graph.wt[p] - roots[i]:
+                    if m2 != m[:i] + (m[i] + 1,) + m[i + 1 :]:
                         problems.append("edge does not shift weight by the simple root")
                     if (eps2[i], len(plus2[i])) != (eps_i + 1, phi_i - 1):
                         problems.append("statistics do not step by one along the edge")

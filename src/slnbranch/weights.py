@@ -1,9 +1,12 @@
-"""Level-graded weight arithmetic for affine sl(n).
+"""Level-graded weights of affine sl(n), read from residue contents.
 
 Weights are integer vectors over the fundamental weights L0..L(n-1) plus a
 delta coefficient.  The simple root alpha_i expands as
 -L(i-1) + 2*L(i) - L(i+1) (indices mod n), picking up +delta exactly when
-i = 0.
+i = 0, and a partition with m_r nodes of residue r has the weight
+L0 - sum_r m_r alpha_r.  `weight_coefficients` reads the L coefficients of
+that weight off the content m, so a caller that needs only coefficients
+builds no weight object.
 """
 
 from __future__ import annotations
@@ -24,15 +27,6 @@ class AffineWeight:
         if len(self.lam) != self.n:
             raise ValueError(f"expected {self.n} coefficients, got {len(self.lam)}")
 
-    def __sub__(self, other: "AffineWeight") -> "AffineWeight":
-        if self.n != other.n:
-            raise ValueError(f"mixed ranks: n={self.n} vs n={other.n}")
-        return AffineWeight(
-            self.n,
-            tuple(a - b for a, b in zip(self.lam, other.lam)),
-            self.delta - other.delta,
-        )
-
     def __str__(self) -> str:
         pos = [(c, f"L{i}") for i, c in enumerate(self.lam) if c > 0]
         neg = [(-c, f"L{i}") for i, c in enumerate(self.lam) if c < 0]
@@ -52,15 +46,14 @@ class AffineWeight:
         return text
 
 
-def simple_root(n: int, i: int) -> AffineWeight:
-    """alpha_i = -L(i-1) + 2*L(i) - L(i+1) (+ delta for i = 0)."""
-    check_rank(n)
-    i %= n
-    lam = [0] * n
-    lam[(i - 1) % n] -= 1
-    lam[i] += 2
-    lam[(i + 1) % n] -= 1
-    return AffineWeight(n, tuple(lam), 1 if i == 0 else 0)
+def weight_coefficients(m: tuple[int, ...]) -> tuple[int, ...]:
+    """The L0..L(n-1) coefficients of L0 - sum_r m_r alpha_r, for a content m of length n.
+
+    The L_i coefficient is delta_{i0} - 2 m_i + m_{i-1} + m_{i+1}, indices
+    mod n: alpha_r puts 2 on L_r and -1 on L_{r-1} and L_{r+1}.
+    """
+    n = len(m)
+    return tuple((i == 0) - 2 * m[i] + m[i - 1] + m[(i + 1) % n] for i in range(n))
 
 
 def weight_of(p: Partition, n: int) -> AffineWeight:
@@ -70,11 +63,4 @@ def weight_of(p: Partition, n: int) -> AffineWeight:
     p is validated by `as_partition` first, so malformed input raises.
     """
     m = residue_counts(as_partition(p), n)
-    lam = [0] * n
-    lam[0] = 1
-    for i, mi in enumerate(m):
-        if mi:
-            lam[(i - 1) % n] += mi
-            lam[i] -= 2 * mi
-            lam[(i + 1) % n] += mi
-    return AffineWeight(n, tuple(lam), -m[0])
+    return AffineWeight(n, weight_coefficients(m), -m[0])

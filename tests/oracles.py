@@ -11,6 +11,10 @@ compared against:
 - `path_coordinates` with `dominant_path`: the weight path of a partition,
   column by column, and the scan of every coordinate for dominance.
 
+`simple_root` and `weight_difference` are the weight arithmetic that the
+crystal checks no longer need, now that they compare residue contents;
+the tests use them to check edges against alpha_i in weight coordinates.
+
 The library's earlier kernels are kept here as references for the ones
 that replaced them: `column_walk_in_path_set` (one path step per column,
 read off `conjugate`), `position_scan_pushed_partition` (every abacus
@@ -527,6 +531,28 @@ def epsilon_step(n: int, i: int) -> tuple:
     lam[(i + 1) % n] += 1
     lam[i % n] -= 1
     return tuple(lam)
+
+
+def simple_root(n: int, i: int):
+    """alpha_i = -L(i-1) + 2*L(i) - L(i+1) (+ delta for i = 0), an AffineWeight."""
+    from slnbranch import AffineWeight
+
+    lam = [0] * n
+    lam[(i - 1) % n] -= 1
+    lam[i % n] += 2
+    lam[(i + 1) % n] -= 1
+    return AffineWeight(n, tuple(lam), 1 if i % n == 0 else 0)
+
+
+def weight_difference(a, b):
+    """a - b for two AffineWeights of one rank, coefficient by coefficient."""
+    from slnbranch import AffineWeight
+
+    if a.n != b.n:
+        raise ValueError(f"mixed ranks: n={a.n} vs n={b.n}")
+    return AffineWeight(
+        a.n, tuple(x - y for x, y in zip(a.lam, b.lam)), a.delta - b.delta
+    )
 
 
 def path_coordinates(p, n: int, j: int) -> list:

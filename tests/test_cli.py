@@ -2,6 +2,7 @@ import json
 
 import pytest
 
+from slnbranch import cli
 from slnbranch.cli import main
 
 
@@ -75,6 +76,28 @@ class TestBranching:
         )
         assert code == 0
         assert out.strip().endswith("verdict: AGREE")
+
+    @pytest.mark.parametrize("fmt", ["json", "text"])
+    def test_disagreement_names_first_d(self, capsys, monkeypatch, fmt):
+        real = cli.branching_series
+
+        def bumped(n, j, k, order, method):
+            series = real(n, j, k, order, method)
+            return tuple(c + (method == "crystal" and d == 2) for d, c in enumerate(series))
+
+        monkeypatch.setattr(cli, "branching_series", bumped)
+        code, out, _ = run_cli(
+            capsys, "branching", "--n", "3", "--j", "1", "--k", "0",
+            "--order", "3", "--method", "all", "--format", fmt,
+        )
+        assert code == 1
+        if fmt == "json":
+            payload = json.loads(out)
+            assert list(payload)[-2:] == ["verdict", "first_d"]
+            assert (payload["verdict"], payload["first_d"]) == ("DISAGREE", 2)
+            assert payload["methods"]["crystal"][2] == payload["methods"]["fow"][2] + 1
+        else:
+            assert out.splitlines()[-2:] == ["verdict: DISAGREE", "first_d: 2"]
 
 
 class TestFermionic:

@@ -20,13 +20,12 @@ from slnbranch import (
     n_weight,
     partitions_of,
     partitions_up_to,
-    simple_root,
     weight_of,
 )
 from slnbranch.branching import fow_prefix
 from slnbranch.crystal import _signatures, eps_close, eps_index, eps_prefix
 
-from oracles import add_cell, remove_cell, signature_word
+from oracles import add_cell, remove_cell, signature_word, simple_root, weight_difference
 
 
 @st.composite
@@ -297,7 +296,7 @@ class TestOperators:
                     assert phi - eps == w.lam[i]
                     down = f_tilde(p, n, i)
                     if down is not None:
-                        assert weight_of(down, n) == w - simple_root(n, i)
+                        assert weight_of(down, n) == weight_difference(w, simple_root(n, i))
 
 
 class TestComponent:
@@ -337,9 +336,10 @@ class TestComponent:
                 assert steps <= sum(p)
 
     def test_edges_shift_weight_by_simple_root(self):
-        g = build_component(3, 8)
-        for src, i, dst in g.edges:
-            assert weight_of(dst, 3) == weight_of(src, 3) - simple_root(3, i)
+        # The graph holds no weights: each end of an edge is weighed on its own.
+        for n in (2, 3, 4, 5):
+            for src, i, dst in build_component(n, 10).edges:
+                assert weight_of(dst, n) == weight_difference(weight_of(src, n), simple_root(n, i))
 
     def test_operators_defined_beyond_regular_set(self):
         # the full Fock operators act on every partition

@@ -26,7 +26,6 @@ from slnbranch import (
     n_cores,
     n_weight,
     regular_partitions_with_content,
-    simple_root,
     verify_cores,
     verify_crystal,
     verify_fow_theorem,
@@ -40,6 +39,7 @@ from slnbranch import (
     partitions_of,
     partitions_up_to,
     residue_counts,
+    weight_of,
 )
 from slnbranch.branching import configuration_sums, fow_index, fow_prefix, in_path_set
 from slnbranch.cores import count_by_weight
@@ -242,7 +242,7 @@ def test_as_partition_rejects_increasing():
 
 # Every entry point that takes a rank rejects n < 2 with the same message.
 RANKED_CALLS = {
-    "simple_root": lambda n: simple_root(n, 0),
+    "weight_of": lambda n: weight_of((2, 1), n),
     "abacus_display": lambda n: abacus_display((2, 1), n),
     "regular_partitions_with_content": lambda n: list(
         regular_partitions_with_content(n, (0,) * n)

@@ -14,7 +14,6 @@ from slnbranch.cores import n_cores
 from slnbranch.crystal import f_tilde
 from slnbranch.partitions import partitions_up_to
 from slnbranch.report import VerificationReport
-from slnbranch.weights import simple_root
 from oracles import abacus_core
 
 
@@ -81,16 +80,26 @@ def test_sweep_rejects_a_negative_max_size(name):
     assert str(info.value) == "max_size must be nonnegative"
 
 
+def corrupt_content(monkeypatch, target, calls=None):
+    """verify reads target's residue content with one more residue-0 node.
+
+    That is the content of the weight wt - alpha_0: the suite weighs a
+    partition only through its content.
+    """
+    real = verify.residue_counts
+
+    def corrupted(p, n):
+        if calls is not None:
+            calls[p] += 1
+        m = real(p, n)
+        return (m[0] + 1,) + m[1:] if p == target else m
+
+    monkeypatch.setattr(verify, "residue_counts", corrupted)
+
+
 def test_crystal_reports_a_corrupted_weight(monkeypatch):
-    real = verify.build_component
-
-    def corrupted(n, max_size):
-        graph = real(n, max_size)
-        graph.wt[(2, 1)] = graph.wt[(2, 1)] - simple_root(n, 0)
-        return graph
-
     assert verify.verify_crystal(3, 5).ok
-    monkeypatch.setattr(verify, "build_component", corrupted)
+    corrupt_content(monkeypatch, (2, 1))
     report = verify.verify_crystal(3, 5)
     assert not report.ok
     flagged = {
@@ -103,15 +112,8 @@ def test_crystal_reports_a_corrupted_weight(monkeypatch):
 
 
 def test_crystal_reports_a_corrupted_edge_target(monkeypatch):
-    real = verify.build_component
     target = (2, 1)
-
-    def corrupted(n, max_size):
-        graph = real(n, max_size)
-        graph.wt[target] = graph.wt[target] - simple_root(n, 0)
-        return graph
-
-    monkeypatch.setattr(verify, "build_component", corrupted)
+    corrupt_content(monkeypatch, target)
     report = verify.verify_crystal(3, 5)
     flagged = {
         (tuple(failure["partition"]), failure["i"])
@@ -119,7 +121,7 @@ def test_crystal_reports_a_corrupted_edge_target(monkeypatch):
         if "edge does not shift weight by the simple root" in failure["problems"]
     }
     # Every edge into the target and every edge out of it: f~_1 (1, 1) = (2, 1).
-    edges = real(3, 5).edges
+    edges = verify.build_component(3, 5).edges
     expected = {(src, i) for src, i, dst in edges if target in (src, dst)}
     assert ((1, 1), 1) in expected
     assert flagged == expected
@@ -190,30 +192,26 @@ def test_cores_records_a_broken_size_split(monkeypatch):
 
 
 def test_crystal_reports_a_corrupted_target_past_the_size_bound(monkeypatch):
-    real = verify.weight_of
     target = (3, 2, 1)  # size 6, one past the bound
     calls = Counter()
-
-    def corrupted(p, n):
-        calls[p] += 1
-        wt = real(p, n)
-        return wt - simple_root(n, 0) if p == target else wt
-
     assert verify.verify_crystal(4, 5).ok
-    monkeypatch.setattr(verify, "weight_of", corrupted)
+    corrupt_content(monkeypatch, target, calls)
     report = verify.verify_crystal(4, 5)
     flagged = {
         (tuple(failure["partition"]), failure["i"])
         for failure in report.failures
         if failure["problems"] == ["edge does not shift weight by the simple root"]
     }
-    top = [p for p in verify.build_component(4, 5).vertices if sum(p) == 5]
+    graph = verify.build_component(4, 5)
+    top = [p for p in graph.vertices if sum(p) == 5]
     expected = {(p, i) for p in top for i in range(4) if f_tilde(p, 4, i) == target}
     assert expected == {((3, 2), 2), ((3, 1, 1), 0)}
     assert flagged == expected and len(report.failures) == len(expected)
-    # Only targets past the bound are weighed here; the vertices were weighed when built.
-    assert calls[target] == len(expected)
-    assert all(sum(p) == 6 for p in calls)
+    # Each content is read once, kept in its layer's cache: the vertices and
+    # the targets of the edges out of the top layer.
+    past = {f_tilde(p, 4, i) for p in top for i in range(4)} - {None}
+    assert set(calls) == set(graph.vertices) | past
+    assert set(calls.values()) == {1}
 
 
 def test_methods_names_the_first_power_where_the_routes_part(monkeypatch):

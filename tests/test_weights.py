@@ -1,8 +1,9 @@
 import pytest
 
-from slnbranch import AffineWeight, partitions_up_to, residue_counts, simple_root, weight_of
+from slnbranch import AffineWeight, partitions_up_to, residue_counts, weight_of
+from slnbranch.weights import weight_coefficients
 
-from oracles import epsilon_step
+from oracles import epsilon_step, naive_residue_counts, simple_root, weight_difference
 
 
 class TestWeightOf:
@@ -48,12 +49,26 @@ class TestEpsilonStep:
             assert tuple(map(sum, zip(*steps))) == (0,) * n
 
 
+class TestWeightCoefficients:
+    def test_matches_l0_minus_the_roots_of_the_content(self):
+        # The oracle sums m_r alpha_r over a cell-by-cell content; weight_of
+        # builds its coefficients from the helper, so it must agree too.
+        for n in (2, 3, 4, 5):
+            roots = [simple_root(n, r) for r in range(n)]
+            for p in partitions_up_to(12):
+                m = naive_residue_counts(p, n)
+                expected = tuple(
+                    (i == 0) - sum(m[r] * roots[r].lam[i] for r in range(n)) for i in range(n)
+                )
+                assert weight_coefficients(residue_counts(p, n)) == expected == weight_of(p, n).lam
+
+
 class TestEqualModDelta:
-    """Weights subtract only at one rank."""
+    """The tests' weight difference subtracts only at one rank."""
 
     def test_rank_mismatch_is_error(self):
         with pytest.raises(ValueError, match="mixed ranks"):
-            AffineWeight(2, (1, 0)) - AffineWeight(3, (1, 0, 0))
+            weight_difference(AffineWeight(2, (1, 0)), AffineWeight(3, (1, 0, 0)))
 
     def test_difference_adds_the_negation(self):
         for n in (2, 3, 4):
@@ -62,7 +77,7 @@ class TestEqualModDelta:
             for a in weights:
                 for b in weights:
                     lam = tuple(x - y for x, y in zip(a.lam, b.lam))
-                    assert a - b == AffineWeight(n, lam, a.delta - b.delta)
+                    assert weight_difference(a, b) == AffineWeight(n, lam, a.delta - b.delta)
 
 
 class TestSimpleRoot:
