@@ -32,7 +32,7 @@ that row.
 
 from __future__ import annotations
 
-from typing import Callable
+from collections.abc import Callable
 
 from .cores import CUT_ROW, count_by_weight
 from .crystal import eps_close, eps_prefix

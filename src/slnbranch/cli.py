@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 
 from .branching import METHODS, branching_series
@@ -239,10 +240,20 @@ def main(argv=None) -> int:
             print(f"error: {flag} must be at least {least}, got {value}", file=sys.stderr)
             return 2
     try:
-        return args.handler(args)
+        code = args.handler(args)
+        sys.stdout.flush()
+        return code
     except (ValueError, ArithmeticError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    except BrokenPipeError:
+        # The reader left early (`| head`).  Point stdout at the null device,
+        # so the flush at interpreter exit cannot raise, and exit as a
+        # process killed by SIGPIPE would: 128 + 13.
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+        return 141
 
 
 if __name__ == "__main__":

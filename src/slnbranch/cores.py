@@ -42,7 +42,7 @@ run, so states that differ above it share one count.
 
 from __future__ import annotations
 
-from typing import Callable, Iterator
+from collections.abc import Callable, Iterator
 
 from .partitions import (
     Partition,

@@ -25,14 +25,14 @@ Jantzen-Seitz mark from the eps vector of the same scan, the eps-profile
 side of the theorem, so this module needs nothing from the chain-congruence
 side.  Nor does it weigh: a vertex's weight is a function of its residue
 content, which the verify suite and the CLI read when they need it.
+`CrystalGraph` is a plain class; each graph owns its lists and dicts.
 """
 
 from __future__ import annotations
 
 import json
 from collections import Counter
-from dataclasses import dataclass, field
-from typing import Callable
+from collections.abc import Callable
 
 from .cores import CUT_ROW
 from .partitions import (
@@ -239,7 +239,6 @@ def _add_good(p: Partition, row: int) -> Partition:
     return p[: row - 1] + (p[row - 1] + 1,) + p[row:]
 
 
-@dataclass
 class CrystalGraph:
     """The connected component of ∅ under the lowering operators, size-truncated.
 
@@ -248,13 +247,20 @@ class CrystalGraph:
     operator sends p to q.  `eps` holds each vertex's eps vector, and `js`
     marks the Jantzen-Seitz vertices by their eps-profile: at most one
     nonzero eps_i, equal to 1.  The graph holds no weights; `weight_of(v, n)`
-    reads a vertex's weight from its residue content.
+    reads a vertex's weight from its residue content.  A new graph is
+    empty and owns its lists and dicts.
     """
 
-    vertices: list[Partition] = field(default_factory=list)
-    edges: list[tuple[Partition, int, Partition]] = field(default_factory=list)
-    eps: dict[Partition, tuple[int, ...]] = field(default_factory=dict)
-    js: dict[Partition, bool] = field(default_factory=dict)
+    vertices: list[Partition]
+    edges: list[tuple[Partition, int, Partition]]
+    eps: dict[Partition, tuple[int, ...]]
+    js: dict[Partition, bool]
+
+    def __init__(self):
+        self.vertices = []
+        self.edges = []
+        self.eps = {}
+        self.js = {}
 
     def counts_by_size(self) -> Counter[int]:
         return Counter(map(sum, self.vertices))

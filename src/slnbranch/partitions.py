@@ -8,8 +8,8 @@ are 1-based, and the node in row i, column j carries the residue
 
 from __future__ import annotations
 
+from collections.abc import Iterator
 from itertools import accumulate
-from typing import Iterator
 
 Partition = tuple[int, ...]
 

@@ -27,13 +27,15 @@ that is pruned.  The last weight n-1 is -1 mod n, so the residue fixes
 m_{n-1} mod n and the innermost loop steps by n.  Each admissible exponent
 must come out a nonnegative integer, and anything else is raised as a hard
 error rather than rounded.
+
+`QuadraticFormData`, a plain slotted class, holds n, s, t, B and beta for
+the walk's final check of each vector.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections.abc import Iterator
 from fractions import Fraction
-from typing import Iterator
 
 from .partitions import check_order, check_rank
 
@@ -93,19 +95,27 @@ def scaled_inverse_cartan(n: int) -> tuple[tuple[int, ...], ...]:
     )
 
 
-@dataclass(frozen=True)
 class QuadraticFormData:
     """The quadratic exponent data for a target class L(s) + L(t), s <= t.
 
     `scaled_inverse` is B = n*C^{-1} and `beta` its column at u = s-t+n
     (all zeros when u = n), so n*Q(m) = m^T B m - beta.m + s*t in integers.
+    Build it with `create`, which checks the class and derives B and beta.
     """
 
+    __slots__ = ("n", "s", "t", "scaled_inverse", "beta")
     n: int
     s: int
     t: int
     scaled_inverse: tuple[tuple[int, ...], ...]
     beta: tuple[int, ...]
+
+    def __init__(self, n: int, s: int, t: int, scaled_inverse, beta):
+        self.n = n
+        self.s = s
+        self.t = t
+        self.scaled_inverse = scaled_inverse
+        self.beta = beta
 
     @classmethod
     def create(cls, n: int, s: int, t: int) -> "QuadraticFormData":

@@ -1,19 +1,31 @@
-"""Verification report record shared by the library check suites and the CLI."""
+"""Verification report record shared by the library check suites and the CLI.
+
+A plain class, as every class in the package is: the `dataclasses` module
+would pull `inspect` (and with it `ast`, `dis` and `tokenize`) into every
+CLI start.
+"""
 
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, field
 
 
-@dataclass
 class VerificationReport:
-    """Cases and failures of one suite; used as a context manager, it times its block."""
+    """Cases and failures of one suite; used as a context manager, it times its block.
+
+    A new report has no cases, its own empty failure list and zero seconds.
+    """
 
     suite: str
-    cases: int = 0
-    failures: list[dict] = field(default_factory=list)
-    seconds: float = 0.0
+    cases: int
+    failures: list[dict]
+    seconds: float
+
+    def __init__(self, suite: str):
+        self.suite = suite
+        self.cases = 0
+        self.failures = []
+        self.seconds = 0.0
 
     def __enter__(self) -> "VerificationReport":
         self._start = time.perf_counter()

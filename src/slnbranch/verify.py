@@ -11,7 +11,7 @@ from .branching import (
     configuration_sums,
     verify_fow_theorem,
 )
-from .cores import block_series, n_core, n_cores, n_weight
+from .cores import _bead_count, block_series, n_core, n_cores, n_weight
 from .crystal import _add_good, _remove_good, _signatures, build_component
 from .jantzen_seitz import (
     chi_by_branching,
@@ -128,12 +128,16 @@ def verify_cores(n: int, max_size: int) -> VerificationReport:
         for p in partitions_up_to(max_size):
             report.cases += 1
             core = n_core(p, n)
+            # Bead-count invariance at L, L + 1 and L + n beads, L = max(len(p), 1),
+            # skipping a count equal to the default one `core` was read at.
+            rows, default = max(len(p), 1), _bead_count(p, n, None)
             ok = (
                 sum(p) == sum(core) + n * n_weight(p, n)
                 and is_fixed(core)
                 and all(
                     n_core(p, n, beads) == core
-                    for beads in (max(len(p), 1), max(len(p), 1) + 1, max(len(p), 1) + n)
+                    for beads in (rows, rows + 1, rows + n)
+                    if beads != default
                 )
             )
             if not ok:

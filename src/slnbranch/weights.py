@@ -6,26 +6,45 @@ delta coefficient.  The simple root alpha_i expands as
 i = 0, and a partition with m_r nodes of residue r has the weight
 L0 - sum_r m_r alpha_r.  `weight_coefficients` reads the L coefficients of
 that weight off the content m, so a caller that needs only coefficients
-builds no weight object.
+builds no weight object.  An `AffineWeight` is a plain slotted class (no
+dataclass, which would load `inspect` on every CLI start): its fields
+cannot be reassigned, and it is compared and hashed by value.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from .partitions import Partition, as_partition, check_rank, residue_counts
 
 
-@dataclass(frozen=True)
 class AffineWeight:
+    """sum_i lam[i] L_i + delta d at rank n: immutable, compared and hashed by value."""
+
+    __slots__ = ("n", "lam", "delta")
     n: int
     lam: tuple[int, ...]
-    delta: int = 0
+    delta: int
 
-    def __post_init__(self):
-        check_rank(self.n)
-        if len(self.lam) != self.n:
-            raise ValueError(f"expected {self.n} coefficients, got {len(self.lam)}")
+    def __init__(self, n: int, lam: tuple[int, ...], delta: int = 0):
+        check_rank(n)
+        if len(lam) != n:
+            raise ValueError(f"expected {n} coefficients, got {len(lam)}")
+        object.__setattr__(self, "n", n)
+        object.__setattr__(self, "lam", lam)
+        object.__setattr__(self, "delta", delta)
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r} of an AffineWeight")
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.n, self.lam, self.delta) == (other.n, other.lam, other.delta)
+
+    def __hash__(self) -> int:
+        return hash((self.n, self.lam, self.delta))
+
+    def __repr__(self) -> str:
+        return f"AffineWeight(n={self.n!r}, lam={self.lam!r}, delta={self.delta!r})"
 
     def __str__(self) -> str:
         pos = [(c, f"L{i}") for i, c in enumerate(self.lam) if c > 0]

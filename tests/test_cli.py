@@ -1,4 +1,8 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -341,3 +345,22 @@ class TestDeterminism:
         _, first, _ = run_cli(capsys, *argv)
         _, second, _ = run_cli(capsys, *argv)
         assert first == second
+
+
+def test_closed_stdout_exits_141_without_a_traceback():
+    # The pipe's read end is closed before the child starts, so its first
+    # write to stdout fails as it would under `| head -1` once head is gone.
+    src = Path(__file__).resolve().parents[1] / "src"
+    env = dict(os.environ, PYTHONPATH=str(src), PYTHONDONTWRITEBYTECODE="1")
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    try:
+        done = subprocess.run(
+            [sys.executable, "-m", "slnbranch.cli", "crystal", "graph", "--n", "4",
+             "--max-size", "12", "--format", "text"],
+            stdout=write_end, stderr=subprocess.PIPE, text=True, env=env,
+        )
+    finally:
+        os.close(write_end)
+    assert done.stderr == ""
+    assert done.returncode == 141

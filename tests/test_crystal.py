@@ -3,6 +3,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from slnbranch import (
+    CrystalGraph,
     as_partition,
     block_series,
     build_component,
@@ -300,6 +301,16 @@ class TestOperators:
 
 
 class TestComponent:
+    def test_new_graphs_share_no_list_or_dict(self):
+        a, b = CrystalGraph(), CrystalGraph()
+        for name in ("vertices", "edges", "eps", "js"):
+            assert getattr(a, name) is not getattr(b, name)
+        a.vertices.append(())
+        a.edges.append(((), 0, (1,)))
+        a.eps[()] = (0, 0)
+        a.js[()] = True
+        assert (b.vertices, b.edges, b.eps, b.js) == ([], [], {}, {})
+
     def test_size_one(self):
         g = build_component(3, 1)
         assert g.vertices == [(), (1,)]

@@ -6,6 +6,9 @@ test-only API does not grow back.
 """
 
 import ast
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import slnbranch
@@ -118,12 +121,26 @@ def test_every_export_has_a_caller_outside_the_tests():
     assert sorted(set(slnbranch.__all__) - used) == []
 
 
+def _self_fields(init: ast.FunctionDef) -> set[str]:
+    """The attributes that `init` assigns on `self`."""
+    targets = [t for sub in ast.walk(init) if isinstance(sub, ast.Assign) for t in sub.targets]
+    targets += [sub.target for sub in ast.walk(init) if isinstance(sub, ast.AnnAssign)]
+    return {
+        t.attr
+        for t in targets
+        if isinstance(t, ast.Attribute) and isinstance(t.value, ast.Name) and t.value.id == "self"
+    }
+
+
 def _members(cls: ast.ClassDef) -> set[str]:
-    """The non-dunder methods (properties included) and annotated fields of a class."""
+    """The non-dunder methods (properties included) and fields of a class:
+    its class-level annotations and what its `__init__` assigns on `self`."""
     names = set()
     for node in cls.body:
         if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
             names.add(node.name)
+            if node.name == "__init__":
+                names |= _self_fields(node)
         elif isinstance(node, ast.AnnAssign) and isinstance(node.target, ast.Name):
             names.add(node.target.id)
     return {name for name in names if not (name.startswith("__") and name.endswith("__"))}
@@ -152,3 +169,21 @@ def test_every_member_of_an_exported_class_is_read():
         for member in sorted(_members(node) - read)
     ]
     assert unread == []
+
+
+def _loaded_modules(code: str) -> set[str]:
+    """The modules loaded after running `code` in a fresh interpreter."""
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    done = subprocess.run(
+        [sys.executable, "-c", code + "\nimport sys\nprint(*sys.modules)"],
+        capture_output=True, text=True, env=env, check=True,
+    )
+    return set(done.stdout.split())
+
+
+def test_cli_import_loads_no_dataclasses_inspect_or_typing():
+    """`import slnbranch.cli` is every command's start-up cost; these three
+    modules (inspect brings ast, dis and tokenize) would add to it."""
+    added = _loaded_modules("import slnbranch.cli") - _loaded_modules("pass")
+    assert "slnbranch.cli" in added
+    assert sorted(added & {"dataclasses", "inspect", "typing"}) == []

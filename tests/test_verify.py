@@ -10,7 +10,7 @@ from collections import Counter
 import pytest
 
 from slnbranch import verify
-from slnbranch.cores import n_cores
+from slnbranch.cores import _bead_count, n_cores
 from slnbranch.crystal import f_tilde
 from slnbranch.partitions import partitions_up_to
 from slnbranch.report import VerificationReport
@@ -29,6 +29,22 @@ def test_report_times_its_block():
         "seconds": round(report.seconds, 3),
         "ok": True,
     }
+
+
+def test_new_reports_start_empty_and_share_no_list():
+    a, b = VerificationReport("a"), VerificationReport(suite="b")
+    assert (a.suite, a.cases, a.failures, a.seconds, a.ok) == ("a", 0, [], 0.0, True)
+    assert a.failures is not b.failures
+    a.record(partition=[1])
+    assert b.failures == [] and b.ok
+    assert a.to_dict() == {
+        "suite": "a",
+        "cases": 0,
+        "failures": [{"partition": [1]}],
+        "seconds": 0.0,
+        "ok": False,
+    }
+    assert a.summary() == "suite a: 0 cases, 1 FAILURES (0.00s)"
 
 
 def test_js_reports_a_flipped_profile(monkeypatch):
@@ -171,13 +187,53 @@ def test_cores_records_a_core_that_depends_on_the_bead_count(monkeypatch):
 
     monkeypatch.setattr(verify, "n_core", bead_dependent)
     report = verify.verify_cores(3, 8)
-    # The bead counts tried are b, b + 1 and b + 3, with b = max(len(p), 1).
-    flagged = [list(p) for p in partitions_up_to(8) if max(len(p), 1) % 3 in (0, 2)]
+    # The bead counts tried are b, b + 1 and b + 3, with b = max(len(p), 1),
+    # less the default count (b rounded up to a multiple of 3) the core was
+    # read at, so a multiple of 3 is tried only when b is one.
+    flagged = [list(p) for p in partitions_up_to(8) if max(len(p), 1) % 3 == 0]
     assert [failure["partition"] for failure in report.failures] == flagged
     assert all(
         failure["core"] == list(abacus_core(tuple(failure["partition"]), 3))
         for failure in report.failures
     )
+
+
+def test_cores_skips_the_default_bead_count(monkeypatch):
+    real = verify.n_core
+    explicit = Counter()
+
+    def counted(p, n, beads=None):
+        if beads is not None:
+            explicit[p, beads] += 1
+        return real(p, n, beads)
+
+    monkeypatch.setattr(verify, "n_core", counted)
+    report = verify.verify_cores(4, 22)
+    assert report.ok
+    sweep = list(partitions_up_to(22))
+    assert report.cases == len(sweep) + 23
+    # Each explicit count is asked once and is never the default one, which
+    # one of b, b + 1, b + 4 (b = max(len(p), 1)) is when b = 0 or 3 mod 4.
+    assert sum(explicit.values()) == len(explicit)
+    assert all(beads != _bead_count(p, 4, None) for p, beads in explicit)
+    skipped = sum(max(len(p), 1) % 4 in (0, 3) for p in sweep)
+    assert 3 * len(sweep) - len(explicit) == skipped > 2000
+
+
+@pytest.mark.parametrize(
+    "offset, target",
+    [(0, (3, 2)), (1, (4,)), (3, (3, 2)), (3, (2, 1, 1))],
+)
+def test_cores_flags_a_core_corrupted_at_one_explicit_bead_count(monkeypatch, offset, target):
+    real = verify.n_core
+
+    def corrupted(p, n, beads=None):
+        core = real(p, n, beads)
+        return core + (1,) if p == target and beads == max(len(p), 1) + offset else core
+
+    monkeypatch.setattr(verify, "n_core", corrupted)
+    report = verify.verify_cores(3, 8)
+    assert report.failures == [{"partition": list(target), "core": list(abacus_core(target, 3))}]
 
 
 def test_cores_records_a_broken_size_split(monkeypatch):

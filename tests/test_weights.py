@@ -100,3 +100,39 @@ def test_weight_rendering():
     assert str(AffineWeight(3, (2, -1, 1), -3)) == "2*L0 + L2 - L1 - 3*d"
     assert str(AffineWeight(2, (0, 0), 0)) == "0"
     assert str(weight_of((2, 1), 3)) == "L0 - d"
+
+
+class TestAffineWeightValue:
+    """A weight is a value: equal, unequal and hashed by (n, lam, delta), and immutable."""
+
+    def test_equality_and_hash(self):
+        a, b = AffineWeight(3, (2, -1, 1), -3), AffineWeight(3, (2, -1, 1), -3)
+        assert a == b and not a != b
+        assert hash(a) == hash(b)
+        assert len({a, b, weight_of((), 3)}) == 2
+        assert AffineWeight(2, (1, 0)) == AffineWeight(2, (1, 0), 0)
+
+    @pytest.mark.parametrize(
+        "other",
+        [
+            AffineWeight(3, (2, -1, 1), -2),
+            AffineWeight(3, (2, -1, 0), -3),
+            AffineWeight(4, (2, -1, 1, 0), -3),
+            (3, (2, -1, 1), -3),
+        ],
+    )
+    def test_inequality(self, other):
+        a = AffineWeight(3, (2, -1, 1), -3)
+        assert a != other and not a == other
+
+    def test_rank_and_length_errors(self):
+        with pytest.raises(ValueError, match="n must be at least 2"):
+            AffineWeight(1, (0,))
+        with pytest.raises(ValueError, match="expected 3 coefficients, got 2"):
+            AffineWeight(3, (1, 0))
+
+    def test_fields_cannot_be_reassigned(self):
+        a = AffineWeight(2, (1, 0))
+        with pytest.raises(AttributeError):
+            a.delta = 1
+        assert a.delta == 0
