@@ -16,7 +16,7 @@ from slnbranch import (
 
 N, S, T, ORDER = 3, 1, 2, 6
 
-qf = QuadraticFormData.create(N, S, T)
+qf = QuadraticFormData(N, S, T)
 print(f"n={N}, class L{S} + L{T}, order {ORDER}")
 print(f"n*C^-1 = {qf.scaled_inverse}, beta = {qf.beta}")
 

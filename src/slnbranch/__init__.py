@@ -63,10 +63,9 @@ from .qseries import (
 )
 from .report import VerificationReport
 from .verify import run_suites, verify_cores, verify_crystal, verify_js, verify_methods
-from .weights import AffineWeight, weight_of
+from .weights import format_weight, weight_of
 
 __all__ = [
-    "AffineWeight",
     "CrystalGraph",
     "Partition",
     "QuadraticFormData",
@@ -89,6 +88,7 @@ __all__ = [
     "f_tilde",
     "fermionic_series",
     "format_partition",
+    "format_weight",
     "fow_index",
     "in_fow",
     "in_path_set",

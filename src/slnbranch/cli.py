@@ -19,7 +19,7 @@ from .jantzen_seitz import chi_by_branching, chi_direct, js_set
 from .partitions import format_partition, parse_partition
 from .qseries import lattice_points, lattice_sum
 from .verify import SUITES, _first_d, run_suites
-from .weights import weight_of
+from .weights import format_weight, weight_of
 
 
 # Least accepted value of each integer flag, keyed by argparse dest.
@@ -193,7 +193,8 @@ def _run_crystal_graph(args) -> int:
         for v in graph.vertices:
             star = "*" if graph.js[v] else ""
             eps = ",".join(str(e) for e in graph.eps[v])
-            _emit(f"{format_partition(v)}{star}  eps=({eps})  wt={weight_of(v, args.n)}")
+            wt = format_weight(weight_of(v, args.n))
+            _emit(f"{format_partition(v)}{star}  eps=({eps})  wt={wt}")
         for src, i, dst in graph.edges:
             _emit(f"{format_partition(src)} -{i}-> {format_partition(dst)}")
     return 0

@@ -247,8 +247,8 @@ class CrystalGraph:
     operator sends p to q.  `eps` holds each vertex's eps vector, and `js`
     marks the Jantzen-Seitz vertices by their eps-profile: at most one
     nonzero eps_i, equal to 1.  The graph holds no weights; `weight_of(v, n)`
-    reads a vertex's weight from its residue content.  A new graph is
-    empty and owns its lists and dicts.
+    reads a vertex's weight, the pair (lam, delta), from its residue
+    content.  A new graph is empty and owns its lists and dicts.
     """
 
     vertices: list[Partition]

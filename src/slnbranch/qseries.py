@@ -28,8 +28,8 @@ m_{n-1} mod n and the innermost loop steps by n.  Each admissible exponent
 must come out a nonnegative integer, and anything else is raised as a hard
 error rather than rounded.
 
-`QuadraticFormData`, a plain slotted class, holds n, s, t, B and beta for
-the walk's final check of each vector.
+`QuadraticFormData(n, s, t)`, a plain slotted class, checks the class and
+holds n, s, t, B and beta for the walk's final check of each vector.
 """
 
 from __future__ import annotations
@@ -100,7 +100,7 @@ class QuadraticFormData:
 
     `scaled_inverse` is B = n*C^{-1} and `beta` its column at u = s-t+n
     (all zeros when u = n), so n*Q(m) = m^T B m - beta.m + s*t in integers.
-    Build it with `create`, which checks the class and derives B and beta.
+    The constructor checks the class and derives B and beta from it.
     """
 
     __slots__ = ("n", "s", "t", "scaled_inverse", "beta")
@@ -110,22 +110,16 @@ class QuadraticFormData:
     scaled_inverse: tuple[tuple[int, ...], ...]
     beta: tuple[int, ...]
 
-    def __init__(self, n: int, s: int, t: int, scaled_inverse, beta):
-        self.n = n
-        self.s = s
-        self.t = t
-        self.scaled_inverse = scaled_inverse
-        self.beta = beta
-
-    @classmethod
-    def create(cls, n: int, s: int, t: int) -> "QuadraticFormData":
+    def __init__(self, n: int, s: int, t: int):
         check_rank(n)
         if not 0 <= s <= t < n:
             raise ValueError(f"need 0 <= s <= t < n, got s={s}, t={t}, n={n}")
-        scaled = scaled_inverse_cartan(n)
+        self.n = n
+        self.s = s
+        self.t = t
+        self.scaled_inverse = scaled_inverse_cartan(n)
         u = s - t + n
-        beta = tuple(row[u - 1] if u < n else 0 for row in scaled)
-        return cls(n, s, t, scaled, beta)
+        self.beta = tuple(row[u - 1] if u < n else 0 for row in self.scaled_inverse)
 
     def exponent(self, m) -> Fraction:
         """Q(m): the integer form n*Q(m) divided by n; integral on admissible vectors."""
@@ -171,7 +165,7 @@ def lattice_points(
     """
     s, t = canonical_pair(n, s, t)
     check_order(order)
-    qf = QuadraticFormData.create(n, s, t)
+    qf = QuadraticFormData(n, s, t)
     scaled, limit, last = qf.scaled_inverse, n * order, n - 2
 
     def walk(k, m, form, residue, lin):
@@ -217,10 +211,18 @@ def lattice_points(
 
 
 def lattice_sum(points, order: int) -> tuple[int, ...]:
-    """Coefficients of sum q^Q / prod((q)_{m_i}) over (m, Q) pairs, to the given order."""
+    """Coefficients of sum q^Q / prod((q)_{m_i}) over (m, Q) pairs, to the given order.
+
+    A pair with Q > order adds nothing below q^order and is skipped; a
+    negative Q raises ValueError.
+    """
     check_order(order)
     total = [0] * (order + 1)
     for m, q in points:
+        if q < 0:
+            raise ValueError(f"exponent must be nonnegative, got Q={q} at m={m}")
+        if q > order:
+            continue
         term = TruncatedSeries.one(order - q)
         for mi in m:
             if mi:

@@ -534,25 +534,20 @@ def epsilon_step(n: int, i: int) -> tuple:
 
 
 def simple_root(n: int, i: int):
-    """alpha_i = -L(i-1) + 2*L(i) - L(i+1) (+ delta for i = 0), an AffineWeight."""
-    from slnbranch import AffineWeight
-
+    """alpha_i = -L(i-1) + 2*L(i) - L(i+1) (+ delta for i = 0), as a (lam, delta) pair."""
     lam = [0] * n
     lam[(i - 1) % n] -= 1
     lam[i % n] += 2
     lam[(i + 1) % n] -= 1
-    return AffineWeight(n, tuple(lam), 1 if i % n == 0 else 0)
+    return tuple(lam), 1 if i % n == 0 else 0
 
 
 def weight_difference(a, b):
-    """a - b for two AffineWeights of one rank, coefficient by coefficient."""
-    from slnbranch import AffineWeight
-
-    if a.n != b.n:
-        raise ValueError(f"mixed ranks: n={a.n} vs n={b.n}")
-    return AffineWeight(
-        a.n, tuple(x - y for x, y in zip(a.lam, b.lam)), a.delta - b.delta
-    )
+    """a - b for two (lam, delta) weights of one rank, coefficient by coefficient."""
+    (lam_a, delta_a), (lam_b, delta_b) = a, b
+    if len(lam_a) != len(lam_b):
+        raise ValueError(f"mixed ranks: n={len(lam_a)} vs n={len(lam_b)}")
+    return tuple(x - y for x, y in zip(lam_a, lam_b)), delta_a - delta_b
 
 
 def path_coordinates(p, n: int, j: int) -> list:

@@ -157,7 +157,7 @@ def test_criterion_8_crystal_axioms_and_figure_surrogate():
             w = weight_of(p, n)
             for i in range(n):
                 eps, phi = eps_phi(p, n, i)
-                assert phi - eps == w.lam[i]
+                assert phi - eps == w[0][i]
                 down = f_tilde(p, n, i)
                 assert (down is None) == (phi == 0)
                 if down is not None:

@@ -248,6 +248,62 @@ class TestCrystal:
             "2 -1-> 2,1\n"
         )
 
+    def test_text_output_n3(self, capsys):
+        # the export CI runs: weights with several L terms of each sign
+        code, out, _ = run_cli(
+            capsys, "crystal", "graph", "--n", "3", "--max-size", "6",
+            "--format", "text",
+        )
+        assert code == 0
+        assert out == (
+            "-*  eps=(0,0,0)  wt=L0\n"
+            "1*  eps=(1,0,0)  wt=L1 + L2 - L0 - d\n"
+            "2*  eps=(0,1,0)  wt=2*L2 - L1 - d\n"
+            "1,1*  eps=(0,0,1)  wt=2*L1 - L2 - d\n"
+            "3*  eps=(0,0,1)  wt=L0 - d\n"
+            "2,1*  eps=(0,1,0)  wt=L0 - d\n"
+            "4*  eps=(1,0,0)  wt=L1 + L2 - L0 - 2*d\n"
+            "3,1  eps=(0,0,2)  wt=2*L0 + L1 - 2*L2 - d\n"
+            "2,2*  eps=(1,0,0)  wt=L1 + L2 - L0 - 2*d\n"
+            "2,1,1  eps=(0,2,0)  wt=2*L0 + L2 - 2*L1 - d\n"
+            "5*  eps=(0,1,0)  wt=2*L2 - L1 - 2*d\n"
+            "4,1  eps=(1,0,1)  wt=2*L1 - L2 - 2*d\n"
+            "3,2*  eps=(0,0,1)  wt=2*L1 - L2 - 2*d\n"
+            "3,1,1  eps=(0,1,1)  wt=3*L0 - L1 - L2 - d\n"
+            "2,2,1  eps=(1,1,0)  wt=2*L2 - L1 - 2*d\n"
+            "6*  eps=(0,0,1)  wt=L0 - 2*d\n"
+            "5,1*  eps=(0,1,0)  wt=L0 - 2*d\n"
+            "4,2  eps=(2,0,0)  wt=3*L1 - 2*L0 - 3*d\n"
+            "4,1,1*  eps=(1,0,0)  wt=L0 - 2*d\n"
+            "3,3*  eps=(0,1,0)  wt=L0 - 2*d\n"
+            "3,2,1*  eps=(0,0,1)  wt=L0 - 2*d\n"
+            "2,2,1,1  eps=(2,0,0)  wt=3*L2 - 2*L0 - 3*d\n"
+            "- -0-> 1\n"
+            "1 -1-> 2\n"
+            "1 -2-> 1,1\n"
+            "2 -2-> 3\n"
+            "1,1 -1-> 2,1\n"
+            "3 -0-> 4\n"
+            "3 -2-> 3,1\n"
+            "2,1 -0-> 2,2\n"
+            "2,1 -1-> 2,1,1\n"
+            "4 -1-> 5\n"
+            "4 -2-> 4,1\n"
+            "3,1 -0-> 4,1\n"
+            "3,1 -1-> 3,1,1\n"
+            "2,2 -1-> 2,2,1\n"
+            "2,2 -2-> 3,2\n"
+            "2,1,1 -0-> 2,2,1\n"
+            "2,1,1 -2-> 3,1,1\n"
+            "5 -2-> 6\n"
+            "4,1 -0-> 4,2\n"
+            "4,1 -1-> 5,1\n"
+            "3,2 -1-> 3,3\n"
+            "3,1,1 -0-> 4,1,1\n"
+            "2,2,1 -0-> 2,2,1,1\n"
+            "2,2,1 -2-> 3,2,1\n"
+        )
+
     def test_json_output(self, capsys):
         code, out, _ = run_cli(
             capsys, "crystal", "graph", "--n", "2", "--max-size", "3"

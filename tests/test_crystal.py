@@ -294,7 +294,7 @@ class TestOperators:
                 w = weight_of(p, n)
                 for i in range(n):
                     eps, phi = eps_phi(p, n, i)
-                    assert phi - eps == w.lam[i]
+                    assert phi - eps == w[0][i]
                     down = f_tilde(p, n, i)
                     if down is not None:
                         assert weight_of(down, n) == weight_difference(w, simple_root(n, i))

@@ -266,7 +266,7 @@ RANKED_CALLS = {
     "partitions_of": lambda n: list(partitions_of(1, regular=n)),
     "is_rectangle_le_n": lambda n: is_rectangle_le_n((), n),
     "canonical_pair": lambda n: canonical_pair(n, 0, 0),
-    "QuadraticFormData.create": lambda n: QuadraticFormData.create(n, 0, 0),
+    "QuadraticFormData": lambda n: QuadraticFormData(n, 0, 0),
     "eps_phi": lambda n: eps_phi((2, 1), n, 0),
     "epsilon_vector": lambda n: epsilon_vector((2, 1), n),
     "eps_index": lambda n: eps_index((2, 1), n),

@@ -92,6 +92,18 @@ class TestLatticeSum:
         points = list(lattice_points(n, s, t, order))
         assert lattice_sum(points, order) == listed_lattice_sum(points, order)
 
+    def test_negative_exponent_rejected(self):
+        with pytest.raises(ValueError, match="Q=-1"):
+            lattice_sum([((), -1)], 3)
+
+    def test_points_above_the_order_add_nothing(self):
+        assert lattice_sum([((1,), 5)], 3) == (0, 0, 0, 0)
+        assert lattice_sum([((1,), 5), ((1,), 3)], 3) == (0, 0, 0, 1)
+
+    def test_walk_to_a_higher_order_truncates(self):
+        # The points walked to order 15 include exponents above 10.
+        assert lattice_sum(lattice_points(5, 0, 1, 15), 10) == fermionic_series(5, 0, 1, 10)
+
 
 class TestInvPochhammer:
     def test_k0(self):
@@ -133,30 +145,30 @@ class TestCartan:
 
 class TestQuadraticForm:
     def test_exponent_values(self):
-        qf = QuadraticFormData.create(3, 1, 2)
+        qf = QuadraticFormData(3, 1, 2)
         assert qf.exponent((1, 0)) == 1
         assert qf.exponent((0, 2)) == 2
 
     def test_excluded_point_from_bound_example(self):
-        qf = QuadraticFormData.create(3, 0, 0)
+        qf = QuadraticFormData(3, 0, 0)
         assert qf.exponent((3, 0)) == 6
 
     def test_n2_square_over_two(self):
-        qf = QuadraticFormData.create(2, 0, 0)
+        qf = QuadraticFormData(2, 0, 0)
         assert qf.exponent((2,)) == 2
         assert qf.exponent((4,)) == 8
 
     def test_create_validates(self):
         with pytest.raises(ValueError):
-            QuadraticFormData.create(3, 2, 1)
+            QuadraticFormData(3, 2, 1)
         with pytest.raises(ValueError):
-            QuadraticFormData.create(1, 0, 0)
+            QuadraticFormData(1, 0, 0)
 
     def test_integer_data(self):
-        qf = QuadraticFormData.create(3, 1, 2)
+        qf = QuadraticFormData(3, 1, 2)
         assert qf.scaled_inverse == scaled_inverse_cartan(3)
         assert qf.beta == (1, 2)  # column u = s - t + n = 2
-        assert QuadraticFormData.create(4, 2, 2).beta == (0, 0, 0)  # u = n
+        assert QuadraticFormData(4, 2, 2).beta == (0, 0, 0)  # u = n
 
     @pytest.mark.parametrize("n", range(2, 7))
     def test_exponent_matches_fraction_oracle(self, n):
@@ -164,7 +176,7 @@ class TestQuadraticForm:
         inv = fraction_inverse_cartan(n)
         for s in range(n):
             for t in range(s, n):
-                qf = QuadraticFormData.create(n, s, t)
+                qf = QuadraticFormData(n, s, t)
                 for m in product(range(3), repeat=n - 1):
                     assert qf.exponent(m) == fraction_exponent(inv, s, t, m), (s, t, m)
 
