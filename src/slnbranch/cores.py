@@ -84,13 +84,15 @@ def n_core(p: Partition, n: int, beads: int | None = None) -> Partition:
     Equivalently: remove rim n-hooks until none remain.  `beads` is checked
     by `_bead_count`.  The beads of the empty rows fill positions
     0 .. beads - len(p) - 1, so the runners start from those, and one loop
-    over the parts adds the bead of each row.
+    over the parts adds the bead of each row: row r's bead sits at
+    part + beads - r, stepped down one row at a time.
     """
     beads = _bead_count(p, n, beads)
     full, extra = divmod(beads - len(p), n)
     runners = [full + 1] * extra + [full] * (n - extra)
-    for row, part in enumerate(p, start=1):
-        runners[(part + beads - row) % n] += 1
+    for part in p:
+        beads -= 1
+        runners[(part + beads) % n] += 1
     return _pushed_partition(runners)
 
 

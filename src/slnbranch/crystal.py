@@ -20,19 +20,23 @@ compare the scan against.
 
 The public operators and statistics validate p with `as_partition` at
 entry, and the operators edit the good row that the scan finds, which
-keeps the tuple a partition.  `build_component` reads each vertex's
-Jantzen-Seitz mark from the eps vector of the same scan, the eps-profile
-side of the theorem, so this module needs nothing from the chain-congruence
-side.  Nor does it weigh: a vertex's weight is a function of its residue
-content, which the verify suite and the CLI read when they need it.
-`CrystalGraph` is a plain class; each graph owns its lists and dicts.
+keeps the tuple a partition.  The component of ∅ comes from one walk,
+`_component_layers`, which scans each vertex once and yields it layer by
+layer with that scan and its lowering targets.  `build_component` packages
+the walk into a `CrystalGraph`, and the verify suite reads it directly,
+keeping no graph.  A vertex's Jantzen-Seitz mark comes from the eps vector
+of its scan, the eps-profile side of the theorem, so this module needs
+nothing from the chain-congruence side.  Nor does it weigh: a vertex's
+weight is a function of its residue content, which the verify suite and the
+CLI read when they need it.  `CrystalGraph` is a plain class; each graph
+owns its lists and dicts.
 """
 
 from __future__ import annotations
 
 import json
 from collections import Counter
-from collections.abc import Callable
+from collections.abc import Callable, Iterator
 
 from .cores import CUT_ROW
 from .partitions import (
@@ -295,33 +299,50 @@ class CrystalGraph:
         return json.dumps(self.to_json_dict(), separators=(",", ":"))
 
 
+def _component_layers(n: int, max_size: int) -> Iterator[list[tuple]]:
+    """The component of ∅ under the lowering operators, one layer per size up to max_size.
+
+    A layer lists its vertices in decreasing lexicographic order, each as
+    (v, scan, targets): scan is v's one `_signatures` scan, and targets[i]
+    is f~_i v, the next layer's vertex that the good addable i-node gives
+    (None where phi_i is 0).  The last layer's targets, past the size
+    bound, are not computed: its entries carry None in place of the list.
+    Unchecked; its callers check n and max_size.
+    """
+    layer: list[Partition] = [()]
+    for size in range(max_size + 1):
+        found: list[tuple] = []
+        nxt: set[Partition] = set()
+        for v in layer:
+            scan = _signatures(v, n)
+            targets = None
+            if size < max_size:
+                # Every residue's good addable row is its top-most surviving "+".
+                targets = [_add_good(v, rows[0]) if rows else None for rows in scan[1]]
+                nxt.update(targets)
+            found.append((v, scan, targets))
+        yield found
+        nxt.discard(None)
+        layer = sorted(nxt, reverse=True)
+
+
 def build_component(n: int, max_size: int) -> CrystalGraph:
     """Breadth-first closure of {∅} under all lowering operators, up to max_size.
 
-    Each vertex is scanned once, and that scan gives its eps annotation,
-    its Jantzen-Seitz mark and its out-edges; no vertex is weighed.  Every
-    vertex is n-regular, and a nonempty partition has some eps_i >= 1, so
-    the eps-profile test (at most one nonzero eps_i, equal to 1) reads
-    sum(eps) <= 1.
+    The graph packages `_component_layers`, which scans each vertex once;
+    that scan gives its eps annotation, its Jantzen-Seitz mark and its
+    out-edges, and no vertex is weighed.  Every vertex is n-regular, and a
+    nonempty partition has some eps_i >= 1, so the eps-profile test (at
+    most one nonzero eps_i, equal to 1) reads sum(eps) <= 1.
     """
     check_size(max_size)
     check_rank(n)
     graph = CrystalGraph()
-    layer: list[Partition] = [()]
-    for size in range(max_size + 1):
-        targets: set[Partition] = set()
-        for v in layer:
-            # Every residue's good addable row is its top-most surviving "+".
-            eps, plus, _ = _signatures(v, n)
+    for layer in _component_layers(n, max_size):
+        for v, (eps, _, _), targets in layer:
             graph.vertices.append(v)
             graph.eps[v] = tuple(eps)
             graph.js[v] = sum(eps) <= 1
-            if size == max_size:
-                continue
-            for i, rows in enumerate(plus):
-                if rows:
-                    w = _add_good(v, rows[0])
-                    graph.edges.append((v, i, w))
-                    targets.add(w)
-        layer = sorted(targets, reverse=True)
+            if targets:
+                graph.edges.extend((v, i, w) for i, w in enumerate(targets) if w)
     return graph

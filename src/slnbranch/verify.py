@@ -12,7 +12,7 @@ from .branching import (
     verify_fow_theorem,
 )
 from .cores import _bead_count, block_series, n_core, n_cores, n_weight
-from .crystal import _add_good, _remove_good, _signatures, build_component
+from .crystal import _add_good, _component_layers, _remove_good, _signatures
 from .jantzen_seitz import (
     chi_by_branching,
     chi_direct,
@@ -77,9 +77,20 @@ def _first_d(rows: dict) -> int:
     )
 
 
-def _regular_counts(n: int, max_size: int) -> Counter:
-    """The number of n-regular partitions of each size up to max_size."""
-    return Counter(map(sum, partitions_up_to(max_size, regular=n)))
+def _regular_counts(n: int, max_size: int) -> list[int]:
+    """The number of n-regular partitions of each size up to max_size, by Glaisher's product.
+
+    Partitions with no part repeated n or more times are equinumerous with
+    those with no part divisible by n, whose generating function is
+    prod_{n does not divide k} 1/(1 - q^k): one integer pass per allowed
+    part, with no partition enumerated.
+    """
+    counts = [1] + [0] * max_size
+    for k in range(1, max_size + 1):
+        if k % n:
+            for s in range(k, max_size + 1):
+                counts[s] += counts[s - k]
+    return counts
 
 
 def verify_js(n: int, max_size: int, order: int) -> VerificationReport:
@@ -156,70 +167,82 @@ def verify_cores(n: int, max_size: int) -> VerificationReport:
 
 
 def verify_crystal(n: int, max_size: int) -> VerificationReport:
-    """Operator inverses, statistics/weight compatibility, and vertex counts.
+    """Vertex counts, operator inverses, and statistics/weight compatibility.
+
+    The suite reads the component of ∅ layer by layer from the walk that
+    `build_component` packages, and keeps no graph.  Each layer's vertex
+    count is checked against the number of n-regular partitions of its
+    size, so the count still checks the code that builds graphs.  Each
+    vertex's `_signatures` scan is the one the walk made; the suite scans
+    only the edge targets past the size bound itself.
 
     Weights are compared in residue-content coordinates: the weight of a
     content m is L0 - sum_r m_r alpha_r, so phi_i - eps_i is checked against
     its L_i coefficient, `weight_coefficients(m)[i]`, and an i-edge against
     m(target) = m(p) + e_i, which holds exactly when the weight drops by
-    alpha_i, the simple roots being independent.  The two contents of an
-    edge come from two separate `residue_counts` calls, and no weight is
-    derived along an edge.
+    alpha_i, the simple roots being independent.  Every content comes from
+    its own `residue_counts` call, and no weight is derived along an edge.
+    A vertex is checked once the walk has given the layer below it; its
+    failures are kept until the walk ends, so the size counts' failures
+    come first.
     """
     check_rank(n)
     check_size(max_size)
     with VerificationReport(suite=f"crystal(n={n}, max_size={max_size})") as report:
-        graph = build_component(n, max_size)
-        counts = graph.counts_by_size()
         regular = _regular_counts(n, max_size)
-        for size in range(max_size + 1):
-            report.cases += 1
-            if counts.get(size, 0) != regular[size]:
-                report.record(size=size, vertices=counts.get(size, 0), regular=regular[size])
-        # One scan and one content per partition, kept for the sizes s - 1, s
-        # and s + 1 around the vertex layer s; graph.vertices is listed layer
-        # by layer.
-        above: dict = {}
-        level: dict = {}
-        below: dict = {}
-        size = 0
+        vertex_failures: list[dict] = []
 
         def scan(layer: dict, q):
+            # A partition missing from its layer's dict, as an edge target
+            # past the size bound is, is scanned here.
             found = layer.get(q)
             if found is None:
                 found = layer[q] = (*_signatures(q, n), residue_counts(q, n))
             return found
 
-        for p in graph.vertices:
-            while sum(p) > size:
-                above, level, below = level, below, {}
-                size += 1
-            eps, plus, good, m = scan(level, p)
-            lam = weight_coefficients(m)
-            for i in range(n):
-                report.cases += 1
-                eps_i, phi_i = eps[i], len(plus[i])
-                problems = []
-                if phi_i - eps_i != lam[i]:
-                    problems.append("phi - eps is not the weight coefficient")
-                # No support checks: good[i] is set exactly when eps_i > 0, and
-                # phi_i is len(plus[i]), both read from this one scan.
-                if good[i]:
-                    up = _remove_good(p, good[i])
-                    rows = scan(above, up)[1][i]
-                    if not rows or _add_good(up, rows[0]) != p:
-                        problems.append("lowering does not invert raising")
-                if plus[i]:
-                    down = _add_good(p, plus[i][0])
-                    eps2, plus2, good2, m2 = scan(below, down)
-                    if not good2[i] or _remove_good(down, good2[i]) != p:
-                        problems.append("raising does not invert lowering")
-                    if m2 != m[:i] + (m[i] + 1,) + m[i + 1 :]:
-                        problems.append("edge does not shift weight by the simple root")
-                    if (eps2[i], len(plus2[i])) != (eps_i + 1, phi_i - 1):
-                        problems.append("statistics do not step by one along the edge")
-                if problems:
-                    report.record(partition=list(p), i=i, problems=problems)
+        def check(vertices: list, above: dict, level: dict, below: dict):
+            # One scan and one content per partition, kept for the sizes
+            # s - 1, s and s + 1 around the vertex layer s.
+            for p, _, targets in vertices:
+                eps, plus, good, m = level[p]
+                lam = weight_coefficients(m)
+                for i in range(n):
+                    report.cases += 1
+                    eps_i, phi_i = eps[i], len(plus[i])
+                    problems = []
+                    if phi_i - eps_i != lam[i]:
+                        problems.append("phi - eps is not the weight coefficient")
+                    # No support checks: good[i] is set exactly when eps_i > 0, and
+                    # phi_i is len(plus[i]), both read from this one scan.
+                    if good[i]:
+                        up = _remove_good(p, good[i])
+                        rows = scan(above, up)[1][i]
+                        if not rows or _add_good(up, rows[0]) != p:
+                            problems.append("lowering does not invert raising")
+                    if plus[i]:
+                        down = targets[i] if targets else _add_good(p, plus[i][0])
+                        eps2, plus2, good2, m2 = scan(below, down)
+                        if not good2[i] or _remove_good(down, good2[i]) != p:
+                            problems.append("raising does not invert lowering")
+                        if m2 != m[:i] + (m[i] + 1,) + m[i + 1 :]:
+                            problems.append("edge does not shift weight by the simple root")
+                        if (eps2[i], len(plus2[i])) != (eps_i + 1, phi_i - 1):
+                            problems.append("statistics do not step by one along the edge")
+                    if problems:
+                        vertex_failures.append({"partition": list(p), "i": i, "problems": problems})
+
+        above: dict = {}
+        level: dict = {}
+        vertices: list = []
+        for size, layer in enumerate(_component_layers(n, max_size)):
+            report.cases += 1
+            if len(layer) != regular[size]:
+                report.record(size=size, vertices=len(layer), regular=regular[size])
+            below = {v: (*found, residue_counts(v, n)) for v, found, _ in layer}
+            check(vertices, above, level, below)
+            above, level, vertices = level, below, layer
+        check(vertices, above, level, {})
+        report.failures.extend(vertex_failures)
     return report
 
 

@@ -317,10 +317,15 @@ def listed_lattice_sum(points, order: int) -> tuple:
     """sum q^Q / prod((q)_{m_i}) over (m, Q) pairs, in one plain list per term.
 
     Each factor 1/(q)_{m_i} divides the term by (1 - q^i) for i = 1..m_i in
-    place: c_d += c_{d-i}, for d from i up.
+    place: c_d += c_{d-i}, for d from i up.  A pair with Q > order adds
+    nothing below q^order and is skipped; a negative Q raises ValueError.
     """
     total = [0] * (order + 1)
     for m, q in points:
+        if q < 0:
+            raise ValueError(f"exponent must be nonnegative, got Q={q}")
+        if q > order:
+            continue
         term = [0] * (order + 1)
         term[q] = 1
         for mi in m:

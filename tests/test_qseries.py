@@ -93,12 +93,16 @@ class TestLatticeSum:
         assert lattice_sum(points, order) == listed_lattice_sum(points, order)
 
     def test_negative_exponent_rejected(self):
-        with pytest.raises(ValueError, match="Q=-1"):
-            lattice_sum([((), -1)], 3)
+        for total in (lattice_sum, listed_lattice_sum):
+            with pytest.raises(ValueError, match="Q=-1"):
+                total([((), -1)], 3)
 
     def test_points_above_the_order_add_nothing(self):
-        assert lattice_sum([((1,), 5)], 3) == (0, 0, 0, 0)
-        assert lattice_sum([((1,), 5), ((1,), 3)], 3) == (0, 0, 0, 1)
+        for points, expected in [
+            ([((1,), 5)], (0, 0, 0, 0)),
+            ([((1,), 5), ((1,), 3)], (0, 0, 0, 1)),
+        ]:
+            assert lattice_sum(points, 3) == listed_lattice_sum(points, 3) == expected
 
     def test_walk_to_a_higher_order_truncates(self):
         # The points walked to order 15 include exponents above 10.

@@ -9,9 +9,9 @@ from collections import Counter
 
 import pytest
 
-from slnbranch import verify
+from slnbranch import crystal, verify
 from slnbranch.cores import _bead_count, n_cores
-from slnbranch.crystal import f_tilde
+from slnbranch.crystal import build_component, f_tilde
 from slnbranch.partitions import partitions_up_to
 from slnbranch.report import VerificationReport
 from oracles import abacus_core
@@ -137,7 +137,7 @@ def test_crystal_reports_a_corrupted_edge_target(monkeypatch):
         if "edge does not shift weight by the simple root" in failure["problems"]
     }
     # Every edge into the target and every edge out of it: f~_1 (1, 1) = (2, 1).
-    edges = verify.build_component(3, 5).edges
+    edges = build_component(3, 5).edges
     expected = {(src, i) for src, i, dst in edges if target in (src, dst)}
     assert ((1, 1), 1) in expected
     assert flagged == expected
@@ -258,7 +258,7 @@ def test_crystal_reports_a_corrupted_target_past_the_size_bound(monkeypatch):
         for failure in report.failures
         if failure["problems"] == ["edge does not shift weight by the simple root"]
     }
-    graph = verify.build_component(4, 5)
+    graph = build_component(4, 5)
     top = [p for p in graph.vertices if sum(p) == 5]
     expected = {(p, i) for p in top for i in range(4) if f_tilde(p, 4, i) == target}
     assert expected == {((3, 2), 2), ((3, 1, 1), 0)}
@@ -268,6 +268,74 @@ def test_crystal_reports_a_corrupted_target_past_the_size_bound(monkeypatch):
     past = {f_tilde(p, 4, i) for p in top for i in range(4)} - {None}
     assert set(calls) == set(graph.vertices) | past
     assert set(calls.values()) == {1}
+
+
+def count_scans(monkeypatch) -> Counter:
+    """Count `crystal._scan` calls by the partition scanned."""
+    real = crystal._scan
+    calls = Counter()
+
+    def counted(rows, n):
+        calls[rows[:-2]] += 1  # `_signatures` pads the rows with two zeros
+        return real(rows, n)
+
+    monkeypatch.setattr(crystal, "_scan", counted)
+    return calls
+
+
+def test_crystal_scans_each_partition_once(monkeypatch):
+    graph = build_component(4, 22)
+    top = [p for p in graph.vertices if sum(p) == 22]
+    past = {f_tilde(p, 4, i) for p in top for i in range(4)} - {None}
+    calls = count_scans(monkeypatch)
+    assert verify.verify_crystal(4, 22).ok
+    # The walk scans every vertex; the suite scans only the edge targets
+    # past the size bound itself.
+    assert set(calls) == set(graph.vertices) | past
+    assert sum(calls.values()) == len(calls) == 2999
+
+
+def test_build_component_scans_each_vertex_once(monkeypatch):
+    calls = count_scans(monkeypatch)
+    graph = build_component(4, 22)
+    assert calls == Counter(graph.vertices)
+    assert len(graph.vertices) == len(set(graph.vertices))
+
+
+@pytest.mark.parametrize("n", range(2, 8))
+def test_regular_counts_match_the_enumeration(n):
+    listed = Counter(map(sum, partitions_up_to(24, regular=n)))
+    for m in range(25):
+        assert verify._regular_counts(n, m) == [listed[s] for s in range(m + 1)]
+
+
+def bump_regular_count(monkeypatch, size):
+    real = verify._regular_counts
+
+    def off_by_one(n, max_size):
+        return [c + (m == size) for m, c in enumerate(real(n, max_size))]
+
+    monkeypatch.setattr(verify, "_regular_counts", off_by_one)
+
+
+def test_cores_and_crystal_flag_exactly_the_miscounted_size(monkeypatch):
+    bump_regular_count(monkeypatch, 7)
+    [cores, crystal_report] = verify.run_suites(["cores", "crystal"], 3, 10, 2)
+    assert [failure["m"] for failure in cores.failures] == [7]
+    assert cores.failures[0]["regular"] == cores.failures[0]["block_sum"] + 1
+    assert crystal_report.failures == [{"size": 7, "vertices": 9, "regular": 10}]
+
+
+def test_crystal_records_size_counts_before_vertices(monkeypatch):
+    # A vertex failure at size 2 is found before the size-5 count is read,
+    # yet is recorded after it, as when the suite counted a built graph.
+    corrupt_content(monkeypatch, (2, 1))
+    bump_regular_count(monkeypatch, 5)
+    report = verify.verify_crystal(3, 6)
+    assert report.failures[0] == {"size": 5, "vertices": 5, "regular": 6}
+    rest = report.failures[1:]
+    assert rest and all(set(failure) == {"partition", "i", "problems"} for failure in rest)
+    assert min(sum(failure["partition"]) for failure in rest) < 5
 
 
 def test_methods_names_the_first_power_where_the_routes_part(monkeypatch):
