@@ -3,6 +3,12 @@
 Subcommands: branching, fermionic, js list, js chi, crystal graph, core,
 verify.  JSON is the canonical machine format; CSV is available for series
 tables, DOT for crystal graphs.  Output is byte-stable for fixed inputs.
+
+Each `main` call builds its parser afresh, so the handlers it binds are
+the module's current globals.  The parser registers every subcommand
+with its help line, but adds arguments only to the one the command line
+names, found from the `_COMMANDS` table; the others are never parsed, so
+help, choice lists and errors read as if every argument were added.
 """
 
 from __future__ import annotations
@@ -32,14 +38,7 @@ def _add_common(parser: argparse.ArgumentParser, handler, formats=("json", "csv"
     parser.set_defaults(handler=handler)
 
 
-def _build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="slnbranch",
-        description="Level-1 affine sl(n) branching functions and partition classification",
-    )
-    sub = parser.add_subparsers(dest="command", required=True)
-
-    p = sub.add_parser("branching", help="branching series for a (j, k) class")
+def _add_branching(p: argparse.ArgumentParser):
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--j", type=int, required=True)
     p.add_argument("--k", type=int, required=True)
@@ -47,14 +46,16 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--method", choices=METHODS + ("all",), default="all")
     _add_common(p, _run_branching)
 
-    p = sub.add_parser("fermionic", help="lattice-sum series for a class L(s)+L(t)")
+
+def _add_fermionic(p: argparse.ArgumentParser):
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--s", type=int, required=True)
     p.add_argument("--t", type=int, required=True)
     p.add_argument("--order", type=int, required=True)
     _add_common(p, _run_fermionic)
 
-    p = sub.add_parser("js", help="restriction-irreducible partitions")
+
+def _add_js(p: argparse.ArgumentParser):
     js_sub = p.add_subparsers(dest="js_command", required=True)
 
     q = js_sub.add_parser("list", help="members with a given core and weight")
@@ -70,25 +71,52 @@ def _build_parser() -> argparse.ArgumentParser:
     q.add_argument("--method", choices=("direct", "branching", "both"), default="both")
     _add_common(q, _run_js_chi)
 
-    p = sub.add_parser("crystal", help="crystal graph of the component of the empty partition")
+
+def _add_crystal(p: argparse.ArgumentParser):
     crystal_sub = p.add_subparsers(dest="crystal_command", required=True)
     q = crystal_sub.add_parser("graph", help="build and export the component")
     q.add_argument("--n", type=int, required=True)
     q.add_argument("--max-size", type=int, required=True)
     _add_common(q, _run_crystal_graph, formats=("json", "dot", "text"))
 
-    p = sub.add_parser("core", help="n-core, n-weight, and rectangle data")
+
+def _add_core(p: argparse.ArgumentParser):
     p.add_argument("--n", type=int, required=True)
     p.add_argument("partition", help='partition text, e.g. "5,5,4,1,1"; "-" for empty')
     _add_common(p, _run_core, formats=("json", "text"))
 
-    p = sub.add_parser("verify", help="run cross-verification suites")
+
+def _add_verify(p: argparse.ArgumentParser):
     p.add_argument("--suite", choices=SUITES + ("all",), default="all")
     p.add_argument("--n", type=int, default=3)
     p.add_argument("--max-size", type=int, default=10)
     p.add_argument("--order", type=int, default=6)
     _add_common(p, _run_verify, formats=("json", "text"))
 
+
+# Each subcommand: its name, its help line, and the global name of the
+# function that adds its arguments (looked up when the parser is built).
+_COMMANDS = (
+    ("branching", "branching series for a (j, k) class", "_add_branching"),
+    ("fermionic", "lattice-sum series for a class L(s)+L(t)", "_add_fermionic"),
+    ("js", "restriction-irreducible partitions", "_add_js"),
+    ("crystal", "crystal graph of the component of the empty partition", "_add_crystal"),
+    ("core", "n-core, n-weight, and rectangle data", "_add_core"),
+    ("verify", "run cross-verification suites", "_add_verify"),
+)
+
+
+def _build_parser(command) -> argparse.ArgumentParser:
+    """The parser with every subcommand registered and arguments added only to `command`."""
+    parser = argparse.ArgumentParser(
+        prog="slnbranch",
+        description="Level-1 affine sl(n) branching functions and partition classification",
+    )
+    sub = parser.add_subparsers(dest="command", required=True)
+    for name, help_text, adder in _COMMANDS:
+        p = sub.add_parser(name, help=help_text)
+        if name == command:
+            globals()[adder](p)
     return parser
 
 
@@ -232,8 +260,12 @@ def _run_verify(args) -> int:
 
 
 def main(argv=None) -> int:
-    parser = _build_parser()
-    args = parser.parse_args(argv)
+    if argv is None:
+        argv = sys.argv[1:]
+    # The top-level parser has no option that takes a value, so the first
+    # token that is not an option names the subcommand.
+    command = next((arg for arg in argv if not arg.startswith("-")), None)
+    args = _build_parser(command).parse_args(argv)
     for dest, least in _MINIMUMS.items():
         value = getattr(args, dest, None)
         if value is not None and value < least:

@@ -2,9 +2,13 @@
 
 `fermionic_series` and `lattice_sum` return the coefficients c_0..c_order
 as a tuple of exact integers, the shape of every series in the package.
-The lattice sum adds its terms into one coefficient list; `TruncatedSeries`
-only forms each term's product of 1/(q)_{m_i} factors below a truncation
-order.  The sum runs over
+The lattice sum adds its terms into one coefficient list.  Each term
+q^Q / prod((q)_{m_i}) starts as the list [1, 0, ..., 0] of length
+order - Q + 1, and every factor 1/(q)_{m_i} divides it in place by
+(1 - q^i) for i = 1..m_i: c_d += c_{d-i}, d ascending, O(order) per i.
+`inv_pochhammer` expands 1/(q)_k by the same division and returns it as
+a `TruncatedSeries`, which multiplies two series; the lattice sum builds
+neither.  The sum runs over
 nonnegative integer vectors m of length n-1 subject to the congruence
 t + sum(i * m_i) ≡ 0 (mod n); each admissible vector contributes
 q^Q(m) / prod((q)_{m_i}) with
@@ -41,7 +45,7 @@ from .partitions import check_order, check_rank
 
 
 class TruncatedSeries:
-    """One lattice-sum term's product: exact integer coefficients up to a truncation order."""
+    """A power series: exact integer coefficients up to a truncation order."""
 
     __slots__ = ("order", "coeffs")
 
@@ -53,10 +57,6 @@ class TruncatedSeries:
         coeffs = coeffs[: order + 1] + [0] * (order + 1 - len(coeffs))
         self.order = order
         self.coeffs = tuple(coeffs)
-
-    @classmethod
-    def one(cls, order: int) -> "TruncatedSeries":
-        return cls([1], order)
 
     def __mul__(self, other: "TruncatedSeries") -> "TruncatedSeries":
         order = min(self.order, other.order)
@@ -71,6 +71,14 @@ class TruncatedSeries:
         return TruncatedSeries(out)
 
 
+def _divide_by_pochhammer(c: list, k: int):
+    """Divide the series c by (q)_k = (1-q)(1-q^2)...(1-q^k) in place."""
+    top = len(c)
+    for i in range(1, k + 1):
+        for d in range(i, top):
+            c[d] += c[d - i]
+
+
 def inv_pochhammer(k: int, order: int) -> TruncatedSeries:
     """Expansion of 1 / ((1-q)(1-q^2)...(1-q^k)) to the given order."""
     check_order(order)
@@ -78,9 +86,7 @@ def inv_pochhammer(k: int, order: int) -> TruncatedSeries:
         raise ValueError("k must be nonnegative")
     c = [0] * (order + 1)
     c[0] = 1
-    for i in range(1, k + 1):
-        for d in range(i, order + 1):
-            c[d] += c[d - i]
+    _divide_by_pochhammer(c, k)
     return TruncatedSeries(c)
 
 
@@ -214,7 +220,8 @@ def lattice_sum(points, order: int) -> tuple[int, ...]:
     """Coefficients of sum q^Q / prod((q)_{m_i}) over (m, Q) pairs, to the given order.
 
     A pair with Q > order adds nothing below q^order and is skipped; a
-    negative Q raises ValueError.
+    negative Q, or a negative coordinate in a pair that is not skipped,
+    raises ValueError.
     """
     check_order(order)
     total = [0] * (order + 1)
@@ -223,11 +230,13 @@ def lattice_sum(points, order: int) -> tuple[int, ...]:
             raise ValueError(f"exponent must be nonnegative, got Q={q} at m={m}")
         if q > order:
             continue
-        term = TruncatedSeries.one(order - q)
+        term = [0] * (order + 1 - q)
+        term[0] = 1
         for mi in m:
-            if mi:
-                term = term * inv_pochhammer(mi, order - q)
-        for d, c in enumerate(term.coeffs, q):
+            if mi < 0:
+                raise ValueError(f"coordinates must be nonnegative, got m={m}")
+            _divide_by_pochhammer(term, mi)
+        for d, c in enumerate(term, q):
             total[d] += c
     return tuple(total)
 

@@ -19,9 +19,10 @@ The library's earlier kernels are kept here as references for the ones
 that replaced them: `column_walk_in_path_set` (one path step per column,
 read off `conjugate`), `position_scan_pushed_partition` (every abacus
 position up to the last bead), `successor_partitions` (the successor
-rule that rebuilds the tail of the list at each step) and
+rule that rebuilds the tail of the list at each step),
 `two_pass_fow_index` (a regularity pass, then the congruence on the
-exponent form).
+exponent form) and `product_lattice_sum` (each lattice-sum term a
+truncated product of 1/(q)_{m_i} series, in place of dividing one list).
 """
 
 from collections import Counter
@@ -313,12 +314,24 @@ def shell_lattice_points(n: int, s: int, t: int, order: int, bound: int | None =
     return sorted(points)
 
 
-def listed_lattice_sum(points, order: int) -> tuple:
-    """sum q^Q / prod((q)_{m_i}) over (m, Q) pairs, in one plain list per term.
+def _truncated_product(a: list, b: list, order: int) -> list:
+    """Coefficients of a * b up to q^order, by convolution."""
+    out = [0] * (order + 1)
+    for i, x in enumerate(a[: order + 1]):
+        if x:
+            for j, y in enumerate(b[: order + 1 - i], i):
+                out[j] += x * y
+    return out
 
-    Each factor 1/(q)_{m_i} divides the term by (1 - q^i) for i = 1..m_i in
-    place: c_d += c_{d-i}, for d from i up.  A pair with Q > order adds
-    nothing below q^order and is skipped; a negative Q raises ValueError.
+
+def product_lattice_sum(points, order: int) -> tuple:
+    """sum q^Q / prod((q)_{m_i}) over (m, Q) pairs, each term a product of series.
+
+    Each term multiplies the series 1/(q)_{m_i}, whose coefficient of q^d
+    counts the partitions of d into parts at most m_i, by truncated
+    convolution: O(order^2) per factor, and no division by (1 - q^i)
+    anywhere.  A pair with Q > order adds nothing below q^order and is
+    skipped; a negative Q raises ValueError.
     """
     total = [0] * (order + 1)
     for m, q in points:
@@ -326,13 +339,13 @@ def listed_lattice_sum(points, order: int) -> tuple:
             raise ValueError(f"exponent must be nonnegative, got Q={q}")
         if q > order:
             continue
-        term = [0] * (order + 1)
-        term[q] = 1
+        top = order - q
+        term = [1] + [0] * top
         for mi in m:
-            for i in range(1, mi + 1):
-                for d in range(i, order + 1):
-                    term[d] += term[d - i]
-        for d, c in enumerate(term):
+            if mi:
+                factor = [count_parts_at_most(d, mi) for d in range(top + 1)]
+                term = _truncated_product(term, factor, top)
+        for d, c in enumerate(term, q):
             total[d] += c
     return tuple(total)
 

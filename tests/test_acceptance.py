@@ -207,7 +207,7 @@ def test_criterion_9_four_routes_agree_at_the_frontier():
 
 def test_criterion_9b_paths_equal_fermionic_at_high_order():
     start = time.perf_counter()
-    for n, order in ((4, 30), (5, 24), (6, 18)):
+    for n, order in ((4, 30), (5, 24), (6, 18), (3, 200), (4, 160)):
         for j in range(n):
             for k in range(n):
                 if k > (j - k) % n:
@@ -215,7 +215,12 @@ def test_criterion_9b_paths_equal_fermionic_at_high_order():
                 paths = branching_series(n, j, k, order, "paths")
                 fermionic = branching_series(n, j, k, order, "fermionic")
                 assert paths == fermionic, (n, j, k, paths, fermionic)
-    _stamp("9b", "paths == fermionic on every class at (4,30), (5,24), (6,18)", start, 30)
+    _stamp(
+        "9b",
+        "paths == fermionic on every class at (4,30), (5,24), (6,18), (3,200), (4,160)",
+        start,
+        30,
+    )
 
 
 def test_criterion_10_chi_direct_equals_chi_by_branching_on_every_rectangle_core():

@@ -1,3 +1,4 @@
+import argparse
 import json
 import os
 import subprocess
@@ -420,3 +421,75 @@ def test_closed_stdout_exits_141_without_a_traceback():
         os.close(write_end)
     assert done.stderr == ""
     assert done.returncode == 141
+
+
+def _outcome(capsys, call):
+    """(exit code, stdout, stderr) of `call`, whether it returns or exits."""
+    try:
+        code = call()
+    except SystemExit as exc:
+        code = exc.code
+    captured = capsys.readouterr()
+    return code, captured.out, captured.err
+
+
+def _reference_parser(command):
+    """The parser with every subcommand's arguments added, from the CLI's own
+    command table, built by the running interpreter's argparse."""
+    parser = argparse.ArgumentParser(
+        prog="slnbranch",
+        description="Level-1 affine sl(n) branching functions and partition classification",
+    )
+    sub = parser.add_subparsers(dest="command", required=True)
+    for name, help_text, adder in cli._COMMANDS:
+        getattr(cli, adder)(sub.add_parser(name, help=help_text))
+    return parser
+
+
+class TestSurface:
+    """`main` adds arguments only to the subcommand its argv names; what it
+    writes and returns must match a parser that adds every argument."""
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["--help"],
+            *([name, "--help"] for name, _, _ in cli._COMMANDS),
+            ["js", "list", "--help"],
+            ["js", "chi", "--help"],
+            ["crystal", "graph", "--help"],
+            ["-h", "fermionic"],
+            [],
+            ["bogus"],
+            ["fermionic", "--n", "4"],
+            ["core", "--n", "3", "--format", "csv", "5"],
+            ["core", "--n", "3", "5", "extra"],
+            ["core", "--n", "3", "--", "2,1"],
+            ["fermionic", "--n", "1", "--s", "0", "--t", "0", "--order", "3"],
+        ],
+        ids=lambda argv: " ".join(argv) or "empty",
+    )
+    def test_matches_a_parser_with_every_argument(self, capsys, monkeypatch, argv):
+        got = _outcome(capsys, lambda: main(list(argv)))
+        monkeypatch.setattr(cli, "_build_parser", _reference_parser)
+        assert got == _outcome(capsys, lambda: main(list(argv)))
+
+    def test_reads_sys_argv_when_argv_is_none(self, capsys, monkeypatch):
+        argv = ["fermionic", "--n", "5", "--s", "0", "--t", "1", "--order", "15"]
+        expected = _outcome(capsys, lambda: main(argv))
+        monkeypatch.setattr(sys, "argv", ["slnbranch", *argv])
+        assert _outcome(capsys, main) == expected
+        monkeypatch.setattr(sys, "argv", ["slnbranch", "fermionic", "--help"])
+        code, out, _ = _outcome(capsys, main)
+        assert code == 0 and out.startswith("usage: slnbranch fermionic [-h] --n N")
+
+    def test_other_subcommands_get_only_their_help(self):
+        parser = cli._build_parser("fermionic")
+        (sub,) = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
+        added = {name: [a.dest for a in p._actions] for name, p in sub.choices.items()}
+        assert added.pop("fermionic") == ["help", "n", "s", "t", "order", "format"]
+        assert all(dests == ["help"] for dests in added.values())
+
+    def test_handler_is_looked_up_when_main_runs(self, capsys, monkeypatch):
+        monkeypatch.setattr(cli, "_run_fermionic", lambda args: 7)
+        assert main(["fermionic", "--n", "5", "--s", "0", "--t", "1", "--order", "3"]) == 7

@@ -24,7 +24,7 @@ from oracles import (
     fraction_exponent,
     fraction_inverse_cartan,
     lattice_enumeration_bound,
-    listed_lattice_sum,
+    product_lattice_sum,
     shell_lattice_points,
 )
 
@@ -66,7 +66,7 @@ class TestTruncatedSeries:
 
 
 class TestLatticeSum:
-    """The sum of q^Q / prod((q)_{m_i}) against the plain-list reference."""
+    """The sum of q^Q / prod((q)_{m_i}) against the series-product reference."""
 
     @pytest.mark.parametrize(
         "points,order,expected",
@@ -81,7 +81,7 @@ class TestLatticeSum:
         ids=["empty", "order-0", "q-at-order", "zero-coordinates", "repeated", "mixed"],
     )
     def test_hand_built_points(self, points, order, expected):
-        assert lattice_sum(points, order) == listed_lattice_sum(points, order) == expected
+        assert lattice_sum(points, order) == product_lattice_sum(points, order) == expected
 
     @pytest.mark.parametrize(
         "n,s,t,order",
@@ -90,10 +90,28 @@ class TestLatticeSum:
     def test_walked_points(self, n, s, t, order):
         # (4, 2, 3) and (6, 3, 5) are folded pairs: s + t > n
         points = list(lattice_points(n, s, t, order))
-        assert lattice_sum(points, order) == listed_lattice_sum(points, order)
+        assert lattice_sum(points, order) == product_lattice_sum(points, order)
+
+    @pytest.mark.parametrize("n", range(2, 7))
+    def test_every_class_to_order_40(self, n):
+        for s in range(n):
+            for t in range(s, n):
+                points = list(lattice_points(n, s, t, 40))
+                assert lattice_sum(points, 40) == product_lattice_sum(points, 40), (s, t)
+
+    @pytest.mark.parametrize(
+        "n,s,t,order", [(4, 0, 0, 120), *((3, s, t, 200) for s in range(3) for t in range(s, 3))]
+    )
+    def test_high_order(self, n, s, t, order):
+        points = list(lattice_points(n, s, t, order))
+        assert lattice_sum(points, order) == product_lattice_sum(points, order)
+
+    def test_negative_coordinate_rejected(self):
+        with pytest.raises(ValueError, match="coordinates must be nonnegative"):
+            lattice_sum([((1, -1), 0)], 3)
 
     def test_negative_exponent_rejected(self):
-        for total in (lattice_sum, listed_lattice_sum):
+        for total in (lattice_sum, product_lattice_sum):
             with pytest.raises(ValueError, match="Q=-1"):
                 total([((), -1)], 3)
 
@@ -102,7 +120,7 @@ class TestLatticeSum:
             ([((1,), 5)], (0, 0, 0, 0)),
             ([((1,), 5), ((1,), 3)], (0, 0, 0, 1)),
         ]:
-            assert lattice_sum(points, 3) == listed_lattice_sum(points, 3) == expected
+            assert lattice_sum(points, 3) == product_lattice_sum(points, 3) == expected
 
     def test_walk_to_a_higher_order_truncates(self):
         # The points walked to order 15 include exponents above 10.
