@@ -33,6 +33,7 @@ that row.
 from __future__ import annotations
 
 from collections.abc import Callable
+from operator import add
 
 from .cores import CUT_ROW, count_by_weight
 from .crystal import eps_close, eps_prefix
@@ -240,46 +241,66 @@ def configuration_sums(n: int, j: int, order: int) -> dict[tuple[int, ...], list
     at the end point lam = L(k) + L(j - k) of the class (j, k).  Each
     partition in the path set is one path, so the result maps each end
     point to the partition count by residue-0 nodes.
+
+    Each state carries the lowest power of q its series holds, so a column
+    that would carry it past q^order is never read.  Many states share a
+    coordinate, so the epsilon-steps are made through a dict, private to
+    the call, from (lam, e) to the stepped coordinate, or None where it is
+    not dominant: each is made once.  Series are added slice by slice from
+    the lowest power on, into a list each state and end point owns.
     """
     check_rank(n)
     check_order(order)
     j %= n
     size = order + 1
     sums: dict[tuple[int, ...], list[int]] = {}
-    layer: dict[tuple[tuple[int, ...], int, int], list[int]] = {}
+    # (lam, e) -> lam after the epsilon-step e, or None where it is not dominant.
+    stepped: dict[tuple[tuple[int, ...], int], tuple[int, ...] | None] = {}
+    layer: dict[tuple[tuple[int, ...], int, int], list] = {}
     for rho in range(n):
         lam = [0] * n
         lam[j] += 1
         lam[rho] += 1
-        layer[(tuple(lam), 0, rho)] = [1] + [0] * order
+        layer[(tuple(lam), 0, rho)] = [0, [1] + [0] * order]
     while layer:
-        ahead: dict[tuple[tuple[int, ...], int, int], list[int]] = {}
-        for (lam, c, i), series in layer.items():
+        ahead: dict[tuple[tuple[int, ...], int, int], list] = {}
+        for (lam, c, i), (low, series) in layer.items():
             if not i:
                 total = sums.setdefault(lam, [0] * size)
-                for d in range(size):
-                    total[d] += series[d]
-            low = next(d for d in range(size) if series[d])
+                total[low:] = map(add, total[low:], series[low:])
             zero = (i - 1) % n  # rows r of residue 0 in column i: r ≡ i - 1
             for c2 in range(max(c, 1), c + n):
                 z = (c2 - zero + n - 1) // n
                 if low + z > order:
                     break
                 e = (i - 1 - c2) % n
-                if not lam[(e + 1) % n]:
+                step = stepped.get((lam, e), False)
+                if step is False:
+                    step = stepped[lam, e] = _epsilon_step(lam, e)
+                if step is None:
                     continue
-                step = list(lam)
-                step[(e + 1) % n] -= 1
-                step[e] += 1
-                key = (tuple(step), c2, (i - 1) % n)
+                key = (step, c2, zero)
                 out = ahead.get(key)
                 if out is None:
-                    ahead[key] = [0] * z + series[: size - z]
+                    ahead[key] = [low + z, [0] * z + series[: size - z]]
                 else:
-                    for d in range(low + z, size):
-                        out[d] += series[d - z]
+                    if low + z < out[0]:
+                        out[0] = low + z
+                    top = out[1]
+                    top[low + z :] = map(add, top[low + z :], series[low : size - z])
         layer = ahead
     return sums
+
+
+def _epsilon_step(lam: tuple[int, ...], e: int) -> tuple[int, ...] | None:
+    """lam - L(e + 1) + L(e), or None when lam has no L(e + 1) to lower (not dominant)."""
+    up = (e + 1) % len(lam)
+    if not lam[up]:
+        return None
+    step = list(lam)
+    step[up] -= 1
+    step[e] += 1
+    return tuple(step)
 
 
 def _census(n: int, base: tuple[int, ...], order: int, prefix, close) -> tuple[int, ...]:

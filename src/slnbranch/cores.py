@@ -3,8 +3,11 @@
 With L beads, the beta numbers of a partition are the first-column hook
 lengths beta_i = part_i + (L - i), a strictly decreasing set.  Sliding every
 bead to the top of its runner (position mod n) yields the n-core; the result
-does not depend on L.  `n_core` does this in one integer pass: it counts the
-beads on each runner and reads the pushed display straight back into parts.
+does not depend on L.  `n_core` does this in integers: `_runners` counts
+the beads on each runner in one pass over the parts, and `_pushed_partition`
+reads the pushed display straight back into parts.  The push depends on the
+runner counts alone, so a caller that reads many cores, as the `cores`
+verify suite does, can push each distinct runner vector once.
 
 The n-weight is read off the same display without passing to the core:
 each bead slides up past the empty positions above it on its runner, and
@@ -23,7 +26,8 @@ content -- one block -- are generated directly by a pruned walk.  A block
 is named by its core mu; `block_content` checks mu, the one core check,
 and `block_series` counts the block by n-weight in one series.  One row
 step applies all of the walk's cuts in one eager pass and returns the
-parts a row can take, each with the content left below it; two walks
+parts a row can take, each with the content left below it, which it takes
+off the content in one pass (`_add_row`); two walks
 drive it, each with an explicit stack of row steps, under one contract: a
 partition is a member when a caller's `prefix` test passes each of its
 row prefixes and its `close` test passes its last row.  The test reads a
@@ -42,7 +46,7 @@ run, so states that differ above it share one count.
 
 from __future__ import annotations
 
-from collections.abc import Callable, Iterator
+from collections.abc import Callable, Iterator, Sequence
 
 from .partitions import (
     Partition,
@@ -82,21 +86,29 @@ def n_core(p: Partition, n: int, beads: int | None = None) -> Partition:
     """The partition left after sliding all abacus beads up their runners.
 
     Equivalently: remove rim n-hooks until none remain.  `beads` is checked
-    by `_bead_count`.  The beads of the empty rows fill positions
-    0 .. beads - len(p) - 1, so the runners start from those, and one loop
-    over the parts adds the bead of each row: row r's bead sits at
-    part + beads - r, stepped down one row at a time.
+    by `_bead_count`; the core is `_pushed_partition` of the runner counts
+    that `_runners` reads in one integer pass.
     """
-    beads = _bead_count(p, n, beads)
+    return _pushed_partition(_runners(p, n, _bead_count(p, n, beads)))
+
+
+def _runners(p: Partition, n: int, beads: int) -> list[int]:
+    """How many of the `beads` beads of p's abacus lie on each runner.
+
+    `beads` is a count `_bead_count` has checked.  The beads of the empty
+    rows fill positions 0 .. beads - len(p) - 1, so the runners start from
+    those, and one loop over the parts adds the bead of each row: row r's
+    bead sits at part + beads - r, stepped down one row at a time.
+    """
     full, extra = divmod(beads - len(p), n)
     runners = [full + 1] * extra + [full] * (n - extra)
     for part in p:
         beads -= 1
         runners[(part + beads) % n] += 1
-    return _pushed_partition(runners)
+    return runners
 
 
-def _pushed_partition(runners: list[int]) -> Partition:
+def _pushed_partition(runners: Sequence[int]) -> Partition:
     """The partition whose abacus has runners[r] beads on runner r, all at the top.
 
     A bead's part is the number of empty positions below it.  Only the
@@ -213,26 +225,26 @@ def _spread(counts) -> int:
     return sum((counts[r] - counts[r - 1]) ** 2 for r in range(len(counts)))
 
 
-def _add_row(rem: list[int], r: int, a: int) -> int:
-    """Take the content of a part a in 0-based row r off `rem`.
+def _add_row(content, r: int, a: int) -> tuple[list[int], int]:
+    """The content left once a part a in 0-based row r is taken off `content`.
 
-    Returns the change of `_spread(rem)`.  The row takes `full` off every
-    residue and one more off the arc of `extra` residues from `start` on, so
-    only the differences at the two ends of the arc move: c_start - c_{start-1}
-    by -1 and c_end - c_{end-1} by +1, with end = start + extra.
+    Returns it as a new list, with the change of `_spread` from `content`
+    to it.  The row takes `full` off every residue and one more off the arc
+    of `extra` residues from `start` on, so only the differences at the two
+    ends of the arc move: c_start - c_{start-1} by -1 and c_end - c_{end-1}
+    by +1, with end = start + extra.
     """
-    n = len(rem)
+    n = len(content)
     full, extra = divmod(a, n)
     start = -r % n
-    step = 0
-    if extra:
-        end = (start + extra) % n
-        step = 2 * (rem[start - 1] - rem[start] + rem[end] - rem[end - 1]) + 2
-    for x in range(n):
-        rem[x] -= full
-    for t in range(extra):
-        rem[(start + t) % n] -= 1
-    return step
+    rem = [c - full for c in content]
+    if not extra:
+        return rem, 0
+    end = (start + extra) % n
+    step = 2 * (content[start - 1] - content[start] + content[end] - content[end - 1]) + 2
+    for t in range(start, start + extra):
+        rem[t % n] -= 1
+    return rem, step
 
 
 # What a prefix test returns to cut its candidate part and every smaller
@@ -296,7 +308,8 @@ def _row_choices(
     (None, 0 and None for the first row).  Each entry is (a, run, value,
     left, spread, rest): the part, its run, its prefix value (True without
     a prefix), and the size, spread and content (a tuple) of what is left
-    below it.  `content` is copied once, and not changed.
+    below it.  `content` is read, not changed: the row's content comes off
+    it into a new list in one pass, by `_add_row`.
 
     The part is capped by the row above (one less where that row ends a run
     of n - 1, so the partition stays n-regular), by `left`, and where a
@@ -313,11 +326,15 @@ def _row_choices(
     cap = n - 1
     top = left if v1 is None else v1 - (run == cap)
     start = -r % n
-    a = min(left, top, min(n * content[x] + (x - start) % n for x in range(n)))
+    # Residue start + t runs out at the part n c + t + 1: the cap is the
+    # first least count of the content rotated to start, as n c + t.
+    rotated = content[start:] + content[:start]
+    least = min(rotated)
+    a = min(left, top, n * least + rotated.index(least))
     if a <= 0 or 2 * left > cap * a * (a + 1):
         return []
-    rem = list(content)
-    spread += _add_row(rem, r, a)
+    rem, step = _add_row(content, r, a)
+    spread += step
     left -= a
     below = (start - 1) % n
     index = r % n

@@ -11,7 +11,15 @@ from .branching import (
     configuration_sums,
     verify_fow_theorem,
 )
-from .cores import _bead_count, block_series, n_core, n_cores, n_weight
+from .cores import (
+    _bead_count,
+    _pushed_partition,
+    _runners,
+    block_series,
+    n_core,
+    n_cores,
+    n_weight,
+)
 from .crystal import _add_good, _component_layers, _remove_good, _signatures
 from .jantzen_seitz import (
     chi_by_branching,
@@ -123,10 +131,27 @@ def verify_js(n: int, max_size: int, order: int) -> VerificationReport:
 
 
 def verify_cores(n: int, max_size: int) -> VerificationReport:
-    """Abacus consistency: size split, idempotence, bead-count invariance, block sums."""
+    """Abacus consistency: size split, idempotence, bead-count invariance, block sums.
+
+    Every core is read as `n_core` reads it, the push of the runner counts
+    of the partition's abacus, at the default bead count and at L, L + 1
+    and L + n beads (L = max(len(p), 1)), less whichever of these is the
+    default.  The push depends on the runner counts alone, so it is made
+    once per distinct runner vector, through a dict made here and dropped
+    on return; `n_core` itself is asked only for idempotence, once per core.
+    """
     check_rank(n)
     check_size(max_size)
     with VerificationReport(suite=f"cores(n={n}, max_size={max_size})") as report:
+        pushed: dict = {}
+
+        def core_at(p, beads):
+            runners = tuple(_runners(p, n, beads))
+            core = pushed.get(runners)
+            if core is None:
+                core = pushed[runners] = _pushed_partition(runners)
+            return core
+
         # Idempotence depends on the core alone: asked once per distinct core.
         idempotent: dict = {}
 
@@ -138,15 +163,13 @@ def verify_cores(n: int, max_size: int) -> VerificationReport:
 
         for p in partitions_up_to(max_size):
             report.cases += 1
-            core = n_core(p, n)
-            # Bead-count invariance at L, L + 1 and L + n beads, L = max(len(p), 1),
-            # skipping a count equal to the default one `core` was read at.
             rows, default = max(len(p), 1), _bead_count(p, n, None)
+            core = core_at(p, default)
             ok = (
                 sum(p) == sum(core) + n * n_weight(p, n)
                 and is_fixed(core)
                 and all(
-                    n_core(p, n, beads) == core
+                    core_at(p, beads) == core
                     for beads in (rows, rows + 1, rows + n)
                     if beads != default
                 )

@@ -21,8 +21,12 @@ read off `conjugate`), `position_scan_pushed_partition` (every abacus
 position up to the last bead), `successor_partitions` (the successor
 rule that rebuilds the tail of the list at each step),
 `two_pass_fow_index` (a regularity pass, then the congruence on the
-exponent form) and `product_lattice_sum` (each lattice-sum term a
-truncated product of 1/(q)_{m_i} series, in place of dividing one list).
+exponent form), `product_lattice_sum` (each lattice-sum term a
+truncated product of 1/(q)_{m_i} series, in place of dividing one list),
+`rescan_configuration_sums` (the transfer matrix that steps the weight of
+every state and scans each series for its lowest power) and
+`two_pass_row_choices` (the row step that copies the content, then takes
+the row off it).
 """
 
 from collections import Counter
@@ -627,3 +631,92 @@ def two_pass_fow_index(p, n: int):
         if (a1 + v1 - v2 + a2) % n:
             return None
     return (ef[0][0] - ef[0][1]) % n
+
+
+def rescan_configuration_sums(n: int, j: int, order: int) -> dict:
+    """The library's earlier `configuration_sums`, kept as a reference for its transfer matrix.
+
+    Every state steps its own weight, finds its lowest nonzero power by a
+    scan, and adds series term by term.
+    """
+    j %= n
+    size = order + 1
+    sums = {}
+    layer = {}
+    for rho in range(n):
+        lam = [0] * n
+        lam[j] += 1
+        lam[rho] += 1
+        layer[(tuple(lam), 0, rho)] = [1] + [0] * order
+    while layer:
+        ahead = {}
+        for (lam, c, i), series in layer.items():
+            if not i:
+                total = sums.setdefault(lam, [0] * size)
+                for d in range(size):
+                    total[d] += series[d]
+            low = next(d for d in range(size) if series[d])
+            zero = (i - 1) % n
+            for c2 in range(max(c, 1), c + n):
+                z = (c2 - zero + n - 1) // n
+                if low + z > order:
+                    break
+                e = (i - 1 - c2) % n
+                if not lam[(e + 1) % n]:
+                    continue
+                step = list(lam)
+                step[(e + 1) % n] -= 1
+                step[e] += 1
+                key = (tuple(step), c2, (i - 1) % n)
+                out = ahead.get(key)
+                if out is None:
+                    ahead[key] = [0] * z + series[: size - z]
+                else:
+                    for d in range(low + z, size):
+                        out[d] += series[d - z]
+        layer = ahead
+    return sums
+
+
+def two_pass_row_choices(n: int, content, left: int, spread: int, r: int, v1, run: int, above, prefix):
+    """The library's earlier `cores._row_choices`, kept as a reference for its one-pass row step.
+
+    It reads the residue cap by a scan over every residue, copies the
+    content, and takes the row off the copy in a second pass.
+    """
+    from slnbranch.cores import CUT_ROW
+
+    cap = n - 1
+    top = left if v1 is None else v1 - (run == cap)
+    start = -r % n
+    a = min(left, top, min(n * content[x] + (x - start) % n for x in range(n)))
+    if a <= 0 or 2 * left > cap * a * (a + 1):
+        return []
+    rem = list(content)
+    full, extra = divmod(a, n)
+    if extra:
+        end = (start + extra) % n
+        spread += 2 * (rem[start - 1] - rem[start] + rem[end] - rem[end - 1]) + 2
+    for x in range(n):
+        rem[x] -= full
+    for t in range(extra):
+        rem[(start + t) % n] -= 1
+    left -= a
+    below = (start - 1) % n
+    index = r % n
+    choices = []
+    while True:
+        if spread <= 2 * rem[below]:
+            value = True if prefix is None else prefix(a, v1, run, index, above)
+            if value:
+                choices.append((a, run + 1 if a == v1 else 1, value, left, spread, tuple(rem)))
+            elif value is CUT_ROW:
+                break
+        x = (a - 1 - r) % n
+        spread += 2 * (2 * rem[x] - rem[x - 1] - rem[(x + 1) % n] + 1)
+        rem[x] += 1
+        left += 1
+        a -= 1
+        if not a or 2 * (left + a) > cap * a * (a + 1):
+            break
+    return choices

@@ -325,8 +325,9 @@ class TestContentWalk:
             for counts in product(range(3), repeat=n):
                 for r in range(n):
                     for a in range(2 * n + 1):
-                        rem = list(counts)
-                        step = _add_row(rem, r, a)
+                        content = list(counts)
+                        rem, step = _add_row(content, r, a)
+                        assert content == list(counts) and rem is not content
                         assert _spread(rem) - _spread(counts) == step, (counts, r, a)
                         row = [0] * n
                         for j in range(a):

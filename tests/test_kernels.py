@@ -5,18 +5,26 @@ their own walk, `residue_counts` does O(1) work per row, and `n_core`
 pre-fills its runners with the empty rows' beads; each is compared with a
 reference that makes the passes separately, on every partition of size at
 most 20 for n = 2..7 and on long inputs.
+
+Two counting kernels are compared with the library's earlier ones too:
+`configuration_sums`, which steps each weight once and carries each
+state's lowest power, and the content walk's row step, which takes a row's
+content in one pass.
 """
 
 import pytest
 
-from slnbranch.branching import fow_index, in_path_set
-from slnbranch.cores import n_core
+from slnbranch import cores
+from slnbranch.branching import branching_series, configuration_sums, fow_index, in_path_set
+from slnbranch.cores import block_series, n_core, n_cores
 from slnbranch.partitions import partitions_up_to, residue_counts
 from oracles import (
     abacus_core,
     column_walk_in_path_set,
     naive_residue_counts,
+    rescan_configuration_sums,
     two_pass_fow_index,
+    two_pass_row_choices,
 )
 
 RANKS = range(2, 8)
@@ -58,3 +66,48 @@ def test_kernels_equal_their_references_up_to_size_20(n):
 def test_kernels_equal_their_references_on_long_inputs(n):
     for p in long_inputs(n):
         check_kernels(p, n)
+
+
+def check_configuration_sums(n, j, order):
+    sums = configuration_sums(n, j, order)
+    assert sums == rescan_configuration_sums(n, j, order), (n, j, order)
+    # Series are added into in place, so no two end points may share one list.
+    assert len({id(series) for series in sums.values()}) == len(sums)
+
+
+@pytest.mark.parametrize("n", range(2, 7))
+def test_configuration_sums_equal_the_rescanning_transfer_matrix(n):
+    for j in range(n):
+        for order in range(25):
+            check_configuration_sums(n, j, order)
+
+
+@pytest.mark.parametrize("n, j, order", [(4, 1, 100), (6, 1, 40)])
+def test_configuration_sums_equal_the_rescanning_transfer_matrix_at_the_frontier(n, j, order):
+    check_configuration_sums(n, j, order)
+
+
+@pytest.mark.parametrize("n", range(2, 7))
+def test_row_step_equals_the_two_pass_row_step(monkeypatch, n):
+    row_choices = cores._row_choices
+    checked = set()  # each distinct state is compared once
+
+    def compared(n, content, *window):
+        state = (tuple(content), *window)
+        choices = row_choices(n, content, *window)
+        if state not in checked:
+            assert tuple(content) == state[0]
+            assert choices == two_pass_row_choices(n, content, *window), (n, state)
+            checked.add(state)
+        return choices
+
+    monkeypatch.setattr(cores, "_row_choices", compared)
+    # Every state the fow and crystal walks of each class reach, up to order 8.
+    for j in range(n):
+        for k in range(n):
+            for method in ("fow", "crystal"):
+                branching_series(n, j, k, 8, method)
+    # And every state of the blocks of the cores up to size 8, up to n-weight 8.
+    for mu in n_cores(n, 8):
+        block_series(n, mu, 8)
+    assert len(checked) > 150

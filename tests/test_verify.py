@@ -148,16 +148,16 @@ def test_cores_asks_idempotence_once_per_core(monkeypatch):
     calls = Counter()
 
     def counted(p, n, beads=None):
-        if beads is None:
-            calls[p] += 1
+        calls[p, beads] += 1
         return real(p, n, beads)
 
     monkeypatch.setattr(verify, "n_core", counted)
     assert verify.verify_cores(4, 22).ok
     cores = set(n_cores(4, 22))
-    # Every partition is asked for its core once; a core once more, for idempotence.
+    # Every core the sweep reads is a push; `n_core` is asked once per core,
+    # at its default bead count, for idempotence only.
     assert len(cores) == 82
-    assert {p: c for p, c in calls.items() if c != 1} == dict.fromkeys(cores, 2)
+    assert calls == Counter({(core, None): 1 for core in cores})
 
 
 def test_cores_records_every_partition_of_a_core_that_moves(monkeypatch):
@@ -170,22 +170,37 @@ def test_cores_records_every_partition_of_a_core_that_moves(monkeypatch):
     assert verify.verify_cores(3, 8).ok
     monkeypatch.setattr(verify, "n_core", moved)
     report = verify.verify_cores(3, 8)
-    # The answer for mu is asked once, yet every partition of its block fails.
+    # n_core is asked only whether mu is fixed, once, yet every partition of
+    # its block fails; each is recorded with the core its abacus pushes to.
     block = [list(p) for p in partitions_up_to(8) if abacus_core(p, 3) == mu]
     assert len(block) > 2
-    assert [failure["partition"] for failure in report.failures] == block
-    assert all(failure["core"] == [1] for failure in report.failures[1:])
-    assert report.failures[0] == {"partition": [1], "core": [1, 1]}
+    assert report.failures == [{"partition": p, "core": [1]} for p in block]
+
+
+def corrupt_runners(monkeypatch, hit):
+    """verify's runner pass moves one bead on to the next runner where hit(p, beads).
+
+    The bead count is unchanged, and on a fixed count distinct runner
+    vectors push to distinct cores, so every corrupted read is a wrong core.
+    """
+    real = verify._runners
+
+    def corrupted(p, n, beads):
+        runners = real(p, n, beads)
+        if hit(p, beads):
+            top = runners.index(max(runners))
+            runners[top] -= 1
+            runners[(top + 1) % n] += 1
+        return runners
+
+    monkeypatch.setattr(verify, "_runners", corrupted)
 
 
 def test_cores_records_a_core_that_depends_on_the_bead_count(monkeypatch):
-    real = verify.n_core
+    def explicit_multiple(p, beads):
+        return beads != _bead_count(p, 3, None) and beads % 3 == 0
 
-    def bead_dependent(p, n, beads=None):
-        core = real(p, n, beads)
-        return core + (1,) if beads is not None and beads % n == 0 else core
-
-    monkeypatch.setattr(verify, "n_core", bead_dependent)
+    corrupt_runners(monkeypatch, explicit_multiple)
     report = verify.verify_cores(3, 8)
     # The bead counts tried are b, b + 1 and b + 3, with b = max(len(p), 1),
     # less the default count (b rounded up to a multiple of 3) the core was
@@ -199,23 +214,24 @@ def test_cores_records_a_core_that_depends_on_the_bead_count(monkeypatch):
 
 
 def test_cores_skips_the_default_bead_count(monkeypatch):
-    real = verify.n_core
-    explicit = Counter()
+    real = verify._runners
+    reads = Counter()
 
-    def counted(p, n, beads=None):
-        if beads is not None:
-            explicit[p, beads] += 1
+    def counted(p, n, beads):
+        reads[p, beads] += 1
         return real(p, n, beads)
 
-    monkeypatch.setattr(verify, "n_core", counted)
+    monkeypatch.setattr(verify, "_runners", counted)
     report = verify.verify_cores(4, 22)
     assert report.ok
     sweep = list(partitions_up_to(22))
     assert report.cases == len(sweep) + 23
-    # Each explicit count is asked once and is never the default one, which
-    # one of b, b + 1, b + 4 (b = max(len(p), 1)) is when b = 0 or 3 mod 4.
-    assert sum(explicit.values()) == len(explicit)
-    assert all(beads != _bead_count(p, 4, None) for p, beads in explicit)
+    # Each count is read once: the default one for every partition, and the
+    # explicit ones, never the default, which one of b, b + 1, b + 4
+    # (b = max(len(p), 1)) is when b = 0 or 3 mod 4.
+    assert sum(reads.values()) == len(reads)
+    explicit = {(p, beads) for p, beads in reads if beads != _bead_count(p, 4, None)}
+    assert len(reads) - len(explicit) == len(sweep)
     skipped = sum(max(len(p), 1) % 4 in (0, 3) for p in sweep)
     assert 3 * len(sweep) - len(explicit) == skipped > 2000
 
@@ -225,15 +241,67 @@ def test_cores_skips_the_default_bead_count(monkeypatch):
     [(0, (3, 2)), (1, (4,)), (3, (3, 2)), (3, (2, 1, 1))],
 )
 def test_cores_flags_a_core_corrupted_at_one_explicit_bead_count(monkeypatch, offset, target):
-    real = verify.n_core
-
-    def corrupted(p, n, beads=None):
-        core = real(p, n, beads)
-        return core + (1,) if p == target and beads == max(len(p), 1) + offset else core
-
-    monkeypatch.setattr(verify, "n_core", corrupted)
+    corrupt_runners(monkeypatch, lambda p, beads: p == target and beads == max(len(p), 1) + offset)
     report = verify.verify_cores(3, 8)
     assert report.failures == [{"partition": list(target), "core": list(abacus_core(target, 3))}]
+
+
+def record_pushes(monkeypatch):
+    """Record verify's runner reads, (p, beads) -> runner vector, and its pushes.
+
+    The pushes are a Counter of runner vectors and a dict of what each pushed to.
+    """
+    real_runners, real_push = verify._runners, verify._pushed_partition
+    reads, pushes, pushed = {}, Counter(), {}
+
+    def runners(p, n, beads):
+        found = reads[p, beads] = real_runners(p, n, beads)
+        return found
+
+    def push(runners):
+        pushes[tuple(runners)] += 1
+        core = pushed[tuple(runners)] = real_push(runners)
+        return core
+
+    monkeypatch.setattr(verify, "_runners", runners)
+    monkeypatch.setattr(verify, "_pushed_partition", push)
+    return reads, pushes, pushed
+
+
+@pytest.mark.parametrize("n, max_size", [(3, 12), (5, 14)])
+def test_cores_pushes_each_runner_vector_once(monkeypatch, n, max_size):
+    reads, pushes, pushed = record_pushes(monkeypatch)
+    assert verify.verify_cores(n, max_size).ok
+    sweep = list(partitions_up_to(max_size))
+    assert {p for p, _ in reads} == set(sweep) and len(reads) > 3 * len(sweep)
+    vectors = {tuple(runners) for runners in reads.values()}
+    assert set(pushes) == vectors and set(pushes.values()) == {1}
+    assert len(vectors) < len(reads) / 3
+    # Every core the sweep reads, at every bead count, is the oracle's.
+    for (p, beads), runners in reads.items():
+        assert pushed[tuple(runners)] == abacus_core(p, n), (p, beads)
+
+
+def test_cores_flags_the_partitions_read_at_a_corrupted_push(monkeypatch):
+    reads, _, _ = record_pushes(monkeypatch)
+    assert verify.verify_cores(3, 10).ok
+    vector = (2, 1, 3)
+    at_vector = [(p, beads) for (p, beads), runners in reads.items() if tuple(runners) == vector]
+    # The vector is read at the default bead count of some partitions and at
+    # an explicit one of others.
+    assert {beads == _bead_count(p, 3, None) for p, beads in at_vector} == {True, False}
+    real = verify._pushed_partition  # the recorder, which pushes as the suite does
+
+    def corrupted(runners):
+        core = real(runners)
+        return core + (1,) if tuple(runners) == vector else core
+
+    monkeypatch.setattr(verify, "_pushed_partition", corrupted)
+    report = verify.verify_cores(3, 10)
+    read_there = {p for p, _ in at_vector}
+    flagged = [list(p) for p in partitions_up_to(10) if p in read_there]
+    assert len(flagged) > 2
+    assert [failure["partition"] for failure in report.failures] == flagged
 
 
 def test_cores_records_a_broken_size_split(monkeypatch):
