@@ -132,6 +132,11 @@ def _emit(text: str):
     sys.stdout.write(text + "\n")
 
 
+def _emit_json(value):
+    """Write `value` as compact JSON, the one form of every command's JSON output."""
+    _emit(json.dumps(value, separators=(",", ":")))
+
+
 def _emit_rows(args, payload: dict, rows: dict[str, tuple[int, ...]]) -> int:
     """Write method rows in args.format; exit code 0 when every row agrees, else 1.
 
@@ -149,7 +154,7 @@ def _emit_rows(args, payload: dict, rows: dict[str, tuple[int, ...]]) -> int:
             payload["verdict"] = "AGREE" if agree else "DISAGREE"
             if not agree:
                 payload["first_d"] = _first_d(rows)
-        _emit(json.dumps(payload, separators=(",", ":")))
+        _emit_json(payload)
     elif args.format == "csv":
         _emit(_series_csv(rows, args.order))
     else:
@@ -181,7 +186,7 @@ def _run_fermionic(args) -> int:
             "coeffs": list(series),
             "lattice_points": len(points),
         }
-        _emit(json.dumps(payload, separators=(",", ":")))
+        _emit_json(payload)
     elif args.format == "csv":
         _emit(_series_csv({"fermionic": series}, args.order))
     else:
@@ -193,7 +198,7 @@ def _run_fermionic(args) -> int:
 def _run_js_list(args) -> int:
     members = js_set(args.n, parse_partition(args.core), args.weight)
     if args.format == "json":
-        _emit(json.dumps([list(p) for p in members], separators=(",", ":")))
+        _emit_json([list(p) for p in members])
     else:
         for p in members:
             _emit(format_partition(p))
@@ -216,7 +221,7 @@ def _run_crystal_graph(args) -> int:
     if args.format == "dot":
         sys.stdout.write(graph.to_dot())
     elif args.format == "json":
-        _emit(graph.to_json())
+        _emit_json(graph.to_json_dict())
     else:
         for v in graph.vertices:
             star = "*" if graph.js[v] else ""
@@ -238,7 +243,7 @@ def _run_core(args) -> int:
         "rectangle": list(rect) if rect is not None else None,
     }
     if args.format == "json":
-        _emit(json.dumps(payload, separators=(",", ":")))
+        _emit_json(payload)
     else:
         _emit(f"core: {format_partition(core)}")
         _emit(f"weight: {payload['weight']}")
@@ -250,7 +255,7 @@ def _run_verify(args) -> int:
     names = list(SUITES) if args.suite == "all" else [args.suite]
     reports = run_suites(names, args.n, args.max_size, args.order)
     if args.format == "json":
-        _emit(json.dumps([r.to_dict() for r in reports], separators=(",", ":")))
+        _emit_json([r.to_dict() for r in reports])
     else:
         for r in reports:
             _emit(r.summary())

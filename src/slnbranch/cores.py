@@ -3,11 +3,12 @@
 With L beads, the beta numbers of a partition are the first-column hook
 lengths beta_i = part_i + (L - i), a strictly decreasing set.  Sliding every
 bead to the top of its runner (position mod n) yields the n-core; the result
-does not depend on L.  `n_core` does this in integers: `_runners` counts
-the beads on each runner in one pass over the parts, and `_pushed_partition`
-reads the pushed display straight back into parts.  The push depends on the
-runner counts alone, so a caller that reads many cores, as the `cores`
-verify suite does, can push each distinct runner vector once.
+does not depend on L, so `n_core` takes the one L that `_bead_count` fixes.
+It works in integers: `_runners` counts the beads on each runner in one
+pass over the parts, and `_pushed_partition` reads the pushed display
+straight back into parts.  The push depends on the runner counts alone, so
+a caller that reads many cores, as the `cores` verify suite does, can push
+each distinct runner vector once.
 
 The n-weight is read off the same display without passing to the core:
 each bead slides up past the empty positions above it on its runner, and
@@ -59,46 +60,42 @@ from .partitions import (
 )
 
 
-def _bead_count(p: Partition, n: int, beads: int | None) -> int:
-    """`beads`, at least one per row; if None, max(len(p), 1) rounded up to a multiple of n."""
+def _bead_count(p: Partition, n: int) -> int:
+    """max(len(p), 1) rounded up to a multiple of n: one bead per row, at least one."""
     check_rank(n)
-    if beads is None:
-        beads = max(len(p), 1)
-        beads += (-beads) % n
-    if beads < len(p):
-        raise ValueError(f"need at least {len(p)} beads, got {beads}")
-    return beads
+    beads = max(len(p), 1)
+    return beads + (-beads) % n
 
 
-def abacus_display(p: Partition, n: int, beads: int | None = None) -> tuple[int, ...]:
-    """The beta numbers part_i + (beads - i) of p, largest first.
+def abacus_display(p: Partition, n: int) -> tuple[int, ...]:
+    """The beta numbers part_i + (L - i) of p, largest first, with L = `_bead_count`.
 
     p is validated by `as_partition`, so they are strictly decreasing and
     nonnegative.
     """
     p = as_partition(p)
-    beads = _bead_count(p, n, beads)
+    beads = _bead_count(p, n)
     padded = list(p) + [0] * (beads - len(p))
     return tuple(padded[i - 1] + beads - i for i in range(1, beads + 1))
 
 
-def n_core(p: Partition, n: int, beads: int | None = None) -> Partition:
+def n_core(p: Partition, n: int) -> Partition:
     """The partition left after sliding all abacus beads up their runners.
 
-    Equivalently: remove rim n-hooks until none remain.  `beads` is checked
-    by `_bead_count`; the core is `_pushed_partition` of the runner counts
-    that `_runners` reads in one integer pass.
+    Equivalently: remove rim n-hooks until none remain.  The core is
+    `_pushed_partition` of the runner counts that `_runners` reads in one
+    integer pass, at `_bead_count` beads.
     """
-    return _pushed_partition(_runners(p, n, _bead_count(p, n, beads)))
+    return _pushed_partition(_runners(p, n, _bead_count(p, n)))
 
 
 def _runners(p: Partition, n: int, beads: int) -> list[int]:
     """How many of the `beads` beads of p's abacus lie on each runner.
 
-    `beads` is a count `_bead_count` has checked.  The beads of the empty
-    rows fill positions 0 .. beads - len(p) - 1, so the runners start from
-    those, and one loop over the parts adds the bead of each row: row r's
-    bead sits at part + beads - r, stepped down one row at a time.
+    `beads` is at least len(p).  The beads of the empty rows fill positions
+    0 .. beads - len(p) - 1, so the runners start from those, and one loop
+    over the parts adds the bead of each row: row r's bead sits at
+    part + beads - r, stepped down one row at a time.
     """
     full, extra = divmod(beads - len(p), n)
     runners = [full + 1] * extra + [full] * (n - extra)

@@ -34,7 +34,6 @@ owns its lists and dicts.
 
 from __future__ import annotations
 
-import json
 from collections import Counter
 from collections.abc import Callable, Iterator
 
@@ -294,9 +293,6 @@ class CrystalGraph:
                 for src, i, dst in self.edges
             ],
         }
-
-    def to_json(self) -> str:
-        return json.dumps(self.to_json_dict(), separators=(",", ":"))
 
 
 def _component_layers(n: int, max_size: int) -> Iterator[list[tuple]]:

@@ -23,8 +23,6 @@ from .crystal import eps_index
 from .partitions import Partition, as_partition, check_order, check_rank, is_n_regular
 from .report import VerificationReport
 
-_CHI_METHOD = "paths"
-
 
 def is_js(p: Partition, n: int) -> bool:
     """Chain-congruence test: r <= 1, or every consecutive-pair sum ≡ 0 mod n.
@@ -88,12 +86,12 @@ def chi_by_branching(n: int, mu: Partition, order: int) -> tuple[int, ...]:
         )
     k, l = rect
     if k == 0:
-        rows = [branching_series(n, j, 0, order, _CHI_METHOD) for j in range(n)]
+        rows = [branching_series(n, j, 0, order, "paths") for j in range(n)]
         coeffs = [sum(column) for column in zip(*rows)]
         coeffs[0] -= n - 1
         return tuple(coeffs)
     s = min(k, l)
-    series = branching_series(n, (k - l) % n, k, order + s, _CHI_METHOD)
+    series = branching_series(n, (k - l) % n, k, order + s, "paths")
     if any(series[:s]):
         raise ArithmeticError(
             f"branching series for core {mu} has nonzero terms below the shift {s}"

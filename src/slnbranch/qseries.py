@@ -7,7 +7,8 @@ q^Q / prod((q)_{m_i}) starts as the list [1, 0, ..., 0] of length
 order - Q + 1, and every factor 1/(q)_{m_i} divides it in place by
 (1 - q^i) for i = 1..m_i: c_d += c_{d-i}, d ascending, O(order) per i.
 `inv_pochhammer` expands 1/(q)_k by the same division and returns it as
-a `TruncatedSeries`, which multiplies two series; the lattice sum builds
+a `TruncatedSeries`, whose order is the index of its last coefficient and
+which multiplies two series to the lower order; the lattice sum builds
 neither.  The sum runs over
 nonnegative integer vectors m of length n-1 subject to the congruence
 t + sum(i * m_i) ≡ 0 (mod n); each admissible vector contributes
@@ -45,18 +46,14 @@ from .partitions import check_order, check_rank
 
 
 class TruncatedSeries:
-    """A power series: exact integer coefficients up to a truncation order."""
+    """A power series: exact integer coefficients c_0..c_order, truncated past the last."""
 
     __slots__ = ("order", "coeffs")
 
-    def __init__(self, coeffs, order: int | None = None):
-        coeffs = list(coeffs)
-        if order is None:
-            order = len(coeffs) - 1
-        check_order(order)
-        coeffs = coeffs[: order + 1] + [0] * (order + 1 - len(coeffs))
-        self.order = order
+    def __init__(self, coeffs):
         self.coeffs = tuple(coeffs)
+        self.order = len(self.coeffs) - 1
+        check_order(self.order)
 
     def __mul__(self, other: "TruncatedSeries") -> "TruncatedSeries":
         order = min(self.order, other.order)

@@ -163,7 +163,7 @@ def verify_cores(n: int, max_size: int) -> VerificationReport:
 
         for p in partitions_up_to(max_size):
             report.cases += 1
-            rows, default = max(len(p), 1), _bead_count(p, n, None)
+            rows, default = max(len(p), 1), _bead_count(p, n)
             core = core_at(p, default)
             ok = (
                 sum(p) == sum(core) + n * n_weight(p, n)

@@ -189,14 +189,20 @@ def _strip_rim_hooks(p: tuple, n: int) -> tuple:
 
 
 def abacus_core(p: tuple, n: int, beads: int | None = None) -> tuple:
-    """n-core from the beta numbers of the package's `abacus_display`, pushed and sorted.
+    """n-core from beta numbers, pushed and sorted: the package's `abacus_display`,
+    or with `beads` given, the beta numbers part_i + beads - i read here.
 
     The library's earlier n-core, kept as a reference for the integer pass.
     """
-    from slnbranch import abacus_display
+    if beads is None:
+        from slnbranch import abacus_display
 
+        beta = abacus_display(p, n)
+    else:
+        padded = list(p) + [0] * (beads - len(p))
+        beta = [part + beads - i for i, part in enumerate(padded, start=1)]
     runner_counts = [0] * n
-    for b in abacus_display(p, n, beads):
+    for b in beta:
         runner_counts[b % n] += 1
     pushed = sorted(
         (r + q * n for r in range(n) for q in range(runner_counts[r])), reverse=True

@@ -26,6 +26,7 @@ from slnbranch.cores import (
     _add_row,
     _charge_bound,
     _pushed_partition,
+    _runners,
     _spread,
     count_by_weight,
 )
@@ -71,13 +72,17 @@ class TestNCore:
         for p in partitions_up_to(12):
             for n in (2, 3, 5):
                 base = max(len(p), 1)
-                cores = {n_core(p, n, beads) for beads in (base, base + 1, base + n)}
-                assert len(cores) == 1
+                counts = (base, base + 1, base + n)
+                cores = {_pushed_partition(_runners(p, n, beads)) for beads in counts}
+                cores |= {abacus_core(p, n, beads) for beads in counts}
+                assert cores == {n_core(p, n)}
 
     @settings(max_examples=200, deadline=None)
     @given(partitions, st.integers(2, 6), st.integers(0, 15))
     def test_bead_count_invariance_property(self, p, n, extra):
-        assert n_core(p, n, len(p) + extra) == n_core(p, n)
+        beads = len(p) + extra
+        pushed = _pushed_partition(_runners(p, n, beads))
+        assert pushed == abacus_core(p, n, beads) == n_core(p, n)
 
     def test_matches_rim_hook_oracle_up_to_16(self):
         for p in partitions_up_to(16):
@@ -90,7 +95,8 @@ class TestNCore:
                 core = rim_hook_core(p, n)
                 assert n_core(p, n) == abacus_core(p, n) == core
                 for beads in (*range(len(p), len(p) + 2 * n + 1), len(p) + 3 * n):
-                    assert n_core(p, n, beads) == abacus_core(p, n, beads) == core
+                    pushed = _pushed_partition(_runners(p, n, beads))
+                    assert pushed == abacus_core(p, n, beads) == core
 
     @pytest.mark.parametrize("n", [2, 3, 4, 5])
     def test_level_walk_equals_the_position_scan(self, n):
@@ -103,13 +109,6 @@ class TestNCore:
                 got = _pushed_partition(runners)
                 assert got == position_scan_pushed_partition(runners), runners
         assert _pushed_partition([2] * n) == ()
-
-    def test_rejects_too_few_beads(self):
-        with pytest.raises(ValueError, match="need at least 3 beads, got 2"):
-            n_core((3, 1, 1), 2, beads=2)
-        with pytest.raises(ValueError, match="need at least 40 beads, got 39"):
-            n_core((1,) * 40, 3, beads=39)
-        assert n_core((), 3, beads=0) == ()
 
 
 class TestNWeight:
@@ -154,15 +153,11 @@ class TestNCores:
 
 class TestAbacusDisplay:
     def test_beta_numbers(self):
-        assert abacus_display((3, 1), 2, beads=2) == (4, 1)
+        assert abacus_display((3, 1), 2) == (4, 1)
 
     def test_default_bead_count_is_multiple_of_n(self):
         assert len(abacus_display((3, 1), 3)) == 3
         assert len(abacus_display((), 4)) == 4
-
-    def test_rejects_too_few_beads(self):
-        with pytest.raises(ValueError):
-            abacus_display((3, 1, 1), 2, beads=2)
 
     @pytest.mark.parametrize(
         "p, message",

@@ -392,4 +392,4 @@ class TestExports:
         assert a.vertices == b.vertices
         assert a.edges == b.edges
         assert a.to_dot() == b.to_dot()
-        assert a.to_json() == b.to_json()
+        assert a.to_json_dict() == b.to_json_dict()

@@ -1,7 +1,8 @@
 """The package's import structure and public surface.
 
 Imports sit at module level only and form no cycle; every exported name,
-and every member of an exported class, has a caller outside the tests, so
+every member of an exported class, and every defaulted parameter of an
+exported function or constructor has a caller outside the tests, so
 test-only API does not grow back.
 """
 
@@ -119,6 +120,61 @@ def test_every_export_has_a_caller_outside_the_tests():
         for node in tree.body:
             used |= _used_names(node) - _defined_names(node)
     assert sorted(set(slnbranch.__all__) - used) == []
+
+
+def _exported_signatures():
+    """(name, arguments, leading parameters to skip) for each exported
+    function and each exported class's `__init__`, whose self is skipped."""
+    for tree in MODULES.values():
+        for node in tree.body:
+            if getattr(node, "name", None) not in slnbranch.__all__:
+                continue
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                yield node.name, node.args, 0
+            elif isinstance(node, ast.ClassDef):
+                for init in node.body:
+                    if isinstance(init, ast.FunctionDef) and init.name == "__init__":
+                        yield node.name, init.args, 1
+
+
+def _passes(call: ast.Call, index, name: str) -> bool:
+    """Whether `call` sets the parameter `name`, the index-th positional one
+    (index None for a keyword-only one); a `*` or `**` argument counts as
+    setting every parameter it could reach."""
+    if index is not None and (
+        len(call.args) > index or any(isinstance(a, ast.Starred) for a in call.args)
+    ):
+        return True
+    return any(k.arg in (name, None) for k in call.keywords)
+
+
+def test_every_defaulted_parameter_is_passed_outside_the_tests():
+    """A parameter with a default that only the tests set is test-only API.
+
+    A call matches by the name it calls, `f(...)` or `x.f(...)`, as the
+    export guard matches reads by name; `*args` and `**kwargs` are skipped.
+    """
+    calls: dict[str, list[ast.Call]] = {}
+    for tree in CALLERS:
+        for call in ast.walk(tree):
+            if isinstance(call, ast.Call):
+                func = call.func
+                name = getattr(func, "id", None) or getattr(func, "attr", None)
+                calls.setdefault(name, []).append(call)
+    unpassed = []
+    for name, args, skip in _exported_signatures():
+        positional = (args.posonlyargs + args.args)[skip:]
+        first = len(positional) - len(args.defaults)
+        defaulted = [(i, a.arg) for i, a in enumerate(positional) if i >= first]
+        defaulted += [
+            (None, a.arg) for a, d in zip(args.kwonlyargs, args.kw_defaults) if d is not None
+        ]
+        unpassed += [
+            f"{name}.{arg}"
+            for i, arg in defaulted
+            if not any(_passes(call, i, arg) for call in calls.get(name, []))
+        ]
+    assert sorted(unpassed) == []
 
 
 def _self_fields(init: ast.FunctionDef) -> set[str]:

@@ -16,7 +16,7 @@ import pytest
 
 from slnbranch import cores
 from slnbranch.branching import branching_series, configuration_sums, fow_index, in_path_set
-from slnbranch.cores import block_series, n_core, n_cores
+from slnbranch.cores import _pushed_partition, _runners, block_series, n_core, n_cores
 from slnbranch.partitions import partitions_up_to, residue_counts
 from oracles import (
     abacus_core,
@@ -44,7 +44,7 @@ def long_inputs(n):
 
 def bead_counts(p, n):
     b = max(len(p), 1)
-    return (None, b, b + 1, b + n, b + 2 * n)
+    return (b, b + 1, b + n, b + 2 * n)
 
 
 def check_kernels(p, n):
@@ -52,8 +52,10 @@ def check_kernels(p, n):
     for j in range(n):
         assert in_path_set(p, n, j) == column_walk_in_path_set(p, n, j), (p, n, j)
     assert residue_counts(p, n) == naive_residue_counts(p, n), (p, n)
+    assert n_core(p, n) == abacus_core(p, n), (p, n)
     for beads in bead_counts(p, n):
-        assert n_core(p, n, beads) == abacus_core(p, n, beads), (p, n, beads)
+        got = _pushed_partition(_runners(p, n, beads))
+        assert got == abacus_core(p, n, beads), (p, n, beads)
 
 
 @pytest.mark.parametrize("n", RANKS)

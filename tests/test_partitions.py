@@ -252,7 +252,6 @@ RANKED_CALLS = {
     "n_cores": lambda n: n_cores(n, 3),
     "n_weight": lambda n: n_weight((2, 1), n),
     "n_core": lambda n: n_core((2, 1), n),
-    "n_core with beads": lambda n: n_core((2, 1), n, 5),
     # The one-pass kernels check the rank before their empty-partition answers.
     "fow_index": lambda n: fow_index((), n),
     "in_path_set": lambda n: in_path_set((), n, 0),

@@ -49,19 +49,24 @@ def test_series_entry_points_return_coefficient_tuples(name, order):
 
 class TestTruncatedSeries:
     def test_arithmetic_is_exact(self):
-        a = TruncatedSeries([1, 2, 3], 4)
+        a = TruncatedSeries([1, 2, 3, 0, 0])
         b = TruncatedSeries([0, 1, 1, 1, 1])
-        assert a.coeffs == (1, 2, 3, 0, 0)
+        assert a.order == 4
         assert (a * b).coeffs == (0, 1, 3, 6, 6)
 
     def test_multiplication_truncates_to_shorter_order(self):
-        a = TruncatedSeries([1, 1], 1)
-        b = TruncatedSeries([1, 1, 1], 2)
+        a = TruncatedSeries([1, 1])
+        b = TruncatedSeries([1, 1, 1])
         assert (a * b).order == 1
+
+    def test_rejects_an_empty_series(self):
+        # Its order, len(coeffs) - 1, would be -1.
+        with pytest.raises(ValueError, match="order must be nonnegative"):
+            TruncatedSeries([])
 
     def test_big_integers_stay_exact(self):
         big = 10**30
-        a = TruncatedSeries([big, big], 1)
+        a = TruncatedSeries([big, big])
         assert (a * a).coeffs == (big * big, 2 * big * big)
 
 

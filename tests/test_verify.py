@@ -147,25 +147,25 @@ def test_cores_asks_idempotence_once_per_core(monkeypatch):
     real = verify.n_core
     calls = Counter()
 
-    def counted(p, n, beads=None):
-        calls[p, beads] += 1
-        return real(p, n, beads)
+    def counted(p, n):
+        calls[p] += 1
+        return real(p, n)
 
     monkeypatch.setattr(verify, "n_core", counted)
     assert verify.verify_cores(4, 22).ok
     cores = set(n_cores(4, 22))
     # Every core the sweep reads is a push; `n_core` is asked once per core,
-    # at its default bead count, for idempotence only.
+    # for idempotence only.
     assert len(cores) == 82
-    assert calls == Counter({(core, None): 1 for core in cores})
+    assert calls == Counter({core: 1 for core in cores})
 
 
 def test_cores_records_every_partition_of_a_core_that_moves(monkeypatch):
     real = verify.n_core
     mu = (1,)
 
-    def moved(p, n, beads=None):
-        return (1, 1) if p == mu else real(p, n, beads)
+    def moved(p, n):
+        return (1, 1) if p == mu else real(p, n)
 
     assert verify.verify_cores(3, 8).ok
     monkeypatch.setattr(verify, "n_core", moved)
@@ -198,7 +198,7 @@ def corrupt_runners(monkeypatch, hit):
 
 def test_cores_records_a_core_that_depends_on_the_bead_count(monkeypatch):
     def explicit_multiple(p, beads):
-        return beads != _bead_count(p, 3, None) and beads % 3 == 0
+        return beads != _bead_count(p, 3) and beads % 3 == 0
 
     corrupt_runners(monkeypatch, explicit_multiple)
     report = verify.verify_cores(3, 8)
@@ -230,7 +230,7 @@ def test_cores_skips_the_default_bead_count(monkeypatch):
     # explicit ones, never the default, which one of b, b + 1, b + 4
     # (b = max(len(p), 1)) is when b = 0 or 3 mod 4.
     assert sum(reads.values()) == len(reads)
-    explicit = {(p, beads) for p, beads in reads if beads != _bead_count(p, 4, None)}
+    explicit = {(p, beads) for p, beads in reads if beads != _bead_count(p, 4)}
     assert len(reads) - len(explicit) == len(sweep)
     skipped = sum(max(len(p), 1) % 4 in (0, 3) for p in sweep)
     assert 3 * len(sweep) - len(explicit) == skipped > 2000
@@ -289,7 +289,7 @@ def test_cores_flags_the_partitions_read_at_a_corrupted_push(monkeypatch):
     at_vector = [(p, beads) for (p, beads), runners in reads.items() if tuple(runners) == vector]
     # The vector is read at the default bead count of some partitions and at
     # an explicit one of others.
-    assert {beads == _bead_count(p, 3, None) for p, beads in at_vector} == {True, False}
+    assert {beads == _bead_count(p, 3) for p, beads in at_vector} == {True, False}
     real = verify._pushed_partition  # the recorder, which pushes as the suite does
 
     def corrupted(runners):
