@@ -10,11 +10,11 @@ package from `src/` next to this folder:
   routes on the class (1, 0);
 - "every-class": `verify_methods(n, order)`, all four routes on every class.
 
-Each (point, route) runs `--runs` times, each in a new process, and the
-record keeps the median of the call's process time (CPU seconds around the
-call alone, not interpreter start-up) and the largest `VmHWM`, the peak
+Each (point, route) runs RUNS times, each in a new process, and the record
+keeps the median of the call's process time (CPU seconds around the call
+alone, not interpreter start-up) and the largest `VmHWM`, the peak
 resident set read from /proc/self/status (None where that file is
-missing).  A run still going after `--limit` wall seconds is stopped; the
+missing).  A run still going after LIMIT_S wall seconds is stopped; the
 (point, route) is then recorded as timed out and not repeated.  A class
 point's routes agree when every route that finished returned the same
 series; an every-class point agrees when the report has no failure.
@@ -49,6 +49,10 @@ CLASS_POINTS = (
     (3, 200), (4, 160), (4, 400), (6, 200), (10, 100),
 )
 EVERY_CLASS_POINTS = ((4, 24), (6, 16), (4, 60), (6, 40), (4, 200), (6, 100), (8, 60), (10, 40))
+# Repeats on one host move by 10-30%, so each time is a median of five.
+RUNS = 5
+LIMIT_S = 20.0
+OUT = ROOT / "BENCH_frontier.json"
 
 # The child prints one JSON line: the call's process time, VmHWM in KiB,
 # and what the call returned, reduced to something comparable.
@@ -83,7 +87,7 @@ def _env() -> dict:
 
 
 def run_once(n: int, order: int, route: str, limit: float) -> dict | None:
-    """One fresh-interpreter run of a route ("every-class" for verify_methods), or None on timeout."""
+    """One fresh-interpreter run of a route ("every-class": verify_methods); None on timeout."""
     args = [sys.executable, "-c", _CHILD, str(n), str(order), route]
     try:
         done = subprocess.run(
@@ -142,17 +146,20 @@ def class_point(n: int, order: int, runs: int, limit: float) -> dict:
 def every_class_point(n: int, order: int, runs: int, limit: float) -> dict:
     record = measure(n, order, "every-class", runs, limit)
     agree = None if record["timed_out"] else record.pop("ok")
-    return {"kind": "every-class", "n": n, "order": order, "agree": agree, "routes": {"all": record}}
+    return {
+        "kind": "every-class", "n": n, "order": order, "agree": agree, "routes": {"all": record}
+    }
 
 
-def run(runs: int, limit: float, progress=sys.stderr) -> dict:
+def run(runs: int, limit: float) -> dict:
+    """Every point, bracketed by the reference kernel; one progress line per point on stderr."""
     before = [reference_seconds() for _ in range(3)]
     points = []
     for make, grid in ((class_point, CLASS_POINTS), (every_class_point, EVERY_CLASS_POINTS)):
         for n, order in grid:
             point = make(n, order, runs, limit)
             points.append(point)
-            print(_line(point), file=progress, flush=True)
+            print(_line(point), file=sys.stderr, flush=True)
     after = [reference_seconds() for _ in range(3)]
     return {
         "python": sys.version.split()[0],
@@ -197,16 +204,11 @@ def compare(new: dict, old: dict) -> list[str]:
 
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
-    parser.add_argument("--runs", type=int, default=5, help="fresh-interpreter runs per point")
-    parser.add_argument("--limit", type=float, default=20.0, help="wall seconds allowed per run")
-    parser.add_argument("--out", type=Path, default=ROOT / "BENCH_frontier.json")
     parser.add_argument("--against", type=Path, help="an earlier file to print ratios against")
     args = parser.parse_args(argv)
-    if args.runs < 1 or args.limit <= 0:
-        parser.error("--runs must be at least 1 and --limit positive")
     old = json.loads(args.against.read_text()) if args.against else None
-    result = run(args.runs, args.limit)
-    args.out.write_text(json.dumps(result, indent=1) + "\n")
+    result = run(RUNS, LIMIT_S)
+    OUT.write_text(json.dumps(result, indent=1) + "\n")
     if old is not None:
         print("\n".join(compare(result, old)))
     return 0 if all(p["agree"] is not False for p in result["points"]) else 1

@@ -2,32 +2,27 @@
 
 The branching function b(j, k) attached to the pair L(j) ⊗ L0 and the target
 class L(k) + L(j-k) has as coefficient of q^d the number of class members
-with d residue-0 nodes.  Each route counts them by its own mathematics:
+with d residue-0 nodes.  The members are n-regular partitions, and a
+nonempty one is a sequence of blocks (v, a), a run of a equal parts v.
+Three routes count them in one block sweep (`sweep_series`), which visits
+the parts from the largest down and carries, per route state, the series
+of the block sequences that reach it; each route has its own state and
+its own step per block, and reads the class off its own end state:
 
 - paths: the one-dimensional configuration sum of the level-2 RSOS model,
-  a transfer matrix over the column-by-column path coordinates
-  (`configuration_sums`); `in_path_set` tests one partition;
-- fow: a memoized count over the class's residue contents, one per d
-  (`cores.count_by_weight`), pruned by the chain congruence, which forces
-  the length of each block once its part is placed (`fow_prefix`), and
-  closed on the last row, whose block must have the length forced on it
-  (`fow_close`); `in_fow` tests one partition;
-- crystal: the same count, pruned by the eps vector of the settled rows,
-  carried down the walk, and by a look-ahead that cuts a run whose
-  removable node no settled "+" (nor eps_j = 0) can absorb at any residue
-  where the run can end (`crystal.eps_prefix`), and closed on the last
-  row, whose removable node the empty row below settles; eps must then be
-  e_j (`crystal.eps_close`);
+  the path coordinate lam stepped once per block as `in_path_set` steps
+  it (`_paths_route`); `in_path_set` tests one partition;
+- fow: the chain congruence on consecutive blocks, which forces each
+  block's length mod n once its part is placed (`_fow_route`); `in_fow`
+  tests one partition;
+- crystal: the eps-profile, the signature's "+" and "-" of each block
+  reduced as they come, eps kept at most e_j (`_crystal_route`);
 - fermionic: the lattice sum of the qseries module.
 
-Neither walk lists a member: no leaf is filtered, so each route's prefix
-and close tests alone decide membership.  Each fow or crystal series is
-one `count_by_weight` call on the class's d = 0 content: the route's
-prefix and close tests, bound to (n, j), are the same for every d.  Each
-prefix test returns `cores.CUT_ROW` where its cut holds for every smaller
-part of the row (a short open block for fow, a row above whose removable
-node would raise eps past e_j for crystal), so the walk offers no more of
-that row.
+No route lists a member, and no step reads another route's test or class.
+`fow_prefix` and `fow_close` carry the chain congruence row by row for the
+content walk of `cores.count_by_weight`, which counts the Jantzen-Seitz
+partitions of a block for `jantzen_seitz`.
 """
 
 from __future__ import annotations
@@ -36,7 +31,6 @@ from collections.abc import Callable
 from operator import add
 
 from .cores import CUT_ROW, count_by_weight
-from .crystal import eps_close, eps_prefix
 from .partitions import (
     Partition,
     check_order,
@@ -224,85 +218,6 @@ def fow_close(v: int, r: int, value) -> bool:
     return a == need or need is None
 
 
-def configuration_sums(n: int, j: int, order: int) -> dict[tuple[int, ...], list[int]]:
-    """The paths of L(j) ⊗ L0 up to q^order, summed by their end point.
-
-    The one-dimensional configuration sum of the level-2 RSOS model, run as
-    a transfer matrix.  A path reads the columns of an n-regular partition
-    from the last (index lambda_1) to the first, starting from the
-    coordinate L(j) + L(lambda_1 mod n); the column of index i and length c
-    moves the coordinate by the epsilon-step e = (i - 1 - c) mod n, which
-    needs lam[e + 1] >= 1 (dominance, as in `in_path_set`), and carries
-    q^z for its z residue-0 nodes, the rows r < c with r ≡ i - 1 (mod n).
-    A state is (lam, the length of the column just read, 0 before the
-    first, the index mod n of the next column), holding the series of the
-    paths that reach it.  Column lengths grow by less than n
-    (n-regularity), and a path may end whenever the next index is 0 mod n,
-    at the end point lam = L(k) + L(j - k) of the class (j, k).  Each
-    partition in the path set is one path, so the result maps each end
-    point to the partition count by residue-0 nodes.
-
-    Each state carries the lowest power of q its series holds, so a column
-    that would carry it past q^order is never read.  Many states share a
-    coordinate, so the epsilon-steps are made through a dict, private to
-    the call, from (lam, e) to the stepped coordinate, or None where it is
-    not dominant: each is made once.  Series are added slice by slice from
-    the lowest power on, into a list each state and end point owns.
-    """
-    check_rank(n)
-    check_order(order)
-    j %= n
-    size = order + 1
-    sums: dict[tuple[int, ...], list[int]] = {}
-    # (lam, e) -> lam after the epsilon-step e, or None where it is not dominant.
-    stepped: dict[tuple[tuple[int, ...], int], tuple[int, ...] | None] = {}
-    layer: dict[tuple[tuple[int, ...], int, int], list] = {}
-    for rho in range(n):
-        lam = [0] * n
-        lam[j] += 1
-        lam[rho] += 1
-        layer[(tuple(lam), 0, rho)] = [0, [1] + [0] * order]
-    while layer:
-        ahead: dict[tuple[tuple[int, ...], int, int], list] = {}
-        for (lam, c, i), (low, series) in layer.items():
-            if not i:
-                total = sums.setdefault(lam, [0] * size)
-                total[low:] = map(add, total[low:], series[low:])
-            zero = (i - 1) % n  # rows r of residue 0 in column i: r ≡ i - 1
-            for c2 in range(max(c, 1), c + n):
-                z = (c2 - zero + n - 1) // n
-                if low + z > order:
-                    break
-                e = (i - 1 - c2) % n
-                step = stepped.get((lam, e), False)
-                if step is False:
-                    step = stepped[lam, e] = _epsilon_step(lam, e)
-                if step is None:
-                    continue
-                key = (step, c2, zero)
-                out = ahead.get(key)
-                if out is None:
-                    ahead[key] = [low + z, [0] * z + series[: size - z]]
-                else:
-                    if low + z < out[0]:
-                        out[0] = low + z
-                    top = out[1]
-                    top[low + z :] = map(add, top[low + z :], series[low : size - z])
-        layer = ahead
-    return sums
-
-
-def _epsilon_step(lam: tuple[int, ...], e: int) -> tuple[int, ...] | None:
-    """lam - L(e + 1) + L(e), or None when lam has no L(e + 1) to lower (not dominant)."""
-    up = (e + 1) % len(lam)
-    if not lam[up]:
-        return None
-    step = list(lam)
-    step[up] -= 1
-    step[e] += 1
-    return tuple(step)
-
-
 def _census(n: int, base: tuple[int, ...], order: int, prefix, close) -> tuple[int, ...]:
     """How many n-regular partitions of each content base + d (1, ..., 1) pass a route's tests."""
     return count_by_weight(n, base, order, prefix, close)
@@ -313,44 +228,189 @@ def _class_members(n: int, j: int, k: int, order: int, prefix, close) -> tuple[i
     return _census(n, class_residue_counts(n, j, k), order, prefix, close)
 
 
-def class_paths_series(
-    sums: dict[tuple[int, ...], list[int]], n: int, j: int, k: int, order: int
-) -> tuple[int, ...]:
-    """The series of class (j, k) read from `configuration_sums(n, j, order)`.
+def _sweep(n: int, order: int, start: tuple, step: Callable, close: Callable) -> dict:
+    """Block sequences counted by residue-0 nodes, up to q^order, summed by class.
 
-    The class's paths end at L(k) + L(j - k).
+    A nonempty n-regular partition is a sequence of blocks (v, a): a run of
+    a equal parts v, with 1 <= a <= n - 1 and v strictly decreasing.  The
+    sweep visits the parts v from n * order down to 1 (the first row of a
+    larger part holds more than `order` residue-0 nodes).  A dict, private
+    to the call, maps a route state, whose last field is rho, the number
+    of rows placed mod n, to [low, series]: the series of the block
+    sequences with larger parts that reach the state, and its lowest power.
+    At each v, every state tries a block of each length a, whose rows start
+    at rho; step(state, v, a) is the route's state after the block, or None
+    where the route cuts it.  The block carries q^z: a row of part v at
+    0-based row index x mod n has (v - 1 - x) // n + 1 residue-0 nodes
+    (none when x >= v).  The new states merge into the dict only after v
+    is done, so no two blocks share a part.  Each state left at the end,
+    the start state among them (the empty partition), is closed:
+    close(state) is the class's sorted label pair (k, j - k), to which its
+    series is added.
     """
-    end = [0] * n
-    end[k % n] += 1
-    end[(j - k) % n] += 1
-    return tuple(sums.get(tuple(end), [0] * (order + 1)))
+    size = order + 1
+    states = {start: [0, [1] + [0] * order]}
+    for v in range(n * order, 0, -1):
+        zeros = [(v - 1 - x) // n + 1 for x in range(n)]
+        ahead: dict = {}
+        for state, (low, series) in states.items():
+            rho = state[-1]
+            shift = 0
+            for a in range(1, n):
+                shift += zeros[(rho + a - 1) % n]
+                if low + shift > order:
+                    break
+                after = step(state, v, a)
+                if after is not None:
+                    _add_into(ahead, after, low + shift, series, shift, size)
+        for state, (low, series) in ahead.items():
+            _add_into(states, state, low, series, 0, size)
+    sums: dict = {}
+    for state, (low, series) in states.items():
+        _add_into(sums, close(state), low, series, 0, size)
+    return sums
 
 
-def _paths_series(n: int, j: int, k: int, order: int) -> tuple[int, ...]:
-    return class_paths_series(configuration_sums(n, j, order), n, j, k, order)
+def _add_into(table: dict, key, low: int, series: list, shift: int, size: int) -> None:
+    """Add q^shift times `series`, whose lowest power after the shift is low, into table[key].
+
+    A new entry gets a list of its own, so no two entries share one.
+    """
+    out = table.get(key)
+    if out is None:
+        table[key] = [low, [0] * shift + series[: size - shift]]
+        return
+    if low < out[0]:
+        out[0] = low
+    top = out[1]
+    top[low:] = map(add, top[low:], series[low - shift : size - shift])
 
 
-def _fow_series(n: int, j: int, k: int, order: int) -> tuple[int, ...]:
-    return _class_members(n, j, k, order, fow_prefix(n, j), fow_close)
+def _labels(counts) -> tuple[int, ...]:
+    """The residues of a level-2 weight's L-coefficients, each as often as its coefficient."""
+    return tuple(i for i, c in enumerate(counts) for _ in range(c))
 
 
-def _crystal_series(n: int, j: int, k: int, order: int) -> tuple[int, ...]:
-    return _class_members(n, j, k, order, eps_prefix(n, j), eps_close(n, j))
+def _paths_route(n: int, j: int) -> tuple:
+    """`in_path_set`'s block rule, read as runs: the state is (lam, rho), from lam = L(j).
+
+    A block first raises lam at (v - rho) mod n, the raise the block above
+    left pending (for the first block, L(lambda_1 mod n)), then lowers it at
+    (v - rho - a) mod n, and is cut if that coefficient is 0.  The end
+    raises lam at -rho; the class is the end point lam = L(k) + L(j - k).
+    """
+    lam = [0] * n
+    lam[j] += 1
+
+    def step(state, v, a):
+        lam, rho = state
+        lam = list(lam)
+        lam[(v - rho) % n] += 1
+        low = (v - rho - a) % n
+        if not lam[low]:
+            return None
+        lam[low] -= 1
+        return tuple(lam), (rho + a) % n
+
+    def close(state):
+        lam, rho = state
+        lam = list(lam)
+        lam[-rho % n] += 1
+        return _labels(lam)
+
+    return (tuple(lam), 0), step, close
 
 
-def _fermionic_series(n: int, j: int, k: int, order: int) -> tuple[int, ...]:
-    s, t = sorted((k, (j - k) % n))
-    return fermionic_series(n, s, t, order)
+def _fow_route(n: int, j: int) -> tuple:
+    """The chain congruence on consecutive blocks: the state is (after, x, rho).
+
+    `after` is (v + a) mod n of the last block, and j before the first: the
+    first block needs a ≡ v - j (mod n), and each later one
+    a ≡ v - (v_prev + a_prev), which is a_i + v_i - v_{i+1} + a_{i+1} ≡ 0.
+    x is (v - R) mod n of the last block, R the rows above it.  The
+    congruence telescopes the residue content, so the class is read off the
+    end: its labels are x and -l mod n, l the row count.  The start's x is
+    j, so the empty partition reads (0, j), the class (j, 0).
+    """
+
+    def step(state, v, a):
+        after, _, rho = state
+        if (v - after - a) % n:
+            return None
+        return (v + a) % n, (v - rho) % n, (rho + a) % n
+
+    def close(state):
+        _, x, rho = state
+        return tuple(sorted((x, -rho % n)))
+
+    return (j, j, 0), step, close
+
+
+def _crystal_route(n: int, j: int) -> tuple:
+    """The eps-profile, one signature step per block: the state is (eps_j, plus, rho).
+
+    `plus` counts the surviving "+" per residue.  A block's first row puts
+    its addable node's "+" at (v - rho) mod n; its last row's removable
+    node, settled by the smaller part below, puts a "-" at
+    (v - rho - a) mod n, which cancels a "+" of that residue, or else
+    raises eps_j from 0, or is cut: a "-" that no "+" above cancels stays,
+    so a settled eps only grows, and it must end at e_j.  The end adds the
+    empty row's "+" at -rho, giving phi; phi - eps is the weight
+    L(k) + L(j - k) - L(j), so the labels are those of phi + (1 - eps_j) e_j
+    (the empty partition, eps = 0 and phi = e_0, is class (j, 0)).
+    """
+
+    def step(state, v, a):
+        eps, plus, rho = state
+        plus = list(plus)
+        plus[(v - rho) % n] += 1
+        x = (v - rho - a) % n
+        if plus[x]:
+            plus[x] -= 1
+        elif x == j and not eps:
+            eps = 1
+        else:
+            return None
+        return eps, tuple(plus), (rho + a) % n
+
+    def close(state):
+        eps, plus, rho = state
+        phi = list(plus)
+        phi[-rho % n] += 1
+        phi[j] += 1 - eps
+        return _labels(phi)
+
+    return (0, (0,) * n, 0), step, close
+
+
+def sweep_series(n: int, j: int, order: int, method: str) -> dict[int, tuple[int, ...]]:
+    """The series of every class (j, k), k = 0..n-1, by one block sweep of the named route.
+
+    `method` is "paths", "fow" or "crystal"; each route's (start, step,
+    close) reads its own test, block by block.  k and (j - k) mod n name the
+    same class and get the same series.
+    """
+    check_rank(n)
+    check_order(order)
+    # Looked up per call, so that a rebinding of a route's global name takes effect.
+    routes = {"paths": _paths_route, "fow": _fow_route, "crystal": _crystal_route}
+    if method not in routes:
+        raise ValueError(f"unknown sweep method {method!r}; expected one of {tuple(routes)}")
+    j %= n
+    sums = _sweep(n, order, *routes[method](n, j))
+    series = {}
+    for k in range(n):
+        pair = tuple(sorted((k, (j - k) % n)))
+        series[k] = tuple(sums[pair][1]) if pair in sums else (0,) * (order + 1)
+    return series
 
 
 def branching_series(n: int, j: int, k: int, order: int, method: str) -> tuple[int, ...]:
     """Coefficients of b(j, k) up to q^order by the named route.
 
-    "paths" sums the path configurations by transfer matrix; "fow" and
-    "crystal" count the class's members of every d in one memoized walk
-    over its residue contents, each pruned by its own prefix test and
-    closed by its own test on the last row; "fermionic" evaluates the
-    lattice sum.
+    "paths", "fow" and "crystal" read the class from one block sweep of
+    their route over every class of j (`sweep_series`); "fermionic"
+    evaluates the lattice sum.
     """
     check_rank(n)
     check_order(order)
@@ -358,15 +418,10 @@ def branching_series(n: int, j: int, k: int, order: int, method: str) -> tuple[i
         raise ValueError(f"unknown method {method!r}; expected one of {METHODS}")
     j %= n
     k %= n
-    # Looked up per call, not held in a module-level table, so that a
-    # rebinding of a route's global name takes effect here.
-    count = {
-        "paths": _paths_series,
-        "fow": _fow_series,
-        "crystal": _crystal_series,
-        "fermionic": _fermionic_series,
-    }[method]
-    return count(n, j, k, order)
+    if method == "fermionic":
+        s, t = sorted((k, (j - k) % n))
+        return fermionic_series(n, s, t, order)
+    return sweep_series(n, j, order, method)[k]
 
 
 def verify_fow_theorem(n: int, max_size: int) -> VerificationReport:

@@ -4,13 +4,7 @@ from __future__ import annotations
 
 from collections import Counter
 
-from .branching import (
-    METHODS,
-    branching_series,
-    class_paths_series,
-    configuration_sums,
-    verify_fow_theorem,
-)
+from .branching import METHODS, branching_series, sweep_series, verify_fow_theorem
 from .cores import (
     _bead_count,
     _pushed_partition,
@@ -48,20 +42,21 @@ SUITES = tuple(_RUNNERS)
 def verify_methods(n: int, order: int) -> VerificationReport:
     """All four evaluation routes agree on every class up to the given order.
 
-    The paths route runs one configuration sum per j and reads every k from it.
+    The paths, fow and crystal routes each run one block sweep per j and
+    read every k from it; the fermionic route sums its lattice per class.
     A failure names first_d, the first power of q at which the routes part.
     """
     check_rank(n)
     with VerificationReport(suite=f"methods(n={n}, order={order})") as report:
         for j in range(n):
-            sums = configuration_sums(n, j, order)
+            sweeps = {m: sweep_series(n, j, order, m) for m in METHODS if m != "fermionic"}
             # One k per distinct target class; k and (j - k) mod n label the same one.
             for k in range(n):
                 if k > (j - k) % n:
                     continue
                 rows = {
-                    method: class_paths_series(sums, n, j, k, order)
-                    if method == "paths"
+                    method: sweeps[method][k]
+                    if method in sweeps
                     else branching_series(n, j, k, order, method)
                     for method in METHODS
                 }

@@ -24,9 +24,11 @@ rule that rebuilds the tail of the list at each step),
 exponent form), `product_lattice_sum` (each lattice-sum term a
 truncated product of 1/(q)_{m_i} series, in place of dividing one list),
 `rescan_configuration_sums` (the transfer matrix that steps the weight of
-every state and scans each series for its lowest power) and
-`two_pass_row_choices` (the row step that copies the content, then takes
-the row off it).
+every state and scans each series for its lowest power, the paths route
+before the block sweep) and `two_pass_row_choices` (the row step that
+copies the content, then takes the row off it).  `eps_prefix` and
+`eps_close` are the crystal route's content-walk tests from before the
+block sweep; `listed_series` lists each class with them.
 """
 
 from collections import Counter
@@ -367,10 +369,28 @@ def crystal_member(p, n: int, j: int) -> bool:
     return not p or eps_index(p, n) == j
 
 
+def residue_class(p, n: int, j: int):
+    """The sorted label pair (k, j - k) of the class of p for index j, read from its content.
+
+    The members of class (j, k) with d residue-0 nodes have the content
+    `class_residue_counts(n, j, k)` + d (1, ..., 1); None when p's content
+    is that of no class.
+    """
+    from slnbranch.branching import class_residue_counts
+    from slnbranch.partitions import residue_counts
+
+    m = residue_counts(p, n)
+    base = tuple(c - m[0] for c in m)
+    for k in range(n):
+        if class_residue_counts(n, j, k) == base:
+            return tuple(sorted((k, (j - k) % n)))
+    return None
+
+
 def settled_eps_prefix(n: int, j: int):
     """The crystal route's prefix test without its look-ahead: settled rows only.
 
-    The reference `crystal.eps_prefix` is checked against.  Its value for
+    The reference `eps_prefix` is checked against.  Its value for
     a row is (eps_j, plus), the eps_j and surviving "+" counts of the rows
     above the candidate, whose removable nodes are settled; it cuts only
     where a settled node raises eps past e_j (with `CUT_ROW`, as that node
@@ -412,6 +432,111 @@ def settled_eps_close(n: int, j: int):
     return close
 
 
+def eps_prefix(n: int, j: int):
+    """Carry the eps of the rows above a candidate row; falsy once no completion can reach e_j.
+
+    The library's earlier crystal prefix test, kept as a reference: the
+    crystal route counted with it on the content walk before the block
+    sweep, and `listed_series` lists with it.
+
+    Returns the content walk's prefix test prefix(v, v1, run, r, above),
+    bound to n and j, whose arguments are checked here.  Its window holds
+    the candidate part v, the part v1 of the row above, the length of that
+    row's run so far, the candidate's row index r mod n, and `above`, this
+    test's value for the row above (None for the first row).  The rows
+    above the candidate have their lower neighbours placed, so their
+    removable nodes are settled, and a surviving "-" is cancelled only by a
+    "+" above it.  Their eps vector is therefore a lower bound for the eps
+    vector of every partition that begins with them.
+
+    It runs one step of `crystal._scan`.  Its value for a row is (eps_j, plus,
+    settles): the eps vector of the settled rows, which is eps_j e_j on
+    every prefix that passes, their count of surviving "+" per residue, and
+    the bitmask of the residues whose "-" they can absorb, those with a
+    surviving "+" and j while eps_j is 0.  The first row settles nothing.
+    Each later candidate settles the row above it (row r, counted from 1),
+    whose removable node, there when v1 > v, cancels a "+" of its residue
+    or else raises eps, and whose addable node, there when it starts its
+    run (run == 1), adds a "+".  Inside a run neither is there, and the
+    value is `above` itself.  The removable node's residue x = (v1 - r) mod n
+    does not depend on v, so when it would raise eps past e_j every v < v1
+    fails alike and the test returns `CUT_ROW`.
+
+    The look-ahead: the run through the candidate, of length L so far,
+    ends within its next n - 1 - L rows, so its "-" lands on a residue
+    (v - r - 1 - t) mod n with t < n - L, and no row before its end settles
+    a node.  When `settles` holds none of those residues, no completion
+    reaches e_j and the candidate alone is cut, with None; the next row
+    step or `eps_close` would read the same node against the same counts.
+    (The run's addable node is on none of those residues.)  The test reads
+    v1 only through v == v1, v < v1 and v1 mod n, and for v < v1, where
+    L = 1, it reads run only as run == 1, as the contract asks.
+    """
+    from slnbranch.cores import CUT_ROW
+    from slnbranch.partitions import check_residue
+
+    check_residue(n, j)
+    # ends[x][L]: the residues x - 1 - t, t < n - L, as a bitmask; none
+    # for L = n, a run the walk never offers.
+    ends = [
+        [sum(1 << (x - 1 - t) % n for t in range(n - L)) for L in range(n + 1)] for x in range(n)
+    ]
+    first = (0, (0,) * n, 1 << j)
+
+    def prefix(v, v1, run, r, above):
+        if above is None:
+            value, length = first, 1
+        elif v == v1 and run != 1:
+            value, length = above, run + 1
+        else:
+            eps, plus, settles = above
+            plus = list(plus)
+            length = 2 if v == v1 else 1
+            if v1 > v:
+                x = (v1 - r) % n
+                if plus[x]:
+                    plus[x] -= 1
+                    if not plus[x] and (x != j or eps):
+                        settles ^= 1 << x
+                elif x != j or eps:
+                    return CUT_ROW  # x does not depend on v: every v < v1 fails
+                else:
+                    eps = 1
+                    settles ^= 1 << j
+            if run == 1:
+                x = (v1 + 1 - r) % n
+                plus[x] += 1
+                settles |= 1 << x
+            value = eps, tuple(plus), settles
+        return value if value[2] & ends[(v - r) % n][length] else None
+
+    return prefix
+
+
+def eps_close(n: int, j: int):
+    """Whether the last row of a walked partition leaves eps = e_j.
+
+    The library's earlier crystal closing test, kept with `eps_prefix`.
+
+    Returns the content walk's closing test close(v, r, value), bound to n
+    and j, whose arguments are checked here.  The empty row below the last
+    row (index r mod n from 0, part v) settles its removable node.  `value`
+    is the `eps_prefix` value for that row; the node cancels a surviving "+"
+    of its residue, leaving eps as it was, or else raises eps_j from 0.
+    Either way eps must end at e_j.
+    """
+    from slnbranch.partitions import check_residue
+
+    check_residue(n, j)
+
+    def close(v, r, value):
+        eps, plus, _ = value
+        x = (v - r - 1) % n
+        return eps == 1 if plus[x] else x == j and not eps
+
+    return close
+
+
 def listed_series(n: int, j: int, k: int, order: int) -> dict:
     """Reference for the two counting routes: list each class bucket, then filter its leaves.
 
@@ -424,7 +549,6 @@ def listed_series(n: int, j: int, k: int, order: int) -> dict:
     """
     from slnbranch.branching import class_residue_counts, fow_prefix, in_fow
     from slnbranch.cores import regular_partitions_with_content
-    from slnbranch.crystal import eps_prefix
 
     j %= n
     routes = {

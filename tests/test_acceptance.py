@@ -194,12 +194,22 @@ def test_criterion_9_four_routes_agree_at_the_frontier():
             for method in ("paths", "fow", "crystal", "fermionic")
         }
         assert len(set(rows.values())) == 1, (n, order, rows)
+    for n, order in ((4, 200), (6, 100), (8, 60), (10, 40)):
+        for j in range(n):
+            for k in range(n):
+                if k > (j - k) % n:
+                    continue
+                rows = {
+                    method: branching_series(n, j, k, order, method)
+                    for method in ("paths", "fow", "crystal", "fermionic")
+                }
+                assert len(set(rows.values())) == 1, (n, order, j, k, rows)
     _stamp(
         9,
         "four routes agree on class (1,0) at (4,20), (5,16), (6,12), (4,24), (5,20), "
         "(4,36), (5,28), (6,22), (3,45), (4,60), (5,48), (6,40), (7,30), (8,24), (4,80), "
         "(5,60), (6,48), (7,40), (8,32), (4,100), (5,72), (6,60), (7,48), (8,40), (9,30), "
-        "(10,24)",
+        "(10,24), and on every class at (4,200), (6,100), (8,60), (10,40)",
         start,
         30,
     )

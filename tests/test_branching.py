@@ -17,19 +17,34 @@ from slnbranch import (
     verify_fow_theorem,
     weight_of,
 )
-from slnbranch.branching import METHODS, configuration_sums, fow_close, fow_prefix
-from slnbranch import cores
+from slnbranch import branching
+from slnbranch.branching import (
+    METHODS,
+    _class_members,
+    _crystal_route,
+    _fow_route,
+    _paths_route,
+    _sweep,
+    fow_close,
+    fow_prefix,
+    sweep_series,
+)
 from slnbranch.cores import CUT_ROW, count_by_weight
-from slnbranch.crystal import _scan, eps_close, eps_index, eps_prefix
+from slnbranch.crystal import _scan, eps_index
+from slnbranch.partitions import exponent_form
 
 from oracles import (
     column_walk_in_path_set,
+    crystal_member,
     dominant_path,
+    eps_close,
+    eps_prefix,
     filtered_bucket_series,
     listed_series,
     path_coordinates,
     prefix_steps,
     prefix_value,
+    residue_class,
     settled_eps_close,
     settled_eps_prefix,
 )
@@ -283,9 +298,82 @@ class TestRoutesAgainstFilteredBuckets:
         # weight with j = (sum of its two labels) mod n.
         for n in (2, 3, 4, 5):
             for j in range(n):
-                for lam in configuration_sums(n, j, 6):
-                    labels = [i for i, c in enumerate(lam) for _ in range(c)]
-                    assert len(labels) == 2 and sum(labels) % n == j, (n, j, lam)
+                for labels in _sweep(n, 6, *_paths_route(n, j)):
+                    assert len(labels) == 2 and sum(labels) % n == j, (n, j, labels)
+
+
+# Each route's sweep factory and its membership test.
+SWEEPS = {
+    "paths": (_paths_route, in_path_set),
+    "fow": (_fow_route, in_fow),
+    "crystal": (_crystal_route, crystal_member),
+}
+# The listing reference's size bound at each rank.
+LISTED_SIZES = {2: 22, 3: 22, 4: 20, 5: 20, 6: 18, 7: 18}
+
+
+class TestBlockSweep:
+    """Each route's block sweep against every n-regular partition, filtered by its test."""
+
+    @pytest.mark.parametrize("n", sorted(LISTED_SIZES))
+    def test_every_class_equals_the_filtered_listing(self, n):
+        # Coefficient d of class (j, k) counts partitions of size
+        # n d + sum(class_residue_counts(n, j, k)), so the listing up to
+        # `size` holds every such partition up to that d.
+        size = LISTED_SIZES[n]
+        order = size // n + 1
+        regular = [(p, residue_counts(p, n)[0]) for p in partitions_up_to(size, regular=n)]
+        for j in range(n):
+            listed = {route: {k: [0] * (order + 1) for k in range(n)} for route in SWEEPS}
+            for p, d in regular:
+                if d > order:
+                    continue
+                pair = residue_class(p, n, j)
+                for route, (_, member) in SWEEPS.items():
+                    if member(p, n, j):
+                        assert pair is not None, (n, j, p, route)
+                        for k in set(pair):
+                            listed[route][k][d] += 1
+            for route in SWEEPS:
+                got = sweep_series(n, j, order, route)
+                for k in range(n):
+                    top = min(order, (size - sum(class_residue_counts(n, j, k))) // n)
+                    expected = tuple(listed[route][k][: top + 1])
+                    assert got[k][: top + 1] == expected, (n, j, k, route)
+
+    @pytest.mark.parametrize("n", sorted(LISTED_SIZES))
+    def test_class_readings_equal_residue_counts(self, n):
+        # Stepping a partition's blocks through a route's sweep step cuts it
+        # exactly when it is not a member, and the close of a member reads
+        # the class its residue content names.
+        for p in partitions_up_to(LISTED_SIZES[n] - 4, regular=n):
+            for j in range(n):
+                pair = residue_class(p, n, j)
+                for route, (make, member) in SWEEPS.items():
+                    start, step, close = make(n, j)
+                    state = start
+                    for v, a in exponent_form(p):
+                        state = step(state, v, a)
+                        if state is None:
+                            break
+                    if member(p, n, j):
+                        assert state is not None and close(state) == pair, (p, j, route)
+                    else:
+                        assert state is None, (p, j, route)
+
+    def test_the_empty_partition_is_class_j0_which_is_class_jj(self):
+        # At order 0 the empty partition is the only partition counted; it
+        # belongs to class (j, 0), which (j, j) labels too.
+        for n in range(2, 8):
+            for j in range(n):
+                for route in SWEEPS:
+                    got = sweep_series(n, j, 0, route)
+                    assert got == {k: (1,) if k in (0, j) else (0,) for k in range(n)}, (n, j)
+                    assert branching_series(n, j, j, 0, route) == (1,)
+
+    def test_unknown_sweep_rejected(self):
+        with pytest.raises(ValueError, match="unknown sweep method 'fermionic'"):
+            sweep_series(3, 0, 2, "fermionic")
 
 
 class TestCountingRoutes:
@@ -335,8 +423,8 @@ class TestCountingRoutes:
 
     @pytest.mark.parametrize("n,order", [(2, 16), (3, 14), (4, 12), (5, 10)])
     def test_shared_memo_equals_a_fresh_memo_per_d(self, n, order):
-        # A route call shares one memo by every d; counting each d's content
-        # on its own, with a fresh memo, gives the same series.
+        # A class count shares one memo by every d; counting each d's
+        # content on its own, with a fresh memo, gives the same series.
         for j in range(n):
             for k in range(n):
                 base = class_residue_counts(n, j, k)
@@ -348,8 +436,9 @@ class TestCountingRoutes:
                         count_by_weight(n, [c + d for c in base], 0, prefix, close)[0]
                         for d in range(order + 1)
                     )
-                    got = branching_series(n, j, k, order, route)
+                    got = _class_members(n, j, k, order, prefix, close)
                     assert got == fresh, (n, j, k, route)
+                    assert got == branching_series(n, j, k, order, route), (n, j, k, route)
 
     def test_eps_prefix_keeps_the_value_inside_a_run(self):
         # A candidate equal to a row above that does not start its run
@@ -499,39 +588,65 @@ class TestLookAhead:
             assert prefix_value(settled_eps_prefix(3, j), p, 3), (j, p)
             assert p not in heads[j], (j, p)
 
+    # The crystal route no longer walks rows: the two tests below count the
+    # block sweep that replaced its content walk.
+
     @pytest.mark.parametrize("n,order", [(3, 24), (4, 24), (5, 18), (6, 16)])
     def test_crystal_row_steps_stay_near_fow(self, n, order, monkeypatch):
-        # The look-ahead keeps the crystal walk within a quarter of the fow
-        # walk's row steps on every class (without it, up to twice).
-        steps = count_row_steps(monkeypatch)
+        # The crystal sweep holds one state more than the fow sweep's n, its
+        # start, so it makes at most (n + 1) / n times the fow block steps.
+        steps, _ = count_block_steps(monkeypatch)
         for j in range(n):
-            for k in range(n):
-                made = {}
-                for route in ("fow", "crystal"):
-                    steps.clear()
-                    branching_series(n, j, k, order, route)
-                    made[route] = steps["calls"]
-                assert made["crystal"] <= 1.25 * made["fow"], (n, j, k, made)
+            steps.clear()
+            for route in ("fow", "crystal"):
+                sweep_series(n, j, order, route)
+            assert n * steps["crystal"] <= (n + 1) * steps["fow"], (n, j, steps)
 
     def test_crystal_states_on_one_class(self, monkeypatch):
-        # Each row step but the first of each d fills one memo state: on
-        # class (1, 0) at (4, 44), 5,456 states (9,761 without the look-ahead).
-        steps = count_row_steps(monkeypatch)
-        branching_series(4, 1, 0, 44, "crystal")
-        assert steps["calls"] - 45 <= 6000
+        # The sweep for class (1, 0) at (4, 44) holds n + 1 = 5 crystal states:
+        # the start, and one per rho, since after the first block the one
+        # surviving "+" sits at residue j + rho.  The paths and fow sweeps
+        # hold n each; the content walk filled 5,456 memo states here.
+        steps, states = count_block_steps(monkeypatch)
+        for route in ("paths", "fow", "crystal"):
+            branching_series(4, 1, 0, 44, route)
+        assert {route: len(seen) for route, seen in states.items()} == {
+            "paths": 4,
+            "fow": 4,
+            "crystal": 5,
+        }
+        assert all(steps.values())
 
 
-def count_row_steps(monkeypatch):
-    """A Counter of the calls to `cores._row_choices`, rebound for the test."""
+def count_block_steps(monkeypatch):
+    """The block steps per route (a Counter) and the states each sweep reaches.
+
+    Each route's factory is rebound for the test; `sweep_series` looks it
+    up by its global name on every call.
+    """
     steps = Counter()
-    row_choices = cores._row_choices
+    states = {}
 
-    def counted(*args):
-        steps["calls"] += 1
-        return row_choices(*args)
+    def counted(route, make):
+        def made(n, j):
+            start, step, close = make(n, j)
+            seen = states.setdefault(route, set())
+            seen.add(start)
 
-    monkeypatch.setattr(cores, "_row_choices", counted)
-    return steps
+            def counted_step(state, v, a):
+                steps[route] += 1
+                after = step(state, v, a)
+                if after is not None:
+                    seen.add(after)
+                return after
+
+            return start, counted_step, close
+
+        return made
+
+    for route, make in (("paths", _paths_route), ("fow", _fow_route), ("crystal", _crystal_route)):
+        monkeypatch.setattr(branching, f"_{route}_route", counted(route, make))
+    return steps, states
 
 
 def route_prefixes(n):

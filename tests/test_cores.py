@@ -30,11 +30,12 @@ from slnbranch.cores import (
     _spread,
     count_by_weight,
 )
-from slnbranch.crystal import eps_close, eps_prefix
 from oracles import (
     abacus_core,
     charge_vector,
     crystal_member,
+    eps_close,
+    eps_prefix,
     filtered_n_cores,
     position_scan_pushed_partition,
     prefix_value,

@@ -24,9 +24,17 @@ from slnbranch import (
     weight_of,
 )
 from slnbranch.branching import fow_prefix
-from slnbranch.crystal import _signatures, eps_close, eps_index, eps_prefix
+from slnbranch.crystal import _signatures, eps_index
 
-from oracles import add_cell, remove_cell, signature_word, simple_root, weight_difference
+from oracles import (
+    add_cell,
+    eps_close,
+    eps_prefix,
+    remove_cell,
+    signature_word,
+    simple_root,
+    weight_difference,
+)
 
 
 @st.composite

@@ -7,20 +7,31 @@ reference that makes the passes separately, on every partition of size at
 most 20 for n = 2..7 and on long inputs.
 
 Two counting kernels are compared with the library's earlier ones too:
-`configuration_sums`, which steps each weight once and carries each
-state's lowest power, and the content walk's row step, which takes a row's
-content in one pass.
+the paths route's block sweep, whose configuration sums must equal the
+transfer matrix that stepped one column at a time, and the content walk's
+row step, which takes a row's content in one pass.
 """
 
 import pytest
 
 from slnbranch import cores
-from slnbranch.branching import branching_series, configuration_sums, fow_index, in_path_set
+from slnbranch.branching import (
+    _class_members,
+    _paths_route,
+    _sweep,
+    fow_close,
+    fow_index,
+    fow_prefix,
+    in_path_set,
+    sweep_series,
+)
 from slnbranch.cores import _pushed_partition, _runners, block_series, n_core, n_cores
 from slnbranch.partitions import partitions_up_to, residue_counts
 from oracles import (
     abacus_core,
     column_walk_in_path_set,
+    eps_close,
+    eps_prefix,
     naive_residue_counts,
     rescan_configuration_sums,
     two_pass_fow_index,
@@ -71,10 +82,17 @@ def test_kernels_equal_their_references_on_long_inputs(n):
 
 
 def check_configuration_sums(n, j, order):
-    sums = configuration_sums(n, j, order)
-    assert sums == rescan_configuration_sums(n, j, order), (n, j, order)
-    # Series are added into in place, so no two end points may share one list.
-    assert len({id(series) for series in sums.values()}) == len(sums)
+    # The transfer matrix sums the paths by end point L(k) + L(j - k).
+    expected = {}
+    for lam, series in rescan_configuration_sums(n, j, order).items():
+        labels = [i for i, c in enumerate(lam) for _ in range(c)]
+        for k in labels:
+            expected[k] = tuple(series)
+    got = sweep_series(n, j, order, "paths")
+    assert got == {k: expected.get(k, (0,) * (order + 1)) for k in range(n)}, (n, j, order)
+    # Series are added into in place, so no two classes may share one list.
+    sums = _sweep(n, order, *_paths_route(n, j))
+    assert len({id(series) for _, series in sums.values()}) == len(sums)
 
 
 @pytest.mark.parametrize("n", range(2, 7))
@@ -104,11 +122,12 @@ def test_row_step_equals_the_two_pass_row_step(monkeypatch, n):
         return choices
 
     monkeypatch.setattr(cores, "_row_choices", compared)
-    # Every state the fow and crystal walks of each class reach, up to order 8.
+    # Every state the fow and crystal content walks of each class reach, up
+    # to order 8, under the chain congruence and the crystal reference tests.
     for j in range(n):
         for k in range(n):
-            for method in ("fow", "crystal"):
-                branching_series(n, j, k, 8, method)
+            _class_members(n, j, k, 8, fow_prefix(n, j), fow_close)
+            _class_members(n, j, k, 8, eps_prefix(n, j), eps_close(n, j))
     # And every state of the blocks of the cores up to size 8, up to n-weight 8.
     for mu in n_cores(n, 8):
         block_series(n, mu, 8)

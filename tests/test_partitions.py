@@ -41,9 +41,9 @@ from slnbranch import (
     residue_counts,
     weight_of,
 )
-from slnbranch.branching import configuration_sums, fow_index, fow_prefix, in_path_set
+from slnbranch.branching import fow_index, fow_prefix, in_path_set, sweep_series
 from slnbranch.cores import count_by_weight
-from slnbranch.crystal import eps_close, eps_index, eps_prefix
+from slnbranch.crystal import eps_index
 from slnbranch.qseries import scaled_inverse_cartan
 from oracles import (
     add_cell,
@@ -275,10 +275,9 @@ RANKED_CALLS = {
     "chi_by_branching": lambda n: chi_by_branching(n, (), 2),
     "scaled_inverse_cartan": scaled_inverse_cartan,
     "count_by_weight": lambda n: count_by_weight(n, (0,) * n, 2),
+    "sweep_series": lambda n: sweep_series(n, 0, 2, "paths"),
     # Checked when called: the iterator is not advanced, nor the test run.
     "partitions_up_to": lambda n: partitions_up_to(3, regular=n),
-    "eps_prefix": lambda n: eps_prefix(n, 0),
-    "eps_close": lambda n: eps_close(n, 0),
     "fow_prefix": lambda n: fow_prefix(n),
 }
 
@@ -293,7 +292,7 @@ def test_rank_below_two_rejected(name, n):
 # Every entry point that takes a truncation order rejects order < 0 with the
 # same message, whichever route it counts by.
 ORDERED_CALLS = {
-    "configuration_sums": lambda order: configuration_sums(3, 1, order),
+    "sweep_series": lambda order: sweep_series(3, 1, order, "paths"),
     "branching_series": lambda order: branching_series(3, 1, 0, order, "paths"),
     "lattice_points": lambda order: list(lattice_points(3, 0, 1, order)),
     "chi_direct": lambda order: chi_direct(3, (), order),

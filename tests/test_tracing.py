@@ -59,11 +59,9 @@ def test_traced_cli_counts_every_route(tmp_path):
     for name in (
         "branching.in_path_set",
         "branching.in_fow",
-        # The fow and crystal routes of `branching --method all` each count
-        # their whole series in one call through these two, so their spans
-        # must not fall to zero.
-        "branching._census",
-        "branching._class_members",
+        # The paths, fow and crystal routes of `branching --method all`
+        # each run one block sweep inside this span.
+        "branching.branching_series",
         "crystal.epsilon_vector",
         "jantzen_seitz.is_js",
         "jantzen_seitz.is_js_by_crystal",

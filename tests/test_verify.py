@@ -407,16 +407,16 @@ def test_crystal_records_size_counts_before_vertices(monkeypatch):
 
 
 def test_methods_names_the_first_power_where_the_routes_part(monkeypatch):
-    real = verify.branching_series
+    real = verify.sweep_series
 
-    def bumped(n, j, k, order, method):
-        series = real(n, j, k, order, method)
-        if method == "fow" and (j, k) == (1, 0):
-            return tuple(c + (d in (3, 5)) for d, c in enumerate(series))
-        return series
+    def bumped(n, j, order, method):
+        sweep = real(n, j, order, method)
+        if method == "fow" and j == 1:
+            sweep[0] = tuple(c + (d in (3, 5)) for d, c in enumerate(sweep[0]))
+        return sweep
 
     assert verify.verify_methods(3, 6).ok
-    monkeypatch.setattr(verify, "branching_series", bumped)
+    monkeypatch.setattr(verify, "sweep_series", bumped)
     report = verify.verify_methods(3, 6)
     [failure] = report.failures
     assert list(failure)[:3] == ["j", "k", "first_d"]
@@ -426,13 +426,15 @@ def test_methods_names_the_first_power_where_the_routes_part(monkeypatch):
 
 
 def test_methods_names_where_a_short_series_stops(monkeypatch):
-    real = verify.branching_series
+    real = verify.sweep_series
 
-    def truncated(n, j, k, order, method):
-        series = real(n, j, k, order, method)
-        return series[:4] if method == "fow" and (j, k) == (1, 0) else series
+    def truncated(n, j, order, method):
+        sweep = real(n, j, order, method)
+        if method == "fow" and j == 1:
+            sweep[0] = sweep[0][:4]
+        return sweep
 
-    monkeypatch.setattr(verify, "branching_series", truncated)
+    monkeypatch.setattr(verify, "sweep_series", truncated)
     report = verify.verify_methods(3, 6)
     # The series agree on their common prefix, so they part where the short one ends.
     [failure] = report.failures
