@@ -218,6 +218,8 @@ def fow_close(v: int, r: int, value) -> bool:
     return a == need or need is None
 
 
+# No route counts through these two since the block sweep; `perfbench/tracer.py`
+# still wraps them by name, and the tests count content walks with them.
 def _census(n: int, base: tuple[int, ...], order: int, prefix, close) -> tuple[int, ...]:
     """How many n-regular partitions of each content base + d (1, ..., 1) pass a route's tests."""
     return count_by_weight(n, base, order, prefix, close)

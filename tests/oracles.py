@@ -573,7 +573,7 @@ def filtered_bucket_series(n: int, j: int, k: int, order: int) -> dict:
     pass each route's membership test.  Unlike the rest of this module it
     uses the package's own bucket walk and membership tests, which the
     tests check against brute-force enumeration; what it leaves out is the
-    transfer matrix and the prefix pruning of the routes under test.
+    block sweeps of the routes under test.
     """
     from slnbranch.branching import class_residue_counts, in_fow, in_path_set
     from slnbranch.cores import regular_partitions_with_content
@@ -764,10 +764,11 @@ def two_pass_fow_index(p, n: int):
 
 
 def rescan_configuration_sums(n: int, j: int, order: int) -> dict:
-    """The library's earlier `configuration_sums`, kept as a reference for its transfer matrix.
+    """The library's earlier `configuration_sums`, kept as a reference for the paths route.
 
-    Every state steps its own weight, finds its lowest nonzero power by a
-    scan, and adds series term by term.
+    The transfer matrix over the columns of a partition, before the block
+    sweep replaced it.  Every state steps its own weight, finds its lowest
+    nonzero power by a scan, and adds series term by term.
     """
     j %= n
     size = order + 1

@@ -274,7 +274,7 @@ def small_branching_cases(draw):
 
 
 class TestRoutesAgainstFilteredBuckets:
-    """The transfer matrix and the pruned walks equal the filtered unpruned buckets."""
+    """The three block sweeps equal the filtered unpruned buckets."""
 
     @pytest.mark.parametrize("n,order", [(2, 12), (3, 10), (4, 8), (5, 6)])
     def test_every_class(self, n, order):
