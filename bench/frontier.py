@@ -3,12 +3,14 @@
     python3 bench/frontier.py                       # writes BENCH_frontier.json
     python3 bench/frontier.py --against OLD.json    # ... then prints new/old ratios
 
-Two kinds of point, each measured in fresh interpreters that import the
+Three kinds of point, each measured in fresh interpreters that import the
 package from `src/` next to this folder:
 
 - "class": `branching_series(n, 1, 0, order, route)` for each of the four
   routes on the class (1, 0);
-- "every-class": `verify_methods(n, order)`, all four routes on every class.
+- "every-class": `verify_methods(n, order)`, all four routes on every class;
+- "chi": `chi_direct` and `chi_by_branching` (routes "direct" and
+  "branching") on every rectangle core (k^l), k + l <= n, and the empty core.
 
 Each (point, route) runs RUNS times, each in a new process, and the record
 keeps the median of the call's process time (CPU seconds around the call
@@ -16,8 +18,8 @@ alone, not interpreter start-up) and the largest `VmHWM`, the peak
 resident set read from /proc/self/status (None where that file is
 missing).  A run still going after LIMIT_S wall seconds is stopped; the
 (point, route) is then recorded as timed out and not repeated.  A class
-point's routes agree when every route that finished returned the same
-series; an every-class point agrees when the report has no failure.
+or chi point's routes agree when every route that finished returned the
+same series; an every-class point agrees when the report has no failure.
 
 The host's speed drifts by 10-30% between runs, so the reference kernel of
 `perfbench/refkernel.py` (imported read-only, never changed) runs three
@@ -49,6 +51,8 @@ CLASS_POINTS = (
     (3, 200), (4, 160), (4, 400), (6, 200), (10, 100),
 )
 EVERY_CLASS_POINTS = ((4, 24), (6, 16), (4, 60), (6, 40), (4, 200), (6, 100), (8, 60), (10, 40))
+CHI_POINTS = ((3, 60), (4, 40), (6, 24), (8, 14), (10, 10))
+CHI_ROUTES = ("direct", "branching")
 # Repeats on one host move by 10-30%, so each time is a median of five.
 RUNS = 5
 LIMIT_S = 20.0
@@ -65,6 +69,14 @@ if route == "every-class":
     report = verify_methods(n, order)
     seconds = time.process_time() - start
     result = {"ok": report.ok, "cases": report.cases}
+elif route.startswith("chi-"):
+    from slnbranch import chi_by_branching, chi_direct
+    chi = chi_direct if route == "chi-direct" else chi_by_branching
+    cores = [()] + [(k,) * l for k in range(1, n) for l in range(1, n - k + 1)]
+    start = time.process_time()
+    series = [list(chi(n, mu, order)) for mu in cores]
+    seconds = time.process_time() - start
+    result = {"series": series}
 else:
     from slnbranch import branching_series
     start = time.process_time()
@@ -87,7 +99,11 @@ def _env() -> dict:
 
 
 def run_once(n: int, order: int, route: str, limit: float) -> dict | None:
-    """One fresh-interpreter run of a route ("every-class": verify_methods); None on timeout."""
+    """One fresh-interpreter run of a route; None on timeout.
+
+    `route` is a class route, "every-class" (`verify_methods`), or
+    "chi-direct" / "chi-branching" (one chi route on every rectangle core).
+    """
     args = [sys.executable, "-c", _CHILD, str(n), str(order), route]
     try:
         done = subprocess.run(
@@ -134,13 +150,23 @@ def reference_seconds() -> float:
     return float(done.stdout.split()[-1])
 
 
-def class_point(n: int, order: int, runs: int, limit: float) -> dict:
-    routes = {route: measure(n, order, route, runs, limit) for route in ROUTES}
+def _agreeing_point(kind: str, n: int, order: int, routes: dict) -> dict:
+    """A point whose routes agree when every one that finished returned the same series."""
     finished = [r["series"] for r in routes.values() if not r["timed_out"]]
     for record in routes.values():
         record.pop("series", None)
     agree = all(series == finished[0] for series in finished)
-    return {"kind": "class", "n": n, "order": order, "agree": agree, "routes": routes}
+    return {"kind": kind, "n": n, "order": order, "agree": agree, "routes": routes}
+
+
+def class_point(n: int, order: int, runs: int, limit: float) -> dict:
+    routes = {route: measure(n, order, route, runs, limit) for route in ROUTES}
+    return _agreeing_point("class", n, order, routes)
+
+
+def chi_point(n: int, order: int, runs: int, limit: float) -> dict:
+    routes = {route: measure(n, order, "chi-" + route, runs, limit) for route in CHI_ROUTES}
+    return _agreeing_point("chi", n, order, routes)
 
 
 def every_class_point(n: int, order: int, runs: int, limit: float) -> dict:
@@ -155,7 +181,12 @@ def run(runs: int, limit: float) -> dict:
     """Every point, bracketed by the reference kernel; one progress line per point on stderr."""
     before = [reference_seconds() for _ in range(3)]
     points = []
-    for make, grid in ((class_point, CLASS_POINTS), (every_class_point, EVERY_CLASS_POINTS)):
+    grids = (
+        (class_point, CLASS_POINTS),
+        (every_class_point, EVERY_CLASS_POINTS),
+        (chi_point, CHI_POINTS),
+    )
+    for make, grid in grids:
         for n, order in grid:
             point = make(n, order, runs, limit)
             points.append(point)

@@ -25,6 +25,21 @@ def test_every_class_point_reads_the_methods_report():
     assert point["routes"]["all"]["cases"] == 6
 
 
+def test_chi_point_times_both_chi_routes_on_every_rectangle_core():
+    point = frontier.chi_point(3, 4, 1, 60.0)
+    assert point["kind"] == "chi" and (point["n"], point["order"]) == (3, 4)
+    assert point["agree"] is True
+    assert set(point["routes"]) == set(frontier.CHI_ROUTES)
+    for record in point["routes"].values():
+        assert record["timed_out"] is False and "series" not in record
+
+
+def test_chi_routes_return_one_series_per_rectangle_core():
+    # The empty core and (1), (2), (1, 1) at n = 3, as chi_direct counts them.
+    record = frontier.run_once(3, 2, "chi-direct", 60.0)
+    assert record["series"] == [[1, 2, 5], [1, 2, 2], [1, 1, 2], [1, 1, 2]]
+
+
 def test_a_run_past_the_limit_is_recorded_as_timed_out_once():
     record = frontier.measure(3, 4, "paths", 5, 0.001)
     assert record == {"timed_out": True, "limit_s": 0.001}
