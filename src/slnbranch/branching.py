@@ -20,9 +20,10 @@ its own step per block, and reads the class off its own end state:
 - fermionic: the lattice sum of the qseries module.
 
 No route lists a member, and no step reads another route's test or class.
+`jantzen_seitz.chi_direct` counts the Jantzen-Seitz partitions of a block
+by the same sweep, stepping the fow route's congruence with no j fixed.
 `fow_prefix` and `fow_close` carry the chain congruence row by row for the
-content walk of `cores.count_by_weight`, which counts the Jantzen-Seitz
-partitions of a block for `jantzen_seitz`.
+content walk that `jantzen_seitz.js_set` lists the members with.
 """
 
 from __future__ import annotations
@@ -323,7 +324,7 @@ def _paths_route(n: int, j: int) -> tuple:
     return (tuple(lam), 0), step, close
 
 
-def _fow_route(n: int, j: int) -> tuple:
+def _fow_route(n: int, j: int | None) -> tuple:
     """The chain congruence on consecutive blocks: the state is (after, x, rho).
 
     `after` is (v + a) mod n of the last block, and j before the first: the
@@ -333,11 +334,15 @@ def _fow_route(n: int, j: int) -> tuple:
     congruence telescopes the residue content, so the class is read off the
     end: its labels are x and -l mod n, l the row count.  The start's x is
     j, so the empty partition reads (0, j), the class (j, 0).
+
+    With j None, as in `fow_prefix(n)`, the first block's length is free;
+    the step reads only `after` and rho of a state, so a route with a
+    middle field of its own (`jantzen_seitz`'s chi route) steps through it.
     """
 
     def step(state, v, a):
         after, _, rho = state
-        if (v - after - a) % n:
+        if after is not None and (v - after - a) % n:
             return None
         return (v + a) % n, (v - rho) % n, (rho + a) % n
 

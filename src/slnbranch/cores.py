@@ -36,13 +36,16 @@ window of the rows placed: the candidate part, the part above and the
 length of its run, the row index mod n, and the test's own value for the
 row above.  A prefix test that knows no smaller part of a row can pass
 returns `CUT_ROW`, and the row step offers no more parts of that row.
-One walk lists the members; the other, `count_by_weight`, counts them for
-every weight d of a series, on the contents base + d (1, ..., 1), and
-memoizes the count of completions on the small state the future of the
-walk depends on.  That state holds the content left, so one memo, private to
-the call, serves every d; and of a placed part that no row below can
-reach it holds only the residue mod n and whether the part starts its
-run, so states that differ above it share one count.
+One walk lists the members (for `jantzen_seitz.js_set`); the other,
+`count_by_weight`, counts them for every weight d of a series, on the
+contents base + d (1, ..., 1), and memoizes the count of completions on
+the small state the future of the walk depends on.  That state holds the
+content left, so one memo, private to the call, serves every d; and of a
+placed part that no row below can reach it holds only the residue mod n
+and whether the part starts its run, so states that differ above it share
+one count.  In the library the counting walk serves `block_series`, with
+no prefix or close test; `jantzen_seitz.chi_direct` counts a block's
+Jantzen-Seitz members by a block sweep of `branching`.
 """
 
 from __future__ import annotations
@@ -137,6 +140,11 @@ def n_weight(p: Partition, n: int) -> int:
     """
     p = as_partition(p)
     check_rank(n)
+    return _n_weight(p, n)
+
+
+def _n_weight(p: Partition, n: int) -> int:
+    """`n_weight`'s count on a partition and rank already checked, as the `cores` suite reads it."""
     runners = [0] * n
     levels = 0
     beads = len(p)

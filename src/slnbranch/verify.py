@@ -7,12 +7,12 @@ from collections import Counter
 from .branching import METHODS, branching_series, sweep_series, verify_fow_theorem
 from .cores import (
     _bead_count,
+    _n_weight,
     _pushed_partition,
     _runners,
     block_series,
     n_core,
     n_cores,
-    n_weight,
 )
 from .crystal import _add_good, _component_layers, _remove_good, _signatures
 from .jantzen_seitz import (
@@ -134,6 +134,8 @@ def verify_cores(n: int, max_size: int) -> VerificationReport:
     default.  The push depends on the runner counts alone, so it is made
     once per distinct runner vector, through a dict made here and dropped
     on return; `n_core` itself is asked only for idempotence, once per core.
+    The n-weight is read by the unvalidated kernel `_n_weight`, since every
+    partition of the sweep is well formed and n is checked here.
     """
     check_rank(n)
     check_size(max_size)
@@ -161,7 +163,7 @@ def verify_cores(n: int, max_size: int) -> VerificationReport:
             rows, default = max(len(p), 1), _bead_count(p, n)
             core = core_at(p, default)
             ok = (
-                sum(p) == sum(core) + n * n_weight(p, n)
+                sum(p) == sum(core) + n * _n_weight(p, n)
                 and is_fixed(core)
                 and all(
                     core_at(p, beads) == core

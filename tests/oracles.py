@@ -28,7 +28,9 @@ every state and scans each series for its lowest power, the paths route
 before the block sweep) and `two_pass_row_choices` (the row step that
 copies the content, then takes the row off it).  `eps_prefix` and
 `eps_close` are the crystal route's content-walk tests from before the
-block sweep; `listed_series` lists each class with them.
+block sweep; `listed_series` lists each class with them.  `walk_chi` is
+`chi_direct` from before its block sweep: the content walk's count of each
+block under the chain congruence, row by row.
 """
 
 from collections import Counter
@@ -54,6 +56,20 @@ def partition_number(m: int) -> int:
         total += sign * (partition_number(m - g1) + partition_number(m - g2))
         k += 1
     return total
+
+
+def multipartition_counts(colours: int, order: int) -> tuple:
+    """Coefficients of prod_{k >= 1} (1 - q^k)^(-colours) up to q^order.
+
+    Coefficient w counts the `colours`-multipartitions of w: one integer
+    pass per colour and part, with nothing enumerated.
+    """
+    counts = [1] + [0] * order
+    for _ in range(colours):
+        for k in range(1, order + 1):
+            for s in range(k, order + 1):
+                counts[s] += counts[s - k]
+    return tuple(counts)
 
 
 def brute_partitions(m: int, max_part: int | None = None):
@@ -563,6 +579,19 @@ def listed_series(n: int, j: int, k: int, order: int) -> dict:
             walk = regular_partitions_with_content(n, counts, prefix)
             coeffs[route][d] = sum(1 for p in walk if member(p, n, j))
     return {route: tuple(c) for route, c in coeffs.items()}
+
+
+def walk_chi(n: int, mu, order: int) -> tuple:
+    """Reference for `chi_direct`: the content walk counts the block of mu by n-weight.
+
+    One `count_by_weight` call counts the partitions of each content
+    `block_content(n, mu)` + d (1, ..., 1) that pass `fow_prefix(n)`, no j
+    fixed, and `fow_close`, as `chi_direct` did before its block sweep.
+    """
+    from slnbranch.branching import fow_close, fow_prefix
+    from slnbranch.cores import block_content, count_by_weight
+
+    return count_by_weight(n, block_content(n, mu), order, fow_prefix(n), fow_close)
 
 
 def filtered_bucket_series(n: int, j: int, k: int, order: int) -> dict:

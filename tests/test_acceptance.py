@@ -235,7 +235,7 @@ def test_criterion_9b_paths_equal_fermionic_at_high_order():
 
 def test_criterion_10_chi_direct_equals_chi_by_branching_on_every_rectangle_core():
     start = time.perf_counter()
-    for n, order in ((3, 30), (4, 21), (5, 15)):
+    for n, order in ((3, 30), (4, 21), (5, 15), (4, 40), (6, 24), (8, 14), (10, 10)):
         cores = [()] + [(k,) * l for k in range(1, n) for l in range(1, n - k + 1)]
         for mu in cores:
             direct = chi_direct(n, mu, order)
@@ -243,7 +243,7 @@ def test_criterion_10_chi_direct_equals_chi_by_branching_on_every_rectangle_core
     _stamp(
         10,
         "chi_direct == chi_by_branching on every rectangle core (k^l), k+l <= n, and the "
-        "empty core at (3,30), (4,21), (5,15)",
+        "empty core at (3,30), (4,21), (5,15), (4,40), (6,24), (8,14), (10,10)",
         start,
         30,
     )

@@ -37,6 +37,7 @@ from oracles import (
     eps_close,
     eps_prefix,
     filtered_n_cores,
+    multipartition_counts,
     position_scan_pushed_partition,
     prefix_value,
     rim_hook_core,
@@ -192,6 +193,17 @@ class TestBlockDimension:
                     continue
                 series = block_series(n, mu, (16 - sum(mu)) // n)
                 assert series == tuple(by_core[sum(mu) + n * w][mu] for w in range(len(series)))
+
+    @pytest.mark.parametrize(
+        "n,max_size,order", [(2, 24, 20), (3, 20, 10), (4, 16, 7), (5, 14, 5), (6, 14, 4)]
+    )
+    def test_every_block_counts_the_multipartitions_of_its_weight(self, n, max_size, order):
+        # The n-regular partitions of a block of n-weight w are as many as the
+        # (n - 1)-multipartitions of w, whatever the core: a reference that
+        # enumerates no partition.
+        expected = multipartition_counts(n - 1, order)
+        for mu in n_cores(n, max_size):
+            assert block_series(n, mu, order) == expected, (n, mu)
 
     def test_blocks_partition_the_regular_set(self):
         for n in (2, 3, 4):

@@ -11,6 +11,7 @@ from slnbranch import (
     is_rectangle_le_n,
     js_set,
     n_core,
+    n_cores,
     n_weight,
     partitions_up_to,
     residue_counts,
@@ -18,6 +19,8 @@ from slnbranch import (
 )
 from slnbranch.branching import fow_close, fow_prefix
 from slnbranch.cores import count_by_weight
+from slnbranch.jantzen_seitz import _block_diffs
+from oracles import walk_chi
 
 # the twelve worked sets for n = 3, keyed by (core, weight)
 EXAMPLE_SETS = {
@@ -130,14 +133,16 @@ class TestChi:
 
     @pytest.mark.parametrize("n,order", [(2, 16), (3, 12), (4, 10), (5, 8)])
     def test_shared_memo_equals_a_fresh_memo_per_d(self, n, order):
-        # chi_direct shares one memo by every weight; counting each weight's
-        # content on its own, with a fresh memo, gives the same series.
+        # The walk reference shares one memo by every weight; counting each
+        # weight's content on its own, with a fresh memo, gives the same
+        # series, and so does the block sweep.
         for mu in [()] + [(k,) * l for k in range(1, n) for l in range(1, n - k + 1)]:
             base = residue_counts(mu, n)
             fresh = tuple(
                 count_by_weight(n, [c + d for c in base], 0, fow_prefix(n), fow_close)[0]
                 for d in range(order + 1)
             )
+            assert walk_chi(n, mu, order) == fresh, (n, mu)
             assert chi_direct(n, mu, order) == fresh, (n, mu)
 
     @pytest.mark.parametrize("n", [2, 3, 4, 5])
@@ -166,6 +171,51 @@ class TestChi:
             assert js_set(4, (2, 1), d) == []
         with pytest.raises(ValueError):
             chi_by_branching(4, (2, 1), 2)
+
+
+class TestChiSweep:
+    @pytest.mark.parametrize(
+        "n,max_size,order",
+        [(2, 16, 16), (3, 14, 10), (4, 12, 6), (5, 12, 5), (6, 12, 4), (7, 12, 4)],
+    )
+    def test_equals_the_walk_and_the_listing_on_every_core(self, n, max_size, order):
+        # Every n-core, so the cores no member has (non-rectangles) read zeros too.
+        for mu in n_cores(n, max_size):
+            direct = chi_direct(n, mu, order)
+            assert direct == walk_chi(n, mu, order), (n, mu)
+            assert direct == tuple(len(js_set(n, mu, d)) for d in range(order + 1)), (n, mu)
+
+    @pytest.mark.parametrize("n", range(2, 8))
+    def test_block_diffs_equal_residue_count_differences(self, n):
+        # A block of a rows of part v below rho rows; the table is read at
+        # v mod n and rho mod n, so v and rho run past n.
+        table = _block_diffs(n)
+        for v in range(1, 3 * n + 1):
+            for rho in range(2 * n):
+                above = residue_counts((v,) * rho, n)
+                for a in range(1, n):
+                    below = residue_counts((v,) * (rho + a), n)
+                    moved = tuple(
+                        (below[r] - below[0]) - (above[r] - above[0]) for r in range(1, n)
+                    )
+                    assert table[v % n][rho % n][a] == moved, (n, v, rho, a)
+
+    def test_frontier_equals_chi_by_branching(self):
+        for n, order in ((3, 60), (4, 40), (6, 24)):
+            for mu in [()] + [(k,) * l for k in range(1, n) for l in range(1, n - k + 1)]:
+                assert chi_direct(n, mu, order) == chi_by_branching(n, mu, order), (n, mu)
+
+    def test_non_rectangle_core_reads_zeros(self):
+        assert chi_direct(4, (2, 1), 3) == (0, 0, 0, 0)
+        assert chi_direct(5, (3, 1), 2) == (0, 0, 0)
+
+    def test_rejects_a_non_core_and_a_negative_order(self):
+        with pytest.raises(ValueError, match="not an n-core"):
+            chi_direct(3, (3,), 2)
+        with pytest.raises(ValueError, match="order must be nonnegative"):
+            chi_direct(3, (), -1)
+        with pytest.raises(ValueError):
+            chi_direct(1, (), 2)
 
 
 class TestRecords:

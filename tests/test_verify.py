@@ -305,12 +305,13 @@ def test_cores_flags_the_partitions_read_at_a_corrupted_push(monkeypatch):
 
 
 def test_cores_records_a_broken_size_split(monkeypatch):
-    real = verify.n_weight
+    # The suite reads n-weights through the unvalidated kernel.
+    real = verify._n_weight
 
     def off_by_one(p, n):
         return real(p, n) + (p == (3, 2))
 
-    monkeypatch.setattr(verify, "n_weight", off_by_one)
+    monkeypatch.setattr(verify, "_n_weight", off_by_one)
     report = verify.verify_cores(3, 8)
     assert report.failures == [{"partition": [3, 2], "core": [1, 1]}]
 
@@ -440,3 +441,27 @@ def test_methods_names_where_a_short_series_stops(monkeypatch):
     [failure] = report.failures
     assert (failure["j"], failure["k"], failure["first_d"]) == (1, 0, 4)
     assert failure["fow"] == failure["paths"][:4]
+
+
+def test_the_benchmark_sweep_keeps_its_case_counts():
+    # `verify --suite all --n 4 --max-size 22 --order 7`, suite by suite.
+    reports = verify.run_suites(verify.SUITES, 4, 22, 7)
+    assert [(r.suite, r.cases, r.ok) for r in reports] == [
+        ("fow(n=4, max_size=22)", 9628, True),
+        ("methods(n=4, order=7)", 10, True),
+        ("js(n=4, max_size=22, order=7)", 2632, True),
+        ("cores(n=4, max_size=22)", 4531, True),
+        ("crystal(n=4, max_size=22)", 9651, True),
+    ]
+
+
+def test_js_records_a_chi_route_that_parts(monkeypatch):
+    real = verify.chi_direct
+
+    def bumped(n, mu, order):
+        series = real(n, mu, order)
+        return series[:-1] + (series[-1] + 1,) if mu == (1,) else series
+
+    monkeypatch.setattr(verify, "chi_direct", bumped)
+    report = verify.verify_js(3, 6, 4)
+    assert [failure["core"] for failure in report.failures] == [[1]]
