@@ -3,14 +3,17 @@
     python3 bench/frontier.py                       # writes BENCH_frontier.json
     python3 bench/frontier.py --against OLD.json    # ... then prints new/old ratios
 
-Three kinds of point, each measured in fresh interpreters that import the
+Four kinds of point, each measured in fresh interpreters that import the
 package from `src/` next to this folder:
 
 - "class": `branching_series(n, 1, 0, order, route)` for each of the four
   routes on the class (1, 0);
 - "every-class": `verify_methods(n, order)`, all four routes on every class;
 - "chi": `chi_direct` and `chi_by_branching` (routes "direct" and
-  "branching") on every rectangle core (k^l), k + l <= n, and the empty core.
+  "branching") on every rectangle core (k^l), k + l <= n, and the empty core;
+- "cores": `verify_cores(n, max_size)`, the abacus checks and the block
+  sums of every n-core; its record names max_size where the others name
+  the order.
 
 Each (point, route) runs RUNS times, each in a new process, and the record
 keeps the median of the call's process time (CPU seconds around the call
@@ -19,7 +22,8 @@ resident set read from /proc/self/status (None where that file is
 missing).  A run still going after LIMIT_S wall seconds is stopped; the
 (point, route) is then recorded as timed out and not repeated.  A class
 or chi point's routes agree when every route that finished returned the
-same series; an every-class point agrees when the report has no failure.
+same series; an every-class or cores point agrees when the report has no
+failure.
 
 The host's speed drifts by 10-30% between runs, so the reference kernel of
 `perfbench/refkernel.py` (imported read-only, never changed) runs three
@@ -53,20 +57,23 @@ CLASS_POINTS = (
 EVERY_CLASS_POINTS = ((4, 24), (6, 16), (4, 60), (6, 40), (4, 200), (6, 100), (8, 60), (10, 40))
 CHI_POINTS = ((3, 60), (4, 40), (6, 24), (8, 14), (10, 10))
 CHI_ROUTES = ("direct", "branching")
+CORES_POINTS = ((4, 36), (6, 28), (8, 24), (10, 30))
 # Repeats on one host move by 10-30%, so each time is a median of five.
 RUNS = 5
 LIMIT_S = 20.0
 OUT = ROOT / "BENCH_frontier.json"
 
 # The child prints one JSON line: the call's process time, VmHWM in KiB,
-# and what the call returned, reduced to something comparable.
+# and what the call returned, reduced to something comparable.  Its second
+# argument is the order, or max_size for the cores suite.
 _CHILD = """
 import json, sys, time
 n, order, route = int(sys.argv[1]), int(sys.argv[2]), sys.argv[3]
-if route == "every-class":
-    from slnbranch import verify_methods
+if route in ("every-class", "cores"):
+    from slnbranch import verify_cores, verify_methods
+    suite = verify_methods if route == "every-class" else verify_cores
     start = time.process_time()
-    report = verify_methods(n, order)
+    report = suite(n, order)
     seconds = time.process_time() - start
     result = {"ok": report.ok, "cases": report.cases}
 elif route.startswith("chi-"):
@@ -101,8 +108,9 @@ def _env() -> dict:
 def run_once(n: int, order: int, route: str, limit: float) -> dict | None:
     """One fresh-interpreter run of a route; None on timeout.
 
-    `route` is a class route, "every-class" (`verify_methods`), or
-    "chi-direct" / "chi-branching" (one chi route on every rectangle core).
+    `route` is a class route, "every-class" (`verify_methods`), "cores"
+    (`verify_cores`, with `order` as max_size), or "chi-direct" /
+    "chi-branching" (one chi route on every rectangle core).
     """
     args = [sys.executable, "-c", _CHILD, str(n), str(order), route]
     try:
@@ -171,10 +179,18 @@ def chi_point(n: int, order: int, runs: int, limit: float) -> dict:
 
 def every_class_point(n: int, order: int, runs: int, limit: float) -> dict:
     record = measure(n, order, "every-class", runs, limit)
+    return _report_point("every-class", n, {"order": order}, record)
+
+
+def cores_point(n: int, max_size: int, runs: int, limit: float) -> dict:
+    record = measure(n, max_size, "cores", runs, limit)
+    return _report_point("cores", n, {"max_size": max_size}, record)
+
+
+def _report_point(kind: str, n: int, where: dict, record: dict) -> dict:
+    """A point of one verify suite, which agrees when its report has no failure."""
     agree = None if record["timed_out"] else record.pop("ok")
-    return {
-        "kind": "every-class", "n": n, "order": order, "agree": agree, "routes": {"all": record}
-    }
+    return {"kind": kind, "n": n, **where, "agree": agree, "routes": {"all": record}}
 
 
 def run(runs: int, limit: float) -> dict:
@@ -185,6 +201,7 @@ def run(runs: int, limit: float) -> dict:
         (class_point, CLASS_POINTS),
         (every_class_point, EVERY_CLASS_POINTS),
         (chi_point, CHI_POINTS),
+        (cores_point, CORES_POINTS),
     )
     for make, grid in grids:
         for n, order in grid:
@@ -206,16 +223,20 @@ def _line(point: dict) -> str:
         f"{route}={'timeout' if r['timed_out'] else format(r['seconds'], '.3f')}"
         for route, r in point["routes"].items()
     )
-    return f"{point['kind']} ({point['n']},{point['order']}) agree={point['agree']} {times}"
+    return f"{_where(point)} agree={point['agree']} {times}"
+
+
+def _where(point: dict) -> str:
+    """The point's kind and coordinates, e.g. "class (4,100)" or "cores (10,30)"."""
+    return f"{point['kind']} ({point['n']},{point.get('order', point.get('max_size'))})"
 
 
 def compare(new: dict, old: dict) -> list[str]:
     """One line per point and route: new/old process time, with timeouts named."""
     lines = [f"reference kernel new/old: {new['reference_s'] / old['reference_s']:.2f}"]
-    earlier = {(p["kind"], p["n"], p["order"]): p for p in old["points"]}
+    earlier = {_where(p): p for p in old["points"]}
     for point in new["points"]:
-        key = (point["kind"], point["n"], point["order"])
-        base = earlier.get(key)
+        base = earlier.get(_where(point))
         if base is None:
             continue
         cells = []
@@ -229,7 +250,7 @@ def compare(new: dict, old: dict) -> list[str]:
             if not (record["timed_out"] or was["timed_out"]) and was["seconds"] > 0:
                 ratio = f" x{record['seconds'] / was['seconds']:.3f}"
             cells.append(f"{route} {was_s} -> {now_s}{ratio}")
-        lines.append(f"{key[0]} ({key[1]},{key[2]}) agree={point['agree']}: " + ", ".join(cells))
+        lines.append(f"{_where(point)} agree={point['agree']}: " + ", ".join(cells))
     return lines
 
 

@@ -69,9 +69,21 @@ def test_against_prints_ratios_and_names_timeouts():
                 },
             },
             {"kind": "class", "n": 5, "order": 9, "agree": True, "routes": {}},
+            {
+                "kind": "cores", "n": 4, "max_size": 100, "agree": True,
+                "routes": {"all": {"timed_out": False, "seconds": 0.5}},
+            },
         ],
     }
+    # Points match on kind and coordinates, so the cores (4,100) point has no counterpart.
     assert frontier.compare(new, old) == [
         "reference kernel new/old: 0.50",
         "class (4,100) agree=True: paths 0.500 -> 0.250 x0.500, fow timeout -> 0.125",
     ]
+
+
+def test_cores_point_reads_the_cores_report():
+    point = frontier.cores_point(3, 8, 1, 60.0)
+    assert point["kind"] == "cores" and (point["n"], point["max_size"]) == (3, 8)
+    assert "order" not in point and point["agree"] is True
+    assert point["routes"]["all"]["cases"] == 76 and "ok" not in point["routes"]["all"]
