@@ -20,20 +20,22 @@ its own step per block, and reads the class off its own end state:
 - fermionic: the lattice sum of the qseries module.
 
 No route lists a member, and no step reads another route's test or class.
-`jantzen_seitz.chi_direct` counts the Jantzen-Seitz partitions of a block
-by the same sweep, stepping the fow route's congruence with no j fixed.
-`fow_prefix` and `fow_close` carry the chain congruence row by row for the
-content walk that `jantzen_seitz.js_set` lists the members with.
+The sweep itself, `_sweep`, lives in `partitions`, since `cores` counts
+blocks with it too; `jantzen_seitz.chi_direct` counts the Jantzen-Seitz
+partitions of a block by the same sweep, stepping the fow route's
+congruence with no j fixed.  `fow_prefix` and `fow_close` carry the chain
+congruence row by row for the content walk that `jantzen_seitz.js_set`
+lists the members with.
 """
 
 from __future__ import annotations
 
 from collections.abc import Callable
-from operator import add
 
-from .cores import CUT_ROW, count_by_weight
+from .cores import CUT_ROW, regular_partitions_with_content
 from .partitions import (
     Partition,
+    _sweep,
     check_order,
     check_rank,
     check_residue,
@@ -185,8 +187,7 @@ def fow_prefix(n: int, j: int | None = None) -> Callable:
     length).  So the candidate is cut as soon as that residue is 0, as soon
     as the run grows past need, and when it closes a block of another
     length.  In that last case every smaller part closes it too, since only
-    v == v1 can grow the open block, so the test returns `CUT_ROW`.  It
-    reads v1 only through v == v1 and v1 mod n, as the contract asks.
+    v == v1 can grow the open block, so the test returns `CUT_ROW`.
     """
     check_rank(n)
     if j is not None:
@@ -222,71 +223,16 @@ def fow_close(v: int, r: int, value) -> bool:
 # No route counts through these two since the block sweep; `perfbench/tracer.py`
 # still wraps them by name, and the tests count content walks with them.
 def _census(n: int, base: tuple[int, ...], order: int, prefix, close) -> tuple[int, ...]:
-    """How many n-regular partitions of each content base + d (1, ..., 1) pass a route's tests."""
-    return count_by_weight(n, base, order, prefix, close)
+    """How many n-regular partitions of each content base + d (1, ..., 1) pass, listed per d."""
+    check_order(order)
+    contents = ([c + d for c in base] for d in range(order + 1))
+    walks = (regular_partitions_with_content(n, c, prefix, close) for c in contents)
+    return tuple(sum(1 for _ in walk) for walk in walks)
 
 
 def _class_members(n: int, j: int, k: int, order: int, prefix, close) -> tuple[int, ...]:
     """How many members of class (j, k) have d residue-0 nodes, d = 0..order, by a route's tests."""
     return _census(n, class_residue_counts(n, j, k), order, prefix, close)
-
-
-def _sweep(n: int, order: int, start: tuple, step: Callable, close: Callable) -> dict:
-    """Block sequences counted by residue-0 nodes, up to q^order, summed by class.
-
-    A nonempty n-regular partition is a sequence of blocks (v, a): a run of
-    a equal parts v, with 1 <= a <= n - 1 and v strictly decreasing.  The
-    sweep visits the parts v from n * order down to 1 (the first row of a
-    larger part holds more than `order` residue-0 nodes).  A dict, private
-    to the call, maps a route state, whose last field is rho, the number
-    of rows placed mod n, to [low, series]: the series of the block
-    sequences with larger parts that reach the state, and its lowest power.
-    At each v, every state tries a block of each length a, whose rows start
-    at rho; step(state, v, a) is the route's state after the block, or None
-    where the route cuts it.  The block carries q^z: a row of part v at
-    0-based row index x mod n has (v - 1 - x) // n + 1 residue-0 nodes
-    (none when x >= v).  The new states merge into the dict only after v
-    is done, so no two blocks share a part.  Each state left at the end,
-    the start state among them (the empty partition), is closed:
-    close(state) is the class's sorted label pair (k, j - k), to which its
-    series is added.
-    """
-    size = order + 1
-    states = {start: [0, [1] + [0] * order]}
-    for v in range(n * order, 0, -1):
-        zeros = [(v - 1 - x) // n + 1 for x in range(n)]
-        ahead: dict = {}
-        for state, (low, series) in states.items():
-            rho = state[-1]
-            shift = 0
-            for a in range(1, n):
-                shift += zeros[(rho + a - 1) % n]
-                if low + shift > order:
-                    break
-                after = step(state, v, a)
-                if after is not None:
-                    _add_into(ahead, after, low + shift, series, shift, size)
-        for state, (low, series) in ahead.items():
-            _add_into(states, state, low, series, 0, size)
-    sums: dict = {}
-    for state, (low, series) in states.items():
-        _add_into(sums, close(state), low, series, 0, size)
-    return sums
-
-
-def _add_into(table: dict, key, low: int, series: list, shift: int, size: int) -> None:
-    """Add q^shift times `series`, whose lowest power after the shift is low, into table[key].
-
-    A new entry gets a list of its own, so no two entries share one.
-    """
-    out = table.get(key)
-    if out is None:
-        table[key] = [low, [0] * shift + series[: size - shift]]
-        return
-    if low < out[0]:
-        out[0] = low
-    top = out[1]
-    top[low:] = map(add, top[low:], series[low - shift : size - shift])
 
 
 def _labels(counts) -> tuple[int, ...]:

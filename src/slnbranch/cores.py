@@ -22,40 +22,36 @@ core, and |core| = (n/2) sum x_r^2 + sum r x_r (Garvan, Kim and Stanton,
 cores of bounded size from the charges, without filtering partitions.
 
 The residue content fixes the n-core and the n-weight (Nakayama's
-conjecture; James & Kerber 1981, 2.7), so the n-regular partitions of one
-content -- one block -- are generated directly by a pruned walk.  A block
-is named by its core mu; `block_content` checks mu, the one core check,
-and `block_series` counts the block by n-weight in one series.  One row
-step applies all of the walk's cuts in one eager pass and returns the
-parts a row can take, each with the content left below it, which it takes
-off the content in one pass (`_add_row`); two walks
-drive it, each with an explicit stack of row steps, under one contract: a
+conjecture; James & Kerber 1981, 2.7), and adding w (1, ..., 1) leaves
+the differences c_r - c_0 as they are, so a block is named by its core mu
+(`block_content` checks mu, the one core check) or by those differences.
+`block_series` counts every block up to a size in one block sweep
+(`partitions._sweep`, graded by residue-0 nodes) whose state holds the
+differences and the size placed; `_block_entry` reads a block's series
+off it, as it reads `jantzen_seitz.chi_direct`'s sweep.
+
+The n-regular partitions of one content are listed by a pruned walk (for
+`jantzen_seitz.js_set`).  One row step applies all of the walk's cuts in
+one eager pass and returns the parts a row can take, each with the
+content left below it, which it takes off the content in one pass
+(`_add_row`); the walk drives it with an explicit stack of row steps.  A
 partition is a member when a caller's `prefix` test passes each of its
 row prefixes and its `close` test passes its last row.  The test reads a
 window of the rows placed: the candidate part, the part above and the
 length of its run, the row index mod n, and the test's own value for the
 row above.  A prefix test that knows no smaller part of a row can pass
 returns `CUT_ROW`, and the row step offers no more parts of that row.
-One walk lists the members (for `jantzen_seitz.js_set`); the other,
-`count_by_weight`, counts them for every weight d of a series, on the
-contents base + d (1, ..., 1), and memoizes the count of completions on
-the small state the future of the walk depends on.  That state holds the
-content left, so one memo, private to the call, serves every d; and of a
-placed part that no row below can reach it holds only the residue mod n
-and whether the part starts its run, so states that differ above it share
-one count.  In the library the counting walk serves `block_series`, with
-no prefix or close test; `jantzen_seitz.chi_direct` counts a block's
-Jantzen-Seitz members by a block sweep of `branching`.
 """
 
 from __future__ import annotations
 
 from collections.abc import Callable, Iterator, Sequence
+from operator import add
 
 from .partitions import (
     Partition,
+    _sweep,
     as_partition,
-    check_order,
     check_rank,
     check_size,
     exponent_form,
@@ -283,12 +279,10 @@ def regular_partitions_with_content(
     when all its rows pass `prefix` and its last row passes `close`; the
     empty partition is yielded untested, and None passes everything.
 
-    Two clauses bind a prefix test, so that both walks stay exact: it
+    One clause binds a prefix test, so that the walk stays exact: it
     returns `CUT_ROW` only where every smaller part in the same window
-    would be cut too, and for v < v1 it reads v1 only mod n and run only as
-    run == 1, since `count_by_weight` keys a part that no row below can
-    reach on its residue mod n and whether it starts its run.  The
-    arguments are checked when this is called, not when the walk starts.
+    would be cut too.  The arguments are checked when this is called, not
+    when the walk starts.
     """
     return _content_walk(n, _content(n, counts), prefix, close)
 
@@ -386,73 +380,6 @@ def _content_walk(n: int, rem: list[int], prefix, close) -> Iterator[Partition]:
             del parts[-1:]
 
 
-def count_by_weight(
-    n: int, base, order: int, prefix: Callable | None = None, close: Callable | None = None
-) -> tuple[int, ...]:
-    """Coefficient d counts the partitions of content base + d (1, ..., 1) that pass, d = 0..order.
-
-    They are what `regular_partitions_with_content` yields on that content
-    with the same `prefix` and `close`, but nothing is listed: below a
-    placed row, the cuts, `prefix` and `close` read only the content left,
-    the next row's index mod n, the row's part, its run and its prefix
-    value, so the count of completions is memoized on that state.  The
-    state holds the content left, so a count stored for one d is the count
-    any other d needs there: one memo, made here and dropped on return,
-    serves every d.  A part a larger than the nodes left is one no row
-    below can repeat or be capped by, and by the prefix contract of
-    `regular_partitions_with_content` the tests below read it only as
-    a mod n; its state is keyed on a mod n and whether a starts its run,
-    in a key of another shape than the full one.  All of this holds only
-    when prefix and close read nothing but their arguments and keep that
-    contract.  Entries of `base` may be negative; a d whose content has
-    one counts 0.
-    """
-    base = _content(n, base)
-    check_order(order)
-    memo: dict = {}
-    return tuple(_count(n, [c + d for c in base], prefix, close, memo) for d in range(order + 1))
-
-
-def _count(n: int, rem: list[int], prefix, close, memo: dict) -> int:
-    """`count_by_weight`'s walk over one content, `rem`, adding its states to `memo`."""
-    left = sum(rem)
-    if min(rem) < 0 or core_size_of_content(rem) > left:
-        return 0
-    if not left:
-        return 1
-    steps = [iter(_row_choices(n, rem, left, _spread(rem), 0, None, 0, None, prefix))]
-    totals = [0]  # completions counted so far by the choices of each row step
-    keys: list = []  # the memo key of the state below each row descended from
-    while True:
-        r = len(steps) - 1
-        for a, run, value, left, spread, rest in steps[r]:
-            if not left:
-                totals[r] += close is None or bool(close(a, r % n, value))
-                continue
-            if a > left:
-                # No row below can reach a: key on what the tests read of
-                # it, in a 4-tuple that never equals a full key.
-                key = (rest, (r + 1) % n, (a % n, run == 1), value)
-            else:
-                key = (rest, (r + 1) % n, a, run, value)
-            done = memo.get(key)
-            if done is None:
-                keys.append(key)
-                totals.append(0)
-                step = _row_choices(n, rest, left, spread, r + 1, a, run, value, prefix)
-                steps.append(iter(step))
-                break
-            totals[r] += done
-        else:
-            # The row step is exhausted: its total counts the state above it.
-            steps.pop()
-            done = totals.pop()
-            if not r:
-                return done
-            memo[keys.pop()] = done
-            totals[r - 1] += done
-
-
 def block_content(n: int, mu: Partition) -> tuple[int, ...]:
     """The residue content of the n-core mu: the one place a core is checked.
 
@@ -465,9 +392,76 @@ def block_content(n: int, mu: Partition) -> tuple[int, ...]:
     return residue_counts(mu, n)
 
 
-def block_series(n: int, mu: Partition, order: int) -> tuple[int, ...]:
-    """Coefficient w counts the n-regular partitions of |mu| + n w with n-core mu."""
-    return count_by_weight(n, block_content(n, mu), order)
+def _block_diffs(n: int) -> list:
+    """table[v % n][rho][a]: how a block moves c_r - c_0, r = 1..n-1.
+
+    The block is a rows of part v, the first at 0-based row index rho mod
+    n.  A row of part v at row index x holds v // n nodes of every residue
+    and one more of each of the v mod n residues from -x on; the full turns
+    leave every difference as it was, so the move depends on (v mod n, rho,
+    a) alone.  Entry a = 0 is None.
+    """
+    table = []
+    for extra in range(n):
+        by_rho = []
+        for rho in range(n):
+            counts = [0] * n
+            moves = [None]
+            for x in range(rho, rho + n - 1):
+                for t in range(extra):
+                    counts[(t - x) % n] += 1
+                moves.append(tuple(c - counts[0] for c in counts[1:]))
+            by_rho.append(moves)
+        table.append(by_rho)
+    return table
+
+
+def _content_route(n: int, max_size: int) -> tuple:
+    """The content of the rows placed, up to a size: the state is (diffs, size, rho).
+
+    diffs is c_r - c_0, r = 1..n-1, over the rows placed, moved per block
+    by the `_block_diffs` table made here; size is the nodes placed, and a
+    block that takes it past max_size is cut, since it only grows; rho is
+    the row count mod n.  The end reads diffs, the key of the block: with
+    c_0 the sweep's grade, it fixes the content.
+    """
+    table = _block_diffs(n)
+
+    def step(state, v, a):
+        diffs, size, rho = state
+        size += v * a
+        if size > max_size:
+            return None
+        return tuple(map(add, diffs, table[v % n][rho][a])), size, (rho + a) % n
+
+    return ((0,) * (n - 1), 0, 0), step, lambda state: state[0]
+
+
+def _block_entry(sums: dict, content, order: int) -> tuple[int, ...]:
+    """Coefficients c_0 .. c_0 + order of the entry keyed by content's c_r - c_0, r = 1..n-1.
+
+    Of a sweep graded by residue-0 nodes, coefficient w is the count of the
+    content + w (1, ..., 1): a block by n-weight.  A missing key reads zeros.
+    """
+    c0 = content[0]
+    found = sums.get(tuple(c - c0 for c in content[1:]))
+    return (0,) * (order + 1) if found is None else tuple(found[1][c0 : c0 + order + 1])
+
+
+def block_series(n: int, max_size: int) -> dict[Partition, tuple[int, ...]]:
+    """Every block of the n-regular partitions of size at most max_size, by n-weight.
+
+    Returns {mu: series} for each n-core mu of `n_cores(n, max_size)`, in
+    its order: coefficient w counts the n-regular partitions of |mu| + n w
+    with n-core mu, w = 0..(max_size - |mu|) // n, all from one sweep of
+    `_content_route` graded up to the largest c_0(mu) + w.
+    """
+    cores = n_cores(n, max_size)
+    contents = [residue_counts(mu, n) for mu in cores]
+    weights = [(max_size - sum(mu)) // n for mu in cores]
+    order = max(c[0] + w for c, w in zip(contents, weights))
+    sums = _sweep(n, order, *_content_route(n, max_size))
+    return {mu: _block_entry(sums, c, w) for mu, c, w in zip(cores, contents, weights)}
 
 
 def is_rectangle_le_n(mu: Partition, n: int) -> tuple[int, int] | None:

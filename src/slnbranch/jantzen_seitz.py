@@ -4,21 +4,30 @@ Membership has two equivalent characterizations implemented independently:
 the chain congruence on the exponent form, and the crystal eps-profile
 (at most one nonzero eps_i, equal to 1).  The generating series chi counts
 the members of one block, named by its n-core, by n-weight: `chi_direct`
-counts them in one block sweep of `branching` (`_chi_route`), the fow
-route's congruence with no j fixed carrying the content differences
-c_r - c_0, so every block is counted at once and the one asked for is read
-off the end; `js_set` lists them by the content walk of `cores`, with the
-same congruence row by row; `chi_by_branching` reads branching functions.
+counts them in one block sweep (`_chi_route`), the fow route's congruence
+with no j fixed carrying the content differences c_r - c_0 as the content
+route of `cores` does, so every block is counted at once and the one asked
+for is read off the end by `cores`' block reader; `verify_js` reads every
+rectangle core from one such sweep (`_chi_sweep`).  `js_set` lists the
+members by the content walk of `cores`, with the same congruence row by
+row; `chi_by_branching` reads branching functions.
 """
 
 from __future__ import annotations
 
 from operator import add
 
-from .branching import _fow_route, _sweep, branching_series, fow_close, fow_index, fow_prefix
-from .cores import block_content, is_rectangle_le_n, n_core, regular_partitions_with_content
+from .branching import _fow_route, branching_series, fow_close, fow_index, fow_prefix
+from .cores import (
+    _block_diffs,
+    _block_entry,
+    block_content,
+    is_rectangle_le_n,
+    n_core,
+    regular_partitions_with_content,
+)
 from .crystal import eps_index
-from .partitions import Partition, as_partition, check_order, check_rank, is_n_regular
+from .partitions import Partition, _sweep, as_partition, check_order, check_rank, is_n_regular
 from .report import VerificationReport
 
 
@@ -54,45 +63,24 @@ def js_set(n: int, mu: Partition, d: int) -> list[Partition]:
 
 
 def chi_direct(n: int, mu: Partition, order: int) -> tuple[int, ...]:
-    """Generating-series coefficients of the member count by n-weight.
+    """Generating-series coefficients of the member count by n-weight, by `_chi_sweep`.
 
     Coefficient d counts the members of content `block_content(n, mu)` +
-    d (1, ..., 1), which holds c_0 + d residue-0 nodes.  One block sweep of
-    `_chi_route`, graded by residue-0 nodes up to q^(c_0 + order), sums
-    every member by its content differences c_r - c_0; the entry of mu's
-    differences, from q^c_0 on, is the series.  A core no member has (one
-    not a rectangle) reads zeros; a non-core and a negative order raise.
+    d (1, ..., 1).  A core no member has (one not a rectangle) reads zeros;
+    a non-core and a negative order raise.
     """
-    base = block_content(n, mu)
+    return _chi_sweep(n, [block_content(n, mu)], order)[0]
+
+
+def _chi_sweep(n: int, contents, order: int) -> list[tuple[int, ...]]:
+    """chi of each block content, read by `cores._block_entry` from one sweep of `_chi_route`.
+
+    The sweep is graded by residue-0 nodes up to the largest c_0 plus the
+    order, and sums every member by its content differences c_r - c_0.
+    """
     check_order(order)
-    c0 = base[0]
-    sums = _sweep(n, c0 + order, *_chi_route(n))
-    found = sums.get(tuple(c - c0 for c in base[1:]))
-    return (0,) * (order + 1) if found is None else tuple(found[1][c0:])
-
-
-def _block_diffs(n: int) -> list:
-    """table[v % n][rho][a]: how a block moves c_r - c_0, r = 1..n-1.
-
-    The block is a rows of part v, the first at 0-based row index rho mod
-    n.  A row of part v at row index x holds v // n nodes of every residue
-    and one more of each of the v mod n residues from -x on; the full turns
-    leave every difference as it was, so the move depends on (v mod n, rho,
-    a) alone.  Entry a = 0 is None.
-    """
-    table = []
-    for extra in range(n):
-        by_rho = []
-        for rho in range(n):
-            counts = [0] * n
-            moves = [None]
-            for x in range(rho, rho + n - 1):
-                for t in range(extra):
-                    counts[(t - x) % n] += 1
-                moves.append(tuple(c - counts[0] for c in counts[1:]))
-            by_rho.append(moves)
-        table.append(by_rho)
-    return table
+    sums = _sweep(n, max(c[0] for c in contents) + order, *_chi_route(n))
+    return [_block_entry(sums, c, order) for c in contents]
 
 
 def _chi_route(n: int) -> tuple:
@@ -102,8 +90,9 @@ def _chi_route(n: int) -> tuple:
     step this reads: `after` is (v + a) mod n of the last block (None
     before the first, whose length is free), rho the row count mod n.
     `diffs` is c_r - c_0, r = 1..n-1, over the rows placed, moved per block
-    by the `_block_diffs` table made here.  The end reads diffs, the key
-    of the block: with c_0 the sweep's grade, it fixes the content.
+    by the `cores._block_diffs` table made here, as in `cores`' content
+    route.  The end reads diffs, the key of the block: with c_0 the
+    sweep's grade, it fixes the content.
     """
     _, chain, _ = _fow_route(n, None)
     table = _block_diffs(n)

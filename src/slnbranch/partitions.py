@@ -4,12 +4,17 @@ A partition is a plain tuple of weakly decreasing positive integers; the
 empty tuple is the empty partition.  Rows and columns of the Young diagram
 are 1-based, and the node in row i, column j carries the residue
 (j - i) mod n.
+
+`_sweep` counts n-regular partitions as sequences of blocks (runs of equal
+parts) under a route's step, for the branching routes, `cores` and
+`jantzen_seitz`.
 """
 
 from __future__ import annotations
 
-from collections.abc import Iterator
+from collections.abc import Callable, Iterator
 from itertools import accumulate
+from operator import add
 
 Partition = tuple[int, ...]
 
@@ -203,3 +208,61 @@ def parse_partition(text: str) -> Partition:
 def format_partition(p: Partition) -> str:
     """Comma-separated parts; "-" for the empty partition."""
     return ",".join(str(part) for part in p) if p else "-"
+
+
+def _sweep(n: int, order: int, start: tuple, step: Callable, close: Callable) -> dict:
+    """Block sequences counted by residue-0 nodes, up to q^order, summed by their end key.
+
+    A nonempty n-regular partition is a sequence of blocks (v, a): a run of
+    a equal parts v, with 1 <= a <= n - 1 and v strictly decreasing.  The
+    sweep visits the parts v from n * order down to 1 (the first row of a
+    larger part holds more than `order` residue-0 nodes).  A dict, private
+    to the call, maps a route state, whose last field is rho, the number
+    of rows placed mod n, to [low, series]: the series of the block
+    sequences with larger parts that reach the state, and its lowest power.
+    At each v, every state tries a block of each length a, whose rows start
+    at rho; step(state, v, a) is the route's state after the block, or None
+    where the route cuts it.  The block carries q^z: a row of part v at
+    0-based row index x mod n has (v - 1 - x) // n + 1 residue-0 nodes
+    (none when x >= v).  The new states merge into the dict only after v
+    is done, so no two blocks share a part.  Each state left at the end,
+    the start state among them (the empty partition), is closed:
+    close(state) is the key to which its series is added, such as a
+    branching class's sorted label pair (k, j - k).
+    """
+    size = order + 1
+    states = {start: [0, [1] + [0] * order]}
+    for v in range(n * order, 0, -1):
+        zeros = [(v - 1 - x) // n + 1 for x in range(n)]
+        ahead: dict = {}
+        for state, (low, series) in states.items():
+            rho = state[-1]
+            shift = 0
+            for a in range(1, n):
+                shift += zeros[(rho + a - 1) % n]
+                if low + shift > order:
+                    break
+                after = step(state, v, a)
+                if after is not None:
+                    _add_into(ahead, after, low + shift, series, shift, size)
+        for state, (low, series) in ahead.items():
+            _add_into(states, state, low, series, 0, size)
+    sums: dict = {}
+    for state, (low, series) in states.items():
+        _add_into(sums, close(state), low, series, 0, size)
+    return sums
+
+
+def _add_into(table: dict, key, low: int, series: list, shift: int, size: int) -> None:
+    """Add q^shift times `series`, whose lowest power after the shift is low, into table[key].
+
+    A new entry gets a list of its own, so no two entries share one.
+    """
+    out = table.get(key)
+    if out is None:
+        table[key] = [low, [0] * shift + series[: size - shift]]
+        return
+    if low < out[0]:
+        out[0] = low
+    top = out[1]
+    top[low:] = map(add, top[low:], series[low - shift : size - shift])

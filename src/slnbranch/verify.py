@@ -10,14 +10,14 @@ from .cores import (
     _n_weight,
     _pushed_partition,
     _runners,
+    block_content,
     block_series,
     n_core,
-    n_cores,
 )
 from .crystal import _add_good, _component_layers, _remove_good, _signatures
 from .jantzen_seitz import (
+    _chi_sweep,
     chi_by_branching,
-    chi_direct,
     is_js,
     is_js_by_crystal,
     verify_rectangle_cores,
@@ -113,9 +113,10 @@ def verify_js(n: int, max_size: int, order: int) -> VerificationReport:
         cores = [()] + [
             (k,) * l for k in range(1, n) for l in range(1, n - k + 1)
         ]
-        for mu in cores:
+        # One block sweep holds the direct chi of every core.
+        chis = _chi_sweep(n, [block_content(n, mu) for mu in cores], order)
+        for mu, direct in zip(cores, chis):
             report.cases += 1
-            direct = chi_direct(n, mu, order)
             via_branching = chi_by_branching(n, mu, order)
             if direct != via_branching:
                 report.record(core=list(mu), direct=list(direct), branching=list(via_branching))
@@ -173,10 +174,10 @@ def verify_cores(n: int, max_size: int) -> VerificationReport:
             )
             if not ok:
                 report.record(partition=list(p), core=list(core))
-        # One series per block: coefficient w counts size |mu| + n w.
+        # Every block from one call: coefficient w counts size |mu| + n w.
         blocks = Counter()
-        for mu in n_cores(n, max_size):
-            for w, count in enumerate(block_series(n, mu, (max_size - sum(mu)) // n)):
+        for mu, series in block_series(n, max_size).items():
+            for w, count in enumerate(series):
                 blocks[sum(mu) + n * w] += count
         regular = _regular_counts(n, max_size)
         for m in range(max_size + 1):

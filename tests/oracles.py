@@ -28,9 +28,9 @@ every state and scans each series for its lowest power, the paths route
 before the block sweep) and `two_pass_row_choices` (the row step that
 copies the content, then takes the row off it).  `eps_prefix` and
 `eps_close` are the crystal route's content-walk tests from before the
-block sweep; `listed_series` lists each class with them.  `walk_chi` is
-`chi_direct` from before its block sweep: the content walk's count of each
-block under the chain congruence, row by row.
+block sweep; `listed_series` lists each class with them.
+`uncapped_content_route` is the block count's content route without its
+size cut.
 """
 
 from collections import Counter
@@ -581,17 +581,23 @@ def listed_series(n: int, j: int, k: int, order: int) -> dict:
     return {route: tuple(c) for route, c in coeffs.items()}
 
 
-def walk_chi(n: int, mu, order: int) -> tuple:
-    """Reference for `chi_direct`: the content walk counts the block of mu by n-weight.
+def uncapped_content_route(n: int) -> tuple:
+    """`cores._content_route` with no size cut: the state is (diffs, rho).
 
-    One `count_by_weight` call counts the partitions of each content
-    `block_content(n, mu)` + d (1, ..., 1) that pass `fow_prefix(n)`, no j
-    fixed, and `fow_close`, as `chi_direct` did before its block sweep.
+    Reference for the size cap: a sweep of it counts every partition of
+    each content up to the sweep's order, whatever its size.
     """
-    from slnbranch.branching import fow_close, fow_prefix
-    from slnbranch.cores import block_content, count_by_weight
+    from operator import add
 
-    return count_by_weight(n, block_content(n, mu), order, fow_prefix(n), fow_close)
+    from slnbranch.cores import _block_diffs
+
+    table = _block_diffs(n)
+
+    def step(state, v, a):
+        diffs, rho = state
+        return tuple(map(add, diffs, table[v % n][rho][a])), (rho + a) % n
+
+    return ((0,) * (n - 1), 0), step, lambda state: state[0]
 
 
 def filtered_bucket_series(n: int, j: int, k: int, order: int) -> dict:

@@ -20,6 +20,7 @@ from slnbranch import (
 from slnbranch import branching
 from slnbranch.branching import (
     METHODS,
+    _census,
     _class_members,
     _crystal_route,
     _fow_route,
@@ -29,7 +30,7 @@ from slnbranch.branching import (
     fow_prefix,
     sweep_series,
 )
-from slnbranch.cores import CUT_ROW, count_by_weight
+from slnbranch.cores import CUT_ROW
 from slnbranch.crystal import _scan, eps_index
 from slnbranch.partitions import exponent_form
 
@@ -422,22 +423,16 @@ class TestCountingRoutes:
         assert eps_close(3, 0)(2, 1, value) and not eps_close(3, 1)(2, 1, value)
 
     @pytest.mark.parametrize("n,order", [(2, 16), (3, 14), (4, 12), (5, 10)])
-    def test_shared_memo_equals_a_fresh_memo_per_d(self, n, order):
-        # A class count shares one memo by every d; counting each d's
-        # content on its own, with a fresh memo, gives the same series.
+    def test_class_members_equal_the_sweep(self, n, order):
+        # The content walk's listing count of each class, under the route's
+        # row-by-row tests, equals the route's block sweep.
         for j in range(n):
             for k in range(n):
-                base = class_residue_counts(n, j, k)
                 for route, prefix, close in (
                     ("fow", fow_prefix(n, j), fow_close),
                     ("crystal", eps_prefix(n, j), eps_close(n, j)),
                 ):
-                    fresh = tuple(
-                        count_by_weight(n, [c + d for c in base], 0, prefix, close)[0]
-                        for d in range(order + 1)
-                    )
                     got = _class_members(n, j, k, order, prefix, close)
-                    assert got == fresh, (n, j, k, route)
                     assert got == branching_series(n, j, k, order, route), (n, j, k, route)
 
     def test_eps_prefix_keeps_the_value_inside_a_run(self):
@@ -560,8 +555,8 @@ class TestLookAhead:
             settled = settled_eps_prefix(n, j), settled_eps_close(n, j)
             for k in range(n):
                 base = class_residue_counts(n, j, k)
-                got = count_by_weight(n, base, 12, *pruned)
-                assert got == count_by_weight(n, base, 12, *settled), (n, j, k)
+                got = _census(n, base, 12, *pruned)
+                assert got == _census(n, base, 12, *settled), (n, j, k)
 
     @pytest.mark.parametrize("n", [2, 3, 4, 5])
     def test_cut_prefixes_have_no_member_below(self, n):

@@ -9,6 +9,7 @@ from slnbranch import (
     abacus_display,
     block_series,
     core_size_of_content,
+    exponent_form,
     is_js,
     is_n_core,
     is_n_regular,
@@ -21,15 +22,18 @@ from slnbranch import (
     regular_partitions_with_content,
     residue_counts,
 )
-from slnbranch.branching import fow_close, fow_prefix, in_fow
+from slnbranch.branching import _census, fow_close, fow_prefix, in_fow
 from slnbranch.cores import (
     _add_row,
+    _block_entry,
+    block_content,
     _charge_bound,
+    _content_route,
     _pushed_partition,
     _runners,
     _spread,
-    count_by_weight,
 )
+from slnbranch.partitions import _sweep
 from oracles import (
     abacus_core,
     charge_vector,
@@ -42,6 +46,7 @@ from oracles import (
     prefix_value,
     rim_hook_core,
     rim_hook_weight,
+    uncapped_content_route,
 )
 
 
@@ -177,7 +182,7 @@ class TestBlockDimension:
     )
     def test_examples(self, n, m, mu, count):
         # Coefficient w counts size |mu| + n w; a size between them is in no block of mu.
-        by_size = {sum(mu) + n * w: c for w, c in enumerate(block_series(n, mu, m))}
+        by_size = {sum(mu) + n * w: c for w, c in enumerate(block_series(n, m)[mu])}
         assert by_size.get(m, 0) == count
 
     def test_matches_core_filter_count(self):
@@ -185,34 +190,75 @@ class TestBlockDimension:
             by_core = [
                 Counter(n_core(p, n) for p in partitions_of(m, regular=n)) for m in range(17)
             ]
+            blocks = block_series(n, 16)
+            # Every n-core up to 16, and nothing else, names a block.
+            assert sorted(blocks) == sorted(mu for mu in partitions_up_to(16) if is_n_core(mu, n))
             for mu in partitions_up_to(8):
                 if not is_n_core(mu, n):
                     with pytest.raises(ValueError) as info:
-                        block_series(n, mu, 2)
+                        block_content(n, mu)
                     assert str(info.value) == f"{mu} is not an n-core for n={n}"
-                    continue
-                series = block_series(n, mu, (16 - sum(mu)) // n)
+            for mu, series in blocks.items():
+                assert len(series) == (16 - sum(mu)) // n + 1
                 assert series == tuple(by_core[sum(mu) + n * w][mu] for w in range(len(series)))
 
     @pytest.mark.parametrize(
-        "n,max_size,order", [(2, 24, 20), (3, 20, 10), (4, 16, 7), (5, 14, 5), (6, 14, 4)]
+        "n,max_size,order",
+        [
+            (2, 24, 20), (3, 20, 10), (4, 16, 7), (5, 14, 5), (6, 14, 4),
+            (7, 14, 3), (8, 14, 3), (9, 14, 2), (10, 14, 2),
+        ],
     )
     def test_every_block_counts_the_multipartitions_of_its_weight(self, n, max_size, order):
         # The n-regular partitions of a block of n-weight w are as many as the
         # (n - 1)-multipartitions of w, whatever the core: a reference that
-        # enumerates no partition.
-        expected = multipartition_counts(n - 1, order)
-        for mu in n_cores(n, max_size):
-            assert block_series(n, mu, order) == expected, (n, mu)
+        # enumerates no partition.  One call counts every block up to
+        # max_size + n order, so each core up to max_size reaches weight order.
+        expected = multipartition_counts(n - 1, max_size // n + order)
+        blocks = block_series(n, max_size + n * order)
+        assert set(n_cores(n, max_size)) <= set(blocks)
+        for mu, series in blocks.items():
+            assert series == expected[: len(series)], (n, mu)
 
     def test_blocks_partition_the_regular_set(self):
         for n in (2, 3, 4):
             by_size = Counter()
-            for mu in partitions_up_to(10):
-                if is_n_core(mu, n):
-                    for w, count in enumerate(block_series(n, mu, (10 - sum(mu)) // n)):
-                        by_size[sum(mu) + n * w] += count
+            for mu, series in block_series(n, 10).items():
+                for w, count in enumerate(series):
+                    by_size[sum(mu) + n * w] += count
             assert by_size == Counter(map(sum, partitions_up_to(10, regular=n)))
+
+    @pytest.mark.parametrize("n", range(2, 6))
+    def test_content_route_holds_the_content_and_the_size_placed(self, n):
+        # Stepped block by block over a partition, the route's state is its
+        # content differences, its size and its row count mod n, and the
+        # route cuts the block that takes the size past the bound.
+        start, step, close = _content_route(n, 12)
+        for p in partitions_up_to(14, regular=n):
+            state = start
+            for v, a in exponent_form(p):
+                state = step(state, v, a)
+                if state is None:
+                    break
+            if sum(p) > 12:
+                assert state is None, p
+                continue
+            counts = residue_counts(p, n)
+            diffs = tuple(c - counts[0] for c in counts[1:])
+            assert state == (diffs, sum(p), len(p) % n), p
+            assert close(state) == diffs
+
+    @pytest.mark.parametrize("n", range(2, 7))
+    def test_size_cap_equals_the_uncapped_content_sweep(self, n):
+        # The content route cuts a block once the size passes max_size; with
+        # no cut, one sweep graded past every block's top weight counts the
+        # same series for every core, at every max_size up to 14.
+        order = max(residue_counts(mu, n)[0] + (14 - sum(mu)) // n for mu in n_cores(n, 14))
+        sums = _sweep(n, order, *uncapped_content_route(n))
+        for max_size in range(15):
+            for mu, series in block_series(n, max_size).items():
+                uncapped = _block_entry(sums, residue_counts(mu, n), len(series) - 1)
+                assert series == uncapped, (n, max_size, mu)
 
 
 def filtered_census(n, size):
@@ -238,9 +284,7 @@ class TestContentWalk:
     @pytest.mark.parametrize("n,max_size", [(2, 14), (3, 12), (4, 10), (5, 9)])
     def test_every_vector_up_to_size(self, n, max_size):
         # Contents that no partition has, or only irregular ones, yield
-        # nothing.  The counting walk, whose tests here pass everything,
-        # counts the same bucket of the census: the two walks share their
-        # row step, so neither is checked only against the other.
+        # nothing.
         buckets = {}
         for size in range(max_size + 1):
             buckets.update(filtered_census(n, size))
@@ -248,13 +292,11 @@ class TestContentWalk:
             if sum(counts) <= max_size:
                 bucket = buckets.get(counts, [])
                 assert list(regular_partitions_with_content(n, counts)) == bucket, counts
-                got = count_by_weight(n, counts, 0, anything, anything)[0]
-                assert got == len(bucket), counts
 
     @pytest.mark.parametrize("n,max_size", [(2, 14), (3, 12), (4, 10)])
     def test_prefix_sees_only_parts_that_can_hold_the_nodes_left(self, n, max_size):
         # The size cut: an n-regular partition with largest part v has at
-        # most (n - 1) v (v + 1) / 2 nodes, so neither walk offers a
+        # most (n - 1) v (v + 1) / 2 nodes, so the walk offers no
         # candidate row that cannot hold every node left from it down.
         for size in range(max_size + 1):
             for counts in filtered_census(n, size):
@@ -265,7 +307,6 @@ class TestContentWalk:
                     return above + v
 
                 list(regular_partitions_with_content(n, counts, placed))
-                count_by_weight(n, counts, 0, placed, anything)
 
     def test_deep_content(self):
         # 1,194 rows, one per level of the walk's stack: deeper than the
@@ -274,7 +315,6 @@ class TestContentWalk:
         p = tuple(k for k in range(6, 0, -1) for _ in range(199))
         counts = residue_counts(p, n)
         assert list(regular_partitions_with_content(n, counts)) == [p]
-        assert count_by_weight(n, counts, 0, anything, anything)[0] == 1
 
     def test_examples(self):
         assert list(regular_partitions_with_content(3, (0, 0, 0))) == [()]
@@ -326,7 +366,6 @@ class TestContentWalk:
                 return v != part
 
             assert list(regular_partitions_with_content(n, counts, prefix)) == members
-            assert count_by_weight(n, counts, 0, prefix, None) == (1,)
 
     def test_add_row_returns_the_change_of_spread(self):
         for n in (2, 3, 4, 5):
@@ -365,11 +404,12 @@ def residue_series(draw):
 
 
 class TestContentCount:
+    """`branching._census`: the listing walk counted one content base + d (1, ..., 1) at a time."""
+
     @settings(max_examples=150, deadline=None)
     @given(residue_series())
     def test_counts_the_filtered_listing_walk(self, case):
-        # One contract for both walks.  For each pair of prefix and close
-        # tests -- none, the j-free chain congruence, and each route at each
+        # For each pair of prefix and close tests -- none, the j-free chain congruence, and each route at each
         # j -- and each d, the listing walk yields exactly the members that
         # the pair's membership test keeps from the unpruned listing of
         # base + d (1, ..., 1), and coefficient d of the count is how many
@@ -387,7 +427,7 @@ class TestContentCount:
         contents = [tuple(c + d for c in base) for d in range(order + 1)]
         listings = [list(regular_partitions_with_content(n, counts)) for counts in contents]
         for prefix, close, member in pairs:
-            got = count_by_weight(n, base, order, prefix, close)
+            got = _census(n, base, order, prefix, close)
             assert len(got) == order + 1
             for d, (counts, members) in enumerate(zip(contents, listings)):
                 listed = list(regular_partitions_with_content(n, counts, prefix, close))
@@ -399,50 +439,34 @@ class TestContentCount:
         def never(*args):
             raise AssertionError("no row to test")
 
-        assert count_by_weight(3, (0, 0, 0), 0, never, never) == (1,)
-        assert count_by_weight(2, (0, 1), 0, never, never) == (0,)
-        assert count_by_weight(2, (-1, 2), 0, never, never) == (0,)
+        assert _census(3, (0, 0, 0), 0, never, never) == (1,)
+        assert _census(2, (0, 1), 0, never, never) == (0,)
+        assert _census(2, (-1, 2), 0, never, never) == (0,)
 
     def test_counts_what_the_prefix_and_close_pass(self):
         # With no tests, or tests that pass everything, it counts the whole
         # content; the close sees each member's last part and its row index
         # mod n.  (3) and (2, 1) have content (1, 1, 1); (1, 1, 1) is not
         # 3-regular.
-        assert count_by_weight(3, (1, 1, 1), 0) == (2,)
+        assert _census(3, (1, 1, 1), 0, None, None) == (2,)
         for counts in ((2, 2, 2), (4, 3, 3), (5, 5, 4)):
             members = list(regular_partitions_with_content(3, counts))
-            assert count_by_weight(3, counts, 0, anything, anything) == (len(members),)
+            assert _census(3, counts, 0, anything, anything) == (len(members),)
             ends = Counter((p[-1], (len(p) - 1) % 3) for p in members)
             for (v, r), many in ends.items():
 
                 def close(v2, r2, value, v=v, r=r):
                     return (v2, r2) == (v, r)
 
-                assert count_by_weight(3, counts, 0, anything, close)[0] == many
-
-    @pytest.mark.parametrize("n,max_size", [(2, 16), (3, 15), (4, 14)])
-    def test_counts_what_window_reading_prefixes_pass(self, n, max_size):
-        # Below a placed part that no row below can reach, the memo keeps
-        # of it only whether it starts its run and its residue mod n; these
-        # tests read each, as the contract lets them, and cut members so
-        # that a key missing either one would count them wrong.
-        tests = [
-            lambda v, v1, run, r, above: v1 is None or v == v1 or run == 1,
-            lambda v, v1, run, r, above: v1 is None or (v1 - v + r) % n != 1,
-        ]
-        for size in range(max_size + 1):
-            for counts in filtered_census(n, size):
-                for prefix in tests:
-                    listed = list(regular_partitions_with_content(n, counts, prefix))
-                    assert count_by_weight(n, counts, 0, prefix, None) == (len(listed),), counts
+                assert _census(3, counts, 0, anything, close)[0] == many
 
     def test_checks_arguments_when_called(self):
         with pytest.raises(ValueError, match="expected 3 residue counts"):
-            count_by_weight(3, (1, 0), 0)
+            _census(3, (1, 0), 0, None, None)
         with pytest.raises(ValueError, match="n must be at least 2"):
-            count_by_weight(1, (0,), 0)
+            _census(1, (0,), 0, None, None)
         with pytest.raises(ValueError, match="order must be nonnegative"):
-            count_by_weight(3, (0, 0, 0), -1)
+            _census(3, (0, 0, 0), -1, None, None)
 
 
 class TestRectangles:

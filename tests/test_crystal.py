@@ -5,7 +5,6 @@ from hypothesis import strategies as st
 from slnbranch import (
     CrystalGraph,
     as_partition,
-    block_series,
     build_component,
     chi_by_branching,
     chi_direct,
@@ -24,6 +23,7 @@ from slnbranch import (
     weight_of,
 )
 from slnbranch.branching import fow_prefix
+from slnbranch.cores import block_content
 from slnbranch.crystal import _signatures, eps_index
 
 from oracles import (
@@ -236,7 +236,7 @@ class TestOperators:
             # The core argument of the n-core and chi entry points.
             lambda: chi_by_branching(n, parts, 2),
             lambda: is_rectangle_le_n(parts, n),
-            lambda: block_series(n, parts, 2),
+            lambda: block_content(n, parts),
             lambda: js_set(n, parts, 1),
             lambda: chi_direct(n, parts, 2),
         ):
@@ -247,11 +247,11 @@ class TestOperators:
     def test_malformed_core_rejected_at_entry(self):
         # Unvalidated, (0,) passed as a rectangular core (chi_by_branching
         # returned (1, 2, 5)) and (1, 2) as a non-core (block dimension 0);
-        # block_series validates the shape before it checks for a core.
+        # block_content validates the shape before it checks for a core.
         for call in (
             lambda: chi_by_branching(3, (0,), 2),
             lambda: is_rectangle_le_n((0,), 3),
-            lambda: block_series(3, (0,), 2),
+            lambda: block_content(3, (0,)),
             lambda: js_set(3, (0,), 1),
             lambda: chi_direct(3, (0,), 2),
         ):
@@ -259,7 +259,7 @@ class TestOperators:
                 call()
             assert str(info.value) == "parts must be positive integers, got 0"
         with pytest.raises(ValueError) as info:
-            block_series(3, (1, 2), 2)
+            block_content(3, (1, 2))
         assert str(info.value) == "parts must be weakly decreasing, got (1, 2)"
 
     def test_inverse_relations_up_to_14(self):

@@ -17,10 +17,8 @@ from slnbranch import (
     residue_counts,
     verify_rectangle_cores,
 )
-from slnbranch.branching import fow_close, fow_prefix
-from slnbranch.cores import count_by_weight
-from slnbranch.jantzen_seitz import _block_diffs
-from oracles import walk_chi
+from slnbranch.cores import _block_diffs, block_content
+from slnbranch.jantzen_seitz import _chi_sweep
 
 # the twelve worked sets for n = 3, keyed by (core, weight)
 EXAMPLE_SETS = {
@@ -131,26 +129,15 @@ class TestChi:
             for mu in cores:
                 assert chi_direct(n, mu, 6) == chi_by_branching(n, mu, 6), (n, mu)
 
-    @pytest.mark.parametrize("n,order", [(2, 16), (3, 12), (4, 10), (5, 8)])
-    def test_shared_memo_equals_a_fresh_memo_per_d(self, n, order):
-        # The walk reference shares one memo by every weight; counting each
-        # weight's content on its own, with a fresh memo, gives the same
-        # series, and so does the block sweep.
-        for mu in [()] + [(k,) * l for k in range(1, n) for l in range(1, n - k + 1)]:
-            base = residue_counts(mu, n)
-            fresh = tuple(
-                count_by_weight(n, [c + d for c in base], 0, fow_prefix(n), fow_close)[0]
-                for d in range(order + 1)
-            )
-            assert walk_chi(n, mu, order) == fresh, (n, mu)
-            assert chi_direct(n, mu, order) == fresh, (n, mu)
-
     @pytest.mark.parametrize("n", [2, 3, 4, 5])
     def test_members_are_a_subset_of_the_block(self, n):
         # chi counts the members of the block of mu, so no coefficient
-        # exceeds the block's own count at that n-weight.
+        # exceeds the block's own count at that n-weight.  Every rectangle
+        # core has at most n^2 / 4 nodes, so each block reaches n-weight 8.
+        blocks = block_series(n, n * n // 4 + 8 * n)
         for mu in [()] + [(k,) * l for k in range(1, n) for l in range(1, n - k + 1)]:
-            direct, block = chi_direct(n, mu, 8), block_series(n, mu, 8)
+            direct, block = chi_direct(n, mu, 8), blocks[mu][:9]
+            assert len(block) == 9
             assert all(c <= b for c, b in zip(direct, block)), (n, mu, direct, block)
 
     def test_constant_term_is_one(self):
@@ -179,10 +166,11 @@ class TestChiSweep:
         [(2, 16, 16), (3, 14, 10), (4, 12, 6), (5, 12, 5), (6, 12, 4), (7, 12, 4)],
     )
     def test_equals_the_walk_and_the_listing_on_every_core(self, n, max_size, order):
-        # Every n-core, so the cores no member has (non-rectangles) read zeros too.
+        # Every n-core, so the cores no member has (non-rectangles) read zeros
+        # too.  The reference is the content walk's listing under the chain
+        # congruence row by row, as `chi_direct` counted before its sweep.
         for mu in n_cores(n, max_size):
             direct = chi_direct(n, mu, order)
-            assert direct == walk_chi(n, mu, order), (n, mu)
             assert direct == tuple(len(js_set(n, mu, d)) for d in range(order + 1)), (n, mu)
 
     @pytest.mark.parametrize("n", range(2, 8))
@@ -204,6 +192,16 @@ class TestChiSweep:
         for n, order in ((3, 60), (4, 40), (6, 24)):
             for mu in [()] + [(k,) * l for k in range(1, n) for l in range(1, n - k + 1)]:
                 assert chi_direct(n, mu, order) == chi_by_branching(n, mu, order), (n, mu)
+
+    @pytest.mark.parametrize("n", range(2, 7))
+    def test_one_sweep_reads_every_core_as_chi_direct_does(self, n):
+        # verify_js reads every rectangle core from one sweep graded to the
+        # largest c_0 plus the order; each core's series is chi_direct's,
+        # and the non-rectangle cores read zeros there too.
+        cores = n_cores(n, 12)
+        for order in (0, 3):
+            chis = _chi_sweep(n, [block_content(n, mu) for mu in cores], order)
+            assert chis == [chi_direct(n, mu, order) for mu in cores], (n, order)
 
     def test_non_rectangle_core_reads_zeros(self):
         assert chi_direct(4, (2, 1), 3) == (0, 0, 0, 0)

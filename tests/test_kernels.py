@@ -25,7 +25,7 @@ from slnbranch.branching import (
     in_path_set,
     sweep_series,
 )
-from slnbranch.cores import _pushed_partition, _runners, block_series, n_core, n_cores
+from slnbranch.cores import _pushed_partition, _runners, n_core, n_cores
 from slnbranch.partitions import partitions_up_to, residue_counts
 from oracles import (
     abacus_core,
@@ -128,7 +128,10 @@ def test_row_step_equals_the_two_pass_row_step(monkeypatch, n):
         for k in range(n):
             _class_members(n, j, k, 8, fow_prefix(n, j), fow_close)
             _class_members(n, j, k, 8, eps_prefix(n, j), eps_close(n, j))
-    # And every state of the blocks of the cores up to size 8, up to n-weight 8.
+    # And every state of the listing walk over the blocks of the cores up
+    # to size 8, up to size 16.
     for mu in n_cores(n, 8):
-        block_series(n, mu, 8)
+        base = residue_counts(mu, n)
+        for w in range((16 - sum(mu)) // n + 1):
+            list(cores.regular_partitions_with_content(n, [c + w for c in base]))
     assert len(checked) > 150

@@ -42,7 +42,6 @@ from slnbranch import (
     weight_of,
 )
 from slnbranch.branching import fow_index, fow_prefix, in_path_set, sweep_series
-from slnbranch.cores import count_by_weight
 from slnbranch.crystal import eps_index
 from slnbranch.qseries import scaled_inverse_cartan
 from oracles import (
@@ -248,7 +247,7 @@ RANKED_CALLS = {
         regular_partitions_with_content(n, (0,) * n)
     ),
     "core_size_of_content": lambda n: core_size_of_content((0,) * n),
-    "block_series": lambda n: block_series(n, (), 3),
+    "block_series": lambda n: block_series(n, 3),
     "n_cores": lambda n: n_cores(n, 3),
     "n_weight": lambda n: n_weight((2, 1), n),
     "n_core": lambda n: n_core((2, 1), n),
@@ -274,7 +273,6 @@ RANKED_CALLS = {
     "build_component": lambda n: build_component(n, 2),
     "chi_by_branching": lambda n: chi_by_branching(n, (), 2),
     "scaled_inverse_cartan": scaled_inverse_cartan,
-    "count_by_weight": lambda n: count_by_weight(n, (0,) * n, 2),
     "sweep_series": lambda n: sweep_series(n, 0, 2, "paths"),
     # Checked when called: the iterator is not advanced, nor the test run.
     "partitions_up_to": lambda n: partitions_up_to(3, regular=n),
@@ -302,8 +300,6 @@ ORDERED_CALLS = {
     "fermionic_series": lambda order: fermionic_series(3, 0, 1, order),
     "inv_pochhammer": lambda order: inv_pochhammer(2, order),
     "lattice_sum": lambda order: lattice_sum([], order),
-    "count_by_weight": lambda order: count_by_weight(3, (0, 0, 0), order),
-    "block_series": lambda order: block_series(3, (), order),
 }
 
 
@@ -322,6 +318,7 @@ SIZED_CALLS = {
     "verify_crystal": lambda size: verify_crystal(3, size),
     "build_component": lambda size: build_component(3, size),
     "n_cores": lambda size: n_cores(3, size),
+    "block_series": lambda size: block_series(3, size),
     "partitions_up_to": lambda size: partitions_up_to(size),
 }
 

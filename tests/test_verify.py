@@ -62,8 +62,10 @@ def test_js_reports_a_flipped_profile(monkeypatch):
 def test_cores_reports_an_off_by_one_block(monkeypatch):
     real = verify.block_series
 
-    def off_by_one(n, mu, order):
-        return tuple(c + (mu == (1,)) for c in real(n, mu, order))
+    def off_by_one(n, max_size):
+        blocks = real(n, max_size)
+        blocks[(1,)] = tuple(c + 1 for c in blocks[(1,)])
+        return blocks
 
     assert verify.verify_cores(3, 8).ok
     monkeypatch.setattr(verify, "block_series", off_by_one)
@@ -75,17 +77,19 @@ def test_cores_reports_an_off_by_one_block(monkeypatch):
 
 
 def test_cores_counts_each_block_in_one_series(monkeypatch):
+    # One call counts every block, one series per n-core up to the bound.
     real = verify.block_series
-    calls = Counter()
+    calls = []
 
-    def counted(n, mu, order):
-        calls[mu] += 1
-        return real(n, mu, order)
+    def counted(n, max_size):
+        blocks = real(n, max_size)
+        calls.append((n, max_size, sorted(blocks)))
+        return blocks
 
     monkeypatch.setattr(verify, "block_series", counted)
     assert verify.verify_cores(4, 22).ok
-    assert sorted(calls) == sorted(n_cores(4, 22))
-    assert len(calls) == 82 and set(calls.values()) == {1}
+    assert calls == [(4, 22, sorted(n_cores(4, 22)))]
+    assert len(calls[0][2]) == 82
 
 
 @pytest.mark.parametrize("name", ["fow", "js", "cores", "crystal"])
@@ -456,12 +460,17 @@ def test_the_benchmark_sweep_keeps_its_case_counts():
 
 
 def test_js_records_a_chi_route_that_parts(monkeypatch):
-    real = verify.chi_direct
+    # The suite reads every rectangle core's direct chi from one sweep.
+    real = verify._chi_sweep
+    calls = []
 
-    def bumped(n, mu, order):
-        series = real(n, mu, order)
-        return series[:-1] + (series[-1] + 1,) if mu == (1,) else series
+    def bumped(n, contents, order):
+        calls.append(contents)
+        chis = real(n, contents, order)
+        # (1) is the second core the suite reads, after the empty core.
+        return [chis[0], chis[1][:-1] + (chis[1][-1] + 1,), *chis[2:]]
 
-    monkeypatch.setattr(verify, "chi_direct", bumped)
+    monkeypatch.setattr(verify, "_chi_sweep", bumped)
     report = verify.verify_js(3, 6, 4)
     assert [failure["core"] for failure in report.failures] == [[1]]
+    assert len(calls) == 1 and len(calls[0]) == 4
