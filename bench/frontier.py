@@ -3,17 +3,20 @@
     python3 bench/frontier.py                       # writes BENCH_frontier.json
     python3 bench/frontier.py --against OLD.json    # ... then prints new/old ratios
 
-Four kinds of point, each measured in fresh interpreters that import the
+Five kinds of point, each measured in fresh interpreters that import the
 package from `src/` next to this folder:
 
 - "class": `branching_series(n, 1, 0, order, route)` for each of the four
   routes on the class (1, 0);
 - "every-class": `verify_methods(n, order)`, all four routes on every class;
-- "chi": `chi_direct` and `chi_by_branching` (routes "direct" and
-  "branching") on every rectangle core (k^l), k + l <= n, and the empty core;
+- "chi": both chi routes on every rectangle core (k^l), k + l <= n, and
+  the empty core: "direct" is one `_chi_sweep` over all of them, as
+  `verify_js` runs it, and "branching" is `chi_by_branching` per core;
 - "cores": `verify_cores(n, max_size)`, the abacus checks and the block
   sums of every n-core; its record names max_size where the others name
-  the order.
+  the order;
+- "js": `js_set(n, core, weight)`, the members of one block listed; its
+  record names the core and the weight.
 
 Each (point, route) runs RUNS times, each in a new process, and the record
 keeps the median of the call's process time (CPU seconds around the call
@@ -23,7 +26,8 @@ missing).  A run still going after LIMIT_S wall seconds is stopped; the
 (point, route) is then recorded as timed out and not repeated.  A class
 or chi point's routes agree when every route that finished returned the
 same series; an every-class or cores point agrees when the report has no
-failure.
+failure; a js point agrees when it lists as many members as `chi_direct`
+counts.
 
 The host's speed drifts by 10-30% between runs, so the reference kernel of
 `perfbench/refkernel.py` (imported read-only, never changed) runs three
@@ -58,6 +62,7 @@ EVERY_CLASS_POINTS = ((4, 24), (6, 16), (4, 60), (6, 40), (4, 200), (6, 100), (8
 CHI_POINTS = ((3, 60), (4, 40), (6, 24), (8, 14), (10, 10))
 CHI_ROUTES = ("direct", "branching")
 CORES_POINTS = ((4, 36), (6, 28), (8, 24), (10, 30))
+JS_POINTS = ((2, (), 50), (3, (), 30), (4, (), 20), (5, (), 12), (3, (2,), 25))
 # Repeats on one host move by 10-30%, so each time is a median of five.
 RUNS = 5
 LIMIT_S = 20.0
@@ -65,23 +70,38 @@ OUT = ROOT / "BENCH_frontier.json"
 
 # The child prints one JSON line: the call's process time, VmHWM in KiB,
 # and what the call returned, reduced to something comparable.  Its second
-# argument is the order, or max_size for the cores suite.
+# argument is the order, max_size for the cores suite, or the weight for
+# js_set, whose core is the fourth.
 _CHILD = """
 import json, sys, time
 n, order, route = int(sys.argv[1]), int(sys.argv[2]), sys.argv[3]
-if route in ("every-class", "cores"):
+if route == "js":
+    from slnbranch import chi_direct, js_set, parse_partition
+    mu = parse_partition(sys.argv[4])
+    start = time.process_time()
+    members = js_set(n, mu, order)
+    seconds = time.process_time() - start
+    result = {"members": len(members), "expected": chi_direct(n, mu, order)[order]}
+elif route in ("every-class", "cores"):
     from slnbranch import verify_cores, verify_methods
     suite = verify_methods if route == "every-class" else verify_cores
     start = time.process_time()
     report = suite(n, order)
     seconds = time.process_time() - start
     result = {"ok": report.ok, "cases": report.cases}
-elif route.startswith("chi-"):
-    from slnbranch import chi_by_branching, chi_direct
-    chi = chi_direct if route == "chi-direct" else chi_by_branching
+elif route == "chi-direct":
+    from slnbranch.cores import block_content
+    from slnbranch.jantzen_seitz import _chi_sweep
     cores = [()] + [(k,) * l for k in range(1, n) for l in range(1, n - k + 1)]
     start = time.process_time()
-    series = [list(chi(n, mu, order)) for mu in cores]
+    series = _chi_sweep(n, [block_content(n, mu) for mu in cores], order)
+    seconds = time.process_time() - start
+    result = {"series": [list(chi) for chi in series]}
+elif route == "chi-branching":
+    from slnbranch import chi_by_branching
+    cores = [()] + [(k,) * l for k in range(1, n) for l in range(1, n - k + 1)]
+    start = time.process_time()
+    series = [list(chi_by_branching(n, mu, order)) for mu in cores]
     seconds = time.process_time() - start
     result = {"series": series}
 else:
@@ -105,14 +125,15 @@ def _env() -> dict:
     return env
 
 
-def run_once(n: int, order: int, route: str, limit: float) -> dict | None:
+def run_once(n: int, order: int, route: str, limit: float, core: str = "-") -> dict | None:
     """One fresh-interpreter run of a route; None on timeout.
 
     `route` is a class route, "every-class" (`verify_methods`), "cores"
-    (`verify_cores`, with `order` as max_size), or "chi-direct" /
-    "chi-branching" (one chi route on every rectangle core).
+    (`verify_cores`, with `order` as max_size), "chi-direct" /
+    "chi-branching" (one chi route on every rectangle core), or "js"
+    (`js_set` of `core`, partition text, with `order` as the weight).
     """
-    args = [sys.executable, "-c", _CHILD, str(n), str(order), route]
+    args = [sys.executable, "-c", _CHILD, str(n), str(order), route, core]
     try:
         done = subprocess.run(
             args, cwd=ROOT, env=_env(), capture_output=True, text=True, timeout=limit, check=True
@@ -122,11 +143,11 @@ def run_once(n: int, order: int, route: str, limit: float) -> dict | None:
     return json.loads(done.stdout.splitlines()[-1])
 
 
-def measure(n: int, order: int, route: str, runs: int, limit: float) -> dict:
+def measure(n: int, order: int, route: str, runs: int, limit: float, core: str = "-") -> dict:
     """The median process time and peak VmHWM of `runs` runs; timed out at the first slow one."""
     results = []
     for _ in range(runs):
-        result = run_once(n, order, route, limit)
+        result = run_once(n, order, route, limit, core)
         if result is None:
             return {"timed_out": True, "limit_s": limit}
         results.append(result)
@@ -187,6 +208,15 @@ def cores_point(n: int, max_size: int, runs: int, limit: float) -> dict:
     return _report_point("cores", n, {"max_size": max_size}, record)
 
 
+def js_point(n: int, core: tuple, weight: int, runs: int, limit: float) -> dict:
+    """`js_set` on one block, which agrees when it lists `chi_direct`'s count."""
+    text = ",".join(map(str, core)) or "-"
+    record = measure(n, weight, "js", runs, limit, text)
+    agree = None if record["timed_out"] else record.pop("expected") == record["members"]
+    where = {"core": list(core), "weight": weight}
+    return {"kind": "js", "n": n, **where, "agree": agree, "routes": {"js_set": record}}
+
+
 def _report_point(kind: str, n: int, where: dict, record: dict) -> dict:
     """A point of one verify suite, which agrees when its report has no failure."""
     agree = None if record["timed_out"] else record.pop("ok")
@@ -208,6 +238,10 @@ def run(runs: int, limit: float) -> dict:
             point = make(n, order, runs, limit)
             points.append(point)
             print(_line(point), file=sys.stderr, flush=True)
+    for n, core, weight in JS_POINTS:
+        point = js_point(n, core, weight, runs, limit)
+        points.append(point)
+        print(_line(point), file=sys.stderr, flush=True)
     after = [reference_seconds() for _ in range(3)]
     return {
         "python": sys.version.split()[0],
@@ -227,7 +261,10 @@ def _line(point: dict) -> str:
 
 
 def _where(point: dict) -> str:
-    """The point's kind and coordinates, e.g. "class (4,100)" or "cores (10,30)"."""
+    """The point's kind and coordinates, e.g. "class (4,100)", "cores (10,30)" or "js (3,[2],25)"."""
+    if point["kind"] == "js":
+        core = ",".join(map(str, point["core"]))
+        return f"js ({point['n']},[{core}],{point['weight']})"
     return f"{point['kind']} ({point['n']},{point.get('order', point.get('max_size'))})"
 
 

@@ -87,3 +87,13 @@ def test_cores_point_reads_the_cores_report():
     assert point["kind"] == "cores" and (point["n"], point["max_size"]) == (3, 8)
     assert "order" not in point and point["agree"] is True
     assert point["routes"]["all"]["cases"] == 76 and "ok" not in point["routes"]["all"]
+
+
+def test_js_point_lists_the_block_that_chi_direct_counts():
+    # js_set(3, (), 2) lists (6), (5,1), (4,1,1), (3,3), (3,2,1).
+    point = frontier.js_point(3, (), 2, 1, 60.0)
+    assert point["kind"] == "js" and (point["n"], point["core"], point["weight"]) == (3, [], 2)
+    assert point["agree"] is True and "order" not in point
+    record = point["routes"]["js_set"]
+    assert record["members"] == 5 and "expected" not in record
+    assert frontier._where(frontier.js_point(3, (2,), 1, 1, 60.0)) == "js (3,[2],1)"
