@@ -261,7 +261,7 @@ def _line(point: dict) -> str:
 
 
 def _where(point: dict) -> str:
-    """The point's kind and coordinates, e.g. "class (4,100)", "cores (10,30)" or "js (3,[2],25)"."""
+    """The point's kind and coordinates, e.g. "class (4,100)" or "js (3,[2],25)"."""
     if point["kind"] == "js":
         core = ",".join(map(str, point["core"]))
         return f"js ({point['n']},[{core}],{point['weight']})"

@@ -8,7 +8,6 @@ of the partitions whose restriction stays irreducible.
 
 from .branching import (
     branching_series,
-    class_residue_counts,
     fow_index,
     in_fow,
     in_path_set,
@@ -17,13 +16,11 @@ from .branching import (
 from .cores import (
     abacus_display,
     block_series,
-    core_size_of_content,
     is_n_core,
     is_rectangle_le_n,
     n_core,
     n_cores,
     n_weight,
-    regular_partitions_with_content,
 )
 from .crystal import (
     CrystalGraph,
@@ -79,8 +76,6 @@ __all__ = [
     "canonical_pair",
     "chi_by_branching",
     "chi_direct",
-    "class_residue_counts",
-    "core_size_of_content",
     "e_tilde",
     "eps_phi",
     "epsilon_vector",
@@ -107,7 +102,6 @@ __all__ = [
     "parse_partition",
     "partitions_of",
     "partitions_up_to",
-    "regular_partitions_with_content",
     "residue_counts",
     "run_suites",
     "verify_cores",

@@ -23,22 +23,20 @@ No route lists a member, and no step reads another route's test or class.
 The sweep itself, `_sweep`, lives in `partitions`, since `cores` counts
 blocks with it too; `jantzen_seitz.chi_direct` counts the Jantzen-Seitz
 partitions of a block by the same sweep, stepping the fow route's
-congruence with no j fixed.  `fow_prefix` and `fow_close` carry the chain
-congruence row by row for the content walk that `jantzen_seitz.js_set`
-lists the members with.
+congruence with no j fixed, and `jantzen_seitz.js_set` lists them by the
+sweep's listing twin, `partitions._listing`.
 """
 
 from __future__ import annotations
 
 from collections.abc import Callable
 
-from .cores import CUT_ROW, regular_partitions_with_content
 from .partitions import (
     Partition,
+    _listing,
     _sweep,
     check_order,
     check_rank,
-    check_residue,
     check_size,
     is_n_regular,
     partitions_up_to,
@@ -137,102 +135,28 @@ def in_fow(p: Partition, n: int, j: int) -> bool:
     return fow_index(p, n) == j % n
 
 
-def class_residue_counts(n: int, j: int, k: int) -> tuple[int, ...]:
-    """Residue counts forced on weight-class (j, k) members with no residue-0 node.
+# No route counts through these two since the block sweep; `perfbench/tracer.py`
+# still wraps them by name, and the tests check each sweep route against them.
+def _census(n: int, order: int, start: tuple, step: Callable, close: Callable) -> dict:
+    """`_sweep`'s {key: series} of a route, counted off its listing twin one d at a time."""
+    check_order(order)
+    series: dict = {}
+    for d in range(order + 1):
+        for key, members in _listing(n, d, start, step, close).items():
+            series.setdefault(key, [0] * (order + 1))[d] = len(members)
+    return {key: tuple(counts) for key, counts in series.items()}
 
-    Writing the class condition as a cyclic second-difference equation in the
-    counts m_0..m_{n-1}, the class pins m up to a constant shift and the
-    energy pins the shift (m_0 = d): the members with d residue-0 nodes all
-    have this census plus d (1, ..., 1).  Entries may be negative; a d that
-    leaves one negative has no member.
+
+def _class_members(n: int, j: int, k: int, order: int, method: str) -> tuple[int, ...]:
+    """How many members of class (j, k) have d residue-0 nodes, d = 0..order, by `_census`.
+
+    The class is read off the named route's end keys as `sweep_series`
+    reads it off the sweep's.
     """
     check_rank(n)
     j %= n
-    k %= n
-    b = [0] * n
-    b[0] += 1
-    b[j] += 1
-    b[k] -= 1
-    b[(j - k) % n] -= 1
-    prefix = []
-    acc = 0
-    for r in range(1, n):
-        acc += b[r]
-        prefix.append(acc)
-    total = sum(prefix)
-    if total % n:
-        raise ArithmeticError(f"class (j={j}, k={k}) has no integral census for n={n}")
-    g = total // n
-    base = [0]
-    for r in range(n - 1):
-        base.append(base[-1] + g)
-        g -= b[r + 1]
-    return tuple(base)
-
-
-def fow_prefix(n: int, j: int | None = None) -> Callable:
-    """The chain congruence for index j on the blocks of the rows placed, checked row by row.
-
-    Returns the content walk's prefix test prefix(v, v1, run, r, above),
-    bound to n and j, whose arguments are checked here.  Of its window it
-    reads the candidate part v, the part v1 of the row above, and `above`,
-    this test's value for the row above (None for the first row), but
-    neither the run of the row above nor the row index r.  Its value for a
-    row is (a, need): the row ends a run of a equal parts, the open block,
-    whose length the congruence forces to be need.
-    Once the block (v1, a1) before the open block (v, a) is closed,
-    a1 + v1 - v + a ≡ 0 (mod n) and 1 <= a <= n - 1 (n-regularity) fix
-    a = (v - v1 - a1) mod n; for the first block, j = (v - a) mod n fixes
-    a = (v - j) mod n in the same way (need is None when j is None: any
-    length).  So the candidate is cut as soon as that residue is 0, as soon
-    as the run grows past need, and when it closes a block of another
-    length.  In that last case every smaller part closes it too, since only
-    v == v1 can grow the open block, so the test returns `CUT_ROW`.
-    """
-    check_rank(n)
-    if j is not None:
-        check_residue(n, j)
-
-    def prefix(v, v1, run, r, above):
-        if above is None:  # the first row opens the first block
-            a, need = 1, None if j is None else (v - j) % n
-        else:
-            a, need = above
-            if v == v1:
-                a += 1
-            elif need is None or a == need:
-                a, need = 1, (v - v1 - a) % n
-            else:  # v < v1: only v == v1 could have grown the open block
-                return CUT_ROW
-        return (a, need) if need is None or a <= need else None
-
-    return prefix
-
-
-def fow_close(v: int, r: int, value) -> bool:
-    """Whether the last block closes at the length the congruence forces.
-
-    `value` is `fow_prefix`'s (a, need) for the last row; every earlier
-    block was checked when the block after it opened.  A first block with
-    no j fixed (need None) closes at any length.
-    """
-    a, need = value
-    return a == need or need is None
-
-
-# No route counts through these two since the block sweep; `perfbench/tracer.py`
-# still wraps them by name, and the tests count content walks with them.
-def _census(n: int, base: tuple[int, ...], order: int, prefix, close) -> tuple[int, ...]:
-    """How many n-regular partitions of each content base + d (1, ..., 1) pass, listed per d."""
-    check_order(order)
-    contents = ([c + d for c in base] for d in range(order + 1))
-    walks = (regular_partitions_with_content(n, c, prefix, close) for c in contents)
-    return tuple(sum(1 for _ in walk) for walk in walks)
-
-
-def _class_members(n: int, j: int, k: int, order: int, prefix, close) -> tuple[int, ...]:
-    """How many members of class (j, k) have d residue-0 nodes, d = 0..order, by a route's tests."""
-    return _census(n, class_residue_counts(n, j, k), order, prefix, close)
+    sums = _census(n, order, *_route(n, j, method))
+    return sums.get(tuple(sorted((k % n, (j - k) % n))), (0,) * (order + 1))
 
 
 def _labels(counts) -> tuple[int, ...]:
@@ -281,9 +205,9 @@ def _fow_route(n: int, j: int | None) -> tuple:
     end: its labels are x and -l mod n, l the row count.  The start's x is
     j, so the empty partition reads (0, j), the class (j, 0).
 
-    With j None, as in `fow_prefix(n)`, the first block's length is free;
-    the step reads only `after` and rho of a state, so a route with a
-    middle field of its own (`jantzen_seitz`'s chi route) steps through it.
+    With j None the first block's length is free; the step reads only
+    `after` and rho of a state, so a route with a middle field of its own
+    (`jantzen_seitz`'s chi route) steps through it.
     """
 
     def step(state, v, a):
@@ -336,6 +260,15 @@ def _crystal_route(n: int, j: int) -> tuple:
     return (0, (0,) * n, 0), step, close
 
 
+def _route(n: int, j: int, method: str) -> tuple:
+    """The (start, step, close) of the route "paths", "fow" or "crystal" for index j."""
+    # Looked up per call, so that a rebinding of a route's global name takes effect.
+    routes = {"paths": _paths_route, "fow": _fow_route, "crystal": _crystal_route}
+    if method not in routes:
+        raise ValueError(f"unknown sweep method {method!r}; expected one of {tuple(routes)}")
+    return routes[method](n, j)
+
+
 def sweep_series(n: int, j: int, order: int, method: str) -> dict[int, tuple[int, ...]]:
     """The series of every class (j, k), k = 0..n-1, by one block sweep of the named route.
 
@@ -345,12 +278,8 @@ def sweep_series(n: int, j: int, order: int, method: str) -> dict[int, tuple[int
     """
     check_rank(n)
     check_order(order)
-    # Looked up per call, so that a rebinding of a route's global name takes effect.
-    routes = {"paths": _paths_route, "fow": _fow_route, "crystal": _crystal_route}
-    if method not in routes:
-        raise ValueError(f"unknown sweep method {method!r}; expected one of {tuple(routes)}")
     j %= n
-    sums = _sweep(n, order, *routes[method](n, j))
+    sums = _sweep(n, order, *_route(n, j, method))
     series = {}
     for k in range(n):
         pair = tuple(sorted((k, (j - k) % n)))

@@ -28,24 +28,13 @@ the differences c_r - c_0 as they are, so a block is named by its core mu
 `block_series` counts every block up to a size in one block sweep
 (`partitions._sweep`, graded by residue-0 nodes) whose state holds the
 differences and the size placed; `_block_entry` reads a block's series
-off it, as it reads `jantzen_seitz.chi_direct`'s sweep.
-
-The n-regular partitions of one content are listed by a pruned walk (for
-`jantzen_seitz.js_set`).  One row step applies all of the walk's cuts in
-one eager pass and returns the parts a row can take, each with the
-content left below it, which it takes off the content in one pass
-(`_add_row`); the walk drives it with an explicit stack of row steps.  A
-partition is a member when a caller's `prefix` test passes each of its
-row prefixes and its `close` test passes its last row.  The test reads a
-window of the rows placed: the candidate part, the part above and the
-length of its run, the row index mod n, and the test's own value for the
-row above.  A prefix test that knows no smaller part of a row can pass
-returns `CUT_ROW`, and the row step offers no more parts of that row.
+off it, as it reads `jantzen_seitz.chi_direct`'s sweep, by the key
+`_block_key` that `jantzen_seitz.js_set` reads its listing with.
 """
 
 from __future__ import annotations
 
-from collections.abc import Callable, Iterator, Sequence
+from collections.abc import Sequence
 from operator import add
 
 from .partitions import (
@@ -205,181 +194,6 @@ def n_cores(n: int, max_size: int) -> list[Partition]:
     return [core for size in sorted(by_size) for core in sorted(by_size[size], reverse=True)]
 
 
-def core_size_of_content(counts) -> int:
-    """Size of the n-core of every partition with residue content `counts`.
-
-    Adding a node of residue r moves one bead from runner r-1 to runner r,
-    so with nL beads runner r holds N_r = L + c_r - c_{r+1} (indices mod n)
-    and the core has sum_r (r N_r + n N_r (N_r - 1) / 2) - nL (nL - 1) / 2
-    nodes.  That is constant in L; at L = 0 it reads
-    |c| - n c_0 + (n / 2) sum_r (c_r - c_{r+1})^2.  A vector c >= 0 is the
-    content of some partition iff this is at most |c|; the n-weight is then
-    c_0 - sum_r (c_r - c_{r+1})^2 / 2.
-    """
-    n = len(counts)
-    check_rank(n)
-    return sum(counts) - n * counts[0] + n * _spread(counts) // 2
-
-
-def _spread(counts) -> int:
-    """sum_r (c_r - c_{r+1})^2, indices mod n; always even, and unchanged by rotation."""
-    return sum((counts[r] - counts[r - 1]) ** 2 for r in range(len(counts)))
-
-
-def _add_row(content, r: int, a: int) -> tuple[list[int], int]:
-    """The content left once a part a in 0-based row r is taken off `content`.
-
-    Returns it as a new list, with the change of `_spread` from `content`
-    to it.  The row takes `full` off every residue and one more off the arc
-    of `extra` residues from `start` on, so only the differences at the two
-    ends of the arc move: c_start - c_{start-1} by -1 and c_end - c_{end-1}
-    by +1, with end = start + extra.
-    """
-    n = len(content)
-    full, extra = divmod(a, n)
-    start = -r % n
-    rem = [c - full for c in content]
-    if not extra:
-        return rem, 0
-    end = (start + extra) % n
-    step = 2 * (content[start - 1] - content[start] + content[end] - content[end - 1]) + 2
-    for t in range(start, start + extra):
-        rem[t % n] -= 1
-    return rem, step
-
-
-# What a prefix test returns to cut its candidate part and every smaller
-# part of the same row.  It is falsy, so whatever reads a prefix value by
-# its truth cuts it as any other falsy value; only the row step tells the
-# two apart, and a plain False still cuts one part only.
-CUT_ROW = type(
-    "CutRow", (), {"__bool__": lambda self: False, "__repr__": lambda self: "CUT_ROW"}
-)()
-
-
-def regular_partitions_with_content(
-    n: int, counts, prefix: Callable | None = None, close: Callable | None = None
-) -> Iterator[Partition]:
-    """The n-regular partitions of content `counts` that pass `prefix` and `close`, decreasing lex.
-
-    `counts[r]` is the number of residue-r nodes, as in `residue_counts`.
-    The walk places one row at a time, largest part first, taking the parts
-    a row can have from `_row_choices`; it keeps one list of the parts left
-    per placed row, so its depth is not bounded by the recursion limit.
-
-    prefix(v, v1, run, r, above) is asked of each candidate row, with a
-    window of the placed rows: the candidate part v, the part v1 of the row
-    above, the length of that row's run of equal parts so far, the
-    candidate's 0-based row index r mod n, and what the call for the row
-    above returned (v1 and above are None, and run is 0, for the first
-    row).  So a test carries its state down the rows; a falsy value cuts
-    the candidate, and `CUT_ROW` cuts it and every smaller part of the same
-    row (a plain False cuts one part only).  close(v, r, value) is asked of
-    the last row, with its prefix value.  A partition is yielded exactly
-    when all its rows pass `prefix` and its last row passes `close`; the
-    empty partition is yielded untested, and None passes everything.
-
-    One clause binds a prefix test, so that the walk stays exact: it
-    returns `CUT_ROW` only where every smaller part in the same window
-    would be cut too.  The arguments are checked when this is called, not
-    when the walk starts.
-    """
-    return _content_walk(n, _content(n, counts), prefix, close)
-
-
-def _content(n: int, counts) -> list[int]:
-    """`counts` as a list, once n and its length are checked."""
-    check_rank(n)
-    rem = list(counts)
-    if len(rem) != n:
-        raise ValueError(f"expected {n} residue counts, got {len(rem)}")
-    return rem
-
-
-def _row_choices(
-    n: int, content, left: int, spread: int, r: int, v1, run: int, above, prefix
-) -> list[tuple]:
-    """The parts that 0-based row r can take, largest first, in one eager pass.
-
-    `content` is the content still to place, `left` its size and `spread`
-    `_spread(content)`; v1, run and above are the part of the row above, the
-    length of its run of equal parts and what `prefix` returned for it
-    (None, 0 and None for the first row).  Each entry is (a, run, value,
-    left, spread, rest): the part, its run, its prefix value (True without
-    a prefix), and the size, spread and content (a tuple) of what is left
-    below it.  `content` is read, not changed: the row's content comes off
-    it into a new list in one pass, by `_add_row`.
-
-    The part is capped by the row above (one less where that row ends a run
-    of n - 1, so the partition stays n-regular), by `left`, and where a
-    residue runs out: residue x at use content[x] + 1.  The size cut: an
-    n-regular partition with largest part a has at most (n - 1) a (a + 1) / 2
-    nodes.  The content cut: the rows below see the content rotated by
-    r + 1, so by `core_size_of_content` it needs
-    sum_r (c_r - c_{r+1})^2 <= 2 c_{-(r+1) mod n}.  A part that fails it,
-    or whose prefix value is falsy, shrinks by one node; a prefix value of
-    `CUT_ROW` ends the pass there.  Every content that passes has an
-    n-regular member (every such weight is a weight of L(L0)), so the
-    content cut is exact up to the size cut.
-    """
-    cap = n - 1
-    top = left if v1 is None else v1 - (run == cap)
-    start = -r % n
-    # Residue start + t runs out at the part n c + t + 1: the cap is the
-    # first least count of the content rotated to start, as n c + t.
-    rotated = content[start:] + content[:start]
-    least = min(rotated)
-    a = min(left, top, n * least + rotated.index(least))
-    if a <= 0 or 2 * left > cap * a * (a + 1):
-        return []
-    rem, step = _add_row(content, r, a)
-    spread += step
-    left -= a
-    below = (start - 1) % n
-    index = r % n
-    choices = []
-    while True:
-        if spread <= 2 * rem[below]:
-            value = True if prefix is None else prefix(a, v1, run, index, above)
-            if value:
-                choices.append((a, run + 1 if a == v1 else 1, value, left, spread, tuple(rem)))
-            elif value is CUT_ROW:
-                break
-        # Shrink the row by one node, until no smaller part can hold the
-        # nodes left.
-        x = (a - 1 - r) % n
-        spread += 2 * (2 * rem[x] - rem[x - 1] - rem[(x + 1) % n] + 1)
-        rem[x] += 1
-        left += 1
-        a -= 1
-        if not a or 2 * (left + a) > cap * a * (a + 1):
-            break
-    return choices
-
-
-def _content_walk(n: int, rem: list[int], prefix, close) -> Iterator[Partition]:
-    left = sum(rem)
-    if min(rem) < 0 or core_size_of_content(rem) > left:
-        return
-    if not left:
-        yield ()
-        return
-    parts: list[int] = []  # the part chosen by each row step but the last
-    steps = [iter(_row_choices(n, rem, left, _spread(rem), 0, None, 0, None, prefix))]
-    while steps:
-        for a, run, value, left, spread, rest in steps[-1]:
-            if left:
-                parts.append(a)
-                step = _row_choices(n, rest, left, spread, len(parts), a, run, value, prefix)
-                steps.append(iter(step))
-                break
-            if close is None or close(a, len(parts) % n, value):
-                yield (*parts, a)
-        else:
-            steps.pop()
-            del parts[-1:]
-
-
 def block_content(n: int, mu: Partition) -> tuple[int, ...]:
     """The residue content of the n-core mu: the one place a core is checked.
 
@@ -444,8 +258,13 @@ def _block_entry(sums: dict, content, order: int) -> tuple[int, ...]:
     content + w (1, ..., 1): a block by n-weight.  A missing key reads zeros.
     """
     c0 = content[0]
-    found = sums.get(tuple(c - c0 for c in content[1:]))
+    found = sums.get(_block_key(content))
     return (0,) * (order + 1) if found is None else tuple(found[1][c0 : c0 + order + 1])
+
+
+def _block_key(content) -> tuple[int, ...]:
+    """c_r - c_0, r = 1..n-1: the end key of a block sweep's or listing's block."""
+    return tuple(c - content[0] for c in content[1:])
 
 
 def block_series(n: int, max_size: int) -> dict[Partition, tuple[int, ...]]:

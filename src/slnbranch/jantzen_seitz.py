@@ -9,25 +9,26 @@ with no j fixed carrying the content differences c_r - c_0 as the content
 route of `cores` does, so every block is counted at once and the one asked
 for is read off the end by `cores`' block reader; `verify_js` reads every
 rectangle core from one such sweep (`_chi_sweep`).  `js_set` lists the
-members by the content walk of `cores`, with the same congruence row by
-row; `chi_by_branching` reads branching functions.
+members of one block by the sweep's listing twin over the same route;
+`chi_by_branching` reads branching functions.
 """
 
 from __future__ import annotations
 
 from operator import add
 
-from .branching import _fow_route, branching_series, fow_close, fow_index, fow_prefix
-from .cores import (
-    _block_diffs,
-    _block_entry,
-    block_content,
-    is_rectangle_le_n,
-    n_core,
-    regular_partitions_with_content,
-)
+from .branching import _fow_route, branching_series, fow_index
+from .cores import _block_diffs, _block_entry, _block_key, block_content, is_rectangle_le_n, n_core
 from .crystal import eps_index
-from .partitions import Partition, _sweep, as_partition, check_order, check_rank, is_n_regular
+from .partitions import (
+    Partition,
+    _listing,
+    _sweep,
+    as_partition,
+    check_order,
+    check_rank,
+    is_n_regular,
+)
 from .report import VerificationReport
 
 
@@ -54,12 +55,14 @@ def js_set(n: int, mu: Partition, d: int) -> list[Partition]:
     """All member partitions with n-core mu and n-weight d, descending lex order.
 
     They are the partitions of the block content `block_content(n, mu)`
-    plus d (1, ..., 1) that pass `fow_prefix`, no j fixed, and `fow_close`.
+    plus d (1, ..., 1) that pass the chain congruence: the `_chi_route`
+    listing at grade c_0 + d, read at the block's key as `chi_direct`
+    reads its sweep.
     """
     base = block_content(n, mu)
     if d < 0:
         return []
-    return list(regular_partitions_with_content(n, [c + d for c in base], fow_prefix(n), fow_close))
+    return _listing(n, base[0] + d, *_chi_route(n)).get(_block_key(base), [])
 
 
 def chi_direct(n: int, mu: Partition, order: int) -> tuple[int, ...]:

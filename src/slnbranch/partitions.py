@@ -7,11 +7,12 @@ are 1-based, and the node in row i, column j carries the residue
 
 `_sweep` counts n-regular partitions as sequences of blocks (runs of equal
 parts) under a route's step, for the branching routes, `cores` and
-`jantzen_seitz`.
+`jantzen_seitz`; `_listing`, its twin, lists them, for `jantzen_seitz.js_set`.
 """
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from collections.abc import Callable, Iterator
 from itertools import accumulate
 from operator import add
@@ -233,7 +234,7 @@ def _sweep(n: int, order: int, start: tuple, step: Callable, close: Callable) ->
     size = order + 1
     states = {start: [0, [1] + [0] * order]}
     for v in range(n * order, 0, -1):
-        zeros = [(v - 1 - x) // n + 1 for x in range(n)]
+        zeros = _row_zeros(n, v)
         ahead: dict = {}
         for state, (low, series) in states.items():
             rho = state[-1]
@@ -251,6 +252,53 @@ def _sweep(n: int, order: int, start: tuple, step: Callable, close: Callable) ->
     for state, (low, series) in states.items():
         _add_into(sums, close(state), low, series, 0, size)
     return sums
+
+
+def _listing(n: int, order: int, start: tuple, step: Callable, close: Callable) -> dict:
+    """The block sequences with exactly `order` residue-0 nodes, listed by their end key.
+
+    The listing twin of `_sweep`: it takes the same route (start, step,
+    close), tries the blocks (v, a) below each state in the same way, v
+    from n * order down, with the same residue-0 count per row, and cuts a
+    block where the sweep's grade would pass `order`.  Depth first, each
+    state tries v descending, then a descending, and a sequence is listed
+    after every sequence that extends it, so each list is in decreasing
+    lex order.  Returns {close(state): [partitions]}.
+    """
+    # zeros[v][rho][a - 1]: the residue-0 nodes of a rows of part v from row index rho.
+    zeros = [None]
+    for v in range(1, n * order + 1):
+        rows = _row_zeros(n, v) * 2  # the row indices rho .. rho + n - 2, mod n
+        zeros.append([list(accumulate(rows[rho : rho + n - 1])) for rho in range(n)])
+    lists: dict = {}
+    parts: list[int] = []
+
+    def extend(state, top: int, low: int) -> None:
+        rho = state[-1]
+        room = order - low
+        # A first row of part v holds at most `room` residue-0 nodes when
+        # v <= n room + rho, so each v here takes a block of one row at least.
+        for v in range(min(top - 1, n * room + rho), 0, -1):
+            counts = zeros[v][rho]
+            for a in range(bisect_right(counts, room), 0, -1):
+                after = step(state, v, a)
+                if after is not None:
+                    grade = low + counts[a - 1]
+                    parts.extend([v] * a)
+                    extend(after, v, grade)
+                    if grade == order:
+                        lists.setdefault(close(after), []).append(tuple(parts))
+                    del parts[-a:]
+
+    extend(start, n * order + 1, 0)
+    if not order:
+        lists.setdefault(close(start), []).append(())
+    return lists
+
+
+def _row_zeros(n: int, v: int) -> list[int]:
+    """The residue-0 nodes of a row of part v at 0-based row index x mod n, x = 0..n-1."""
+    return [(v - 1 - x) // n + 1 for x in range(n)]
 
 
 def _add_into(table: dict, key, low: int, series: list, shift: int, size: int) -> None:

@@ -25,12 +25,10 @@ exponent form), `product_lattice_sum` (each lattice-sum term a
 truncated product of 1/(q)_{m_i} series, in place of dividing one list),
 `rescan_configuration_sums` (the transfer matrix that steps the weight of
 every state and scans each series for its lowest power, the paths route
-before the block sweep) and `two_pass_row_choices` (the row step that
-copies the content, then takes the row off it).  `eps_prefix` and
-`eps_close` are the crystal route's content-walk tests from before the
-block sweep; `listed_series` lists each class with them.
-`uncapped_content_route` is the block count's content route without its
-size cut.
+before the block sweep) and `class_residue_counts` (the residue content
+of a branching class, by which `residue_class` names a partition's
+class).  `uncapped_content_route` is the block count's content route
+without its size cut.
 """
 
 from collections import Counter
@@ -385,6 +383,39 @@ def crystal_member(p, n: int, j: int) -> bool:
     return not p or eps_index(p, n) == j
 
 
+def class_residue_counts(n: int, j: int, k: int) -> tuple:
+    """Residue counts forced on weight-class (j, k) members with no residue-0 node.
+
+    Writing the class condition as a cyclic second-difference equation in the
+    counts m_0..m_{n-1}, the class pins m up to a constant shift and the
+    energy pins the shift (m_0 = d): the members with d residue-0 nodes all
+    have this census plus d (1, ..., 1).  Entries may be negative; a d that
+    leaves one negative has no member.  The library's earlier class census,
+    kept to name a partition's class from its content.
+    """
+    j %= n
+    k %= n
+    b = [0] * n
+    b[0] += 1
+    b[j] += 1
+    b[k] -= 1
+    b[(j - k) % n] -= 1
+    prefix = []
+    acc = 0
+    for r in range(1, n):
+        acc += b[r]
+        prefix.append(acc)
+    total = sum(prefix)
+    if total % n:
+        raise ArithmeticError(f"class (j={j}, k={k}) has no integral census for n={n}")
+    g = total // n
+    base = [0]
+    for r in range(n - 1):
+        base.append(base[-1] + g)
+        g -= b[r + 1]
+    return tuple(base)
+
+
 def residue_class(p, n: int, j: int):
     """The sorted label pair (k, j - k) of the class of p for index j, read from its content.
 
@@ -392,7 +423,6 @@ def residue_class(p, n: int, j: int):
     `class_residue_counts(n, j, k)` + d (1, ..., 1); None when p's content
     is that of no class.
     """
-    from slnbranch.branching import class_residue_counts
     from slnbranch.partitions import residue_counts
 
     m = residue_counts(p, n)
@@ -401,184 +431,6 @@ def residue_class(p, n: int, j: int):
         if class_residue_counts(n, j, k) == base:
             return tuple(sorted((k, (j - k) % n)))
     return None
-
-
-def settled_eps_prefix(n: int, j: int):
-    """The crystal route's prefix test without its look-ahead: settled rows only.
-
-    The reference `eps_prefix` is checked against.  Its value for
-    a row is (eps_j, plus), the eps_j and surviving "+" counts of the rows
-    above the candidate, whose removable nodes are settled; it cuts only
-    where a settled node raises eps past e_j (with `CUT_ROW`, as that node
-    does not depend on the candidate), never ahead of the node.  It reads
-    the run of the row above only as run == 1, as the walk's contract asks.
-    """
-    from slnbranch.cores import CUT_ROW
-
-    def prefix(v, v1, run, r, above):
-        if above is None:
-            return 0, (0,) * n
-        if v1 == v and run != 1:
-            return above
-        eps, plus = above
-        plus = list(plus)
-        if v1 > v:
-            x = (v1 - r) % n
-            if plus[x]:
-                plus[x] -= 1
-            elif x != j or eps:
-                return CUT_ROW
-            else:
-                eps = 1
-        if run == 1:
-            plus[(v1 + 1 - r) % n] += 1
-        return eps, tuple(plus)
-
-    return prefix
-
-
-def settled_eps_close(n: int, j: int):
-    """The closing test of `settled_eps_prefix`: the last row's node leaves eps = e_j."""
-
-    def close(v, r, value):
-        eps, plus = value
-        x = (v - r - 1) % n
-        return eps == 1 if plus[x] else x == j and not eps
-
-    return close
-
-
-def eps_prefix(n: int, j: int):
-    """Carry the eps of the rows above a candidate row; falsy once no completion can reach e_j.
-
-    The library's earlier crystal prefix test, kept as a reference: the
-    crystal route counted with it on the content walk before the block
-    sweep, and `listed_series` lists with it.
-
-    Returns the content walk's prefix test prefix(v, v1, run, r, above),
-    bound to n and j, whose arguments are checked here.  Its window holds
-    the candidate part v, the part v1 of the row above, the length of that
-    row's run so far, the candidate's row index r mod n, and `above`, this
-    test's value for the row above (None for the first row).  The rows
-    above the candidate have their lower neighbours placed, so their
-    removable nodes are settled, and a surviving "-" is cancelled only by a
-    "+" above it.  Their eps vector is therefore a lower bound for the eps
-    vector of every partition that begins with them.
-
-    It runs one step of `crystal._scan`.  Its value for a row is (eps_j, plus,
-    settles): the eps vector of the settled rows, which is eps_j e_j on
-    every prefix that passes, their count of surviving "+" per residue, and
-    the bitmask of the residues whose "-" they can absorb, those with a
-    surviving "+" and j while eps_j is 0.  The first row settles nothing.
-    Each later candidate settles the row above it (row r, counted from 1),
-    whose removable node, there when v1 > v, cancels a "+" of its residue
-    or else raises eps, and whose addable node, there when it starts its
-    run (run == 1), adds a "+".  Inside a run neither is there, and the
-    value is `above` itself.  The removable node's residue x = (v1 - r) mod n
-    does not depend on v, so when it would raise eps past e_j every v < v1
-    fails alike and the test returns `CUT_ROW`.
-
-    The look-ahead: the run through the candidate, of length L so far,
-    ends within its next n - 1 - L rows, so its "-" lands on a residue
-    (v - r - 1 - t) mod n with t < n - L, and no row before its end settles
-    a node.  When `settles` holds none of those residues, no completion
-    reaches e_j and the candidate alone is cut, with None; the next row
-    step or `eps_close` would read the same node against the same counts.
-    (The run's addable node is on none of those residues.)  The test reads
-    v1 only through v == v1, v < v1 and v1 mod n, and for v < v1, where
-    L = 1, it reads run only as run == 1, as the contract asks.
-    """
-    from slnbranch.cores import CUT_ROW
-    from slnbranch.partitions import check_residue
-
-    check_residue(n, j)
-    # ends[x][L]: the residues x - 1 - t, t < n - L, as a bitmask; none
-    # for L = n, a run the walk never offers.
-    ends = [
-        [sum(1 << (x - 1 - t) % n for t in range(n - L)) for L in range(n + 1)] for x in range(n)
-    ]
-    first = (0, (0,) * n, 1 << j)
-
-    def prefix(v, v1, run, r, above):
-        if above is None:
-            value, length = first, 1
-        elif v == v1 and run != 1:
-            value, length = above, run + 1
-        else:
-            eps, plus, settles = above
-            plus = list(plus)
-            length = 2 if v == v1 else 1
-            if v1 > v:
-                x = (v1 - r) % n
-                if plus[x]:
-                    plus[x] -= 1
-                    if not plus[x] and (x != j or eps):
-                        settles ^= 1 << x
-                elif x != j or eps:
-                    return CUT_ROW  # x does not depend on v: every v < v1 fails
-                else:
-                    eps = 1
-                    settles ^= 1 << j
-            if run == 1:
-                x = (v1 + 1 - r) % n
-                plus[x] += 1
-                settles |= 1 << x
-            value = eps, tuple(plus), settles
-        return value if value[2] & ends[(v - r) % n][length] else None
-
-    return prefix
-
-
-def eps_close(n: int, j: int):
-    """Whether the last row of a walked partition leaves eps = e_j.
-
-    The library's earlier crystal closing test, kept with `eps_prefix`.
-
-    Returns the content walk's closing test close(v, r, value), bound to n
-    and j, whose arguments are checked here.  The empty row below the last
-    row (index r mod n from 0, part v) settles its removable node.  `value`
-    is the `eps_prefix` value for that row; the node cancels a surviving "+"
-    of its residue, leaving eps as it was, or else raises eps_j from 0.
-    Either way eps must end at e_j.
-    """
-    from slnbranch.partitions import check_residue
-
-    check_residue(n, j)
-
-    def close(v, r, value):
-        eps, plus, _ = value
-        x = (v - r - 1) % n
-        return eps == 1 if plus[x] else x == j and not eps
-
-    return close
-
-
-def listed_series(n: int, j: int, k: int, order: int) -> dict:
-    """Reference for the two counting routes: list each class bucket, then filter its leaves.
-
-    For each d it lists the members of the class (j, k) content with d
-    residue-0 nodes that the listing walk yields under each route's prefix
-    test, and counts those that pass the route's membership test, as the
-    routes did before they counted.  The prefix tests only prune (the tests
-    check that against the unpruned walk), so this reaches orders that
-    `filtered_bucket_series` cannot.
-    """
-    from slnbranch.branching import class_residue_counts, fow_prefix, in_fow
-    from slnbranch.cores import regular_partitions_with_content
-
-    j %= n
-    routes = {
-        "fow": (fow_prefix(n, j), in_fow),
-        "crystal": (eps_prefix(n, j), crystal_member),
-    }
-    coeffs = {route: [0] * (order + 1) for route in routes}
-    base = class_residue_counts(n, j, k)
-    for d in range(order + 1):
-        counts = [c + d for c in base]
-        for route, (prefix, member) in routes.items():
-            walk = regular_partitions_with_content(n, counts, prefix)
-            coeffs[route][d] = sum(1 for p in walk if member(p, n, j))
-    return {route: tuple(c) for route, c in coeffs.items()}
 
 
 def uncapped_content_route(n: int) -> tuple:
@@ -603,59 +455,37 @@ def uncapped_content_route(n: int) -> tuple:
 def filtered_bucket_series(n: int, j: int, k: int, order: int) -> dict:
     """Reference for the three enumeration routes: filter whole class buckets.
 
-    For each d it walks every n-regular partition of the residue content of
-    class (j, k) with d residue-0 nodes, unpruned, and counts those that
-    pass each route's membership test.  Unlike the rest of this module it
-    uses the package's own bucket walk and membership tests, which the
-    tests check against brute-force enumeration; what it leaves out is the
-    block sweeps of the routes under test.
+    For each d it takes every n-regular partition of the residue content
+    of class (j, k) with d residue-0 nodes, from the unpruned listing of
+    its size, and counts those that pass each route's membership test.
+    Unlike the rest of this module it uses the package's own listing and
+    membership tests, which the tests check against brute-force
+    enumeration; what it leaves out is the block sweeps of the routes under
+    test.
     """
-    from slnbranch.branching import class_residue_counts, in_fow, in_path_set
-    from slnbranch.cores import regular_partitions_with_content
+    from slnbranch.branching import in_fow, in_path_set
 
     members = {"paths": in_path_set, "fow": in_fow, "crystal": crystal_member}
     coeffs = {route: [0] * (order + 1) for route in members}
     j %= n
     base = class_residue_counts(n, j, k)
     for d in range(order + 1):
-        for p in regular_partitions_with_content(n, [c + d for c in base]):
+        counts = tuple(c + d for c in base)
+        for p in _regular_by_content(n, sum(counts)).get(counts, ()):
             for route, member in members.items():
                 coeffs[route][d] += member(p, n, j)
     return {route: tuple(c) for route, c in coeffs.items()}
 
 
-def prefix_steps(prefix, p, n: int):
-    """Carry a content-walk prefix test down the rows of p, as the walk does.
+@lru_cache(maxsize=None)
+def _regular_by_content(n: int, size: int) -> dict:
+    """The n-regular partitions of `size`, bucketed by residue content."""
+    from slnbranch.partitions import partitions_of, residue_counts
 
-    Each row's call gets the walk's window: the row's part, the part above
-    it (None for the first row), the length of that row's run of equal
-    parts (0 for the first row), the row's 0-based index mod n, and the
-    value returned for the row above (None for the first row).  The runs
-    are counted off p here, by comparing neighbours, not carried as the
-    walk carries them.  Yields each row's window (v1, run, r, above) and
-    value, down to the first falsy value.
-    """
-    above = None
-    run = 0
-    for r, v in enumerate(p):
-        v1 = p[r - 1] if r else None
-        window = (v1, run, r % n, above)
-        above = prefix(v, *window)
-        yield window, above
-        if not above:
-            return
-        run = run + 1 if v == v1 else 1
-
-
-def prefix_value(prefix, p, n: int):
-    """The value of `prefix_steps` for the last row, or its first falsy value.
-
-    True for the empty partition, which the walk yields untested.
-    """
-    value = True
-    for _, value in prefix_steps(prefix, p, n):
-        pass
-    return value
+    buckets: dict = {}
+    for p in partitions_of(size, regular=n):
+        buckets.setdefault(residue_counts(p, n), []).append(p)
+    return buckets
 
 
 def _cells(p) -> set:
@@ -842,47 +672,3 @@ def rescan_configuration_sums(n: int, j: int, order: int) -> dict:
                         out[d] += series[d - z]
         layer = ahead
     return sums
-
-
-def two_pass_row_choices(n: int, content, left: int, spread: int, r: int, v1, run: int, above, prefix):
-    """The library's earlier `cores._row_choices`, kept as a reference for its one-pass row step.
-
-    It reads the residue cap by a scan over every residue, copies the
-    content, and takes the row off the copy in a second pass.
-    """
-    from slnbranch.cores import CUT_ROW
-
-    cap = n - 1
-    top = left if v1 is None else v1 - (run == cap)
-    start = -r % n
-    a = min(left, top, min(n * content[x] + (x - start) % n for x in range(n)))
-    if a <= 0 or 2 * left > cap * a * (a + 1):
-        return []
-    rem = list(content)
-    full, extra = divmod(a, n)
-    if extra:
-        end = (start + extra) % n
-        spread += 2 * (rem[start - 1] - rem[start] + rem[end] - rem[end - 1]) + 2
-    for x in range(n):
-        rem[x] -= full
-    for t in range(extra):
-        rem[(start + t) % n] -= 1
-    left -= a
-    below = (start - 1) % n
-    index = r % n
-    choices = []
-    while True:
-        if spread <= 2 * rem[below]:
-            value = True if prefix is None else prefix(a, v1, run, index, above)
-            if value:
-                choices.append((a, run + 1 if a == v1 else 1, value, left, spread, tuple(rem)))
-            elif value is CUT_ROW:
-                break
-        x = (a - 1 - r) % n
-        spread += 2 * (2 * rem[x] - rem[x - 1] - rem[(x + 1) % n] + 1)
-        rem[x] += 1
-        left += 1
-        a -= 1
-        if not a or 2 * (left + a) > cap * a * (a + 1):
-            break
-    return choices

@@ -6,7 +6,6 @@ from hypothesis import strategies as st
 
 from slnbranch import (
     branching_series,
-    class_residue_counts,
     fow_index,
     in_fow,
     in_path_set,
@@ -26,28 +25,20 @@ from slnbranch.branching import (
     _fow_route,
     _paths_route,
     _sweep,
-    fow_close,
-    fow_prefix,
     sweep_series,
 )
-from slnbranch.cores import CUT_ROW
-from slnbranch.crystal import _scan, eps_index
+from slnbranch.cores import _content_route
+from slnbranch.jantzen_seitz import _chi_route
 from slnbranch.partitions import exponent_form
 
 from oracles import (
+    class_residue_counts,
     column_walk_in_path_set,
     crystal_member,
     dominant_path,
-    eps_close,
-    eps_prefix,
     filtered_bucket_series,
-    listed_series,
     path_coordinates,
-    prefix_steps,
-    prefix_value,
     residue_class,
-    settled_eps_close,
-    settled_eps_prefix,
 )
 
 # the six worked n=3 series (orders as displayed: three terms each)
@@ -378,213 +369,37 @@ class TestBlockSweep:
 
 
 class TestCountingRoutes:
-    """fow and crystal count what the listing walk lists and the leaf tests keep."""
+    """Each route's block sweep counts what its listing twin lists, one d at a time (`_census`)."""
 
-    @pytest.mark.parametrize("n,order", [(2, 12), (3, 12), (4, 12), (5, 10), (6, 9)])
-    def test_every_class_equals_the_filtered_listing(self, n, order):
-        for j in range(n):
-            for k in range(n):
-                expected = listed_series(n, j, k, order)
-                for route in ("fow", "crystal"):
-                    got = branching_series(n, j, k, order, route)
-                    assert got == expected[route], (n, j, k, route)
-
-    @pytest.mark.parametrize("n", [2, 3, 4, 5])
-    def test_close_decides_every_walked_partition(self, n):
-        # On a partition all of whose row prefixes pass, the closing test on
-        # its last row is the route's membership test.
-        for p in partitions_up_to(12, regular=n):
-            if not p:
-                continue
-            r = (len(p) - 1) % n
-            for j in range(n):
-                value = prefix_value(fow_prefix(n, j), p, n)
-                if value:
-                    assert fow_close(p[-1], r, value) == in_fow(p, n, j), (p, j)
-                value = prefix_value(eps_prefix(n, j), p, n)
-                if value:
-                    assert eps_close(n, j)(p[-1], r, value) == (eps_index(p, n) == j), (p, j)
-
-    def test_close_examples(self):
-        # (3, 3) at n = 3 is the one block (3, 2), so j = 1; (3,) is the
-        # block (3, 1), j = 2, short of the two rows j = 1 forces on it.
-        assert fow_close(3, 1, prefix_value(fow_prefix(3, 1), (3, 3), 3))
-        assert not fow_close(3, 0, prefix_value(fow_prefix(3, 1), (3,), 3))
-        # (2, 1) at n = 3: row 1's removable node, residue 1, raises eps_1,
-        # and its addable node leaves a "+" of residue 2, which row 2's
-        # removable node, residue 2, cancels: eps = e_1.
-        # That leaves only residue 2 able to absorb a "-".
-        value = prefix_value(eps_prefix(3, 1), (2, 1), 3)
-        assert value == (1, (0, 0, 1), 0b100) and eps_close(3, 1)(1, 1, value)
-        # (2,) and (2, 2): a lone removable node of residue 1, resp. 0.
-        assert eps_close(3, 1)(2, 0, prefix_value(eps_prefix(3, 1), (2,), 3))
-        assert not eps_close(3, 0)(2, 0, prefix_value(eps_prefix(3, 0), (2,), 3))
-        value = prefix_value(eps_prefix(3, 0), (2, 2), 3)
-        assert eps_close(3, 0)(2, 1, value) and not eps_close(3, 1)(2, 1, value)
+    @pytest.mark.parametrize("n,order", [(2, 10), (3, 8), (4, 6), (5, 5), (6, 4), (7, 3)])
+    def test_equals_the_sweep_on_every_key(self, n, order):
+        makes = (_paths_route, _fow_route, _crystal_route)
+        routes = [make(n, j) for make in makes for j in range(n)]
+        routes += [_chi_route(n), _content_route(n, n * order)]
+        for route in routes:
+            swept = {key: tuple(series) for key, (_, series) in _sweep(n, order, *route).items()}
+            assert _census(n, order, *route) == swept, (n, route[0])
 
     @pytest.mark.parametrize("n,order", [(2, 16), (3, 14), (4, 12), (5, 10)])
     def test_class_members_equal_the_sweep(self, n, order):
-        # The content walk's listing count of each class, under the route's
-        # row-by-row tests, equals the route's block sweep.
+        # The listing count of each class, read as `sweep_series` reads the
+        # sweep, equals the route's block sweep.
         for j in range(n):
-            for k in range(n):
-                for route, prefix, close in (
-                    ("fow", fow_prefix(n, j), fow_close),
-                    ("crystal", eps_prefix(n, j), eps_close(n, j)),
-                ):
-                    got = _class_members(n, j, k, order, prefix, close)
-                    assert got == branching_series(n, j, k, order, route), (n, j, k, route)
+            for route in ("paths", "fow", "crystal"):
+                swept = sweep_series(n, j, order, route)
+                for k in range(n):
+                    got = _class_members(n, j, k, order, route)
+                    assert got == swept[k], (n, j, k, route)
 
-    def test_eps_prefix_keeps_the_value_inside_a_run(self):
-        # A candidate equal to a row above that does not start its run
-        # settles no node, so the value is handed on as it is, not copied:
-        # the third 1 of (5, 1, 1, 1) at n = 4.  If that row starts its run,
-        # its addable node adds a "+": row 2 of (4, 1, 1) at n = 3, part 1,
-        # residue 0, which sets bit 0 of the residues that can absorb a "-".
-        value = prefix_value(eps_prefix(4, 0), (5, 1, 1), 4)
-        assert eps_prefix(4, 0)(1, 1, 2, 3, value) is value
-        value = prefix_value(eps_prefix(3, 0), (4, 1), 3)
-        assert value == (1, (0, 1, 0), 0b010)
-        assert eps_prefix(3, 0)(1, 1, 1, 2, value) == (1, (1, 1, 0), 0b011)
+    def test_rejects_a_negative_order_and_an_unknown_route(self):
+        with pytest.raises(ValueError, match="order must be nonnegative"):
+            _census(3, -1, *_fow_route(3, 0))
+        with pytest.raises(ValueError, match="unknown sweep method 'fermionic'"):
+            _class_members(3, 0, 0, 2, "fermionic")
 
 
-class TestPrefixTests:
-    """No prefix of a member is cut, so the prunes are pure speed-ups."""
-
-    @pytest.mark.parametrize("n", [2, 3, 4, 5])
-    def test_no_member_prefix_is_cut(self, n):
-        for p in partitions_up_to(14, regular=n):
-            j = fow_index(p, n)
-            if j is not None:
-                assert prefix_value(fow_prefix(n, j), p, n), p
-                assert prefix_value(fow_prefix(n), p, n), p
-            j = eps_index(p, n)
-            if j is not None:
-                assert prefix_value(eps_prefix(n, j), p, n), p
-
-    def test_prefixes_cut(self):
-        # (3, 1) closes the first block (3, 1), which gives j = 2 at n = 3,
-        # so for j = 1 it is cut.  For j = 2, (3, 2) passes: the next block
-        # (2, a2) needs a2 ≡ 2 - 3 - 1 ≡ 1 (for (3, 1) see the open-block test).
-        assert not prefix_value(fow_prefix(3, 1), (3, 1), 3)
-        assert prefix_value(fow_prefix(3, 2), (3, 2), 3)
-        # (3, 2) closes the first block (3, 1), but j = 1 needs length 2.
-        assert prefix_value(fow_prefix(3, 1), (3, 3), 3)
-        assert not prefix_value(fow_prefix(3, 1), (3, 2), 3)
-        # At n = 4, (5, 4) forces a block (4, a2) with a2 ≡ 4 - 5 - 1 ≡ 2,
-        # so (5, 4, 3) closes it one row too early.
-        assert prefix_value(fow_prefix(4), (5, 4, 4), 4)
-        assert not prefix_value(fow_prefix(4), (5, 4, 3), 4)
-        # (4, 2, 1) at n = 3 with no fixed j: the first block may have any
-        # length, but (4, 2) already needs a block (2, a2) with
-        # a2 ≡ 2 - 4 - 1 ≡ 0, so the cut comes one row before (4, 2, 1).
-        assert prefix_value(fow_prefix(3), (4,), 3) and not prefix_value(fow_prefix(3), (4, 2), 3)
-        # (5, 4, ...): 1 + 5 - 4 + a2 ≡ 0 forces a2 = 1, so a second 4 is cut.
-        assert prefix_value(fow_prefix(3), (5, 4), 3)
-        assert not prefix_value(fow_prefix(3), (5, 4, 4), 3)
-        # Row 1 of (4, 2) raises eps_0 and leaves a "+" of residue 1 only,
-        # while the run of 2s from row 2 ends at residue 0 or 2 (one row or
-        # two): its "-" can be absorbed nowhere, so the look-ahead cuts
-        # (4, 2), one row before (4, 2, 1) settles that node.
-        assert prefix_value(eps_prefix(3, 0), (4,), 3)
-        assert not prefix_value(eps_prefix(3, 0), (4, 2), 3)
-        # Row 1 of (3, 1) holds a removable node of residue 2, which cuts
-        # (3, 1) for j = 0.  For j = 2 it raises eps_2 and leaves a "+" of
-        # residue 0 only, while the run of 1s ends at residue 2 or 1: the
-        # look-ahead cuts it too.
-        assert prefix_value(eps_prefix(3, 2), (3,), 3)
-        assert not prefix_value(eps_prefix(3, 2), (3, 1), 3)
-        assert not prefix_value(eps_prefix(3, 0), (3, 1), 3)
-        # The candidate's own removable node is not settled yet: (3,) has
-        # eps = e_2, but (3, 3) has eps = e_1.  A run of 3s in the first
-        # row, one or two rows long, ends at residue 2 or 1, never at 0,
-        # and no "+" lies above it, so for j = 0 (3,) is cut.
-        assert prefix_value(eps_prefix(3, 1), (3,), 3)
-        assert not prefix_value(eps_prefix(3, 0), (3,), 3)
-
-    def test_open_fow_block_is_cut(self):
-        # At n = 3 the first block of (3, ...) must have length (3 - j) mod 3.
-        assert not prefix_value(fow_prefix(3, 0), (3,), 3)
-        assert prefix_value(fow_prefix(3, 2), (3,), 3)
-        assert not prefix_value(fow_prefix(3, 2), (3, 3), 3)
-        # (3, 1) closes the block (3, 1) of j = 2, and then the block
-        # (1, a2) would need a2 ≡ 1 - 3 - 1 ≡ 0.
-        assert not prefix_value(fow_prefix(3, 2), (3, 1), 3)
-
-    def test_eps_prefix_carries_the_scan(self):
-        # Stepping down the rows gives the eps_j and "+" counts of one scan
-        # over the rows above the candidate, and the residues that can
-        # absorb a "-": a "+" survives there, or it is j and eps_j = 0.  The
-        # test passes exactly when one of them is a residue where the
-        # candidate's run, of `length` rows so far, can end.
-        for n in (3, 4):
-            for p in partitions_up_to(12, regular=n):
-                length = 0
-                for r in range(1, len(p) + 1):
-                    length = length + 1 if r > 1 and p[r - 1] == p[r - 2] else 1
-                    eps, plus, _ = _scan(p[:r], n)
-                    counts = tuple(len(rows) for rows in plus)
-                    ends = {(p[r - 1] - r - t) % n for t in range(n - length)}
-                    for j in range(n):
-                        value = prefix_value(eps_prefix(n, j), p[:r], n)
-                        absorb = {x for x in range(n) if counts[x] or x == j and not eps[j]}
-                        if eps[j] <= 1 and sum(eps) == eps[j] and absorb & ends:
-                            settles = sum(1 << x for x in absorb)
-                            assert value == (eps[j], counts, settles), (p, r, j)
-                        else:
-                            assert not value, (p, r, j)
-
-
-def member_heads(n, max_size):
-    """For each j, the row prefixes of the n-regular partitions up to max_size with eps = e_j."""
-    heads = {j: set() for j in range(n)}
-    for q in partitions_up_to(max_size, regular=n):
-        j = eps_index(q, n)
-        if q and j is not None:
-            heads[j].update(q[:k] for k in range(1, len(q) + 1))
-    return heads
-
-
-class TestLookAhead:
-    """The crystal test cuts a run ahead of its end only where no member lies below."""
-
-    @pytest.mark.parametrize("n", [2, 3, 4, 5])
-    def test_counts_equal_the_settled_rows_reference(self, n):
-        for j in range(n):
-            pruned = eps_prefix(n, j), eps_close(n, j)
-            settled = settled_eps_prefix(n, j), settled_eps_close(n, j)
-            for k in range(n):
-                base = class_residue_counts(n, j, k)
-                got = _census(n, base, 12, *pruned)
-                assert got == _census(n, base, 12, *settled), (n, j, k)
-
-    @pytest.mark.parametrize("n", [2, 3, 4, 5])
-    def test_cut_prefixes_have_no_member_below(self, n):
-        # A plain falsy value is the look-ahead's cut (the settled rows cut
-        # with CUT_ROW); no partition up to 14 with eps = e_j begins with
-        # the rows it cuts.
-        heads = member_heads(n, 14)
-        cuts = 0
-        for p in partitions_up_to(12, regular=n):
-            for j in range(n):
-                steps = list(prefix_steps(eps_prefix(n, j), p, n))
-                value = steps[-1][1] if steps else True
-                if not value and value is not CUT_ROW:
-                    cuts += 1
-                    assert p[: len(steps)] not in heads[j], (p, j)
-        assert cuts
-
-    def test_hand_examples_have_no_member_below(self):
-        # The examples of `test_prefixes_cut` that the look-ahead cuts
-        # before the settled rows do.
-        heads = member_heads(3, 14)
-        for j, p in ((0, (4, 2)), (0, (3,)), (2, (3, 1))):
-            assert not prefix_value(eps_prefix(3, j), p, 3)
-            assert prefix_value(settled_eps_prefix(3, j), p, 3), (j, p)
-            assert p not in heads[j], (j, p)
-
-    # The crystal route no longer walks rows: the two tests below count the
-    # block sweep that replaced its content walk.
+class TestSweepStates:
+    """How many block steps and states each route's sweep makes."""
 
     @pytest.mark.parametrize("n,order", [(3, 24), (4, 24), (5, 18), (6, 16)])
     def test_crystal_row_steps_stay_near_fow(self, n, order, monkeypatch):
@@ -601,7 +416,7 @@ class TestLookAhead:
         # The sweep for class (1, 0) at (4, 44) holds n + 1 = 5 crystal states:
         # the start, and one per rho, since after the first block the one
         # surviving "+" sits at residue j + rho.  The paths and fow sweeps
-        # hold n each; the content walk filled 5,456 memo states here.
+        # hold n each.
         steps, states = count_block_steps(monkeypatch)
         for route in ("paths", "fow", "crystal"):
             branching_series(4, 1, 0, 44, route)
@@ -642,61 +457,3 @@ def count_block_steps(monkeypatch):
     for route, make in (("paths", _paths_route), ("fow", _fow_route), ("crystal", _crystal_route)):
         monkeypatch.setattr(branching, f"_{route}_route", counted(route, make))
     return steps, states
-
-
-def route_prefixes(n):
-    """Every route prefix test at rank n: fow for each j and for none, crystal for each j."""
-    return [fow_prefix(n)] + [make(n, j) for make in (fow_prefix, eps_prefix) for j in range(n)]
-
-
-def reached_windows(prefix, n):
-    """The windows (v1, run, r, above) reached on the n-regular partitions up to 12."""
-    return {
-        window for p in partitions_up_to(12, regular=n) for window, _ in prefix_steps(prefix, p, n)
-    }
-
-
-class TestRowCutContract:
-    """The two clauses of the prefix contract that the walks rely on, on the route tests."""
-
-    @pytest.mark.parametrize("n", [2, 3, 4, 5])
-    def test_cut_row_leaves_no_smaller_part_passing(self, n):
-        # The row step offers a row's parts largest first and stops at
-        # CUT_ROW, so no smaller part of that window may pass.
-        cuts = 0
-        for prefix in route_prefixes(n):
-            for v1, run, r, above in reached_windows(prefix, n):
-                values = [prefix(v, v1, run, r, above) for v in range(1, (v1 or 12) + 1)]
-                for v, value in enumerate(values, start=1):
-                    if value is CUT_ROW:
-                        cuts += 1
-                        assert not any(values[: v - 1]), (prefix, v, v1, run, r, above)
-        # At n = 2 every run has one row, so the crystal look-ahead settles
-        # each run's node one row before a CUT_ROW could, and the fow block
-        # length is always 1: no route test cuts a row there.
-        assert cuts or n == 2
-
-    @pytest.mark.parametrize("n", [2, 3, 4, 5])
-    def test_part_below_the_row_above_reads_it_mod_n(self, n):
-        # The counting memo keys a placed part that no row below can reach
-        # on its residue mod n and whether it starts its run, so below it
-        # v1 and v1 + n must be alike, and so must every run other than 1.
-        for prefix in route_prefixes(n):
-            for v1, run, r, above in reached_windows(prefix, n):
-                runs = [run] if run == 1 else range(2, n)
-                for v in range(1, v1 or 1):
-                    got = prefix(v, v1, run, r, above)
-                    for other in runs:
-                        window = (other, r, above)
-                        assert got == prefix(v, v1 + n, *window), (v, v1, run, r, above)
-                        assert got == prefix(v, v1, *window), (v, v1, run, r, above)
-
-    def test_route_tests_cut_the_row(self):
-        # fow, j = 1 at n = 3: the first block (3, ...) needs length 2, so
-        # below one row of 3 only a second 3 can go on.
-        assert fow_prefix(3, 1)(2, 3, 1, 1, (1, 2)) is CUT_ROW
-        # crystal, j = 0 at n = 3, below (2,): the first row passes, since
-        # a run of 2s two rows long ends at residue 0, but a smaller part
-        # ends the run at once, at residue 1, with no "+" to cancel it.
-        value = prefix_value(eps_prefix(3, 0), (2,), 3)
-        assert eps_prefix(3, 0)(1, 2, 1, 1, value) is CUT_ROW

@@ -1,5 +1,5 @@
 from collections import Counter
-from itertools import product, takewhile
+from itertools import product
 
 import pytest
 from hypothesis import given, settings
@@ -8,9 +8,7 @@ from hypothesis import strategies as st
 from slnbranch import (
     abacus_display,
     block_series,
-    core_size_of_content,
     exponent_form,
-    is_js,
     is_n_core,
     is_n_regular,
     is_rectangle_le_n,
@@ -19,31 +17,24 @@ from slnbranch import (
     n_weight,
     partitions_of,
     partitions_up_to,
-    regular_partitions_with_content,
     residue_counts,
 )
-from slnbranch.branching import _census, fow_close, fow_prefix, in_fow
 from slnbranch.cores import (
-    _add_row,
     _block_entry,
+    _block_key,
     block_content,
     _charge_bound,
     _content_route,
     _pushed_partition,
     _runners,
-    _spread,
 )
-from slnbranch.partitions import _sweep
+from slnbranch.partitions import _listing, _sweep
 from oracles import (
     abacus_core,
     charge_vector,
-    crystal_member,
-    eps_close,
-    eps_prefix,
     filtered_n_cores,
     multipartition_counts,
     position_scan_pushed_partition,
-    prefix_value,
     rim_hook_core,
     rim_hook_weight,
     uncapped_content_route,
@@ -261,212 +252,27 @@ class TestBlockDimension:
                 assert series == uncapped, (n, max_size, mu)
 
 
-def filtered_census(n, size):
-    """n-regular partitions of `size` bucketed by residue content, in enumeration order."""
-    buckets = {}
-    for p in partitions_of(size, regular=n):
-        buckets.setdefault(residue_counts(p, n), []).append(p)
-    return buckets
+class TestContentListing:
+    """`partitions._listing` over the content route, against the filtered listing."""
 
-
-def anything(*window):
-    """A prefix or close test that passes every row."""
-    return True
-
-
-class TestContentWalk:
-    @pytest.mark.parametrize("n", [2, 3, 4, 5])
-    def test_equals_filtered_census_up_to_20(self, n):
-        for size in range(21):
-            for counts, members in filtered_census(n, size).items():
-                assert list(regular_partitions_with_content(n, counts)) == members
-
-    @pytest.mark.parametrize("n,max_size", [(2, 14), (3, 12), (4, 10), (5, 9)])
-    def test_every_vector_up_to_size(self, n, max_size):
-        # Contents that no partition has, or only irregular ones, yield
-        # nothing.
+    @pytest.mark.parametrize("n,max_size", [(2, 20), (3, 20), (4, 18), (5, 16), (6, 16), (7, 16)])
+    def test_lists_every_content_in_decreasing_lex(self, n, max_size):
+        # At grade d the key c_r - c_0 fixes the content, hence the size, so
+        # each list is one content's bucket of the listing by size, in its
+        # decreasing lex order; a content past max_size is cut.
         buckets = {}
-        for size in range(max_size + 1):
-            buckets.update(filtered_census(n, size))
-        for counts in product(range(max_size + 1), repeat=n):
-            if sum(counts) <= max_size:
-                bucket = buckets.get(counts, [])
-                assert list(regular_partitions_with_content(n, counts)) == bucket, counts
+        for p in partitions_up_to(max_size, regular=n):
+            counts = residue_counts(p, n)
+            buckets.setdefault(counts[0], {}).setdefault(_block_key(counts), []).append(p)
+        for d in range(max(buckets) + 2):
+            listed = _listing(n, d, *_content_route(n, max_size))
+            assert listed == buckets.get(d, {}), (n, d)
 
-    @pytest.mark.parametrize("n,max_size", [(2, 14), (3, 12), (4, 10)])
-    def test_prefix_sees_only_parts_that_can_hold_the_nodes_left(self, n, max_size):
-        # The size cut: an n-regular partition with largest part v has at
-        # most (n - 1) v (v + 1) / 2 nodes, so the walk offers no
-        # candidate row that cannot hold every node left from it down.
-        for size in range(max_size + 1):
-            for counts in filtered_census(n, size):
-
-                def placed(v, v1, run, r, above, size=size):
-                    above = above or 0
-                    assert 2 * (size - above) <= (n - 1) * v * (v + 1), (counts, above, v)
-                    return above + v
-
-                list(regular_partitions_with_content(n, counts, placed))
-
-    def test_deep_content(self):
-        # 1,194 rows, one per level of the walk's stack: deeper than the
-        # recursion limit, so a recursive walk would fail here.
-        n = 200
-        p = tuple(k for k in range(6, 0, -1) for _ in range(199))
-        counts = residue_counts(p, n)
-        assert list(regular_partitions_with_content(n, counts)) == [p]
-
-    def test_examples(self):
-        assert list(regular_partitions_with_content(3, (0, 0, 0))) == [()]
-        assert list(regular_partitions_with_content(3, (2, 2, 2))) == [
-            (6,), (5, 1), (4, 1, 1), (3, 3), (3, 2, 1)
-        ]
-        assert list(regular_partitions_with_content(2, (0, 1))) == []
-        assert list(regular_partitions_with_content(2, (-1, 2))) == []
-
-    def test_rejects_wrong_length(self):
-        with pytest.raises(ValueError, match="expected 3 residue counts"):
-            list(regular_partitions_with_content(3, (1, 0)))
-
-    def test_checks_arguments_when_called(self):
-        # Not deferred to the first next(): nothing here iterates the walk.
-        with pytest.raises(ValueError, match="expected 3 residue counts"):
-            regular_partitions_with_content(3, (1, 0))
-        with pytest.raises(ValueError, match="n must be at least 2"):
-            regular_partitions_with_content(1, (0,))
-
-    @pytest.mark.parametrize("n,max_size", [(2, 14), (3, 14), (4, 12)])
-    def test_prefix_keeps_exactly_the_partitions_whose_prefixes_pass(self, n, max_size):
-        def tracked(v, v1, run, r, above):
-            # The walk hands each row its window and the value returned for
-            # the row above; here that value is every row placed so far.
-            rows = above or ()
-            assert v1 == (rows[-1] if rows else None), (rows, v)
-            assert run == sum(1 for _ in takewhile(lambda u: u == v1, reversed(rows))), (rows, v)
-            assert r == len(rows) % n, (rows, v, r)
-            return rows + (v,) if v != 2 else None
-
-        tests = [tracked, fow_prefix(n)]
-        for j in range(n):
-            tests += [fow_prefix(n, j), eps_prefix(n, j)]
-        # The value counts the rows placed, so no member has more than three.
-        tests.append(lambda v, v1, s, r, above: v != 2 and (above or 0) < 3 and (above or 0) + 1)
-        for size in range(max_size + 1):
-            for counts, members in filtered_census(n, size).items():
-                for prefix in tests:
-                    expected = [p for p in members if prefix_value(prefix, p, n)]
-                    assert list(regular_partitions_with_content(n, counts, prefix)) == expected
-
-    def test_false_cuts_one_part_only(self):
-        # Only CUT_ROW cuts the rest of a row; a plain False, like any
-        # other falsy value, cuts its own part and the row goes on shrinking.
-        for n, counts, part, members in ((3, (1, 1, 1), 3, [(2, 1)]), (2, (2, 2), 4, [(3, 1)])):
-
-            def prefix(v, v1, s, r, above, part=part):
-                return v != part
-
-            assert list(regular_partitions_with_content(n, counts, prefix)) == members
-
-    def test_add_row_returns_the_change_of_spread(self):
-        for n in (2, 3, 4, 5):
-            for counts in product(range(3), repeat=n):
-                for r in range(n):
-                    for a in range(2 * n + 1):
-                        content = list(counts)
-                        rem, step = _add_row(content, r, a)
-                        assert content == list(counts) and rem is not content
-                        assert _spread(rem) - _spread(counts) == step, (counts, r, a)
-                        row = [0] * n
-                        for j in range(a):
-                            row[(j - r) % n] += 1
-                        assert rem == [c - x for c, x in zip(counts, row)]
-
-    def test_core_size_of_content(self):
-        for p in partitions_up_to(12):
-            for n in (2, 3, 4, 5):
-                assert core_size_of_content(residue_counts(p, n)) == sum(n_core(p, n))
-
-
-@st.composite
-def residue_series(draw):
-    """(n, base, order): a partition's content, one count nudged by -1, 0 or 1, shifted by -delta.
-
-    The shift by 0, 1 or 2 times (1, ..., 1) lets the base hold negative
-    entries, so the first d of a series may have no content.
-    """
-    n = draw(st.integers(2, 5))
-    p = draw(st.sampled_from(list(partitions_of(draw(st.integers(0, 14))))))
-    counts = list(residue_counts(p, n))
-    r = draw(st.integers(0, n - 1))
-    counts[r] = max(0, counts[r] + draw(st.integers(-1, 1)))
-    shift = draw(st.integers(0, 2))
-    return n, tuple(c - shift for c in counts), draw(st.integers(0, 3))
-
-
-class TestContentCount:
-    """`branching._census`: the listing walk counted one content base + d (1, ..., 1) at a time."""
-
-    @settings(max_examples=150, deadline=None)
-    @given(residue_series())
-    def test_counts_the_filtered_listing_walk(self, case):
-        # For each pair of prefix and close tests -- none, the j-free chain congruence, and each route at each
-        # j -- and each d, the listing walk yields exactly the members that
-        # the pair's membership test keeps from the unpruned listing of
-        # base + d (1, ..., 1), and coefficient d of the count is how many
-        # it yields, 0 when that content has a negative entry.
-        n, base, order = case
-        pairs = [
-            (None, None, lambda p: True),
-            (fow_prefix(n), fow_close, lambda p: is_js(p, n)),
-        ]
-        for j in range(n):
-            pairs += [
-                (fow_prefix(n, j), fow_close, lambda p, j=j: in_fow(p, n, j)),
-                (eps_prefix(n, j), eps_close(n, j), lambda p, j=j: crystal_member(p, n, j)),
-            ]
-        contents = [tuple(c + d for c in base) for d in range(order + 1)]
-        listings = [list(regular_partitions_with_content(n, counts)) for counts in contents]
-        for prefix, close, member in pairs:
-            got = _census(n, base, order, prefix, close)
-            assert len(got) == order + 1
-            for d, (counts, members) in enumerate(zip(contents, listings)):
-                listed = list(regular_partitions_with_content(n, counts, prefix, close))
-                assert listed == [p for p in members if member(p)], (n, counts)
-                expected = 0 if min(counts) < 0 else len(listed)
-                assert got[d] == expected, (n, base, d)
-
-    def test_empty_and_impossible_contents(self):
-        def never(*args):
-            raise AssertionError("no row to test")
-
-        assert _census(3, (0, 0, 0), 0, never, never) == (1,)
-        assert _census(2, (0, 1), 0, never, never) == (0,)
-        assert _census(2, (-1, 2), 0, never, never) == (0,)
-
-    def test_counts_what_the_prefix_and_close_pass(self):
-        # With no tests, or tests that pass everything, it counts the whole
-        # content; the close sees each member's last part and its row index
-        # mod n.  (3) and (2, 1) have content (1, 1, 1); (1, 1, 1) is not
-        # 3-regular.
-        assert _census(3, (1, 1, 1), 0, None, None) == (2,)
-        for counts in ((2, 2, 2), (4, 3, 3), (5, 5, 4)):
-            members = list(regular_partitions_with_content(3, counts))
-            assert _census(3, counts, 0, anything, anything) == (len(members),)
-            ends = Counter((p[-1], (len(p) - 1) % 3) for p in members)
-            for (v, r), many in ends.items():
-
-                def close(v2, r2, value, v=v, r=r):
-                    return (v2, r2) == (v, r)
-
-                assert _census(3, counts, 0, anything, close)[0] == many
-
-    def test_checks_arguments_when_called(self):
-        with pytest.raises(ValueError, match="expected 3 residue counts"):
-            _census(3, (1, 0), 0, None, None)
-        with pytest.raises(ValueError, match="n must be at least 2"):
-            _census(1, (0,), 0, None, None)
-        with pytest.raises(ValueError, match="order must be nonnegative"):
-            _census(3, (0, 0, 0), -1, None, None)
+    def test_the_empty_partition_is_listed_at_grade_zero_only(self):
+        # Every other partition has its corner node, of residue 0.
+        route = _content_route(3, 4)
+        assert _listing(3, 0, *route) == {(0, 0): [()]}
+        assert _listing(3, 1, *route)[(0, 0)] == [(3,), (2, 1)]
 
 
 class TestRectangles:

@@ -13,6 +13,7 @@ from slnbranch import (
     n_core,
     n_cores,
     n_weight,
+    partitions_of,
     partitions_up_to,
     residue_counts,
     verify_rectangle_cores,
@@ -102,6 +103,22 @@ class TestJsSets:
         with pytest.raises(ValueError):
             js_set(3, (3,), 1)
 
+    @pytest.mark.parametrize("n", range(2, 8))
+    def test_equals_the_filtered_listing_on_every_core(self, n):
+        # Every n-core up to size 20, non-rectangles (no member) included,
+        # at every n-weight d from -1 (no partition) up to size 20: the
+        # n-regular partitions of |mu| + n d that pass the chain congruence
+        # and have mu's content plus d (1, ..., 1), in decreasing lex order.
+        for mu in n_cores(n, 20):
+            base = residue_counts(mu, n)
+            for d in range(-1, (20 - sum(mu)) // n + 1):
+                expected = [
+                    p
+                    for p in partitions_of(sum(mu) + n * d, regular=n)
+                    if is_js(p, n) and residue_counts(p, n) == tuple(c + d for c in base)
+                ]
+                assert js_set(n, mu, d) == expected, (n, mu, d)
+
 
 class TestChi:
     @pytest.mark.parametrize("mu,expected", sorted(EXAMPLE_CHI.items()))
@@ -167,8 +184,9 @@ class TestChiSweep:
     )
     def test_equals_the_walk_and_the_listing_on_every_core(self, n, max_size, order):
         # Every n-core, so the cores no member has (non-rectangles) read zeros
-        # too.  The reference is the content walk's listing under the chain
-        # congruence row by row, as `chi_direct` counted before its sweep.
+        # too.  The reference is `js_set`'s listing of each block by the
+        # sweep's listing twin, which the test above checks against every
+        # partition.
         for mu in n_cores(n, max_size):
             direct = chi_direct(n, mu, order)
             assert direct == tuple(len(js_set(n, mu, d)) for d in range(order + 1)), (n, mu)

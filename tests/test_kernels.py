@@ -6,36 +6,22 @@ pre-fills its runners with the empty rows' beads; each is compared with a
 reference that makes the passes separately, on every partition of size at
 most 20 for n = 2..7 and on long inputs.
 
-Two counting kernels are compared with the library's earlier ones too:
-the paths route's block sweep, whose configuration sums must equal the
-transfer matrix that stepped one column at a time, and the content walk's
-row step, which takes a row's content in one pass.
+One counting kernel is compared with the library's earlier one too: the
+paths route's block sweep, whose configuration sums must equal the
+transfer matrix that stepped one column at a time.
 """
 
 import pytest
 
-from slnbranch import cores
-from slnbranch.branching import (
-    _class_members,
-    _paths_route,
-    _sweep,
-    fow_close,
-    fow_index,
-    fow_prefix,
-    in_path_set,
-    sweep_series,
-)
-from slnbranch.cores import _pushed_partition, _runners, n_core, n_cores
+from slnbranch.branching import _paths_route, _sweep, fow_index, in_path_set, sweep_series
+from slnbranch.cores import _pushed_partition, _runners, n_core
 from slnbranch.partitions import partitions_up_to, residue_counts
 from oracles import (
     abacus_core,
     column_walk_in_path_set,
-    eps_close,
-    eps_prefix,
     naive_residue_counts,
     rescan_configuration_sums,
     two_pass_fow_index,
-    two_pass_row_choices,
 )
 
 RANKS = range(2, 8)
@@ -105,33 +91,3 @@ def test_configuration_sums_equal_the_rescanning_transfer_matrix(n):
 @pytest.mark.parametrize("n, j, order", [(4, 1, 100), (6, 1, 40)])
 def test_configuration_sums_equal_the_rescanning_transfer_matrix_at_the_frontier(n, j, order):
     check_configuration_sums(n, j, order)
-
-
-@pytest.mark.parametrize("n", range(2, 7))
-def test_row_step_equals_the_two_pass_row_step(monkeypatch, n):
-    row_choices = cores._row_choices
-    checked = set()  # each distinct state is compared once
-
-    def compared(n, content, *window):
-        state = (tuple(content), *window)
-        choices = row_choices(n, content, *window)
-        if state not in checked:
-            assert tuple(content) == state[0]
-            assert choices == two_pass_row_choices(n, content, *window), (n, state)
-            checked.add(state)
-        return choices
-
-    monkeypatch.setattr(cores, "_row_choices", compared)
-    # Every state the fow and crystal content walks of each class reach, up
-    # to order 8, under the chain congruence and the crystal reference tests.
-    for j in range(n):
-        for k in range(n):
-            _class_members(n, j, k, 8, fow_prefix(n, j), fow_close)
-            _class_members(n, j, k, 8, eps_prefix(n, j), eps_close(n, j))
-    # And every state of the listing walk over the blocks of the cores up
-    # to size 8, up to size 16.
-    for mu in n_cores(n, 8):
-        base = residue_counts(mu, n)
-        for w in range((16 - sum(mu)) // n + 1):
-            list(cores.regular_partitions_with_content(n, [c + w for c in base]))
-    assert len(checked) > 150

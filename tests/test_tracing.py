@@ -26,6 +26,7 @@ tracer.install()
 commands = [
     ["branching", "--n", "3", "--j", "1", "--k", "0", "--order", "3", "--method", "all"],
     ["js", "chi", "--n", "3", "--core", "-", "--order", "2", "--method", "both"],
+    ["js", "list", "--n", "3", "--core", "-", "--weight", "2"],
     ["verify", "--suite", "js", "--n", "3", "--max-size", "5", "--order", "2"],
     ["verify", "--suite", "fow", "--n", "3", "--max-size", "4"],
     ["verify", "--suite", "cores", "--n", "3", "--max-size", "4"],
@@ -54,7 +55,7 @@ def test_traced_cli_counts_every_route(tmp_path):
         check=True,
     )
     result = json.loads(done.stdout)
-    assert result["codes"] == [0, 0, 0, 0, 0, 0]
+    assert result["codes"] == [0, 0, 0, 0, 0, 0, 0]
     calls = result["calls"]
     for name in (
         "branching.in_path_set",
@@ -65,6 +66,8 @@ def test_traced_cli_counts_every_route(tmp_path):
         "crystal.epsilon_vector",
         "jantzen_seitz.is_js",
         "jantzen_seitz.is_js_by_crystal",
+        # `js list` lists one block inside this span.
+        "jantzen_seitz.js_set",
         "verify.verify_js",
         "verify.verify_cores",
         "verify.verify_crystal",
