@@ -12,7 +12,6 @@ parts) under a route's step, for the branching routes, `cores` and
 
 from __future__ import annotations
 
-from bisect import bisect_right
 from collections.abc import Callable, Iterator
 from itertools import accumulate
 from operator import add
@@ -265,25 +264,27 @@ def _listing(n: int, order: int, start: tuple, step: Callable, close: Callable) 
     after every sequence that extends it, so each list is in decreasing
     lex order.  Returns {close(state): [partitions]}.
     """
-    # zeros[v][rho][a - 1]: the residue-0 nodes of a rows of part v from row index rho.
-    zeros = [None]
-    for v in range(1, n * order + 1):
-        rows = _row_zeros(n, v) * 2  # the row indices rho .. rho + n - 2, mod n
-        zeros.append([list(accumulate(rows[rho : rho + n - 1])) for rho in range(n)])
+    # rows[v][x]: the residue-0 nodes of a row of part v at row index x mod n, x < 2n.
+    rows = [None] + [_row_zeros(n, v) * 2 for v in range(1, n * order + 1)]
     lists: dict = {}
     parts: list[int] = []
 
     def extend(state, top: int, low: int) -> None:
         rho = state[-1]
-        room = order - low
-        # A first row of part v holds at most `room` residue-0 nodes when
-        # v <= n room + rho, so each v here takes a block of one row at least.
-        for v in range(min(top - 1, n * room + rho), 0, -1):
-            counts = zeros[v][rho]
-            for a in range(bisect_right(counts, room), 0, -1):
+        # A first row of part v holds at most order - low residue-0 nodes
+        # when v <= n (order - low) + rho, so each v here takes one row at least.
+        for v in range(min(top - 1, n * (order - low) + rho), 0, -1):
+            grades = [low]  # grades[a]: the grade after a block of a rows
+            grade = low
+            for zeros in rows[v][rho : rho + n - 1]:
+                grade += zeros
+                if grade > order:
+                    break
+                grades.append(grade)
+            for a in range(len(grades) - 1, 0, -1):
                 after = step(state, v, a)
                 if after is not None:
-                    grade = low + counts[a - 1]
+                    grade = grades[a]
                     parts.extend([v] * a)
                     extend(after, v, grade)
                     if grade == order:
