@@ -274,22 +274,22 @@ def _listing(n: int, order: int, start: tuple, step: Callable, close: Callable) 
         # A first row of part v holds at most order - low residue-0 nodes
         # when v <= n (order - low) + rho, so each v here takes one row at least.
         for v in range(min(top - 1, n * (order - low) + rho), 0, -1):
-            grades = [low]  # grades[a]: the grade after a block of a rows
-            grade = low
-            for zeros in rows[v][rho : rho + n - 1]:
-                grade += zeros
-                if grade > order:
-                    break
-                grades.append(grade)
-            for a in range(len(grades) - 1, 0, -1):
+            row = rows[v]
+            # The longest block within the order, a rows, and its grade.
+            a, grade = 0, low
+            while a < n - 1 and grade + row[rho + a] <= order:
+                grade += row[rho + a]
+                a += 1
+            while a:
                 after = step(state, v, a)
                 if after is not None:
-                    grade = grades[a]
                     parts.extend([v] * a)
                     extend(after, v, grade)
                     if grade == order:
                         lists.setdefault(close(after), []).append(tuple(parts))
                     del parts[-a:]
+                a -= 1
+                grade -= row[rho + a]
 
     extend(start, n * order + 1, 0)
     if not order:
