@@ -89,21 +89,18 @@ elif route in ("every-class", "cores"):
     report = suite(n, order)
     seconds = time.process_time() - start
     result = {"ok": report.ok, "cases": report.cases}
-elif route == "chi-direct":
+elif route.startswith("chi-"):
+    from slnbranch import chi_by_branching
     from slnbranch.cores import block_content
     from slnbranch.jantzen_seitz import _chi_sweep
     cores = [()] + [(k,) * l for k in range(1, n) for l in range(1, n - k + 1)]
     start = time.process_time()
-    series = _chi_sweep(n, [block_content(n, mu) for mu in cores], order)
+    if route == "chi-direct":
+        series = _chi_sweep(n, [block_content(n, mu) for mu in cores], order)
+    else:
+        series = [chi_by_branching(n, mu, order) for mu in cores]
     seconds = time.process_time() - start
     result = {"series": [list(chi) for chi in series]}
-elif route == "chi-branching":
-    from slnbranch import chi_by_branching
-    cores = [()] + [(k,) * l for k in range(1, n) for l in range(1, n - k + 1)]
-    start = time.process_time()
-    series = [list(chi_by_branching(n, mu, order)) for mu in cores]
-    seconds = time.process_time() - start
-    result = {"series": series}
 else:
     from slnbranch import branching_series
     start = time.process_time()
