@@ -28,7 +28,8 @@ every state and scans each series for its lowest power, the paths route
 before the block sweep) and `class_residue_counts` (the residue content
 of a branching class, by which `residue_class` names a partition's
 class).  `uncapped_content_route` is the block count's content route
-without its size cut.
+without its size cut; `size_capped_route` adds a size cut to any route,
+and `walk_blocks` steps one partition's blocks through a route by hand.
 """
 
 from collections import Counter
@@ -450,6 +451,38 @@ def uncapped_content_route(n: int) -> tuple:
         return tuple(map(add, diffs, table[v % n][rho][a])), (rho + a) % n
 
     return ((0,) * (n - 1), 0), step, lambda state: state[0]
+
+
+def size_capped_route(route, max_size: int) -> tuple:
+    """A route (start, step, close) that also cuts every block taking the size past max_size.
+
+    The state is (inner state, size, rho), rho copied from the inner
+    state's last field, which the sweep and the listing read as rho.
+    """
+    start, step, close = route
+
+    def capped_step(state, v, a):
+        inner, size, _ = state
+        size += v * a
+        if size > max_size:
+            return None
+        after = step(inner, v, a)
+        return None if after is None else (after, size, after[-1])
+
+    return (start, 0, start[-1]), capped_step, lambda state: close(state[0])
+
+
+def walk_blocks(route, p):
+    """The state after stepping p's blocks (v, a), largest part first, through route; None if cut."""
+    from slnbranch.partitions import exponent_form
+
+    start, step, _ = route
+    state = start
+    for v, a in exponent_form(p):
+        state = step(state, v, a)
+        if state is None:
+            return None
+    return state
 
 
 def filtered_bucket_series(n: int, j: int, k: int, order: int) -> dict:

@@ -29,7 +29,7 @@ from slnbranch.branching import (
 )
 from slnbranch.cores import _content_route
 from slnbranch.jantzen_seitz import _chi_route
-from slnbranch.partitions import exponent_form
+from slnbranch.partitions import _listing, exponent_form
 
 from oracles import (
     class_residue_counts,
@@ -39,6 +39,8 @@ from oracles import (
     filtered_bucket_series,
     path_coordinates,
     residue_class,
+    size_capped_route,
+    walk_blocks,
 )
 
 # the six worked n=3 series (orders as displayed: three terms each)
@@ -391,6 +393,54 @@ class TestCountingRoutes:
                     got = _class_members(n, j, k, order, route)
                     assert got == swept[k], (n, j, k, route)
 
+    @pytest.mark.parametrize("n,order", [(2, 12), (3, 12), (4, 12), (5, 10), (6, 9)])
+    def test_every_class_equals_the_filtered_listing(self, n, order):
+        # The three routes list the same partitions under the same class
+        # key at every d, and each one passes all three membership tests
+        # and lies in the class its residue content names.
+        for j in range(n):
+            for d in range(order + 1):
+                listed = {route: _listing(n, d, *make(n, j)) for route, (make, _) in SWEEPS.items()}
+                assert listed["paths"] == listed["fow"] == listed["crystal"], (n, j, d)
+                for key, members in listed["fow"].items():
+                    for p in members:
+                        assert residue_class(p, n, j) == key, (n, j, p)
+                        for route, (_, member) in SWEEPS.items():
+                            assert member(p, n, j), (n, j, p, route)
+
+    @pytest.mark.parametrize("n", [2, 3, 4, 5])
+    def test_close_decides_every_walked_partition(self, n):
+        # Under a size cap of 12, each route's listing at grade d holds
+        # exactly the members of size up to 12 with d residue-0 nodes, each
+        # under the class its residue content names.
+        regular = sorted(partitions_up_to(12, regular=n), reverse=True)
+        for j in range(n):
+            for route, (make, member) in SWEEPS.items():
+                capped = size_capped_route(make(n, j), 12)
+                for d in range(12 // n + 2):
+                    expected = {}
+                    for p in regular:
+                        if residue_counts(p, n)[0] == d and member(p, n, j):
+                            expected.setdefault(residue_class(p, n, j), []).append(p)
+                    assert _listing(n, d, *capped) == expected, (n, j, d, route)
+
+    def test_close_examples(self):
+        # (3, 3) at n = 3 is the one block (3, 2), which j = 1 admits; it
+        # closes into class (1, 0).  (2, 1) closes there too.  (2,) is the
+        # block (2, 1), which j = 1 admits and j = 0 cuts: for j = 1 it
+        # closes into class (1, 2), whose labels are (2, 2).
+        for route, (make, _) in SWEEPS.items():
+            for j, p, key in ((1, (3, 3), (0, 1)), (1, (2, 1), (0, 1)), (1, (2,), (2, 2))):
+                start, step, close = make(3, j)
+                assert close(walk_blocks((start, step, close), p)) == key, (route, j, p)
+                assert residue_class(p, 3, j) == key
+            assert walk_blocks(make(3, 0), (2,)) is None, route
+        # The empty partition closes from the start state into class (j, 0).
+        for route, (make, _) in SWEEPS.items():
+            for j in range(4):
+                start, _, close = make(4, j)
+                assert close(start) == tuple(sorted((0, j))), (route, j)
+
     def test_rejects_a_negative_order_and_an_unknown_route(self):
         with pytest.raises(ValueError, match="order must be nonnegative"):
             _census(3, -1, *_fow_route(3, 0))
@@ -398,8 +448,58 @@ class TestCountingRoutes:
             _class_members(3, 0, 0, 2, "fermionic")
 
 
-class TestSweepStates:
-    """How many block steps and states each route's sweep makes."""
+class TestPrefixTests:
+    """Route steps that cut a block by hand: the cut falls on the block, before any row below."""
+
+    def test_prefixes_cut(self):
+        # Chain congruence with no j, n = 4: after the block (5, 1) the next
+        # block (4, a2) needs a2 ≡ 4 - 5 - 1 ≡ 2 (mod 4), so (5, 4) and
+        # (5, 4, 4, 4) are cut and (5, 4, 4) goes on.
+        start, step, _ = _fow_route(4, None)
+        after = step(start, 5, 1)
+        assert after is not None
+        assert [step(after, 4, a) is not None for a in (1, 2, 3)] == [False, True, False]
+        # n = 3: after (4, 1), a block (2, a2) needs a2 ≡ 2 - 4 - 1 ≡ 0,
+        # which no length 1 or 2 is, so nothing below (4,) starts with 2.
+        start, step, _ = _fow_route(3, None)
+        after = step(start, 4, 1)
+        assert after is not None and step(after, 2, 1) is None and step(after, 2, 2) is None
+        # Crystal, j = 0 at n = 3: the row of 4 puts a "+" at residue 1 and
+        # its removable node, residue 0, raises eps_0.  A block of 2s below
+        # ends at residue 0 (one row), where eps_0 is already 1, or at
+        # residue 2 (two rows), where no "+" is: both are cut.
+        start, step, _ = _crystal_route(3, 0)
+        after = step(start, 4, 1)
+        assert after == (1, (0, 1, 0), 1)
+        assert step(after, 2, 1) is None and step(after, 2, 2) is None
+        # (3,) and (3, 3) end at residue 2 and 1, with no "+" above: for
+        # j = 0 both first blocks are cut.  For j = 2, (3,) raises eps_2,
+        # and then a block of 1s ends at residue 2 or 1, where neither eps
+        # nor a "+" can take its "-": (3, 1) and (3, 1, 1) are cut.
+        assert step(start, 3, 1) is None and step(start, 3, 2) is None
+        start, step, _ = _crystal_route(3, 2)
+        after = step(start, 3, 1)
+        assert after == (1, (1, 0, 0), 1)
+        assert step(after, 1, 1) is None and step(after, 1, 2) is None
+        for p in ((4, 2), (4, 2, 2), (3, 1)):
+            assert not crystal_member(p, 3, 0) and not crystal_member(p, 3, 2), p
+
+    def test_open_fow_block_is_cut(self):
+        # At n = 3 the first block (3, a) must have a ≡ 3 - j (mod 3):
+        # j = 0 admits no length, j = 2 only a = 1.
+        start, step, _ = _fow_route(3, 0)
+        assert step(start, 3, 1) is None and step(start, 3, 2) is None
+        start, step, _ = _fow_route(3, 2)
+        assert step(start, 3, 1) is not None and step(start, 3, 2) is None
+        # After the block (3, 1) of j = 2, a block (1, a2) would need
+        # a2 ≡ 1 - 3 - 1 ≡ 0.
+        after = step(start, 3, 1)
+        assert step(after, 1, 1) is None and step(after, 1, 2) is None
+        assert not in_fow((3, 1), 3, 2) and in_fow((3,), 3, 2)
+
+
+class TestLookAhead:
+    """The crystal route settles a block's removable node at the block below, and stays near fow."""
 
     @pytest.mark.parametrize("n,order", [(3, 24), (4, 24), (5, 18), (6, 16)])
     def test_crystal_row_steps_stay_near_fow(self, n, order, monkeypatch):

@@ -9,6 +9,7 @@ from slnbranch import (
     abacus_display,
     block_series,
     exponent_form,
+    is_js,
     is_n_core,
     is_n_regular,
     is_rectangle_le_n,
@@ -19,6 +20,13 @@ from slnbranch import (
     partitions_up_to,
     residue_counts,
 )
+from slnbranch.branching import (
+    _census,
+    _class_members,
+    _crystal_route,
+    _fow_route,
+    _paths_route,
+)
 from slnbranch.cores import (
     _block_entry,
     _block_key,
@@ -28,6 +36,7 @@ from slnbranch.cores import (
     _pushed_partition,
     _runners,
 )
+from slnbranch.jantzen_seitz import _chi_route
 from slnbranch.partitions import _listing, _sweep
 from oracles import (
     abacus_core,
@@ -37,7 +46,9 @@ from oracles import (
     position_scan_pushed_partition,
     rim_hook_core,
     rim_hook_weight,
+    size_capped_route,
     uncapped_content_route,
+    walk_blocks,
 )
 
 
@@ -273,6 +284,207 @@ class TestContentListing:
         route = _content_route(3, 4)
         assert _listing(3, 0, *route) == {(0, 0): [()]}
         assert _listing(3, 1, *route)[(0, 0)] == [(3,), (2, 1)]
+
+
+def filtered_census(n, size):
+    """{content: the n-regular partitions of size with that content, in decreasing lex}."""
+    buckets = {}
+    for p in partitions_of(size, regular=n):
+        buckets.setdefault(residue_counts(p, n), []).append(p)
+    return buckets
+
+
+def content_listing(n, counts):
+    """The n-regular partitions of one content: one entry of a content-route `_listing`.
+
+    The route's size cap is the content's own size, and its grade c_0.
+    """
+    if min(counts) < 0:
+        return []
+    return _listing(n, counts[0], *_content_route(n, sum(counts))).get(_block_key(counts), [])
+
+
+def row_zeros(n, v, x):
+    """The residue-0 nodes of a row of part v at 0-based row index x, by counting its nodes."""
+    return sum(1 for t in range(v) if (t - x) % n == 0)
+
+
+class TestContentWalk:
+    """`_listing` one content at a time, and what its route's step sees."""
+
+    @pytest.mark.parametrize("n", [2, 3, 4, 5])
+    def test_equals_filtered_census_up_to_20(self, n):
+        # A size cap equal to the content's size cuts no member.
+        for size in range(21):
+            for counts, members in filtered_census(n, size).items():
+                assert content_listing(n, counts) == members, (n, counts)
+
+    @pytest.mark.parametrize("n,max_size", [(2, 14), (3, 12), (4, 10), (5, 9)])
+    def test_every_vector_up_to_size(self, n, max_size):
+        # Contents that no partition has, or only irregular ones, list
+        # nothing.
+        buckets = {}
+        for size in range(max_size + 1):
+            buckets.update(filtered_census(n, size))
+        for counts in product(range(max_size + 1), repeat=n):
+            if sum(counts) <= max_size:
+                assert content_listing(n, counts) == buckets.get(counts, []), counts
+
+    @pytest.mark.parametrize("n,max_size", [(2, 14), (3, 12), (4, 10)])
+    def test_prefix_sees_only_parts_that_can_hold_the_nodes_left(self, n, max_size):
+        # The listing offers the step no block whose residue-0 nodes take
+        # the grade past the order, and still lists every partition of that
+        # grade: the state carries the grade, counted node by node.
+        regular = list(partitions_up_to(max_size, regular=n))
+        for order in range(max_size + 1):
+
+            def step(state, v, a, order=order):
+                grade, size, rho = state
+                grade += sum(row_zeros(n, v, rho + x) for x in range(a))
+                size += v * a
+                assert grade <= order, (state, v, a)
+                return None if size > max_size else (grade, size, (rho + a) % n)
+
+            listed = _listing(n, order, (0, 0, 0), step, lambda state: state[0])
+            expected = sorted((p for p in regular if residue_counts(p, n)[0] == order), reverse=True)
+            assert listed == ({order: expected} if expected else {}), (n, order)
+
+    def test_examples(self):
+        assert content_listing(3, (0, 0, 0)) == [()]
+        assert content_listing(3, (2, 2, 2)) == [(6,), (5, 1), (4, 1, 1), (3, 3), (3, 2, 1)]
+        assert content_listing(2, (0, 1)) == []
+        assert content_listing(2, (-1, 2)) == []
+
+    @pytest.mark.parametrize("n,max_size", [(2, 14), (3, 14), (4, 12)])
+    def test_prefix_keeps_exactly_the_partitions_whose_prefixes_pass(self, n, max_size):
+        def tracked(state, v, a):
+            # The step is handed the state of exactly the blocks above:
+            # here every row placed so far, and rho their count mod n.
+            rows, rho = state
+            assert rho == len(rows) % n and 1 <= a < n, (rows, v, a)
+            assert not rows or v < rows[-1], (rows, v)
+            return None if v == 2 else (rows + (v,) * a, (rho + a) % n)
+
+        def three_blocks(state, v, a):
+            blocks, rho = state
+            return None if blocks == 3 else (blocks + 1, (rho + a) % n)
+
+        routes = [
+            (((), 0), tracked, lambda state: state[0]),
+            ((0, 0), three_blocks, lambda state: state[0]),
+        ]
+        for j in range(n):
+            routes += [_fow_route(n, j), _crystal_route(n, j), _paths_route(n, j)]
+        regular = list(partitions_up_to(max_size, regular=n))
+        for route in routes:
+            capped = size_capped_route(route, max_size)
+            for order in range(max_size // n + 2):
+                expected = {}
+                for p in sorted(regular, reverse=True):
+                    state = walk_blocks(capped, p) if residue_counts(p, n)[0] == order else None
+                    if state is not None:
+                        expected.setdefault(capped[2](state), []).append(p)
+                assert _listing(n, order, *capped) == expected, (n, order, route[0])
+
+    def test_false_cuts_one_part_only(self):
+        # A None from the step cuts that one block (v, a): the listing goes
+        # on to the shorter blocks of v and to smaller parts.
+        start, step, close = _content_route(3, 6)
+        for cut, members in (
+            ((3, 2), [(6,), (5, 1), (4, 1, 1), (3, 2, 1)]),
+            ((1, 2), [(6,), (5, 1), (3, 3), (3, 2, 1)]),
+            ((3, 1), [(6,), (5, 1), (4, 1, 1), (3, 3)]),
+        ):
+
+            def cutting(state, v, a, cut=cut):
+                return None if (v, a) == cut else step(state, v, a)
+
+            assert _listing(3, 2, start, cutting, close)[(0, 0)] == members, cut
+
+
+@st.composite
+def residue_series(draw):
+    """(n, base, order): a partition's content, one count nudged by -1, 0 or 1, shifted by -delta.
+
+    The shift by 0, 1 or 2 times (1, ..., 1) lets the base hold negative
+    entries, so the first d of a series may have no content.
+    """
+    n = draw(st.integers(2, 5))
+    p = draw(st.sampled_from(list(partitions_of(draw(st.integers(0, 12))))))
+    counts = list(residue_counts(p, n))
+    r = draw(st.integers(0, n - 1))
+    counts[r] = max(0, counts[r] + draw(st.integers(-1, 1)))
+    shift = draw(st.integers(0, 2))
+    return n, tuple(c - shift for c in counts), draw(st.integers(0, 3))
+
+
+def never(*args):
+    raise AssertionError("no block to step or close")
+
+
+class TestContentCount:
+    """`branching._census` over the content route: one content base + d (1, ..., 1) at a time."""
+
+    @settings(max_examples=100, deadline=None)
+    @given(residue_series())
+    def test_counts_the_filtered_listing_walk(self, case):
+        # Coefficient c_0 + d of the base's key counts the n-regular
+        # partitions of base + d (1, ..., 1), 0 when that content has a
+        # negative entry; the chi route counts those that pass `is_js`.
+        n, base, order = case
+        top = max(base[0] + order, 0)
+        cap = max(sum(base) + n * order, 0)
+        key = _block_key(base)
+        counted = {
+            "all": _census(n, top, *_content_route(n, cap)).get(key, (0,) * (top + 1)),
+            "js": _census(n, top, *size_capped_route(_chi_route(n), cap)).get(key, (0,) * (top + 1)),
+        }
+        for d in range(order + 1):
+            counts = tuple(c + d for c in base)
+            members = [] if min(counts) < 0 else filtered_census(n, sum(counts)).get(counts, [])
+            expected = {"all": len(members), "js": sum(is_js(p, n) for p in members)}
+            for route, series in counted.items():
+                got = series[counts[0]] if counts[0] >= 0 else 0
+                assert got == expected[route], (n, base, d, route)
+
+    def test_empty_and_impossible_contents(self):
+        # At order 0 only the empty partition is counted, with no block
+        # stepped; (0, 1) and (-1, 2) at n = 2 have no partition.
+        assert _census(3, 0, ((0, 0), 0, 0), never, lambda state: state[0]) == {(0, 0): (1,)}
+        sums = _census(2, 2, *_content_route(2, 4))
+        assert sums.get(_block_key((0, 1)), (0,))[0] == 0
+        assert _block_key((-1, 2)) not in sums
+
+    def test_counts_what_the_prefix_and_close_pass(self):
+        # The close sees each member's last part and its row count mod n:
+        # a route that carries them beside the content counts each such
+        # pair.  (3) and (2, 1) have content (1, 1, 1), beside the empty
+        # partition at grade 0; (1, 1, 1) is not 3-regular.
+        start, step, close = _content_route(3, 3)
+        assert _census(3, 1, start, step, close)[(0, 0)] == (1, 2)
+        for counts in ((2, 2, 2), (4, 3, 3), (5, 5, 4)):
+            start, step, close = _content_route(3, sum(counts))
+
+            def ends(state, v, a):
+                inner, _, _ = state
+                after = step(inner, v, a)
+                return None if after is None else (after, v, after[-1])
+
+            members = content_listing(3, counts)
+            sums = _census(3, counts[0], (start, None, 0), ends, lambda s: (close(s[0]), s[1], s[2]))
+            got = Counter()
+            for (diffs, v, rho), series in sums.items():
+                if diffs == _block_key(counts):
+                    got[v, (rho - 1) % 3] += series[counts[0]]
+            expected = Counter((p[-1], (len(p) - 1) % 3) for p in members)
+            assert +got == expected, counts
+
+    def test_checks_arguments_when_called(self):
+        # The order and the rank are checked before any block is stepped.
+        with pytest.raises(ValueError, match="order must be nonnegative"):
+            _census(3, -1, ((0, 0), 0, 0), never, never)
+        with pytest.raises(ValueError, match="n must be at least 2"):
+            _class_members(1, 0, 0, 2, "fow")
 
 
 class TestRectangles:
