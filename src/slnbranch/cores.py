@@ -35,6 +35,7 @@ off it, as it reads `jantzen_seitz.chi_direct`'s sweep, by the key
 from __future__ import annotations
 
 from collections.abc import Sequence
+from functools import cache
 from operator import add
 
 from .partitions import (
@@ -206,14 +207,16 @@ def block_content(n: int, mu: Partition) -> tuple[int, ...]:
     return residue_counts(mu, n)
 
 
-def _block_diffs(n: int) -> list:
+@cache
+def _block_diffs(n: int) -> tuple:
     """table[v % n][rho][a]: how a block moves c_r - c_0, r = 1..n-1.
 
     The block is a rows of part v, the first at 0-based row index rho mod
     n.  A row of part v at row index x holds v // n nodes of every residue
     and one more of each of the v mod n residues from -x on; the full turns
     leave every difference as it was, so the move depends on (v mod n, rho,
-    a) alone.  Entry a = 0 is None.
+    a) alone.  Entry a = 0 is None.  The table is made once per n and
+    shared by every route that reads it, so it is built of tuples.
     """
     table = []
     for extra in range(n):
@@ -225,16 +228,16 @@ def _block_diffs(n: int) -> list:
                 for t in range(extra):
                     counts[(t - x) % n] += 1
                 moves.append(tuple(c - counts[0] for c in counts[1:]))
-            by_rho.append(moves)
-        table.append(by_rho)
-    return table
+            by_rho.append(tuple(moves))
+        table.append(tuple(by_rho))
+    return tuple(table)
 
 
 def _content_route(n: int, max_size: int) -> tuple:
     """The content of the rows placed, up to a size: the state is (diffs, size, rho).
 
     diffs is c_r - c_0, r = 1..n-1, over the rows placed, moved per block
-    by the `_block_diffs` table made here; size is the nodes placed, and a
+    by the `_block_diffs` table of n; size is the nodes placed, and a
     block that takes it past max_size is cut, since it only grows; rho is
     the row count mod n.  The end reads diffs, the key of the block: with
     c_0 the sweep's grade, it fixes the content.

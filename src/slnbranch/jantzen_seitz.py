@@ -9,13 +9,14 @@ with no j fixed carrying the content differences c_r - c_0 as the content
 route of `cores` does, so every block is counted at once and the one asked
 for is read off the end by `cores`' block reader; `verify_js` reads every
 rectangle core from one such sweep (`_chi_sweep`).  `js_set` lists the
-members of one block by the sweep's listing twin over the same route;
+members of one block by the sweep's listing twin over the same route,
+cutting each block below which the block's content left has no rows;
 `chi_by_branching` reads branching functions.
 """
 
 from __future__ import annotations
 
-from operator import add
+from operator import add, sub
 
 from .branching import _fow_route, branching_series, fow_index
 from .cores import _block_diffs, _block_entry, _block_key, block_content, is_rectangle_le_n, n_core
@@ -57,12 +58,40 @@ def js_set(n: int, mu: Partition, d: int) -> list[Partition]:
     They are the partitions of the block content `block_content(n, mu)`
     plus d (1, ..., 1) that pass the chain congruence: the `_chi_route`
     listing at grade c_0 + d, read at the block's key as `chi_direct`
-    reads its sweep.
+    reads its sweep.  Its state is (the route's state, the nodes left to
+    place, rho), and its step cuts each block below which no rows can hold
+    what is left.  Rows of parts below v, each at most n - 1 times, hold at
+    most (n - 1) v (v - 1) / 2 nodes.  The content c left has differences
+    x_r = c_r - c_0, the key's less the route's diffs, and sum c = left, so
+    n c_0 = left - sum x.  Rows placed from row index rho on have residue
+    -rho where rows from index 0 have residue 0, so they can hold c only if
+    its n-weight read from residue -rho is at least 0:
+    sum_r (x_r - x_{r-1})^2 <= 2 c_{-rho}, which also keeps c >= 0.  So
+    every partition listed fits in the block's content, and none past it
+    is walked.
     """
     base = block_content(n, mu)
     if d < 0:
         return []
-    return _listing(n, base[0] + d, *_chi_route(n)).get(_block_key(base), [])
+    key = _block_key(base)
+    start, chain, close = _chi_route(n)
+
+    def step(state, v, a):
+        moved = chain(state[0], v, a)
+        if moved is None:
+            return None
+        left = state[1] - v * a
+        if 2 * left > (n - 1) * v * (v - 1):
+            return None
+        rho = moved[2]
+        x = (0, *map(sub, key, moved[1]))
+        spread = sum((x[r] - x[r - 1]) ** 2 for r in range(n))
+        if n * spread > 2 * (left - sum(x) + n * x[-rho]):
+            return None
+        return moved, left, rho
+
+    lists = _listing(n, base[0] + d, (start, sum(base) + n * d, 0), step, lambda s: close(s[0]))
+    return lists.get(key, [])
 
 
 def chi_direct(n: int, mu: Partition, order: int) -> tuple[int, ...]:
@@ -93,7 +122,7 @@ def _chi_route(n: int) -> tuple:
     step this reads: `after` is (v + a) mod n of the last block (None
     before the first, whose length is free), rho the row count mod n.
     `diffs` is c_r - c_0, r = 1..n-1, over the rows placed, moved per block
-    by the `cores._block_diffs` table made here, as in `cores`' content
+    by the `cores._block_diffs` table of n, as in `cores`' content
     route.  The end reads diffs, the key of the block: with c_0 the
     sweep's grade, it fixes the content.
     """

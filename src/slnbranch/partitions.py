@@ -259,13 +259,18 @@ def _listing(n: int, order: int, start: tuple, step: Callable, close: Callable) 
     The listing twin of `_sweep`: it takes the same route (start, step,
     close), tries the blocks (v, a) below each state in the same way, v
     from n * order down, with the same residue-0 count per row, and cuts a
-    block where the sweep's grade would pass `order`.  Depth first, each
-    state tries v descending, then a descending, and a sequence is listed
-    after every sequence that extends it, so each list is in decreasing
-    lex order.  Returns {close(state): [partitions]}.
+    block where the sweep's grade would pass `order`, or where no blocks
+    of its part and below could bring the grade up to it.  Depth first,
+    each state tries v descending, then a descending, and a sequence is
+    listed after every sequence that extends it, so each list is in
+    decreasing lex order.  Returns {close(state): [partitions]}.
     """
     # rows[v][x]: the residue-0 nodes of a row of part v at row index x mod n, x < 2n.
     rows = [None] + [_row_zeros(n, v) * 2 for v in range(1, n * order + 1)]
+    # reach[v]: the most residue-0 nodes that blocks of parts v and below hold.
+    reach = [0] * (n * order + 1)
+    for v in range(1, n * order + 1):
+        reach[v] = reach[v - 1] + (n - 1) * rows[v][0]
     lists: dict = {}
     parts: list[int] = []
 
@@ -274,6 +279,8 @@ def _listing(n: int, order: int, start: tuple, step: Callable, close: Callable) 
         # A first row of part v holds at most order - low residue-0 nodes
         # when v <= n (order - low) + rho, so each v here takes one row at least.
         for v in range(min(top - 1, n * (order - low) + rho), 0, -1):
+            if low + reach[v] < order:
+                break
             row = rows[v]
             # The longest block within the order, a rows, and its grade.
             a, grade = 0, low

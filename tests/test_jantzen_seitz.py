@@ -1,3 +1,5 @@
+from operator import le
+
 import pytest
 
 from slnbranch import (
@@ -18,8 +20,10 @@ from slnbranch import (
     residue_counts,
     verify_rectangle_cores,
 )
-from slnbranch.cores import _block_diffs, block_content
+from slnbranch import jantzen_seitz
+from slnbranch.cores import _block_diffs, _block_key, block_content
 from slnbranch.jantzen_seitz import _chi_sweep
+from slnbranch.partitions import _listing
 
 # the twelve worked sets for n = 3, keyed by (core, weight)
 EXAMPLE_SETS = {
@@ -118,6 +122,29 @@ class TestJsSets:
                     if is_js(p, n) and residue_counts(p, n) == tuple(c + d for c in base)
                 ]
                 assert js_set(n, mu, d) == expected, (n, mu, d)
+
+    @pytest.mark.parametrize("n", range(2, 7))
+    def test_lists_no_partition_past_its_content(self, monkeypatch, n):
+        # The step cuts each block below which no rows hold the content
+        # left, so every partition in the listing js_set reads fits in the
+        # block's content: without the cut it lists every key at the grade
+        # c_0 + d, and the block's key holds the members.
+        listed = []
+
+        def listing(*args):
+            lists = _listing(*args)
+            listed.append(lists)
+            return lists
+
+        monkeypatch.setattr(jantzen_seitz, "_listing", listing)
+        for mu in n_cores(n, 12):
+            base = residue_counts(mu, n)
+            for d in range(4):
+                members = js_set(n, mu, d)
+                lists = listed.pop()
+                assert lists.get(_block_key(base), []) == members, (n, mu, d)
+                for p in (p for found in lists.values() for p in found):
+                    assert all(map(le, residue_counts(p, n), (c + d for c in base))), (n, mu, d, p)
 
 
 class TestChi:
