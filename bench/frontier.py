@@ -62,7 +62,12 @@ EVERY_CLASS_POINTS = ((4, 24), (6, 16), (4, 60), (6, 40), (4, 200), (6, 100), (8
 CHI_POINTS = ((3, 60), (4, 40), (6, 24), (8, 14), (10, 10))
 CHI_ROUTES = ("direct", "branching")
 CORES_POINTS = ((4, 36), (6, 28), (8, 24), (10, 30))
-JS_POINTS = ((2, (), 50), (3, (), 30), (4, (), 20), (5, (), 12), (3, (2,), 25))
+# The last four: the non-rectangle 2-core (30, 29, ..., 1) of size 465
+# and the 3-core (4, 2), which no member has, and two blocks past n = 10.
+JS_POINTS = (
+    (2, (), 50), (3, (), 30), (4, (), 20), (5, (), 12), (3, (2,), 25),
+    (2, tuple(range(30, 0, -1)), 0), (3, (4, 2), 12), (10, (), 7), (12, (4, 4, 4), 5),
+)
 # Repeats on one host move by 10-30%, so each time is a median of five.
 RUNS = 5
 LIMIT_S = 20.0
