@@ -97,8 +97,8 @@ elif route in ("every-class", "cores"):
 elif route.startswith("chi-"):
     from slnbranch import chi_by_branching
     from slnbranch.cores import block_content
-    from slnbranch.jantzen_seitz import _chi_sweep
-    cores = [()] + [(k,) * l for k in range(1, n) for l in range(1, n - k + 1)]
+    from slnbranch.jantzen_seitz import _chi_sweep, _rectangle_cores
+    cores = _rectangle_cores(n)
     start = time.process_time()
     if route == "chi-direct":
         series = _chi_sweep(n, [block_content(n, mu) for mu in cores], order)

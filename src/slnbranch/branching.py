@@ -21,10 +21,12 @@ its own step per block, and reads the class off its own end state:
 
 No route lists a member, and no step reads another route's test or class.
 The sweep itself, `_sweep`, lives in `partitions`, since `cores` counts
-blocks with it too; `jantzen_seitz.chi_direct` counts the Jantzen-Seitz
-partitions of a block by the same sweep, stepping the fow route's
-congruence with no j fixed, and `jantzen_seitz.js_set` lists them by the
-sweep's listing twin, `partitions._listing`.
+blocks with it too; it keeps the row count mod n (rho) and hands it to
+each step and close, so a route's state holds only its own fields.
+`jantzen_seitz.chi_direct` counts the Jantzen-Seitz partitions of a block
+by the same sweep, with the fow route's congruence and no j fixed, and
+`jantzen_seitz.js_set` lists them by the sweep's listing twin,
+`partitions._listing`.
 """
 
 from __future__ import annotations
@@ -165,70 +167,63 @@ def _labels(counts) -> tuple[int, ...]:
 
 
 def _paths_route(n: int, j: int) -> tuple:
-    """`in_path_set`'s block rule, read as runs: the state is (lam, rho), from lam = L(j).
+    """`in_path_set`'s block rule, read as runs: the state is lam, from lam = L(j).
 
-    A block first raises lam at (v - rho) mod n, the raise the block above
-    left pending (for the first block, L(lambda_1 mod n)), then lowers it at
-    (v - rho - a) mod n, and is cut if that coefficient is 0.  The end
-    raises lam at -rho; the class is the end point lam = L(k) + L(j - k).
+    A block below rho rows first raises lam at (v - rho) mod n, the raise
+    the block above left pending (for the first block, L(lambda_1 mod n)),
+    then lowers it at (v - rho - a) mod n, and is cut if that coefficient
+    is 0.  The end raises lam at -rho; the class is the end point
+    lam = L(k) + L(j - k).
     """
     lam = [0] * n
     lam[j] += 1
 
-    def step(state, v, a):
-        lam, rho = state
+    def step(lam, v, a, rho):
         lam = list(lam)
         lam[(v - rho) % n] += 1
         low = (v - rho - a) % n
         if not lam[low]:
             return None
         lam[low] -= 1
-        return tuple(lam), (rho + a) % n
+        return tuple(lam)
 
-    def close(state):
-        lam, rho = state
+    def close(lam, rho):
         lam = list(lam)
         lam[-rho % n] += 1
         return _labels(lam)
 
-    return (tuple(lam), 0), step, close
+    return tuple(lam), step, close
 
 
-def _fow_route(n: int, j: int | None) -> tuple:
-    """The chain congruence on consecutive blocks: the state is (after, x, rho).
+def _fow_route(n: int, j: int) -> tuple:
+    """The chain congruence on consecutive blocks: the state is (after, x).
 
     `after` is (v + a) mod n of the last block, and j before the first: the
     first block needs a ≡ v - j (mod n), and each later one
     a ≡ v - (v_prev + a_prev), which is a_i + v_i - v_{i+1} + a_{i+1} ≡ 0.
-    x is (v - R) mod n of the last block, R the rows above it.  The
+    x is (v - rho) mod n of the last block, below rho rows.  The
     congruence telescopes the residue content, so the class is read off the
-    end: its labels are x and -l mod n, l the row count.  The start's x is
-    j, so the empty partition reads (0, j), the class (j, 0).
-
-    With j None the first block's length is free; the step reads only
-    `after` and rho of a state, so a route with a middle field of its own
-    (`jantzen_seitz`'s chi route) steps through it.
+    end: its labels are x and -rho mod n, rho the row count.  The start's
+    x is j, so the empty partition reads (0, j), the class (j, 0).
     """
 
-    def step(state, v, a):
-        after, _, rho = state
-        if after is not None and (v - after - a) % n:
+    def step(state, v, a, rho):
+        if (v - state[0] - a) % n:
             return None
-        return (v + a) % n, (v - rho) % n, (rho + a) % n
+        return (v + a) % n, (v - rho) % n
 
-    def close(state):
-        _, x, rho = state
-        return tuple(sorted((x, -rho % n)))
+    def close(state, rho):
+        return tuple(sorted((state[1], -rho % n)))
 
-    return (j, j, 0), step, close
+    return (j, j), step, close
 
 
 def _crystal_route(n: int, j: int) -> tuple:
-    """The eps-profile, one signature step per block: the state is (eps_j, plus, rho).
+    """The eps-profile, one signature step per block: the state is (eps_j, plus).
 
-    `plus` counts the surviving "+" per residue.  A block's first row puts
-    its addable node's "+" at (v - rho) mod n; its last row's removable
-    node, settled by the smaller part below, puts a "-" at
+    `plus` counts the surviving "+" per residue.  A block's first row, below
+    rho rows, puts its addable node's "+" at (v - rho) mod n; its last
+    row's removable node, settled by the smaller part below, puts a "-" at
     (v - rho - a) mod n, which cancels a "+" of that residue, or else
     raises eps_j from 0, or is cut: a "-" that no "+" above cancels stays,
     so a settled eps only grows, and it must end at e_j.  The end adds the
@@ -237,8 +232,8 @@ def _crystal_route(n: int, j: int) -> tuple:
     (the empty partition, eps = 0 and phi = e_0, is class (j, 0)).
     """
 
-    def step(state, v, a):
-        eps, plus, rho = state
+    def step(state, v, a, rho):
+        eps, plus = state
         plus = list(plus)
         plus[(v - rho) % n] += 1
         x = (v - rho - a) % n
@@ -248,16 +243,16 @@ def _crystal_route(n: int, j: int) -> tuple:
             eps = 1
         else:
             return None
-        return eps, tuple(plus), (rho + a) % n
+        return eps, tuple(plus)
 
-    def close(state):
-        eps, plus, rho = state
+    def close(state, rho):
+        eps, plus = state
         phi = list(plus)
         phi[-rho % n] += 1
         phi[j] += 1 - eps
         return _labels(phi)
 
-    return (0, (0,) * n, 0), step, close
+    return (0, (0,) * n), step, close
 
 
 def _route(n: int, j: int, method: str) -> tuple:
@@ -283,7 +278,7 @@ def sweep_series(n: int, j: int, order: int, method: str) -> dict[int, tuple[int
     series = {}
     for k in range(n):
         pair = tuple(sorted((k, (j - k) % n)))
-        series[k] = tuple(sums[pair][1]) if pair in sums else (0,) * (order + 1)
+        series[k] = sums.get(pair, (0,) * (order + 1))
     return series
 
 

@@ -234,24 +234,24 @@ def _block_diffs(n: int) -> tuple:
 
 
 def _content_route(n: int, max_size: int) -> tuple:
-    """The content of the rows placed, up to a size: the state is (diffs, size, rho).
+    """The content of the rows placed, up to a size: the state is (diffs, size).
 
     diffs is c_r - c_0, r = 1..n-1, over the rows placed, moved per block
-    by the `_block_diffs` table of n; size is the nodes placed, and a
-    block that takes it past max_size is cut, since it only grows; rho is
-    the row count mod n.  The end reads diffs, the key of the block: with
-    c_0 the sweep's grade, it fixes the content.
+    by the `_block_diffs` table of n at the block's first row index rho;
+    size is the nodes placed, and a block that takes it past max_size is
+    cut, since it only grows.  The end reads diffs, the key of the block:
+    with c_0 the sweep's grade, it fixes the content.
     """
     table = _block_diffs(n)
 
-    def step(state, v, a):
-        diffs, size, rho = state
+    def step(state, v, a, rho):
+        diffs, size = state
         size += v * a
         if size > max_size:
             return None
-        return tuple(map(add, diffs, table[v % n][rho][a])), size, (rho + a) % n
+        return tuple(map(add, diffs, table[v % n][rho][a])), size
 
-    return ((0,) * (n - 1), 0, 0), step, lambda state: state[0]
+    return ((0,) * (n - 1), 0), step, lambda state, rho: state[0]
 
 
 def _block_entry(sums: dict, content, order: int) -> tuple[int, ...]:
@@ -262,7 +262,7 @@ def _block_entry(sums: dict, content, order: int) -> tuple[int, ...]:
     """
     c0 = content[0]
     found = sums.get(_block_key(content))
-    return (0,) * (order + 1) if found is None else tuple(found[1][c0 : c0 + order + 1])
+    return (0,) * (order + 1) if found is None else found[c0 : c0 + order + 1]
 
 
 def _block_key(content) -> tuple[int, ...]:

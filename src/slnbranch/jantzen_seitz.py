@@ -8,17 +8,17 @@ counts them in one block sweep (`_chi_route`), the fow route's congruence
 with no j fixed carrying the content differences c_r - c_0 as the content
 route of `cores` does, so every block is counted at once and the one asked
 for is read off the end by `cores`' block reader; `verify_js` reads every
-rectangle core from one such sweep (`_chi_sweep`).  `js_set` lists the
-members of one block by the sweep's listing twin over the same route,
-cutting each block below which the block's content left has no rows;
-`chi_by_branching` reads branching functions.
+rectangle core (`_rectangle_cores`) from one such sweep (`_chi_sweep`).
+`js_set` lists the members of one block by the sweep's listing twin over
+the same route, cutting each block below which the block's content left
+has no rows; `chi_by_branching` reads branching functions.
 """
 
 from __future__ import annotations
 
 from operator import add, sub
 
-from .branching import _fow_route, branching_series, fow_index
+from .branching import branching_series, fow_index
 from .cores import _block_diffs, _block_entry, _block_key, block_content, is_rectangle_le_n, n_core
 from .crystal import eps_index
 from .partitions import (
@@ -58,17 +58,18 @@ def js_set(n: int, mu: Partition, d: int) -> list[Partition]:
     They are the partitions of the block content `block_content(n, mu)`
     plus d (1, ..., 1) that pass the chain congruence: the `_chi_route`
     listing at grade c_0 + d, read at the block's key as `chi_direct`
-    reads its sweep.  Its state is (the route's state, the nodes left to
-    place, rho), and its step cuts each block below which no rows can hold
-    what is left.  Rows of parts below v, each at most n - 1 times, hold at
+    reads its sweep.  Its state is the route's (after, diffs) and the
+    nodes left to place, stepped and closed by the route's own step and
+    close, and its step cuts each block below which no rows can hold what
+    is left.  Rows of parts below v, each at most n - 1 times, hold at
     most (n - 1) v (v - 1) / 2 nodes.  The content c left has differences
     x_r = c_r - c_0, the key's less the route's diffs, and sum c = left, so
-    n c_0 = left - sum x.  Rows placed from row index rho on have residue
-    -rho where rows from index 0 have residue 0, so they can hold c only if
-    its n-weight read from residue -rho is at least 0:
-    sum_r (x_r - x_{r-1})^2 <= 2 c_{-rho}, which also keeps c >= 0.  So
-    every partition listed fits in the block's content, and none past it
-    is walked.
+    n c_0 = left - sum x.  Rows placed from row index i on, i the row
+    count mod n below the block, have residue -i where rows from index 0
+    have residue 0, so they can hold c only if its n-weight read from
+    residue -i is at least 0: sum_r (x_r - x_{r-1})^2 <= 2 c_{-i}, which
+    also keeps c >= 0.  So every partition listed fits in the block's
+    content, and none past it is walked.
     """
     base = block_content(n, mu)
     if d < 0:
@@ -76,21 +77,20 @@ def js_set(n: int, mu: Partition, d: int) -> list[Partition]:
     key = _block_key(base)
     start, chain, close = _chi_route(n)
 
-    def step(state, v, a):
-        moved = chain(state[0], v, a)
+    def step(state, v, a, rho):
+        moved = chain(state, v, a, rho)
         if moved is None:
             return None
-        left = state[1] - v * a
+        left = state[2] - v * a
         if 2 * left > (n - 1) * v * (v - 1):
             return None
-        rho = moved[2]
         x = (0, *map(sub, key, moved[1]))
         spread = sum((x[r] - x[r - 1]) ** 2 for r in range(n))
-        if n * spread > 2 * (left - sum(x) + n * x[-rho]):
+        if n * spread > 2 * (left - sum(x) + n * x[-(rho + a) % n]):
             return None
-        return moved, left, rho
+        return (*moved, left)
 
-    lists = _listing(n, base[0] + d, (start, sum(base) + n * d, 0), step, lambda s: close(s[0]))
+    lists = _listing(n, base[0] + d, (*start, sum(base) + n * d), step, close)
     return lists.get(key, [])
 
 
@@ -116,26 +116,32 @@ def _chi_sweep(n: int, contents, order: int) -> list[tuple[int, ...]]:
 
 
 def _chi_route(n: int) -> tuple:
-    """The chain congruence with no j fixed, carrying the content: the state is (after, diffs, rho).
+    """The chain congruence with no j fixed, carrying the content: the state is (after, diffs).
 
-    `after` and rho step as in `branching._fow_route` with j None, whose
-    step this reads: `after` is (v + a) mod n of the last block (None
-    before the first, whose length is free), rho the row count mod n.
-    `diffs` is c_r - c_0, r = 1..n-1, over the rows placed, moved per block
-    by the `cores._block_diffs` table of n, as in `cores`' content
-    route.  The end reads diffs, the key of the block: with c_0 the
-    sweep's grade, it fixes the content.
+    `after` is (v + a) mod n of the last block, None before the first,
+    whose length is free; each later block needs a ≡ v - after (mod n), as
+    in `branching._fow_route`.  `diffs` is c_r - c_0, r = 1..n-1, over the
+    rows placed, moved per block by the `cores._block_diffs` table of n at
+    the block's first row index rho, as in `cores`' content route.  The
+    end reads diffs, the key of the block: with c_0 the sweep's grade, it
+    fixes the content.  Step and close read only a state's first two
+    fields, so `js_set`'s state, which adds the nodes left, is stepped and
+    closed by them too.
     """
-    _, chain, _ = _fow_route(n, None)
     table = _block_diffs(n)
 
-    def step(state, v, a):
-        moved = chain(state, v, a)
-        if moved is None:
+    def step(state, v, a, rho):
+        after = state[0]
+        if after is not None and (v - after - a) % n:
             return None
-        return moved[0], tuple(map(add, state[1], table[v % n][state[2]][a])), moved[2]
+        return (v + a) % n, tuple(map(add, state[1], table[v % n][rho][a]))
 
-    return (None, (0,) * (n - 1), 0), step, lambda state: state[1]
+    return (None, (0,) * (n - 1)), step, lambda state, rho: state[1]
+
+
+def _rectangle_cores(n: int) -> list[Partition]:
+    """The empty core and every rectangle (k^l) with k + l <= n: the cores members have."""
+    return [()] + [(k,) * l for k in range(1, n) for l in range(1, n - k + 1)]
 
 
 def chi_by_branching(n: int, mu: Partition, order: int) -> tuple[int, ...]:

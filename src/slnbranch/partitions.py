@@ -8,6 +8,10 @@ are 1-based, and the node in row i, column j carries the residue
 `_sweep` counts n-regular partitions as sequences of blocks (runs of equal
 parts) under a route's step, for the branching routes, `cores` and
 `jantzen_seitz`; `_listing`, its twin, lists them, for `jantzen_seitz.js_set`.
+A route is a triple (start, step, close) whose state holds only its own
+fields: the walkers keep rho, the number of rows placed mod n, and hand it
+to step(state, v, a, rho) with the rows above the block and to
+close(state, rho) with every row.
 """
 
 from __future__ import annotations
@@ -217,53 +221,54 @@ def _sweep(n: int, order: int, start: tuple, step: Callable, close: Callable) ->
     a equal parts v, with 1 <= a <= n - 1 and v strictly decreasing.  The
     sweep visits the parts v from n * order down to 1 (the first row of a
     larger part holds more than `order` residue-0 nodes).  A dict, private
-    to the call, maps a route state, whose last field is rho, the number
-    of rows placed mod n, to [low, series]: the series of the block
-    sequences with larger parts that reach the state, and its lowest power.
-    At each v, every state tries a block of each length a, whose rows start
-    at rho; step(state, v, a) is the route's state after the block, or None
-    where the route cuts it.  The block carries q^z: a row of part v at
+    to the call, maps a route state and rho, the number of rows placed
+    mod n, to the series of the block sequences with larger parts that
+    reach them, and its lowest power.  At each v, every entry tries a block
+    of each length a, whose rows start at rho; step(state, v, a, rho) is
+    the route's state after the block, or None where the route cuts it,
+    and rho moves on by a.  The block carries q^z: a row of part v at
     0-based row index x mod n has (v - 1 - x) // n + 1 residue-0 nodes
-    (none when x >= v).  The new states merge into the dict only after v
-    is done, so no two blocks share a part.  Each state left at the end,
-    the start state among them (the empty partition), is closed:
-    close(state) is the key to which its series is added, such as a
-    branching class's sorted label pair (k, j - k).
+    (none when x >= v).  The new entries merge into the dict only after v
+    is done, so no two blocks share a part.  Each entry left at the end,
+    the start state at rho 0 among them (the empty partition), is closed:
+    close(state, rho) is the key to which its series is added, such as a
+    branching class's sorted label pair (k, j - k).  Returns {key: series},
+    each series a tuple of length order + 1.
     """
     size = order + 1
-    states = {start: [0, [1] + [0] * order]}
+    states = {(start, 0): [0, [1] + [0] * order]}
     for v in range(n * order, 0, -1):
         zeros = _row_zeros(n, v)
         ahead: dict = {}
-        for state, (low, series) in states.items():
-            rho = state[-1]
+        for (state, rho), (low, series) in states.items():
             shift = 0
             for a in range(1, n):
                 shift += zeros[(rho + a - 1) % n]
                 if low + shift > order:
                     break
-                after = step(state, v, a)
+                after = step(state, v, a, rho)
                 if after is not None:
-                    _add_into(ahead, after, low + shift, series, shift, size)
-        for state, (low, series) in ahead.items():
-            _add_into(states, state, low, series, 0, size)
+                    _add_into(ahead, (after, (rho + a) % n), low + shift, series, shift, size)
+        for entry, (low, series) in ahead.items():
+            _add_into(states, entry, low, series, 0, size)
     sums: dict = {}
-    for state, (low, series) in states.items():
-        _add_into(sums, close(state), low, series, 0, size)
-    return sums
+    for (state, rho), (low, series) in states.items():
+        _add_into(sums, close(state, rho), low, series, 0, size)
+    return {key: tuple(series) for key, (_, series) in sums.items()}
 
 
 def _listing(n: int, order: int, start: tuple, step: Callable, close: Callable) -> dict:
     """The block sequences with exactly `order` residue-0 nodes, listed by their end key.
 
     The listing twin of `_sweep`: it takes the same route (start, step,
-    close), tries the blocks (v, a) below each state in the same way, v
-    from n * order down, with the same residue-0 count per row, and cuts a
-    block where the sweep's grade would pass `order`, or where no blocks
-    of its part and below could bring the grade up to it.  Depth first,
-    each state tries v descending, then a descending, and a sequence is
-    listed after every sequence that extends it, so each list is in
-    decreasing lex order.  Returns {close(state): [partitions]}.
+    close), keeps rho as the sweep does, tries the blocks (v, a) below each
+    state in the same way, v from n * order down, with the same residue-0
+    count per row, and cuts a block where the sweep's grade would pass
+    `order`, or where no blocks of its part and below could bring the
+    grade up to it.  Depth first, each state tries v descending, then a
+    descending, and a sequence is listed after every sequence that extends
+    it, so each list is in decreasing lex order.  Returns
+    {close(state, rho): [partitions]}.
     """
     # rows[v][x]: the residue-0 nodes of a row of part v at row index x mod n, x < 2n.
     rows = [None] + [_row_zeros(n, v) * 2 for v in range(1, n * order + 1)]
@@ -274,8 +279,7 @@ def _listing(n: int, order: int, start: tuple, step: Callable, close: Callable) 
     lists: dict = {}
     parts: list[int] = []
 
-    def extend(state, top: int, low: int) -> None:
-        rho = state[-1]
+    def extend(state, rho: int, top: int, low: int) -> None:
         # A first row of part v holds at most order - low residue-0 nodes
         # when v <= n (order - low) + rho, so each v here takes one row at least.
         for v in range(min(top - 1, n * (order - low) + rho), 0, -1):
@@ -288,19 +292,20 @@ def _listing(n: int, order: int, start: tuple, step: Callable, close: Callable) 
                 grade += row[rho + a]
                 a += 1
             while a:
-                after = step(state, v, a)
+                after = step(state, v, a, rho)
                 if after is not None:
+                    below = (rho + a) % n
                     parts.extend([v] * a)
-                    extend(after, v, grade)
+                    extend(after, below, v, grade)
                     if grade == order:
-                        lists.setdefault(close(after), []).append(tuple(parts))
+                        lists.setdefault(close(after, below), []).append(tuple(parts))
                     del parts[-a:]
                 a -= 1
                 grade -= row[rho + a]
 
-    extend(start, n * order + 1, 0)
+    extend(start, 0, n * order + 1, 0)
     if not order:
-        lists.setdefault(close(start), []).append(())
+        lists.setdefault(close(start, 0), []).append(())
     return lists
 
 

@@ -17,6 +17,7 @@ from .cores import (
 from .crystal import _add_good, _component_layers, _remove_good, _signatures
 from .jantzen_seitz import (
     _chi_sweep,
+    _rectangle_cores,
     chi_by_branching,
     is_js,
     is_js_by_crystal,
@@ -110,9 +111,7 @@ def verify_js(n: int, max_size: int, order: int) -> VerificationReport:
                 report.record(partition=list(p), chain=chain, profile=profile)
             if chain:
                 members.append(p)
-        cores = [()] + [
-            (k,) * l for k in range(1, n) for l in range(1, n - k + 1)
-        ]
+        cores = _rectangle_cores(n)
         # One block sweep holds the direct chi of every core.
         chis = _chi_sweep(n, [block_content(n, mu) for mu in cores], order)
         for mu, direct in zip(cores, chis):

@@ -29,7 +29,8 @@ before the block sweep) and `class_residue_counts` (the residue content
 of a branching class, by which `residue_class` names a partition's
 class).  `uncapped_content_route` is the block count's content route
 without its size cut; `size_capped_route` adds a size cut to any route,
-and `walk_blocks` steps one partition's blocks through a route by hand.
+and `walk_blocks` steps one partition's blocks through a route by hand and
+closes it.
 """
 
 from collections import Counter
@@ -435,7 +436,7 @@ def residue_class(p, n: int, j: int):
 
 
 def uncapped_content_route(n: int) -> tuple:
-    """`cores._content_route` with no size cut: the state is (diffs, rho).
+    """`cores._content_route` with no size cut: the state is diffs.
 
     Reference for the size cap: a sweep of it counts every partition of
     each content up to the sweep's order, whatever its size.
@@ -446,43 +447,47 @@ def uncapped_content_route(n: int) -> tuple:
 
     table = _block_diffs(n)
 
-    def step(state, v, a):
-        diffs, rho = state
-        return tuple(map(add, diffs, table[v % n][rho][a])), (rho + a) % n
+    def step(diffs, v, a, rho):
+        return tuple(map(add, diffs, table[v % n][rho][a]))
 
-    return ((0,) * (n - 1), 0), step, lambda state: state[0]
+    return (0,) * (n - 1), step, lambda diffs, rho: diffs
 
 
 def size_capped_route(route, max_size: int) -> tuple:
     """A route (start, step, close) that also cuts every block taking the size past max_size.
 
-    The state is (inner state, size, rho), rho copied from the inner
-    state's last field, which the sweep and the listing read as rho.
+    The state is (inner state, size); the inner route's step and close
+    get the walker's rho as they would without the cap.
     """
     start, step, close = route
 
-    def capped_step(state, v, a):
-        inner, size, _ = state
+    def capped_step(state, v, a, rho):
+        inner, size = state
         size += v * a
         if size > max_size:
             return None
-        after = step(inner, v, a)
-        return None if after is None else (after, size, after[-1])
+        after = step(inner, v, a, rho)
+        return None if after is None else (after, size)
 
-    return (start, 0, start[-1]), capped_step, lambda state: close(state[0])
+    return (start, 0), capped_step, lambda state, rho: close(state[0], rho)
 
 
-def walk_blocks(route, p):
-    """The state after stepping p's blocks (v, a), largest part first, through route; None if cut."""
+def walk_blocks(route, p, n: int):
+    """The end key of p's blocks (v, a), largest part first, stepped through route; None if cut.
+
+    Rows are counted by hand, so each step gets the rows above its block
+    mod n, and the close gets len(p) mod n.
+    """
     from slnbranch.partitions import exponent_form
 
-    start, step, _ = route
-    state = start
+    start, step, close = route
+    state, rows = start, 0
     for v, a in exponent_form(p):
-        state = step(state, v, a)
+        state = step(state, v, a, rows % n)
         if state is None:
             return None
-    return state
+        rows += a
+    return close(state, rows % n)
 
 
 def filtered_bucket_series(n: int, j: int, k: int, order: int) -> dict:

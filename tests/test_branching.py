@@ -16,7 +16,7 @@ from slnbranch import (
     verify_fow_theorem,
     weight_of,
 )
-from slnbranch import branching
+from slnbranch import branching, jantzen_seitz
 from slnbranch.branching import (
     METHODS,
     _census,
@@ -29,7 +29,7 @@ from slnbranch.branching import (
 )
 from slnbranch.cores import _content_route
 from slnbranch.jantzen_seitz import _chi_route
-from slnbranch.partitions import _listing, exponent_form
+from slnbranch.partitions import _listing
 
 from oracles import (
     class_residue_counts,
@@ -344,16 +344,11 @@ class TestBlockSweep:
             for j in range(n):
                 pair = residue_class(p, n, j)
                 for route, (make, member) in SWEEPS.items():
-                    start, step, close = make(n, j)
-                    state = start
-                    for v, a in exponent_form(p):
-                        state = step(state, v, a)
-                        if state is None:
-                            break
+                    key = walk_blocks(make(n, j), p, n)
                     if member(p, n, j):
-                        assert state is not None and close(state) == pair, (p, j, route)
+                        assert key is not None and key == pair, (p, j, route)
                     else:
-                        assert state is None, (p, j, route)
+                        assert key is None, (p, j, route)
 
     def test_the_empty_partition_is_class_j0_which_is_class_jj(self):
         # At order 0 the empty partition is the only partition counted; it
@@ -379,8 +374,7 @@ class TestCountingRoutes:
         routes = [make(n, j) for make in makes for j in range(n)]
         routes += [_chi_route(n), _content_route(n, n * order)]
         for route in routes:
-            swept = {key: tuple(series) for key, (_, series) in _sweep(n, order, *route).items()}
-            assert _census(n, order, *route) == swept, (n, route[0])
+            assert _census(n, order, *route) == _sweep(n, order, *route), (n, route[0])
 
     @pytest.mark.parametrize("n,order", [(2, 16), (3, 14), (4, 12), (5, 10)])
     def test_class_members_equal_the_sweep(self, n, order):
@@ -431,15 +425,39 @@ class TestCountingRoutes:
         # closes into class (1, 2), whose labels are (2, 2).
         for route, (make, _) in SWEEPS.items():
             for j, p, key in ((1, (3, 3), (0, 1)), (1, (2, 1), (0, 1)), (1, (2,), (2, 2))):
-                start, step, close = make(3, j)
-                assert close(walk_blocks((start, step, close), p)) == key, (route, j, p)
+                assert walk_blocks(make(3, j), p, 3) == key, (route, j, p)
                 assert residue_class(p, 3, j) == key
-            assert walk_blocks(make(3, 0), (2,)) is None, route
+            assert walk_blocks(make(3, 0), (2,), 3) is None, route
         # The empty partition closes from the start state into class (j, 0).
         for route, (make, _) in SWEEPS.items():
             for j in range(4):
                 start, _, close = make(4, j)
-                assert close(start) == tuple(sorted((0, j))), (route, j)
+                assert close(start, 0) == tuple(sorted((0, j))), (route, j)
+
+    @pytest.mark.parametrize("n", range(2, 8))
+    def test_every_route_closes_its_own_start(self, n, monkeypatch):
+        # At order 0 the sweep and the listing step no block: each closes
+        # the route's start alone, the empty partition, under the key the
+        # route's docstring names: class (j, 0) for paths, fow and crystal
+        # at every j, and the zero differences c_r - c_0 for the content
+        # and chi routes and for js_set's listing of the empty core.
+        routes = [
+            (make(n, j), tuple(sorted((0, j)))) for make, _ in SWEEPS.values() for j in range(n)
+        ]
+        zeros = (0,) * (n - 1)
+        routes += [(_content_route(n, 0), zeros), (_chi_route(n), zeros)]
+        calls = []
+
+        def listing(*args):
+            calls.append(args[2:])
+            return _listing(*args)
+
+        monkeypatch.setattr(jantzen_seitz, "_listing", listing)
+        assert jantzen_seitz.js_set(n, (), 0) == [()]
+        routes += [(calls.pop(), zeros)]
+        for route, key in routes:
+            assert _sweep(n, 0, *route) == {key: (1,)}, (n, route[0])
+            assert _listing(n, 0, *route) == {key: [()]}, (n, route[0])
 
     def test_rejects_a_negative_order_and_an_unknown_route(self):
         with pytest.raises(ValueError, match="order must be nonnegative"):
@@ -452,35 +470,35 @@ class TestPrefixTests:
     """Route steps that cut a block by hand: the cut falls on the block, before any row below."""
 
     def test_prefixes_cut(self):
-        # Chain congruence with no j, n = 4: after the block (5, 1) the next
-        # block (4, a2) needs a2 ≡ 4 - 5 - 1 ≡ 2 (mod 4), so (5, 4) and
-        # (5, 4, 4, 4) are cut and (5, 4, 4) goes on.
-        start, step, _ = _fow_route(4, None)
-        after = step(start, 5, 1)
+        # Chain congruence with no j (the chi route), n = 4: after the block
+        # (5, 1) the next block (4, a2) needs a2 ≡ 4 - 5 - 1 ≡ 2 (mod 4),
+        # so (5, 4) and (5, 4, 4, 4) are cut and (5, 4, 4) goes on.
+        start, step, _ = _chi_route(4)
+        after = step(start, 5, 1, 0)
         assert after is not None
-        assert [step(after, 4, a) is not None for a in (1, 2, 3)] == [False, True, False]
+        assert [step(after, 4, a, 1) is not None for a in (1, 2, 3)] == [False, True, False]
         # n = 3: after (4, 1), a block (2, a2) needs a2 ≡ 2 - 4 - 1 ≡ 0,
         # which no length 1 or 2 is, so nothing below (4,) starts with 2.
-        start, step, _ = _fow_route(3, None)
-        after = step(start, 4, 1)
-        assert after is not None and step(after, 2, 1) is None and step(after, 2, 2) is None
+        start, step, _ = _chi_route(3)
+        after = step(start, 4, 1, 0)
+        assert after is not None and step(after, 2, 1, 1) is None and step(after, 2, 2, 1) is None
         # Crystal, j = 0 at n = 3: the row of 4 puts a "+" at residue 1 and
         # its removable node, residue 0, raises eps_0.  A block of 2s below
         # ends at residue 0 (one row), where eps_0 is already 1, or at
         # residue 2 (two rows), where no "+" is: both are cut.
         start, step, _ = _crystal_route(3, 0)
-        after = step(start, 4, 1)
-        assert after == (1, (0, 1, 0), 1)
-        assert step(after, 2, 1) is None and step(after, 2, 2) is None
+        after = step(start, 4, 1, 0)
+        assert after == (1, (0, 1, 0))
+        assert step(after, 2, 1, 1) is None and step(after, 2, 2, 1) is None
         # (3,) and (3, 3) end at residue 2 and 1, with no "+" above: for
         # j = 0 both first blocks are cut.  For j = 2, (3,) raises eps_2,
         # and then a block of 1s ends at residue 2 or 1, where neither eps
         # nor a "+" can take its "-": (3, 1) and (3, 1, 1) are cut.
-        assert step(start, 3, 1) is None and step(start, 3, 2) is None
+        assert step(start, 3, 1, 0) is None and step(start, 3, 2, 0) is None
         start, step, _ = _crystal_route(3, 2)
-        after = step(start, 3, 1)
-        assert after == (1, (1, 0, 0), 1)
-        assert step(after, 1, 1) is None and step(after, 1, 2) is None
+        after = step(start, 3, 1, 0)
+        assert after == (1, (1, 0, 0))
+        assert step(after, 1, 1, 1) is None and step(after, 1, 2, 1) is None
         for p in ((4, 2), (4, 2, 2), (3, 1)):
             assert not crystal_member(p, 3, 0) and not crystal_member(p, 3, 2), p
 
@@ -488,13 +506,13 @@ class TestPrefixTests:
         # At n = 3 the first block (3, a) must have a ≡ 3 - j (mod 3):
         # j = 0 admits no length, j = 2 only a = 1.
         start, step, _ = _fow_route(3, 0)
-        assert step(start, 3, 1) is None and step(start, 3, 2) is None
+        assert step(start, 3, 1, 0) is None and step(start, 3, 2, 0) is None
         start, step, _ = _fow_route(3, 2)
-        assert step(start, 3, 1) is not None and step(start, 3, 2) is None
+        assert step(start, 3, 1, 0) is not None and step(start, 3, 2, 0) is None
         # After the block (3, 1) of j = 2, a block (1, a2) would need
         # a2 ≡ 1 - 3 - 1 ≡ 0.
-        after = step(start, 3, 1)
-        assert step(after, 1, 1) is None and step(after, 1, 2) is None
+        after = step(start, 3, 1, 0)
+        assert step(after, 1, 1, 1) is None and step(after, 1, 2, 1) is None
         assert not in_fow((3, 1), 3, 2) and in_fow((3,), 3, 2)
 
 
@@ -513,10 +531,10 @@ class TestLookAhead:
             assert n * steps["crystal"] <= (n + 1) * steps["fow"], (n, j, steps)
 
     def test_crystal_states_on_one_class(self, monkeypatch):
-        # The sweep for class (1, 0) at (4, 44) holds n + 1 = 5 crystal states:
-        # the start, and one per rho, since after the first block the one
-        # surviving "+" sits at residue j + rho.  The paths and fow sweeps
-        # hold n each.
+        # The sweep for class (1, 0) at (4, 44) holds n + 1 = 5 crystal
+        # entries (state, rho): the start, and one per rho, since after the
+        # first block the one surviving "+" sits at residue j + rho.  The
+        # paths and fow sweeps hold n each.
         steps, states = count_block_steps(monkeypatch)
         for route in ("paths", "fow", "crystal"):
             branching_series(4, 1, 0, 44, route)
@@ -529,7 +547,7 @@ class TestLookAhead:
 
 
 def count_block_steps(monkeypatch):
-    """The block steps per route (a Counter) and the states each sweep reaches.
+    """The block steps per route (a Counter) and the (state, rho) entries each sweep reaches.
 
     Each route's factory is rebound for the test; `sweep_series` looks it
     up by its global name on every call.
@@ -541,13 +559,13 @@ def count_block_steps(monkeypatch):
         def made(n, j):
             start, step, close = make(n, j)
             seen = states.setdefault(route, set())
-            seen.add(start)
+            seen.add((start, 0))
 
-            def counted_step(state, v, a):
+            def counted_step(state, v, a, rho):
                 steps[route] += 1
-                after = step(state, v, a)
+                after = step(state, v, a, rho)
                 if after is not None:
-                    seen.add(after)
+                    seen.add((after, (rho + a) % n))
                 return after
 
             return start, counted_step, close

@@ -232,23 +232,25 @@ class TestBlockDimension:
 
     @pytest.mark.parametrize("n", range(2, 6))
     def test_content_route_holds_the_content_and_the_size_placed(self, n):
-        # Stepped block by block over a partition, the route's state is its
-        # content differences, its size and its row count mod n, and the
-        # route cuts the block that takes the size past the bound.
+        # Stepped block by block over a partition, each block at its first
+        # row index mod n, the route's state is its content differences and
+        # its size, and the route cuts the block that takes the size past
+        # the bound.
         start, step, close = _content_route(n, 12)
         for p in partitions_up_to(14, regular=n):
-            state = start
+            state, rows = start, 0
             for v, a in exponent_form(p):
-                state = step(state, v, a)
+                state = step(state, v, a, rows % n)
                 if state is None:
                     break
+                rows += a
             if sum(p) > 12:
                 assert state is None, p
                 continue
             counts = residue_counts(p, n)
             diffs = tuple(c - counts[0] for c in counts[1:])
-            assert state == (diffs, sum(p), len(p) % n), p
-            assert close(state) == diffs
+            assert state == (diffs, sum(p)), p
+            assert close(state, len(p) % n) == diffs
 
     @pytest.mark.parametrize("n", range(2, 7))
     def test_size_cap_equals_the_uncapped_content_sweep(self, n):
@@ -334,18 +336,19 @@ class TestContentWalk:
     def test_prefix_sees_only_parts_that_can_hold_the_nodes_left(self, n, max_size):
         # The listing offers the step no block whose residue-0 nodes take
         # the grade past the order, and still lists every partition of that
-        # grade: the state carries the grade, counted node by node.
+        # grade: the state carries the grade, counted node by node from the
+        # row index the listing hands the step.
         regular = list(partitions_up_to(max_size, regular=n))
         for order in range(max_size + 1):
 
-            def step(state, v, a, order=order):
-                grade, size, rho = state
+            def step(state, v, a, rho, order=order):
+                grade, size = state
                 grade += sum(row_zeros(n, v, rho + x) for x in range(a))
                 size += v * a
                 assert grade <= order, (state, v, a)
-                return None if size > max_size else (grade, size, (rho + a) % n)
+                return None if size > max_size else (grade, size)
 
-            listed = _listing(n, order, (0, 0, 0), step, lambda state: state[0])
+            listed = _listing(n, order, (0, 0), step, lambda state, rho: state[0])
             expected = sorted((p for p in regular if residue_counts(p, n)[0] == order), reverse=True)
             assert listed == ({order: expected} if expected else {}), (n, order)
 
@@ -357,22 +360,22 @@ class TestContentWalk:
 
     @pytest.mark.parametrize("n,max_size", [(2, 14), (3, 14), (4, 12)])
     def test_prefix_keeps_exactly_the_partitions_whose_prefixes_pass(self, n, max_size):
-        def tracked(state, v, a):
+        def tracked(rows, v, a, rho):
             # The step is handed the state of exactly the blocks above:
-            # here every row placed so far, and rho their count mod n.
-            rows, rho = state
+            # here every row placed so far, and rho, their count mod n.
             assert rho == len(rows) % n and 1 <= a < n, (rows, v, a)
             assert not rows or v < rows[-1], (rows, v)
-            return None if v == 2 else (rows + (v,) * a, (rho + a) % n)
+            return None if v == 2 else rows + (v,) * a
 
-        def three_blocks(state, v, a):
-            blocks, rho = state
-            return None if blocks == 3 else (blocks + 1, (rho + a) % n)
+        def placed(rows, rho):
+            # The close is handed the count of every row, the last block's too.
+            assert rho == len(rows) % n, rows
+            return rows
 
-        routes = [
-            (((), 0), tracked, lambda state: state[0]),
-            ((0, 0), three_blocks, lambda state: state[0]),
-        ]
+        def three_blocks(blocks, v, a, rho):
+            return None if blocks == 3 else blocks + 1
+
+        routes = [((), tracked, placed), (0, three_blocks, lambda blocks, rho: blocks)]
         for j in range(n):
             routes += [_fow_route(n, j), _crystal_route(n, j), _paths_route(n, j)]
         regular = list(partitions_up_to(max_size, regular=n))
@@ -381,9 +384,9 @@ class TestContentWalk:
             for order in range(max_size // n + 2):
                 expected = {}
                 for p in sorted(regular, reverse=True):
-                    state = walk_blocks(capped, p) if residue_counts(p, n)[0] == order else None
-                    if state is not None:
-                        expected.setdefault(capped[2](state), []).append(p)
+                    key = walk_blocks(capped, p, n) if residue_counts(p, n)[0] == order else None
+                    if key is not None:
+                        expected.setdefault(key, []).append(p)
                 assert _listing(n, order, *capped) == expected, (n, order, route[0])
 
     def test_false_cuts_one_part_only(self):
@@ -396,8 +399,8 @@ class TestContentWalk:
             ((3, 1), [(6,), (5, 1), (4, 1, 1), (3, 3)]),
         ):
 
-            def cutting(state, v, a, cut=cut):
-                return None if (v, a) == cut else step(state, v, a)
+            def cutting(state, v, a, rho, cut=cut):
+                return None if (v, a) == cut else step(state, v, a, rho)
 
             assert _listing(3, 2, start, cutting, close)[(0, 0)] == members, cut
 
@@ -450,28 +453,31 @@ class TestContentCount:
     def test_empty_and_impossible_contents(self):
         # At order 0 only the empty partition is counted, with no block
         # stepped; (0, 1) and (-1, 2) at n = 2 have no partition.
-        assert _census(3, 0, ((0, 0), 0, 0), never, lambda state: state[0]) == {(0, 0): (1,)}
+        assert _census(3, 0, ((0, 0), 0), never, lambda state, rho: state[0]) == {(0, 0): (1,)}
         sums = _census(2, 2, *_content_route(2, 4))
         assert sums.get(_block_key((0, 1)), (0,))[0] == 0
         assert _block_key((-1, 2)) not in sums
 
     def test_counts_what_the_prefix_and_close_pass(self):
-        # The close sees each member's last part and its row count mod n:
-        # a route that carries them beside the content counts each such
-        # pair.  (3) and (2, 1) have content (1, 1, 1), beside the empty
-        # partition at grade 0; (1, 1, 1) is not 3-regular.
+        # The close sees each member's last part, which the route carries
+        # beside the content, and its row count mod n, which the walker
+        # hands it: a close that keys on both counts each such pair.  (3)
+        # and (2, 1) have content (1, 1, 1), beside the empty partition at
+        # grade 0; (1, 1, 1) is not 3-regular.
         start, step, close = _content_route(3, 3)
         assert _census(3, 1, start, step, close)[(0, 0)] == (1, 2)
         for counts in ((2, 2, 2), (4, 3, 3), (5, 5, 4)):
             start, step, close = _content_route(3, sum(counts))
 
-            def ends(state, v, a):
-                inner, _, _ = state
-                after = step(inner, v, a)
-                return None if after is None else (after, v, after[-1])
+            def ends(state, v, a, rho):
+                after = step(state[0], v, a, rho)
+                return None if after is None else (after, v)
+
+            def keyed(state, rho):
+                return close(state[0], rho), state[1], rho
 
             members = content_listing(3, counts)
-            sums = _census(3, counts[0], (start, None, 0), ends, lambda s: (close(s[0]), s[1], s[2]))
+            sums = _census(3, counts[0], (start, None), ends, keyed)
             got = Counter()
             for (diffs, v, rho), series in sums.items():
                 if diffs == _block_key(counts):
@@ -482,7 +488,7 @@ class TestContentCount:
     def test_checks_arguments_when_called(self):
         # The order and the rank are checked before any block is stepped.
         with pytest.raises(ValueError, match="order must be nonnegative"):
-            _census(3, -1, ((0, 0), 0, 0), never, never)
+            _census(3, -1, ((0, 0), 0), never, never)
         with pytest.raises(ValueError, match="n must be at least 2"):
             _class_members(1, 0, 0, 2, "fow")
 

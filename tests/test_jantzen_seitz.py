@@ -146,6 +146,21 @@ class TestJsSets:
                 for p in (p for found in lists.values() for p in found):
                     assert all(map(le, residue_counts(p, n), (c + d for c in base))), (n, mu, d, p)
 
+    def test_large_non_rectangle_cores_list_nothing(self):
+        # The staircase (30, ..., 1) is a 2-core of size 465 and (4, 2) a
+        # 3-core, neither a rectangle: no member has either, and the content
+        # cut ends each listing long before its grade is reached.
+        staircase = tuple(range(30, 0, -1))
+        assert js_set(2, staircase, 0) == []
+        assert js_set(2, staircase, 2) == []
+        assert js_set(3, (4, 2), 12) == []
+
+    @pytest.mark.parametrize("n,mu,d,size", [(10, (), 7, 447), (12, (4, 4, 4), 5, 33)])
+    def test_blocks_past_rank_ten_list_what_chi_counts(self, n, mu, d, size):
+        members = js_set(n, mu, d)
+        assert len(members) == chi_direct(n, mu, d)[d] == size
+        assert members == sorted(set(members), reverse=True)
+
 
 class TestChi:
     @pytest.mark.parametrize("mu,expected", sorted(EXAMPLE_CHI.items()))

@@ -76,9 +76,10 @@ def check_configuration_sums(n, j, order):
             expected[k] = tuple(series)
     got = sweep_series(n, j, order, "paths")
     assert got == {k: expected.get(k, (0,) * (order + 1)) for k in range(n)}, (n, j, order)
-    # Series are added into in place, so no two classes may share one list.
+    # Series are added into in place, so two classes that shared one list
+    # would each read their sum; every class reads its own series as a tuple.
     sums = _sweep(n, order, *_paths_route(n, j))
-    assert len({id(series) for _, series in sums.values()}) == len(sums)
+    assert all(type(series) is tuple and len(series) == order + 1 for series in sums.values())
 
 
 @pytest.mark.parametrize("n", range(2, 7))
