@@ -1,7 +1,7 @@
 """Frontier harness: how far in (n, order) each branching route reaches.
 
-    python3 bench/frontier.py                       # writes BENCH_frontier.json
-    python3 bench/frontier.py --against OLD.json    # ... then prints new/old ratios
+    python3 bench/frontier.py                  # writes BENCH_frontier.json
+    python3 bench/frontier.py --against TREE   # ... each run paired with TREE's
 
 Five kinds of point, each measured in fresh interpreters that import the
 package from `src/` next to this folder:
@@ -29,12 +29,16 @@ same series; an every-class or cores point agrees when the report has no
 failure; a js point agrees when it lists as many members as `chi_direct`
 counts.
 
-The host's speed drifts by 10-30% between runs, so the reference kernel of
-`perfbench/refkernel.py` (imported read-only, never changed) runs three
-times in fresh interpreters before the points and three times after; its
-median process time is recorded beside them.  `--against` prints each
-time's ratio to the earlier file's, and the ratio of the two kernel times,
-by which a host-speed change alone would move every ratio.
+The host's speed drifts by 10-30% between runs, so times taken minutes
+apart say little below ~2x.  `--against TREE` names a second checkout,
+such as a `git archive` of the parent, and makes each run one of a pair:
+this tree and TREE run back to back in fresh interpreters, TREE's from
+`TREE/src`, and the tree that goes first alternates, so each goes first in
+half the pairs.  Each record then also holds TREE's median
+(`against_seconds`), the median and range of the per-pair ratios, this
+tree's time over TREE's (`ratio`, `ratio_range`), and how many pairs this
+tree ran faster (`wins`); a point agrees only if both trees returned the
+same results (`same_result`).
 """
 
 from __future__ import annotations
@@ -68,8 +72,10 @@ JS_POINTS = (
     (2, (), 50), (3, (), 30), (4, (), 20), (5, (), 12), (3, (2,), 25),
     (2, tuple(range(30, 0, -1)), 0), (3, (4, 2), 12), (10, (), 7), (12, (4, 4, 4), 5),
 )
-# Repeats on one host move by 10-30%, so each time is a median of five.
-RUNS = 5
+# Repeats on one host move by 10-30%, so each time is a median of six;
+# with --against, six pairs, an even count so that each tree goes first
+# in as many pairs as the other.
+RUNS = 6
 LIMIT_S = 20.0
 OUT = ROOT / "BENCH_frontier.json"
 
@@ -121,14 +127,10 @@ print(json.dumps({"seconds": seconds, "vmhwm_kib": hwm, **result}))
 """
 
 
-def _env() -> dict:
-    env = dict(os.environ)
-    env["PYTHONPATH"] = str(ROOT / "src") + os.pathsep + env.get("PYTHONPATH", "")
-    return env
-
-
-def run_once(n: int, order: int, route: str, limit: float, core: str = "-") -> dict | None:
-    """One fresh-interpreter run of a route; None on timeout.
+def run_once(
+    n: int, order: int, route: str, limit: float, core: str = "-", tree: Path = ROOT
+) -> dict | None:
+    """One fresh-interpreter run of a route on the package of `tree`; None on timeout.
 
     `route` is a class route, "every-class" (`verify_methods`), "cores"
     (`verify_cores`, with `order` as max_size), "chi-direct" /
@@ -136,49 +138,60 @@ def run_once(n: int, order: int, route: str, limit: float, core: str = "-") -> d
     (`js_set` of `core`, partition text, with `order` as the weight).
     """
     args = [sys.executable, "-c", _CHILD, str(n), str(order), route, core]
+    path = str(tree / "src") + os.pathsep + os.environ.get("PYTHONPATH", "")
+    env = dict(os.environ, PYTHONPATH=path)
     try:
         done = subprocess.run(
-            args, cwd=ROOT, env=_env(), capture_output=True, text=True, timeout=limit, check=True
+            args, cwd=tree, env=env, capture_output=True, text=True, timeout=limit, check=True
         )
     except subprocess.TimeoutExpired:
         return None
     return json.loads(done.stdout.splitlines()[-1])
 
 
-def measure(n: int, order: int, route: str, runs: int, limit: float, core: str = "-") -> dict:
-    """The median process time and peak VmHWM of `runs` runs; timed out at the first slow one."""
-    results = []
-    for _ in range(runs):
-        result = run_once(n, order, route, limit, core)
-        if result is None:
-            return {"timed_out": True, "limit_s": limit}
-        results.append(result)
-    hwms = [r["vmhwm_kib"] for r in results if r["vmhwm_kib"] is not None]
+def measure(
+    n: int, order: int, route: str, runs: int, limit: float, against=None, core: str = "-"
+) -> dict:
+    """The median process time and peak VmHWM of `runs` runs, or pairs with the tree `against`.
+
+    Timed out at the first slow run of either tree.
+    """
+    trees = [ROOT] if against is None else [ROOT, against]
+    sides = range(len(trees))
+    results = [[] for _ in trees]
+    for i in range(runs):
+        for t in reversed(sides) if i % 2 else sides:
+            result = run_once(n, order, route, limit, core, trees[t])
+            if result is None:
+                return {"timed_out": True, "limit_s": limit}
+            results[t].append(result)
+    mine = results[0]
+    hwms = [r["vmhwm_kib"] for r in mine if r["vmhwm_kib"] is not None]
     record = {
         "timed_out": False,
         "runs": runs,
-        "seconds": statistics.median(r["seconds"] for r in results),
+        "seconds": statistics.median(r["seconds"] for r in mine),
         "vmhwm_kib": max(hwms) if hwms else None,
     }
-    # Every run computes the same thing; the first stands for them all.
-    record.update({k: v for k, v in results[0].items() if k not in ("seconds", "vmhwm_kib")})
+    # Every run of a tree computes the same thing; the first stands for them all.
+    outcome = _outcome(mine[0])
+    if against is not None:
+        theirs = results[1]
+        ratios = [a["seconds"] / b["seconds"] for a, b in zip(mine, theirs)]
+        record.update(
+            against_seconds=statistics.median(r["seconds"] for r in theirs),
+            ratio=statistics.median(ratios),
+            ratio_range=[min(ratios), max(ratios)],
+            wins=sum(r < 1 for r in ratios),
+            same_result=_outcome(theirs[0]) == outcome,
+        )
+    record.update(outcome)
     return record
 
 
-def reference_seconds() -> float:
-    """The reference kernel's process time, in a fresh interpreter."""
-    code = (
-        "import sys, time\n"
-        f"sys.path.insert(0, {str(ROOT / 'perfbench')!r})\n"
-        "import refkernel\n"
-        "start = time.process_time()\n"
-        "refkernel.kernel()\n"
-        "print(time.process_time() - start)\n"
-    )
-    done = subprocess.run(
-        [sys.executable, "-c", code], capture_output=True, text=True, timeout=120, check=True
-    )
-    return float(done.stdout.split()[-1])
+def _outcome(result: dict) -> dict:
+    """What a run returned, without its time and memory."""
+    return {k: v for k, v in result.items() if k not in ("seconds", "vmhwm_kib")}
 
 
 def _agreeing_point(kind: str, n: int, order: int, routes: dict) -> dict:
@@ -187,47 +200,53 @@ def _agreeing_point(kind: str, n: int, order: int, routes: dict) -> dict:
     for record in routes.values():
         record.pop("series", None)
     agree = all(series == finished[0] for series in finished)
-    return {"kind": kind, "n": n, "order": order, "agree": agree, "routes": routes}
+    return _point(kind, n, {"order": order}, agree, routes)
 
 
-def class_point(n: int, order: int, runs: int, limit: float) -> dict:
-    routes = {route: measure(n, order, route, runs, limit) for route in ROUTES}
+def _point(kind: str, n: int, where: dict, agree, routes: dict) -> dict:
+    """A point's record, which agrees only where no route's result differs from the other tree's."""
+    if agree is not None:
+        agree = agree and all(r.get("same_result", True) for r in routes.values())
+    return {"kind": kind, "n": n, **where, "agree": agree, "routes": routes}
+
+
+def class_point(n: int, order: int, runs: int, limit: float, against=None) -> dict:
+    routes = {route: measure(n, order, route, runs, limit, against) for route in ROUTES}
     return _agreeing_point("class", n, order, routes)
 
 
-def chi_point(n: int, order: int, runs: int, limit: float) -> dict:
-    routes = {route: measure(n, order, "chi-" + route, runs, limit) for route in CHI_ROUTES}
+def chi_point(n: int, order: int, runs: int, limit: float, against=None) -> dict:
+    routes = {r: measure(n, order, "chi-" + r, runs, limit, against) for r in CHI_ROUTES}
     return _agreeing_point("chi", n, order, routes)
 
 
-def every_class_point(n: int, order: int, runs: int, limit: float) -> dict:
-    record = measure(n, order, "every-class", runs, limit)
+def every_class_point(n: int, order: int, runs: int, limit: float, against=None) -> dict:
+    record = measure(n, order, "every-class", runs, limit, against)
     return _report_point("every-class", n, {"order": order}, record)
 
 
-def cores_point(n: int, max_size: int, runs: int, limit: float) -> dict:
-    record = measure(n, max_size, "cores", runs, limit)
+def cores_point(n: int, max_size: int, runs: int, limit: float, against=None) -> dict:
+    record = measure(n, max_size, "cores", runs, limit, against)
     return _report_point("cores", n, {"max_size": max_size}, record)
 
 
-def js_point(n: int, core: tuple, weight: int, runs: int, limit: float) -> dict:
+def js_point(n: int, core: tuple, weight: int, runs: int, limit: float, against=None) -> dict:
     """`js_set` on one block, which agrees when it lists `chi_direct`'s count."""
     text = ",".join(map(str, core)) or "-"
-    record = measure(n, weight, "js", runs, limit, text)
+    record = measure(n, weight, "js", runs, limit, against, text)
     agree = None if record["timed_out"] else record.pop("expected") == record["members"]
     where = {"core": list(core), "weight": weight}
-    return {"kind": "js", "n": n, **where, "agree": agree, "routes": {"js_set": record}}
+    return _point("js", n, where, agree, {"js_set": record})
 
 
 def _report_point(kind: str, n: int, where: dict, record: dict) -> dict:
     """A point of one verify suite, which agrees when its report has no failure."""
     agree = None if record["timed_out"] else record.pop("ok")
-    return {"kind": kind, "n": n, **where, "agree": agree, "routes": {"all": record}}
+    return _point(kind, n, where, agree, {"all": record})
 
 
-def run(runs: int, limit: float) -> dict:
-    """Every point, bracketed by the reference kernel; one progress line per point on stderr."""
-    before = [reference_seconds() for _ in range(3)]
+def run(runs: int, limit: float, against=None) -> dict:
+    """Every point; one progress line per point on stderr."""
     points = []
     grids = (
         (class_point, CLASS_POINTS),
@@ -237,29 +256,28 @@ def run(runs: int, limit: float) -> dict:
     )
     for make, grid in grids:
         for n, order in grid:
-            point = make(n, order, runs, limit)
+            point = make(n, order, runs, limit, against)
             points.append(point)
             print(_line(point), file=sys.stderr, flush=True)
     for n, core, weight in JS_POINTS:
-        point = js_point(n, core, weight, runs, limit)
+        point = js_point(n, core, weight, runs, limit, against)
         points.append(point)
         print(_line(point), file=sys.stderr, flush=True)
-    after = [reference_seconds() for _ in range(3)]
-    return {
-        "python": sys.version.split()[0],
-        "runs": runs,
-        "limit_s": limit,
-        "reference_s": statistics.median(before + after),
-        "points": points,
-    }
+    return {"python": sys.version.split()[0], "runs": runs, "limit_s": limit, "points": points}
 
 
 def _line(point: dict) -> str:
-    times = " ".join(
-        f"{route}={'timeout' if r['timed_out'] else format(r['seconds'], '.3f')}"
-        for route, r in point["routes"].items()
+    return f"{_where(point)} agree={point['agree']} " + " ".join(
+        f"{route}={_time(r)}" for route, r in point["routes"].items()
     )
-    return f"{_where(point)} agree={point['agree']} {times}"
+
+
+def _time(record: dict) -> str:
+    """A record's median, and its median pair ratio where it was paired."""
+    if record["timed_out"]:
+        return "timeout"
+    paired = f"(x{record['ratio']:.2f})" if "ratio" in record else ""
+    return f"{record['seconds']:.3f}{paired}"
 
 
 def _where(point: dict) -> str:
@@ -270,38 +288,19 @@ def _where(point: dict) -> str:
     return f"{point['kind']} ({point['n']},{point.get('order', point.get('max_size'))})"
 
 
-def compare(new: dict, old: dict) -> list[str]:
-    """One line per point and route: new/old process time, with timeouts named."""
-    lines = [f"reference kernel new/old: {new['reference_s'] / old['reference_s']:.2f}"]
-    earlier = {_where(p): p for p in old["points"]}
-    for point in new["points"]:
-        base = earlier.get(_where(point))
-        if base is None:
-            continue
-        cells = []
-        for route, record in point["routes"].items():
-            was = base["routes"].get(route)
-            if was is None:
-                continue
-            now_s = "timeout" if record["timed_out"] else f"{record['seconds']:.3f}"
-            was_s = "timeout" if was["timed_out"] else f"{was['seconds']:.3f}"
-            ratio = ""
-            if not (record["timed_out"] or was["timed_out"]) and was["seconds"] > 0:
-                ratio = f" x{record['seconds'] / was['seconds']:.3f}"
-            cells.append(f"{route} {was_s} -> {now_s}{ratio}")
-        lines.append(f"{_where(point)} agree={point['agree']}: " + ", ".join(cells))
-    return lines
-
-
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
-    parser.add_argument("--against", type=Path, help="an earlier file to print ratios against")
+    parser.add_argument("--against", type=Path, help="a second checkout to pair each run with")
     args = parser.parse_args(argv)
-    old = json.loads(args.against.read_text()) if args.against else None
-    result = run(RUNS, LIMIT_S)
+    # The child puts only TREE/src on its path, so a tree with no package
+    # there would import the installed one and pair this tree with itself.
+    if args.against is not None:
+        package = args.against / "src" / "slnbranch" / "__init__.py"
+        if not package.is_file():
+            parser.error(f"--against: no package at {package}")
+        args.against = args.against.resolve()
+    result = run(RUNS, LIMIT_S, args.against)
     OUT.write_text(json.dumps(result, indent=1) + "\n")
-    if old is not None:
-        print("\n".join(compare(result, old)))
     return 0 if all(p["agree"] is not False for p in result["points"]) else 1
 
 

@@ -196,26 +196,26 @@ def _paths_route(n: int, j: int) -> tuple:
 
 
 def _fow_route(n: int, j: int) -> tuple:
-    """The chain congruence on consecutive blocks: the state is (after, x).
+    """The chain congruence on consecutive blocks: the state is `after` alone.
 
     `after` is (v + a) mod n of the last block, and j before the first: the
     first block needs a ≡ v - j (mod n), and each later one
     a ≡ v - (v_prev + a_prev), which is a_i + v_i - v_{i+1} + a_{i+1} ≡ 0.
-    x is (v - rho) mod n of the last block, below rho rows.  The
-    congruence telescopes the residue content, so the class is read off the
-    end: its labels are x and -rho mod n, rho the row count.  The start's
-    x is j, so the empty partition reads (0, j), the class (j, 0).
+    The congruence telescopes the residue content, so the class is read off
+    the end: with rho the row count, its labels are (after - rho) mod n,
+    the last block's part less the rows above that block, and -rho mod n.
+    The start is j, so the empty partition reads (0, j), the class (j, 0).
     """
 
-    def step(state, v, a, rho):
-        if (v - state[0] - a) % n:
+    def step(after, v, a, rho):
+        if (v - after - a) % n:
             return None
-        return (v + a) % n, (v - rho) % n
+        return (v + a) % n
 
-    def close(state, rho):
-        return tuple(sorted((state[1], -rho % n)))
+    def close(after, rho):
+        return tuple(sorted(((after - rho) % n, -rho % n)))
 
-    return (j, j), step, close
+    return j, step, close
 
 
 def _crystal_route(n: int, j: int) -> tuple:
