@@ -62,7 +62,11 @@ CLASS_POINTS = (
     (8, 32), (4, 100), (5, 72), (6, 60), (7, 48), (8, 40), (9, 30), (10, 24),
     (3, 200), (4, 160), (4, 400), (6, 200), (10, 100),
 )
-EVERY_CLASS_POINTS = ((4, 24), (6, 16), (4, 60), (6, 40), (4, 200), (6, 100), (8, 60), (10, 40))
+# The last two are points where the lattice walk, not its sum, sets the time.
+EVERY_CLASS_POINTS = (
+    (4, 24), (6, 16), (4, 60), (6, 40), (4, 200), (6, 100), (8, 60), (10, 40),
+    (10, 60), (16, 20),
+)
 CHI_POINTS = ((3, 60), (4, 40), (6, 24), (8, 14), (10, 10))
 CHI_ROUTES = ("direct", "branching")
 CORES_POINTS = ((4, 36), (6, 28), (8, 24), (10, 30))

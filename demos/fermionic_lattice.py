@@ -3,8 +3,10 @@ Inside the lattice sum
 ======================
 
 Shows the admissible lattice vectors behind one fermionic evaluation: the
-integer form n*Q the walk runs on, the exponent of each admitted vector, and
-how the per-vector terms q^Q / prod (q)_{m_i} assemble the coefficient series.
+integer form n*Q the walk runs on, the exponent of each admitted vector, read
+two ways (the walk's Q, certified by its partial sums, beside the exact
+`QuadraticFormData.exponent`), and how the per-vector terms
+q^Q / prod (q)_{m_i} assemble the coefficient series.
 """
 
 from slnbranch import (
@@ -22,7 +24,7 @@ print(f"n*C^-1 = {qf.scaled_inverse}, beta = {qf.beta}")
 
 for m, q in lattice_points(N, S, T, ORDER):
     factors = " ".join(f"1/(q)_{mi}" for mi in m if mi) or "1"
-    print(f"  m={m}  Q={q}  term: q^{q} * {factors}")
+    print(f"  m={m}  Q={q}  exponent(m)={qf.exponent(m)}  term: q^{q} * {factors}")
     print(f"          -> {lattice_sum([(m, q)], ORDER)}")
 
 print(f"total: {fermionic_series(N, S, T, ORDER)}")

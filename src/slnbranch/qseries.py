@@ -20,21 +20,34 @@ where C is the (n-1)x(n-1) Cartan matrix of sl(n) and e_n = 0.
 
 The walk evaluates the integer form n*Q(m) = m^T B m - beta.m + s*t, where
 B = n*C^{-1} has entries n*min(i,j) - i*j and beta is B's column at s-t+n
-(zero when s = t).  It fixes m_1, m_2, ... depth first, keeping the partial
-form, the congruence residue and each unfixed coordinate's linear
-coefficient lin_j up to date.  Every entry of B is positive, so the cross
-terms among unfixed coordinates are nonnegative and coordinate j alone
-lowers the form by at most lin_j^2 / (4 B_jj) when lin_j < 0.  A branch is
-pruned when the partial form minus these drops exceeds n*order.  Past the
-vertex of B_kk x^2 + lin_k x that bound only grows with m_k (raising m_k
-raises every later lin_j), so the loop over m_k stops at the first such x
-that is pruned.  The last weight n-1 is -1 mod n, so the residue fixes
-m_{n-1} mod n and the innermost loop steps by n.  Each admissible exponent
-must come out a nonnegative integer, and anything else is raised as a hard
-error rather than rounded.
+(zero when s = t).  One recursive call per coordinate fixes m_1, m_2, ...
+depth first, keeping the partial form, the congruence residue and each
+unfixed coordinate's linear coefficient lin_j up to date.  Every entry of B
+is positive, so the cross terms among unfixed coordinates are nonnegative
+and coordinate j alone lowers the form by at most lin_j^2 / (4 B_jj) when
+lin_j < 0.  A branch is pruned when the partial form minus these drops
+exceeds n*order.  Past the vertex of B_kk x^2 + lin_k x that bound only
+grows with m_k (raising m_k raises every later lin_j), so the loop over m_k
+stops at the first such x that is pruned.  The last weight n-1 is -1 mod n,
+so the residue fixes m_{n-1} mod n and the innermost loop steps by n.  The
+walk appends each admitted vector, with the form it reached there, to one
+list.
+
+Each listed vector is then certified in partial-sum coordinates, with
+integers only.  Let y_k = sum_{a>=k} m_a, N = sum_k y_k = sum_a a*m_a and
+u = s-t+n.  Since sum_{a,b} min(a,b) m_a m_b = sum_k y_k^2 and
+beta.m = n*sum_{k<=u} y_k - u*N,
+
+    n*Q(m) = n*sum_k y_k^2 - N^2 - n*sum_{k<=u} y_k + u*N + s*t,
+
+O(n) steps per vector.  The vector must satisfy t + N ≡ 0 (mod n), and this
+value must equal the walk's own form (read in the B basis), be divisible by
+n and give 0 <= Q <= order; anything else is raised as a hard error rather
+than rounded.
 
 `QuadraticFormData(n, s, t)`, a plain slotted class, checks the class and
-holds n, s, t, B and beta for the walk's final check of each vector.
+holds n, s, t, B and beta; `scaled_exponent` is the partial-sum reading of
+n*Q, the one implementation of the form outside the walk.
 """
 
 from __future__ import annotations
@@ -124,20 +137,32 @@ class QuadraticFormData:
         u = s - t + n
         self.beta = tuple(row[u - 1] if u < n else 0 for row in self.scaled_inverse)
 
+    def scaled_exponent(self, m) -> int:
+        """n*Q(m) in partial sums y_k = m_k + ... + m_{n-1}, for any vector m:
+
+        n*sum y_k^2 - N^2 - n*sum_{k<=u} y_k + u*N + s*t, N = sum y_k, u = s-t+n.
+        """
+        n, u = self.n, self.s - self.t + self.n
+        y = total = squares = above = 0  # above: the sum of y_k over k > u
+        for k in range(len(m), 0, -1):
+            y += m[k - 1]
+            total += y
+            squares += y * y
+            if k > u:
+                above += y
+        return n * (squares - total + above) - total * total + u * total + self.s * self.t
+
     def exponent(self, m) -> Fraction:
-        """Q(m): the integer form n*Q(m) divided by n; integral on admissible vectors."""
-        scaled = self.scaled_inverse
-        value = self.s * self.t
-        for i, mi in enumerate(m):
-            if mi:
-                row = scaled[i]
-                value += mi * (
-                    sum(row[j] * mj for j, mj in enumerate(m) if mj) - self.beta[i]
-                )
-        return Fraction(value, self.n)
+        """Q(m) = n*Q(m) / n; integral on admissible vectors."""
+        return Fraction(self.scaled_exponent(m), self.n)
 
     def admissible(self, m) -> bool:
-        return (self.t + sum((i + 1) * mi for i, mi in enumerate(m))) % self.n == 0
+        """Whether t + N ≡ 0 (mod n), N = sum_a a*m_a read as the sum of the y_k."""
+        y = total = 0
+        for mk in reversed(m):
+            y += mk
+            total += y
+        return (self.t + total) % self.n == 0
 
 
 def canonical_pair(n: int, s: int, t: int) -> tuple[int, int]:
@@ -159,58 +184,67 @@ def lattice_points(
 ) -> Iterator[tuple[tuple[int, ...], int]]:
     """Admissible vectors with exponent <= order, as (m, Q) pairs.
 
-    A pruned depth-first walk over the coordinates in the integer form n*Q
-    (see the module docstring); the yield order is that of the walk.  The
-    pair (s, t) is folded into the domain s + t <= n first (see
-    canonical_pair).  Raises ArithmeticError if a reached vector fails the
-    congruence or its exponent is not an integer in 0..order (a convention
-    bug, never expected).
+    A pruned depth-first walk in the B basis of the integer form n*Q lists
+    the vectors; each is then certified by the partial-sum form
+    `QuadraticFormData.scaled_exponent` (see the module docstring) and
+    yielded in walk order.  The pair (s, t) is folded into the domain
+    s + t <= n first (see canonical_pair).  Raises ArithmeticError if a
+    listed vector fails the congruence, or its partial-sum form differs
+    from the walk's, is not a multiple of n, or gives an exponent outside
+    0..order (a convention bug, never expected).
     """
     s, t = canonical_pair(n, s, t)
     check_order(order)
     qf = QuadraticFormData(n, s, t)
     scaled, limit, last = qf.scaled_inverse, n * order, n - 2
+    diag = [scaled[k][k] for k in range(n - 1)]
+    # Raising m_k by one raises lin of coordinate j > k by 2 B_kj; coordinate
+    # j's drop is lin_j^2 // (4 B_jj).
+    steps = [[2 * b for b in scaled[k][k + 1 :]] for k in range(n - 1)]
+    quads = [[4 * b for b in diag[k + 1 :]] for k in range(n - 1)]
+    found = []
 
     def walk(k, m, form, residue, lin):
         # form: n*Q restricted to the fixed coordinates m; residue: the value
         # m_last must take mod n; lin[j]: linear coefficient of coordinate k + j.
-        row, lk = scaled[k], lin[0]
-        bkk = row[k]
+        # In the loop over x = m_k, residue and child_lin are the child's.
+        bkk, lk = diag[k], lin[0]
         if k == last:
             x = residue
             while True:
                 value = form + x * (bkk * x + lk)
                 if value <= limit:
-                    yield m + (x,)
+                    found.append((m + (x,), value))
                 elif 2 * bkk * x + lk >= 0:
                     return
                 x += n
+        step, quad, weight = steps[k], quads[k], k + 1
+        child_lin = lin[1:]
         x = 0
         while True:
             child_form = form + x * (bkk * x + lk)
-            child_lin = tuple(c + 2 * row[j] * x for j, c in enumerate(lin[1:], k + 1))
-            bound = child_form - sum(
-                c * c // (4 * scaled[j][j])
-                for j, c in enumerate(child_lin, k + 1)
-                if c < 0
-            )
-            if bound <= limit:
-                yield from walk(
-                    k + 1, m + (x,), child_form, (residue + (k + 1) * x) % n, child_lin
-                )
+            drop = 0
+            for c, q in zip(child_lin, quad):
+                if c < 0:
+                    drop += c * c // q
+            if child_form - drop <= limit:
+                walk(k + 1, m + (x,), child_form, residue, child_lin)
             elif 2 * bkk * x + lk >= 0:
                 return
             x += 1
+            residue = (residue + weight) % n
+            child_lin = [c + d for c, d in zip(child_lin, step)]
 
-    for m in walk(0, (), s * t, t, tuple(-b for b in qf.beta)):
-        q = qf.exponent(m)
-        if not qf.admissible(m) or q.denominator != 1 or not 0 <= q <= order:
+    walk(0, (), s * t, t, [-b for b in qf.beta])
+    for m, form in found:
+        value = qf.scaled_exponent(m)
+        if not qf.admissible(m) or value != form or value % n or not 0 <= value <= limit:
             raise ArithmeticError(
-                f"lattice walk reached {m} with exponent {q}; expected an "
-                f"admissible vector with an integer exponent in 0..{order} "
-                f"(n={n}, s={s}, t={t})"
+                f"lattice walk reached {m} with n*Q {form}, and its partial sums "
+                f"read n*Q {value}; expected an admissible vector with equal forms "
+                f"and an integer exponent in 0..{order} (n={n}, s={s}, t={t})"
             )
-        yield m, int(q)
+        yield m, value // n
 
 
 def lattice_sum(points, order: int) -> tuple[int, ...]:

@@ -23,6 +23,8 @@ rule that rebuilds the tail of the list at each step),
 `two_pass_fow_index` (a regularity pass, then the congruence on the
 exponent form), `product_lattice_sum` (each lattice-sum term a
 truncated product of 1/(q)_{m_i} series, in place of dividing one list),
+`generator_lattice_points` (the lattice walk as nested generators, each
+point's exponent a `Fraction`, before the walk listed its points),
 `rescan_configuration_sums` (the transfer matrix that steps the weight of
 every state and scans each series for its lowest power, the paths route
 before the block sweep) and `class_residue_counts` (the residue content
@@ -340,6 +342,57 @@ def shell_lattice_points(n: int, s: int, t: int, order: int, bound: int | None =
                 assert q.denominator == 1 and q >= 0, (n, s, t, m, q)
                 points.append((m, int(q)))
     return sorted(points)
+
+
+def generator_lattice_points(n: int, s: int, t: int, order: int):
+    """The library's earlier lattice walk: one nested generator per coordinate.
+
+    It has `qseries.lattice_points`' prune and yields its (m, Q) pairs in
+    the same order, each vector's exponent read by `fraction_exponent`;
+    (s, t) is folded into s + t <= n first.  The order reference for the
+    walk that lists its points.
+    """
+    if s + t > n:
+        s, t = n - t, n - s
+    scaled = [[n * min(i, j) - i * j for j in range(1, n)] for i in range(1, n)]
+    u = s - t + n
+    beta = [row[u - 1] if u < n else 0 for row in scaled]
+    limit, last = n * order, n - 2
+
+    def walk(k, m, form, residue, lin):
+        row, lk = scaled[k], lin[0]
+        bkk = row[k]
+        if k == last:
+            x = residue
+            while True:
+                value = form + x * (bkk * x + lk)
+                if value <= limit:
+                    yield m + (x,)
+                elif 2 * bkk * x + lk >= 0:
+                    return
+                x += n
+        x = 0
+        while True:
+            child_form = form + x * (bkk * x + lk)
+            child_lin = tuple(c + 2 * row[j] * x for j, c in enumerate(lin[1:], k + 1))
+            bound = child_form - sum(
+                c * c // (4 * scaled[j][j])
+                for j, c in enumerate(child_lin, k + 1)
+                if c < 0
+            )
+            if bound <= limit:
+                yield from walk(
+                    k + 1, m + (x,), child_form, (residue + (k + 1) * x) % n, child_lin
+                )
+            elif 2 * bkk * x + lk >= 0:
+                return
+            x += 1
+
+    inv = fraction_inverse_cartan(n)
+    for m in walk(0, (), s * t, t, tuple(-b for b in beta)):
+        q = fraction_exponent(inv, s, t, m)
+        assert q.denominator == 1 and 0 <= q <= order, (n, s, t, m, q)
+        yield m, int(q)
 
 
 def _truncated_product(a: list, b: list, order: int) -> list:

@@ -23,6 +23,7 @@ from oracles import (
     count_parts_at_most,
     fraction_exponent,
     fraction_inverse_cartan,
+    generator_lattice_points,
     lattice_enumeration_bound,
     product_lattice_sum,
     shell_lattice_points,
@@ -207,6 +208,19 @@ class TestQuadraticForm:
                 for m in product(range(3), repeat=n - 1):
                     assert qf.exponent(m) == fraction_exponent(inv, s, t, m), (s, t, m)
 
+    @pytest.mark.parametrize("n", range(2, 7))
+    def test_scaled_exponent_is_n_times_the_fraction_oracle(self, n):
+        # the partial-sum form on every vector, admissible or not, with
+        # coordinates up to 2
+        inv = fraction_inverse_cartan(n)
+        for s in range(n):
+            for t in range(s, n):
+                qf = QuadraticFormData(n, s, t)
+                for m in product(range(3), repeat=n - 1):
+                    got = qf.scaled_exponent(m)
+                    assert type(got) is int, (s, t, m)
+                    assert got == n * fraction_exponent(inv, s, t, m), (s, t, m)
+
 
 class TestFermionicSeries:
     @pytest.mark.parametrize(
@@ -267,6 +281,46 @@ def small_classes(draw):
     t = draw(st.integers(0, n - 1))
     s = draw(st.integers(0, t))
     return n, s, t, draw(st.integers(0, 10))
+
+
+class TestLatticeWalkAgainstGeneratorOracle:
+    """The listing walk yields the earlier generator walk's pairs, in its order."""
+
+    @pytest.mark.parametrize("n", range(2, 9))
+    def test_every_class(self, n):
+        for order in (0, 1, 3, 7, 15, 25):
+            for s in range(n):
+                for t in range(s, n):
+                    got = list(lattice_points(n, s, t, order))
+                    assert got == list(generator_lattice_points(n, s, t, order)), (s, t, order)
+
+    @pytest.mark.parametrize("n,s,t,order", [(10, 2, 5, 40), (16, 0, 1, 20)])
+    def test_past_rank_8(self, n, s, t, order):
+        assert list(lattice_points(n, s, t, order)) == list(
+            generator_lattice_points(n, s, t, order)
+        )
+
+
+class TestLatticeCertificate:
+    """Each listed vector is certified by the partial-sum form; a failure raises."""
+
+    def test_forms_that_disagree_raise(self, monkeypatch):
+        original = QuadraticFormData.scaled_exponent
+
+        def shifted(self, m):
+            # Off by n, and still a multiple of n in 0..n*order, so only the
+            # comparison with the walk's own form can fail.
+            value = original(self, m)
+            return value - self.n if value >= self.n else value + self.n
+
+        monkeypatch.setattr(QuadraticFormData, "scaled_exponent", shifted)
+        with pytest.raises(ArithmeticError, match="partial sums read n\\*Q"):
+            list(lattice_points(5, 0, 1, 15))
+
+    def test_a_failed_congruence_raises(self, monkeypatch):
+        monkeypatch.setattr(QuadraticFormData, "admissible", lambda self, m: False)
+        with pytest.raises(ArithmeticError, match="expected an admissible vector"):
+            list(lattice_points(4, 1, 2, 6))
 
 
 class TestLatticeWalkAgainstShellOracle:
