@@ -10,8 +10,8 @@ of the block sequences that reach it; each route has its own state and
 its own step per block, and reads the class off its own end state:
 
 - paths: the one-dimensional configuration sum of the level-2 RSOS model,
-  the path coordinate lam stepped once per block as `in_path_set` steps
-  it (`_paths_route`); `in_path_set` tests one partition;
+  the path coordinate lam stepped once per block by the rule `in_path_set`
+  tests (`_paths_route`); `in_path_set` tests one partition;
 - fow: the chain congruence on consecutive blocks, which forces each
   block's length mod n once its part is placed (`_fow_route`); `in_fow`
   tests one partition;
@@ -40,7 +40,6 @@ from .partitions import (
     check_order,
     check_rank,
     check_size,
-    is_n_regular,
     partitions_up_to,
 )
 from .qseries import fermionic_series
@@ -54,27 +53,28 @@ def in_path_set(p: Partition, n: int, j: int) -> bool:
 
     Paths are only defined on n-regular partitions; dominance of all
     coordinates is then the membership test for the path set of L(j) ⊗ L0.
-    The path runs down from p_{lambda_1} = L(j) + L(lambda_1 mod n), and
-    column k, of length c_k, gives p_{k-1} = p_k - L(e + 1) + L(e) with
-    e = (k - 1 - c_k) mod n; each step lowers one coefficient, so only that
-    one is checked.
+    Each coordinate is a level-2 weight p_k = L(x) + L(y), carried as its
+    two labels x and y.  The path runs down from
+    p_{lambda_1} = L(j) + L(lambda_1 mod n), and column k, of length c_k,
+    gives p_{k-1} = p_k - L(e + 1) + L(e) with e = (k - 1 - c_k) mod n.  A
+    step lowers one coefficient, so it must hit a label that is present:
+    the path stays dominant iff e + 1 is x or y, and that label becomes e.
 
     The walk takes a block of equal columns at once.  Columns
     p_{i+1} + 1 .. p_i all have length i, so across them the steps
     telescope: the block lowers L((p_i - i) mod n) by one and raises
     L((p_{i+1} - i) mod n) by one.  Every step after the block's first
-    lowers the coefficient its previous step raised, which is then at least
-    1, so only the first step can go negative: the test is
-    lam[(p_i - i) mod n] >= 1 before each block, one block per distinct part.
-    The same walk reads n-regularity: a block ends each run of equal parts,
-    and the run is i minus the row where the block before it ended.
+    lowers the label its previous step raised, so only the first step can
+    leave the dominant chamber: the test is that (p_i - i) mod n is a label
+    before each block, which then becomes (p_{i+1} - i) mod n, one block
+    per distinct part.  The same walk reads n-regularity: a block ends each
+    run of equal parts, and the run is i minus the row where the block
+    before it ended.
     """
     check_rank(n)
     if not p:
         return True
-    lam = [0] * n
-    lam[j % n] += 1
-    lam[p[0] % n] += 1
+    x, y = j % n, p[0] % n  # the labels of p_k = L(x) + L(y)
     last = len(p)
     ended = 0  # the row where the last block ended
     for i, part in enumerate(p, start=1):
@@ -84,10 +84,12 @@ def in_path_set(p: Partition, n: int, j: int) -> bool:
                 return False
             ended = i
             top = (part - i) % n
-            if not lam[top]:
+            if top == x:
+                x = (below - i) % n
+            elif top == y:
+                y = (below - i) % n
+            else:
                 return False
-            lam[top] -= 1
-            lam[(below - i) % n] += 1
     return True
 
 
@@ -132,9 +134,7 @@ def in_fow(p: Partition, n: int, j: int) -> bool:
     dominant for every j), matching the constant terms of the branching
     functions b(j, 0).
     """
-    if not p:
-        return is_n_regular(p, n)
-    return fow_index(p, n) == j % n
+    return fow_index(p, n) == j % n or not p
 
 
 # No route counts through these two since the block sweep; `perfbench/tracer.py`
@@ -167,7 +167,7 @@ def _labels(counts) -> tuple[int, ...]:
 
 
 def _paths_route(n: int, j: int) -> tuple:
-    """`in_path_set`'s block rule, read as runs: the state is lam, from lam = L(j).
+    """The block rule that `in_path_set` tests, read as runs: the state is lam, from lam = L(j).
 
     A block below rho rows first raises lam at (v - rho) mod n, the raise
     the block above left pending (for the first block, L(lambda_1 mod n)),

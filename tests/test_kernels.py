@@ -1,10 +1,13 @@
 """The one-pass per-partition kernels equal their multi-pass references.
 
 `fow_index` and `in_path_set` read n-regularity from the run lengths of
-their own walk, `residue_counts` does O(1) work per row, and `n_core`
-pre-fills its runners with the empty rows' beads; each is compared with a
-reference that makes the passes separately, on every partition of size at
-most 20 for n = 2..7 and on long inputs.
+their own walk (`in_path_set` carries its level-2 weight as two labels,
+where the column walk keeps n coefficients), `residue_counts` does O(1)
+work per row, and `n_core` pre-fills its runners with the empty rows'
+beads; each is compared with a reference that makes the passes
+separately, on every partition of size at most 20 for n = 2..7, and on
+long inputs for n = 2..7 and at the ranks 8, 10 and 16 that those sizes
+leave out.
 
 One counting kernel is compared with the library's earlier one too: the
 paths route's block sweep, whose configuration sums must equal the
@@ -61,7 +64,7 @@ def test_kernels_equal_their_references_up_to_size_20(n):
         check_kernels(p, n)
 
 
-@pytest.mark.parametrize("n", RANKS)
+@pytest.mark.parametrize("n", [*RANKS, 8, 10, 16])
 def test_kernels_equal_their_references_on_long_inputs(n):
     for p in long_inputs(n):
         check_kernels(p, n)
