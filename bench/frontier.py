@@ -29,8 +29,11 @@ same series; an every-class or cores point agrees when the report has no
 failure; a js point agrees when it lists as many members as `chi_direct`
 counts.
 
-The host's speed drifts by 10-30% between runs, so times taken minutes
-apart say little below ~2x.  `--against TREE` names a second checkout,
+The host's speed drifts between runs by up to ~1.8x: on identical code
+the class (1,0) fermionic route at (6,200) read 0.140, 0.139 and 0.252 s
+in three runs minutes apart, and every class at (10,60) 1.82, 2.62 and
+1.93 s.  So seconds from different runs do not compare; only the paired
+ratios of `--against` do.  `--against TREE` names a second checkout,
 such as a `git archive` of the parent, and makes each run one of a pair:
 this tree and TREE run back to back in fresh interpreters, TREE's from
 `TREE/src`, and the tree that goes first alternates, so each goes first in
@@ -76,9 +79,10 @@ JS_POINTS = (
     (2, (), 50), (3, (), 30), (4, (), 20), (5, (), 12), (3, (2,), 25),
     (2, tuple(range(30, 0, -1)), 0), (3, (4, 2), 12), (10, (), 7), (12, (4, 4, 4), 5),
 )
-# Repeats on one host move by 10-30%, so each time is a median of six;
-# with --against, six pairs, an even count so that each tree goes first
-# in as many pairs as the other.
+# Repeats on one host move by up to ~1.8x from run to run, so each time is
+# a median of six, and only --against's paired ratios compare across runs;
+# six pairs, an even count so that each tree goes first in as many pairs
+# as the other.
 RUNS = 6
 LIMIT_S = 20.0
 OUT = ROOT / "BENCH_frontier.json"

@@ -5,10 +5,13 @@ verify.  JSON is the canonical machine format; CSV is available for series
 tables, DOT for crystal graphs.  Output is byte-stable for fixed inputs.
 
 Each `main` call builds its parser afresh, so the handlers it binds are
-the module's current globals.  The parser registers every subcommand
-with its help line, but adds arguments only to the one the command line
-names, found from the `_COMMANDS` table; the others are never parsed, so
-help, choice lists and errors read as if every argument were added.
+the module's current globals.  When the command line starts with a
+subcommand, the parser registers that one alone, under a metavar that
+names every subcommand; otherwise it registers every subcommand with its
+help line.  Either way it adds arguments only to the subcommand the
+command line names, found from the `_COMMANDS` table; the others are
+never parsed, so help, choice lists and errors read as if every argument
+were added.
 """
 
 from __future__ import annotations
@@ -106,17 +109,32 @@ _COMMANDS = (
 )
 
 
-def _build_parser(command) -> argparse.ArgumentParser:
-    """The parser with every subcommand registered and arguments added only to `command`."""
+def _build_parser(argv) -> argparse.ArgumentParser:
+    """The parser for `argv`, with arguments added only to the subcommand it names.
+
+    The top-level parser has no option that takes a value, so the first
+    token that is not an option names the subcommand.  When that token
+    comes first, argparse reads it as the subcommand and nothing else, so
+    it is the only one registered; the metavar keeps the usage line that
+    top-level errors print.  Otherwise (no argv, an option or `--` first,
+    an unknown name) every subcommand is registered, so `--help`, the
+    choice list and the missing-command error name them all.
+    """
     parser = argparse.ArgumentParser(
         prog="slnbranch",
         description="Level-1 affine sl(n) branching functions and partition classification",
     )
-    sub = parser.add_subparsers(dest="command", required=True)
+    command = next((arg for arg in argv if not arg.startswith("-")), None)
+    names = [name for name, _, _ in _COMMANDS]
+    alone = command in names and argv[0] == command
+    sub = parser.add_subparsers(
+        dest="command", required=True, metavar="{" + ",".join(names) + "}" if alone else None
+    )
     for name, help_text, adder in _COMMANDS:
-        p = sub.add_parser(name, help=help_text)
         if name == command:
-            globals()[adder](p)
+            globals()[adder](sub.add_parser(name, help=help_text))
+        elif not alone:
+            sub.add_parser(name, help=help_text)
     return parser
 
 
@@ -267,10 +285,7 @@ def _run_verify(args) -> int:
 def main(argv=None) -> int:
     if argv is None:
         argv = sys.argv[1:]
-    # The top-level parser has no option that takes a value, so the first
-    # token that is not an option names the subcommand.
-    command = next((arg for arg in argv if not arg.startswith("-")), None)
-    args = _build_parser(command).parse_args(argv)
+    args = _build_parser(argv).parse_args(argv)
     for dest, least in _MINIMUMS.items():
         value = getattr(args, dest, None)
         if value is not None and value < least:

@@ -433,7 +433,7 @@ def _outcome(capsys, call):
     return code, captured.out, captured.err
 
 
-def _reference_parser(command):
+def _reference_parser(argv):
     """The parser with every subcommand's arguments added, from the CLI's own
     command table, built by the running interpreter's argparse."""
     parser = argparse.ArgumentParser(
@@ -466,6 +466,15 @@ class TestSurface:
             ["core", "--n", "3", "5", "extra"],
             ["core", "--n", "3", "--", "2,1"],
             ["fermionic", "--n", "1", "--s", "0", "--t", "0", "--order", "3"],
+            # A named command followed by what the top-level parser reports.
+            ["fermionic", "--n", "5", "--s", "0", "--t", "1", "--order", "15", "--bogus"],
+            ["branching", "--n", "4", "--j", "1", "--k", "0", "--order", "3", "stray"],
+            ["crystal", "graph", "--n", "3", "--max-size", "2", "extra"],
+            # The command after a first token.  Argparse reads a leading `--`
+            # as an invalid choice in older releases (3.13.0) and parses the
+            # command after it in newer ones (3.13.13).
+            ["--", "fermionic", "--n", "5", "--s", "0", "--t", "1", "--order", "3"],
+            ["--bogus", "fermionic", "--n", "5", "--s", "0", "--t", "1", "--order", "3"],
         ],
         ids=lambda argv: " ".join(argv) or "empty",
     )
@@ -483,12 +492,31 @@ class TestSurface:
         code, out, _ = _outcome(capsys, main)
         assert code == 0 and out.startswith("usage: slnbranch fermionic [-h] --n N")
 
-    def test_other_subcommands_get_only_their_help(self):
-        parser = cli._build_parser("fermionic")
-        (sub,) = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
-        added = {name: [a.dest for a in p._actions] for name, p in sub.choices.items()}
-        assert added.pop("fermionic") == ["help", "n", "s", "t", "order", "format"]
-        assert all(dests == ["help"] for dests in added.values())
+    def test_registers_only_a_leading_command(self, monkeypatch):
+        def added(argv):
+            parser = cli._build_parser(argv)
+            (sub,) = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
+            return {name: [a.dest for a in p._actions] for name, p in sub.choices.items()}
+
+        fermionic = ["help", "n", "s", "t", "order", "format"]
+        assert added(["fermionic"]) == {"fermionic": fermionic}
+        for argv in ([], ["bogus"], ["-h", "fermionic"], ["--", "fermionic"]):
+            dests = added(argv)
+            assert list(dests) == [name for name, _, _ in cli._COMMANDS]
+            assert dests.pop("fermionic") == (fermionic if "fermionic" in argv else ["help"])
+            assert all(d == ["help"] for d in dests.values())
+
+        built = []
+        real_init = argparse.ArgumentParser.__init__
+
+        def counted(self, *args, **kwargs):
+            built.append(kwargs.get("prog"))
+            real_init(self, *args, **kwargs)
+
+        monkeypatch.setattr(argparse.ArgumentParser, "__init__", counted)
+        monkeypatch.setattr(cli, "_run_fermionic", lambda args: 0)
+        assert main(["fermionic", "--n", "5", "--s", "0", "--t", "1", "--order", "15"]) == 0
+        assert built == ["slnbranch", "slnbranch fermionic"]
 
     def test_handler_is_looked_up_when_main_runs(self, capsys, monkeypatch):
         monkeypatch.setattr(cli, "_run_fermionic", lambda args: 7)
